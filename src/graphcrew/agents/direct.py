@@ -2,9 +2,10 @@
 
 No extraction, no catalogue, no native solving; the backend reads the
 prose and commits to an answer block.  ``cot`` mode prepends a
-step-by-step directive to the same template.  A reply that never parses
-is a scored failure, not an exception, because baseline failure rates
-are themselves a measured quantity.
+step-by-step directive to the same template.  A reply that never parses,
+or a backend that keeps failing, is a scored failure of that instance,
+not an exception, because baseline failure rates are themselves a
+measured quantity.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from ..problems import BOOLEAN, COLORING, NODE_SET, PATH, TOUR
 from ..solvers import Solution
 from .backends import ChatBackend
 from .blocks import parse_fields
-from .pipeline import CallRecord, ParseFailureError, PipelineConfig, _ask, _RejectReply
+from .pipeline import CallRecord, PipelineConfig, PipelineError, _ask, _RejectReply
 from .prompts import cot_directive
 
 MODES = ("direct", "cot")
@@ -116,6 +117,6 @@ def run_direct(
             "answer",
             lambda body: parse_direct_answer(body, mode),
         )
-    except ParseFailureError as exc:
+    except PipelineError as exc:
         return DirectOutcome(solution=None, failure=str(exc), calls=tuple(calls))
     return DirectOutcome(solution=solution, failure=None, calls=tuple(calls))

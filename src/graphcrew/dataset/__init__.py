@@ -6,6 +6,7 @@ from .extract import ExtractedProblem, ExtractionError, reference_extract
 from .generate import (
     DatasetSpec,
     GroundTruth,
+    NoExactTruthError,
     ProblemInstance,
     build_instance,
     generate_dataset,
@@ -26,6 +27,7 @@ __all__ = [
     "ExtractedProblem",
     "ExtractionError",
     "GroundTruth",
+    "NoExactTruthError",
     "ProblemInstance",
     "SCENARIO_STYLES",
     "build_instance",

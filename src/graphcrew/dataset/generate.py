@@ -52,9 +52,17 @@ DEFAULT_MAX_NODES = 25
 DEFAULT_PER_SIZE = 50
 
 
+class NoExactTruthError(ValueError):
+    """No exact route in the catalogue fits the graph, so no proven optimum exists."""
+
+
 @dataclass(frozen=True)
 class GroundTruth:
-    """Best known answer plus the heuristic answer for the same graph."""
+    """Proven optimum plus the heuristic answer for the same graph.
+
+    ``approximate`` holds the first applicable heuristic route's answer,
+    or the optimum again when the family has no heuristic route.
+    """
 
     optimal: Solution
     approximate: Solution
@@ -204,17 +212,23 @@ def ground_truth(
     target: str | None = None,
     kb: KnowledgeBase | None = None,
 ) -> GroundTruth:
-    """Best available answer plus the plain heuristic answer.
+    """Proven optimum plus the plain heuristic answer.
 
-    Within exact-solver limits the optimal slot really is optimal; past
-    them it holds the same deterministic heuristic result the selector
-    would produce, which keeps every instance scoreable.
+    The optimal slot always comes from an exact route.  Raises
+    :class:`NoExactTruthError` when the selector would pick a heuristic,
+    for example past every exact route's node limit, because a heuristic
+    answer stored as the truth would grade answers against itself.
     """
     kb = kb or default_knowledge_base()
     stats = graph_stats(graph)
     choice = select_algorithm(
         kb, problem_type, stats, weighted=graph.weighted, directed=graph.directed
     )
+    if not choice.record.exact:
+        raise NoExactTruthError(
+            f"no exact {problem_type} route fits a graph of {stats.node_count} "
+            f"nodes, so its optimum cannot be proven ({choice.rationale})"
+        )
     best = run_algorithm(choice, graph, source=source, target=target)
 
     approximate = best

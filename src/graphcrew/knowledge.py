@@ -19,9 +19,6 @@ import yaml
 from .graph import GraphStats
 from .problems import PROBLEM_TYPES
 
-HEURISTIC_FALLBACK = "heuristic"
-EXACT_PREFERRED = "exact"
-
 _DIRECTEDNESS = ("undirected", "directed", "any")
 
 

@@ -13,7 +13,6 @@ from .solution import (
 )
 from .tsp import (
     tour_cost,
-    tsp_brute_force,
     tsp_exact_held_karp,
     tsp_nearest_neighbor,
     tsp_nearest_neighbor_two_opt,
@@ -39,7 +38,6 @@ __all__ = [
     "solution_from_dict",
     "solution_to_dict",
     "tour_cost",
-    "tsp_brute_force",
     "tsp_exact_held_karp",
     "tsp_nearest_neighbor",
     "tsp_nearest_neighbor_two_opt",

@@ -12,7 +12,7 @@ from ..graph import Graph, GraphError
 from ..problems import COLORING
 from .solution import Solution, TooLargeError, canonical_coloring
 
-EXACT_COLORING_LIMIT = 22
+EXACT_COLORING_LIMIT = 25
 
 
 def _require_undirected(graph: Graph) -> None:

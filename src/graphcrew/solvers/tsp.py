@@ -1,15 +1,18 @@
 """Tour solvers for complete undirected graphs.
 
-Exact routes: a permutation scan for tiny inputs and Held-Karp dynamic
-programming up to a configurable node limit.  Heuristic routes: nearest
-neighbor and first-improvement 2-opt, used alone or chained.  All
-arithmetic stays exact (int or Fraction); every tie is broken toward the
-lower node index, so repeated runs return identical tours.
+Exact route: branch and bound over the Held-Karp 1-tree Lagrangian bound
+(Held & Karp, 1971; branching after Volgenant & Jonker, 1982), up to a
+configurable node limit.  Heuristic routes: nearest neighbor and
+first-improvement 2-opt, used alone or chained.  All arithmetic stays
+exact (int or Fraction, scaled to int inside the branch and bound); every
+tie is broken toward the lower node index, so repeated runs return
+identical tours.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+import math
+from fractions import Fraction
 
 from ..graph import Graph, GraphError, Weight, graph_stats
 from ..problems import TOUR
@@ -20,10 +23,16 @@ from .solution import (
     canonical_tour,
 )
 
-BRUTE_FORCE_LIMIT = 10
-HELD_KARP_LIMIT = 16
+HELD_KARP_LIMIT = 25
 
-_INF = float("inf")
+_FORCED = float("-inf")
+_BANNED = float("inf")
+# Weights are multiplied by this so that integer penalties can move in
+# steps finer than one weight unit.
+_PENALTY_SCALE = 16
+# (steps, patience) of subgradient ascent at the root and below it
+_ROOT_ASCENT = (100, 5)
+_CHILD_ASCENT = (20, 3)
 
 
 def _require_tour_input(graph: Graph) -> None:
@@ -58,83 +67,6 @@ def _as_start_index(graph: Graph, start: str | int) -> int:
     if 0 <= start < graph.node_count:
         return int(start)
     raise GraphError(f"start index {start} out of range")
-
-
-def tsp_brute_force(graph: Graph) -> Solution:
-    """Scan every tour from a fixed start; first permutation wins ties.
-
-    Only sensible for very small graphs; refuses more than
-    ``BRUTE_FORCE_LIMIT`` nodes.
-    """
-    _require_tour_input(graph)
-    n = graph.node_count
-    if n > BRUTE_FORCE_LIMIT:
-        raise TooLargeError(n, BRUTE_FORCE_LIMIT)
-    w = _matrix(graph)
-    best_cost: Weight | None = None
-    best_order: tuple[int, ...] | None = None
-    for perm in permutations(range(1, n)):
-        cost: Weight = w[0][perm[0]]
-        for a, b in zip(perm, perm[1:]):
-            cost = cost + w[a][b]
-        cost = cost + w[perm[-1]][0]
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_order = (0,) + perm
-    order = canonical_tour(tuple(graph.node_names[i] for i in best_order))
-    return Solution(TOUR, order, best_cost, "brute_force_tour", exact=True)
-
-
-def tsp_exact_held_karp(graph: Graph, max_nodes: int = HELD_KARP_LIMIT) -> Solution:
-    """Held-Karp subset dynamic program, O(n^2 * 2^n).
-
-    ``dp[mask][i]`` is the cheapest way to start at node 0, visit exactly
-    the nodes in ``mask``, and stand at ``i``.  Parents are recorded for
-    tour reconstruction; strict-improvement updates plus ascending scan
-    order make the reconstructed tour deterministic.
-    """
-    _require_tour_input(graph)
-    n = graph.node_count
-    if n > max_nodes:
-        raise TooLargeError(n, max_nodes)
-    w = _matrix(graph)
-    full = 1 << n
-    dp: list[list[Weight | float]] = [[_INF] * n for _ in range(full)]
-    parent: list[list[int]] = [[-1] * n for _ in range(full)]
-    dp[1][0] = 0
-    for mask in range(1, full):
-        row = dp[mask]
-        for i in range(n):
-            cost_i = row[i]
-            if cost_i is _INF or not (mask >> i) & 1:
-                continue
-            w_i = w[i]
-            for j in range(n):
-                if (mask >> j) & 1:
-                    continue
-                nxt = mask | (1 << j)
-                cand = cost_i + w_i[j]
-                if cand < dp[nxt][j]:
-                    dp[nxt][j] = cand
-                    parent[nxt][j] = i
-    last_mask = full - 1
-    best_cost: Weight | None = None
-    best_last = -1
-    for j in range(1, n):
-        if dp[last_mask][j] is _INF:
-            continue
-        total = dp[last_mask][j] + w[j][0]
-        if best_cost is None or total < best_cost:
-            best_cost = total
-            best_last = j
-    rev: list[int] = []
-    mask, node = last_mask, best_last
-    while node != -1:
-        rev.append(node)
-        mask, node = mask ^ (1 << node), parent[mask][node]
-    rev.reverse()
-    order = canonical_tour(tuple(graph.node_names[i] for i in rev))
-    return Solution(TOUR, order, best_cost, "held_karp", exact=True)
 
 
 def tsp_nearest_neighbor(graph: Graph, start: str | int = 0) -> Solution:
@@ -199,3 +131,259 @@ def tsp_nearest_neighbor_two_opt(graph: Graph, start: str | int = 0) -> Solution
     seed = tsp_nearest_neighbor(graph, start)
     refined = tsp_two_opt(graph, seed.payload)
     return Solution(TOUR, refined.payload, refined.objective, "nearest_neighbor_2opt", exact=False)
+
+
+def _integer_matrix(graph: Graph) -> list[list[int]]:
+    """Weights times the LCM of their denominators and ``_PENALTY_SCALE``.
+
+    Every tour then costs a whole multiple of ``_PENALTY_SCALE``, and
+    integer penalties have a finer grain than the weights themselves.
+    """
+    scale = _PENALTY_SCALE * math.lcm(
+        *(Fraction(w).denominator for _, _, w in graph.edges)
+    )
+    return [[int(w * scale) for w in row] for row in _matrix(graph)]
+
+
+class _Subproblem:
+    """Branching constraints: forced edges, banned edges, penalties.
+
+    ``cost[i][j]`` is the weight of a free edge, ``_FORCED`` for a forced
+    one and ``_BANNED`` for a banned one.  Forced edges always form
+    node-disjoint paths; ``end[i]`` is the far end of the path that ends
+    at ``i``.
+    """
+
+    __slots__ = ("cost", "forced_degree", "allowed_degree", "end", "forced", "pi")
+
+    def __init__(self, w: list[list[int]]):
+        n = len(w)
+        self.cost: list[list[float | int]] = [row[:] for row in w]
+        for i in range(n):
+            self.cost[i][i] = _BANNED
+        self.forced_degree = [0] * n
+        self.allowed_degree = [n - 1] * n  # edges that are not banned
+        self.end = list(range(n))
+        self.forced = 0
+        self.pi = [0] * n
+
+    def copy(self) -> _Subproblem:
+        twin = object.__new__(_Subproblem)
+        twin.cost = [row[:] for row in self.cost]
+        twin.forced_degree = self.forced_degree[:]
+        twin.allowed_degree = self.allowed_degree[:]
+        twin.end = self.end[:]
+        twin.forced = self.forced
+        twin.pi = self.pi[:]
+        return twin
+
+    def ban(self, i: int, j: int) -> bool:
+        """Ban edge (i, j); False when that leaves no tour."""
+        c = self.cost[i][j]
+        if c == _BANNED:
+            return True
+        if c == _FORCED:
+            return False
+        self.cost[i][j] = self.cost[j][i] = _BANNED
+        self.allowed_degree[i] -= 1
+        self.allowed_degree[j] -= 1
+        return self.allowed_degree[i] >= 2 and self.allowed_degree[j] >= 2
+
+    def force(self, i: int, j: int) -> bool:
+        """Force edge (i, j) into the tour; False when that leaves no tour."""
+        c = self.cost[i][j]
+        if c == _FORCED:
+            return True
+        if c == _BANNED or self.forced_degree[i] == 2 or self.forced_degree[j] == 2:
+            return False
+        n = len(self.cost)
+        a, b = self.end[i], self.end[j]
+        if a == j and self.forced != n - 1:
+            return False  # would close a cycle short of a full tour
+        self.cost[i][j] = self.cost[j][i] = _FORCED
+        self.forced_degree[i] += 1
+        self.forced_degree[j] += 1
+        self.forced += 1
+        self.end[a], self.end[b] = b, a
+        for v in (i, j):
+            if self.forced_degree[v] == 2:
+                row = self.cost[v]
+                for u in range(n):
+                    if row[u] != _FORCED and not self.ban(v, u):
+                        return False
+        if self.forced >= n - 1 or (a, b) == (i, j):
+            return True  # a full tour, or a one-edge path
+        return self.ban(a, b)
+
+
+def _one_tree(
+    w: list[list[int]], sub: _Subproblem
+) -> tuple[int, list[int], list[tuple[int, int]]] | None:
+    """Cheapest 1-tree under the subproblem's constraints and penalties.
+
+    A spanning tree on nodes 1..n-1 (Prim's algorithm, forced edges
+    first) plus the two cheapest edges at node 0.  Returns the Lagrangian
+    bound, the node degrees and the edges, or None when no 1-tree exists.
+    """
+    n = len(w)
+    cost, pi = sub.cost, sub.pi
+    key: list[float | int] = [_BANNED] * n
+    parent = [0] * n
+    rest = list(range(2, n))
+    degree = [0] * n
+    edges: list[tuple[int, int]] = []
+    total = 0
+    u = 1
+    while rest:
+        row, pu = cost[u], pi[u]
+        best: float | int = _BANNED
+        nearest = -1
+        for v in rest:
+            c = row[v] + pu
+            k = key[v]
+            if c < k:
+                key[v] = k = c
+                parent[v] = u
+            c = k + pi[v]
+            if c < best:
+                best, nearest = c, v
+        if nearest < 0:
+            return None
+        u = nearest
+        rest.remove(u)
+        p = parent[u]
+        edges.append((p, u))
+        total += w[p][u]
+        degree[p] += 1
+        degree[u] += 1
+    row = cost[0]
+    first = second = -1
+    for v in range(1, n):
+        c = row[v] + pi[v]
+        if c == _BANNED:
+            continue
+        if first < 0 or c < row[first] + pi[first]:
+            first, second = v, first
+        elif second < 0 or c < row[second] + pi[second]:
+            second = v
+    if second < 0:
+        return None
+    for v in (first, second):
+        edges.append((0, v))
+        total += w[0][v]
+        degree[v] += 1
+    degree[0] = 2
+    bound = total + sum((d - 2) * p for d, p in zip(degree, pi))
+    return bound, degree, edges
+
+
+def _ascend(
+    w: list[list[int]], sub: _Subproblem, best: int, steps: int, patience: int
+) -> tuple[int, list[int], list[tuple[int, int]]] | None:
+    """Subgradient ascent on ``sub.pi``; keeps the penalties of the best
+    bound and returns that bound's 1-tree, or None when there is none.
+
+    Stops early once the bound prunes the subproblem or the 1-tree is a
+    tour.  The step is the Polyak step towards ``best``, in whole units.
+    """
+    top = None
+    lam = 2.0
+    stall = 0
+    for _ in range(steps):
+        found = _one_tree(w, sub)
+        if found is None:
+            return None
+        bound, degree, _edges = found
+        if max(degree) == 2:
+            return found
+        if top is None or bound > top[0]:
+            top, top_pi, stall = found, sub.pi[:], 0
+        else:
+            stall += 1
+            if stall >= patience:
+                lam, stall = lam / 2, 0
+        if bound > best - _PENALTY_SCALE:
+            break
+        norm = sum((d - 2) ** 2 for d in degree)
+        step = max(1, int(lam * (best - bound) / norm))
+        sub.pi = [p + step * (d - 2) for p, d in zip(sub.pi, degree)]
+    sub.pi = top_pi
+    return top
+
+
+def _tour_from_edges(n: int, edges: list[tuple[int, int]]) -> list[int]:
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    order = [0, min(neighbors[0])]
+    while len(order) < n:
+        a, b = neighbors[order[-1]]
+        order.append(b if a == order[-2] else a)
+    return order
+
+
+def _branch_and_bound(w: list[list[int]], tour: list[int]) -> list[int]:
+    """Cheapest tour, searched depth first from a known ``tour``.
+
+    Each subproblem runs subgradient ascent on its penalties.  It is
+    pruned once its 1-tree bound shows that it holds no tour cheaper than
+    the best one found so far.  Weights are integers and tour costs
+    whole multiples of ``_PENALTY_SCALE``, so that test is exact.  A
+    1-tree that is itself a tour is the subproblem's optimum.  Otherwise
+    the search branches on a node of degree above 2 (Volgenant & Jonker,
+    1982).  With tree edges e1 and e2 at that node, the children are:
+    e1 banned; e1 forced and e2 banned; both forced.
+    """
+    n = len(w)
+    best = sum(w[a][b] for a, b in zip(tour, tour[1:] + tour[:1]))
+    stack = [_Subproblem(w)]
+    steps, patience = _ROOT_ASCENT
+    while stack:
+        sub = stack.pop()
+        found = _ascend(w, sub, best, steps, patience)
+        steps, patience = _CHILD_ASCENT
+        if found is None:
+            continue
+        bound, degree, edges = found
+        if bound > best - _PENALTY_SCALE:
+            continue
+        if max(degree) == 2:
+            best, tour = bound, _tour_from_edges(n, edges)
+            continue
+        v = max(range(n), key=lambda u: (degree[u], -u))
+        free = [a + b - v for a, b in edges if v in (a, b)]
+        free = [u for u in free if sub.cost[v][u] != _FORCED]
+        e1, e2 = sorted(free, key=lambda u: (-w[v][u], u))[:2]
+        children = []
+        child = sub.copy()
+        if child.ban(v, e1):
+            children.append(child)
+        child = sub.copy()
+        if child.force(v, e1) and child.ban(v, e2):
+            children.append(child)
+        child = sub.copy()
+        if child.force(v, e1) and child.force(v, e2):
+            children.append(child)
+        stack.extend(reversed(children))
+    return tour
+
+
+def tsp_exact_held_karp(graph: Graph, max_nodes: int = HELD_KARP_LIMIT) -> Solution:
+    """Exact minimum tour by branch and bound over the Held-Karp bound.
+
+    The search starts from the nearest neighbor + 2-opt tour and keeps a
+    tour only when it is strictly cheaper, so ties resolve to that seed
+    and repeated runs return identical tours.  The search has no node or
+    time cap: the answer is always proven optimal.
+    """
+    _require_tour_input(graph)
+    n = graph.node_count
+    if n > max_nodes:
+        raise TooLargeError(n, max_nodes)
+    seed = tsp_nearest_neighbor_two_opt(graph)
+    tour = _branch_and_bound(
+        _integer_matrix(graph), [graph.index_of(name) for name in seed.payload]
+    )
+    order = canonical_tour(tuple(graph.node_names[i] for i in tour))
+    return Solution(TOUR, order, tour_cost(graph, order), "held_karp", exact=True)

@@ -3,7 +3,8 @@
 Deliberately written with different algorithms than the package solvers:
 shortest paths via Bellman-Ford instead of Dijkstra, chromatic number by
 prefix-pruned color enumeration, vertex cover by subset enumeration,
-tours by direct permutation scan, cycles by edge/component counting and
+tours by direct permutation scan or the Held-Karp subset dynamic program
+instead of branch and bound, cycles by edge/component counting and
 Kahn's algorithm.  Slow and obviously correct beats fast here.
 """
 
@@ -71,6 +72,32 @@ def brute_tour_cost(graph):
         if best is None or cost < best:
             best = cost
     return best
+
+
+def held_karp_tour_cost(graph):
+    """Optimal tour cost by the Held-Karp subset DP, O(n^2 * 2^n) (n <= 16).
+
+    ``dp[mask][i]`` is the cheapest path that starts at node 0, visits
+    exactly the nodes in ``mask`` and ends at ``i``.
+    """
+    n = graph.node_count
+    wm = graph.weight_map
+    full = 1 << n
+    dp = [[None] * n for _ in range(full)]
+    dp[1][0] = 0
+    for mask in range(1, full, 2):
+        for i in range(n):
+            cost = dp[mask][i]
+            if cost is None:
+                continue
+            for j in range(1, n):
+                if (mask >> j) & 1:
+                    continue
+                nxt = mask | (1 << j)
+                cand = cost + wm[(i, j)]
+                if dp[nxt][j] is None or cand < dp[nxt][j]:
+                    dp[nxt][j] = cand
+    return min(dp[full - 1][j] + wm[(j, 0)] for j in range(1, n))
 
 
 def brute_chromatic_number(graph):

@@ -154,6 +154,9 @@ def test_criterion_3_dataset_statistics(tmp_path):
         write_instances(generate_dataset(DatasetSpec(problem_type)), regenerated)
         assert regenerated.read_bytes() == (out / f"{problem_type}.jsonl").read_bytes()
 
+        # every stored optimum was proven by an exact route
+        assert all(instance.truth.optimal.exact for instance in instances), problem_type
+
         # the reference extractor recovers every hidden graph
         for instance in instances:
             got = reference_extract(instance.text)

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+import requests
 from click.testing import CliRunner
 
 from graphcrew.cli import main
@@ -71,6 +72,15 @@ class TestGenerate:
             main, ["generate", "--sizes", "8-9-10", "--out", str(tmp_path / "x")]
         )
         assert result.exit_code == 2
+
+    def test_past_exact_limit_is_config_error(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            ["generate", "--sizes", "26", "--per-size", "1", "--type", "tsp",
+             "--out", str(tmp_path / "x")],
+        )
+        assert result.exit_code == 2
+        assert "no exact tsp route" in result.output
 
     def test_regeneration_is_byte_identical(self, runner, tmp_path):
         a = tmp_path / "a"
@@ -252,3 +262,29 @@ class TestSolveDirect:
         )
         assert result.exit_code == 0, result.output
         assert "100.0%" in result.output
+
+    def test_dead_backend_fails_each_instance(self, runner, tmp_path, monkeypatch):
+        out = tmp_path / "ds"
+        _generate(runner, out, extra=["--type", "vertex_cover"])
+        monkeypatch.setenv("EXAMPLE_KEY", "sk-test")
+
+        def refuse(*args, **kwargs):
+            raise requests.ConnectionError("connection refused")
+
+        monkeypatch.setattr(requests, "post", refuse)
+        config = tmp_path / "live.yaml"
+        config.write_text(
+            "kind: live\nendpoint: https://api.example.com/v1\n"
+            "model: test-model\napi_key_env: EXAMPLE_KEY\n"
+        )
+        results = tmp_path / "direct.jsonl"
+        result = runner.invoke(
+            main,
+            ["solve-direct", "--dataset", str(out / "vertex_cover.jsonl"),
+             "--backend-config", str(config), "--out", str(results)],
+        )
+        assert result.exit_code == 1
+        records = [json.loads(line) for line in results.read_text().splitlines()]
+        assert len(records) == 4
+        assert all(r["status"] == "failed" for r in records)
+        assert all("backend failed" in r["failure"] for r in records)

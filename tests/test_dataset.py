@@ -8,6 +8,7 @@ import pytest
 
 from graphcrew.dataset import (
     DatasetSpec,
+    NoExactTruthError,
     build_instance,
     generate_dataset,
     generate_names,
@@ -232,10 +233,15 @@ class TestGroundTruth:
         assert not inst.truth.approximate.exact
         assert inst.truth.approximate.objective >= inst.truth.optimal.objective
 
-    def test_beyond_exact_limit_truth_degrades_gracefully(self):
+    def test_truth_is_exact_or_refused(self):
         inst = build_instance(TSP, 18, 0)
-        assert inst.truth.optimal.algorithm_id == "nearest_neighbor_2opt"
-        assert inst.truth.optimal == inst.truth.approximate
+        assert inst.truth.optimal.algorithm_id == "held_karp"
+        assert inst.truth.optimal.exact
+        assert inst.truth.optimal.objective <= inst.truth.approximate.objective
+        with pytest.raises(NoExactTruthError) as err:
+            build_instance(TSP, 26, 0)
+        assert isinstance(err.value, ValueError)
+        assert "limit of 25" in str(err.value)
 
 
 class TestRecords:

@@ -60,22 +60,23 @@ def test_selector_prefers_exact_within_limit():
     kb = default_knowledge_base()
     pick = choose(kb, "tsp", complete_graph(12, seed=1))
     assert pick.record.algorithm_id == "held_karp"
-    assert "12 nodes" in pick.rationale and "16" in pick.rationale
+    assert "12 nodes" in pick.rationale and "25" in pick.rationale
 
 
 def test_selector_falls_back_past_the_limit():
     kb = default_knowledge_base()
-    pick = choose(kb, "tsp", complete_graph(20, seed=1))
+    assert choose(kb, "tsp", complete_graph(25, seed=1)).record.algorithm_id == "held_karp"
+    pick = choose(kb, "tsp", complete_graph(26, seed=1))
     assert pick.record.algorithm_id == "nearest_neighbor_2opt"
     assert not pick.record.exact
-    assert "held_karp" in pick.rationale and "limit of 16" in pick.rationale
+    assert "held_karp" in pick.rationale and "limit of 25" in pick.rationale
     assert pick.bound_parameters == {"start": 0}
 
 
 def test_selector_boundaries_per_family():
     kb = default_knowledge_base()
-    assert choose(kb, "graph_coloring", gnp_graph(22, 0.3, seed=2)).record.algorithm_id == "exact_coloring"
-    assert choose(kb, "graph_coloring", gnp_graph(23, 0.3, seed=2)).record.algorithm_id == "dsatur"
+    assert choose(kb, "graph_coloring", gnp_graph(25, 0.3, seed=2)).record.algorithm_id == "exact_coloring"
+    assert choose(kb, "graph_coloring", gnp_graph(26, 0.3, seed=2)).record.algorithm_id == "dsatur"
     assert choose(kb, "vertex_cover", gnp_graph(30, 0.3, seed=3)).record.algorithm_id == "bnb_cover"
     assert choose(kb, "vertex_cover", gnp_graph(31, 0.3, seed=3)).record.algorithm_id == "matching_cover"
     sp = gnp_graph(40, 0.3, seed=4, weighted=True, connected=True)
@@ -104,7 +105,7 @@ def test_applicability_reason_is_checkable_alone():
     kb = default_knowledge_base()
     hk = kb.by_id("held_karp")
     small = graph_stats(complete_graph(10, seed=1))
-    big = graph_stats(complete_graph(20, seed=1))
+    big = graph_stats(complete_graph(26, seed=1))
     assert applicability_reason(hk, small, weighted=True, directed=False) is None
     assert "exceeds" in applicability_reason(hk, big, weighted=True, directed=False)
     assert "unweighted" in applicability_reason(hk, small, weighted=False, directed=False)
@@ -190,7 +191,7 @@ def test_run_algorithm_respects_catalogue_limit():
 
 def test_run_algorithm_via_choice_binds_parameters():
     kb = default_knowledge_base()
-    g = complete_graph(20, seed=17)
+    g = complete_graph(26, seed=17)
     pick = choose(kb, "tsp", g)
     sol = run_algorithm(pick, g)
     assert sol.algorithm_id == "nearest_neighbor_2opt"

@@ -72,7 +72,7 @@ def test_deterministic_across_runs():
 
 def test_input_rejections():
     with pytest.raises(TooLargeError):
-        coloring_exact(gnp_graph(23, 0.3, seed=1))
+        coloring_exact(gnp_graph(26, 0.3, seed=1))
     assert coloring_exact(gnp_graph(12, 0.3, seed=1), max_nodes=12).exact
     directed = build_graph(["A", "B"], True, False, [("A", "B")])
     with pytest.raises(GraphError):

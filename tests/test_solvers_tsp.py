@@ -7,16 +7,16 @@ from graphcrew.solvers import (
     GraphNotCompleteError,
     TooLargeError,
     tour_cost,
-    tsp_brute_force,
     tsp_exact_held_karp,
     tsp_nearest_neighbor,
     tsp_nearest_neighbor_two_opt,
     tsp_two_opt,
     verify_solution,
 )
+from graphcrew.solvers import tsp as tsp_module
 
-from oracles import brute_tour_cost
-from util import complete_graph
+from oracles import brute_tour_cost, held_karp_tour_cost
+from util import complete_graph, names_for
 
 
 def square():
@@ -29,12 +29,11 @@ def square():
 
 
 def test_square_known_optimum():
-    for solve in (tsp_brute_force, tsp_exact_held_karp):
-        sol = solve(square())
-        assert sol.payload == ("A", "B", "C", "D")
-        assert sol.objective == 4
-        assert sol.exact
-        assert verify_solution("tsp", square(), sol).valid
+    sol = tsp_exact_held_karp(square())
+    assert sol.payload == ("A", "B", "C", "D")
+    assert sol.objective == 4 == brute_tour_cost(square())
+    assert sol.exact
+    assert verify_solution("tsp", square(), sol).valid
 
 
 def test_equal_weight_k4_gives_identity_order():
@@ -42,7 +41,6 @@ def test_equal_weight_k4_gives_identity_order():
     k4 = build_graph(
         names, False, True, [(a, b, 1) for i, a in enumerate(names) for b in names[i + 1 :]]
     )
-    assert tsp_brute_force(k4).payload == ("A", "B", "C", "D")
     assert tsp_exact_held_karp(k4).payload == ("A", "B", "C", "D")
     assert tsp_nearest_neighbor(k4).payload == ("A", "B", "C", "D")
 
@@ -51,9 +49,20 @@ def test_exact_solvers_agree_with_enumeration():
     for seed in range(12):
         n = 4 + seed % 5
         g = complete_graph(n, seed=seed)
-        want = brute_tour_cost(g)
-        assert tsp_brute_force(g).objective == want
-        assert tsp_exact_held_karp(g).objective == want
+        assert tsp_exact_held_karp(g).objective == brute_tour_cost(g)
+
+
+def test_exact_solver_agrees_with_subset_dp():
+    # weights up to 5 give many near-ties, where a bound test that is off
+    # by one unit would prune the optimum
+    for n in range(10, 15):
+        for seed in range(2):
+            for high in (100, 5):
+                g = complete_graph(n, seed=400 + 10 * n + seed, high=high)
+                sol = tsp_exact_held_karp(g)
+                assert verify_solution("tsp", g, sol).valid
+                assert sol.objective == tour_cost(g, sol.payload)
+                assert sol.objective == held_karp_tour_cost(g), (n, seed, high)
 
 
 def test_two_opt_uncrosses_square():
@@ -106,10 +115,47 @@ def test_fraction_weights_stay_exact():
     assert sol.objective == brute_tour_cost(g)
 
 
+def test_fraction_weights_with_unlike_denominators():
+    for seed in range(6):
+        g = complete_graph(11, seed=500 + seed)
+        denominators = (1, 2, 3, 7)
+        edges = [
+            (g.node_names[u], g.node_names[v], Fraction(w, denominators[(u + v) % 4]))
+            for u, v, w in g.edges
+        ]
+        h = build_graph(g.node_names, False, True, edges)
+        sol = tsp_exact_held_karp(h)
+        assert sol.objective == held_karp_tour_cost(h) == tour_cost(h, sol.payload)
+        assert verify_solution("tsp", h, sol).valid
+
+
+def test_all_equal_weights_return_identity_tour_at_once(monkeypatch):
+    names = names_for(12)
+    k12 = build_graph(
+        names, False, True, [(a, b, 7) for i, a in enumerate(names) for b in names[i + 1 :]]
+    )
+    bounds = []
+    one_tree = tsp_module._one_tree
+
+    def counted(*args):
+        bounds.append(1)
+        return one_tree(*args)
+
+    monkeypatch.setattr(tsp_module, "_one_tree", counted)
+    sol = tsp_exact_held_karp(k12)
+    assert sol.payload == tuple(names)
+    assert sol.objective == 84
+    # the seed tour meets the first bound, so the search ends there
+    assert len(bounds) == 1
+
+
 def test_deterministic_across_runs():
     g = complete_graph(9, seed=42)
     assert tsp_exact_held_karp(g) == tsp_exact_held_karp(g)
     assert tsp_nearest_neighbor_two_opt(g) == tsp_nearest_neighbor_two_opt(g)
+    for seed in range(3):
+        g = complete_graph(22, seed=600 + seed)
+        assert tsp_exact_held_karp(g) == tsp_exact_held_karp(g)
 
 
 def test_tour_direction_is_canonical():
@@ -121,16 +167,14 @@ def test_tour_direction_is_canonical():
 
 def test_input_rejections():
     with pytest.raises(TooLargeError):
-        tsp_brute_force(complete_graph(11, seed=1))
-    with pytest.raises(TooLargeError):
-        tsp_exact_held_karp(complete_graph(17, seed=1))
+        tsp_exact_held_karp(complete_graph(26, seed=1))
     assert tsp_exact_held_karp(complete_graph(9, seed=1), max_nodes=9).exact
     incomplete = build_graph(["A", "B", "C"], False, True, [("A", "B", 1), ("B", "C", 1)])
     with pytest.raises(GraphNotCompleteError):
         tsp_exact_held_karp(incomplete)
     tiny = build_graph(["A", "B"], False, True, [("A", "B", 1)])
     with pytest.raises(GraphError):
-        tsp_brute_force(tiny)
+        tsp_exact_held_karp(tiny)
     directed = build_graph(
         ["A", "B", "C"],
         True,
