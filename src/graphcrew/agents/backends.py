@@ -24,7 +24,7 @@ from typing import Any, Protocol, runtime_checkable
 import requests
 import yaml
 
-from ..formats import EDGE_LIST, parse_graph
+from ..formats import parse_graph
 from ..graph import graph_stats
 from ..knowledge import KnowledgeBase, default_knowledge_base, select_algorithm
 from .prompts import stage_of_prompt
@@ -305,7 +305,7 @@ class OracleStubBackend:
         if stage in ("extract_graph", "normalize"):
             return str(hidden["graph_text"]).strip()
         if stage == "select":
-            graph = parse_graph(hidden["graph_text"], EDGE_LIST)
+            graph = parse_graph(hidden["graph_text"])
             choice = select_algorithm(
                 self._kb,
                 hidden["problem_type"],

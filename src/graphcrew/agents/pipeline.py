@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..execute import run_algorithm
-from ..formats import EDGE_LIST, read_edge_list_loose, serialize_graph
+from ..formats import read_edge_list_loose, serialize_graph
 from ..graph import Graph, GraphError, build_graph, graph_stats, merge_edge_triples
 from ..knowledge import (
     AlgorithmChoice,
@@ -482,22 +482,15 @@ def execute_and_check(
             raise _RejectReply("the verdict line must say pass or fail")
         return verdict
 
+    slots = {
+        "problem_type": problem_spec.problem_type,
+        "graph": serialize_graph(graph),
+        "solution": explanation,
+        "report": report_text,
+    }
     verdicts: list[str] = []
     for _ in range(config.n_check):
-        verdict = _ask(
-            backend,
-            "audit",
-            {
-                "problem_type": problem_spec.problem_type,
-                "graph": serialize_graph(graph, EDGE_LIST),
-                "solution": explanation,
-                "report": report_text,
-            },
-            config,
-            calls,
-            "verdict",
-            validate,
-        )
+        verdict = _ask(backend, "audit", slots, config, calls, "verdict", validate)
         verdicts.append(verdict)
         if verdict == "fail":
             notes.append(

@@ -20,6 +20,7 @@ import click
 from .agents import (
     BackendConfig,
     BackendError,
+    CallRecord,
     ConfigError,
     DirectOutcome,
     PipelineConfig,
@@ -182,6 +183,37 @@ def _write_lines(lines: list[str], path: Path) -> None:
     path.write_text("\n".join(lines) + "\n" if lines else "", encoding="utf-8")
 
 
+def _run_dataset(instances, backend_config, kb, concurrency, out, verb, answer_one) -> None:
+    """Answer every instance, write the results in dataset order and report.
+
+    ``answer_one(backend, instance)`` returns the instance's results
+    record.  Stub backends are built per instance from its hidden data;
+    any other backend is shared.  Exits 1 when some instance failed.
+    """
+    shared_backend = None
+    if not _needs_hidden(backend_config):
+        shared_backend = make_backend(backend_config, kb=kb)
+
+    def run_one(instance):
+        backend = shared_backend
+        if backend is None:
+            backend = make_backend(backend_config, hidden=instance.hidden_payload(), kb=kb)
+        return answer_one(backend, instance)
+
+    if concurrency > 1:
+        with ThreadPoolExecutor(max_workers=concurrency) as pool:
+            records = list(pool.map(run_one, instances))
+    else:
+        records = [run_one(instance) for instance in instances]
+
+    _write_lines([_dump(r) for r in records], out)
+    failed = sum(1 for r in records if r["status"] != "ok")
+    click.echo(f"{verb} {len(records) - failed}/{len(records)} instances -> {out}")
+    if failed:
+        click.echo(f"{failed} instances failed", err=True)
+        sys.exit(1)
+
+
 @main.command("solve")
 @click.option("--dataset", required=True,
               type=click.Path(exists=True, dir_okay=False, path_type=Path),
@@ -206,17 +238,7 @@ def cmd_solve(dataset, backend_config_path, kb_path, n_check, concurrency, out):
     kb = _load_kb(kb_path)
     pipeline_config = PipelineConfig(kb=kb, n_check=n_check)
 
-    shared_backend = None
-    if not _needs_hidden(backend_config):
-        shared_backend = make_backend(backend_config, kb=kb)
-
-    def solve_one(instance):
-        if shared_backend is not None:
-            backend = shared_backend
-        else:
-            backend = make_backend(
-                backend_config, hidden=instance.hidden_payload(), kb=kb
-            )
+    def solve_one(backend, instance):
         record = {"id": instance.instance_id, "problem_type": instance.problem_type}
         try:
             outcome = run_pipeline(backend, instance.text, pipeline_config)
@@ -240,18 +262,7 @@ def cmd_solve(dataset, backend_config_path, kb_path, n_check, concurrency, out):
         record["usage"] = _usage_rows(outcome.calls)
         return record
 
-    if concurrency > 1:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            records = list(pool.map(solve_one, instances))
-    else:
-        records = [solve_one(instance) for instance in instances]
-
-    _write_lines([_dump(r) for r in records], out)
-    failed = sum(1 for r in records if r["status"] != "ok")
-    click.echo(f"solved {len(records) - failed}/{len(records)} instances -> {out}")
-    if failed:
-        click.echo(f"{failed} instances failed", err=True)
-        sys.exit(1)
+    _run_dataset(instances, backend_config, kb, concurrency, out, "solved", solve_one)
 
 
 @main.command("solve-direct")
@@ -271,15 +282,7 @@ def cmd_solve_direct(dataset, backend_config_path, mode, concurrency, out):
     instances = read_instances(dataset)
     backend_config = load_backend_config(backend_config_path)
 
-    shared_backend = None
-    if not _needs_hidden(backend_config):
-        shared_backend = make_backend(backend_config)
-
-    def solve_one(instance):
-        if shared_backend is not None:
-            backend = shared_backend
-        else:
-            backend = make_backend(backend_config, hidden=instance.hidden_payload())
+    def answer_one(backend, instance):
         outcome: DirectOutcome = run_direct(backend, instance.text, mode=mode)
         record = {
             "id": instance.instance_id,
@@ -295,18 +298,7 @@ def cmd_solve_direct(dataset, backend_config_path, mode, concurrency, out):
         record["usage"] = _usage_rows(outcome.calls)
         return record
 
-    if concurrency > 1:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            records = list(pool.map(solve_one, instances))
-    else:
-        records = [solve_one(instance) for instance in instances]
-
-    _write_lines([_dump(r) for r in records], out)
-    failed = sum(1 for r in records if r["status"] != "ok")
-    click.echo(f"answered {len(records) - failed}/{len(records)} instances -> {out}")
-    if failed:
-        click.echo(f"{failed} instances failed", err=True)
-        sys.exit(1)
+    _run_dataset(instances, backend_config, None, concurrency, out, "answered", answer_one)
 
 
 @main.command("evaluate")
@@ -345,18 +337,38 @@ def cmd_evaluate(results_path, dataset, backend_config_path, out_dir):
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{results_path}: line {lineno}: {exc}") from exc
-        instance = instances.get(record.get("id"))
+        if not isinstance(record, dict):
+            raise ConfigError(f"{results_path}: line {lineno}: a result must be a JSON object")
+        record_id = record.get("id")
+        instance = instances.get(record_id) if isinstance(record_id, str) else None
         if instance is None:
             raise ConfigError(
-                f"{results_path}: line {lineno}: result for unknown instance {record.get('id')!r}"
+                f"{results_path}: line {lineno}: result for unknown instance {record_id!r}"
+            )
+        if instance.instance_id in trails:
+            raise ConfigError(
+                f"{results_path}: line {lineno}: second result for instance {instance.instance_id!r}"
             )
         if instance.truth is None or instance.graph is None:
             raise ConfigError(
                 f"instance {instance.instance_id} carries no ground truth; "
                 "evaluate needs the full (non text-only) dataset file"
             )
-        if record.get("status") == "ok":
-            prediction = solution_from_dict(record["solution"])
+        usage = record.get("usage") or []
+        try:
+            trails[instance.instance_id] = [
+                CallRecord(u["stage"], u.get("attempt", 1), "", "", "",
+                           u["input_tokens"], u["output_tokens"])
+                for u in usage
+            ]
+            ok = record.get("status") == "ok"
+            prediction = solution_from_dict(record["solution"]) if ok else None
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise ConfigError(
+                f"{results_path}: line {lineno}: malformed result ({type(exc).__name__}: {exc})"
+            ) from exc
+        any_usage = any_usage or bool(usage)
+        if prediction is not None:
             scores.append(score_prediction(
                 prediction,
                 instance.truth.optimal,
@@ -372,16 +384,14 @@ def cmd_evaluate(results_path, dataset, backend_config_path, out_dir):
                 instance.problem_type,
                 record.get("failure") or "solve failed",
             ))
-        usage = record.get("usage") or []
-        if usage:
-            any_usage = True
-        trails[instance.instance_id] = [
-            _UsageCall(u["stage"], u.get("attempt", 1), u["input_tokens"], u["output_tokens"])
-            for u in usage
-        ]
 
     if not scores:
         raise ConfigError(f"{results_path} holds no results")
+    scores += [
+        score_failure(instance_id, instance.problem_type, "no result")
+        for instance_id, instance in instances.items()
+        if instance_id not in trails
+    ]
 
     summaries = aggregate_scores(scores)
     overall = overall_summary(scores)
@@ -397,18 +407,6 @@ def cmd_evaluate(results_path, dataset, backend_config_path, out_dir):
     (out_dir / "report.txt").write_text(report_text, encoding="utf-8")
     click.echo(report_text.rstrip("\n"))
     click.echo(f"reports written to {out_dir}")
-
-
-class _UsageCall:
-    """Minimal stand-in for a call record when only token counts survive."""
-
-    __slots__ = ("stage", "attempt", "input_tokens", "output_tokens")
-
-    def __init__(self, stage: str, attempt: int, input_tokens: int, output_tokens: int):
-        self.stage = stage
-        self.attempt = attempt
-        self.input_tokens = input_tokens
-        self.output_tokens = output_tokens
 
 
 if __name__ == "__main__":

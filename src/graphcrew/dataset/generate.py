@@ -87,11 +87,11 @@ class ProblemInstance:
         """The withheld data an oracle stub backend answers from."""
         if self.graph is None:
             raise ValueError(f"instance {self.instance_id} carries no hidden data")
-        from ..formats import EDGE_LIST, serialize_graph
+        from ..formats import serialize_graph
 
         payload: dict[str, Any] = {
             "problem_type": self.problem_type,
-            "graph_text": serialize_graph(self.graph, EDGE_LIST),
+            "graph_text": serialize_graph(self.graph),
             "narrative": self.narrative,
             "objective": _OBJECTIVES[self.problem_type],
             "source": self.source,

@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from ..formats import EDGE_LIST, parse_graph, serialize_graph
+from ..formats import parse_graph, serialize_graph
 from ..solvers.solution import solution_from_dict, solution_to_dict
 from .generate import DatasetSpec, GroundTruth, ProblemInstance
 
@@ -29,7 +29,7 @@ def instance_to_record(instance: ProblemInstance) -> dict[str, Any]:
     }
     hidden: dict[str, Any] = {}
     if instance.graph is not None:
-        hidden["graph"] = serialize_graph(instance.graph, EDGE_LIST)
+        hidden["graph"] = serialize_graph(instance.graph)
         hidden["narrative"] = instance.narrative
         if instance.source is not None:
             hidden["source"] = instance.source
@@ -56,7 +56,7 @@ def record_to_instance(record: dict[str, Any]) -> ProblemInstance:
     hidden = record.get("hidden") or {}
     graph = None
     if "graph" in hidden:
-        graph = parse_graph(hidden["graph"], EDGE_LIST)
+        graph = parse_graph(hidden["graph"])
     truth = None
     if "truth" in hidden:
         truth = GroundTruth(

@@ -1,21 +1,21 @@
-"""Text formats for graphs: edge-list, adjacency-list, adjacency-matrix.
+"""The one text form of a graph: an edge list under ``#`` header lines.
 
-Each format is a plain-text body preceded by ``#`` header lines that pin
-down what the body alone cannot: the node roster, directedness, and
-weightedness.  ``parse_graph(serialize_graph(g, f), f)`` returns a graph
-equal to ``g`` for every format, and serialization of a canonical graph
-is byte-stable.
+The headers pin down what the rows alone cannot: the node roster
+(isolated nodes included), directedness and weightedness.  Grammar, one
+line each, blank lines ignored:
 
-Grammar (one line each, blank lines ignored):
+- header:  ``# nodes: A B C`` | ``# directed: true`` | ``# weighted: false``
+- row:     ``U V`` (unweighted) | ``U V 7/2`` (weighted)
 
-- header:            ``# nodes: A B C`` | ``# directed: true`` | ``# weighted: false``
-- edge-list row:     ``U V`` (unweighted) | ``U V 7/2`` (weighted)
-- adjacency row:     ``U: V, W`` (unweighted) | ``U: V(3), W(7/2)`` | ``U:``
-- matrix row:        one weight per node, ``0`` meaning "no edge"
+A missing ``directed`` header means undirected; a missing ``weighted``
+header means weighted exactly when some row carries a weight; a missing
+``nodes`` header means the roster is the rows' endpoints.
 
-Undirected adjacency lists state every edge in both rows; undirected
-matrices must be symmetric.  The matrix format cannot express an edge of
-weight 0, so serializing one raises :class:`~graphcrew.graph.GraphError`.
+One scanner reads every line once.  :func:`read_edge_list_loose` returns
+what it read, unreadable lines included; :func:`parse_graph` refuses the
+first unreadable line, then checks the roster and builds the canonical
+:class:`~graphcrew.graph.Graph`.  ``parse_graph(serialize_graph(g)) == g``
+for every graph, and serializing a canonical graph is byte-stable.
 """
 
 from __future__ import annotations
@@ -23,24 +23,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .graph import (
-    Graph,
-    GraphError,
-    Weight,
-    build_graph,
-    coerce_weight,
-    format_weight,
-)
-
-EDGE_LIST = "edge-list"
-ADJACENCY_LIST = "adjacency-list"
-ADJACENCY_MATRIX = "adjacency-matrix"
-
-FORMATS: tuple[str, ...] = (EDGE_LIST, ADJACENCY_LIST, ADJACENCY_MATRIX)
+from .graph import Graph, GraphError, Weight, build_graph, coerce_weight, format_weight
 
 
 class ParseError(GraphError):
-    """Text did not match the format grammar.
+    """Text did not match the edge-list grammar.
 
     ``line`` and ``column`` are 1-based positions of the offending token.
     """
@@ -51,311 +38,29 @@ class ParseError(GraphError):
         self.column = column
 
 
-class DimensionMismatchError(ParseError):
-    """A matrix row count or row length disagrees with the roster."""
-
-
-def check_format(fmt: str) -> str:
-    if fmt not in FORMATS:
-        raise GraphError(f"unknown format {fmt!r} (known: {', '.join(FORMATS)})")
-    return fmt
-
-
-# --- serialization ---------------------------------------------------------
-
-
-def serialize_graph(graph: Graph, fmt: str) -> str:
-    check_format(fmt)
-    if fmt == EDGE_LIST:
-        return _serialize_edge_list(graph)
-    if fmt == ADJACENCY_LIST:
-        return _serialize_adjacency_list(graph)
-    return _serialize_matrix(graph)
-
-
-def _headers(graph: Graph, with_nodes: bool) -> list[str]:
-    lines = []
-    if with_nodes:
-        lines.append("# nodes: " + " ".join(graph.node_names))
-    lines.append(f"# directed: {'true' if graph.directed else 'false'}")
-    lines.append(f"# weighted: {'true' if graph.weighted else 'false'}")
-    return lines
-
-
-def _serialize_edge_list(graph: Graph) -> str:
-    lines = _headers(graph, with_nodes=True)
-    for u, v, w in graph.edges:
-        nu, nv = graph.node_names[u], graph.node_names[v]
-        if graph.weighted:
-            lines.append(f"{nu} {nv} {format_weight(w)}")
-        else:
-            lines.append(f"{nu} {nv}")
-    return "\n".join(lines) + "\n"
-
-
-def _serialize_adjacency_list(graph: Graph) -> str:
-    # The roster is recoverable from the row labels, so no nodes header.
-    lines = _headers(graph, with_nodes=False)
-    neigh: list[list[tuple[int, Weight]]] = [[] for _ in graph.node_names]
-    for u, v, w in graph.edges:
-        neigh[u].append((v, w))
-        if not graph.directed:
-            neigh[v].append((u, w))
-    for i, name in enumerate(graph.node_names):
-        entries = []
-        for j, w in sorted(neigh[i]):
-            if graph.weighted:
-                entries.append(f"{graph.node_names[j]}({format_weight(w)})")
-            else:
-                entries.append(graph.node_names[j])
-        lines.append(f"{name}: " + ", ".join(entries) if entries else f"{name}:")
-    return "\n".join(lines) + "\n"
-
-
-def _serialize_matrix(graph: Graph) -> str:
-    lines = _headers(graph, with_nodes=True)
-    n = graph.node_count
-    cells = [["0"] * n for _ in range(n)]
-    for u, v, w in graph.edges:
-        if w == 0:
-            nu, nv = graph.node_names[u], graph.node_names[v]
-            raise GraphError(
-                f"weight 0 on {nu}-{nv} cannot be written in adjacency-matrix form"
-            )
-        cells[u][v] = format_weight(w)
-        if not graph.directed:
-            cells[v][u] = format_weight(w)
-    for row in cells:
-        lines.append(" ".join(row))
-    return "\n".join(lines) + "\n"
-
-
-# --- parsing ---------------------------------------------------------------
-
-
-@dataclass
-class _Headers:
-    nodes: list[str] | None = None
-    directed: bool | None = None
-    weighted: bool | None = None
-
-
-_HEADER_RE = re.compile(r"^#\s*(nodes|directed|weighted)\s*:\s*(.*)$")
-
-
-def _parse_bool(value: str, lineno: int, column: int) -> bool:
-    if value == "true":
-        return True
-    if value == "false":
-        return False
-    raise ParseError(f"expected 'true' or 'false', got {value!r}", lineno, column)
-
-
-def _split_headers(text: str) -> tuple[_Headers, list[tuple[int, str]]]:
-    """Separate header lines from body lines, keeping 1-based line numbers."""
-    headers = _Headers()
-    body: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            match = _HEADER_RE.match(line)
-            if not match:
-                raise ParseError(f"bad header line {line!r}", lineno)
-            key, value = match.group(1), match.group(2).strip()
-            column = raw.index(":") + 2
-            if key == "nodes":
-                names = value.split()
-                if not names:
-                    raise ParseError("empty node roster", lineno, column)
-                headers.nodes = names
-            elif key == "directed":
-                headers.directed = _parse_bool(value, lineno, column)
-            else:
-                headers.weighted = _parse_bool(value, lineno, column)
-        else:
-            body.append((lineno, line))
-    return headers, body
-
-
-def parse_graph(text: str, fmt: str) -> Graph:
-    """Parse ``text`` in the given format into a canonical :class:`Graph`.
-
-    Raises :class:`ParseError` (with line/column) on grammar violations,
-    :class:`DimensionMismatchError` on matrix shape problems, and other
-    :class:`~graphcrew.graph.GraphError` subclasses on semantic ones
-    (duplicate edges, self-loops, negative weights).
-    """
-    check_format(fmt)
-    headers, body = _split_headers(text)
-    if fmt == EDGE_LIST:
-        return _parse_edge_list(headers, body)
-    if fmt == ADJACENCY_LIST:
-        return _parse_adjacency_list(headers, body)
-    return _parse_matrix(headers, body)
-
-
-def _parse_edge_list(headers: _Headers, body: list[tuple[int, str]]) -> Graph:
-    directed = bool(headers.directed)
-    triples: list[tuple[str, str, Weight]] = []
-    saw_weight = False
-    for lineno, line in body:
-        tokens = line.split()
-        if len(tokens) == 2:
-            triples.append((tokens[0], tokens[1], 1))
-        elif len(tokens) == 3:
-            saw_weight = True
-            try:
-                w = coerce_weight(tokens[2])
-            except GraphError as exc:
-                raise ParseError(str(exc), lineno, line.index(tokens[2]) + 1) from None
-            triples.append((tokens[0], tokens[1], w))
-        else:
-            raise ParseError(f"expected 'U V' or 'U V W', got {line!r}", lineno)
-    if headers.nodes is not None:
-        names = headers.nodes
-        roster = set(names)
-        for lineno, line in body:
-            for token in line.split()[:2]:
-                if token not in roster:
-                    raise ParseError(
-                        f"endpoint {token!r} missing from roster", lineno, line.index(token) + 1
-                    )
+def serialize_graph(graph: Graph) -> str:
+    names = graph.node_names
+    lines = [
+        "# nodes: " + " ".join(names),
+        f"# directed: {'true' if graph.directed else 'false'}",
+        f"# weighted: {'true' if graph.weighted else 'false'}",
+    ]
+    if graph.weighted:
+        lines += [f"{names[u]} {names[v]} {format_weight(w)}" for u, v, w in graph.edges]
     else:
-        names = sorted({name for u, v, _ in triples for name in (u, v)})
-    weighted = headers.weighted if headers.weighted is not None else saw_weight
-    return build_graph(names, directed, weighted, triples)
-
-
-_ADJ_ROW_RE = re.compile(r"^(\S+)\s*:\s*(.*)$")
-_ADJ_ENTRY_RE = re.compile(r"^(?P<name>[^()\s,]+)(?:\((?P<weight>[^()]+)\))?$")
-
-
-def _parse_adjacency_list(headers: _Headers, body: list[tuple[int, str]]) -> Graph:
-    directed = bool(headers.directed)
-    rows: list[tuple[int, str, str]] = []
-    names: list[str] = []
-    for lineno, line in body:
-        match = _ADJ_ROW_RE.match(line)
-        if not match:
-            raise ParseError(f"expected 'Name: neighbors', got {line!r}", lineno)
-        rows.append((lineno, match.group(1), match.group(2).strip()))
-        names.append(match.group(1))
-    roster = set(names)
-    saw_weight = False
-    entries: list[tuple[str, str, Weight]] = []
-    for lineno, name, rest in rows:
-        if not rest:
-            continue
-        for chunk in rest.split(","):
-            chunk = chunk.strip()
-            match = _ADJ_ENTRY_RE.match(chunk)
-            if not match:
-                raise ParseError(f"bad neighbor entry {chunk!r}", lineno)
-            other = match.group("name")
-            if other not in roster:
-                raise ParseError(f"neighbor {other!r} has no row of its own", lineno)
-            if match.group("weight") is not None:
-                saw_weight = True
-                try:
-                    w = coerce_weight(match.group("weight"))
-                except GraphError as exc:
-                    raise ParseError(str(exc), lineno) from None
-            else:
-                w = 1
-            entries.append((name, other, w))
-    weighted = headers.weighted if headers.weighted is not None else saw_weight
-    if directed:
-        return build_graph(names, True, weighted, entries)
-    # Undirected rows state each edge twice; fold the mirrored statements
-    # and insist they agree.
-    folded: dict[tuple[str, str], Weight] = {}
-    stated: set[tuple[str, str]] = set()
-    for u, v, w in entries:
-        key = (min(u, v), max(u, v))
-        if (u, v) in stated:
-            raise ParseError(f"edge {u}-{v} listed twice in one row", 1)
-        stated.add((u, v))
-        if key in folded and folded[key] != w:
-            raise ParseError(
-                f"edge {key[0]}-{key[1]} has weight {format_weight(w)} on one row "
-                f"and {format_weight(folded[key])} on the other",
-                1,
-            )
-        folded[key] = w
-    for u, v in list(stated):
-        if (v, u) not in stated:
-            raise ParseError(f"edge {u}-{v} missing its mirror entry under {v!r}", 1)
-    triples = [(u, v, w) for (u, v), w in folded.items()]
-    return build_graph(names, False, weighted, triples)
-
-
-def _parse_matrix(headers: _Headers, body: list[tuple[int, str]]) -> Graph:
-    if headers.nodes is None:
-        raise ParseError("adjacency-matrix text needs a '# nodes:' header", 1)
-    names = headers.nodes
-    directed = bool(headers.directed)
-    weighted = headers.weighted if headers.weighted is not None else True
-    n = len(names)
-    if len(body) != n:
-        raise DimensionMismatchError(
-            f"expected {n} matrix rows for {n} nodes, got {len(body)}",
-            body[-1][0] if body else 1,
-        )
-    cells: list[list[Weight]] = []
-    for rowno, (lineno, line) in enumerate(body):
-        tokens = line.split()
-        if len(tokens) != n:
-            raise DimensionMismatchError(
-                f"row {rowno + 1} has {len(tokens)} entries, expected {n}", lineno
-            )
-        row: list[Weight] = []
-        for colno, token in enumerate(tokens):
-            try:
-                w = coerce_weight(token)
-            except GraphError as exc:
-                raise ParseError(str(exc), lineno, line.index(token) + 1) from None
-            if not weighted and w not in (0, 1):
-                raise ParseError(
-                    f"unweighted matrix entry must be 0 or 1, got {token}",
-                    lineno,
-                    line.index(token) + 1,
-                )
-            if rowno == colno and w != 0:
-                raise ParseError(f"nonzero diagonal entry {token}", lineno)
-            row.append(w)
-        cells.append(row)
-    triples: list[tuple[str, str, Weight]] = []
-    if directed:
-        for i in range(n):
-            for j in range(n):
-                if i != j and cells[i][j] != 0:
-                    triples.append((names[i], names[j], cells[i][j]))
-    else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if cells[i][j] != cells[j][i]:
-                    raise ParseError(
-                        f"asymmetric entries for {names[i]}-{names[j]}: "
-                        f"{format_weight(cells[i][j])} vs {format_weight(cells[j][i])}",
-                        body[i][0],
-                    )
-                if cells[i][j] != 0:
-                    triples.append((names[i], names[j], cells[i][j]))
-    return build_graph(names, directed, weighted, triples)
-
-
-# --- tolerant reading ------------------------------------------------------
+        lines += [f"{names[u]} {names[v]}" for u, v, _ in graph.edges]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
 class LooseEdgeList:
-    """Best-effort read of edge-list-shaped text.
+    """What the scanner read from edge-list-shaped text.
 
-    Unlike :func:`parse_graph` this never raises: unreadable lines land
-    in ``skipped``, duplicate edges are kept for the caller to merge, and
-    missing headers leave the corresponding field ``None``.
+    Duplicate edges are kept for the caller to merge, and a missing
+    header leaves its field ``None``.  Each unreadable line lands in
+    ``skipped`` and its :class:`ParseError` in ``problems``, in line
+    order; an empty ``# nodes:`` roster is a problem that resets
+    ``names`` to ``None`` but is not skipped.
     """
 
     names: list[str] | None
@@ -363,48 +68,93 @@ class LooseEdgeList:
     weighted: bool | None
     triples: list[tuple[str, str, Weight]]
     skipped: tuple[str, ...]
+    problems: tuple[ParseError, ...]
 
 
-def read_edge_list_loose(text: str) -> LooseEdgeList:
+_HEADER_RE = re.compile(r"^#\s*(nodes|directed|weighted)\s*:\s*(.*)$")
+
+
+def _scan(text: str) -> LooseEdgeList:
     names: list[str] | None = None
     directed: bool | None = None
     weighted: bool | None = None
     triples: list[tuple[str, str, Weight]] = []
     skipped: list[str] = []
+    problems: list[ParseError] = []
     saw_weight = False
-    for raw in text.splitlines():
+
+    def skip(line: str, problem: ParseError) -> None:
+        skipped.append(line)
+        problems.append(problem)
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            match = _HEADER_RE.match(line)
-            if not match:
-                skipped.append(line)
-                continue
-            key, value = match.group(1), match.group(2).strip()
-            if key == "nodes":
-                names = value.split() or None
-            elif value in ("true", "false"):
-                if key == "directed":
-                    directed = value == "true"
-                else:
-                    weighted = value == "true"
+        if not line.startswith("#"):
+            tokens = line.split()
+            if len(tokens) == 2:
+                triples.append((tokens[0], tokens[1], 1))
+            elif len(tokens) != 3:
+                skip(line, ParseError(f"expected 'U V' or 'U V W', got {line!r}", lineno))
             else:
-                skipped.append(line)
+                try:
+                    triples.append((tokens[0], tokens[1], coerce_weight(tokens[2])))
+                    saw_weight = True
+                except GraphError as exc:
+                    skip(line, ParseError(str(exc), lineno, line.index(tokens[2]) + 1))
             continue
-        tokens = line.split()
-        if len(tokens) == 2:
-            triples.append((tokens[0], tokens[1], 1))
-        elif len(tokens) == 3:
-            try:
-                w = coerce_weight(tokens[2])
-            except GraphError:
-                skipped.append(line)
-                continue
-            saw_weight = True
-            triples.append((tokens[0], tokens[1], w))
+        match = _HEADER_RE.match(line)
+        if match is None:
+            skip(line, ParseError(f"bad header line {line!r}", lineno))
+            continue
+        key, value = match.group(1), match.group(2).strip()
+        column = raw.index(":") + 2
+        if key == "nodes":
+            names = value.split() or None
+            if names is None:
+                problems.append(ParseError("empty node roster", lineno, column))
+        elif value not in ("true", "false"):
+            skip(line, ParseError(f"expected 'true' or 'false', got {value!r}", lineno, column))
+        elif key == "directed":
+            directed = value == "true"
         else:
-            skipped.append(line)
+            weighted = value == "true"
     if weighted is None and saw_weight:
         weighted = True
-    return LooseEdgeList(names, directed, weighted, triples, tuple(skipped))
+    return LooseEdgeList(names, directed, weighted, triples, tuple(skipped), tuple(problems))
+
+
+def read_edge_list_loose(text: str) -> LooseEdgeList:
+    """Best-effort read of edge-list-shaped text; never raises."""
+    return _scan(text)
+
+
+def parse_graph(text: str) -> Graph:
+    """Parse edge-list text into a canonical :class:`Graph`.
+
+    Raises the first :class:`ParseError` in line order, then one for an
+    endpoint missing from the ``# nodes:`` roster, and other
+    :class:`~graphcrew.graph.GraphError` subclasses on semantic problems.
+    """
+    scan = _scan(text)
+    if scan.problems:
+        raise scan.problems[0]
+    if scan.names is None:
+        names = sorted({name for u, v, _ in scan.triples for name in (u, v)})
+    else:
+        names = scan.names
+        roster = set(names)
+        for index, (u, v, _) in enumerate(scan.triples):
+            if u not in roster or v not in roster:
+                token = u if u not in roster else v
+                lineno, line = _row_line(text, index)
+                raise ParseError(f"endpoint {token!r} missing from roster", lineno,
+                                 line.index(token) + 1)
+    return build_graph(names, bool(scan.directed), bool(scan.weighted), scan.triples)
+
+
+def _row_line(text: str, index: int) -> tuple[int, str]:
+    """Line number and stripped text of the ``index``-th row of clean text."""
+    lines = ((lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), start=1))
+    return [(lineno, line) for lineno, line in lines if line and not line.startswith("#")][index]

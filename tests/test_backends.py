@@ -19,7 +19,7 @@ from graphcrew.agents import (
     whitespace_token_count,
 )
 from graphcrew.agents.backends import BackendConfig
-from graphcrew.formats import EDGE_LIST, serialize_graph
+from graphcrew.formats import serialize_graph
 from graphcrew.graph import build_graph
 
 
@@ -36,7 +36,7 @@ def tsp_hidden():
     )
     return {
         "problem_type": "tsp",
-        "graph_text": serialize_graph(g, EDGE_LIST),
+        "graph_text": serialize_graph(g),
         "source": None,
         "target": None,
         "narrative": "A courier plans a loop between four sites.",

@@ -237,6 +237,58 @@ class TestEvaluate:
         )
         assert result.exit_code == 2
 
+    def test_repeated_result_id_is_config_error(self, runner, tmp_path):
+        dataset, config, results = self._solve(runner, tmp_path)
+        lines = results.read_text().splitlines()
+        doubled = tmp_path / "doubled.jsonl"
+        doubled.write_text("\n".join([*lines, lines[0]]) + "\n")
+        result = runner.invoke(
+            main,
+            ["evaluate", "--results", str(doubled), "--dataset", str(dataset)],
+        )
+        assert result.exit_code == 2
+        assert f"line {len(lines) + 1}: second result for instance 'tsp-n08-i00'" in result.output
+
+    def test_missing_results_score_as_failures(self, runner, tmp_path):
+        dataset, config, results = self._solve(runner, tmp_path)
+        lines = results.read_text().splitlines()
+        partial = tmp_path / "partial.jsonl"
+        partial.write_text("\n".join(lines[1:]) + "\n")
+        report_dir = tmp_path / "report"
+        result = runner.invoke(
+            main,
+            ["evaluate", "--results", str(partial), "--dataset", str(dataset),
+             "--out", str(report_dir)],
+        )
+        assert result.exit_code == 0, result.output
+        assert "75.0%" in result.output
+        scores = [json.loads(l) for l in (report_dir / "scores.jsonl").read_text().splitlines()]
+        assert len(scores) == len(lines)
+        assert scores[-1]["id"] == "tsp-n08-i00"
+        assert scores[-1]["acc_all"] == "0"
+        assert scores[-1]["failure_reason"] == "no result"
+
+    @pytest.mark.parametrize("record, message", [
+        ({"id": "tsp-n08-i00", "status": "ok", "solution": {}}, "malformed result (KeyError:"),
+        ({"id": "tsp-n08-i00", "status": "failed",
+          "usage": [{"attempt": 1, "input_tokens": 5, "output_tokens": 7}]},
+         "malformed result (KeyError:"),
+        (["tsp-n08-i00", "ok"], "a result must be a JSON object"),
+        ({"id": ["tsp-n08-i00"], "status": "failed"},
+         "result for unknown instance ['tsp-n08-i00']"),
+    ], ids=["empty-solution", "usage-without-stage", "not-an-object", "unhashable-id"])
+    def test_malformed_record_is_config_error(self, runner, tmp_path, record, message):
+        dataset, config, results = self._solve(runner, tmp_path)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(results.read_text().splitlines()[1:] + [json.dumps(record)]) + "\n")
+        result = runner.invoke(
+            main,
+            ["evaluate", "--results", str(bad), "--dataset", str(dataset)],
+        )
+        assert result.exit_code == 2
+        assert f"{bad}: line 4: {message}" in result.output
+        assert "Traceback" not in result.output
+
 
 class TestSolveDirect:
     @pytest.mark.parametrize("mode", ["direct", "cot"])

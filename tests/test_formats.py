@@ -3,18 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from graphcrew.formats import (
-    ADJACENCY_LIST,
-    ADJACENCY_MATRIX,
-    EDGE_LIST,
-    FORMATS,
-    DimensionMismatchError,
-    ParseError,
-    parse_graph,
-    read_edge_list_loose,
-    serialize_graph,
-)
-from graphcrew.graph import DuplicateEdgeError, GraphError, build_graph
+from graphcrew.formats import ParseError, parse_graph, read_edge_list_loose, serialize_graph
+from graphcrew.graph import DuplicateEdgeError, build_graph
 
 from test_graph import graph_parts
 
@@ -24,7 +14,7 @@ def k3_unit():
 
 
 def test_edge_list_text_shape():
-    text = serialize_graph(k3_unit(), EDGE_LIST)
+    text = serialize_graph(k3_unit())
     assert text == (
         "# nodes: A B C\n"
         "# directed: false\n"
@@ -35,139 +25,93 @@ def test_edge_list_text_shape():
     )
 
 
-def test_adjacency_list_text_shape():
-    g = build_graph(["A", "B", "C"], False, True, [("A", "B", 3), ("A", "C", "7/2")])
-    text = serialize_graph(g, ADJACENCY_LIST)
-    assert text == (
-        "# directed: false\n"
-        "# weighted: true\n"
-        "A: B(3), C(7/2)\n"
-        "B: A(3)\n"
-        "C: A(7/2)\n"
-    )
-
-
-def test_matrix_text_shape():
-    g = build_graph(["A", "B", "C"], False, True, [("A", "B", 3), ("A", "C", "7/2")])
-    text = serialize_graph(g, ADJACENCY_MATRIX)
-    assert text == (
-        "# nodes: A B C\n"
-        "# directed: false\n"
-        "# weighted: true\n"
-        "0 3 7/2\n"
-        "3 0 0\n"
-        "7/2 0 0\n"
-    )
-
-
 @given(graph_parts())
 def test_round_trip_edge_and_adjacency(parts):
     names, directed, weighted, edges = parts
     g = build_graph(names, directed, weighted, edges)
-    for fmt in (EDGE_LIST, ADJACENCY_LIST):
-        assert parse_graph(serialize_graph(g, fmt), fmt) == g
+    assert parse_graph(serialize_graph(g)) == g
+    zero = build_graph(["A", "B"], False, True, [("A", "B", 0)])
+    assert parse_graph(serialize_graph(zero)) == zero
 
 
-@given(graph_parts(allow_zero=False))
-def test_round_trip_matrix(parts):
-    names, directed, weighted, edges = parts
-    g = build_graph(names, directed, weighted, edges)
-    assert parse_graph(serialize_graph(g, ADJACENCY_MATRIX), ADJACENCY_MATRIX) == g
-
-
-@given(graph_parts(allow_zero=False))
+@given(graph_parts())
 def test_serialization_is_byte_stable(parts):
     names, directed, weighted, edges = parts
     g = build_graph(names, directed, weighted, edges)
-    for fmt in FORMATS:
-        first = serialize_graph(g, fmt)
-        again = serialize_graph(parse_graph(first, fmt), fmt)
-        assert first == again
+    first = serialize_graph(g)
+    assert serialize_graph(parse_graph(first)) == first
 
 
-def test_matrix_rejects_zero_weight_edge():
-    g = build_graph(["A", "B"], False, True, [("A", "B", 0)])
-    with pytest.raises(GraphError):
-        serialize_graph(g, ADJACENCY_MATRIX)
-    # The other formats can carry it.
-    assert parse_graph(serialize_graph(g, EDGE_LIST), EDGE_LIST) == g
+@given(graph_parts())
+def test_loose_reader_reads_what_parse_builds_from(parts):
+    names, directed, weighted, edges = parts
+    g = build_graph(names, directed, weighted, edges)
+    got = read_edge_list_loose(serialize_graph(g))
+    assert got.names == list(g.node_names)
+    assert (got.directed, got.weighted) == (g.directed, g.weighted)
+    assert got.triples == [
+        (g.node_names[u], g.node_names[v], w) for u, v, w in g.edges
+    ]
+    assert got.skipped == () and got.problems == ()
+    assert build_graph(got.names, got.directed, got.weighted, got.triples) == g
 
 
 def test_edge_list_headerless_inference():
-    g = parse_graph("B C 4\nA B 2\n", EDGE_LIST)
+    g = parse_graph("B C 4\nA B 2\n")
     assert g.node_names == ("A", "B", "C")
     assert g.weighted and not g.directed
     assert g.edges == ((0, 1, 2), (1, 2, 4))
-    plain = parse_graph("B C\nA B\n", EDGE_LIST)
+    plain = parse_graph("B C\nA B\n")
     assert not plain.weighted
 
 
 def test_edge_list_roster_covers_isolated_nodes():
-    g = parse_graph("# nodes: A B C\nA B 2\n", EDGE_LIST)
+    g = parse_graph("# nodes: A B C\nA B 2\n")
     assert g.node_names == ("A", "B", "C")
     assert g.edge_count == 1
 
 
 def test_parse_error_positions():
     with pytest.raises(ParseError) as err:
-        parse_graph("A B 2\nA C x\n", EDGE_LIST)
+        parse_graph("A B 2\nA C x\n")
     assert err.value.line == 2
     assert err.value.column == 5
     with pytest.raises(ParseError) as err:
-        parse_graph("# nodes: A B\nA B 1\nA C 1\n", EDGE_LIST)
+        parse_graph("# nodes: A B\nA B 1\nA C 1\n")
     assert err.value.line == 3
 
 
 def test_parse_rejects_malformed_lines():
     with pytest.raises(ParseError):
-        parse_graph("# speed: fast\nA B\n", EDGE_LIST)
+        parse_graph("# speed: fast\nA B\n")
     with pytest.raises(ParseError):
-        parse_graph("# directed: maybe\nA B\n", EDGE_LIST)
+        parse_graph("# directed: maybe\nA B\n")
     with pytest.raises(ParseError):
-        parse_graph("A B 1 9\n", EDGE_LIST)
-    with pytest.raises(ParseError):
-        parse_graph("A B C\n", ADJACENCY_LIST)
-    with pytest.raises(ParseError):
-        parse_graph("A: B(3\n", ADJACENCY_LIST)
+        parse_graph("A B 1 9\n")
+
+
+def test_parse_reports_problems_in_line_order():
+    text = "# nodes: A B\nA B 1 9\n  # weighted: maybe\n"
+    with pytest.raises(ParseError) as err:
+        parse_graph(text)
+    assert str(err.value) == "line 2, column 1: expected 'U V' or 'U V W', got 'A B 1 9'"
+    got = read_edge_list_loose(text)
+    assert [(p.line, p.column) for p in got.problems] == [(2, 1), (3, 14)]
+    assert str(got.problems[1]) == "line 3, column 14: expected 'true' or 'false', got 'maybe'"
+
+
+def test_empty_roster_is_a_problem_but_not_skipped():
+    got = read_edge_list_loose("# nodes: A B\n# nodes:\nA B\n")
+    assert got.names is None
+    assert got.skipped == ()
+    assert [str(p) for p in got.problems] == ["line 2, column 9: empty node roster"]
+    with pytest.raises(ParseError, match="empty node roster"):
+        parse_graph("# nodes:\nA B\n")
 
 
 def test_parse_propagates_semantic_errors():
     with pytest.raises(DuplicateEdgeError):
-        parse_graph("A B 1\nB A 1\n", EDGE_LIST)
-
-
-def test_adjacency_list_requires_mirror_rows():
-    with pytest.raises(ParseError):
-        parse_graph("A: B(3)\nB:\n", ADJACENCY_LIST)
-    with pytest.raises(ParseError):
-        parse_graph("A: B(3)\nB: A(5)\n", ADJACENCY_LIST)
-    with pytest.raises(ParseError):
-        parse_graph("A: C(3)\n", ADJACENCY_LIST)
-
-
-def test_matrix_shape_errors():
-    base = "# nodes: A B C\n# weighted: true\n"
-    with pytest.raises(DimensionMismatchError):
-        parse_graph(base + "0 1 2\n1 0 3\n", ADJACENCY_MATRIX)
-    with pytest.raises(DimensionMismatchError):
-        parse_graph(base + "0 1\n1 0\n2 3\n", ADJACENCY_MATRIX)
-    with pytest.raises(ParseError):
-        parse_graph(base + "0 1 2\n1 0 3\n5 3 0\n", ADJACENCY_MATRIX)
-    with pytest.raises(ParseError):
-        parse_graph(base + "9 1 2\n1 0 3\n2 3 0\n", ADJACENCY_MATRIX)
-    with pytest.raises(ParseError):
-        parse_graph("0 1\n1 0\n", ADJACENCY_MATRIX)
-    with pytest.raises(ParseError):
-        parse_graph(
-            "# nodes: A B\n# weighted: false\n0 2\n2 0\n", ADJACENCY_MATRIX
-        )
-
-
-def test_directed_matrix_round_trip():
-    g = build_graph(["A", "B"], True, True, [("A", "B", 1), ("B", "A", 5)])
-    text = serialize_graph(g, ADJACENCY_MATRIX)
-    assert "0 1\n5 0\n" in text
-    assert parse_graph(text, ADJACENCY_MATRIX) == g
+        parse_graph("A B 1\nB A 1\n")
 
 
 def test_loose_reader_tolerates_mess():
@@ -194,6 +138,5 @@ def test_loose_reader_empty_text():
 
 def test_fraction_weights_survive_all_formats():
     g = build_graph(["A", "B"], False, True, [("A", "B", Fraction(85, 6))])
-    for fmt in FORMATS:
-        back = parse_graph(serialize_graph(g, fmt), fmt)
-        assert back.edges[0][2] == Fraction(85, 6)
+    back = parse_graph(serialize_graph(g))
+    assert back.edges[0][2] == Fraction(85, 6)

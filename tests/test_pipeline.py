@@ -20,7 +20,7 @@ from graphcrew.agents import (
 )
 from graphcrew.agents.backends import BackendError
 from graphcrew.agents.prompts import stage_of_prompt
-from graphcrew.formats import EDGE_LIST, serialize_graph
+from graphcrew.formats import serialize_graph
 from graphcrew.graph import ConflictingWeightsError, build_graph
 from graphcrew.knowledge import load_knowledge_base
 
@@ -230,7 +230,7 @@ def test_solver_rejection_surfaces_with_rationale():
         True,
         [("Depot", "Mill", 3), ("Mill", "Quay", 5), ("Quay", "Yard", 2)],
     )
-    hidden = dict(tsp_hidden(), graph_text=serialize_graph(incomplete, EDGE_LIST))
+    hidden = dict(tsp_hidden(), graph_text=serialize_graph(incomplete))
     config = PipelineConfig(kb=load_knowledge_base(WRONG_LIMIT_KB))
     with pytest.raises(SolverError) as err:
         run_pipeline(OracleStubBackend(hidden, config.kb), "p", config)
@@ -253,7 +253,7 @@ def test_choose_algorithm_standalone():
     from graphcrew.agents import ProblemSpec
     from graphcrew.formats import parse_graph
 
-    graph = parse_graph(hidden["graph_text"], EDGE_LIST)
+    graph = parse_graph(hidden["graph_text"])
     spec = ProblemSpec("tsp", "cheapest loop", None, None)
     choice = choose_algorithm(backend, spec, graph)
     assert choice.record.algorithm_id == "held_karp"
