@@ -153,6 +153,8 @@ def _fixture_key(system_prompt: str, user_prompt: str, params: dict[str, Any] | 
 class LiveChatBackend:
     """OpenAI-style chat-completions client over HTTP."""
 
+    io_bound = True  # calls wait on the network: the pipeline overlaps them
+
     def __init__(self, config: BackendConfig):
         if config.kind != "live":
             raise ConfigError(f"expected a live config, got kind={config.kind!r}")
@@ -245,7 +247,8 @@ class ReplayBackend:
 
 
 class RecordingBackend:
-    """Wraps another backend and appends every exchange to a JSONL fixture."""
+    """Wraps another backend and appends every exchange to a JSONL fixture,
+    in completion order; replay finds a reply by its key, not its line."""
 
     def __init__(self, inner: ChatBackend, fixtures_path: str | Path):
         self._inner = inner
@@ -253,6 +256,7 @@ class RecordingBackend:
         self._path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self.backend_id = f"record({inner.backend_id})"
+        self.io_bound = getattr(inner, "io_bound", False)
 
     def complete(self, system_prompt, user_prompt, params=None):
         completion = self._inner.complete(system_prompt, user_prompt, params)

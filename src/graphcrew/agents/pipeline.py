@@ -1,7 +1,7 @@
 """The staged solving flow: prose in, verified solution out.
 
 Six stages, each a separate backend conversation with its own narrow
-input, run in a fixed order:
+input:
 
 1. ``narrative``: background prose, no structure.
 2. ``classify``: problem family plus the asked question.
@@ -15,15 +15,26 @@ recomputed deterministically (graph merge, algorithm choice) and the
 deterministic result wins on disagreement, with a note in the outcome.
 Replies that do not carry the required fenced block are retried with the
 rejection reason appended, up to the configured attempt budget.
+
+:func:`run_pipeline` issues the calls by data dependency, in two waves,
+so an instance waits out two model round trips, not ``5 + n_check``.
+Wave 1 (``narrative``, ``classify``, ``extract_graph``) reads only the
+problem text.  The merged graph, the selector's choice and the verified
+answer follow from its replies; wave 2 (``normalize``, ``select``, every
+``audit`` round) compares its replies with those.  A backend that waits
+on the network (``io_bound = True``) gets a thread per call in flight;
+any other runs each call at once.  Calls and notes are joined in stage
+order whatever order the replies came in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from dataclasses import dataclass, field
 
 from ..execute import run_algorithm
-from ..formats import read_edge_list_loose, serialize_graph
-from ..graph import Graph, GraphError, build_graph, graph_stats, merge_edge_triples
+from ..formats import LooseEdgeList, read_edge_list_loose, serialize_graph
+from ..graph import Graph, GraphError, GraphStats, build_graph, graph_stats, merge_edge_triples
 from ..knowledge import (
     AlgorithmChoice,
     KnowledgeBase,
@@ -215,6 +226,18 @@ def classify_problem(
     return _ask(backend, "classify", {"problem": problem_text}, config, calls, "problem", validate)
 
 
+def _extract_graph(
+    backend: ChatBackend, problem_text: str, config: PipelineConfig, calls: list[CallRecord]
+) -> tuple[str, LooseEdgeList]:
+    def validate(body: str) -> tuple[str, LooseEdgeList]:
+        loose = read_edge_list_loose(body)
+        if not loose.triples and not loose.names:
+            raise EmptyGraphError("extract_graph", "the statement yielded no nodes or edges")
+        return body, loose
+
+    return _ask(backend, "extract_graph", {"problem": problem_text}, config, calls, "graph", validate)
+
+
 def extract_raw_graph(
     backend: ChatBackend,
     problem_text: str,
@@ -228,16 +251,33 @@ def extract_raw_graph(
     """
     config = config or PipelineConfig()
     calls = calls if calls is not None else []
+    return _extract_graph(backend, problem_text, config, calls)[0]
 
-    def validate(body: str) -> str:
-        loose = read_edge_list_loose(body)
-        if not loose.triples and not loose.names:
-            raise EmptyGraphError(
-                "extract_graph", "the statement yielded no nodes or edges"
-            )
-        return body
 
-    return _ask(backend, "extract_graph", {"problem": problem_text}, config, calls, "graph", validate)
+def _merge(loose: LooseEdgeList) -> Graph:
+    """The deterministic merge of a loosely read edge list into one graph."""
+    directed = bool(loose.directed)
+    triples = merge_edge_triples(loose.triples, directed)
+    return build_graph(loose.roster(), directed, bool(loose.weighted), triples)
+
+
+def _ask_normalize(backend: ChatBackend, raw_graph_text: str, reference: Graph,
+                   config: PipelineConfig, calls: list[CallRecord], notes: list[str]) -> None:
+    def validate(body: str) -> Graph:
+        proposal = read_edge_list_loose(body)
+        if not proposal.triples and not proposal.names:
+            raise _RejectReply("the cleaned list contained no nodes or edges")
+        try:
+            return _merge(proposal)
+        except GraphError as exc:
+            raise _RejectReply(f"the cleaned list was not a valid edge list ({exc})")
+
+    candidate = _ask(backend, "normalize", {"graph": raw_graph_text}, config, calls, "graph", validate)
+    if candidate != reference:
+        notes.append(
+            "normalize: backend proposal differed from the deterministic merge; "
+            "deterministic result kept"
+        )
 
 
 def normalize_graph(
@@ -258,39 +298,11 @@ def normalize_graph(
     config = config or PipelineConfig()
     calls = calls if calls is not None else []
     notes = notes if notes is not None else []
-
-    loose = read_edge_list_loose(raw_graph_text)
-    if not loose.triples and not loose.names:
+    raw = read_edge_list_loose(raw_graph_text)
+    if not raw.triples and not raw.names:
         raise EmptyGraphError("normalize", "raw graph text contains no nodes or edges")
-    directed = bool(loose.directed)
-    weighted = bool(loose.weighted)
-    merged = merge_edge_triples(loose.triples, directed)
-    names = loose.names or sorted({n for u, v, _ in merged for n in (u, v)})
-    reference = build_graph(names, directed, weighted, merged)
-
-    def validate(body: str) -> Graph:
-        proposal = read_edge_list_loose(body)
-        if not proposal.triples and not proposal.names:
-            raise _RejectReply("the cleaned list contained no nodes or edges")
-        try:
-            candidate_names = proposal.names or sorted(
-                {n for u, v, _ in proposal.triples for n in (u, v)}
-            )
-            return build_graph(
-                candidate_names,
-                bool(proposal.directed),
-                bool(proposal.weighted),
-                merge_edge_triples(proposal.triples, bool(proposal.directed)),
-            )
-        except GraphError as exc:
-            raise _RejectReply(f"the cleaned list was not a valid edge list ({exc})")
-
-    candidate = _ask(backend, "normalize", {"graph": raw_graph_text}, config, calls, "graph", validate)
-    if candidate != reference:
-        notes.append(
-            "normalize: backend proposal differed from the deterministic merge; "
-            "deterministic result kept"
-        )
+    reference = _merge(raw)
+    _ask_normalize(backend, raw_graph_text, reference, config, calls, notes)
     return reference
 
 
@@ -313,8 +325,7 @@ def _catalogue_text(kb: KnowledgeBase, problem_type: str) -> str:
     return "\n".join(lines)
 
 
-def _stats_text(graph: Graph) -> str:
-    stats = graph_stats(graph)
+def _stats_text(graph: Graph, stats: GraphStats) -> str:
     return (
         f"{stats.node_count} nodes, {stats.edge_count} edges, "
         f"density {stats.density}, "
@@ -323,6 +334,32 @@ def _stats_text(graph: Graph) -> str:
         f"{'weighted' if graph.weighted else 'unweighted'}, "
         f"{'directed' if graph.directed else 'undirected'}"
     )
+
+
+def _select(kb: KnowledgeBase, problem_type: str, graph: Graph) -> tuple[GraphStats, AlgorithmChoice]:
+    """The selector's choice for a graph, with the stats it was made from."""
+    stats = graph_stats(graph)
+    choice = select_algorithm(kb, problem_type, stats, weighted=graph.weighted, directed=graph.directed)
+    return stats, choice
+
+
+def _ask_select(backend: ChatBackend, problem_type: str, graph: Graph, stats: GraphStats,
+                choice: AlgorithmChoice, config: PipelineConfig, calls: list[CallRecord],
+                notes: list[str]) -> None:
+    def validate(body: str) -> str:
+        fields = parse_fields(body)
+        if not fields.get("algorithm"):
+            raise _RejectReply("the block is missing an algorithm line")
+        return fields["algorithm"]
+
+    slots = {"problem_type": problem_type, "stats": _stats_text(graph, stats),
+             "catalogue": _catalogue_text(config.knowledge_base(), problem_type)}
+    proposed = _ask(backend, "select", slots, config, calls, "choice", validate)
+    if proposed != choice.record.algorithm_id:
+        notes.append(
+            f"select: backend proposed {proposed!r}, selector chose "
+            f"{choice.record.algorithm_id!r}; selector wins"
+        )
 
 
 def choose_algorithm(
@@ -337,39 +374,8 @@ def choose_algorithm(
     config = config or PipelineConfig()
     calls = calls if calls is not None else []
     notes = notes if notes is not None else []
-    kb = config.knowledge_base()
-    choice = select_algorithm(
-        kb,
-        problem_spec.problem_type,
-        graph_stats(graph),
-        weighted=graph.weighted,
-        directed=graph.directed,
-    )
-
-    def validate(body: str) -> str:
-        fields = parse_fields(body)
-        if not fields.get("algorithm"):
-            raise _RejectReply("the block is missing an algorithm line")
-        return fields["algorithm"]
-
-    proposed = _ask(
-        backend,
-        "select",
-        {
-            "problem_type": problem_spec.problem_type,
-            "stats": _stats_text(graph),
-            "catalogue": _catalogue_text(kb, problem_spec.problem_type),
-        },
-        config,
-        calls,
-        "choice",
-        validate,
-    )
-    if proposed != choice.record.algorithm_id:
-        notes.append(
-            f"select: backend proposed {proposed!r}, selector chose "
-            f"{choice.record.algorithm_id!r}; selector wins"
-        )
+    stats, choice = _select(config.knowledge_base(), problem_spec.problem_type, graph)
+    _ask_select(backend, problem_spec.problem_type, graph, stats, choice, config, calls, notes)
     return choice
 
 
@@ -395,10 +401,12 @@ def _explain(solution: Solution, graph: Graph, problem_type: str) -> str:
 def _solve_with_fallback(
     choice: AlgorithmChoice,
     graph: Graph,
+    stats: GraphStats,
     problem_spec: ProblemSpec,
     kb: KnowledgeBase,
     notes: list[str],
-) -> tuple[Solution, AlgorithmChoice]:
+) -> Solution:
+    """The chosen route's answer, or the next applicable route's; always verified."""
     try:
         solution = run_algorithm(
             choice, graph, source=problem_spec.source, target=problem_spec.target
@@ -417,12 +425,11 @@ def _solve_with_fallback(
         target=problem_spec.target,
     )
     if report.valid:
-        return solution, choice
+        return solution
     notes.append(
         f"solve: {choice.record.algorithm_id} answer failed verification "
         f"({'; '.join(report.violations)}); trying the next applicable route"
     )
-    stats = graph_stats(graph)
     for record in lookup_algorithms(kb, problem_spec.problem_type):
         if record.algorithm_id == choice.record.algorithm_id:
             continue
@@ -446,58 +453,29 @@ def _solve_with_fallback(
             target=problem_spec.target,
         )
         if report.valid:
-            return solution, retry_choice
+            return solution
     raise VerificationFailedError(
         "solve", "no applicable algorithm produced a verifiable answer"
     )
 
 
-def execute_and_check(
-    backend: ChatBackend,
-    choice: AlgorithmChoice,
-    graph: Graph,
-    problem_spec: ProblemSpec,
-    config: PipelineConfig | None = None,
-    calls: list[CallRecord] | None = None,
-    notes: list[str] | None = None,
-) -> tuple[Solution, str, tuple[str, ...]]:
-    """Stage 6: run the chosen solver, then audit the answer ``n_check`` times.
+def _audit_verdict(body: str) -> str:
+    verdict = parse_fields(body).get("verdict", "")
+    if verdict not in ("pass", "fail"):
+        raise _RejectReply("the verdict line must say pass or fail")
+    return verdict
 
-    The mechanical verifier is authoritative; audit verdicts are advisory
-    and recorded.  Returns (solution, explanation, verdicts).
-    """
-    config = config or PipelineConfig()
-    calls = calls if calls is not None else []
-    notes = notes if notes is not None else []
-    kb = config.knowledge_base()
-    # _solve_with_fallback returns only answers that passed verification.
-    solution, _used = _solve_with_fallback(choice, graph, problem_spec, kb, notes)
-    explanation = _explain(solution, graph, problem_spec.problem_type)
-    report_text = "valid"
 
-    def validate(body: str) -> str:
-        fields = parse_fields(body)
-        verdict = fields.get("verdict", "")
-        if verdict not in ("pass", "fail"):
-            raise _RejectReply("the verdict line must say pass or fail")
-        return verdict
-
-    slots = {
-        "problem_type": problem_spec.problem_type,
-        "graph": serialize_graph(graph),
-        "solution": explanation,
-        "report": report_text,
-    }
-    verdicts: list[str] = []
-    for _ in range(config.n_check):
-        verdict = _ask(backend, "audit", slots, config, calls, "verdict", validate)
-        verdicts.append(verdict)
-        if verdict == "fail":
-            notes.append(
-                "audit: backend voted fail; mechanical verification is authoritative "
-                f"and reported: {report_text}"
-            )
-    return solution, explanation, tuple(verdicts)
+def _audit(backend: ChatBackend, slots: dict[str, str], config: PipelineConfig,
+           calls: list[CallRecord], notes: list[str]) -> str:
+    """One advisory audit round; the mechanical verifier is authoritative."""
+    verdict = _ask(backend, "audit", slots, config, calls, "verdict", _audit_verdict)
+    if verdict == "fail":
+        notes.append(
+            "audit: backend voted fail; mechanical verification is authoritative "
+            f"and reported: {slots['report']}"
+        )
+    return verdict
 
 
 _STAGE_WRAP = (
@@ -507,44 +485,97 @@ _STAGE_WRAP = (
 )
 
 
+@dataclass
+class _Stage:
+    """One stage's (or audit round's) own trail, and its outcome once issued."""
+
+    calls: list[CallRecord] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)
+    future: Future | None = None
+
+
+class _Inline(Executor):
+    """Runs each submitted call at once, on the caller's thread."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def _settle(stages: list[_Stage]) -> None:
+    """Wait for every stage issued, then raise the earliest stage's error as a
+    :class:`PipelineError` carrying every call made, in stage order, as ``partial_calls``."""
+    errors = [stage.future.exception() for stage in stages if stage.future is not None]
+    error = next((error for error in errors if error is not None), None)
+    if error is None:
+        return
+    calls = tuple(call for stage in stages for call in stage.calls)
+    if isinstance(error, PipelineError):
+        error.partial_calls = calls
+        raise error
+    if isinstance(error, (GraphError, KnowledgeBaseError, SolverInputError, BackendError)):
+        name = next((name for kind, name in _STAGE_WRAP if isinstance(error, kind)), "pipeline")
+        wrapped = PipelineError(name, str(error))
+        wrapped.partial_calls = calls
+        raise wrapped from error
+    raise error
+
+
 def run_pipeline(
     backend: ChatBackend, problem_text: str, config: PipelineConfig | None = None
 ) -> SolveOutcome:
-    """Run all stages on one problem statement.
+    """Run all stages on one problem statement, issuing calls in two waves.
 
-    Domain errors raised mid-flight are re-raised as
-    :class:`PipelineError` subclasses carrying the stage name; the call
-    trail up to the failure stays attached to the exception as
-    ``partial_calls``.
+    When a stage fails, the calls in flight are waited for and the
+    earliest stage's error is raised (see :func:`_settle`).
     """
     config = config or PipelineConfig()
-    calls: list[CallRecord] = []
-    notes: list[str] = []
-    try:
-        extract_narrative(backend, problem_text, config, calls)
-        problem_spec = classify_problem(backend, problem_text, config, calls)
-        raw = extract_raw_graph(backend, problem_text, config, calls)
-        graph = normalize_graph(backend, raw, config, calls, notes)
-        choice = choose_algorithm(backend, problem_spec, graph, config, calls, notes)
-        solution, explanation, verdicts = execute_and_check(
-            backend, choice, graph, problem_spec, config, calls, notes
-        )
-    except PipelineError as exc:
-        exc.partial_calls = tuple(calls)
-        raise
-    except (GraphError, KnowledgeBaseError, SolverInputError, BackendError) as exc:
-        stage = next((name for kind, name in _STAGE_WRAP if isinstance(exc, kind)), "pipeline")
-        wrapped = PipelineError(stage, str(exc))
-        wrapped.partial_calls = tuple(calls)
-        raise wrapped from exc
+    kb = config.knowledge_base()
+    # in stage order: the order calls and notes are joined in
+    stages = [_Stage() for _ in range(6 + config.n_check)]
+    narrative, classify, extract, normalize, select, solve, *audits = stages
+    io_bound = getattr(backend, "io_bound", False)
+    with ThreadPoolExecutor(3 + config.n_check) if io_bound else _Inline() as executor:
+        for stage, ask in zip(stages, (extract_narrative, classify_problem, _extract_graph)):
+            stage.future = executor.submit(ask, backend, problem_text, config, stage.calls)
+        _settle(stages)
+        problem_spec = classify.future.result()
+        raw_text, raw = extract.future.result()
+        problem_type = problem_spec.problem_type
+        step = normalize  # the stage a deterministic failure belongs to
+        try:
+            graph = _merge(raw)
+            normalize.future = executor.submit(
+                _ask_normalize, backend, raw_text, graph, config, normalize.calls, normalize.notes
+            )
+            step = select
+            stats, choice = _select(kb, problem_type, graph)
+            select.future = executor.submit(_ask_select, backend, problem_type, graph, stats,
+                                            choice, config, select.calls, select.notes)
+            step = solve
+            solution = _solve_with_fallback(choice, graph, stats, problem_spec, kb, solve.notes)
+            explanation = _explain(solution, graph, problem_type)
+            slots = {"problem_type": problem_type, "graph": serialize_graph(graph),
+                     "solution": explanation, "report": "valid"}
+            for audit in audits:
+                audit.future = executor.submit(_audit, backend, slots, config, audit.calls,
+                                               audit.notes)
+        except Exception as exc:  # raised by _settle once the calls in flight are back
+            step.future = Future()
+            step.future.set_exception(exc)
+        _settle(stages)
     return SolveOutcome(
         solution=solution,
         explanation=explanation,
         problem_spec=problem_spec,
         graph=graph,
         choice=choice,
-        audit_verdicts=verdicts,
+        audit_verdicts=tuple(audit.future.result() for audit in audits),
         self_check_rounds=config.n_check,
-        calls=tuple(calls),
-        notes=tuple(notes),
+        calls=tuple(call for stage in stages for call in stage.calls),
+        notes=tuple(note for stage in stages for note in stage.notes),
     )

@@ -70,8 +70,18 @@ class LooseEdgeList:
     skipped: tuple[str, ...]
     problems: tuple[ParseError, ...]
 
+    def roster(self) -> list[str]:
+        """The ``# nodes:`` roster, else the rows' endpoints in sorted order."""
+        return self.names or sorted({name for u, v, _ in self.triples for name in (u, v)})
+
 
 _HEADER_RE = re.compile(r"^#\s*(nodes|directed|weighted)\s*:\s*(.*)$")
+_TOKEN_RE = re.compile(r"\S+")
+
+
+def _column(raw: str, index: int) -> int:
+    """1-based column of the ``index``-th whitespace-separated token of a raw line."""
+    return [m.start() for m in _TOKEN_RE.finditer(raw)][index] + 1
 
 
 def _scan(text: str) -> LooseEdgeList:
@@ -102,7 +112,7 @@ def _scan(text: str) -> LooseEdgeList:
                     triples.append((tokens[0], tokens[1], coerce_weight(tokens[2])))
                     saw_weight = True
                 except GraphError as exc:
-                    skip(line, ParseError(str(exc), lineno, line.index(tokens[2]) + 1))
+                    skip(line, ParseError(str(exc), lineno, _column(raw, 2)))
             continue
         match = _HEADER_RE.match(line)
         if match is None:
@@ -140,21 +150,18 @@ def parse_graph(text: str) -> Graph:
     scan = _scan(text)
     if scan.problems:
         raise scan.problems[0]
-    if scan.names is None:
-        names = sorted({name for u, v, _ in scan.triples for name in (u, v)})
-    else:
-        names = scan.names
-        roster = set(names)
+    if scan.names is not None:
+        roster = set(scan.names)
         for index, (u, v, _) in enumerate(scan.triples):
             if u not in roster or v not in roster:
                 token = u if u not in roster else v
-                lineno, line = _row_line(text, index)
+                lineno, raw = _row_line(text, index)
                 raise ParseError(f"endpoint {token!r} missing from roster", lineno,
-                                 line.index(token) + 1)
-    return build_graph(names, bool(scan.directed), bool(scan.weighted), scan.triples)
+                                 _column(raw, 0 if token == u else 1))
+    return build_graph(scan.roster(), bool(scan.directed), bool(scan.weighted), scan.triples)
 
 
 def _row_line(text: str, index: int) -> tuple[int, str]:
-    """Line number and stripped text of the ``index``-th row of clean text."""
-    lines = ((lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), start=1))
-    return [(lineno, line) for lineno, line in lines if line and not line.startswith("#")][index]
+    """Line number and raw text of the ``index``-th row of clean text."""
+    lines = enumerate(text.splitlines(), start=1)
+    return [(n, raw) for n, raw in lines if raw.strip() and not raw.lstrip().startswith("#")][index]

@@ -1,12 +1,16 @@
 """Command-line behaviors: files written, exit codes, reproducibility."""
 
 import json
+import random
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 import requests
 from click.testing import CliRunner
 
+from graphcrew.agents import OracleStubBackend, pipeline
 from graphcrew.cli import main
 
 STUB_CONFIG = """\
@@ -122,6 +126,52 @@ class TestSolve:
             )
             assert result.exit_code == 0, result.output
         assert first.read_bytes() == second.read_bytes()
+
+    def test_recording_io_bound_calls_then_replay_is_byte_identical(
+        self, runner, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "ds"
+        _generate(runner, out, extra=["--type", "vertex_cover"])
+        dataset = str(out / "vertex_cover.jsonl")
+        stub_results = tmp_path / "stub.jsonl"
+        result = runner.invoke(main, ["solve", "--dataset", dataset, "--backend-config",
+                                      str(_write_stub_config(tmp_path)), "--out", str(stub_results)])
+        assert result.exit_code == 0, result.output
+
+        # The stub, made to look I/O-bound, gets its calls on threads; a
+        # random wait per call makes replies come back in varying order.
+        jitter = random.Random(3)
+        answer = OracleStubBackend.complete
+
+        def slow_complete(self, system_prompt, user_prompt, params=None):
+            time.sleep(jitter.uniform(0.0, 0.003))
+            return answer(self, system_prompt, user_prompt, params)
+
+        monkeypatch.setattr(OracleStubBackend, "io_bound", True, raising=False)
+        monkeypatch.setattr(OracleStubBackend, "complete", slow_complete)
+        threads = []
+        monkeypatch.setattr(
+            pipeline, "ThreadPoolExecutor",
+            lambda workers: threads.append(workers) or ThreadPoolExecutor(workers),
+        )
+        fixtures = tmp_path / "fixtures.jsonl"
+        record = tmp_path / "record.yaml"
+        record.write_text(f"kind: record\nfixtures: {fixtures}\ninner:\n  kind: stub\n")
+        recorded = tmp_path / "recorded.jsonl"
+        result = runner.invoke(main, ["solve", "--dataset", dataset, "--backend-config",
+                                      str(record), "--out", str(recorded)])
+        assert result.exit_code == 0, result.output
+        assert threads == [5] * 4
+
+        # Replay must find each reply by its prompt, whatever the line order.
+        fixtures.write_text("".join(reversed(fixtures.read_text().splitlines(True))))
+        replay = tmp_path / "replay.yaml"
+        replay.write_text(f"kind: replay\nfixtures: {fixtures}\n")
+        replayed = tmp_path / "replayed.jsonl"
+        result = runner.invoke(main, ["solve", "--dataset", dataset, "--backend-config",
+                                      str(replay), "--out", str(replayed)])
+        assert result.exit_code == 0, result.output
+        assert recorded.read_bytes() == replayed.read_bytes() == stub_results.read_bytes()
 
     def test_dead_backend_yields_exit_one_and_failure_records(self, runner, tmp_path):
         out = tmp_path / "ds"

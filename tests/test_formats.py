@@ -79,6 +79,16 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as err:
         parse_graph("# nodes: A B\nA B 1\nA C 1\n")
     assert err.value.line == 3
+    # columns count from the raw line, token by token: the indent counts,
+    # and a name that also occurs inside an earlier token is not matched there
+    with pytest.raises(ParseError) as err:
+        parse_graph("# nodes: AB C\nAB B")
+    assert (err.value.line, err.value.column) == (2, 4)
+    assert "'B' missing from roster" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse_graph("   A C x")
+    assert (err.value.line, err.value.column) == (1, 8)
+    assert [(p.line, p.column) for p in read_edge_list_loose("   A C x").problems] == [(1, 8)]
 
 
 def test_parse_rejects_malformed_lines():

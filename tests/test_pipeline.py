@@ -1,3 +1,7 @@
+import random
+import threading
+import time
+
 import pytest
 
 from graphcrew.agents import (
@@ -298,3 +302,87 @@ def test_run_direct_parses_each_kind():
         assert outcome.solution.payload == payload
         if objective is not None:
             assert outcome.solution.objective == objective
+
+
+class IOBound:
+    """Wraps a backend as one that waits on I/O, so the pipeline puts its
+    calls on threads.  Each call first waits at its stage's barrier, if it
+    has one, then for a seeded random few milliseconds plus its stage's
+    fixed delay, so replies come back in a varying order."""
+
+    io_bound = True
+    backend_id = "io-bound"
+
+    def __init__(self, inner, barriers=None, delays=None, seed=0):
+        self.inner = inner
+        self.barriers = barriers or {}
+        self.delays = delays or {}
+        self.rng = random.Random(seed)
+        self.lock = threading.Lock()
+
+    def complete(self, system_prompt, user_prompt, params=None):
+        stage = stage_of_prompt(system_prompt)
+        if stage in self.barriers:
+            self.barriers[stage].wait()
+        with self.lock:
+            jitter = self.rng.uniform(0.0, 0.003)
+        time.sleep(jitter + self.delays.get(stage, 0.0))
+        return self.inner.complete(system_prompt, user_prompt, params)
+
+
+def test_io_bound_backend_overlaps_each_wave():
+    # Each barrier opens only when all of its wave's calls wait at it at
+    # once; a schedule that issues them one by one breaks it and fails.
+    wave1 = threading.Barrier(3, timeout=30)
+    wave2 = threading.Barrier(4, timeout=30)
+    barriers = {"narrative": wave1, "classify": wave1, "extract_graph": wave1,
+                "normalize": wave2, "select": wave2, "audit": wave2}
+    threads_before = threading.active_count()
+    out = run_pipeline(IOBound(OracleStubBackend(tsp_hidden()), barriers), "p")
+    assert threading.active_count() == threads_before  # the pool is shut down
+    assert not wave1.broken and not wave2.broken
+    assert out == run_pipeline(OracleStubBackend(tsp_hidden()), "p")
+
+
+def test_io_bound_path_matches_the_inline_path():
+    def scripted():
+        wrong = "# nodes: A B\n# directed: false\n# weighted: true\nA B 99\n"
+        return StageScripted({
+            "normalize": [f"```result:graph\n{wrong}```"],
+            "select": ["```result:choice\nalgorithm: nearest_neighbor_2opt\nreason: vibes\n```"],
+        })
+
+    inline = run_pipeline(scripted(), "p", PipelineConfig(n_check=3))
+    assert len(inline.notes) == 2
+    for seed in range(20):
+        threaded = run_pipeline(IOBound(scripted(), seed=seed), "p", PipelineConfig(n_check=3))
+        assert threaded.calls == inline.calls
+        assert threaded.notes == inline.notes
+        assert threaded.audit_verdicts == inline.audit_verdicts
+        assert threaded == inline
+
+
+@pytest.mark.parametrize("io_bound", [False, True])
+def test_earliest_stage_error_wins_and_every_call_is_kept(io_bound):
+    def wrap(backend):
+        # the earlier stage's failure comes back last
+        delays = {"narrative": 0.02, "normalize": 0.02}
+        return IOBound(backend, delays=delays) if io_bound else backend
+
+    junk = ["junk", "junk", "junk"]
+    backend = StageScripted({"narrative": list(junk), "extract_graph": list(junk)})
+    with pytest.raises(ParseFailureError) as err:
+        run_pipeline(wrap(backend), "p")
+    assert err.value.stage == "narrative"
+    assert [c.stage for c in err.value.partial_calls] == (
+        ["narrative"] * 3 + ["classify"] + ["extract_graph"] * 3
+    )
+
+    backend = StageScripted({"normalize": list(junk), "select": list(junk)})
+    with pytest.raises(ParseFailureError) as err:
+        run_pipeline(wrap(backend), "p")
+    assert err.value.stage == "normalize"
+    assert [c.stage for c in err.value.partial_calls] == [
+        "narrative", "classify", "extract_graph", *["normalize"] * 3, *["select"] * 3,
+        "audit", "audit",
+    ]
