@@ -27,7 +27,7 @@ import yaml
 from ..formats import parse_graph
 from ..graph import graph_stats
 from ..knowledge import KnowledgeBase, default_knowledge_base, select_algorithm
-from .prompts import stage_of_prompt
+from .prompts import TAGS, stage_of_prompt
 
 
 class BackendError(RuntimeError):
@@ -295,6 +295,7 @@ class OracleStubBackend:
         self._kb = kb or default_knowledge_base()
 
     def _reply(self, stage: str) -> str:
+        """The reply body for ``stage``, one of the stages in ``TAGS``."""
         hidden = self._hidden
         if stage == "narrative":
             body = str(hidden.get("narrative", "")).strip() or "Background context."
@@ -320,9 +321,7 @@ class OracleStubBackend:
             return f"algorithm: {choice.record.algorithm_id}\nreason: {choice.rationale}"
         if stage == "audit":
             return "verdict: pass\nnote: consistent with the graph"
-        if stage == "direct":
-            return self._direct_answer()
-        raise BackendError(f"stub cannot answer stage {stage!r}")
+        return self._direct_answer()
 
     def _direct_answer(self) -> str:
         best = self._hidden.get("optimal")
@@ -347,19 +346,9 @@ class OracleStubBackend:
         stage = stage_of_prompt(system_prompt)
         if stage is None:
             raise BackendError("stub got a prompt without a stage marker")
-        tag_by_stage = {
-            "narrative": "narrative",
-            "classify": "problem",
-            "extract_graph": "graph",
-            "normalize": "graph",
-            "select": "choice",
-            "audit": "verdict",
-            "direct": "answer",
-        }
-        if stage not in tag_by_stage:
+        if stage not in TAGS:
             raise BackendError(f"stub cannot answer stage {stage!r}")
-        body = self._reply(stage)
-        text = f"```result:{tag_by_stage[stage]}\n{body}\n```"
+        text = f"```result:{TAGS[stage]}\n{self._reply(stage)}\n```"
         usage = Usage(
             input_tokens=whitespace_token_count(system_prompt + " " + user_prompt),
             output_tokens=whitespace_token_count(text),

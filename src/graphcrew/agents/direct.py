@@ -17,7 +17,7 @@ from ..problems import BOOLEAN, COLORING, NODE_SET, PATH, TOUR
 from ..solvers import Solution
 from .backends import ChatBackend
 from .blocks import parse_fields
-from .pipeline import CallRecord, PipelineConfig, PipelineError, _ask, _RejectReply
+from .pipeline import CallRecord, PipelineError, _ask, _RejectReply
 from .prompts import cot_directive
 
 MODES = ("direct", "cot")
@@ -94,27 +94,17 @@ def parse_direct_answer(body: str, mode: str) -> Solution:
     raise _RejectReply("the answer block matches no known answer shape")
 
 
-def run_direct(
-    backend: ChatBackend,
-    problem_text: str,
-    mode: str = "direct",
-    config: PipelineConfig | None = None,
-) -> DirectOutcome:
+def run_direct(backend: ChatBackend, problem_text: str, mode: str = "direct") -> DirectOutcome:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {', '.join(MODES)}, got {mode!r}")
-    config = config or PipelineConfig()
     calls: list[CallRecord] = []
-    directive = ""
-    if mode == "cot":
-        directive = cot_directive(config.template_dir) + "\n\n"
+    directive = cot_directive() + "\n\n" if mode == "cot" else ""
     try:
         solution = _ask(
             backend,
             "direct",
             {"directive": directive, "problem": problem_text},
-            config,
             calls,
-            "answer",
             lambda body: parse_direct_answer(body, mode),
         )
     except PipelineError as exc:

@@ -6,31 +6,38 @@ input:
 1. ``narrative``: background prose, no structure.
 2. ``classify``: problem family plus the asked question.
 3. ``extract_graph``: raw edge-list transcription of the statement.
-4. ``normalize``: cleaned edge list, folded into a canonical graph.
-5. ``select``: algorithm choice against the catalogue.
+4. ``normalize``: cleaned edge list, compared with the merged graph.
+5. ``select``: algorithm choice, compared with the catalogue's selector.
 6. solve natively, then ``audit`` rounds on the computed answer.
 
-Model replies steer the flow, but every decision a model proposes is
-recomputed deterministically (graph merge, algorithm choice) and the
-deterministic result wins on disagreement, with a note in the outcome.
-Replies that do not carry the required fenced block are retried with the
-rejection reason appended, up to the configured attempt budget.
+Each model stage is one row (:class:`_Row`): the stage name, its prompt
+slots, its reply validator and, for the stages that only compare, the
+function that turns the reply into an override note.  One ask loop
+(:func:`_ask`) runs every row.  A reply that does not carry the stage's
+fenced block (``TAGS`` in :mod:`.prompts`), or that its validator
+rejects, is retried with the rejection reason appended, up to
+``MAX_ATTEMPTS`` attempts.
 
-:func:`run_pipeline` issues the calls by data dependency, in two waves,
-so an instance waits out two model round trips, not ``5 + n_check``.
-Wave 1 (``narrative``, ``classify``, ``extract_graph``) reads only the
-problem text.  The merged graph, the selector's choice and the verified
-answer follow from its replies; wave 2 (``normalize``, ``select``, every
-``audit`` round) compares its replies with those.  A backend that waits
-on the network (``io_bound = True``) gets a thread per call in flight;
-any other runs each call at once.  Calls and notes are joined in stage
-order whatever order the replies came in.
+:func:`run_pipeline` runs the rows in two waves, so an instance waits
+out two model round trips, not ``5 + n_check``.  Wave 1 (``narrative``,
+``classify``, ``extract_graph``) reads only the problem text.  From its
+replies the code merges the graph, selects the algorithm and solves and
+verifies the answer; no model reply can change these decisions.  Wave 2
+(``normalize``, ``select``, every ``audit`` round) goes out only once
+all three steps have succeeded, and its replies can only add notes.  A
+backend that waits on the network (``io_bound = True``) gets a thread
+per row of a wave; any other runs the rows one after another.  Calls
+and notes are joined in stage order whatever order the replies came in.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
+from typing import Any, Callable
 
 from ..execute import run_algorithm
 from ..formats import LooseEdgeList, read_edge_list_loose, serialize_graph
@@ -48,13 +55,16 @@ from ..problems import PROBLEM_TYPES
 from ..solvers import Solution, SolverInputError, verify_solution
 from .backends import BackendError, ChatBackend
 from .blocks import extract_block, parse_fields
-from .prompts import render_stage
+from .prompts import TAGS, render_stage
+
+MAX_ATTEMPTS = 3
 
 
 class PipelineError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage {stage}: {message}")
         self.stage = stage
+        self.partial_calls = ()  # the calls made before the failure, in stage order
 
 
 class ParseFailureError(PipelineError):
@@ -100,8 +110,6 @@ class CallRecord:
 class PipelineConfig:
     kb: KnowledgeBase | None = None
     n_check: int = 2
-    max_attempts: int = 3
-    template_dir: str | None = None
 
     def knowledge_base(self) -> KnowledgeBase:
         return self.kb if self.kb is not None else default_knowledge_base()
@@ -115,7 +123,6 @@ class SolveOutcome:
     graph: Graph
     choice: AlgorithmChoice
     audit_verdicts: tuple[str, ...]
-    self_check_rounds: int
     calls: tuple[CallRecord, ...]
     notes: tuple[str, ...]
 
@@ -124,22 +131,18 @@ class _RejectReply(Exception):
     """Internal: this reply must be retried, with the given feedback."""
 
 
-def _ask(
-    backend: ChatBackend,
-    stage: str,
-    slots: dict[str, str],
-    config: PipelineConfig,
-    calls: list[CallRecord],
-    tag: str,
-    validate=lambda body: body,
-):
+def _ask(backend: ChatBackend, stage: str, slots: dict[str, str],
+         calls: list[CallRecord], validate: Callable[[str], Any]):
+    """The validated body of the stage's fenced block; every reply is kept in ``calls``."""
+    tag = TAGS[stage]
+    system, prompt = render_stage(stage, slots)
     feedback: str | None = None
     last_backend_error: BackendError | None = None
-    for attempt in range(1, config.max_attempts + 1):
-        system, user = render_stage(stage, slots, config.template_dir)
+    for attempt in range(1, MAX_ATTEMPTS + 1):
+        user = prompt
         if feedback:
             user = (
-                f"{user}\n\nYour previous reply was rejected: {feedback}. "
+                f"{prompt}\n\nYour previous reply was rejected: {feedback}. "
                 "Reply again, following the required format exactly."
             )
         try:
@@ -168,90 +171,76 @@ def _ask(
             feedback = str(rej)
     if last_backend_error is not None and feedback is None:
         raise PipelineError(
-            stage, f"backend failed {config.max_attempts} times: {last_backend_error}"
+            stage, f"backend failed {MAX_ATTEMPTS} times: {last_backend_error}"
         ) from last_backend_error
     raise ParseFailureError(
-        stage, f"no usable reply in {config.max_attempts} attempts (last problem: {feedback})"
+        stage, f"no usable reply in {MAX_ATTEMPTS} attempts (last problem: {feedback})"
     )
 
 
-def extract_narrative(
-    backend: ChatBackend,
-    problem_text: str,
-    config: PipelineConfig | None = None,
-    calls: list[CallRecord] | None = None,
-) -> str:
-    """Stage 1: background prose for the statement, structure excluded."""
-    config = config or PipelineConfig()
-    calls = calls if calls is not None else []
-
-    def validate(body: str) -> str:
-        if not body.strip():
-            raise _RejectReply("the narrative block was empty")
-        return body.strip()
-
-    return _ask(backend, "narrative", {"problem": problem_text}, config, calls, "narrative", validate)
+# -- reply validators, one per stage ------------------------------------
 
 
-def classify_problem(
-    backend: ChatBackend,
-    problem_text: str,
-    config: PipelineConfig | None = None,
-    calls: list[CallRecord] | None = None,
-) -> ProblemSpec:
-    """Stage 2: problem family, question, and endpoints if any."""
-    config = config or PipelineConfig()
-    calls = calls if calls is not None else []
+def _narrative(body: str) -> str:
+    if not body.strip():
+        raise _RejectReply("the narrative block was empty")
+    return body.strip()
 
-    def validate(body: str) -> ProblemSpec:
-        fields = parse_fields(body)
-        if "problem_type" not in fields:
-            raise _RejectReply("the block is missing a problem_type line")
-        problem_type = fields["problem_type"]
-        if problem_type not in PROBLEM_TYPES:
-            raise UnsupportedProblemTypeError(
-                "classify",
-                f"problem type {problem_type!r} is not supported "
-                f"(known: {', '.join(PROBLEM_TYPES)})",
-            )
-        source = fields.get("source", "none")
-        target = fields.get("target", "none")
-        return ProblemSpec(
-            problem_type=problem_type,
-            objective=fields.get("objective", ""),
-            source=None if source in ("", "none") else source,
-            target=None if target in ("", "none") else target,
+
+def _problem_spec(body: str) -> ProblemSpec:
+    fields = parse_fields(body)
+    if "problem_type" not in fields:
+        raise _RejectReply("the block is missing a problem_type line")
+    problem_type = fields["problem_type"]
+    if problem_type not in PROBLEM_TYPES:
+        raise UnsupportedProblemTypeError(
+            "classify",
+            f"problem type {problem_type!r} is not supported "
+            f"(known: {', '.join(PROBLEM_TYPES)})",
         )
-
-    return _ask(backend, "classify", {"problem": problem_text}, config, calls, "problem", validate)
-
-
-def _extract_graph(
-    backend: ChatBackend, problem_text: str, config: PipelineConfig, calls: list[CallRecord]
-) -> tuple[str, LooseEdgeList]:
-    def validate(body: str) -> tuple[str, LooseEdgeList]:
-        loose = read_edge_list_loose(body)
-        if not loose.triples and not loose.names:
-            raise EmptyGraphError("extract_graph", "the statement yielded no nodes or edges")
-        return body, loose
-
-    return _ask(backend, "extract_graph", {"problem": problem_text}, config, calls, "graph", validate)
+    source = fields.get("source", "none")
+    target = fields.get("target", "none")
+    return ProblemSpec(
+        problem_type=problem_type,
+        objective=fields.get("objective", ""),
+        source=None if source in ("", "none") else source,
+        target=None if target in ("", "none") else target,
+    )
 
 
-def extract_raw_graph(
-    backend: ChatBackend,
-    problem_text: str,
-    config: PipelineConfig | None = None,
-    calls: list[CallRecord] | None = None,
-) -> str:
-    """Stage 3: the statement's structure as raw edge-list text.
+def _raw_graph(body: str) -> tuple[str, LooseEdgeList]:
+    """The raw edge list as text and as read; an empty one is not retried."""
+    loose = read_edge_list_loose(body)
+    if not loose.triples and not loose.names:
+        raise EmptyGraphError("extract_graph", "the statement yielded no nodes or edges")
+    return body, loose
 
-    Raises :class:`EmptyGraphError` when the reply parses but contains no
-    nodes or edges at all, which retrying will not fix.
-    """
-    config = config or PipelineConfig()
-    calls = calls if calls is not None else []
-    return _extract_graph(backend, problem_text, config, calls)[0]
+
+def _cleaned_graph(body: str) -> Graph:
+    proposal = read_edge_list_loose(body)
+    if not proposal.triples and not proposal.names:
+        raise _RejectReply("the cleaned list contained no nodes or edges")
+    try:
+        return _merge(proposal)
+    except GraphError as exc:
+        raise _RejectReply(f"the cleaned list was not a valid edge list ({exc})")
+
+
+def _algorithm_id(body: str) -> str:
+    fields = parse_fields(body)
+    if not fields.get("algorithm"):
+        raise _RejectReply("the block is missing an algorithm line")
+    return fields["algorithm"]
+
+
+def _verdict(body: str) -> str:
+    verdict = parse_fields(body).get("verdict", "")
+    if verdict not in ("pass", "fail"):
+        raise _RejectReply("the verdict line must say pass or fail")
+    return verdict
+
+
+# -- the deterministic steps between the waves --------------------------
 
 
 def _merge(loose: LooseEdgeList) -> Graph:
@@ -259,51 +248,6 @@ def _merge(loose: LooseEdgeList) -> Graph:
     directed = bool(loose.directed)
     triples = merge_edge_triples(loose.triples, directed)
     return build_graph(loose.roster(), directed, bool(loose.weighted), triples)
-
-
-def _ask_normalize(backend: ChatBackend, raw_graph_text: str, reference: Graph,
-                   config: PipelineConfig, calls: list[CallRecord], notes: list[str]) -> None:
-    def validate(body: str) -> Graph:
-        proposal = read_edge_list_loose(body)
-        if not proposal.triples and not proposal.names:
-            raise _RejectReply("the cleaned list contained no nodes or edges")
-        try:
-            return _merge(proposal)
-        except GraphError as exc:
-            raise _RejectReply(f"the cleaned list was not a valid edge list ({exc})")
-
-    candidate = _ask(backend, "normalize", {"graph": raw_graph_text}, config, calls, "graph", validate)
-    if candidate != reference:
-        notes.append(
-            "normalize: backend proposal differed from the deterministic merge; "
-            "deterministic result kept"
-        )
-
-
-def normalize_graph(
-    backend: ChatBackend,
-    raw_graph_text: str,
-    config: PipelineConfig | None = None,
-    calls: list[CallRecord] | None = None,
-    notes: list[str] | None = None,
-) -> Graph:
-    """Stage 4: canonical graph from raw edge-list text.
-
-    The backend proposes a cleaned list, but the graph returned is always
-    the deterministic merge of the raw text: duplicate statements fold,
-    conflicting weights raise
-    :class:`~graphcrew.graph.ConflictingWeightsError`, and a differing
-    backend proposal is recorded in ``notes`` and overridden.
-    """
-    config = config or PipelineConfig()
-    calls = calls if calls is not None else []
-    notes = notes if notes is not None else []
-    raw = read_edge_list_loose(raw_graph_text)
-    if not raw.triples and not raw.names:
-        raise EmptyGraphError("normalize", "raw graph text contains no nodes or edges")
-    reference = _merge(raw)
-    _ask_normalize(backend, raw_graph_text, reference, config, calls, notes)
-    return reference
 
 
 def _catalogue_text(kb: KnowledgeBase, problem_type: str) -> str:
@@ -336,49 +280,6 @@ def _stats_text(graph: Graph, stats: GraphStats) -> str:
     )
 
 
-def _select(kb: KnowledgeBase, problem_type: str, graph: Graph) -> tuple[GraphStats, AlgorithmChoice]:
-    """The selector's choice for a graph, with the stats it was made from."""
-    stats = graph_stats(graph)
-    choice = select_algorithm(kb, problem_type, stats, weighted=graph.weighted, directed=graph.directed)
-    return stats, choice
-
-
-def _ask_select(backend: ChatBackend, problem_type: str, graph: Graph, stats: GraphStats,
-                choice: AlgorithmChoice, config: PipelineConfig, calls: list[CallRecord],
-                notes: list[str]) -> None:
-    def validate(body: str) -> str:
-        fields = parse_fields(body)
-        if not fields.get("algorithm"):
-            raise _RejectReply("the block is missing an algorithm line")
-        return fields["algorithm"]
-
-    slots = {"problem_type": problem_type, "stats": _stats_text(graph, stats),
-             "catalogue": _catalogue_text(config.knowledge_base(), problem_type)}
-    proposed = _ask(backend, "select", slots, config, calls, "choice", validate)
-    if proposed != choice.record.algorithm_id:
-        notes.append(
-            f"select: backend proposed {proposed!r}, selector chose "
-            f"{choice.record.algorithm_id!r}; selector wins"
-        )
-
-
-def choose_algorithm(
-    backend: ChatBackend,
-    problem_spec: ProblemSpec,
-    graph: Graph,
-    config: PipelineConfig | None = None,
-    calls: list[CallRecord] | None = None,
-    notes: list[str] | None = None,
-) -> AlgorithmChoice:
-    """Stage 5: algorithm choice, deterministic selector authoritative."""
-    config = config or PipelineConfig()
-    calls = calls if calls is not None else []
-    notes = notes if notes is not None else []
-    stats, choice = _select(config.knowledge_base(), problem_spec.problem_type, graph)
-    _ask_select(backend, problem_spec.problem_type, graph, stats, choice, config, calls, notes)
-    return choice
-
-
 def _explain(solution: Solution, graph: Graph, problem_type: str) -> str:
     n, m = graph.node_count, graph.edge_count
     head = f"Algorithm {solution.algorithm_id} ran on {n} nodes and {m} edges."
@@ -407,44 +308,24 @@ def _solve_with_fallback(
     notes: list[str],
 ) -> Solution:
     """The chosen route's answer, or the next applicable route's; always verified."""
-    try:
-        solution = run_algorithm(
-            choice, graph, source=problem_spec.source, target=problem_spec.target
-        )
-    except SolverInputError as exc:
-        raise SolverError(
-            "solve",
-            f"{choice.record.algorithm_id} rejected the graph ({exc}); "
-            f"choice rationale was: {choice.rationale}",
-        ) from exc
-    report = verify_solution(
-        problem_spec.problem_type,
-        graph,
-        solution,
-        source=problem_spec.source,
-        target=problem_spec.target,
+    chosen = choice.record.algorithm_id
+    fallbacks = (
+        record for record in lookup_algorithms(kb, problem_spec.problem_type)
+        if record.algorithm_id != chosen
+        and not applicability_reason(record, stats, weighted=graph.weighted, directed=graph.directed)
     )
-    if report.valid:
-        return solution
-    notes.append(
-        f"solve: {choice.record.algorithm_id} answer failed verification "
-        f"({'; '.join(report.violations)}); trying the next applicable route"
-    )
-    for record in lookup_algorithms(kb, problem_spec.problem_type):
-        if record.algorithm_id == choice.record.algorithm_id:
-            continue
-        if applicability_reason(
-            record, stats, weighted=graph.weighted, directed=graph.directed
-        ):
-            continue
-        retry_choice = AlgorithmChoice(
-            record=record,
-            bound_parameters={name: p.default for name, p in record.parameters.items()},
-            rationale=f"fallback after {choice.record.algorithm_id} failed verification",
-        )
-        solution = run_algorithm(
-            retry_choice, graph, source=problem_spec.source, target=problem_spec.target
-        )
+    for route in chain((choice,), fallbacks):
+        try:
+            solution = run_algorithm(
+                route, graph, source=problem_spec.source, target=problem_spec.target
+            )
+        except SolverInputError as exc:
+            if route is not choice:
+                raise
+            raise SolverError(
+                "solve",
+                f"{chosen} rejected the graph ({exc}); choice rationale was: {choice.rationale}",
+            ) from exc
         report = verify_solution(
             problem_spec.problem_type,
             graph,
@@ -454,75 +335,76 @@ def _solve_with_fallback(
         )
         if report.valid:
             return solution
+        if route is choice:
+            notes.append(
+                f"solve: {chosen} answer failed verification "
+                f"({'; '.join(report.violations)}); trying the next applicable route"
+            )
     raise VerificationFailedError(
         "solve", "no applicable algorithm produced a verifiable answer"
     )
 
 
-def _audit_verdict(body: str) -> str:
-    verdict = parse_fields(body).get("verdict", "")
-    if verdict not in ("pass", "fail"):
-        raise _RejectReply("the verdict line must say pass or fail")
-    return verdict
-
-
-def _audit(backend: ChatBackend, slots: dict[str, str], config: PipelineConfig,
-           calls: list[CallRecord], notes: list[str]) -> str:
-    """One advisory audit round; the mechanical verifier is authoritative."""
-    verdict = _ask(backend, "audit", slots, config, calls, "verdict", _audit_verdict)
-    if verdict == "fail":
-        notes.append(
-            "audit: backend voted fail; mechanical verification is authoritative "
-            f"and reported: {slots['report']}"
-        )
-    return verdict
-
-
-_STAGE_WRAP = (
-    (GraphError, "normalize"),
-    (KnowledgeBaseError, "select"),
-    (SolverInputError, "solve"),
-)
+# -- rows and waves ------------------------------------------------------
 
 
 @dataclass
-class _Stage:
-    """One stage's (or audit round's) own trail, and its outcome once issued."""
+class _Row:
+    """One model stage (or audit round): what to ask, and its own trail."""
 
+    stage: str
+    slots: dict[str, str]
+    validate: Callable[[str], Any]
+    note: Callable[[Any], str | None] | None = None  # the override note a reply earns
     calls: list[CallRecord] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-    future: Future | None = None
+    value: Any = None
+    error: Exception | None = None
 
 
-class _Inline(Executor):
-    """Runs each submitted call at once, on the caller's thread."""
-
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        future: Future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
-
-def _settle(stages: list[_Stage]) -> None:
-    """Wait for every stage issued, then raise the earliest stage's error as a
-    :class:`PipelineError` carrying every call made, in stage order, as ``partial_calls``."""
-    errors = [stage.future.exception() for stage in stages if stage.future is not None]
-    error = next((error for error in errors if error is not None), None)
-    if error is None:
+def _run(backend: ChatBackend, row: _Row) -> None:
+    """Ask the row's question, keeping its value and note or its error; never raises."""
+    try:
+        row.value = _ask(backend, row.stage, row.slots, row.calls, row.validate)
+    except Exception as exc:
+        row.error = exc
         return
-    calls = tuple(call for stage in stages for call in stage.calls)
-    if isinstance(error, PipelineError):
-        error.partial_calls = calls
+    note = row.note(row.value) if row.note is not None else None
+    if note:
+        row.notes.append(note)
+
+
+def _calls(rows: list[_Row]) -> tuple[CallRecord, ...]:
+    return tuple(call for row in rows for call in row.calls)
+
+
+def _wave(pool: ThreadPoolExecutor | None, backend: ChatBackend, rows: list[_Row],
+          trail: list[_Row]) -> None:
+    """Run every row of a wave, on the pool's threads if there is a pool, then
+    raise the earliest row's error; a :class:`PipelineError` carries the
+    calls of every row in ``trail`` as ``partial_calls``."""
+    list((map if pool is None else pool.map)(partial(_run, backend), rows))
+    error = next((row.error for row in rows if row.error is not None), None)
+    if error is not None:
+        if isinstance(error, PipelineError):
+            error.partial_calls = _calls(trail)
         raise error
-    if isinstance(error, (GraphError, KnowledgeBaseError, SolverInputError, BackendError)):
-        name = next((name for kind, name in _STAGE_WRAP if isinstance(error, kind)), "pipeline")
-        wrapped = PipelineError(name, str(error))
-        wrapped.partial_calls = calls
-        raise wrapped from error
-    raise error
+
+
+@contextmanager
+def _step(stage: str, trail: list[_Row]):
+    """A deterministic step: its failure is raised at once as a
+    :class:`PipelineError` named after ``stage``, carrying the calls of
+    every row in ``trail``; other exceptions pass through unchanged."""
+    try:
+        yield
+    except PipelineError as exc:
+        exc.partial_calls = _calls(trail)
+        raise
+    except (GraphError, KnowledgeBaseError, SolverInputError) as exc:
+        error = PipelineError(stage, str(exc))
+        error.partial_calls = _calls(trail)
+        raise error from exc
 
 
 def run_pipeline(
@@ -530,52 +412,68 @@ def run_pipeline(
 ) -> SolveOutcome:
     """Run all stages on one problem statement, issuing calls in two waves.
 
-    When a stage fails, the calls in flight are waited for and the
-    earliest stage's error is raised (see :func:`_settle`).
+    A failed row is raised once the rest of its wave is back, as the
+    earliest stage's error (see :func:`_wave`); a failed deterministic
+    step is raised at once, and no wave-2 call is made.
     """
     config = config or PipelineConfig()
     kb = config.knowledge_base()
-    # in stage order: the order calls and notes are joined in
-    stages = [_Stage() for _ in range(6 + config.n_check)]
-    narrative, classify, extract, normalize, select, solve, *audits = stages
+    text = {"problem": problem_text}
+    wave1 = [
+        _Row("narrative", text, _narrative),
+        _Row("classify", text, _problem_spec),
+        _Row("extract_graph", text, _raw_graph),
+    ]
     io_bound = getattr(backend, "io_bound", False)
-    with ThreadPoolExecutor(3 + config.n_check) if io_bound else _Inline() as executor:
-        for stage, ask in zip(stages, (extract_narrative, classify_problem, _extract_graph)):
-            stage.future = executor.submit(ask, backend, problem_text, config, stage.calls)
-        _settle(stages)
-        problem_spec = classify.future.result()
-        raw_text, raw = extract.future.result()
-        problem_type = problem_spec.problem_type
-        step = normalize  # the stage a deterministic failure belongs to
-        try:
+    with ThreadPoolExecutor(3 + config.n_check) if io_bound else nullcontext() as pool:
+        _wave(pool, backend, wave1, wave1)
+        spec, (raw_text, raw) = wave1[1].value, wave1[2].value
+        problem_type = spec.problem_type
+        solve_notes: list[str] = []
+        with _step("normalize", wave1):
             graph = _merge(raw)
-            normalize.future = executor.submit(
-                _ask_normalize, backend, raw_text, graph, config, normalize.calls, normalize.notes
+        with _step("select", wave1):
+            stats = graph_stats(graph)
+            choice = select_algorithm(
+                kb, problem_type, stats, weighted=graph.weighted, directed=graph.directed
             )
-            step = select
-            stats, choice = _select(kb, problem_type, graph)
-            select.future = executor.submit(_ask_select, backend, problem_type, graph, stats,
-                                            choice, config, select.calls, select.notes)
-            step = solve
-            solution = _solve_with_fallback(choice, graph, stats, problem_spec, kb, solve.notes)
-            explanation = _explain(solution, graph, problem_type)
-            slots = {"problem_type": problem_type, "graph": serialize_graph(graph),
-                     "solution": explanation, "report": "valid"}
-            for audit in audits:
-                audit.future = executor.submit(_audit, backend, slots, config, audit.calls,
-                                               audit.notes)
-        except Exception as exc:  # raised by _settle once the calls in flight are back
-            step.future = Future()
-            step.future.set_exception(exc)
-        _settle(stages)
+        with _step("solve", wave1):
+            solution = _solve_with_fallback(choice, graph, stats, spec, kb, solve_notes)
+        explanation = _explain(solution, graph, problem_type)
+        chosen = choice.record.algorithm_id
+        audit = {"problem_type": problem_type, "graph": serialize_graph(graph),
+                 "solution": explanation, "report": "valid"}
+        normalize = _Row(
+            "normalize", {"graph": raw_text}, _cleaned_graph,
+            lambda proposal: None if proposal == graph else (
+                "normalize: backend proposal differed from the deterministic merge; "
+                "deterministic result kept"),
+        )
+        select = _Row(
+            "select",
+            {"problem_type": problem_type, "stats": _stats_text(graph, stats),
+             "catalogue": _catalogue_text(kb, problem_type)},
+            _algorithm_id,
+            lambda proposed: None if proposed == chosen else (
+                f"select: backend proposed {proposed!r}, selector chose {chosen!r}; "
+                "selector wins"),
+        )
+        audit_note = ("audit: backend voted fail; mechanical verification is authoritative "
+                      f"and reported: {audit['report']}")
+        audits = [
+            _Row("audit", audit, _verdict, lambda verdict: None if verdict == "pass" else audit_note)
+            for _ in range(config.n_check)
+        ]
+        wave2 = [normalize, select, *audits]
+        _wave(pool, backend, wave2, wave1 + wave2)
     return SolveOutcome(
         solution=solution,
         explanation=explanation,
-        problem_spec=problem_spec,
+        problem_spec=spec,
         graph=graph,
         choice=choice,
-        audit_verdicts=tuple(audit.future.result() for audit in audits),
-        self_check_rounds=config.n_check,
-        calls=tuple(call for stage in stages for call in stage.calls),
-        notes=tuple(note for stage in stages for note in stage.notes),
+        audit_verdicts=tuple(row.value for row in audits),
+        calls=_calls(wave1 + wave2),
+        notes=(*normalize.notes, *select.notes, *solve_notes,
+               *(note for row in audits for note in row.notes)),
     )

@@ -10,17 +10,17 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 
-STAGES: tuple[str, ...] = (
-    "narrative",
-    "classify",
-    "extract_graph",
-    "normalize",
-    "select",
-    "audit",
-    "direct",
-)
+# each stage, and the tag of the ```result:<tag>``` block its reply must end with
+TAGS: dict[str, str] = {
+    "narrative": "narrative",
+    "classify": "problem",
+    "extract_graph": "graph",
+    "normalize": "graph",
+    "select": "choice",
+    "audit": "verdict",
+    "direct": "answer",
+}
 
 _MARKER_RE = re.compile(r"\[stage:([a-z_]+)\]")
 
@@ -29,32 +29,24 @@ class TemplateError(ValueError):
     pass
 
 
-def _read_template(stage: str, template_dir: str | None) -> str:
-    if template_dir is not None:
-        path = Path(template_dir) / f"{stage}.txt"
-        if not path.is_file():
-            raise TemplateError(f"no template for stage {stage!r} in {template_dir}")
-        return path.read_text()
-    return resources.files("graphcrew").joinpath(f"agents/templates/{stage}.txt").read_text()
+def _read(name: str) -> str:
+    return resources.files("graphcrew").joinpath(f"agents/templates/{name}.txt").read_text()
 
 
 @lru_cache(maxsize=None)
-def load_template(stage: str, template_dir: str | None = None) -> tuple[str, str]:
+def load_template(stage: str) -> tuple[str, str]:
     """(system, user) template pair for a stage."""
-    if stage not in STAGES:
-        raise TemplateError(f"unknown stage {stage!r} (known: {', '.join(STAGES)})")
-    text = _read_template(stage, template_dir)
-    parts = text.split("\n---\n", 1)
+    if stage not in TAGS:
+        raise TemplateError(f"unknown stage {stage!r} (known: {', '.join(TAGS)})")
+    parts = _read(stage).split("\n---\n", 1)
     if len(parts) != 2:
         raise TemplateError(f"template for {stage!r} lacks the --- separator")
     return parts[0].strip(), parts[1].strip()
 
 
-def render_stage(
-    stage: str, slots: dict[str, str], template_dir: str | None = None
-) -> tuple[str, str]:
+def render_stage(stage: str, slots: dict[str, str]) -> tuple[str, str]:
     """Fill a stage's user template; unknown or leftover slots are errors."""
-    system, user = load_template(stage, template_dir)
+    system, user = load_template(stage)
     for key, value in slots.items():
         token = "{" + key + "}"
         if token not in user:
@@ -66,17 +58,8 @@ def render_stage(
     return system, user
 
 
-def cot_directive(template_dir: str | None = None) -> str:
-    if template_dir is not None:
-        path = Path(template_dir) / "cot_directive.txt"
-        if path.is_file():
-            return path.read_text().strip()
-    return (
-        resources.files("graphcrew")
-        .joinpath("agents/templates/cot_directive.txt")
-        .read_text()
-        .strip()
-    )
+def cot_directive() -> str:
+    return _read("cot_directive").strip()
 
 
 def stage_of_prompt(system_prompt: str) -> str | None:

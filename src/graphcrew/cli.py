@@ -19,7 +19,6 @@ import click
 
 from .agents import (
     BackendConfig,
-    BackendError,
     CallRecord,
     ConfigError,
     DirectOutcome,
@@ -41,6 +40,7 @@ from .dataset import (
 )
 from .evaluation import (
     RateConfig,
+    TruthDefectError,
     aggregate_scores,
     cost_report,
     overall_summary,
@@ -50,7 +50,7 @@ from .evaluation import (
     score_prediction,
     scores_to_records,
 )
-from .knowledge import KnowledgeBaseError, load_knowledge_base
+from .knowledge import load_knowledge_base
 from .problems import (
     CYCLE_DETECTION,
     GRAPH_COLORING,
@@ -74,9 +74,6 @@ def _config_guard(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ConfigError, KnowledgeBaseError) as exc:
-            click.echo(f"configuration error: {exc}", err=True)
-            sys.exit(2)
         except ValueError as exc:
             click.echo(f"configuration error: {exc}", err=True)
             sys.exit(2)
@@ -246,13 +243,7 @@ def cmd_solve(dataset, backend_config_path, kb_path, n_check, concurrency, out):
             record["status"] = "failed"
             record["failure"] = str(exc)
             record["stage"] = exc.stage
-            record["usage"] = _usage_rows(getattr(exc, "partial_calls", ()))
-            return record
-        except BackendError as exc:
-            record["status"] = "failed"
-            record["failure"] = str(exc)
-            record["stage"] = "backend"
-            record["usage"] = []
+            record["usage"] = _usage_rows(exc.partial_calls)
             return record
         record["status"] = "ok"
         record["solution"] = solution_to_dict(outcome.solution)
@@ -369,15 +360,21 @@ def cmd_evaluate(results_path, dataset, backend_config_path, out_dir):
             ) from exc
         any_usage = any_usage or bool(usage)
         if prediction is not None:
-            scores.append(score_prediction(
-                prediction,
-                instance.truth.optimal,
-                instance.problem_type,
-                instance.graph,
-                source=instance.source,
-                target=instance.target,
-                instance_id=instance.instance_id,
-            ))
+            try:
+                scores.append(score_prediction(
+                    prediction,
+                    instance.truth.optimal,
+                    instance.problem_type,
+                    instance.graph,
+                    source=instance.source,
+                    target=instance.target,
+                    instance_id=instance.instance_id,
+                ))
+            except TruthDefectError as exc:
+                raise ConfigError(
+                    f"{results_path}: line {lineno}: instance {instance.instance_id!r}: {exc}; "
+                    "the dataset's truth is wrong"
+                ) from exc
         else:
             scores.append(score_failure(
                 instance.instance_id,

@@ -3,6 +3,7 @@
 from .scoring import (
     InstanceScore,
     TaskSummary,
+    TruthDefectError,
     aggregate_scores,
     overall_summary,
     score_failure,
@@ -31,6 +32,7 @@ __all__ = [
     "RateConfig",
     "StageCost",
     "TaskSummary",
+    "TruthDefectError",
     "aggregate_scores",
     "cost_report",
     "overall_summary",

@@ -9,6 +9,10 @@ payload is accepted, since optima are rarely unique.
 
 Boolean tasks have no node set; their composite score is the result
 score, and the node score mirrors it so both composition rules hold.
+
+Every other family minimises, so a valid payload whose recomputed
+objective is below the stored optimum proves the stored optimum wrong;
+scoring refuses it rather than marking the answer wrong.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from ..graph import Graph, GraphError, Weight
+from ..graph import Graph, GraphError, Weight, format_weight
 from ..problems import (
     BOOLEAN,
     COLORING,
@@ -29,6 +33,18 @@ from ..problems import (
 from ..solvers import KindMismatchError, Solution, verify_solution
 
 HALF = Fraction(1, 2)
+
+
+class TruthDefectError(ValueError):
+    """A valid answer beats the stored optimum, so the stored optimum is wrong."""
+
+    def __init__(self, objective: Weight, optimum: Weight):
+        super().__init__(
+            f"a valid answer has objective {format_weight(objective)}, "
+            f"below the stored optimum {format_weight(optimum)}"
+        )
+        self.objective = objective
+        self.optimum = optimum
 
 
 @dataclass(frozen=True)
@@ -95,7 +111,8 @@ def score_instance(
     """Score one prediction against the known best solution.
 
     Raises KindMismatchError when the prediction answers a different
-    problem shape than the task asks for.
+    problem shape than the task asks for, and TruthDefectError when its
+    payload is valid and beats the optimum.
     """
     check_problem_type(problem_type)
     expected_kind = KIND_BY_PROBLEM[problem_type]
@@ -112,7 +129,7 @@ def score_instance(
     else:
         acc_nodes = Fraction(0)
         recomputed = _recompute_objective(graph, prediction)
-        if recomputed is not None and recomputed == truth.objective:
+        if recomputed is not None and recomputed <= truth.objective:
             candidate = replace(prediction, objective=recomputed)
             try:
                 report = verify_solution(
@@ -121,6 +138,8 @@ def score_instance(
             except (ValueError, KeyError):
                 report = None
             if report is not None and report.valid:
+                if recomputed < truth.objective:
+                    raise TruthDefectError(recomputed, truth.objective)
                 acc_nodes = Fraction(1)
         acc_all = HALF * acc_nodes + HALF * acc_result
 
@@ -156,7 +175,8 @@ def score_prediction(
     instance_id: str = "",
     failure: str | None = None,
 ) -> InstanceScore:
-    """Lenient front door: failures and wrong-kind answers score zero."""
+    """Lenient front door: failures and wrong-kind answers score zero; a
+    truth defect still raises."""
     if prediction is None:
         return score_failure(instance_id, problem_type, failure or "no answer produced")
     try:

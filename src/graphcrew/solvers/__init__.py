@@ -14,9 +14,7 @@ from .solution import (
 from .tsp import (
     tour_cost,
     tsp_exact_held_karp,
-    tsp_nearest_neighbor,
     tsp_nearest_neighbor_two_opt,
-    tsp_two_opt,
 )
 from .coloring import coloring_dsatur, coloring_exact
 from .vertex_cover import vertex_cover_approx, vertex_cover_exact
@@ -39,9 +37,7 @@ __all__ = [
     "solution_to_dict",
     "tour_cost",
     "tsp_exact_held_karp",
-    "tsp_nearest_neighbor",
     "tsp_nearest_neighbor_two_opt",
-    "tsp_two_opt",
     "vertex_cover_approx",
     "vertex_cover_exact",
 ]

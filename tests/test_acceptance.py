@@ -44,12 +44,12 @@ from graphcrew.solvers import (
     coloring_exact,
     shortest_path_dijkstra,
     tsp_exact_held_karp,
-    tsp_nearest_neighbor,
     tsp_nearest_neighbor_two_opt,
     vertex_cover_approx,
     vertex_cover_exact,
     verify_solution,
 )
+from graphcrew.solvers.tsp import tsp_nearest_neighbor
 
 from oracles import (
     bellman_ford_cost,

@@ -4,6 +4,7 @@ import json
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -317,6 +318,28 @@ class TestEvaluate:
         assert scores[-1]["id"] == "tsp-n08-i00"
         assert scores[-1]["acc_all"] == "0"
         assert scores[-1]["failure_reason"] == "no result"
+
+    def test_answer_beating_the_truth_is_config_error(self, runner, tmp_path):
+        dataset, config, results = self._solve(runner, tmp_path)
+        # the stored optimum of the second instance is raised by one, so the
+        # solved answer, a valid tour, now beats it
+        lines = dataset.read_text().splitlines()
+        record = json.loads(lines[1])
+        optimal = record["hidden"]["truth"]["optimal"]
+        stored = Fraction(optimal["objective"])
+        optimal["objective"] = str(stored + 1)
+        lines[1] = json.dumps(record)
+        dataset.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(
+            main,
+            ["evaluate", "--results", str(results), "--dataset", str(dataset)],
+        )
+        assert result.exit_code == 2
+        assert (
+            f"{results}: line 2: instance {record['id']!r}: a valid answer has objective "
+            f"{stored}, below the stored optimum {stored + 1}; the dataset's truth is wrong"
+        ) in result.output
+        assert "Traceback" not in result.output
 
     @pytest.mark.parametrize("record, message", [
         ({"id": "tsp-n08-i00", "status": "ok", "solution": {}}, "malformed result (KeyError:"),

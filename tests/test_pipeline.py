@@ -14,19 +14,15 @@ from graphcrew.agents import (
     SolverError,
     UnsupportedProblemTypeError,
     Usage,
-    classify_problem,
-    choose_algorithm,
-    extract_raw_graph,
-    normalize_graph,
     run_direct,
     run_pipeline,
     whitespace_token_count,
 )
 from graphcrew.agents.backends import BackendError
-from graphcrew.agents.prompts import stage_of_prompt
+from graphcrew.agents.prompts import TAGS, load_template, stage_of_prompt
 from graphcrew.formats import serialize_graph
-from graphcrew.graph import ConflictingWeightsError, build_graph
-from graphcrew.knowledge import load_knowledge_base
+from graphcrew.graph import ConflictingWeightsError, GraphError, UnknownEndpointError, build_graph
+from graphcrew.knowledge import NoApplicableAlgorithmError, load_knowledge_base
 
 from test_backends import tsp_hidden
 
@@ -61,7 +57,6 @@ def test_full_run_with_stub():
     assert out.graph.node_names == ("Depot", "Mill", "Quay", "Yard")
     assert out.choice.record.algorithm_id == "held_karp"
     assert out.audit_verdicts == ("pass", "pass")
-    assert out.self_check_rounds == 2
     assert [c.stage for c in out.calls] == [
         "narrative", "classify", "extract_graph", "normalize", "select", "audit", "audit",
     ]
@@ -107,8 +102,8 @@ def test_retry_appends_feedback_and_counts_attempts():
     backend.scripts["classify"][1] = (
         "```result:problem\nproblem_type: tsp\nobjective: o\nsource: none\ntarget: none\n```"
     )
-    spec = classify_problem(backend, "prose")
-    assert spec.problem_type == "tsp"
+    out = run_pipeline(backend, "prose")
+    assert out.problem_spec.problem_type == "tsp"
     classify_calls = [u for s, u in backend.seen if s == "classify"]
     assert len(classify_calls) == 2
     assert "rejected" in classify_calls[1] and "fenced block" in classify_calls[1]
@@ -117,7 +112,7 @@ def test_retry_appends_feedback_and_counts_attempts():
 def test_retry_budget_exhaustion():
     backend = StageScripted({"classify": ["junk", "junk", "junk"]})
     with pytest.raises(ParseFailureError) as err:
-        classify_problem(backend, "prose")
+        run_pipeline(backend, "prose")
     assert err.value.stage == "classify"
     assert len([1 for s, _ in backend.seen if s == "classify"]) == 3
 
@@ -131,13 +126,13 @@ def test_missing_field_retries_but_unknown_type_does_not():
             ]
         }
     )
-    assert classify_problem(backend, "p").problem_type == "tsp"
+    assert run_pipeline(backend, "p").problem_spec.problem_type == "tsp"
 
     backend = StageScripted(
         {"classify": ["```result:problem\nproblem_type: minimum_spanning_tree\n```"]}
     )
     with pytest.raises(UnsupportedProblemTypeError):
-        classify_problem(backend, "p")
+        run_pipeline(backend, "p")
     assert len([1 for s, _ in backend.seen if s == "classify"]) == 1
 
 
@@ -156,35 +151,48 @@ def test_extract_empty_graph():
         {"extract_graph": ["```result:graph\nnothing structural here\n```"]}
     )
     with pytest.raises(EmptyGraphError) as err:
-        extract_raw_graph(backend, "p")
+        run_pipeline(backend, "p")
     assert err.value.stage == "extract_graph"
 
 
+WAVE_1 = ["narrative", "classify", "extract_graph"]
+
+
+def graph_reply(text):
+    return f"```result:graph\n{text}```"
+
+
 def test_normalize_merges_duplicates():
-    backend = StageScripted({})
+    k3 = build_graph(["A", "B", "C"], False, True, [("A", "B", 3), ("A", "C", 5), ("B", "C", 4)])
     raw = (
         "# nodes: A B C\n# directed: false\n# weighted: true\n"
-        "A B 3\nB A 3\nB C 4\n"
+        "A B 3\nB A 3\nB C 4\nA C 5\n"
     )
-    graph = normalize_graph(backend, raw)
-    assert graph.edges == ((0, 1, 3), (1, 2, 4))
+    hidden = dict(tsp_hidden(), graph_text=serialize_graph(k3))
+    backend = StageScripted({"extract_graph": [graph_reply(raw)]}, hidden=hidden)
+    out = run_pipeline(backend, "p")
+    assert out.graph.edges == ((0, 1, 3), (0, 2, 5), (1, 2, 4))
+    assert out.notes == ()  # the stub's clean list is the merge
+    assert out.solution.objective == 12
 
 
 def test_normalize_conflicting_weights():
-    backend = StageScripted({})
     raw = "# weighted: true\nA B 3\nB A 5\n"
-    with pytest.raises(ConflictingWeightsError):
-        normalize_graph(backend, raw)
+    backend = StageScripted({"extract_graph": [graph_reply(raw)]})
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(backend, "p")
+    assert err.value.stage == "normalize"
+    assert isinstance(err.value.__cause__, ConflictingWeightsError)
+    assert [c.stage for c in err.value.partial_calls] == WAVE_1
 
 
 def test_normalize_override_is_deterministic_and_noted():
     hidden = tsp_hidden()
     wrong = "# nodes: A B\n# directed: false\n# weighted: true\nA B 99\n"
-    backend = StageScripted({"normalize": [f"```result:graph\n{wrong}```"]}, hidden=hidden)
-    notes: list[str] = []
-    graph = normalize_graph(backend, hidden["graph_text"], notes=notes)
-    assert graph.node_names == ("Depot", "Mill", "Quay", "Yard")
-    assert notes and "deterministic result kept" in notes[0]
+    backend = StageScripted({"normalize": [graph_reply(wrong)]}, hidden=hidden)
+    out = run_pipeline(backend, "p")
+    assert out.graph.node_names == ("Depot", "Mill", "Quay", "Yard")
+    assert len(out.notes) == 1 and "deterministic result kept" in out.notes[0]
 
 
 def test_select_override_is_noted():
@@ -252,16 +260,47 @@ def test_pipeline_error_carries_partial_trail():
 
 
 def test_choose_algorithm_standalone():
-    hidden = tsp_hidden()
-    backend = OracleStubBackend(hidden)
-    from graphcrew.agents import ProblemSpec
-    from graphcrew.formats import parse_graph
+    out = run_pipeline(OracleStubBackend(tsp_hidden()), "p")
+    assert out.choice.record.algorithm_id == "held_karp"
+    assert "exact" in out.choice.rationale
 
-    graph = parse_graph(hidden["graph_text"])
-    spec = ProblemSpec("tsp", "cheapest loop", None, None)
-    choice = choose_algorithm(backend, spec, graph)
-    assert choice.record.algorithm_id == "held_karp"
-    assert "exact" in choice.rationale
+
+def path_hidden():
+    graph = build_graph(["Ash", "Birch", "Cedar"], True, True,
+                        [("Ash", "Birch", 2), ("Birch", "Cedar", 3), ("Ash", "Cedar", 9)])
+    return {"problem_type": "shortest_path", "graph_text": serialize_graph(graph),
+            "source": "Ash", "target": "Cedar"}
+
+
+@pytest.mark.parametrize("source, cause", [("none", GraphError), ("Zed", UnknownEndpointError)])
+def test_solver_failure_is_named_solve_and_sends_no_wave_2(source, cause):
+    reply = (f"```result:problem\nproblem_type: shortest_path\nobjective: o\n"
+             f"source: {source}\ntarget: Cedar\n```")
+    backend = StageScripted({"classify": [reply]}, hidden=path_hidden())
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(backend, "p")
+    assert err.value.stage == "solve"
+    assert isinstance(err.value.__cause__, cause)
+    assert [c.stage for c in err.value.partial_calls] == WAVE_1
+    assert [stage for stage, _ in backend.seen] == WAVE_1
+
+
+def test_selector_failure_is_named_select_and_sends_no_wave_2():
+    incomplete = "# nodes: A B C\n# directed: false\n# weighted: true\nA B 1\nB C 2\n"
+    backend = StageScripted({"extract_graph": [graph_reply(incomplete)]})
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(backend, "p")
+    assert err.value.stage == "select"
+    assert isinstance(err.value.__cause__, NoApplicableAlgorithmError)
+    assert [c.stage for c in err.value.partial_calls] == WAVE_1
+    assert [stage for stage, _ in backend.seen] == WAVE_1
+
+
+def test_every_template_asks_for_its_stage_tag():
+    for stage, tag in TAGS.items():
+        system, user = load_template(stage)
+        assert system.startswith(f"[stage:{stage}]")
+        assert f"```result:{tag}\n" in user
 
 
 def test_run_direct_modes():

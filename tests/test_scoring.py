@@ -12,6 +12,7 @@ from graphcrew.evaluation import (
     aggregate_scores,
     overall_summary,
     score_failure,
+    TruthDefectError,
     score_instance,
     score_prediction,
 )
@@ -62,6 +63,18 @@ class TestFormulaCases:
         score = score_instance(approx, truth, TSP, inst.graph)
         assert score.acc_nodes == 0
         assert score.acc_result == 0
+
+
+    def test_valid_answer_beating_the_truth_is_refused(self):
+        # the stored "optimum" is the heuristic tour, the answer the true one
+        inst = build_instance(TSP, 10, 2)
+        truth, approx = inst.truth.optimal, inst.truth.approximate
+        with pytest.raises(TruthDefectError) as err:
+            score_instance(truth, approx, TSP, inst.graph)
+        assert (err.value.objective, err.value.optimum) == (truth.objective, approx.objective)
+        # a payload that is not a tour beats nothing
+        broken = replace(truth, payload=truth.payload[:-1])
+        assert score_instance(broken, approx, TSP, inst.graph).acc_nodes == 0
 
 
 class TestRecomputationRule:

@@ -8,12 +8,11 @@ from graphcrew.solvers import (
     TooLargeError,
     tour_cost,
     tsp_exact_held_karp,
-    tsp_nearest_neighbor,
     tsp_nearest_neighbor_two_opt,
-    tsp_two_opt,
     verify_solution,
 )
 from graphcrew.solvers import tsp as tsp_module
+from graphcrew.solvers.tsp import tsp_nearest_neighbor, tsp_two_opt
 
 from oracles import brute_tour_cost, held_karp_tour_cost
 from util import complete_graph, names_for
