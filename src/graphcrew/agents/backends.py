@@ -14,14 +14,17 @@ backend config, never from the config file or the command line.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
 import threading
-from dataclasses import dataclass, field
+import urllib.error
+import urllib.parse
+import urllib.request
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Protocol, runtime_checkable
 
-import requests
 import yaml
 
 from ..formats import parse_graph
@@ -78,7 +81,6 @@ class BackendConfig:
     endpoint: str = ""
     model: str = ""
     api_key_env: str = ""
-    temperature: float = 0.0
     timeout_seconds: float = 60.0
     fixtures: str = ""
     inner: "BackendConfig | None" = None
@@ -87,15 +89,23 @@ class BackendConfig:
 KINDS = ("live", "stub", "replay", "record")
 
 
+def _refuse_unknown_keys(doc: dict, cls: type, where: str) -> None:
+    unknown = sorted(str(key) for key in set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)}")
+
+
 def _config_from_mapping(doc: Any, where: str) -> BackendConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: backend config must be a mapping")
+    _refuse_unknown_keys(doc, BackendConfig, where)
     kind = doc.get("kind")
     if kind not in KINDS:
         raise ConfigError(f"{where}: 'kind' must be one of {', '.join(KINDS)}, got {kind!r}")
     prices_raw = doc.get("prices") or {}
     if not isinstance(prices_raw, dict):
         raise ConfigError(f"{where}: 'prices' must be a mapping")
+    _refuse_unknown_keys(prices_raw, PriceConfig, f"{where}.prices")
     prices = PriceConfig(
         input_per_million=str(prices_raw.get("input_per_million", "0")),
         output_per_million=str(prices_raw.get("output_per_million", "0")),
@@ -109,7 +119,6 @@ def _config_from_mapping(doc: Any, where: str) -> BackendConfig:
         endpoint=str(doc.get("endpoint", "")),
         model=str(doc.get("model", "")),
         api_key_env=str(doc.get("api_key_env", "")),
-        temperature=float(doc.get("temperature", 0.0)),
         timeout_seconds=float(doc.get("timeout_seconds", 60.0)),
         fixtures=str(doc.get("fixtures", "")),
         inner=inner,
@@ -122,6 +131,11 @@ def _config_from_mapping(doc: Any, where: str) -> BackendConfig:
             raise ConfigError(
                 f"{where}: live backend needs 'api_key_env' naming the environment "
                 "variable that holds the API key"
+            )
+        endpoint = urllib.parse.urlsplit(config.endpoint)
+        if endpoint.scheme not in ("http", "https") or not endpoint.hostname:
+            raise ConfigError(
+                f"{where}: 'endpoint' must be an http:// or https:// URL, got {config.endpoint!r}"
             )
     if kind in ("replay", "record") and not config.fixtures:
         raise ConfigError(f"{where}: {kind} backend needs a 'fixtures' path")
@@ -176,40 +190,39 @@ class LiveChatBackend:
                 {"role": "system", "content": system_prompt},
                 {"role": "user", "content": user_prompt},
             ],
-            "temperature": (params or {}).get("temperature", config.temperature),
+            **(params or {}),
         }
         url = config.endpoint.rstrip("/") + "/chat/completions"
-        try:
-            response = requests.post(
-                url,
-                json=payload,
-                headers={"Authorization": f"Bearer {self._key}"},
-                timeout=config.timeout_seconds,
-            )
-        except requests.RequestException as exc:
-            raise BackendError(f"request to {url} failed: {exc}") from exc
-        if response.status_code != 200:
-            raise BackendError(
-                f"{url} returned {response.status_code}: {response.text[:200]}"
-            )
-        try:
-            doc = response.json()
-            text = doc["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise BackendError(f"unexpected response shape from {url}: {exc}") from exc
-        usage = doc.get("usage") or {}
-        return Completion(
-            text=text,
-            usage=Usage(
-                input_tokens=int(
-                    usage.get("prompt_tokens")
-                    or whitespace_token_count(system_prompt + " " + user_prompt)
-                ),
-                output_tokens=int(
-                    usage.get("completion_tokens") or whitespace_token_count(text)
-                ),
-            ),
+        request = urllib.request.Request(
+            url,
+            data=json.dumps(payload).encode(),
+            headers={"Authorization": f"Bearer {self._key}", "Content-Type": "application/json"},
         )
+        try:
+            try:
+                response = urllib.request.urlopen(request, timeout=config.timeout_seconds)
+            except urllib.error.HTTPError as exc:
+                response = exc  # a non-2xx reply, which is itself a readable response
+            with response:
+                status, body = response.status, response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            raise BackendError(f"request to {url} failed: {exc}") from exc
+        if status != 200:
+            raise BackendError(f"{url} returned {status}: {body.decode(errors='replace')[:200]}")
+        try:
+            doc = json.loads(body)
+            text = doc["choices"][0]["message"]["content"]
+            if not isinstance(text, str):
+                raise TypeError(f"message content is {text!r}, not text")
+            usage = doc.get("usage") or {}
+            input_tokens = int(
+                usage.get("prompt_tokens")
+                or whitespace_token_count(system_prompt + " " + user_prompt)
+            )
+            output_tokens = int(usage.get("completion_tokens") or whitespace_token_count(text))
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+            raise BackendError(f"unexpected response shape from {url}: {exc}") from exc
+        return Completion(text=text, usage=Usage(input_tokens, output_tokens))
 
 
 class ReplayBackend:

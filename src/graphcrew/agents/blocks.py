@@ -12,10 +12,6 @@ import re
 _BLOCK_RE = re.compile(r"```result:([a-z_]+)[ \t]*\n(.*?)```", re.DOTALL)
 
 
-def format_block(tag: str, body: str) -> str:
-    return f"```result:{tag}\n{body.rstrip()}\n```"
-
-
 def extract_block(text: str, tag: str) -> str | None:
     """The body of the last ``result:<tag>`` block, or None."""
     body = None

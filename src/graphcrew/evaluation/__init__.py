@@ -21,7 +21,6 @@ from .costs import (
 from .reports import (
     render_accuracy_table,
     render_cost_table,
-    scores_from_records,
     scores_to_records,
 )
 
@@ -42,6 +41,5 @@ __all__ = [
     "score_failure",
     "score_instance",
     "score_prediction",
-    "scores_from_records",
     "scores_to_records",
 ]

@@ -98,17 +98,3 @@ def scores_to_records(scores: list[InstanceScore]) -> list[dict[str, Any]]:
             record["failure_reason"] = score.failure_reason
         records.append(record)
     return records
-
-
-def scores_from_records(records: list[dict[str, Any]]) -> list[InstanceScore]:
-    return [
-        InstanceScore(
-            instance_id=record["id"],
-            problem_type=record["problem_type"],
-            acc_nodes=Fraction(record["acc_nodes"]),
-            acc_result=Fraction(record["acc_result"]),
-            acc_all=Fraction(record["acc_all"]),
-            failure_reason=record.get("failure_reason"),
-        )
-        for record in records
-    ]

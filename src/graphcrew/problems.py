@@ -29,12 +29,6 @@ KIND_BY_PROBLEM: dict[str, str] = {
     CYCLE_DETECTION: BOOLEAN,
 }
 
-# Problem families whose natural statement carries edge weights.
-WEIGHTED_PROBLEMS: frozenset[str] = frozenset({TSP, SHORTEST_PATH})
-
-# Families where the question names a source and target node.
-ENDPOINT_PROBLEMS: frozenset[str] = frozenset({SHORTEST_PATH})
-
 # Cover-story themes for generated problem text.
 DELIVERY = "delivery"
 NETWORK = "network"

@@ -102,25 +102,37 @@ def solution_to_dict(solution: Solution) -> dict[str, Any]:
 
 
 def solution_from_dict(data: dict[str, Any]) -> Solution:
+    """Read a solution record, refusing with ValueError any value of the wrong JSON type."""
     kind = data["kind"]
     if kind == TOUR:
         payload: Any = tuple(data["order"])
     elif kind == COLORING:
-        payload = {name: int(c) for name, c in sorted(data["colors"].items())}
+        payload = dict(sorted(data["colors"].items()))
+        if not all(type(c) is int for c in payload.values()):
+            raise ValueError("colors must be integers")
     elif kind == NODE_SET:
         payload = tuple(data["nodes"])
     elif kind == PATH:
         payload = tuple(data["path"])
     elif kind == BOOLEAN:
-        payload = bool(data["answer"])
+        payload = data["answer"]
+        if not isinstance(payload, bool):
+            raise ValueError("'answer' must be true or false")
     else:
         raise ValueError(f"unknown solution kind {kind!r}")
+    if kind != BOOLEAN and not all(isinstance(name, str) for name in payload):
+        raise ValueError("node names must be strings")
+    objective = coerce_weight(data["objective"])
+    if kind == BOOLEAN and objective != int(payload):
+        raise ValueError("a boolean answer's objective must be 1 for true, 0 for false")
+    if not isinstance(data["exact"], bool):
+        raise ValueError("'exact' must be true or false")
     return Solution(
         kind=kind,
         payload=payload,
-        objective=coerce_weight(data["objective"]),
+        objective=objective,
         algorithm_id=data["algorithm"],
-        exact=bool(data["exact"]),
+        exact=data["exact"],
     )
 
 

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
-import requests
 
 from graphcrew.agents import (
     BackendError,
@@ -21,6 +27,7 @@ from graphcrew.agents import (
 from graphcrew.agents.backends import BackendConfig
 from graphcrew.formats import serialize_graph
 from graphcrew.graph import build_graph
+from util import closed_port_url
 
 
 def tsp_hidden():
@@ -61,7 +68,6 @@ def test_load_backend_config(tmp_path):
         "endpoint: https://api.example.com/v1\n"
         "model: test-model\n"
         "api_key_env: EXAMPLE_KEY\n"
-        "temperature: 0.0\n"
         "prices:\n"
         "  input_per_million: '0.15'\n"
         "  output_per_million: '0.60'\n"
@@ -95,14 +101,25 @@ def test_config_rejections(tmp_path):
     bad.write_text("kind: [\n")
     with pytest.raises(ConfigError):
         load_backend_config(bad)
+    bad.write_text("kind: stub\ntemperature: 0.7\n")
+    with pytest.raises(ConfigError, match="unknown key.*temperature"):
+        load_backend_config(bad)
+    bad.write_text("kind: stub\nprices:\n  input_per_milion: '1'\n")
+    with pytest.raises(ConfigError, match="prices: unknown key.*input_per_milion"):
+        load_backend_config(bad)
+    for endpoint in ("api.example.com/v1", "ftp://api.example.com/v1", "https:///v1"):
+        bad.write_text(f"kind: live\nendpoint: {endpoint}\nmodel: m\napi_key_env: K\n")
+        with pytest.raises(ConfigError, match="http:// or https:// URL"):
+            load_backend_config(bad)
 
 
-def live_config():
+def live_config(endpoint="https://api.example.com/v1", timeout_seconds=60.0):
     return BackendConfig(
         kind="live",
-        endpoint="https://api.example.com/v1",
+        endpoint=endpoint,
         model="test-model",
         api_key_env="EXAMPLE_KEY",
+        timeout_seconds=timeout_seconds,
     )
 
 
@@ -113,74 +130,147 @@ def test_live_backend_requires_env_key(monkeypatch):
     assert "EXAMPLE_KEY" in str(err.value)
 
 
-class FakeResponse:
-    def __init__(self, status_code, payload):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = json.dumps(payload)
-
-    def json(self):
-        return self._payload
+def reply(status=200, body=None, delay=0.0, cut=False):
+    """One scripted reply: a JSON document or raw bytes, sent after ``delay``
+    seconds; ``cut`` declares the whole body but closes after half of it."""
+    return status, body if isinstance(body, bytes) else json.dumps(body).encode(), delay, cut
 
 
-def test_live_backend_happy_path(monkeypatch):
+class ScriptedHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
+        pass
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.seen.append({"path": self.path, "headers": self.headers, "body": body})
+        status, data, delay, cut = self.server.replies.pop(0)
+        time.sleep(delay)
+        self.close_connection = True
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data[: len(data) // 2] if cut else data)
+        except ConnectionError:  # a client that timed out has already hung up
+            pass
+
+
+class ScriptedEndpoint(ThreadingHTTPServer):
+    """Chat endpoint on 127.0.0.1 that answers each POST with the next scripted reply."""
+
+    daemon_threads = False  # server_close waits for every handler
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), ScriptedHandler)
+        self.replies = []
+        self.seen = []
+        self.url = f"http://127.0.0.1:{self.server_address[1]}/v1"
+
+
+@pytest.fixture()
+def endpoint():
+    server = ScriptedEndpoint()
+    serving = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
+    serving.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    serving.join(timeout=10)
+    assert not serving.is_alive()
+
+
+def test_live_backend_happy_path(monkeypatch, endpoint):
     monkeypatch.setenv("EXAMPLE_KEY", "sk-test")
-    seen = {}
-
-    def fake_post(url, json=None, headers=None, timeout=None):
-        seen.update(url=url, payload=json, headers=headers, timeout=timeout)
-        return FakeResponse(
-            200,
-            {
-                "choices": [{"message": {"content": "reply text"}}],
-                "usage": {"prompt_tokens": 321, "completion_tokens": 45},
-            },
-        )
-
-    monkeypatch.setattr(requests, "post", fake_post)
-    backend = LiveChatBackend(live_config())
+    endpoint.replies.append(reply(body={
+        "choices": [{"message": {"content": "reply text"}}],
+        "usage": {"prompt_tokens": 321, "completion_tokens": 45},
+    }))
+    backend = LiveChatBackend(live_config(endpoint.url))
     completion = backend.complete("sys", "user", {"temperature": 0.0})
     assert completion == Completion("reply text", Usage(321, 45))
-    assert seen["url"] == "https://api.example.com/v1/chat/completions"
+    [seen] = endpoint.seen
+    assert seen["path"] == "/v1/chat/completions"
     assert seen["headers"]["Authorization"] == "Bearer sk-test"
-    assert seen["payload"]["model"] == "test-model"
-    assert seen["payload"]["temperature"] == 0.0
-    assert seen["payload"]["messages"][0] == {"role": "system", "content": "sys"}
-    assert seen["payload"]["messages"][1] == {"role": "user", "content": "user"}
+    assert seen["headers"]["Content-Type"] == "application/json"
+    payload = json.loads(seen["body"])
+    assert list(payload) == ["model", "messages", "temperature"]
+    assert payload["model"] == "test-model"
+    assert payload["temperature"] == 0.0
+    assert payload["messages"][0] == {"role": "system", "content": "sys"}
+    assert payload["messages"][1] == {"role": "user", "content": "user"}
 
 
-def test_live_backend_error_paths(monkeypatch):
+def test_live_backend_error_paths(monkeypatch, endpoint):
     monkeypatch.setenv("EXAMPLE_KEY", "sk-test")
-    backend = LiveChatBackend(live_config())
+    backend = LiveChatBackend(live_config(endpoint.url))
 
-    monkeypatch.setattr(
-        requests, "post", lambda *a, **k: FakeResponse(500, {"error": "boom"})
-    )
-    with pytest.raises(BackendError):
+    endpoint.replies.append(reply(500, {"error": "boom"}))
+    with pytest.raises(BackendError, match=r"chat/completions returned 500: .*boom"):
         backend.complete("sys", "user")
 
-    def raise_timeout(*a, **k):
-        raise requests.ConnectTimeout("slow")
+    dead = LiveChatBackend(live_config(closed_port_url()))
+    with pytest.raises(BackendError, match="request to .* failed"):
+        dead.complete("sys", "user")
 
-    monkeypatch.setattr(requests, "post", raise_timeout)
-    with pytest.raises(BackendError):
-        backend.complete("sys", "user")
-
-    monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(200, {"weird": 1}))
-    with pytest.raises(BackendError):
+    endpoint.replies.append(reply(200, {"weird": 1}))
+    with pytest.raises(BackendError, match="unexpected response shape"):
         backend.complete("sys", "user")
 
 
-def test_live_backend_usage_fallback(monkeypatch):
+@pytest.mark.parametrize("scripted, message", [
+    (reply(429, {"error": "rate limited"}), "returned 429: .*rate limited"),
+    (reply(200, b"<html>not json</html>"), "unexpected response shape"),
+    (reply(200, {"choices": [{"message": {"content": None}}],
+                 "usage": {"prompt_tokens": 1, "completion_tokens": 1}}),
+     "unexpected response shape.*content is None"),
+    (reply(200, {"choices": [{"message": {"content": "a"}}], "usage": {"prompt_tokens": "many"}}),
+     "unexpected response shape"),
+    (reply(200, {"choices": [{"message": {"content": "a"}}], "usage": [1]}),
+     "unexpected response shape"),
+    (reply(200, {"choices": []}, delay=0.6), "request to .* failed: .*timed out"),
+    (reply(200, {"choices": [{"message": {"content": "cut short"}}]}, cut=True),
+     "request to .* failed: IncompleteRead"),
+], ids=["rate-limited", "not-json", "null-content", "non-numeric-usage", "usage-not-a-mapping",
+        "slower-than-timeout", "dropped-mid-body"])
+def test_live_backend_bad_replies_are_backend_errors(monkeypatch, endpoint, scripted, message):
     monkeypatch.setenv("EXAMPLE_KEY", "sk-test")
-    monkeypatch.setattr(
-        requests,
-        "post",
-        lambda *a, **k: FakeResponse(200, {"choices": [{"message": {"content": "a b c"}}]}),
-    )
-    backend = LiveChatBackend(live_config())
+    endpoint.replies.append(scripted)
+    backend = LiveChatBackend(live_config(endpoint.url, timeout_seconds=0.2))
+    with pytest.raises(BackendError, match=message):
+        backend.complete("sys", "user")
+
+
+def test_live_backend_usage_fallback(monkeypatch, endpoint):
+    monkeypatch.setenv("EXAMPLE_KEY", "sk-test")
+    endpoint.replies.append(reply(body={"choices": [{"message": {"content": "a b c"}}]}))
+    backend = LiveChatBackend(live_config(endpoint.url))
     completion = backend.complete("one two", "three")
     assert completion.usage == Usage(3, 3)
+
+
+def test_live_call_needs_no_third_party_http_client(endpoint):
+    endpoint.replies.append(reply(body={"choices": [{"message": {"content": "over stdlib"}}]}))
+    script = (
+        "import sys\n"
+        "sys.modules['requests'] = sys.modules['urllib3'] = None\n"
+        "import graphcrew.cli\n"
+        "from graphcrew.agents import LiveChatBackend\n"
+        "from graphcrew.agents.backends import BackendConfig\n"
+        f"config = BackendConfig(kind='live', endpoint={endpoint.url!r}, model='m',\n"
+        "                       api_key_env='EXAMPLE_KEY')\n"
+        "print(LiveChatBackend(config).complete('sys', 'user').text)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "EXAMPLE_KEY": "sk-test",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "over stdlib\n"
+    assert len(endpoint.seen) == 1
 
 
 class ScriptedInner:

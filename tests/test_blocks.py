@@ -1,4 +1,4 @@
-from graphcrew.agents import extract_block, format_block, parse_fields
+from graphcrew.agents import extract_block, parse_fields
 
 
 def test_extract_returns_last_matching_block():
@@ -27,8 +27,8 @@ def test_extract_missing():
 
 def test_format_and_extract_round_trip():
     body = "# nodes: A B\nA B 3"
-    assert extract_block(format_block("graph", body), "graph") == body
-    assert extract_block("preamble\n" + format_block("verdict", "verdict: pass"), "verdict") == (
+    assert extract_block(f"```result:graph\n{body}\n```", "graph") == body
+    assert extract_block("preamble\n```result:verdict\nverdict: pass\n```", "verdict") == (
         "verdict: pass"
     )
 

@@ -8,11 +8,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-import requests
 from click.testing import CliRunner
 
 from graphcrew.agents import OracleStubBackend, pipeline
 from graphcrew.cli import main
+from util import closed_port_url
 
 STUB_CONFIG = """\
 kind: stub
@@ -362,6 +362,35 @@ class TestEvaluate:
         assert f"{bad}: line 4: {message}" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("ptype, field, broken, message", [
+        ("vertex_cover", "nodes", lambda nodes: [nodes[:1], *nodes[1:]],
+         "node names must be strings"),
+        ("graph_coloring", "colors", lambda colors: {n: c + 0.4 for n, c in colors.items()},
+         "colors must be integers"),
+        ("graph_coloring", "colors", lambda colors: {n: c == 1 for n, c in colors.items()},
+         "colors must be integers"),
+        ("cycle_detection", "answer", lambda answer: not answer,
+         "a boolean answer's objective must be 1 for true, 0 for false"),
+        ("cycle_detection", "answer", int, "'answer' must be true or false"),
+        ("tsp", "exact", lambda exact: "yes", "'exact' must be true or false"),
+    ], ids=["nested-node-name", "fractional-colors", "boolean-colors",
+            "answer-contradicts-objective", "answer-not-boolean", "exact-not-boolean"])
+    def test_malformed_answer_is_config_error(self, runner, tmp_path, ptype, field, broken,
+                                              message):
+        dataset, config, results = self._solve(runner, tmp_path, ptype)
+        lines = results.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["solution"][field] = broken(record["solution"][field])
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([json.dumps(record), *lines[1:]]) + "\n")
+        result = runner.invoke(
+            main,
+            ["evaluate", "--results", str(bad), "--dataset", str(dataset)],
+        )
+        assert result.exit_code == 2
+        assert f"{bad}: line 1: malformed result (ValueError: {message})" in result.output
+        assert "Traceback" not in result.output
+
 
 class TestSolveDirect:
     @pytest.mark.parametrize("mode", ["direct", "cot"])
@@ -392,14 +421,9 @@ class TestSolveDirect:
         out = tmp_path / "ds"
         _generate(runner, out, extra=["--type", "vertex_cover"])
         monkeypatch.setenv("EXAMPLE_KEY", "sk-test")
-
-        def refuse(*args, **kwargs):
-            raise requests.ConnectionError("connection refused")
-
-        monkeypatch.setattr(requests, "post", refuse)
         config = tmp_path / "live.yaml"
         config.write_text(
-            "kind: live\nendpoint: https://api.example.com/v1\n"
+            f"kind: live\nendpoint: {closed_port_url()}\n"
             "model: test-model\napi_key_env: EXAMPLE_KEY\n"
         )
         results = tmp_path / "direct.jsonl"

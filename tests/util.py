@@ -1,6 +1,7 @@
-"""Small seeded graph builders shared across solver tests."""
+"""Small helpers shared across tests: seeded graph builders and a dead endpoint."""
 
 import random
+import socket
 
 from graphcrew.graph import build_graph, graph_stats
 
@@ -38,3 +39,11 @@ def gnp_graph(n, p, seed, weighted=False, directed=False, connected=False):
         g = build_graph(names, directed, weighted, edges)
         if not connected or graph_stats(g).is_connected:
             return g
+
+
+def closed_port_url():
+    """A loopback chat endpoint URL on a port that nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}/v1"
