@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
+import math
 import os
 import threading
 import urllib.error
@@ -111,6 +112,12 @@ def _config_from_mapping(doc: Any, where: str) -> BackendConfig:
         output_per_million=str(prices_raw.get("output_per_million", "0")),
         currency=str(prices_raw.get("currency", "USD")),
     )
+    timeout = doc.get("timeout_seconds", 60.0)
+    number = isinstance(timeout, (int, float)) and not isinstance(timeout, bool)
+    if not (number and 0 < timeout < math.inf):
+        raise ConfigError(
+            f"{where}: 'timeout_seconds' must be a finite number above 0, got {timeout!r}"
+        )
     inner = None
     if doc.get("inner") is not None:
         inner = _config_from_mapping(doc["inner"], f"{where}.inner")
@@ -119,7 +126,7 @@ def _config_from_mapping(doc: Any, where: str) -> BackendConfig:
         endpoint=str(doc.get("endpoint", "")),
         model=str(doc.get("model", "")),
         api_key_env=str(doc.get("api_key_env", "")),
-        timeout_seconds=float(doc.get("timeout_seconds", 60.0)),
+        timeout_seconds=float(timeout),
         fixtures=str(doc.get("fixtures", "")),
         inner=inner,
         prices=prices,
@@ -293,9 +300,9 @@ class OracleStubBackend:
     """Offline backend that answers each stage from an instance's hidden data.
 
     ``hidden`` is the withheld part of a generated instance: problem type,
-    the true graph as edge-list text, endpoints, narrative, and optionally
-    the known best answer.  Replies follow the same fenced-block contract
-    a live model is asked for, so the pipeline cannot tell the difference.
+    the true graph as edge-list text, endpoints, and optionally the known
+    best answer.  Replies follow the same fenced-block contract a live
+    model is asked for, so the pipeline cannot tell the difference.
     """
 
     backend_id = "stub"
@@ -310,9 +317,6 @@ class OracleStubBackend:
     def _reply(self, stage: str) -> str:
         """The reply body for ``stage``, one of the stages in ``TAGS``."""
         hidden = self._hidden
-        if stage == "narrative":
-            body = str(hidden.get("narrative", "")).strip() or "Background context."
-            return body
         if stage == "classify":
             return (
                 f"problem_type: {hidden['problem_type']}\n"

@@ -1,14 +1,13 @@
 """The staged solving flow: prose in, verified solution out.
 
-Six stages, each a separate backend conversation with its own narrow
+Five stages, each a separate backend conversation with its own narrow
 input:
 
-1. ``narrative``: background prose, no structure.
-2. ``classify``: problem family plus the asked question.
-3. ``extract_graph``: raw edge-list transcription of the statement.
-4. ``normalize``: cleaned edge list, compared with the merged graph.
-5. ``select``: algorithm choice, compared with the catalogue's selector.
-6. solve natively, then ``audit`` rounds on the computed answer.
+1. ``classify``: problem family plus the asked question.
+2. ``extract_graph``: raw edge-list transcription of the statement.
+3. ``normalize``: cleaned edge list, compared with the merged graph.
+4. ``select``: algorithm choice, compared with the catalogue's selector.
+5. solve natively, then ``audit`` rounds on the computed answer.
 
 Each model stage is one row (:class:`_Row`): the stage name, its prompt
 slots, its reply validator and, for the stages that only compare, the
@@ -19,10 +18,10 @@ rejects, is retried with the rejection reason appended, up to
 ``MAX_ATTEMPTS`` attempts.
 
 :func:`run_pipeline` runs the rows in two waves, so an instance waits
-out two model round trips, not ``5 + n_check``.  Wave 1 (``narrative``,
-``classify``, ``extract_graph``) reads only the problem text.  From its
-replies the code merges the graph, selects the algorithm and solves and
-verifies the answer; no model reply can change these decisions.  Wave 2
+out two model round trips, not ``4 + n_check``.  Wave 1 (``classify``,
+``extract_graph``) reads only the problem text.  From its replies the
+code merges the graph, selects the algorithm and solves and verifies
+the answer; no model reply can change these decisions.  Wave 2
 (``normalize``, ``select``, every ``audit`` round) goes out only once
 all three steps have succeeded, and its replies can only add notes.  A
 backend that waits on the network (``io_bound = True``) gets a thread
@@ -181,12 +180,6 @@ def _ask(backend: ChatBackend, stage: str, slots: dict[str, str],
 # -- reply validators, one per stage ------------------------------------
 
 
-def _narrative(body: str) -> str:
-    if not body.strip():
-        raise _RejectReply("the narrative block was empty")
-    return body.strip()
-
-
 def _problem_spec(body: str) -> ProblemSpec:
     fields = parse_fields(body)
     if "problem_type" not in fields:
@@ -314,13 +307,13 @@ def _solve_with_fallback(
         if record.algorithm_id != chosen
         and not applicability_reason(record, stats, weighted=graph.weighted, directed=graph.directed)
     )
-    for route in chain((choice,), fallbacks):
+    for route in chain((choice.record,), fallbacks):
         try:
             solution = run_algorithm(
                 route, graph, source=problem_spec.source, target=problem_spec.target
             )
         except SolverInputError as exc:
-            if route is not choice:
+            if route is not choice.record:
                 raise
             raise SolverError(
                 "solve",
@@ -335,7 +328,7 @@ def _solve_with_fallback(
         )
         if report.valid:
             return solution
-        if route is choice:
+        if route is choice.record:
             notes.append(
                 f"solve: {chosen} answer failed verification "
                 f"({'; '.join(report.violations)}); trying the next applicable route"
@@ -419,15 +412,11 @@ def run_pipeline(
     config = config or PipelineConfig()
     kb = config.knowledge_base()
     text = {"problem": problem_text}
-    wave1 = [
-        _Row("narrative", text, _narrative),
-        _Row("classify", text, _problem_spec),
-        _Row("extract_graph", text, _raw_graph),
-    ]
+    wave1 = [_Row("classify", text, _problem_spec), _Row("extract_graph", text, _raw_graph)]
     io_bound = getattr(backend, "io_bound", False)
-    with ThreadPoolExecutor(3 + config.n_check) if io_bound else nullcontext() as pool:
+    with ThreadPoolExecutor(2 + config.n_check) if io_bound else nullcontext() as pool:
         _wave(pool, backend, wave1, wave1)
-        spec, (raw_text, raw) = wave1[1].value, wave1[2].value
+        spec, (raw_text, raw) = wave1[0].value, wave1[1].value
         problem_type = spec.problem_type
         solve_notes: list[str] = []
         with _step("normalize", wave1):

@@ -13,7 +13,6 @@ from importlib import resources
 
 # each stage, and the tag of the ```result:<tag>``` block its reply must end with
 TAGS: dict[str, str] = {
-    "narrative": "narrative",
     "classify": "problem",
     "extract_graph": "graph",
     "normalize": "graph",

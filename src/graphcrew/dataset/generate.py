@@ -77,7 +77,6 @@ class ProblemInstance:
     node_count: int
     seed: int
     text: str
-    narrative: str
     graph: Graph | None
     source: str | None
     target: str | None
@@ -92,7 +91,6 @@ class ProblemInstance:
         payload: dict[str, Any] = {
             "problem_type": self.problem_type,
             "graph_text": serialize_graph(self.graph),
-            "narrative": self.narrative,
             "objective": _OBJECTIVES[self.problem_type],
             "source": self.source,
             "target": self.target,
@@ -229,7 +227,7 @@ def ground_truth(
             f"no exact {problem_type} route fits a graph of {stats.node_count} "
             f"nodes, so its optimum cannot be proven ({choice.rationale})"
         )
-    best = run_algorithm(choice, graph, source=source, target=target)
+    best = run_algorithm(choice.record, graph, source=source, target=target)
 
     approximate = best
     for record in lookup_algorithms(kb, problem_type):
@@ -260,7 +258,7 @@ def build_instance(
 
     names = generate_names(node_count, rng)
     graph, source, target = _make_graph(problem_type, names, rng)
-    text, narrative = render_problem_text(
+    text = render_problem_text(
         graph, problem_type, scenario, noise_level, rng, source, target
     )
     truth = ground_truth(problem_type, graph, source, target, kb)
@@ -272,7 +270,6 @@ def build_instance(
         node_count=node_count,
         seed=seed,
         text=text,
-        narrative=narrative,
         graph=graph,
         source=source,
         target=target,

@@ -30,7 +30,6 @@ def instance_to_record(instance: ProblemInstance) -> dict[str, Any]:
     hidden: dict[str, Any] = {}
     if instance.graph is not None:
         hidden["graph"] = serialize_graph(instance.graph)
-        hidden["narrative"] = instance.narrative
         if instance.source is not None:
             hidden["source"] = instance.source
             hidden["target"] = instance.target
@@ -71,7 +70,6 @@ def record_to_instance(record: dict[str, Any]) -> ProblemInstance:
         node_count=record.get("node_count", 0),
         seed=record.get("seed", 0),
         text=record["text"],
-        narrative=hidden.get("narrative", ""),
         graph=graph,
         source=hidden.get("source"),
         target=hidden.get("target"),

@@ -326,13 +326,8 @@ def render_problem_text(
     rng: random.Random,
     source: str | None = None,
     target: str | None = None,
-) -> tuple[str, str]:
-    """Render `graph` as a prose problem.
-
-    Returns (text, narrative): the full problem statement, and the
-    non-structural prose alone (framing plus node colour, the part a
-    narrative summary should capture).
-    """
+) -> str:
+    """Render `graph` as a prose problem statement."""
     if noise_level not in NOISE_LEVELS:
         raise ValueError(f"unknown noise level {noise_level!r}")
     style = SCENARIO_STYLES[scenario]
@@ -374,10 +369,4 @@ def render_problem_text(
     blocks.append("\n".join(fact_lines))
     blocks.extend(filler_paragraphs)
     blocks.append(question)
-    text = "\n\n".join(blocks)
-
-    narrative_parts = [framing]
-    if description_lines:
-        narrative_parts.append("\n".join(description_lines))
-    narrative = "\n\n".join(narrative_parts)
-    return text, narrative
+    return "\n\n".join(blocks)

@@ -7,9 +7,8 @@ limits changes runtime behavior without touching solver code.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Callable
 
-from .knowledge import AlgorithmChoice, AlgorithmRecord
 from .graph import Graph, GraphError
 from .solvers import (
     Solution,
@@ -23,51 +22,46 @@ from .solvers import (
     vertex_cover_exact,
 )
 
+if TYPE_CHECKING:
+    from .knowledge import AlgorithmRecord
+
 
 class UnknownAlgorithmError(ValueError):
     pass
 
 
+def _dijkstra(graph: Graph, limit: int, source: str | None, target: str | None) -> Solution:
+    if source is None or target is None:
+        raise GraphError("dijkstra needs a source and a target node")
+    return shortest_path_dijkstra(graph, source, target)
+
+
+# every catalogue id, and its solver called as (graph, node limit, source, target);
+# the catalogue loader refuses an id that is not here
+RUNNERS: dict[str, Callable[[Graph, int, str | None, str | None], Solution]] = {
+    "held_karp": lambda graph, limit, *_: tsp_exact_held_karp(graph, max_nodes=limit),
+    "nearest_neighbor_2opt": lambda graph, *_: tsp_nearest_neighbor_two_opt(graph),
+    "exact_coloring": lambda graph, limit, *_: coloring_exact(graph, max_nodes=limit),
+    "dsatur": lambda graph, *_: coloring_dsatur(graph),
+    "bnb_cover": lambda graph, limit, *_: vertex_cover_exact(graph, max_nodes=limit),
+    "matching_cover": lambda graph, *_: vertex_cover_approx(graph),
+    "dijkstra": _dijkstra,
+    "cycle_check": lambda graph, *_: detect_cycle(graph),
+}
+
+
 def run_algorithm(
-    record: AlgorithmRecord | AlgorithmChoice,
+    record: AlgorithmRecord,
     graph: Graph,
     *,
     source: str | None = None,
     target: str | None = None,
-    parameters: dict[str, Any] | None = None,
 ) -> Solution:
     """Run the solver a catalogue record points at.
 
-    ``parameters`` override the record's defaults.  Shortest-path records
-    additionally need ``source`` and ``target``.
+    Shortest-path records additionally need ``source`` and ``target``.
     """
-    overrides = dict(parameters or {})
-    if isinstance(record, AlgorithmChoice):
-        merged = dict(record.bound_parameters)
-        merged.update(overrides)
-        overrides = merged
-        record = record.record
-    params = {name: spec.default for name, spec in record.parameters.items()}
-    params.update(overrides)
-    limit = record.applicability.max_nodes
-    aid = record.algorithm_id
-
-    if aid == "held_karp":
-        return tsp_exact_held_karp(graph, max_nodes=limit)
-    if aid == "nearest_neighbor_2opt":
-        return tsp_nearest_neighbor_two_opt(graph, start=params.get("start", 0))
-    if aid == "exact_coloring":
-        return coloring_exact(graph, max_nodes=limit)
-    if aid == "dsatur":
-        return coloring_dsatur(graph)
-    if aid == "bnb_cover":
-        return vertex_cover_exact(graph, max_nodes=limit)
-    if aid == "matching_cover":
-        return vertex_cover_approx(graph)
-    if aid == "dijkstra":
-        if source is None or target is None:
-            raise GraphError("dijkstra needs a source and a target node")
-        return shortest_path_dijkstra(graph, source, target)
-    if aid == "cycle_check":
-        return detect_cycle(graph)
-    raise UnknownAlgorithmError(f"no runner for algorithm {aid!r}")
+    runner = RUNNERS.get(record.algorithm_id)
+    if runner is None:
+        raise UnknownAlgorithmError(f"no runner for algorithm {record.algorithm_id!r}")
+    return runner(graph, record.applicability.max_nodes, source, target)

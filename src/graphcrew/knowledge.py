@@ -9,17 +9,22 @@ always yields the same choice with the same stated rationale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from typing import Any
 
 import yaml
 
+from .execute import RUNNERS
 from .graph import GraphStats
 from .problems import PROBLEM_TYPES
 
 _DIRECTEDNESS = ("undirected", "directed", "any")
+# the keys a catalogue may use: at the top level, in an entry, and under applicability
+_TOP_KEYS = ("version", "algorithms")
+_ENTRY_KEYS = ("id", "problem", "description", "complexity", "exact", "applicability")
+_APPLICABILITY_KEYS = ("max_nodes", "requires_complete", "requires_weighted", "directedness")
 
 
 class KnowledgeBaseError(ValueError):
@@ -43,12 +48,6 @@ class NoApplicableAlgorithmError(KnowledgeBaseError):
 
 
 @dataclass(frozen=True)
-class ParameterSpec:
-    default: Any
-    description: str
-
-
-@dataclass(frozen=True)
 class Applicability:
     max_nodes: int
     requires_complete: bool
@@ -64,7 +63,6 @@ class AlgorithmRecord:
     complexity: str
     exact: bool
     applicability: Applicability
-    parameters: dict[str, ParameterSpec] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,6 @@ class KnowledgeBase:
 @dataclass(frozen=True)
 class AlgorithmChoice:
     record: AlgorithmRecord
-    bound_parameters: dict[str, Any]
     rationale: str
 
 
@@ -101,11 +98,24 @@ def _expect(mapping: Any, key: str, kind: type, where: str) -> Any:
     return value
 
 
+def _flag(mapping: dict, key: str, where: str) -> bool:
+    return _expect(mapping, key, bool, where) if key in mapping else False
+
+
+def _refuse_unknown_keys(mapping: dict, known: tuple[str, ...], where: str) -> None:
+    unknown = sorted(str(key) for key in mapping if key not in known)
+    if unknown:
+        raise SchemaError(
+            f"{where}: unknown key(s) {', '.join(unknown)} (known: {', '.join(known)})"
+        )
+
+
 def load_knowledge_base(text: str) -> KnowledgeBase:
     """Parse and validate catalogue YAML.
 
-    Raises :class:`SchemaError` on shape problems (including a problem
-    type that appears without any exact route),
+    Raises :class:`SchemaError` on shape problems (including an unknown
+    key, an id with no runner, and a problem type that appears without
+    any exact route),
     :class:`DuplicateAlgorithmError` on repeated ids, and
     :class:`UnknownProblemTypeError` on an unsupported problem family.
     """
@@ -115,6 +125,7 @@ def load_knowledge_base(text: str) -> KnowledgeBase:
         raise SchemaError(f"not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("top level must be a mapping")
+    _refuse_unknown_keys(doc, _TOP_KEYS, "top level")
     entries = doc.get("algorithms")
     if not isinstance(entries, list) or not entries:
         raise SchemaError("'algorithms' must be a non-empty list")
@@ -127,6 +138,9 @@ def load_knowledge_base(text: str) -> KnowledgeBase:
             raise DuplicateAlgorithmError(f"algorithm id {algorithm_id!r} appears twice")
         seen_ids.add(algorithm_id)
         where = f"algorithm {algorithm_id!r}"
+        _refuse_unknown_keys(entry, _ENTRY_KEYS, where)
+        if algorithm_id not in RUNNERS:
+            raise SchemaError(f"{where}: no runner for this id (known: {', '.join(RUNNERS)})")
         problem = _expect(entry, "problem", str, where)
         if problem not in PROBLEM_TYPES:
             raise UnknownProblemTypeError(
@@ -136,6 +150,7 @@ def load_knowledge_base(text: str) -> KnowledgeBase:
         app_raw = entry.get("applicability")
         if not isinstance(app_raw, dict):
             raise SchemaError(f"{where}: missing 'applicability' mapping")
+        _refuse_unknown_keys(app_raw, _APPLICABILITY_KEYS, f"{where} applicability")
         max_nodes = _expect(app_raw, "max_nodes", int, where)
         if max_nodes < 1:
             raise SchemaError(f"{where}: max_nodes must be positive, got {max_nodes}")
@@ -143,17 +158,6 @@ def load_knowledge_base(text: str) -> KnowledgeBase:
         if directedness not in _DIRECTEDNESS:
             raise SchemaError(
                 f"{where}: directedness must be one of {', '.join(_DIRECTEDNESS)}"
-            )
-        params_raw = entry.get("parameters") or {}
-        if not isinstance(params_raw, dict):
-            raise SchemaError(f"{where}: 'parameters' must be a mapping")
-        parameters: dict[str, ParameterSpec] = {}
-        for name, spec in params_raw.items():
-            if not isinstance(spec, dict) or "default" not in spec:
-                raise SchemaError(f"{where}: parameter {name!r} needs a default")
-            parameters[name] = ParameterSpec(
-                default=spec["default"],
-                description=str(spec.get("description", "")),
             )
         records.append(
             AlgorithmRecord(
@@ -164,11 +168,10 @@ def load_knowledge_base(text: str) -> KnowledgeBase:
                 exact=_expect(entry, "exact", bool, where),
                 applicability=Applicability(
                     max_nodes=max_nodes,
-                    requires_complete=bool(app_raw.get("requires_complete", False)),
-                    requires_weighted=bool(app_raw.get("requires_weighted", False)),
+                    requires_complete=_flag(app_raw, "requires_complete", where),
+                    requires_weighted=_flag(app_raw, "requires_weighted", where),
                     directedness=directedness,
                 ),
-                parameters=parameters,
             )
         )
     for problem in sorted({r.problem_type for r in records}):
@@ -231,7 +234,6 @@ def select_algorithm(
         if reason is not None:
             rejections.append(f"{record.algorithm_id}: {reason}")
             continue
-        bound = {name: spec.default for name, spec in record.parameters.items()}
         if record.exact:
             rationale = (
                 f"{record.algorithm_id} is exact and applicable: "
@@ -243,7 +245,7 @@ def select_algorithm(
             rationale = (
                 f"{record.algorithm_id} chosen as heuristic fallback ({skipped})"
             )
-        return AlgorithmChoice(record=record, bound_parameters=bound, rationale=rationale)
+        return AlgorithmChoice(record=record, rationale=rationale)
     raise NoApplicableAlgorithmError(
         f"no applicable algorithm for {problem_type} "
         f"on {stats.node_count} nodes ({'; '.join(rejections)})"

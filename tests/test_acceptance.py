@@ -233,8 +233,8 @@ def test_criterion_6_cost_accounting():
         return CallRecord(stage, 1, "s", "u", "r", ins, outs)
 
     trails = {
-        "inst-a": [call("narrative", 120, 30), call("select", 80, 10)],
-        "inst-b": [call("narrative", 200, 40)],
+        "inst-a": [call("extract_graph", 120, 30), call("select", 80, 10)],
+        "inst-b": [call("extract_graph", 200, 40)],
     }
     report = cost_report(trails, rates)
     assert report.total_price == exact_price(400, 80, Fraction("0.15"), Fraction("0.60"))

@@ -46,7 +46,6 @@ def tsp_hidden():
         "graph_text": serialize_graph(g),
         "source": None,
         "target": None,
-        "narrative": "A courier plans a loop between four sites.",
         "objective": "find the cheapest round trip",
         "optimal": {
             "kind": "tour",
@@ -68,6 +67,7 @@ def test_load_backend_config(tmp_path):
         "endpoint: https://api.example.com/v1\n"
         "model: test-model\n"
         "api_key_env: EXAMPLE_KEY\n"
+        "timeout_seconds: 30\n"
         "prices:\n"
         "  input_per_million: '0.15'\n"
         "  output_per_million: '0.60'\n"
@@ -75,6 +75,7 @@ def test_load_backend_config(tmp_path):
     config = load_backend_config(path)
     assert config.kind == "live"
     assert config.model == "test-model"
+    assert config.timeout_seconds == 30.0
     assert config.prices.input_per_million == "0.15"
     assert config.prices.currency == "USD"
 
@@ -110,6 +111,10 @@ def test_config_rejections(tmp_path):
     for endpoint in ("api.example.com/v1", "ftp://api.example.com/v1", "https:///v1"):
         bad.write_text(f"kind: live\nendpoint: {endpoint}\nmodel: m\napi_key_env: K\n")
         with pytest.raises(ConfigError, match="http:// or https:// URL"):
+            load_backend_config(bad)
+    for timeout in ("0", "-1", ".nan", ".inf", "'30'", "true"):
+        bad.write_text(f"kind: stub\ntimeout_seconds: {timeout}\n")
+        with pytest.raises(ConfigError, match="'timeout_seconds' must be a finite number above 0"):
             load_backend_config(bad)
 
 
@@ -321,11 +326,8 @@ def test_replay_misses_and_bad_fixtures(tmp_path):
 def test_stub_answers_every_stage_in_contract_shape():
     hidden = tsp_hidden()
     stub = OracleStubBackend(hidden)
-    narrative = stub.complete("[stage:narrative]", "u")
-    assert extract_block(narrative.text, "narrative") == hidden["narrative"]
-    assert narrative.usage.output_tokens == whitespace_token_count(narrative.text)
-
     classify = stub.complete("[stage:classify]", "u")
+    assert classify.usage.output_tokens == whitespace_token_count(classify.text)
     fields = parse_fields(extract_block(classify.text, "problem"))
     assert fields["problem_type"] == "tsp"
     assert fields["source"] == "none" and fields["target"] == "none"

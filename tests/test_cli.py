@@ -162,7 +162,7 @@ class TestSolve:
         result = runner.invoke(main, ["solve", "--dataset", dataset, "--backend-config",
                                       str(record), "--out", str(recorded)])
         assert result.exit_code == 0, result.output
-        assert threads == [5] * 4
+        assert threads == [2 + 2] * 4  # 2 + n_check threads per instance
 
         # Replay must find each reply by its prompt, whatever the line order.
         fixtures.write_text("".join(reversed(fixtures.read_text().splitlines(True))))

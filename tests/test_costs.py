@@ -71,8 +71,8 @@ class TestRateConfig:
 class TestCostReport:
     def test_stage_totals_sum_to_instance_totals(self):
         trails = {
-            "a": [_call("narrative", 100, 10), _call("classify", 200, 20)],
-            "b": [_call("narrative", 50, 5), _call("audit", 10, 1)],
+            "a": [_call("extract_graph", 100, 10), _call("classify", 200, 20)],
+            "b": [_call("extract_graph", 50, 5), _call("audit", 10, 1)],
         }
         report = cost_report(trails, RATES)
         assert report.total_input_tokens == sum(
@@ -90,7 +90,7 @@ class TestCostReport:
         assert report.stages[0].calls == 2
 
     def test_disjoint_trails_costs_add(self):
-        a = {"a": [_call("narrative", 123, 45)]}
+        a = {"a": [_call("extract_graph", 123, 45)]}
         b = {"b": [_call("select", 67, 8), _call("audit", 9, 10)]}
         combined = cost_report({**a, **b}, RATES)
         assert combined.total_price == (
@@ -108,7 +108,7 @@ class TestCostReport:
             st.text(alphabet="ab", min_size=1, max_size=3),
             st.lists(
                 st.tuples(
-                    st.sampled_from(["narrative", "classify", "select"]),
+                    st.sampled_from(["extract_graph", "classify", "select"]),
                     st.integers(min_value=0, max_value=10_000),
                     st.integers(min_value=0, max_value=10_000),
                 ),

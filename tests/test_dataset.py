@@ -129,13 +129,6 @@ class TestRendering:
         assert inst.target in inst.text
         assert f"from {inst.source} to {inst.target}" in inst.text
 
-    def test_narrative_is_nonstructural(self):
-        inst = build_instance(TSP, 8, 2, noise_level="standard")
-        style = SCENARIO_STYLES[inst.scenario]
-        pattern = style.edge_weighted_pattern()
-        for line in inst.narrative.splitlines():
-            assert not pattern.match(line.strip())
-
     def test_unknown_noise_rejected(self):
         inst = build_instance(TSP, 8, 0)
         with pytest.raises(ValueError):

@@ -70,7 +70,6 @@ def test_selector_falls_back_past_the_limit():
     assert pick.record.algorithm_id == "nearest_neighbor_2opt"
     assert not pick.record.exact
     assert "held_karp" in pick.rationale and "limit of 25" in pick.rationale
-    assert pick.bound_parameters == {"start": 0}
 
 
 def test_selector_boundaries_per_family():
@@ -123,7 +122,6 @@ algorithms:
     applicability:
       max_nodes: 50
       directedness: any
-    parameters: {}
 """
 
 
@@ -157,6 +155,26 @@ def test_schema_rejections():
     # A family listed only with a heuristic route is a configuration bug.
     with pytest.raises(SchemaError):
         load_knowledge_base(MINIMAL.replace("exact: true", "exact: false"))
+
+    def add(anchor, line):  # the catalogue with `line` inserted after `anchor`
+        return load_knowledge_base(MINIMAL.replace(anchor, f"{anchor}\n{line}"))
+
+    # A key the loader does not read would be silently ignored.
+    with pytest.raises(SchemaError, match="applicability: unknown key.*max_node"):
+        add("      directedness: any", "      max_node: 3")
+    with pytest.raises(SchemaError, match="unknown key.*cost"):
+        add("    exact: true", "    cost: 1")
+    with pytest.raises(SchemaError, match="unknown key.*parameters"):
+        add("    exact: true", "    parameters: {}")
+    with pytest.raises(SchemaError, match="top level: unknown key.*algorithm\\b"):
+        add("version: 1", "algorithm: []")
+    # A quoted flag is a string, not a boolean: bool("false") would read True.
+    for flag in ("requires_complete", "requires_weighted"):
+        with pytest.raises(SchemaError, match=f"{flag}.*true or false"):
+            add("      max_nodes: 50", f"      {flag}: 'false'")
+    # An id with no runner would only fail at the first solve.
+    with pytest.raises(SchemaError, match="no runner"):
+        load_knowledge_base(MINIMAL.replace("id: dijkstra", "id: bellman_ford"))
 
 
 def test_run_algorithm_matches_direct_calls():
@@ -193,11 +211,9 @@ def test_run_algorithm_via_choice_binds_parameters():
     kb = default_knowledge_base()
     g = complete_graph(26, seed=17)
     pick = choose(kb, "tsp", g)
-    sol = run_algorithm(pick, g)
+    sol = run_algorithm(pick.record, g)
     assert sol.algorithm_id == "nearest_neighbor_2opt"
     assert sol.payload[0] == g.node_names[0]
-    other = run_algorithm(pick, g, parameters={"start": 3})
-    assert other.payload[0] == g.node_names[3]
 
 
 def test_run_algorithm_error_cases():

@@ -1,6 +1,7 @@
 import random
 import threading
 import time
+from importlib import resources
 
 import pytest
 
@@ -58,7 +59,7 @@ def test_full_run_with_stub():
     assert out.choice.record.algorithm_id == "held_karp"
     assert out.audit_verdicts == ("pass", "pass")
     assert [c.stage for c in out.calls] == [
-        "narrative", "classify", "extract_graph", "normalize", "select", "audit", "audit",
+        "classify", "extract_graph", "normalize", "select", "audit", "audit",
     ]
     assert out.notes == ()
     assert all(c.input_tokens > 0 and c.output_tokens > 0 for c in out.calls)
@@ -88,7 +89,7 @@ def test_stage_inputs_stay_narrow():
     for stage, user in backend.seen:
         by_stage.setdefault(stage, []).append(user)
     # The statement goes to the reading stages only.
-    for stage in ("narrative", "classify", "extract_graph"):
+    for stage in ("classify", "extract_graph"):
         assert all("UNIQUE_PROSE_MARKER" in u for u in by_stage[stage])
     for stage in ("normalize", "select", "audit"):
         assert all("UNIQUE_PROSE_MARKER" not in u for u in by_stage[stage])
@@ -138,11 +139,11 @@ def test_missing_field_retries_but_unknown_type_does_not():
 
 def test_backend_errors_retry_then_surface():
     backend = StageScripted(
-        {"narrative": [BackendError("down"), BackendError("down"), BackendError("down")]}
+        {"classify": [BackendError("down"), BackendError("down"), BackendError("down")]}
     )
     with pytest.raises(PipelineError) as err:
         run_pipeline(backend, "p")
-    assert err.value.stage == "narrative"
+    assert err.value.stage == "classify"
     assert "3 times" in str(err.value)
 
 
@@ -155,7 +156,7 @@ def test_extract_empty_graph():
     assert err.value.stage == "extract_graph"
 
 
-WAVE_1 = ["narrative", "classify", "extract_graph"]
+WAVE_1 = ["classify", "extract_graph"]
 
 
 def graph_reply(text):
@@ -229,7 +230,6 @@ algorithms:
       requires_complete: false
       requires_weighted: true
       directedness: undirected
-    parameters: {}
 """
 
 
@@ -255,8 +255,8 @@ def test_pipeline_error_carries_partial_trail():
     with pytest.raises(ParseFailureError) as err:
         run_pipeline(backend, "p")
     stages = [c.stage for c in err.value.partial_calls]
-    assert stages[0] == "narrative"
     assert stages.count("classify") == 3
+    assert stages.count("extract_graph") == 1
 
 
 def test_choose_algorithm_standalone():
@@ -301,6 +301,14 @@ def test_every_template_asks_for_its_stage_tag():
         system, user = load_template(stage)
         assert system.startswith(f"[stage:{stage}]")
         assert f"```result:{tag}\n" in user
+
+
+def test_every_template_belongs_to_a_stage():
+    # a deleted stage must not leave its template behind
+    templates = resources.files("graphcrew").joinpath("agents/templates")
+    stems = {path.name.removesuffix(".txt") for path in templates.iterdir()
+             if path.name.endswith(".txt")}
+    assert stems - {"cot_directive"} == set(TAGS)
 
 
 def test_run_direct_modes():
@@ -372,9 +380,9 @@ class IOBound:
 def test_io_bound_backend_overlaps_each_wave():
     # Each barrier opens only when all of its wave's calls wait at it at
     # once; a schedule that issues them one by one breaks it and fails.
-    wave1 = threading.Barrier(3, timeout=30)
+    wave1 = threading.Barrier(2, timeout=30)
     wave2 = threading.Barrier(4, timeout=30)
-    barriers = {"narrative": wave1, "classify": wave1, "extract_graph": wave1,
+    barriers = {"classify": wave1, "extract_graph": wave1,
                 "normalize": wave2, "select": wave2, "audit": wave2}
     threads_before = threading.active_count()
     out = run_pipeline(IOBound(OracleStubBackend(tsp_hidden()), barriers), "p")
@@ -405,23 +413,20 @@ def test_io_bound_path_matches_the_inline_path():
 def test_earliest_stage_error_wins_and_every_call_is_kept(io_bound):
     def wrap(backend):
         # the earlier stage's failure comes back last
-        delays = {"narrative": 0.02, "normalize": 0.02}
+        delays = {"classify": 0.02, "normalize": 0.02}
         return IOBound(backend, delays=delays) if io_bound else backend
 
     junk = ["junk", "junk", "junk"]
-    backend = StageScripted({"narrative": list(junk), "extract_graph": list(junk)})
+    backend = StageScripted({"classify": list(junk), "extract_graph": list(junk)})
     with pytest.raises(ParseFailureError) as err:
         run_pipeline(wrap(backend), "p")
-    assert err.value.stage == "narrative"
-    assert [c.stage for c in err.value.partial_calls] == (
-        ["narrative"] * 3 + ["classify"] + ["extract_graph"] * 3
-    )
+    assert err.value.stage == "classify"
+    assert [c.stage for c in err.value.partial_calls] == ["classify"] * 3 + ["extract_graph"] * 3
 
     backend = StageScripted({"normalize": list(junk), "select": list(junk)})
     with pytest.raises(ParseFailureError) as err:
         run_pipeline(wrap(backend), "p")
     assert err.value.stage == "normalize"
     assert [c.stage for c in err.value.partial_calls] == [
-        "narrative", "classify", "extract_graph", *["normalize"] * 3, *["select"] * 3,
-        "audit", "audit",
+        "classify", "extract_graph", *["normalize"] * 3, *["select"] * 3, "audit", "audit",
     ]

@@ -204,9 +204,9 @@ class TestAggregation:
             overall_summary([])
 
     def test_failure_scores_are_all_zero(self):
-        score = score_failure("id1", TSP, "stage narrative: backend failed")
+        score = score_failure("id1", TSP, "stage classify: backend failed")
         assert (score.acc_nodes, score.acc_result, score.acc_all) == (0, 0, 0)
-        assert score.failure_reason == "stage narrative: backend failed"
+        assert score.failure_reason == "stage classify: backend failed"
 
     @given(
         st.lists(
