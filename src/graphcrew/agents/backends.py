@@ -28,7 +28,7 @@ from typing import Any, Protocol, runtime_checkable
 
 import yaml
 
-from ..formats import parse_graph
+from ..formats import serialize_graph
 from ..graph import graph_stats
 from ..knowledge import KnowledgeBase, default_knowledge_base, select_algorithm
 from .prompts import TAGS, stage_of_prompt
@@ -300,18 +300,20 @@ class OracleStubBackend:
     """Offline backend that answers each stage from an instance's hidden data.
 
     ``hidden`` is the withheld part of a generated instance: problem type,
-    the true graph as edge-list text, endpoints, and optionally the known
-    best answer.  Replies follow the same fenced-block contract a live
-    model is asked for, so the pipeline cannot tell the difference.
+    the true :class:`~graphcrew.graph.Graph`, endpoints, and optionally the
+    known best answer; the graph is serialized once, for the extraction
+    and normalize replies.  Replies follow the same fenced-block contract
+    a live model is asked for, so the pipeline cannot tell the difference.
     """
 
     backend_id = "stub"
 
     def __init__(self, hidden: dict[str, Any], kb: KnowledgeBase | None = None):
-        for required in ("problem_type", "graph_text"):
+        for required in ("problem_type", "graph"):
             if required not in hidden:
                 raise ConfigError(f"stub backend needs {required!r} in the hidden data")
         self._hidden = hidden
+        self._graph_text = serialize_graph(hidden["graph"]).strip()
         self._kb = kb or default_knowledge_base()
 
     def _reply(self, stage: str) -> str:
@@ -325,9 +327,9 @@ class OracleStubBackend:
                 f"target: {hidden.get('target') or 'none'}"
             )
         if stage in ("extract_graph", "normalize"):
-            return str(hidden["graph_text"]).strip()
+            return self._graph_text
         if stage == "select":
-            graph = parse_graph(hidden["graph_text"])
+            graph = hidden["graph"]
             choice = select_algorithm(
                 self._kb,
                 hidden["problem_type"],

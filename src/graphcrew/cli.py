@@ -119,7 +119,7 @@ def cmd_generate(types, sizes, per_size, seed, noise, scenario, out, workers):
     """Generate seeded datasets with hidden ground truth."""
     low, high = _parse_sizes(sizes)
     chosen = types or DEFAULT_TYPES
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out)
 
     entries = []
     for problem_type in chosen:
@@ -176,6 +176,13 @@ def _dump(record: dict) -> str:
     return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
 
 
+def _make_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the directory {path}: {exc}") from None
+
+
 def _write_lines(lines: list[str], path: Path) -> None:
     path.write_text("\n".join(lines) + "\n" if lines else "", encoding="utf-8")
 
@@ -185,8 +192,11 @@ def _run_dataset(instances, backend_config, kb, concurrency, out, verb, answer_o
 
     ``answer_one(backend, instance)`` returns the instance's results
     record.  Stub backends are built per instance from its hidden data;
-    any other backend is shared.  Exits 1 when some instance failed.
+    any other backend is shared.  The directory of ``out`` is made before
+    the first call, so a run never pays for answers it cannot write.
+    Exits 1 when some instance failed.
     """
+    _make_dir(out.parent)
     shared_backend = None
     if not _needs_hidden(backend_config):
         shared_backend = make_backend(backend_config, kb=kb)
@@ -399,7 +409,7 @@ def cmd_evaluate(results_path, dataset, backend_config_path, out_dir):
     report_text = "\n\n".join(sections) + "\n"
 
     out_dir = out_dir or results_path.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     _write_lines([_dump(r) for r in scores_to_records(scores)], out_dir / "scores.jsonl")
     (out_dir / "report.txt").write_text(report_text, encoding="utf-8")
     click.echo(report_text.rstrip("\n"))

@@ -86,11 +86,9 @@ class ProblemInstance:
         """The withheld data an oracle stub backend answers from."""
         if self.graph is None:
             raise ValueError(f"instance {self.instance_id} carries no hidden data")
-        from ..formats import serialize_graph
-
         payload: dict[str, Any] = {
             "problem_type": self.problem_type,
-            "graph_text": serialize_graph(self.graph),
+            "graph": self.graph,
             "objective": _OBJECTIVES[self.problem_type],
             "source": self.source,
             "target": self.target,

@@ -98,22 +98,23 @@ def _scan(text: str) -> LooseEdgeList:
         problems.append(problem)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        tokens = raw.split()
+        if not tokens:
             continue
-        if not line.startswith("#"):
-            tokens = line.split()
+        if tokens[0][0] != "#":
             if len(tokens) == 2:
                 triples.append((tokens[0], tokens[1], 1))
             elif len(tokens) != 3:
+                line = raw.strip()
                 skip(line, ParseError(f"expected 'U V' or 'U V W', got {line!r}", lineno))
             else:
                 try:
                     triples.append((tokens[0], tokens[1], coerce_weight(tokens[2])))
                     saw_weight = True
                 except GraphError as exc:
-                    skip(line, ParseError(str(exc), lineno, _column(raw, 2)))
+                    skip(raw.strip(), ParseError(str(exc), lineno, _column(raw, 2)))
             continue
+        line = raw.strip()
         match = _HEADER_RE.match(line)
         if match is None:
             skip(line, ParseError(f"bad header line {line!r}", lineno))

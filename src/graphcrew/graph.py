@@ -51,20 +51,27 @@ def coerce_weight(value: object) -> Weight:
 
     Accepts ints, Fractions, and strings like ``"7"`` or ``"7/2"``.
     Floats are rejected: binary floats silently misstate values such as
-    0.1, and every consumer here relies on exact arithmetic.
+    0.1, and every consumer here relies on exact arithmetic.  A string of
+    ASCII digits, the common case, is read by ``int()`` without building
+    a ``Fraction``; any other string takes the ``Fraction`` path.
     """
+    if isinstance(value, str):
+        if value.isdigit() and value.isascii():
+            try:
+                return int(value)
+            except ValueError as exc:  # past the interpreter's digit limit
+                raise GraphError(f"bad weight {value!r}") from exc
+        try:
+            frac = Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise GraphError(f"bad weight {value!r}") from exc
+        return int(frac) if frac.denominator == 1 else frac
     if isinstance(value, bool):
         raise GraphError(f"weight must be a number, got {value!r}")
     if isinstance(value, int):
         return value
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
-    if isinstance(value, str):
-        try:
-            frac = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise GraphError(f"bad weight {value!r}") from exc
-        return int(frac) if frac.denominator == 1 else frac
     if isinstance(value, float):
         raise GraphError(
             f"float weight {value!r} not accepted; pass an int, Fraction, or decimal string"
@@ -183,19 +190,21 @@ def build_graph(
     out: list[tuple[int, int, Weight]] = []
     used: set[tuple[int, int]] = set()
     for item in edges:
-        if len(item) == 2:
+        if len(item) == 3:
+            u_name, v_name, w = item
+            if type(w) is not int:
+                w = coerce_weight(w)
+        elif len(item) == 2:
             u_name, v_name = item
-            w: Weight = 1
-        elif len(item) == 3:
-            u_name, v_name, raw = item
-            w = coerce_weight(raw)
+            w = 1
         else:
             raise GraphError(f"edge must be a 2- or 3-tuple, got {item!r}")
-        if u_name not in index:
+        u = index.get(u_name)
+        if u is None:
             raise UnknownEndpointError(f"unknown node {u_name!r}")
-        if v_name not in index:
+        v = index.get(v_name)
+        if v is None:
             raise UnknownEndpointError(f"unknown node {v_name!r}")
-        u, v = index[u_name], index[v_name]
         if u == v:
             raise SelfLoopError(f"self-loop at {u_name!r}")
         if w < 0:

@@ -5,9 +5,12 @@ shortest paths via Bellman-Ford instead of Dijkstra, chromatic number by
 prefix-pruned color enumeration, vertex cover by subset enumeration,
 tours by direct permutation scan or the Held-Karp subset dynamic program
 instead of branch and bound, cycles by edge/component counting and
-Kahn's algorithm.  Slow and obviously correct beats fast here.
+Kahn's algorithm, and weights and edge-list text read the slow way,
+every weight string through ``Fraction`` and every line stripped first.
+Slow and obviously correct beats fast here.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -191,3 +194,88 @@ def exact_price(input_tokens, output_tokens, rate_in_per_million, rate_out_per_m
         Fraction(input_tokens) * Fraction(rate_in_per_million)
         + Fraction(output_tokens) * Fraction(rate_out_per_million)
     ) / 1_000_000
+
+
+def fraction_coerce_weight(value):
+    """Weight reading with every string through ``Fraction``, no ``int()`` shortcut."""
+    from graphcrew.graph import GraphError
+
+    if isinstance(value, bool):
+        raise GraphError(f"weight must be a number, got {value!r}")
+    if isinstance(value, int):
+        return value
+    if isinstance(value, Fraction):
+        return int(value) if value.denominator == 1 else value
+    if isinstance(value, str):
+        try:
+            frac = Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise GraphError(f"bad weight {value!r}") from exc
+        return int(frac) if frac.denominator == 1 else frac
+    if isinstance(value, float):
+        raise GraphError(
+            f"float weight {value!r} not accepted; pass an int, Fraction, or decimal string"
+        )
+    raise GraphError(f"bad weight {value!r}")
+
+
+_HEADER_RE = re.compile(r"^#\s*(nodes|directed|weighted)\s*:\s*(.*)$")
+
+
+def _token_column(raw, index):
+    return [m.start() for m in re.finditer(r"\S+", raw)][index] + 1
+
+
+def scan_edge_list(text):
+    """The edge-list scanner that strips every line before reading it.
+
+    Rows go through :func:`fraction_coerce_weight`; returns the same
+    ``LooseEdgeList`` that ``read_edge_list_loose`` does.
+    """
+    from graphcrew.formats import LooseEdgeList, ParseError
+    from graphcrew.graph import GraphError
+
+    names = directed = weighted = None
+    triples, skipped, problems = [], [], []
+    saw_weight = False
+
+    def skip(line, problem):
+        skipped.append(line)
+        problems.append(problem)
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if not line.startswith("#"):
+            tokens = line.split()
+            if len(tokens) == 2:
+                triples.append((tokens[0], tokens[1], 1))
+            elif len(tokens) != 3:
+                skip(line, ParseError(f"expected 'U V' or 'U V W', got {line!r}", lineno))
+            else:
+                try:
+                    triples.append((tokens[0], tokens[1], fraction_coerce_weight(tokens[2])))
+                    saw_weight = True
+                except GraphError as exc:
+                    skip(line, ParseError(str(exc), lineno, _token_column(raw, 2)))
+            continue
+        match = _HEADER_RE.match(line)
+        if match is None:
+            skip(line, ParseError(f"bad header line {line!r}", lineno))
+            continue
+        key, value = match.group(1), match.group(2).strip()
+        column = raw.index(":") + 2
+        if key == "nodes":
+            names = value.split() or None
+            if names is None:
+                problems.append(ParseError("empty node roster", lineno, column))
+        elif value not in ("true", "false"):
+            skip(line, ParseError(f"expected 'true' or 'false', got {value!r}", lineno, column))
+        elif key == "directed":
+            directed = value == "true"
+        else:
+            weighted = value == "true"
+    if weighted is None and saw_weight:
+        weighted = True
+    return LooseEdgeList(names, directed, weighted, triples, tuple(skipped), tuple(problems))

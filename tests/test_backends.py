@@ -43,7 +43,7 @@ def tsp_hidden():
     )
     return {
         "problem_type": "tsp",
-        "graph_text": serialize_graph(g),
+        "graph": g,
         "source": None,
         "target": None,
         "objective": "find the cheapest round trip",
@@ -333,7 +333,7 @@ def test_stub_answers_every_stage_in_contract_shape():
     assert fields["source"] == "none" and fields["target"] == "none"
 
     extract = stub.complete("[stage:extract_graph]", "u")
-    assert extract_block(extract.text, "graph") == hidden["graph_text"].strip()
+    assert extract_block(extract.text, "graph") == serialize_graph(hidden["graph"]).strip()
     assert stub.complete("[stage:normalize]", "u").text == extract.text
 
     select = stub.complete("[stage:select]", "u")

@@ -226,6 +226,48 @@ class TestSolve:
         assert result.exit_code == 2
 
 
+    @pytest.mark.parametrize("verb", ["solve", "solve-direct"])
+    def test_out_in_a_new_directory_is_created(self, runner, tmp_path, verb):
+        out = tmp_path / "ds"
+        _generate(runner, out, extra=["--type", "vertex_cover"])
+        results = tmp_path / "new" / "deeper" / "results.jsonl"
+        result = runner.invoke(
+            main,
+            [verb, "--dataset", str(out / "vertex_cover.jsonl"),
+             "--backend-config", str(_write_stub_config(tmp_path)), "--out", str(results)],
+        )
+        assert result.exit_code == 0, result.output
+        records = [json.loads(line) for line in results.read_text().splitlines()]
+        assert len(records) == 4 and all(r["status"] == "ok" for r in records)
+
+    @pytest.mark.parametrize("verb", ["solve", "solve-direct"])
+    def test_out_under_a_file_is_config_error_before_any_call(
+        self, runner, tmp_path, monkeypatch, verb
+    ):
+        out = tmp_path / "ds"
+        _generate(runner, out, extra=["--type", "vertex_cover"])
+        calls = []
+        answer = OracleStubBackend.complete
+
+        def counted_complete(self, system_prompt, user_prompt, params=None):
+            calls.append(system_prompt)
+            return answer(self, system_prompt, user_prompt, params)
+
+        monkeypatch.setattr(OracleStubBackend, "complete", counted_complete)
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        result = runner.invoke(
+            main,
+            [verb, "--dataset", str(out / "vertex_cover.jsonl"),
+             "--backend-config", str(_write_stub_config(tmp_path)),
+             "--out", str(blocker / "results.jsonl")],
+        )
+        assert result.exit_code == 2
+        assert "cannot create the directory" in result.output
+        assert calls == []
+        assert blocker.read_text() == ""
+
+
 class TestEvaluate:
     def _solve(self, runner, tmp_path, ptype="tsp"):
         out = tmp_path / "ds"
@@ -254,6 +296,21 @@ class TestEvaluate:
         assert "acc_all" in report and "price" in report
         scores = [json.loads(l) for l in (report_dir / "scores.jsonl").read_text().splitlines()]
         assert all(s["acc_all"] == "1" for s in scores)
+
+    def test_out_under_a_file_is_config_error(self, runner, tmp_path):
+        dataset, config, results = self._solve(runner, tmp_path)
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        result = runner.invoke(
+            main,
+            ["evaluate", "--results", str(results), "--dataset", str(dataset),
+             "--out", str(blocker / "report")],
+        )
+        assert result.exit_code == 2
+        assert "cannot create the directory" in result.output
+        generated = runner.invoke(main, ["generate", "--sizes", "8", "--out", str(blocker / "ds")])
+        assert generated.exit_code == 2
+        assert "cannot create the directory" in generated.output
 
     def test_evaluation_is_byte_reproducible(self, runner, tmp_path):
         dataset, config, results = self._solve(runner, tmp_path, "graph_coloring")

@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from graphcrew.formats import ParseError, parse_graph, read_edge_list_loose, serialize_graph
 from graphcrew.graph import DuplicateEdgeError, build_graph
 
+from oracles import scan_edge_list
 from test_graph import graph_parts
 
 
@@ -150,3 +151,48 @@ def test_fraction_weights_survive_all_formats():
     g = build_graph(["A", "B"], False, True, [("A", "B", Fraction(85, 6))])
     back = parse_graph(serialize_graph(g))
     assert back.edges[0][2] == Fraction(85, 6)
+
+
+SPACE = st.sampled_from(["", " ", "\t", "  \t"])
+ROW_TOKENS = st.one_of(
+    st.sampled_from(["A", "B", "AB", "C", "x#", "٣", "²", "7/2", "7/1", "0/3", "007", "-1",
+                     "+4", "1_0", "oops", "4" * 4301]),
+    st.integers(0, 10**6).map(str),
+    st.text(alphabet="0123456789/+-_x٣", min_size=1, max_size=5),
+)
+
+
+@st.composite
+def messy_edge_lists(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        indent, trail = draw(SPACE), draw(SPACE)
+        kind = draw(st.sampled_from(["row", "row", "header", "comment", "blank"]))
+        if kind == "row":
+            count = draw(st.sampled_from([1, 2, 3, 3, 4, 5]))
+            sep = draw(st.sampled_from([" ", "\t", "  ", " \t "]))
+            body = sep.join(draw(ROW_TOKENS) for _ in range(count))
+        elif kind == "header":
+            key = draw(st.sampled_from(["nodes", "directed", "weighted", "speed"]))
+            value = draw(st.sampled_from(["true", "false", "maybe", "", "A B C", "AB\tC"]))
+            body = f"#{draw(SPACE)}{key}{draw(SPACE)}:{draw(SPACE)}{value}"
+        elif kind == "comment":
+            body = "# edges follow"
+        else:
+            body = ""
+        lines.append(indent + body + trail)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def loose_fields(got):
+    return (got.names, got.directed, got.weighted,
+            [(u, v, w, type(w)) for u, v, w in got.triples], got.skipped,
+            [(p.line, p.column, str(p)) for p in got.problems])
+
+
+@given(messy_edge_lists())
+@settings(max_examples=400)
+def test_loose_reader_matches_the_strip_first_oracle(text):
+    assert loose_fields(read_edge_list_loose(text)) == loose_fields(scan_edge_list(text))

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from graphcrew.graph import (
     ConflictingWeightsError,
@@ -18,6 +18,7 @@ from graphcrew.graph import (
     graph_stats,
     merge_edge_triples,
 )
+from oracles import fraction_coerce_weight
 
 NAME_POOL = [f"N{c}{d}" for c in "abcdef" for d in "abcdef"]
 
@@ -87,6 +88,52 @@ def test_weight_coercion():
         coerce_weight(True)
     with pytest.raises(GraphError):
         coerce_weight("three")
+
+
+WEIGHT_ODDITIES = [
+    "7/1", "0/3", "07", "+7", "-0", "1_000", "_1", "1__0", " 7", "7\t", "٣", "²", "３",
+    "7/0", "1e3", "1.5", "", "4" * 4300, "4" * 4301, "-" + "4" * 4301,
+]
+
+
+@st.composite
+def weight_tokens(draw):
+    body = draw(st.one_of(
+        st.integers(0, 10**12).map(str),
+        st.tuples(st.integers(0, 999), st.integers(0, 99)).map(lambda t: f"{t[0]}/{t[1]}"),
+        st.text(alphabet="0123456789+-_/. ٣²３", max_size=8),
+        st.sampled_from(WEIGHT_ODDITIES),
+    ))
+    zeros = draw(st.sampled_from(["", "0", "000"]))
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    before, after = draw(st.sampled_from(["", " ", "\t", "  "])), draw(st.sampled_from(["", " "]))
+    return f"{before}{sign}{zeros}{body}{after}"
+
+
+def assert_reads_like_the_fraction_oracle(value):
+    try:
+        want = fraction_coerce_weight(value)
+    except GraphError:
+        with pytest.raises(GraphError):
+            coerce_weight(value)
+        return
+    got = coerce_weight(value)
+    assert got == want and type(got) is type(want)
+
+
+def test_weight_oddities_read_like_the_fraction_oracle():
+    for token in WEIGHT_ODDITIES:
+        assert_reads_like_the_fraction_oracle(token)
+    with pytest.raises(GraphError):
+        coerce_weight("4" * 4301)
+    assert type(coerce_weight("7/1")) is int and type(coerce_weight("٣")) is int
+
+
+@given(st.one_of(weight_tokens(), st.integers(-5, 10**6), st.booleans(), st.floats(),
+                 st.fractions(max_denominator=12)))
+@settings(max_examples=400)
+def test_weight_reading_matches_the_fraction_oracle(value):
+    assert_reads_like_the_fraction_oracle(value)
 
 
 def test_format_weight():

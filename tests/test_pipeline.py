@@ -21,7 +21,6 @@ from graphcrew.agents import (
 )
 from graphcrew.agents.backends import BackendError
 from graphcrew.agents.prompts import TAGS, load_template, stage_of_prompt
-from graphcrew.formats import serialize_graph
 from graphcrew.graph import ConflictingWeightsError, GraphError, UnknownEndpointError, build_graph
 from graphcrew.knowledge import NoApplicableAlgorithmError, load_knowledge_base
 
@@ -169,7 +168,7 @@ def test_normalize_merges_duplicates():
         "# nodes: A B C\n# directed: false\n# weighted: true\n"
         "A B 3\nB A 3\nB C 4\nA C 5\n"
     )
-    hidden = dict(tsp_hidden(), graph_text=serialize_graph(k3))
+    hidden = dict(tsp_hidden(), graph=k3)
     backend = StageScripted({"extract_graph": [graph_reply(raw)]}, hidden=hidden)
     out = run_pipeline(backend, "p")
     assert out.graph.edges == ((0, 1, 3), (0, 2, 5), (1, 2, 4))
@@ -242,7 +241,7 @@ def test_solver_rejection_surfaces_with_rationale():
         True,
         [("Depot", "Mill", 3), ("Mill", "Quay", 5), ("Quay", "Yard", 2)],
     )
-    hidden = dict(tsp_hidden(), graph_text=serialize_graph(incomplete))
+    hidden = dict(tsp_hidden(), graph=incomplete)
     config = PipelineConfig(kb=load_knowledge_base(WRONG_LIMIT_KB))
     with pytest.raises(SolverError) as err:
         run_pipeline(OracleStubBackend(hidden, config.kb), "p", config)
@@ -268,7 +267,7 @@ def test_choose_algorithm_standalone():
 def path_hidden():
     graph = build_graph(["Ash", "Birch", "Cedar"], True, True,
                         [("Ash", "Birch", 2), ("Birch", "Cedar", 3), ("Ash", "Cedar", 9)])
-    return {"problem_type": "shortest_path", "graph_text": serialize_graph(graph),
+    return {"problem_type": "shortest_path", "graph": graph,
             "source": "Ash", "target": "Cedar"}
 
 
