@@ -35,7 +35,6 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 from typing import Any, Callable
 
 from ..execute import run_algorithm
@@ -45,7 +44,6 @@ from ..knowledge import (
     AlgorithmChoice,
     KnowledgeBase,
     KnowledgeBaseError,
-    applicability_reason,
     default_knowledge_base,
     lookup_algorithms,
     select_algorithm,
@@ -89,7 +87,6 @@ class VerificationFailedError(PipelineError):
 @dataclass(frozen=True)
 class ProblemSpec:
     problem_type: str
-    objective: str
     source: str | None
     target: str | None
 
@@ -195,7 +192,6 @@ def _problem_spec(body: str) -> ProblemSpec:
     target = fields.get("target", "none")
     return ProblemSpec(
         problem_type=problem_type,
-        objective=fields.get("objective", ""),
         source=None if source in ("", "none") else source,
         target=None if target in ("", "none") else target,
     )
@@ -295,19 +291,12 @@ def _explain(solution: Solution, graph: Graph, problem_type: str) -> str:
 def _solve_with_fallback(
     choice: AlgorithmChoice,
     graph: Graph,
-    stats: GraphStats,
     problem_spec: ProblemSpec,
-    kb: KnowledgeBase,
     notes: list[str],
 ) -> Solution:
     """The chosen route's answer, or the next applicable route's; always verified."""
     chosen = choice.record.algorithm_id
-    fallbacks = (
-        record for record in lookup_algorithms(kb, problem_spec.problem_type)
-        if record.algorithm_id != chosen
-        and not applicability_reason(record, stats, weighted=graph.weighted, directed=graph.directed)
-    )
-    for route in chain((choice.record,), fallbacks):
+    for route in (choice.record, *choice.fallbacks):
         try:
             solution = run_algorithm(
                 route, graph, source=problem_spec.source, target=problem_spec.target
@@ -427,7 +416,7 @@ def run_pipeline(
                 kb, problem_type, stats, weighted=graph.weighted, directed=graph.directed
             )
         with _step("solve", wave1):
-            solution = _solve_with_fallback(choice, graph, stats, spec, kb, solve_notes)
+            solution = _solve_with_fallback(choice, graph, spec, solve_notes)
         explanation = _explain(solution, graph, problem_type)
         chosen = choice.record.algorithm_id
         audit = {"problem_type": problem_type, "graph": serialize_graph(graph),

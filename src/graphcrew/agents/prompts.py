@@ -22,6 +22,7 @@ TAGS: dict[str, str] = {
 }
 
 _MARKER_RE = re.compile(r"\[stage:([a-z_]+)\]")
+_SLOT_RE = re.compile(r"\{([a-z_]+)\}")
 
 
 class TemplateError(ValueError):
@@ -44,17 +45,23 @@ def load_template(stage: str) -> tuple[str, str]:
 
 
 def render_stage(stage: str, slots: dict[str, str]) -> tuple[str, str]:
-    """Fill a stage's user template; unknown or leftover slots are errors."""
+    """Fill a stage's user template; unknown or leftover slots are errors.
+
+    The template is filled in one pass over its own slots, so a slot
+    value (a problem statement, say) is never searched for slots itself.
+    """
     system, user = load_template(stage)
-    for key, value in slots.items():
-        token = "{" + key + "}"
-        if token not in user:
-            raise TemplateError(f"template for {stage!r} has no slot {token}")
-        user = user.replace(token, value)
-    leftover = re.search(r"\{[a-z_]+\}", user)
-    if leftover:
-        raise TemplateError(f"slot {leftover.group(0)} of {stage!r} was not filled")
-    return system, user
+    wanted = _SLOT_RE.findall(user)
+    for key in slots:
+        if key not in wanted:
+            raise TemplateError(f"template for {stage!r} has no slot {{{key}}}")
+
+    def fill(match: re.Match) -> str:
+        if match.group(1) not in slots:
+            raise TemplateError(f"slot {match.group(0)} of {stage!r} was not filled")
+        return slots[match.group(1)]
+
+    return system, _SLOT_RE.sub(fill, user)
 
 
 def cot_directive() -> str:

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..graph import Graph, build_graph, graph_stats
-from ..knowledge import (
-    KnowledgeBase,
-    applicability_reason,
-    default_knowledge_base,
-    lookup_algorithms,
-    select_algorithm,
-)
+from ..knowledge import KnowledgeBase, default_knowledge_base, select_algorithm
 from ..execute import run_algorithm
 from ..problems import (
     CYCLE_DETECTION,
@@ -227,16 +221,11 @@ def ground_truth(
         )
     best = run_algorithm(choice.record, graph, source=source, target=target)
 
-    approximate = best
-    for record in lookup_algorithms(kb, problem_type):
-        if record.exact:
-            continue
-        reason = applicability_reason(
-            record, stats, weighted=graph.weighted, directed=graph.directed
-        )
-        if reason is None:
-            approximate = run_algorithm(record, graph, source=source, target=target)
-            break
+    heuristic = next((record for record in choice.fallbacks if not record.exact), None)
+    approximate = (
+        best if heuristic is None
+        else run_algorithm(heuristic, graph, source=source, target=target)
+    )
     return GroundTruth(optimal=best, approximate=approximate)
 
 

@@ -2,34 +2,29 @@
 
 A prediction earns its result point by stating the true objective value
 exactly, and its node point by presenting a payload that is structurally
-valid on the hidden graph and whose recomputed objective matches the
-optimum.  Recomputed, not quoted: a payload cannot vouch for itself, so
+valid on the hidden graph and whose own objective matches the optimum.
+The node point and the truth check below come from one
+:func:`verify_solution` call, whose report carries the objective the
+payload itself implies (None when its structure is broken).  Measured,
+not quoted: a payload cannot vouch for itself, so
 the stated objective is ignored when judging the node set.  Any optimal
 payload is accepted, since optima are rarely unique.
 
 Boolean tasks have no node set; their composite score is the result
 score, and the node score mirrors it so both composition rules hold.
 
-Every other family minimises, so a valid payload whose recomputed
+Every other family minimises, so a valid payload whose own
 objective is below the stored optimum proves the stored optimum wrong;
 scoring refuses it rather than marking the answer wrong.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
-from ..graph import Graph, GraphError, Weight, format_weight
-from ..problems import (
-    BOOLEAN,
-    COLORING,
-    KIND_BY_PROBLEM,
-    NODE_SET,
-    PATH,
-    TOUR,
-    check_problem_type,
-)
+from ..graph import Graph, Weight, format_weight
+from ..problems import BOOLEAN, KIND_BY_PROBLEM, check_problem_type
 from ..solvers import KindMismatchError, Solution, verify_solution
 
 HALF = Fraction(1, 2)
@@ -67,38 +62,6 @@ class TaskSummary:
     error_rate: Fraction
 
 
-def _recompute_objective(graph: Graph, solution: Solution) -> Weight | None:
-    """Objective implied by the payload alone; None if the payload is broken."""
-    try:
-        if solution.kind == TOUR:
-            order = solution.payload
-            if not order:
-                return None
-            total: Weight = 0
-            for i, name in enumerate(order):
-                u = graph.index_of(name)
-                v = graph.index_of(order[(i + 1) % len(order)])
-                total += graph.weight(u, v)
-            return total
-        if solution.kind == COLORING:
-            return len(set(solution.payload.values()))
-        if solution.kind == NODE_SET:
-            return len(solution.payload)
-        if solution.kind == PATH:
-            path = solution.payload
-            if not path:
-                return None
-            total = 0
-            for a, b in zip(path, path[1:]):
-                total += graph.weight(graph.index_of(a), graph.index_of(b))
-            return total
-        if solution.kind == BOOLEAN:
-            return int(bool(solution.payload))
-    except (GraphError, ValueError, KeyError, TypeError, AttributeError):
-        return None
-    return None
-
-
 def score_instance(
     prediction: Solution,
     truth: Solution,
@@ -122,26 +85,16 @@ def score_instance(
         )
 
     acc_result = Fraction(int(prediction.objective == truth.objective))
-
     if expected_kind == BOOLEAN:
         acc_nodes = acc_result
-        acc_all = acc_result
     else:
-        acc_nodes = Fraction(0)
-        recomputed = _recompute_objective(graph, prediction)
-        if recomputed is not None and recomputed <= truth.objective:
-            candidate = replace(prediction, objective=recomputed)
-            try:
-                report = verify_solution(
-                    problem_type, graph, candidate, source=source, target=target
-                )
-            except (ValueError, KeyError):
-                report = None
-            if report is not None and report.valid:
-                if recomputed < truth.objective:
-                    raise TruthDefectError(recomputed, truth.objective)
-                acc_nodes = Fraction(1)
-        acc_all = HALF * acc_nodes + HALF * acc_result
+        objective = verify_solution(
+            problem_type, graph, prediction, source=source, target=target
+        ).objective
+        if objective is not None and objective < truth.objective:
+            raise TruthDefectError(objective, truth.objective)
+        acc_nodes = Fraction(int(objective == truth.objective))
+    acc_all = HALF * acc_nodes + HALF * acc_result
 
     return InstanceScore(
         instance_id=instance_id,

@@ -53,7 +53,9 @@ def coerce_weight(value: object) -> Weight:
     Floats are rejected: binary floats silently misstate values such as
     0.1, and every consumer here relies on exact arithmetic.  A string of
     ASCII digits, the common case, is read by ``int()`` without building
-    a ``Fraction``; any other string takes the ``Fraction`` path.
+    a ``Fraction``; any other string takes the ``Fraction`` path, except
+    exponent notation, which is refused: ``Fraction("1e10000000")`` takes
+    seconds to build a number nobody meant.
     """
     if isinstance(value, str):
         if value.isdigit() and value.isascii():
@@ -61,6 +63,8 @@ def coerce_weight(value: object) -> Weight:
                 return int(value)
             except ValueError as exc:  # past the interpreter's digit limit
                 raise GraphError(f"bad weight {value!r}") from exc
+        if "e" in value or "E" in value:
+            raise GraphError(f"bad weight {value!r}: exponent notation is not accepted")
         try:
             frac = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

@@ -80,6 +80,7 @@ class KnowledgeBase:
 class AlgorithmChoice:
     record: AlgorithmRecord
     rationale: str
+    fallbacks: tuple[AlgorithmRecord, ...]  # the other applicable routes, in lookup order
 
 
 def _expect(mapping: Any, key: str, kind: type, where: str) -> Any:
@@ -224,29 +225,32 @@ def select_algorithm(
     else the first applicable heuristic.
 
     The rationale spells out the decision, including which exact routes
-    were passed over and why.  Raises
+    were passed over and why.  The choice also lists every other
+    applicable route, in lookup order, so callers never re-judge
+    applicability to find a second route.  Raises
     :class:`NoApplicableAlgorithmError` when nothing fits.
     """
-    candidates = lookup_algorithms(kb, problem_type)
     rejections: list[str] = []
-    for record in candidates:
+    applicable: list[AlgorithmRecord] = []
+    for record in lookup_algorithms(kb, problem_type):
         reason = applicability_reason(record, stats, weighted=weighted, directed=directed)
-        if reason is not None:
+        if reason is None:
+            applicable.append(record)
+        elif not applicable:
             rejections.append(f"{record.algorithm_id}: {reason}")
-            continue
-        if record.exact:
-            rationale = (
-                f"{record.algorithm_id} is exact and applicable: "
-                f"{stats.node_count} nodes within its limit of "
-                f"{record.applicability.max_nodes}"
-            )
-        else:
-            skipped = "; ".join(rejections) if rejections else "no exact route listed"
-            rationale = (
-                f"{record.algorithm_id} chosen as heuristic fallback ({skipped})"
-            )
-        return AlgorithmChoice(record=record, rationale=rationale)
-    raise NoApplicableAlgorithmError(
-        f"no applicable algorithm for {problem_type} "
-        f"on {stats.node_count} nodes ({'; '.join(rejections)})"
-    )
+    if not applicable:
+        raise NoApplicableAlgorithmError(
+            f"no applicable algorithm for {problem_type} "
+            f"on {stats.node_count} nodes ({'; '.join(rejections)})"
+        )
+    record, *fallbacks = applicable
+    if record.exact:
+        rationale = (
+            f"{record.algorithm_id} is exact and applicable: "
+            f"{stats.node_count} nodes within its limit of "
+            f"{record.applicability.max_nodes}"
+        )
+    else:
+        skipped = "; ".join(rejections) if rejections else "no exact route listed"
+        rationale = f"{record.algorithm_id} chosen as heuristic fallback ({skipped})"
+    return AlgorithmChoice(record=record, rationale=rationale, fallbacks=tuple(fallbacks))

@@ -14,12 +14,16 @@ objective and a record of which algorithm produced it.  Canonical forms:
 
 Two runs that find the same answer therefore produce equal values, and
 equal values serialize to identical bytes.
+
+:func:`verify_solution` is the one place an answer is measured: a
+per-kind check reads the payload's structure and computes its own
+objective, and the verifier compares that with the stated objective.
+Scoring and the pipeline both read the verifier's report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any
 
 from ..graph import Graph, Weight, coerce_weight, format_weight
@@ -58,6 +62,7 @@ class Solution:
 class ValidityReport:
     valid: bool
     violations: tuple[str, ...]
+    objective: Weight | None  # the payload's own; None when its structure is broken
 
 
 def canonical_tour(order: tuple[str, ...]) -> tuple[str, ...]:
@@ -146,8 +151,11 @@ def verify_solution(
     """Check a solution against the graph's structure, not against truth.
 
     Validity is purely structural: a suboptimal but well-formed answer is
-    valid.  Raises :class:`KindMismatchError` when the solution kind does
-    not belong to the problem type at all.
+    valid.  The payload's own objective is measured here, and only here;
+    the report carries it, or None when the structure is broken, and a
+    stated objective that differs from it is the one violation left.
+    Raises :class:`KindMismatchError` when the solution kind does not
+    belong to the problem type at all.
     """
     expected = KIND_BY_PROBLEM.get(problem_type)
     if expected is None:
@@ -156,18 +164,23 @@ def verify_solution(
         raise KindMismatchError(
             f"{problem_type} expects a {expected} solution, got {solution.kind}"
         )
-    checker = {
-        TOUR: _verify_tour,
-        COLORING: _verify_coloring,
-        NODE_SET: _verify_cover,
-        PATH: _verify_path,
-        BOOLEAN: _verify_boolean,
-    }[expected]
-    violations = checker(graph, solution, source, target)
-    return ValidityReport(valid=not violations, violations=tuple(violations))
+    check, misstated = _CHECKS[expected]
+    violations, objective = check(graph, solution.payload, source, target)
+    if violations:
+        return ValidityReport(valid=False, violations=tuple(violations), objective=None)
+    if objective != solution.objective:
+        message = misstated.format(
+            stated=format_weight(solution.objective), actual=format_weight(objective)
+        )
+        return ValidityReport(valid=False, violations=(message,), objective=objective)
+    return ValidityReport(valid=True, violations=(), objective=objective)
 
 
-def _walk_cost(graph: Graph, order: tuple[str, ...], close: bool) -> tuple[Weight | None, list[str]]:
+# Each check reads the payload's structure and returns its violations and
+# its own objective; the objective means nothing when there are violations.
+
+
+def _walk_cost(graph: Graph, order: tuple[str, ...], close: bool) -> tuple[list[str], Weight]:
     violations: list[str] = []
     cost: Weight = 0
     hops = list(zip(order, order[1:]))
@@ -179,34 +192,26 @@ def _walk_cost(graph: Graph, order: tuple[str, ...], close: bool) -> tuple[Weigh
             violations.append(f"no edge {a}-{b}")
         else:
             cost = cost + graph.weight(u, v)
-    return (None if violations else cost), violations
+    return violations, cost
 
 
-def _verify_tour(graph, solution, source, target):
-    violations: list[str] = []
-    order = tuple(solution.payload)
+def _check_tour(graph, order, source, target):
+    order = tuple(order)
     unknown = [name for name in order if name not in graph.node_names]
     if unknown:
-        return [f"unknown node {name}" for name in unknown]
+        return [f"unknown node {name}" for name in unknown], None
     if sorted(order) != list(graph.node_names):
-        violations.append(
+        return [
             f"tour visits {len(set(order))} of {graph.node_count} nodes"
             if len(set(order)) != graph.node_count
             else "tour is not a permutation of the nodes"
-        )
-        return violations
-    cost, hop_violations = _walk_cost(graph, order, close=True)
-    violations.extend(hop_violations)
-    if cost is not None and cost != solution.objective:
-        violations.append(
-            f"stated cost {format_weight(solution.objective)} but edges sum to {format_weight(cost)}"
-        )
-    return violations
+        ], None
+    return _walk_cost(graph, order, close=True)
 
 
-def _verify_coloring(graph, solution, source, target):
+def _check_coloring(graph, colors, source, target):
     violations: list[str] = []
-    colors = dict(solution.payload)
+    colors = dict(colors)
     for name in graph.node_names:
         if name not in colors:
             violations.append(f"node {name} has no color")
@@ -217,67 +222,61 @@ def _verify_coloring(graph, solution, source, target):
         if not isinstance(c, int) or isinstance(c, bool) or c < 0:
             violations.append(f"bad color {c!r} on node {name}")
     if violations:
-        return violations
+        return violations, None
     for u, v, _ in graph.edges:
         nu, nv = graph.node_names[u], graph.node_names[v]
         if colors[nu] == colors[nv]:
             violations.append(f"nodes {nu} and {nv} share color {colors[nu]}")
-    used = len(set(colors.values()))
-    if used != solution.objective:
-        violations.append(f"stated {format_weight(solution.objective)} colors but {used} are used")
-    return violations
+    return violations, len(set(colors.values()))
 
 
-def _verify_cover(graph, solution, source, target):
+def _check_cover(graph, nodes, source, target):
     violations: list[str] = []
-    nodes = tuple(solution.payload)
+    nodes = tuple(nodes)
     if len(set(nodes)) != len(nodes):
         violations.append("cover lists a node twice")
     for name in nodes:
         if name not in graph.node_names:
             violations.append(f"unknown node {name}")
     if violations:
-        return violations
+        return violations, None
     chosen = set(nodes)
     for u, v, _ in graph.edges:
         nu, nv = graph.node_names[u], graph.node_names[v]
         if nu not in chosen and nv not in chosen:
             violations.append(f"cover misses edge {nu}-{nv}")
-    if len(nodes) != solution.objective:
-        violations.append(
-            f"stated size {format_weight(solution.objective)} but {len(nodes)} nodes listed"
-        )
-    return violations
+    return violations, len(nodes)
 
 
-def _verify_path(graph, solution, source, target):
+def _check_path(graph, path, source, target):
     violations: list[str] = []
-    path = tuple(solution.payload)
+    path = tuple(path)
     if not path:
-        return ["empty path"]
+        return ["empty path"], None
     unknown = [name for name in path if name not in graph.node_names]
     if unknown:
-        return [f"unknown node {name}" for name in unknown]
+        return [f"unknown node {name}" for name in unknown], None
     if source is not None and path[0] != source:
         violations.append(f"path starts at {path[0]}, question asks for {source}")
     if target is not None and path[-1] != target:
         violations.append(f"path ends at {path[-1]}, question asks for {target}")
     if len(set(path)) != len(path):
         violations.append("path repeats a node")
-    cost, hop_violations = _walk_cost(graph, path, close=False)
-    violations.extend(hop_violations)
-    if cost is not None and cost != solution.objective:
-        violations.append(
-            f"stated cost {format_weight(solution.objective)} but edges sum to {format_weight(cost)}"
-        )
-    return violations
+    hop_violations, cost = _walk_cost(graph, path, close=False)
+    return violations + hop_violations, cost
 
 
-def _verify_boolean(graph, solution, source, target):
-    violations: list[str] = []
-    if not isinstance(solution.payload, bool):
-        violations.append(f"answer must be true or false, got {solution.payload!r}")
-        return violations
-    if solution.objective != int(solution.payload):
-        violations.append("objective does not mirror the boolean answer")
-    return violations
+def _check_boolean(graph, answer, source, target):
+    if not isinstance(answer, bool):
+        return [f"answer must be true or false, got {answer!r}"], None
+    return [], int(answer)
+
+
+# per kind: the structural check, and the violation a misstated objective earns
+_CHECKS = {
+    TOUR: (_check_tour, "stated cost {stated} but edges sum to {actual}"),
+    COLORING: (_check_coloring, "stated {stated} colors but {actual} are used"),
+    NODE_SET: (_check_cover, "stated size {stated} but {actual} nodes listed"),
+    PATH: (_check_path, "stated cost {stated} but edges sum to {actual}"),
+    BOOLEAN: (_check_boolean, "objective does not mirror the boolean answer"),
+}

@@ -6,7 +6,8 @@ prefix-pruned color enumeration, vertex cover by subset enumeration,
 tours by direct permutation scan or the Held-Karp subset dynamic program
 instead of branch and bound, cycles by edge/component counting and
 Kahn's algorithm, and weights and edge-list text read the slow way,
-every weight string through ``Fraction`` and every line stripped first.
+every weight string through ``Fraction`` and every line stripped first,
+and answers scored by recomputing their objective outside the verifier.
 Slow and obviously correct beats fast here.
 """
 
@@ -197,7 +198,8 @@ def exact_price(input_tokens, output_tokens, rate_in_per_million, rate_out_per_m
 
 
 def fraction_coerce_weight(value):
-    """Weight reading with every string through ``Fraction``, no ``int()`` shortcut."""
+    """Weight reading with every string through ``Fraction``, no ``int()``
+    shortcut; exponent notation is refused before ``Fraction`` sees it."""
     from graphcrew.graph import GraphError
 
     if isinstance(value, bool):
@@ -207,6 +209,8 @@ def fraction_coerce_weight(value):
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise GraphError(f"bad weight {value!r}")
         try:
             frac = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -279,3 +283,77 @@ def scan_edge_list(text):
     if weighted is None and saw_weight:
         weighted = True
     return LooseEdgeList(names, directed, weighted, triples, tuple(skipped), tuple(problems))
+
+
+def _recompute_objective(graph, solution):
+    """Objective implied by the payload alone, walked and counted here; None if broken."""
+    from graphcrew.graph import GraphError
+
+    try:
+        if solution.kind == "tour":
+            order = solution.payload
+            if not order:
+                return None
+            total = 0
+            for i, name in enumerate(order):
+                u = graph.index_of(name)
+                v = graph.index_of(order[(i + 1) % len(order)])
+                total += graph.weight(u, v)
+            return total
+        if solution.kind == "coloring":
+            return len(set(solution.payload.values()))
+        if solution.kind == "node_set":
+            return len(solution.payload)
+        if solution.kind == "path":
+            path = solution.payload
+            if not path:
+                return None
+            total = 0
+            for a, b in zip(path, path[1:]):
+                total += graph.weight(graph.index_of(a), graph.index_of(b))
+            return total
+        if solution.kind == "boolean":
+            return int(bool(solution.payload))
+    except (GraphError, ValueError, KeyError, TypeError, AttributeError):
+        return None
+    return None
+
+
+def recomputing_score_instance(prediction, truth, problem_type, graph,
+                               source=None, target=None, instance_id=""):
+    """Scoring that recomputes the payload's objective itself, then verifies a
+    copy of the prediction that states it; returns the same ``InstanceScore``
+    and raises the same errors as ``score_instance``."""
+    from dataclasses import replace
+
+    from graphcrew.evaluation import InstanceScore, TruthDefectError
+    from graphcrew.problems import KIND_BY_PROBLEM, check_problem_type
+    from graphcrew.solvers import KindMismatchError, verify_solution
+
+    check_problem_type(problem_type)
+    expected_kind = KIND_BY_PROBLEM[problem_type]
+    if prediction.kind != expected_kind:
+        raise KindMismatchError(
+            f"{problem_type} expects a {expected_kind} answer, got {prediction.kind}"
+        )
+    half = Fraction(1, 2)
+    acc_result = Fraction(int(prediction.objective == truth.objective))
+    if expected_kind == "boolean":
+        acc_nodes = acc_all = acc_result
+    else:
+        acc_nodes = Fraction(0)
+        recomputed = _recompute_objective(graph, prediction)
+        if recomputed is not None and recomputed <= truth.objective:
+            candidate = replace(prediction, objective=recomputed)
+            try:
+                report = verify_solution(
+                    problem_type, graph, candidate, source=source, target=target
+                )
+            except (ValueError, KeyError):
+                report = None
+            if report is not None and report.valid:
+                if recomputed < truth.objective:
+                    raise TruthDefectError(recomputed, truth.objective)
+                acc_nodes = Fraction(1)
+        acc_all = half * acc_nodes + half * acc_result
+    return InstanceScore(instance_id, problem_type, acc_nodes, acc_result, acc_all)

@@ -174,6 +174,28 @@ class TestSolve:
         assert result.exit_code == 0, result.output
         assert recorded.read_bytes() == replayed.read_bytes() == stub_results.read_bytes()
 
+    @pytest.mark.parametrize("verb", ["solve", "solve-direct"])
+    def test_braces_in_a_statement_reach_the_prompt_verbatim(self, runner, tmp_path, verb):
+        out = tmp_path / "ds"
+        runner.invoke(main, ["generate", "--sizes", "8", "--per-size", "3", "--type", "tsp",
+                             "--out", str(out)])
+        lines = (out / "tsp.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        record["text"] += " {route}"
+        dataset = tmp_path / "braces.jsonl"
+        dataset.write_text("\n".join([lines[0], json.dumps(record), lines[2]]) + "\n")
+        fixtures = tmp_path / "fixtures.jsonl"
+        config = tmp_path / "record.yaml"
+        config.write_text(f"kind: record\nfixtures: {fixtures}\ninner:\n  kind: stub\n")
+        results = tmp_path / "results.jsonl"
+        result = runner.invoke(main, [verb, "--dataset", str(dataset), "--backend-config",
+                                      str(config), "--out", str(results)])
+        assert result.exit_code == 0, result.output
+        records = [json.loads(line) for line in results.read_text().splitlines()]
+        assert [r["status"] for r in records] == ["ok"] * 3
+        prompts = [json.loads(line)["user"] for line in fixtures.read_text().splitlines()]
+        assert any(record["text"] in prompt for prompt in prompts)
+
     def test_dead_backend_yields_exit_one_and_failure_records(self, runner, tmp_path):
         out = tmp_path / "ds"
         _generate(runner, out, extra=["--type", "tsp"])

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,16 @@ def test_parse_error_positions():
         parse_graph("   A C x")
     assert (err.value.line, err.value.column) == (1, 8)
     assert [(p.line, p.column) for p in read_edge_list_loose("   A C x").problems] == [(1, 8)]
+
+
+def test_exponent_weight_is_refused_at_once():
+    # Fraction would spend seconds building this number before any check
+    start = time.perf_counter()
+    got = read_edge_list_loose("A B 1e10000000\n")
+    assert time.perf_counter() - start < 0.5
+    assert got.triples == []
+    assert [(p.line, p.column) for p in got.problems] == [(1, 5)]
+    assert "exponent" in str(got.problems[0])
 
 
 def test_parse_rejects_malformed_lines():

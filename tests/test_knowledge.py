@@ -1,7 +1,10 @@
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
 from graphcrew.execute import UnknownAlgorithmError, run_algorithm
-from graphcrew.graph import GraphError, build_graph, graph_stats
+from graphcrew.graph import GraphError, GraphStats, build_graph, graph_stats
 from graphcrew.knowledge import (
     Applicability,
     AlgorithmRecord,
@@ -109,6 +112,82 @@ def test_applicability_reason_is_checkable_alone():
     assert "exceeds" in applicability_reason(hk, big, weighted=True, directed=False)
     assert "unweighted" in applicability_reason(hk, small, weighted=False, directed=False)
     assert "directed" in applicability_reason(hk, small, weighted=True, directed=True)
+
+
+# a second heuristic and a second exact route for one family, file order mixed
+TWO_HEURISTICS = """
+version: 1
+algorithms:
+  - id: matching_cover
+    problem: graph_coloring
+    description: A weighted-only heuristic listed first.
+    complexity: O(m)
+    exact: false
+    applicability:
+      max_nodes: 40
+      requires_weighted: true
+      directedness: any
+  - id: exact_coloring
+    problem: graph_coloring
+    description: Exact.
+    complexity: exponential
+    exact: true
+    applicability:
+      max_nodes: 25
+      directedness: undirected
+  - id: dsatur
+    problem: graph_coloring
+    description: Heuristic.
+    complexity: O(n^2)
+    exact: false
+    applicability:
+      max_nodes: 1000
+      directedness: undirected
+  - id: bnb_cover
+    problem: graph_coloring
+    description: A complete-only exact route.
+    complexity: exponential
+    exact: true
+    applicability:
+      max_nodes: 10
+      requires_complete: true
+      directedness: directed
+"""
+
+
+def derived_fallbacks(kb, problem_type, stats, weighted, directed):
+    """The other applicable routes, judged one by one after the choice."""
+    applicable = [
+        record for record in lookup_algorithms(kb, problem_type)
+        if applicability_reason(record, stats, weighted=weighted, directed=directed) is None
+    ]
+    return applicable[0], tuple(applicable[1:])
+
+
+@pytest.mark.parametrize("kb", [default_knowledge_base(), load_knowledge_base(TWO_HEURISTICS)],
+                         ids=["default", "two_heuristics"])
+def test_fallbacks_are_the_other_applicable_routes_in_lookup_order(kb):
+    for problem_type in sorted({record.problem_type for record in kb.records}):
+        limits = {r.applicability.max_nodes for r in lookup_algorithms(kb, problem_type)}
+        sizes = sorted({size for limit in limits for size in (limit, limit + 1)})
+        for n, complete, weighted, directed in product(sizes, *[(False, True)] * 3):
+            stats = GraphStats(n, n, Fraction(1, 2), True, complete)
+            try:
+                want = derived_fallbacks(kb, problem_type, stats, weighted, directed)
+            except IndexError:
+                with pytest.raises(NoApplicableAlgorithmError):
+                    select_algorithm(kb, problem_type, stats, weighted=weighted, directed=directed)
+                continue
+            choice = select_algorithm(kb, problem_type, stats, weighted=weighted, directed=directed)
+            assert (choice.record, choice.fallbacks) == want
+
+
+def test_fallbacks_keep_two_heuristics_in_file_order():
+    kb = load_knowledge_base(TWO_HEURISTICS)
+    stats = GraphStats(10, 45, Fraction(1), True, True)
+    choice = select_algorithm(kb, "graph_coloring", stats, weighted=True, directed=False)
+    assert choice.record.algorithm_id == "exact_coloring"
+    assert [r.algorithm_id for r in choice.fallbacks] == ["matching_cover", "dsatur"]
 
 
 MINIMAL = """

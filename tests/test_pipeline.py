@@ -20,7 +20,7 @@ from graphcrew.agents import (
     whitespace_token_count,
 )
 from graphcrew.agents.backends import BackendError
-from graphcrew.agents.prompts import TAGS, load_template, stage_of_prompt
+from graphcrew.agents.prompts import TAGS, TemplateError, load_template, render_stage, stage_of_prompt
 from graphcrew.graph import ConflictingWeightsError, GraphError, UnknownEndpointError, build_graph
 from graphcrew.knowledge import NoApplicableAlgorithmError, load_knowledge_base
 
@@ -310,6 +310,15 @@ def test_every_template_belongs_to_a_stage():
     assert stems - {"cot_directive"} == set(TAGS)
 
 
+def test_render_stage_never_reads_a_slot_value_as_a_slot():
+    _, user = render_stage("classify", {"problem": "drive {route}, then {problem}"})
+    assert "drive {route}, then {problem}" in user
+    with pytest.raises(TemplateError, match="has no slot {route}"):
+        render_stage("classify", {"problem": "p", "route": "r"})
+    with pytest.raises(TemplateError, match="slot {problem} of 'classify' was not filled"):
+        render_stage("classify", {})
+
+
 def test_run_direct_modes():
     outcome = run_direct(OracleStubBackend(tsp_hidden()), "p", mode="direct")
     assert outcome.failure is None
@@ -348,6 +357,16 @@ def test_run_direct_parses_each_kind():
         assert outcome.solution.payload == payload
         if objective is not None:
             assert outcome.solution.objective == objective
+
+
+def test_run_direct_refuses_an_exponent_cost():
+    reply = "```result:answer\norder: Depot, Mill, Quay, Yard\ncost: 1e9999999\n```"
+    backend = StageScripted({"direct": [reply] * 3})
+    start = time.perf_counter()
+    outcome = run_direct(backend, "p")
+    assert time.perf_counter() - start < 1
+    assert outcome.solution is None
+    assert "exponent notation is not accepted" in outcome.failure
 
 
 class IOBound:

@@ -2,9 +2,10 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from graphcrew.dataset import build_instance
 from graphcrew.evaluation import (
@@ -24,6 +25,8 @@ from graphcrew.problems import (
     VERTEX_COVER,
 )
 from graphcrew.solvers import KindMismatchError, Solution
+
+from oracles import recomputing_score_instance
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +120,85 @@ class TestRecomputationRule:
         lying = replace(truth, objective=truth.objective + 1)
         score = score_instance(lying, truth, GRAPH_COLORING, inst.graph)
         assert score.acc_nodes == 1 and score.acc_result == 0
+
+
+FAMILIES = (TSP, GRAPH_COLORING, VERTEX_COVER, SHORTEST_PATH, CYCLE_DETECTION)
+
+
+@lru_cache(maxsize=None)
+def built(problem_type, node_count, index):
+    return build_instance(problem_type, node_count, index)
+
+
+def mutated(draw, graph, solution):
+    """``solution`` with one structural mutation of its payload, or none,
+    and possibly a wrong stated objective."""
+    names = graph.node_names
+    payload = solution.payload
+    if solution.kind == "boolean":
+        if draw(st.booleans()):
+            payload = not payload
+    elif solution.kind == "coloring":
+        colors = dict(payload)
+        a, b = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+        mutation = draw(st.sampled_from(["keep", "drop", "swap", "foreign", "clash"]))
+        if mutation == "drop":
+            del colors[a]
+        elif mutation == "swap":
+            colors[a], colors[b] = colors[b], colors[a]
+        elif mutation == "foreign":
+            colors["Nowhere"] = colors.pop(a)
+        elif mutation == "clash" and graph.edges:
+            u, v, _ = draw(st.sampled_from(graph.edges))
+            colors[names[u]] = colors[names[v]]
+        payload = colors
+    else:
+        seq = list(payload)
+        i, j = (draw(st.integers(0, len(seq) - 1)) for _ in range(2))
+        mutation = draw(st.sampled_from(
+            ["keep", "drop", "duplicate", "swap", "foreign"]
+            + {"tour": ["rotate", "reverse"], "node_set": ["extra"], "path": ["empty"]}[solution.kind]
+        ))
+        if mutation == "drop":
+            del seq[i]
+        elif mutation == "duplicate":
+            seq.insert(j, seq[i])
+        elif mutation == "swap":
+            seq[i], seq[j] = seq[j], seq[i]
+        elif mutation == "foreign":
+            seq[i] = "Nowhere"
+        elif mutation == "rotate":
+            seq = seq[i:] + seq[:i]
+        elif mutation == "reverse":
+            seq.reverse()
+        elif mutation == "extra":
+            seq += [name for name in names if name not in seq][:1]
+        elif mutation == "empty":
+            seq = []
+        payload = tuple(seq)
+    objective = solution.objective
+    if draw(st.booleans()):
+        objective += draw(st.sampled_from([-2, -1, 1, 2]))
+    return replace(solution, payload=payload, objective=objective)
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_scoring_matches_the_recomputing_scorer(data):
+    family = data.draw(st.sampled_from(FAMILIES))
+    inst = built(family, data.draw(st.sampled_from([8, 10])), data.draw(st.integers(0, 2)))
+    answers = [inst.truth.optimal, inst.truth.approximate]
+    truth = data.draw(st.sampled_from(answers))
+    prediction = mutated(data.draw, inst.graph, data.draw(st.sampled_from(answers)))
+
+    def outcome(scorer):
+        try:
+            return scorer(prediction, truth, family, inst.graph,
+                          source=inst.source, target=inst.target, instance_id=inst.instance_id)
+        except TruthDefectError as exc:
+            return ("truth defect", exc.objective, exc.optimum)
+
+    assert outcome(score_instance) == outcome(recomputing_score_instance)
 
 
 class TestBooleanTasks:
