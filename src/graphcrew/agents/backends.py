@@ -247,11 +247,12 @@ class ReplayBackend:
                 continue
             try:
                 entry = json.loads(line)
-                self._replies[entry["key"]] = (
-                    entry["text"],
-                    int(entry["input_tokens"]),
-                    int(entry["output_tokens"]),
-                )
+                text, counts = entry["text"], (entry["input_tokens"], entry["output_tokens"])
+                if not isinstance(text, str):
+                    raise TypeError(f"text must be a string, got {text!r}")
+                if not all(type(n) is int and n >= 0 for n in counts):
+                    raise ValueError(f"token counts must be non-negative integers, got {counts}")
+                self._replies[entry["key"]] = (text, *counts)
             except (ValueError, KeyError, TypeError) as exc:
                 raise ConfigError(f"{path}:{lineno}: bad fixture line: {exc}") from exc
 

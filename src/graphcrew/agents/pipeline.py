@@ -4,8 +4,8 @@ Five stages, each a separate backend conversation with its own narrow
 input:
 
 1. ``classify``: problem family plus the asked question.
-2. ``extract_graph``: raw edge-list transcription of the statement.
-3. ``normalize``: cleaned edge list, compared with the merged graph.
+2. ``extract_graph``: edge-list transcription of the statement.
+3. ``normalize``: cleaned edge list, compared with the extracted graph.
 4. ``select``: algorithm choice, compared with the catalogue's selector.
 5. solve natively, then ``audit`` rounds on the computed answer.
 
@@ -15,18 +15,21 @@ function that turns the reply into an override note.  One ask loop
 (:func:`_ask`) runs every row.  A reply that does not carry the stage's
 fenced block (``TAGS`` in :mod:`.prompts`), or that its validator
 rejects, is retried with the rejection reason appended, up to
-``MAX_ATTEMPTS`` attempts.
+``MAX_ATTEMPTS`` attempts.  Both edge-list stages are read by
+:func:`~graphcrew.formats.parse_graph`, which also merges an edge stated
+twice; an unreadable line, a conflicting weight, an endpoint outside the
+roster or an empty list is retried with the parser's own message.
 
 :func:`run_pipeline` runs the rows in two waves, so an instance waits
 out two model round trips, not ``4 + n_check``.  Wave 1 (``classify``,
 ``extract_graph``) reads only the problem text.  From its replies the
-code merges the graph, selects the algorithm and solves and verifies
-the answer; no model reply can change these decisions.  Wave 2
-(``normalize``, ``select``, every ``audit`` round) goes out only once
-all three steps have succeeded, and its replies can only add notes.  A
-backend that waits on the network (``io_bound = True``) gets a thread
-per row of a wave; any other runs the rows one after another.  Calls
-and notes are joined in stage order whatever order the replies came in.
+code selects the algorithm and solves and verifies the answer; no model
+reply can change these decisions.  Wave 2 (``normalize``, ``select``,
+every ``audit`` round) goes out only once both steps have succeeded,
+and its replies can only add notes.  A backend that waits on the
+network (``io_bound = True``) gets a thread per row of a wave; any
+other runs the rows one after another.  Calls and notes are joined in
+stage order whatever order the replies came in.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from functools import partial
 from typing import Any, Callable
 
 from ..execute import run_algorithm
-from ..formats import LooseEdgeList, read_edge_list_loose, serialize_graph
-from ..graph import Graph, GraphError, GraphStats, build_graph, graph_stats, merge_edge_triples
+from ..formats import parse_graph, serialize_graph
+from ..graph import Graph, GraphError, GraphStats, graph_stats
 from ..knowledge import (
     AlgorithmChoice,
     KnowledgeBase,
@@ -69,10 +72,6 @@ class ParseFailureError(PipelineError):
 
 
 class UnsupportedProblemTypeError(PipelineError):
-    pass
-
-
-class EmptyGraphError(PipelineError):
     pass
 
 
@@ -197,22 +196,15 @@ def _problem_spec(body: str) -> ProblemSpec:
     )
 
 
-def _raw_graph(body: str) -> tuple[str, LooseEdgeList]:
-    """The raw edge list as text and as read; an empty one is not retried."""
-    loose = read_edge_list_loose(body)
-    if not loose.triples and not loose.names:
-        raise EmptyGraphError("extract_graph", "the statement yielded no nodes or edges")
-    return body, loose
-
-
-def _cleaned_graph(body: str) -> Graph:
-    proposal = read_edge_list_loose(body)
-    if not proposal.triples and not proposal.names:
-        raise _RejectReply("the cleaned list contained no nodes or edges")
+def _graph(body: str) -> Graph:
+    """The edge list as :func:`parse_graph` reads and merges it."""
     try:
-        return _merge(proposal)
+        graph = parse_graph(body)
     except GraphError as exc:
-        raise _RejectReply(f"the cleaned list was not a valid edge list ({exc})")
+        raise _RejectReply(f"the edge list could not be read ({exc})") from None
+    if not graph.node_count:
+        raise _RejectReply("the edge list contained no nodes or edges")
+    return graph
 
 
 def _algorithm_id(body: str) -> str:
@@ -230,13 +222,6 @@ def _verdict(body: str) -> str:
 
 
 # -- the deterministic steps between the waves --------------------------
-
-
-def _merge(loose: LooseEdgeList) -> Graph:
-    """The deterministic merge of a loosely read edge list into one graph."""
-    directed = bool(loose.directed)
-    triples = merge_edge_triples(loose.triples, directed)
-    return build_graph(loose.roster(), directed, bool(loose.weighted), triples)
 
 
 def _catalogue_text(kb: KnowledgeBase, problem_type: str) -> str:
@@ -401,15 +386,14 @@ def run_pipeline(
     config = config or PipelineConfig()
     kb = config.knowledge_base()
     text = {"problem": problem_text}
-    wave1 = [_Row("classify", text, _problem_spec), _Row("extract_graph", text, _raw_graph)]
+    wave1 = [_Row("classify", text, _problem_spec),
+             _Row("extract_graph", text, lambda body: (body, _graph(body)))]
     io_bound = getattr(backend, "io_bound", False)
     with ThreadPoolExecutor(2 + config.n_check) if io_bound else nullcontext() as pool:
         _wave(pool, backend, wave1, wave1)
-        spec, (raw_text, raw) = wave1[0].value, wave1[1].value
+        spec, (raw_text, graph) = wave1[0].value, wave1[1].value
         problem_type = spec.problem_type
         solve_notes: list[str] = []
-        with _step("normalize", wave1):
-            graph = _merge(raw)
         with _step("select", wave1):
             stats = graph_stats(graph)
             choice = select_algorithm(
@@ -422,7 +406,7 @@ def run_pipeline(
         audit = {"problem_type": problem_type, "graph": serialize_graph(graph),
                  "solution": explanation, "report": "valid"}
         normalize = _Row(
-            "normalize", {"graph": raw_text}, _cleaned_graph,
+            "normalize", {"graph": raw_text}, _graph,
             lambda proposal: None if proposal == graph else (
                 "normalize: backend proposal differed from the deterministic merge; "
                 "deterministic result kept"),

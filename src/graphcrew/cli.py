@@ -302,6 +302,17 @@ def cmd_solve_direct(dataset, backend_config_path, mode, concurrency, out):
     _run_dataset(instances, backend_config, None, concurrency, out, "answered", answer_one)
 
 
+def _priced_call(row: dict) -> CallRecord:
+    """A results file's usage row as a call to price; a row that would
+    make the cost table lie is refused."""
+    stage, counts = row["stage"], (row["input_tokens"], row["output_tokens"])
+    if not isinstance(stage, str):
+        raise TypeError(f"usage stage must be a string, got {stage!r}")
+    if not all(type(n) is int and n >= 0 for n in counts):
+        raise ValueError(f"usage token counts must be non-negative integers, got {counts}")
+    return CallRecord(stage, row.get("attempt", 1), "", "", "", *counts)
+
+
 @main.command("evaluate")
 @click.option("--results", "results_path", required=True,
               type=click.Path(exists=True, dir_okay=False, path_type=Path),
@@ -357,11 +368,7 @@ def cmd_evaluate(results_path, dataset, backend_config_path, out_dir):
             )
         usage = record.get("usage") or []
         try:
-            trails[instance.instance_id] = [
-                CallRecord(u["stage"], u.get("attempt", 1), "", "", "",
-                           u["input_tokens"], u["output_tokens"])
-                for u in usage
-            ]
+            trails[instance.instance_id] = [_priced_call(row) for row in usage]
             ok = record.get("status") == "ok"
             prediction = solution_from_dict(record["solution"]) if ok else None
         except (KeyError, TypeError, AttributeError, ValueError) as exc:

@@ -96,7 +96,12 @@ def read_instances(path: str | Path) -> list[ProblemInstance]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: line {lineno} is not valid JSON: {exc}") from exc
-        instances.append(record_to_instance(record))
+        try:
+            instances.append(record_to_instance(record))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(
+                f"{path}: line {lineno}: malformed instance ({type(exc).__name__}: {exc})"
+            ) from exc
     return instances
 
 

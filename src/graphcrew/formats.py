@@ -11,17 +11,18 @@ A missing ``directed`` header means undirected; a missing ``weighted``
 header means weighted exactly when some row carries a weight; a missing
 ``nodes`` header means the roster is the rows' endpoints.
 
-One scanner reads every line once.  :func:`read_edge_list_loose` returns
-what it read, unreadable lines included; :func:`parse_graph` refuses the
-first unreadable line, then checks the roster and builds the canonical
-:class:`~graphcrew.graph.Graph`.  ``parse_graph(serialize_graph(g)) == g``
-for every graph, and serializing a canonical graph is byte-stable.
+One scanner reads every line once and refuses the first unreadable
+line; :func:`parse_graph` then checks the roster and builds the
+canonical :class:`~graphcrew.graph.Graph`, which merges an edge stated
+twice with one weight and refuses one stated with two.  It is the only
+reader of graph text: dataset records and model replies alike go
+through it.  ``parse_graph(serialize_graph(g)) == g`` for every graph,
+and serializing a canonical graph is byte-stable.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .graph import Graph, GraphError, Weight, build_graph, coerce_weight, format_weight
 
@@ -52,29 +53,6 @@ def serialize_graph(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class LooseEdgeList:
-    """What the scanner read from edge-list-shaped text.
-
-    Duplicate edges are kept for the caller to merge, and a missing
-    header leaves its field ``None``.  Each unreadable line lands in
-    ``skipped`` and its :class:`ParseError` in ``problems``, in line
-    order; an empty ``# nodes:`` roster is a problem that resets
-    ``names`` to ``None`` but is not skipped.
-    """
-
-    names: list[str] | None
-    directed: bool | None
-    weighted: bool | None
-    triples: list[tuple[str, str, Weight]]
-    skipped: tuple[str, ...]
-    problems: tuple[ParseError, ...]
-
-    def roster(self) -> list[str]:
-        """The ``# nodes:`` roster, else the rows' endpoints in sorted order."""
-        return self.names or sorted({name for u, v, _ in self.triples for name in (u, v)})
-
-
 _HEADER_RE = re.compile(r"^#\s*(nodes|directed|weighted)\s*:\s*(.*)$")
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -84,61 +62,47 @@ def _column(raw: str, index: int) -> int:
     return [m.start() for m in _TOKEN_RE.finditer(raw)][index] + 1
 
 
-def _scan(text: str) -> LooseEdgeList:
+def _scan(text: str) -> tuple[list[str] | None, bool, bool, list[tuple[str, str, Weight]]]:
+    """Names (``None`` without a roster), directed, weighted and rows;
+    raises the first unreadable line as a :class:`ParseError`."""
     names: list[str] | None = None
-    directed: bool | None = None
+    directed = False
     weighted: bool | None = None
-    triples: list[tuple[str, str, Weight]] = []
-    skipped: list[str] = []
-    problems: list[ParseError] = []
+    rows: list[tuple[str, str, Weight]] = []
     saw_weight = False
-
-    def skip(line: str, problem: ParseError) -> None:
-        skipped.append(line)
-        problems.append(problem)
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens:
             continue
         if tokens[0][0] != "#":
             if len(tokens) == 2:
-                triples.append((tokens[0], tokens[1], 1))
+                rows.append((tokens[0], tokens[1], 1))
             elif len(tokens) != 3:
-                line = raw.strip()
-                skip(line, ParseError(f"expected 'U V' or 'U V W', got {line!r}", lineno))
+                raise ParseError(f"expected 'U V' or 'U V W', got {raw.strip()!r}", lineno)
             else:
                 try:
-                    triples.append((tokens[0], tokens[1], coerce_weight(tokens[2])))
-                    saw_weight = True
+                    rows.append((tokens[0], tokens[1], coerce_weight(tokens[2])))
                 except GraphError as exc:
-                    skip(raw.strip(), ParseError(str(exc), lineno, _column(raw, 2)))
+                    raise ParseError(str(exc), lineno, _column(raw, 2)) from None
+                saw_weight = True
             continue
         line = raw.strip()
         match = _HEADER_RE.match(line)
         if match is None:
-            skip(line, ParseError(f"bad header line {line!r}", lineno))
-            continue
+            raise ParseError(f"bad header line {line!r}", lineno)
         key, value = match.group(1), match.group(2).strip()
         column = raw.index(":") + 2
         if key == "nodes":
-            names = value.split() or None
-            if names is None:
-                problems.append(ParseError("empty node roster", lineno, column))
+            names = value.split()
+            if not names:
+                raise ParseError("empty node roster", lineno, column)
         elif value not in ("true", "false"):
-            skip(line, ParseError(f"expected 'true' or 'false', got {value!r}", lineno, column))
+            raise ParseError(f"expected 'true' or 'false', got {value!r}", lineno, column)
         elif key == "directed":
             directed = value == "true"
         else:
             weighted = value == "true"
-    if weighted is None and saw_weight:
-        weighted = True
-    return LooseEdgeList(names, directed, weighted, triples, tuple(skipped), tuple(problems))
-
-
-def read_edge_list_loose(text: str) -> LooseEdgeList:
-    """Best-effort read of edge-list-shaped text; never raises."""
-    return _scan(text)
+    return names, directed, saw_weight if weighted is None else weighted, rows
 
 
 def parse_graph(text: str) -> Graph:
@@ -146,20 +110,21 @@ def parse_graph(text: str) -> Graph:
 
     Raises the first :class:`ParseError` in line order, then one for an
     endpoint missing from the ``# nodes:`` roster, and other
-    :class:`~graphcrew.graph.GraphError` subclasses on semantic problems.
+    :class:`~graphcrew.graph.GraphError` subclasses on semantic problems,
+    :class:`~graphcrew.graph.ConflictingWeightsError` among them.
     """
-    scan = _scan(text)
-    if scan.problems:
-        raise scan.problems[0]
-    if scan.names is not None:
-        roster = set(scan.names)
-        for index, (u, v, _) in enumerate(scan.triples):
+    names, directed, weighted, rows = _scan(text)
+    if names is None:
+        names = sorted({name for u, v, _ in rows for name in (u, v)})
+    else:
+        roster = set(names)
+        for index, (u, v, _) in enumerate(rows):
             if u not in roster or v not in roster:
                 token = u if u not in roster else v
                 lineno, raw = _row_line(text, index)
                 raise ParseError(f"endpoint {token!r} missing from roster", lineno,
                                  _column(raw, 0 if token == u else 1))
-    return build_graph(scan.roster(), bool(scan.directed), bool(scan.weighted), scan.triples)
+    return build_graph(names, directed, weighted, rows)
 
 
 def _row_line(text: str, index: int) -> tuple[int, str]:

@@ -34,10 +34,6 @@ class SelfLoopError(GraphError):
     pass
 
 
-class DuplicateEdgeError(GraphError):
-    pass
-
-
 class NegativeWeightError(GraphError):
     pass
 
@@ -175,9 +171,12 @@ def build_graph(
     """Validate and canonicalize raw parts into a :class:`Graph`.
 
     ``edges`` elements are ``(u_name, v_name)`` or ``(u_name, v_name, weight)``;
-    a missing weight defaults to 1.  Raises a :class:`GraphError` subclass on
-    duplicate or empty names, unknown endpoints, self-loops, negative weights,
-    repeated edges, or a non-1 weight in an unweighted graph.
+    a missing weight defaults to 1.  An edge stated again with the same
+    weight is kept once (both ways round, if undirected); stated again with
+    another weight, it raises :class:`ConflictingWeightsError`.  Raises a
+    :class:`GraphError` subclass on duplicate or empty names, unknown
+    endpoints, self-loops, negative weights, or a non-1 weight in an
+    unweighted graph.
     """
     names: list[str] = []
     seen: set[str] = set()
@@ -191,8 +190,7 @@ def build_graph(
     names.sort()
     index = {name: i for i, name in enumerate(names)}
 
-    out: list[tuple[int, int, Weight]] = []
-    used: set[tuple[int, int]] = set()
+    used: dict[tuple[int, int], Weight] = {}
     for item in edges:
         if len(item) == 3:
             u_name, v_name, w = item
@@ -219,40 +217,14 @@ def build_graph(
             )
         if not directed and u > v:
             u, v = v, u
-        if (u, v) in used:
-            raise DuplicateEdgeError(f"edge {u_name}-{v_name} stated twice")
-        used.add((u, v))
-        out.append((u, v, w))
-    out.sort()
-    return Graph(tuple(names), directed, weighted, tuple(out))
-
-
-def merge_edge_triples(
-    triples: list[tuple[str, str, Weight]], directed: bool
-) -> list[tuple[str, str, Weight]]:
-    """Collapse repeated edge statements, refusing contradictory ones.
-
-    Input order is preserved for first occurrences.  A repeat with the
-    same weight is dropped; a repeat with a different weight raises
-    :class:`ConflictingWeightsError`.  Used by the graph normalizer,
-    where messy extracted text may state an edge more than once.
-    """
-    merged: list[tuple[str, str, Weight]] = []
-    by_pair: dict[tuple[str, str], Weight] = {}
-    for u, v, w in triples:
-        key = (u, v)
-        if not directed and u > v:
-            key = (v, u)
-        if key in by_pair:
-            if by_pair[key] != w:
-                raise ConflictingWeightsError(
-                    f"edge {key[0]}-{key[1]} stated with weights "
-                    f"{format_weight(by_pair[key])} and {format_weight(w)}"
-                )
-            continue
-        by_pair[key] = w
-        merged.append((u, v, w))
-    return merged
+        stated = used.setdefault((u, v), w)
+        if stated != w:
+            raise ConflictingWeightsError(
+                f"edge {names[u]}-{names[v]} stated with weights "
+                f"{format_weight(stated)} and {format_weight(w)}"
+            )
+    edges = sorted((u, v, w) for (u, v), w in used.items())
+    return Graph(tuple(names), directed, weighted, tuple(edges))
 
 
 def graph_stats(graph: Graph) -> GraphStats:

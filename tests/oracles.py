@@ -231,22 +231,21 @@ def _token_column(raw, index):
 
 
 def scan_edge_list(text):
-    """The edge-list scanner that strips every line before reading it.
+    """The edge-list reader that strips every line before reading it.
 
-    Rows go through :func:`fraction_coerce_weight`; returns the same
-    ``LooseEdgeList`` that ``read_edge_list_loose`` does.
+    Rows go through :func:`fraction_coerce_weight`, and each row keeps its
+    own line, so the roster is checked without finding the row again.
+    Returns the first problem as ``parse_graph`` orders them (an unreadable
+    line first, then an endpoint missing from the last ``# nodes:`` roster)
+    as a ``ParseError``; else the parts ``(names, directed, weighted,
+    triples)`` for ``build_graph``, with the rows' endpoints as the roster
+    when there is no ``# nodes:`` line.
     """
-    from graphcrew.formats import LooseEdgeList, ParseError
+    from graphcrew.formats import ParseError
     from graphcrew.graph import GraphError
 
     names = directed = weighted = None
-    triples, skipped, problems = [], [], []
-    saw_weight = False
-
-    def skip(line, problem):
-        skipped.append(line)
-        problems.append(problem)
-
+    rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -254,35 +253,42 @@ def scan_edge_list(text):
         if not line.startswith("#"):
             tokens = line.split()
             if len(tokens) == 2:
-                triples.append((tokens[0], tokens[1], 1))
+                rows.append((lineno, raw, tokens[0], tokens[1], None))
             elif len(tokens) != 3:
-                skip(line, ParseError(f"expected 'U V' or 'U V W', got {line!r}", lineno))
+                return ParseError(f"expected 'U V' or 'U V W', got {line!r}", lineno)
             else:
                 try:
-                    triples.append((tokens[0], tokens[1], fraction_coerce_weight(tokens[2])))
-                    saw_weight = True
+                    weight = fraction_coerce_weight(tokens[2])
                 except GraphError as exc:
-                    skip(line, ParseError(str(exc), lineno, _token_column(raw, 2)))
+                    return ParseError(str(exc), lineno, _token_column(raw, 2))
+                rows.append((lineno, raw, tokens[0], tokens[1], weight))
             continue
         match = _HEADER_RE.match(line)
         if match is None:
-            skip(line, ParseError(f"bad header line {line!r}", lineno))
-            continue
+            return ParseError(f"bad header line {line!r}", lineno)
         key, value = match.group(1), match.group(2).strip()
         column = raw.index(":") + 2
         if key == "nodes":
-            names = value.split() or None
-            if names is None:
-                problems.append(ParseError("empty node roster", lineno, column))
+            names = value.split()
+            if not names:
+                return ParseError("empty node roster", lineno, column)
         elif value not in ("true", "false"):
-            skip(line, ParseError(f"expected 'true' or 'false', got {value!r}", lineno, column))
+            return ParseError(f"expected 'true' or 'false', got {value!r}", lineno, column)
         elif key == "directed":
             directed = value == "true"
         else:
             weighted = value == "true"
-    if weighted is None and saw_weight:
-        weighted = True
-    return LooseEdgeList(names, directed, weighted, triples, tuple(skipped), tuple(problems))
+    if names is None:
+        names = sorted({name for row in rows for name in row[2:4]})
+    for lineno, raw, u, v, _ in rows:
+        for index, name in enumerate((u, v)):
+            if name not in names:
+                return ParseError(f"endpoint {name!r} missing from roster", lineno,
+                                  _token_column(raw, index))
+    if weighted is None:
+        weighted = any(w is not None for *_, w in rows)
+    triples = [(u, v, 1 if w is None else w) for _, _, u, v, w in rows]
+    return names, bool(directed), weighted, triples
 
 
 def _recompute_objective(graph, solution):

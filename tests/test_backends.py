@@ -322,6 +322,21 @@ def test_replay_misses_and_bad_fixtures(tmp_path):
     with pytest.raises(ConfigError):
         ReplayBackend(broken)
 
+    # a reply or a count of the wrong type is refused when the file is read,
+    # not when a wave first meets it
+    good = {"key": "k", "text": "t", "input_tokens": 1, "output_tokens": 2}
+    for change, problem in [
+        ({"text": 5}, "text must be a string, got 5"),
+        ({"input_tokens": "1"}, "token counts must be non-negative integers, got ('1', 2)"),
+        ({"output_tokens": -2}, "token counts must be non-negative integers, got (1, -2)"),
+        ({"output_tokens": 1.5}, "token counts must be non-negative integers, got (1, 1.5)"),
+        ({"input_tokens": True}, "token counts must be non-negative integers, got (True, 2)"),
+    ]:
+        broken.write_text(json.dumps(good) + "\n" + json.dumps({**good, **change}) + "\n")
+        with pytest.raises(ConfigError) as err:
+            ReplayBackend(broken)
+        assert str(err.value) == f"{broken}:2: bad fixture line: {problem}"
+
 
 def test_stub_answers_every_stage_in_contract_shape():
     hidden = tsp_hidden()

@@ -227,6 +227,27 @@ class TestSolve:
         assert result.exit_code == 2
         assert "configuration error" in result.output
 
+    def test_malformed_dataset_record_is_config_error(self, runner, tmp_path):
+        out = tmp_path / "ds"
+        _generate(runner, out, extra=["--type", "tsp"])
+        dataset = out / "tsp.jsonl"
+        lines = dataset.read_text().splitlines()
+        record = json.loads(lines[1])
+        del record["hidden"]["truth"]["optimal"]["kind"]
+        lines[1] = json.dumps(record)
+        dataset.write_text("\n".join(lines) + "\n")
+        config = _write_stub_config(tmp_path)
+        results = tmp_path / "results.jsonl"
+        results.write_text("")
+        for args in (["solve", "--dataset", str(dataset), "--backend-config", str(config),
+                      "--out", str(tmp_path / "solved.jsonl")],
+                     ["evaluate", "--results", str(results), "--dataset", str(dataset)]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2
+            assert (f"configuration error: {dataset}: line 2: "
+                    "malformed instance (KeyError: 'kind')") in result.output
+            assert "Traceback" not in result.output
+
     def test_missing_dataset_is_config_error(self, runner, tmp_path):
         config = _write_stub_config(tmp_path)
         result = runner.invoke(
@@ -428,7 +449,23 @@ class TestEvaluate:
         (["tsp-n08-i00", "ok"], "a result must be a JSON object"),
         ({"id": ["tsp-n08-i00"], "status": "failed"},
          "result for unknown instance ['tsp-n08-i00']"),
-    ], ids=["empty-solution", "usage-without-stage", "not-an-object", "unhashable-id"])
+        ({"id": "tsp-n08-i00", "status": "failed",
+          "usage": [{"stage": "classify", "input_tokens": "5", "output_tokens": 7}]},
+         "malformed result (ValueError: usage token counts must be non-negative integers, "
+         "got ('5', 7))"),
+        ({"id": "tsp-n08-i00", "status": "failed",
+          "usage": [{"stage": "classify", "input_tokens": -500, "output_tokens": 7}]},
+         "malformed result (ValueError: usage token counts must be non-negative integers, "
+         "got (-500, 7))"),
+        ({"id": "tsp-n08-i00", "status": "failed",
+          "usage": [{"stage": "classify", "input_tokens": 5, "output_tokens": 1.5}]},
+         "malformed result (ValueError: usage token counts must be non-negative integers, "
+         "got (5, 1.5))"),
+        ({"id": "tsp-n08-i00", "status": "failed",
+          "usage": [{"stage": ["classify"], "input_tokens": 5, "output_tokens": 7}]},
+         "malformed result (TypeError: usage stage must be a string, got ['classify'])"),
+    ], ids=["empty-solution", "usage-without-stage", "not-an-object", "unhashable-id",
+            "string-tokens", "negative-tokens", "fractional-tokens", "stage-not-a-string"])
     def test_malformed_record_is_config_error(self, runner, tmp_path, record, message):
         dataset, config, results = self._solve(runner, tmp_path)
         bad = tmp_path / "bad.jsonl"

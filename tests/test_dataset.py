@@ -287,6 +287,27 @@ class TestRecords:
         with pytest.raises(ValueError, match="line 2"):
             read_instances(path)
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda hidden: hidden["truth"]["optimal"].pop("kind"), "(KeyError: 'kind')"),
+        (lambda hidden: hidden.update(graph=hidden["graph"].replace("weighted: true",
+                                                                     "weighted: yes")),
+         "(ParseError: line 3, column 12: expected 'true' or 'false', got 'yes')"),
+        (lambda hidden: hidden.update(truth=5),
+         "(TypeError: 'int' object is not subscriptable)"),
+    ], ids=["truth-without-kind", "bad-hidden-graph", "truth-not-an-object"])
+    def test_malformed_record_names_its_file_line(self, tmp_path, corrupt, message):
+        path = tmp_path / "tsp.jsonl"
+        spec = DatasetSpec(TSP, min_nodes=8, max_nodes=8, instances_per_size=2)
+        write_instances(generate_dataset(spec), path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        corrupt(record["hidden"])
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            read_instances(path)
+        assert str(err.value) == f"{path}: line 2: malformed instance {message}"
+
     def test_manifest_checksum_tracks_content(self, tmp_path):
         spec = DatasetSpec(TSP, min_nodes=8, max_nodes=8, instances_per_size=1)
         path = tmp_path / "tsp.jsonl"

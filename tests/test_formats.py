@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphcrew.formats import ParseError, parse_graph, read_edge_list_loose, serialize_graph
-from graphcrew.graph import DuplicateEdgeError, build_graph
+from graphcrew.formats import ParseError, parse_graph, serialize_graph
+from graphcrew.graph import ConflictingWeightsError, GraphError, build_graph
 
 from oracles import scan_edge_list
 from test_graph import graph_parts
@@ -44,20 +44,6 @@ def test_serialization_is_byte_stable(parts):
     assert serialize_graph(parse_graph(first)) == first
 
 
-@given(graph_parts())
-def test_loose_reader_reads_what_parse_builds_from(parts):
-    names, directed, weighted, edges = parts
-    g = build_graph(names, directed, weighted, edges)
-    got = read_edge_list_loose(serialize_graph(g))
-    assert got.names == list(g.node_names)
-    assert (got.directed, got.weighted) == (g.directed, g.weighted)
-    assert got.triples == [
-        (g.node_names[u], g.node_names[v], w) for u, v, w in g.edges
-    ]
-    assert got.skipped == () and got.problems == ()
-    assert build_graph(got.names, got.directed, got.weighted, got.triples) == g
-
-
 def test_edge_list_headerless_inference():
     g = parse_graph("B C 4\nA B 2\n")
     assert g.node_names == ("A", "B", "C")
@@ -90,17 +76,16 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as err:
         parse_graph("   A C x")
     assert (err.value.line, err.value.column) == (1, 8)
-    assert [(p.line, p.column) for p in read_edge_list_loose("   A C x").problems] == [(1, 8)]
 
 
 def test_exponent_weight_is_refused_at_once():
     # Fraction would spend seconds building this number before any check
     start = time.perf_counter()
-    got = read_edge_list_loose("A B 1e10000000\n")
+    with pytest.raises(ParseError) as err:
+        parse_graph("A B 1e10000000\n")
     assert time.perf_counter() - start < 0.5
-    assert got.triples == []
-    assert [(p.line, p.column) for p in got.problems] == [(1, 5)]
-    assert "exponent" in str(got.problems[0])
+    assert (err.value.line, err.value.column) == (1, 5)
+    assert "exponent" in str(err.value)
 
 
 def test_parse_rejects_malformed_lines():
@@ -117,45 +102,43 @@ def test_parse_reports_problems_in_line_order():
     with pytest.raises(ParseError) as err:
         parse_graph(text)
     assert str(err.value) == "line 2, column 1: expected 'U V' or 'U V W', got 'A B 1 9'"
-    got = read_edge_list_loose(text)
-    assert [(p.line, p.column) for p in got.problems] == [(2, 1), (3, 14)]
-    assert str(got.problems[1]) == "line 3, column 14: expected 'true' or 'false', got 'maybe'"
+    with pytest.raises(ParseError) as err:
+        parse_graph(text.replace("A B 1 9", "A B 1"))
+    assert str(err.value) == "line 3, column 14: expected 'true' or 'false', got 'maybe'"
+    # an unreadable line anywhere comes before an endpoint missing from the roster
+    with pytest.raises(ParseError) as err:
+        parse_graph("# nodes: A B\nA C 1\nA B x\n")
+    assert (err.value.line, err.value.column) == (3, 5)
 
 
 def test_empty_roster_is_a_problem_but_not_skipped():
-    got = read_edge_list_loose("# nodes: A B\n# nodes:\nA B\n")
-    assert got.names is None
-    assert got.skipped == ()
-    assert [str(p) for p in got.problems] == ["line 2, column 9: empty node roster"]
+    with pytest.raises(ParseError) as err:
+        parse_graph("# nodes: A B\n# nodes:\nA B\n")
+    assert str(err.value) == "line 2, column 9: empty node roster"
     with pytest.raises(ParseError, match="empty node roster"):
         parse_graph("# nodes:\nA B\n")
 
 
 def test_parse_propagates_semantic_errors():
-    with pytest.raises(DuplicateEdgeError):
-        parse_graph("A B 1\nB A 1\n")
+    # an edge restated with its weight is one edge; with another weight it is refused
+    assert parse_graph("A B 1\nB A 1\n") == parse_graph("A B 1\n")
+    with pytest.raises(ConflictingWeightsError, match="edge A-B stated with weights 1 and 2"):
+        parse_graph("A B 1\nB A 2\n")
 
 
-def test_loose_reader_tolerates_mess():
-    got = read_edge_list_loose(
-        "# nodes: A B C\n"
-        "# directed: false\n"
-        "here are the edges:\n"
-        "A B 3\n"
-        "A B 3\n"
-        "B C oops\n"
-        "B C 4\n"
-    )
-    assert got.names == ["A", "B", "C"]
-    assert got.directed is False
-    assert got.weighted is True
-    assert got.triples == [("A", "B", 3), ("A", "B", 3), ("B", "C", 4)]
-    assert got.skipped == ("here are the edges:", "B C oops")
-
-
-def test_loose_reader_empty_text():
-    got = read_edge_list_loose("nothing to see\n")
-    assert got.triples == [] and got.names is None
+def test_parse_refuses_mess_at_its_first_bad_line():
+    with pytest.raises(ParseError) as err:
+        parse_graph(
+            "# nodes: A B C\n"
+            "# directed: false\n"
+            "here are the edges:\n"
+            "A B 3\n"
+            "A B 3\n"
+            "B C oops\n"
+            "B C 4\n"
+        )
+    assert (err.value.line, err.value.column) == (3, 1)
+    assert "'here are the edges:'" in str(err.value)
 
 
 def test_fraction_weights_survive_all_formats():
@@ -197,13 +180,42 @@ def messy_edge_lists(draw):
     return "".join(line + end for line, end in zip(lines, ends))
 
 
-def loose_fields(got):
-    return (got.names, got.directed, got.weighted,
-            [(u, v, w, type(w)) for u, v, w in got.triples], got.skipped,
-            [(p.line, p.column, str(p)) for p in got.problems])
+@st.composite
+def restated_edge_lists(draw):
+    """Readable rows over a few names, often restating an edge, sometimes
+    with another weight, and sometimes naming a node outside the roster."""
+    lines = []
+    if draw(st.booleans()):
+        roster = draw(st.permutations("ABCD"))[:draw(st.integers(1, 4))]
+        lines.append("# nodes: " + " ".join(roster))
+    if draw(st.booleans()):
+        lines.append(f"# directed: {draw(st.sampled_from(['true', 'false']))}")
+    weights = st.sampled_from(["", " 1", " 2", " 2/1", " 7/2"])
+    for _ in range(draw(st.integers(0, 8))):
+        u, v = draw(st.permutations("ABCDE"))[:2]
+        lines.append(f"{u} {v}{draw(weights)}")
+    return "\n".join(lines) + "\n"
 
 
-@given(messy_edge_lists())
-@settings(max_examples=400)
+def outcome(read):
+    """The graph ``read()`` builds, with its weights' types, or its error's type and text."""
+    try:
+        graph = read()
+    except GraphError as exc:
+        return type(exc), str(exc)
+    return graph, [type(w) for _, _, w in graph.edges]
+
+
+def read_with_oracle(text):
+    got = scan_edge_list(text)
+    if isinstance(got, ParseError):
+        raise got
+    return build_graph(*got)
+
+
+@given(st.one_of(messy_edge_lists(), restated_edge_lists()))
+@settings(max_examples=600)
 def test_loose_reader_matches_the_strip_first_oracle(text):
-    assert loose_fields(read_edge_list_loose(text)) == loose_fields(scan_edge_list(text))
+    # parse_graph raises the reference's first problem at the same line and
+    # column, or builds the graph the reference's parts build
+    assert outcome(lambda: parse_graph(text)) == outcome(lambda: read_with_oracle(text))

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from graphcrew.graph import (
     ConflictingWeightsError,
-    DuplicateEdgeError,
     DuplicateNodeError,
     Graph,
     GraphError,
@@ -16,7 +15,6 @@ from graphcrew.graph import (
     coerce_weight,
     format_weight,
     graph_stats,
-    merge_edge_triples,
 )
 from oracles import fraction_coerce_weight
 
@@ -155,8 +153,8 @@ def test_build_rejections():
         build_graph(["A", "B"], False, False, [("A", "A")])
     with pytest.raises(NegativeWeightError):
         build_graph(["A", "B"], False, True, [("A", "B", -1)])
-    with pytest.raises(DuplicateEdgeError):
-        build_graph(["A", "B"], False, True, [("A", "B", 1), ("B", "A", 1)])
+    with pytest.raises(ConflictingWeightsError):
+        build_graph(["A", "B"], False, True, [("A", "B", 1), ("B", "A", 2)])
     with pytest.raises(GraphError):
         build_graph(["A", "B"], False, False, [("A", "B", 3)])
 
@@ -179,13 +177,25 @@ def test_adjacency_and_weight_lookup():
         g.index_of("Z")
 
 
-def test_merge_edge_triples():
-    merged = merge_edge_triples([("A", "B", 3), ("B", "A", 3), ("A", "C", 2)], directed=False)
-    assert merged == [("A", "B", 3), ("A", "C", 2)]
-    with pytest.raises(ConflictingWeightsError):
-        merge_edge_triples([("A", "B", 3), ("B", "A", 5)], directed=False)
-    # Direction matters for directed graphs: no conflict here.
-    assert len(merge_edge_triples([("A", "B", 3), ("B", "A", 5)], directed=True)) == 2
+def test_build_graph_merges_restated_edges():
+    g = build_graph(["A", "B", "C"], False, True, [("A", "B", 3), ("B", "A", 3), ("A", "C", 2)])
+    assert g.edges == ((0, 1, 3), (0, 2, 2))
+    with pytest.raises(ConflictingWeightsError, match="^edge A-B stated with weights 3 and 5$"):
+        build_graph(["A", "B"], False, True, [("B", "A", 3), ("A", "B", 5)])
+    # Direction matters for directed graphs: an antiparallel pair is two edges.
+    assert build_graph(["A", "B"], True, True, [("A", "B", 3), ("B", "A", 5)]).edge_count == 2
+    with pytest.raises(ConflictingWeightsError, match="^edge B-A stated with weights 5 and 4$"):
+        build_graph(["A", "B"], True, True, [("B", "A", 5), ("A", "B", 3), ("B", "A", 4)])
+
+
+@given(graph_parts(), st.randoms(use_true_random=False))
+def test_restated_edges_build_the_same_graph(parts, rng):
+    names, directed, weighted, edges = parts
+    again = [(u, v, w) if directed else (v, u, w) for u, v, w in edges]
+    restated = edges + again
+    rng.shuffle(restated)
+    assert build_graph(names, directed, weighted, restated) == build_graph(
+        names, directed, weighted, edges)
 
 
 def test_stats_small_cases():

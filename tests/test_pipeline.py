@@ -7,7 +7,6 @@ import pytest
 
 from graphcrew.agents import (
     Completion,
-    EmptyGraphError,
     OracleStubBackend,
     ParseFailureError,
     PipelineConfig,
@@ -21,7 +20,8 @@ from graphcrew.agents import (
 )
 from graphcrew.agents.backends import BackendError
 from graphcrew.agents.prompts import TAGS, TemplateError, load_template, render_stage, stage_of_prompt
-from graphcrew.graph import ConflictingWeightsError, GraphError, UnknownEndpointError, build_graph
+from graphcrew.formats import parse_graph
+from graphcrew.graph import GraphError, UnknownEndpointError, build_graph
 from graphcrew.knowledge import NoApplicableAlgorithmError, load_knowledge_base
 
 from test_backends import tsp_hidden
@@ -146,20 +146,86 @@ def test_backend_errors_retry_then_surface():
     assert "3 times" in str(err.value)
 
 
-def test_extract_empty_graph():
-    backend = StageScripted(
-        {"extract_graph": ["```result:graph\nnothing structural here\n```"]}
-    )
-    with pytest.raises(EmptyGraphError) as err:
-        run_pipeline(backend, "p")
-    assert err.value.stage == "extract_graph"
-
-
 WAVE_1 = ["classify", "extract_graph"]
 
 
 def graph_reply(text):
     return f"```result:graph\n{text}```"
+
+
+def extract_prompts(backend):
+    return [user for stage, user in backend.seen if stage == "extract_graph"]
+
+
+def test_extract_empty_graph():
+    # an empty block is retried like any other reply the reader refuses
+    empty = graph_reply("")
+    backend = StageScripted({"extract_graph": [empty]})
+    assert run_pipeline(backend, "p").solution.objective == 14
+    retry = extract_prompts(backend)[1]
+    assert "rejected: the edge list contained no nodes or edges" in retry
+
+    backend = StageScripted({"extract_graph": [empty] * 3})
+    with pytest.raises(ParseFailureError) as err:
+        run_pipeline(backend, "p")
+    assert err.value.stage == "extract_graph"
+    assert "no nodes or edges" in str(err.value)
+    assert [stage for stage, _ in backend.seen] == ["classify", *["extract_graph"] * 3]
+
+
+ROUTE = (
+    "# nodes: A B C D\n# directed: false\n# weighted: true\n"
+    "A B 3\nA C 1\nB D 4\nC D 1\n"
+)
+
+# A transcription fault in each row; a reader that drops the row, or a
+# merge that fails without asking again, loses the route A -> C -> D.
+FAULTY_ROUTES = {
+    "unit-after-weight": (
+        ROUTE.replace("C D 1\n", "C D 1 minutes\n"),
+        "line 7, column 1: expected 'U V' or 'U V W', got 'C D 1 minutes'",
+    ),
+    "dash-between-names": (
+        ROUTE.replace("A C 1", "A - C 1"),
+        "line 5, column 1: expected 'U V' or 'U V W', got 'A - C 1'",
+    ),
+    "conflicting-weight": (
+        ROUTE.replace("A B 3\n", "A B 3\nB A 9\n"),
+        "edge A-B stated with weights 3 and 9",
+    ),
+    "outside-roster": (
+        ROUTE + "C E 1\n",
+        "line 8, column 3: endpoint 'E' missing from roster",
+    ),
+}
+
+
+def route_hidden():
+    return {"problem_type": "shortest_path", "graph": parse_graph(ROUTE),
+            "source": "A", "target": "D"}
+
+
+@pytest.mark.parametrize("faulty, problem", FAULTY_ROUTES.values(), ids=FAULTY_ROUTES)
+def test_faulty_extract_reply_is_retried_with_its_problem(faulty, problem):
+    backend = StageScripted({"extract_graph": [graph_reply(faulty)]}, hidden=route_hidden())
+    out = run_pipeline(backend, "p")
+    assert out.solution.payload == ("A", "C", "D")
+    assert out.solution.objective == 2
+    assert out.notes == ()
+    first, retry = extract_prompts(backend)
+    assert problem not in first and problem in retry
+
+
+@pytest.mark.parametrize("faulty, problem", FAULTY_ROUTES.values(), ids=FAULTY_ROUTES)
+def test_three_faulty_extract_replies_fail_as_extract_graph(faulty, problem):
+    backend = StageScripted({"extract_graph": [graph_reply(faulty)] * 3},
+                            hidden=route_hidden())
+    with pytest.raises(ParseFailureError) as err:
+        run_pipeline(backend, "p")
+    assert err.value.stage == "extract_graph"
+    assert f"(last problem: the edge list could not be read ({problem}))" in str(err.value)
+    assert [c.stage for c in err.value.partial_calls] == ["classify", *["extract_graph"] * 3]
+    assert [stage for stage, _ in backend.seen] == ["classify", *["extract_graph"] * 3]
 
 
 def test_normalize_merges_duplicates():
@@ -177,13 +243,19 @@ def test_normalize_merges_duplicates():
 
 
 def test_normalize_conflicting_weights():
+    # a conflict is a fault of the extract reply, so that reply is asked again
     raw = "# weighted: true\nA B 3\nB A 5\n"
     backend = StageScripted({"extract_graph": [graph_reply(raw)]})
-    with pytest.raises(PipelineError) as err:
+    out = run_pipeline(backend, "p")
+    assert out.solution.objective == 14
+    assert "edge A-B stated with weights 3 and 5" in extract_prompts(backend)[1]
+
+    backend = StageScripted({"extract_graph": [graph_reply(raw)] * 3})
+    with pytest.raises(ParseFailureError) as err:
         run_pipeline(backend, "p")
-    assert err.value.stage == "normalize"
-    assert isinstance(err.value.__cause__, ConflictingWeightsError)
-    assert [c.stage for c in err.value.partial_calls] == WAVE_1
+    assert err.value.stage == "extract_graph"
+    assert "edge A-B stated with weights 3 and 5" in str(err.value)
+    assert [c.stage for c in err.value.partial_calls] == ["classify", *["extract_graph"] * 3]
 
 
 def test_normalize_override_is_deterministic_and_noted():
@@ -193,6 +265,14 @@ def test_normalize_override_is_deterministic_and_noted():
     out = run_pipeline(backend, "p")
     assert out.graph.node_names == ("Depot", "Mill", "Quay", "Yard")
     assert len(out.notes) == 1 and "deterministic result kept" in out.notes[0]
+
+
+def test_unreadable_normalize_reply_is_retried():
+    backend = StageScripted({"normalize": [graph_reply("A B 3 km\n")]})
+    out = run_pipeline(backend, "p")
+    assert out.notes == ()  # the retry came back as the stub's clean list
+    retry = [user for stage, user in backend.seen if stage == "normalize"][1]
+    assert "line 1, column 1: expected 'U V' or 'U V W', got 'A B 3 km'" in retry
 
 
 def test_select_override_is_noted():
