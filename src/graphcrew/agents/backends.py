@@ -4,8 +4,9 @@ Every backend answers one shape of question: a system prompt plus a user
 prompt, returning reply text with token usage.  The live backend talks
 to any chat-completions endpoint; the recording pair captures live
 replies into a JSONL fixture and replays them byte-for-byte later; the
-oracle stub answers from a generated instance's hidden data, which makes
-full-pipeline runs possible with no network and no model.
+offline stub reads the problem statement in its prompts the way a model
+is asked to, which makes full-pipeline runs possible with no network and
+no model; no backend is ever given an instance's hidden data.
 
 API keys are only ever read from the environment variable named in the
 backend config, never from the config file or the command line.
@@ -23,15 +24,20 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass, field, fields
+from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Protocol, runtime_checkable
 
 import yaml
 
+from ..dataset import ground_truth, reference_extract
 from ..formats import serialize_graph
-from ..graph import graph_stats
+from ..graph import GraphStats
 from ..knowledge import KnowledgeBase, default_knowledge_base, select_algorithm
-from .prompts import TAGS, stage_of_prompt
+from ..problems import CYCLE_DETECTION, GRAPH_COLORING, SHORTEST_PATH, TSP, VERTEX_COVER
+from ..solvers import solution_to_dict
+from .prompts import TAGS, slot_value, stage_of_prompt
 
 
 class BackendError(RuntimeError):
@@ -171,6 +177,17 @@ def _fixture_key(system_prompt: str, user_prompt: str, params: dict[str, Any] | 
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _reported_tokens(usage: dict[str, Any], key: str, text: str) -> int:
+    """The count an endpoint reported under ``key``, or the whitespace count
+    of ``text`` when it reported none; any other value is refused."""
+    count = usage.get(key)
+    if count is None:
+        return whitespace_token_count(text)
+    if type(count) is not int or count < 0:
+        raise ValueError(f"usage {key} must be a non-negative integer, got {count!r}")
+    return count
+
+
 class LiveChatBackend:
     """OpenAI-style chat-completions client over HTTP."""
 
@@ -222,11 +239,9 @@ class LiveChatBackend:
             if not isinstance(text, str):
                 raise TypeError(f"message content is {text!r}, not text")
             usage = doc.get("usage") or {}
-            input_tokens = int(
-                usage.get("prompt_tokens")
-                or whitespace_token_count(system_prompt + " " + user_prompt)
-            )
-            output_tokens = int(usage.get("completion_tokens") or whitespace_token_count(text))
+            prompt = system_prompt + " " + user_prompt
+            input_tokens = _reported_tokens(usage, "prompt_tokens", prompt)
+            output_tokens = _reported_tokens(usage, "completion_tokens", text)
         except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
             raise BackendError(f"unexpected response shape from {url}: {exc}") from exc
         return Completion(text=text, usage=Usage(input_tokens, output_tokens))
@@ -297,70 +312,71 @@ class RecordingBackend:
         return completion
 
 
-class OracleStubBackend:
-    """Offline backend that answers each stage from an instance's hidden data.
+# the objective line of a classify reply, by family
+_OBJECTIVES = {
+    TSP: "find the cheapest round trip visiting every node once",
+    GRAPH_COLORING: "find the minimum number of colors for adjacent nodes to differ",
+    VERTEX_COVER: "find a smallest node set touching every edge",
+    SHORTEST_PATH: "find the cheapest path between the two named nodes",
+    CYCLE_DETECTION: "decide whether the graph contains a cycle",
+}
 
-    ``hidden`` is the withheld part of a generated instance: problem type,
-    the true :class:`~graphcrew.graph.Graph`, endpoints, and optionally the
-    known best answer; the graph is serialized once, for the extraction
-    and normalize replies.  Replies follow the same fenced-block contract
-    a live model is asked for, so the pipeline cannot tell the difference.
+
+class OracleStubBackend:
+    """Offline backend that answers each stage from its own prompt.
+
+    It holds no instance data.  ``classify``, ``extract_graph`` and
+    ``direct`` read the problem statement in their prompt with
+    :func:`~graphcrew.dataset.reference_extract`, which recovers a
+    generated text's family, graph and route exactly; ``direct`` answers
+    with the proven optimum on the graph it read.  ``normalize`` echoes
+    the edge list it is given, ``select`` runs the catalogue's selector
+    on the graph facts it is given, and ``audit`` passes.  Replies follow
+    the same fenced-block contract a live model is asked for, so the
+    pipeline cannot tell the difference.
     """
 
     backend_id = "stub"
 
-    def __init__(self, hidden: dict[str, Any], kb: KnowledgeBase | None = None):
-        for required in ("problem_type", "graph"):
-            if required not in hidden:
-                raise ConfigError(f"stub backend needs {required!r} in the hidden data")
-        self._hidden = hidden
-        self._graph_text = serialize_graph(hidden["graph"]).strip()
+    def __init__(self, kb: KnowledgeBase | None = None):
         self._kb = kb or default_knowledge_base()
+        # classify and extract_graph are given the same statement: read it once
+        self._read = lru_cache(maxsize=64)(reference_extract)
 
-    def _reply(self, stage: str) -> str:
+    def _reply(self, stage: str, user: str) -> str:
         """The reply body for ``stage``, one of the stages in ``TAGS``."""
-        hidden = self._hidden
-        if stage == "classify":
-            return (
-                f"problem_type: {hidden['problem_type']}\n"
-                f"objective: {hidden.get('objective', 'answer the stated question')}\n"
-                f"source: {hidden.get('source') or 'none'}\n"
-                f"target: {hidden.get('target') or 'none'}"
-            )
-        if stage in ("extract_graph", "normalize"):
-            return self._graph_text
+        if stage == "normalize":
+            return slot_value(stage, user, "graph")
         if stage == "select":
-            graph = hidden["graph"]
-            choice = select_algorithm(
-                self._kb,
-                hidden["problem_type"],
-                graph_stats(graph),
-                weighted=graph.weighted,
-                directed=graph.directed,
-            )
+            # "8 nodes, 12 edges, density 3/7, connected, not complete, weighted, undirected"
+            facts = slot_value(stage, user, "stats")
+            try:
+                n, m, density, connected, complete, weighted, directed = facts.split(", ")
+                stats = GraphStats(int(n.removesuffix(" nodes")), int(m.removesuffix(" edges")),
+                                   Fraction(density.removeprefix("density ")),
+                                   connected == "connected", complete == "complete")
+            except ValueError:
+                raise ValueError(f"unreadable graph facts {facts!r}") from None
+            choice = select_algorithm(self._kb, slot_value(stage, user, "problem_type"), stats,
+                                      weighted=weighted == "weighted",
+                                      directed=directed == "directed")
             return f"algorithm: {choice.record.algorithm_id}\nreason: {choice.rationale}"
         if stage == "audit":
             return "verdict: pass\nnote: consistent with the graph"
-        return self._direct_answer()
-
-    def _direct_answer(self) -> str:
-        best = self._hidden.get("optimal")
-        if not best:
-            return "answer: unknown"
-        kind = best.get("kind")
-        if kind == "tour":
-            return f"order: {', '.join(best['order'])}\ncost: {best['objective']}"
-        if kind == "coloring":
-            lines = [f"color {name}: {c}" for name, c in sorted(best["colors"].items())]
-            lines.append(f"colors: {best['objective']}")
-            return "\n".join(lines)
-        if kind == "node_set":
-            return f"nodes: {', '.join(best['nodes'])}\nsize: {best['objective']}"
-        if kind == "path":
-            return f"path: {', '.join(best['path'])}\ncost: {best['objective']}"
-        if kind == "boolean":
-            return f"answer: {'yes' if best['answer'] else 'no'}"
-        return "answer: unknown"
+        problem = self._read(slot_value(stage, user, "problem"))
+        if stage == "classify":
+            return (
+                f"problem_type: {problem.problem_type}\n"
+                f"objective: {_OBJECTIVES[problem.problem_type]}\n"
+                f"source: {problem.source or 'none'}\n"
+                f"target: {problem.target or 'none'}"
+            )
+        if stage == "extract_graph":
+            return serialize_graph(problem.graph).strip()
+        best = solution_to_dict(ground_truth(
+            problem.problem_type, problem.graph, problem.source, problem.target, self._kb
+        ).optimal)
+        return _answer_lines(best)
 
     def complete(self, system_prompt, user_prompt, params=None):
         stage = stage_of_prompt(system_prompt)
@@ -368,7 +384,11 @@ class OracleStubBackend:
             raise BackendError("stub got a prompt without a stage marker")
         if stage not in TAGS:
             raise BackendError(f"stub cannot answer stage {stage!r}")
-        text = f"```result:{TAGS[stage]}\n{self._reply(stage)}\n```"
+        try:
+            body = self._reply(stage, user_prompt)
+        except ValueError as exc:
+            raise BackendError(f"stub cannot answer the {stage} prompt: {exc}") from exc
+        text = f"```result:{TAGS[stage]}\n{body}\n```"
         usage = Usage(
             input_tokens=whitespace_token_count(system_prompt + " " + user_prompt),
             output_tokens=whitespace_token_count(text),
@@ -376,23 +396,30 @@ class OracleStubBackend:
         return Completion(text=text, usage=usage)
 
 
-def make_backend(
-    config: BackendConfig,
-    *,
-    hidden: dict[str, Any] | None = None,
-    kb: KnowledgeBase | None = None,
-) -> ChatBackend:
-    """Build a backend from config; stub kinds need the instance's hidden data."""
+def _answer_lines(best: dict[str, Any]) -> str:
+    """A direct-mode answer block body for a solution record."""
+    kind = best["kind"]
+    if kind == "tour":
+        return f"order: {', '.join(best['order'])}\ncost: {best['objective']}"
+    if kind == "coloring":
+        lines = [f"color {name}: {c}" for name, c in sorted(best["colors"].items())]
+        lines.append(f"colors: {best['objective']}")
+        return "\n".join(lines)
+    if kind == "node_set":
+        return f"nodes: {', '.join(best['nodes'])}\nsize: {best['objective']}"
+    if kind == "path":
+        return f"path: {', '.join(best['path'])}\ncost: {best['objective']}"
+    return f"answer: {'yes' if best['answer'] else 'no'}"
+
+
+def make_backend(config: BackendConfig, *, kb: KnowledgeBase | None = None) -> ChatBackend:
+    """Build a backend from config; ``kb`` is the catalogue the stub selects from."""
     if config.kind == "live":
         return LiveChatBackend(config)
     if config.kind == "replay":
         return ReplayBackend(config.fixtures)
     if config.kind == "record":
-        return RecordingBackend(
-            make_backend(config.inner, hidden=hidden, kb=kb), config.fixtures
-        )
+        return RecordingBackend(make_backend(config.inner, kb=kb), config.fixtures)
     if config.kind == "stub":
-        if hidden is None:
-            raise ConfigError("stub backend needs the instance's hidden data")
-        return OracleStubBackend(hidden, kb)
+        return OracleStubBackend(kb)
     raise ConfigError(f"unknown backend kind {config.kind!r}")

@@ -406,7 +406,8 @@ def run_pipeline(
         audit = {"problem_type": problem_type, "graph": serialize_graph(graph),
                  "solution": explanation, "report": "valid"}
         normalize = _Row(
-            "normalize", {"graph": raw_text}, _graph,
+            "normalize", {"graph": raw_text},
+            lambda body: graph if body == raw_text else _graph(body),
             lambda proposal: None if proposal == graph else (
                 "normalize: backend proposal differed from the deterministic merge; "
                 "deterministic result kept"),

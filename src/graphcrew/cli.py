@@ -18,7 +18,6 @@ from pathlib import Path
 import click
 
 from .agents import (
-    BackendConfig,
     CallRecord,
     ConfigError,
     DirectOutcome,
@@ -154,12 +153,6 @@ def _load_kb(path: Path | None):
     return load_knowledge_base(path.read_text(encoding="utf-8"))
 
 
-def _needs_hidden(config: BackendConfig) -> bool:
-    if config.kind == "stub":
-        return True
-    return config.inner is not None and _needs_hidden(config.inner)
-
-
 def _usage_rows(calls) -> list[dict]:
     return [
         {
@@ -191,21 +184,13 @@ def _run_dataset(instances, backend_config, kb, concurrency, out, verb, answer_o
     """Answer every instance, write the results in dataset order and report.
 
     ``answer_one(backend, instance)`` returns the instance's results
-    record.  Stub backends are built per instance from its hidden data;
-    any other backend is shared.  The directory of ``out`` is made before
-    the first call, so a run never pays for answers it cannot write.
-    Exits 1 when some instance failed.
+    record.  One backend answers every instance, and it is given only
+    the prompts.  The directory of ``out`` is made before the first call,
+    so a run never pays for answers it cannot write.  Exits 1 when some
+    instance failed.
     """
     _make_dir(out.parent)
-    shared_backend = None
-    if not _needs_hidden(backend_config):
-        shared_backend = make_backend(backend_config, kb=kb)
-
-    def run_one(instance):
-        backend = shared_backend
-        if backend is None:
-            backend = make_backend(backend_config, hidden=instance.hidden_payload(), kb=kb)
-        return answer_one(backend, instance)
+    run_one = functools.partial(answer_one, make_backend(backend_config, kb=kb))
 
     if concurrency > 1:
         with ThreadPoolExecutor(max_workers=concurrency) as pool:

@@ -1,19 +1,20 @@
 """Regex reference extractor for generated problem text.
 
 This is the deterministic counterpart to the prose renderer: it knows
-the fixed sentence shapes each scenario uses and pulls the roster, the
-edges, and any route endpoints straight back out.  It exists for two
-jobs: proving in tests that rendered text preserves the hidden graph,
-and serving as a no-model baseline for the extraction stage.
+the fixed sentence shapes each scenario uses and pulls the family, the
+roster, the edges, and any route endpoints straight back out.  It proves
+in tests that rendered text preserves the hidden graph, and it is how
+the offline ``stub`` backend reads the problem statement in its prompts,
+so no backend ever sees an instance's hidden data.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from fractions import Fraction
 
-from ..graph import Graph, Weight, build_graph
-from .text import ROUTE_QUESTION_PATTERN, SCENARIO_STYLES
+from ..graph import Graph, build_graph
+from .text import _QUESTIONS, ROUTE_QUESTION_PATTERN, SCENARIO_STYLES
 
 
 class ExtractionError(ValueError):
@@ -22,70 +23,49 @@ class ExtractionError(ValueError):
 
 @dataclass(frozen=True)
 class ExtractedProblem:
+    problem_type: str
     graph: Graph
     source: str | None
     target: str | None
 
 
-def _parse_number(token: str) -> Weight:
-    if "/" in token:
-        return Fraction(token)
-    return int(token)
+# every scenario's fact sentences, each found where it ends a line
+_ROSTERS = [style.roster_pattern() for style in SCENARIO_STYLES.values()]
+_WEIGHTED = [style.edge_weighted_pattern() for style in SCENARIO_STYLES.values()]
+_UNWEIGHTED = [style.edge_unweighted_pattern() for style in SCENARIO_STYLES.values()]
+
+# each family's question template, any slot filled by any words
+_QUESTION_PATTERNS = {
+    family: re.compile(".+?".join(map(re.escape, re.split(r"\{[a-z_]+\}", template))))
+    for family, template in _QUESTIONS.items()
+}
 
 
 def reference_extract(text: str) -> ExtractedProblem:
-    """Recover the graph hidden in rendered problem text.
+    """Recover the problem hidden in rendered problem text.
 
-    All scenario styles are tried; their sentence shapes are disjoint, so
-    whichever one matches wins.  Unrecognized lines are ignored, which is
-    the whole point: distractors and filler never match a fact pattern.
+    Each scenario's fact patterns scan the whole text once; their
+    sentence shapes are disjoint, so a fact sentence matches one pattern
+    at most.  Unrecognized lines are ignored, which is the whole point:
+    distractors and filler never match a fact pattern.
     """
-    patterns = []
-    for style in SCENARIO_STYLES.values():
-        patterns.append((style.roster_pattern(),
-                         style.edge_weighted_pattern(),
-                         style.edge_unweighted_pattern()))
-
-    roster: list[str] | None = None
-    triples: list[tuple[str, str, Weight]] = []
-    saw_weighted = False
-    saw_unweighted = False
-
-    for raw_line in text.splitlines():
-        line = raw_line.strip()
-        if not line:
-            continue
-        for roster_re, weighted_re, unweighted_re in patterns:
-            match = roster_re.match(line)
-            if match:
-                roster = [part.strip() for part in match.group(1).split(",")]
-                break
-            match = weighted_re.match(line)
-            if match:
-                u, v, w = match.groups()
-                triples.append((u, v, _parse_number(w)))
-                saw_weighted = True
-                break
-            match = unweighted_re.match(line)
-            if match:
-                u, v = match.groups()
-                triples.append((u, v, 1))
-                saw_unweighted = True
-                break
-
-    if roster is None:
+    rosters = [match for pattern in _ROSTERS for match in pattern.finditer(text)]
+    if not rosters:
         raise ExtractionError("no roster sentence found")
-    if saw_weighted and saw_unweighted:
+    roster = max(rosters, key=re.Match.start).group(1)
+
+    # (u, v, weight text) triples; build_graph reads each weight
+    weighted = [triple for pattern in _WEIGHTED for triple in pattern.findall(text)]
+    unweighted = [pair for pattern in _UNWEIGHTED for pair in pattern.findall(text)]
+    if weighted and unweighted:
         raise ExtractionError("mixed weighted and unweighted fact sentences")
 
+    family = next((family for family, pattern in _QUESTION_PATTERNS.items()
+                   if pattern.search(text)), None)
+    if family is None:
+        raise ExtractionError("no question sentence found")
     route = ROUTE_QUESTION_PATTERN.search(text)
-    source = route.group(1) if route else None
-    target = route.group(2) if route else None
 
-    graph = build_graph(
-        roster,
-        directed=False,
-        weighted=saw_weighted,
-        edges=triples,
-    )
-    return ExtractedProblem(graph=graph, source=source, target=target)
+    graph = build_graph([part.strip() for part in roster.split(",")], directed=False,
+                        weighted=bool(weighted), edges=weighted or unweighted)
+    return ExtractedProblem(family, graph, *(route.groups() if route else (None, None)))

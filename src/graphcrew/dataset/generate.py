@@ -12,7 +12,6 @@ import hashlib
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any
 
 from ..graph import Graph, build_graph, graph_stats
 from ..knowledge import KnowledgeBase, default_knowledge_base, select_algorithm
@@ -28,18 +27,8 @@ from ..problems import (
     check_problem_type,
 )
 from ..solvers import Solution
-from ..solvers.solution import solution_to_dict
 from .names import generate_names
 from .text import SCENARIO_STYLES, render_problem_text
-
-# objective phrasing handed to the classification stub
-_OBJECTIVES = {
-    TSP: "find the cheapest round trip visiting every node once",
-    GRAPH_COLORING: "find the minimum number of colors for adjacent nodes to differ",
-    VERTEX_COVER: "find a smallest node set touching every edge",
-    SHORTEST_PATH: "find the cheapest path between the two named nodes",
-    CYCLE_DETECTION: "decide whether the graph contains a cycle",
-}
 
 DEFAULT_MIN_NODES = 8
 DEFAULT_MAX_NODES = 25
@@ -75,21 +64,6 @@ class ProblemInstance:
     source: str | None
     target: str | None
     truth: GroundTruth | None
-
-    def hidden_payload(self) -> dict[str, Any]:
-        """The withheld data an oracle stub backend answers from."""
-        if self.graph is None:
-            raise ValueError(f"instance {self.instance_id} carries no hidden data")
-        payload: dict[str, Any] = {
-            "problem_type": self.problem_type,
-            "graph": self.graph,
-            "objective": _OBJECTIVES[self.problem_type],
-            "source": self.source,
-            "target": self.target,
-        }
-        if self.truth is not None:
-            payload["optimal"] = solution_to_dict(self.truth.optimal)
-        return payload
 
 
 @dataclass(frozen=True)

@@ -62,9 +62,12 @@ class ScenarioStyle:
     def unit_singular(self) -> str:
         return self.unit[:-1] if self.unit.endswith("s") else self.unit
 
+    # Each pattern finds its sentence wherever the sentence ends a line.  A
+    # pattern opens with the template's literal first words, not ``^``, so
+    # the regex engine can jump straight to them in a whole text.
     def roster_pattern(self) -> re.Pattern[str]:
         head = self.roster_template.split("{names}")[0]
-        return re.compile("^" + re.escape(head) + r"(.+)\.$")
+        return re.compile(re.escape(head) + r"(.+)\.$", re.M)
 
     def edge_weighted_pattern(self) -> re.Pattern[str]:
         return _template_pattern(self.edge_weighted, self)
@@ -87,7 +90,7 @@ def _template_pattern(template: str, style: "ScenarioStyle") -> re.Pattern[str]:
             out.append(_NAME)
         pos = match.end()
     out.append(re.escape(template[pos:]))
-    return re.compile("^" + "".join(out) + "$")
+    return re.compile("".join(out) + "$", re.M)
 
 
 _DELIVERY = ScenarioStyle(

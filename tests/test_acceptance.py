@@ -176,10 +176,10 @@ def test_criterion_3_dataset_statistics(tmp_path):
 def test_criterion_4_offline_pipeline_correctness():
     started = time.monotonic()
     scores = []
+    backend = OracleStubBackend()
     for problem_type in NODE_BEARING:
         for n in range(8, 26):
             instance = build_instance(problem_type, n, 0)
-            backend = OracleStubBackend(instance.hidden_payload())
             outcome = run_pipeline(backend, instance.text)
             scores.append(score_prediction(
                 outcome.solution,

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -25,15 +26,23 @@ from graphcrew.agents import (
     whitespace_token_count,
 )
 from graphcrew.agents.backends import BackendConfig
+from graphcrew.agents.prompts import render_stage
+from graphcrew.dataset import render_problem_text
 from graphcrew.formats import serialize_graph
 from graphcrew.graph import build_graph
+from graphcrew.problems import DEFAULT_SCENARIO
 from util import closed_port_url
 
 
-def tsp_hidden():
-    names = ["Depot", "Mill", "Quay", "Yard"]
-    g = build_graph(
-        names,
+def problem_text(graph, problem_type, source=None, target=None):
+    """The statement generation writes for ``graph``, noise included."""
+    return render_problem_text(graph, problem_type, DEFAULT_SCENARIO[problem_type], "standard",
+                               random.Random(0), source, target)
+
+
+def tsp_graph():
+    return build_graph(
+        ["Depot", "Mill", "Quay", "Yard"],
         False,
         True,
         [
@@ -41,18 +50,9 @@ def tsp_hidden():
             ("Mill", "Quay", 5), ("Mill", "Yard", 8), ("Quay", "Yard", 2),
         ],
     )
-    return {
-        "problem_type": "tsp",
-        "graph": g,
-        "source": None,
-        "target": None,
-        "objective": "find the cheapest round trip",
-        "optimal": {
-            "kind": "tour",
-            "order": ["Depot", "Mill", "Quay", "Yard"],
-            "objective": "14",
-        },
-    }
+
+
+TSP_TEXT = problem_text(tsp_graph(), "tsp")
 
 
 def test_whitespace_token_count():
@@ -235,11 +235,19 @@ def test_live_backend_error_paths(monkeypatch, endpoint):
      "unexpected response shape"),
     (reply(200, {"choices": [{"message": {"content": "a"}}], "usage": [1]}),
      "unexpected response shape"),
+    (reply(200, {"choices": [{"message": {"content": "a"}}], "usage": {"prompt_tokens": -500}}),
+     "unexpected response shape .*: usage prompt_tokens must be a non-negative integer, got -500"),
+    (reply(200, {"choices": [{"message": {"content": "a"}}],
+                 "usage": {"completion_tokens": 2.7}}),
+     "response shape .*: usage completion_tokens must be a non-negative integer, got 2.7"),
+    (reply(200, {"choices": [{"message": {"content": "a"}}], "usage": {"prompt_tokens": True}}),
+     "unexpected response shape .*: usage prompt_tokens must be a non-negative integer, got True"),
     (reply(200, {"choices": []}, delay=0.6), "request to .* failed: .*timed out"),
     (reply(200, {"choices": [{"message": {"content": "cut short"}}]}, cut=True),
      "request to .* failed: IncompleteRead"),
 ], ids=["rate-limited", "not-json", "null-content", "non-numeric-usage", "usage-not-a-mapping",
-        "slower-than-timeout", "dropped-mid-body"])
+        "negative-usage", "fractional-usage", "boolean-usage", "slower-than-timeout",
+        "dropped-mid-body"])
 def test_live_backend_bad_replies_are_backend_errors(monkeypatch, endpoint, scripted, message):
     monkeypatch.setenv("EXAMPLE_KEY", "sk-test")
     endpoint.replies.append(scripted)
@@ -254,6 +262,22 @@ def test_live_backend_usage_fallback(monkeypatch, endpoint):
     backend = LiveChatBackend(live_config(endpoint.url))
     completion = backend.complete("one two", "three")
     assert completion.usage == Usage(3, 3)
+
+
+def test_live_backend_keeps_a_reported_zero(monkeypatch, endpoint):
+    monkeypatch.setenv("EXAMPLE_KEY", "sk-test")
+    endpoint.replies.append(reply(body={
+        "choices": [{"message": {"content": "a b c"}}],
+        "usage": {"prompt_tokens": 0, "completion_tokens": 0},
+    }))
+    backend = LiveChatBackend(live_config(endpoint.url))
+    assert backend.complete("one two", "three").usage == Usage(0, 0)
+
+    endpoint.replies.append(reply(body={
+        "choices": [{"message": {"content": "a b c"}}],
+        "usage": {"prompt_tokens": None, "completion_tokens": 0},
+    }))
+    assert backend.complete("one two", "three").usage == Usage(3, 0)
 
 
 def test_live_call_needs_no_third_party_http_client(endpoint):
@@ -338,68 +362,101 @@ def test_replay_misses_and_bad_fixtures(tmp_path):
         assert str(err.value) == f"{broken}:2: bad fixture line: {problem}"
 
 
+def ask_stub(stub, stage, **slots):
+    return stub.complete(*render_stage(stage, slots))
+
+
 def test_stub_answers_every_stage_in_contract_shape():
-    hidden = tsp_hidden()
-    stub = OracleStubBackend(hidden)
-    classify = stub.complete("[stage:classify]", "u")
+    stub = OracleStubBackend()
+    classify = ask_stub(stub, "classify", problem=TSP_TEXT)
     assert classify.usage.output_tokens == whitespace_token_count(classify.text)
     fields = parse_fields(extract_block(classify.text, "problem"))
     assert fields["problem_type"] == "tsp"
     assert fields["source"] == "none" and fields["target"] == "none"
 
-    extract = stub.complete("[stage:extract_graph]", "u")
-    assert extract_block(extract.text, "graph") == serialize_graph(hidden["graph"]).strip()
-    assert stub.complete("[stage:normalize]", "u").text == extract.text
+    extract = ask_stub(stub, "extract_graph", problem=TSP_TEXT)
+    graph_text = extract_block(extract.text, "graph")
+    assert graph_text == serialize_graph(tsp_graph()).strip()
+    assert ask_stub(stub, "normalize", graph=graph_text).text == extract.text
 
-    select = stub.complete("[stage:select]", "u")
+    facts = "4 nodes, 6 edges, density 1, connected, complete, weighted, undirected"
+    select = ask_stub(stub, "select", problem_type="tsp", stats=facts, catalogue="")
     choice = parse_fields(extract_block(select.text, "choice"))
     assert choice["algorithm"] == "held_karp"
 
-    audit = stub.complete("[stage:audit]", "u")
+    audit = ask_stub(stub, "audit", problem_type="tsp", graph=graph_text, solution="s",
+                     report="valid")
     assert parse_fields(extract_block(audit.text, "verdict"))["verdict"] == "pass"
 
-    direct = stub.complete("[stage:direct]", "u")
+    direct = ask_stub(stub, "direct", directive="", problem=TSP_TEXT)
     answer = parse_fields(extract_block(direct.text, "answer"))
     assert answer["order"] == "Depot, Mill, Quay, Yard"
     assert answer["cost"] == "14"
 
 
+def test_stub_reads_its_prompt_not_a_fixed_reply():
+    # retry feedback after the template does not change what a slot holds
+    stub = OracleStubBackend()
+    system, user = render_stage("normalize", {"graph": "A B 1"})
+    retried = f"{user}\n\nYour previous reply was rejected: A B 2. Reply again."
+    assert extract_block(stub.complete(system, retried).text, "graph") == "A B 1"
+
+    # a statement's route and the graph facts decide the classify and select replies
+    route = build_graph(["Ash", "Birch", "Cedar"], False, True,
+                        [("Ash", "Birch", 2), ("Birch", "Cedar", 3)])
+    classify = ask_stub(stub, "classify",
+                        problem=problem_text(route, "shortest_path", "Cedar", "Ash"))
+    fields = parse_fields(extract_block(classify.text, "problem"))
+    assert (fields["problem_type"], fields["source"], fields["target"]) == (
+        "shortest_path", "Cedar", "Ash")
+    facts = "30 nodes, 435 edges, density 1, connected, complete, weighted, undirected"
+    select = ask_stub(stub, "select", problem_type="tsp", stats=facts, catalogue="")
+    assert parse_fields(extract_block(select.text, "choice"))["algorithm"] == (
+        "nearest_neighbor_2opt")
+
+
 def test_stub_direct_answers_other_kinds():
-    base = tsp_hidden()
-    base["optimal"] = {"kind": "coloring", "colors": {"A": 0, "B": 1}, "objective": "2"}
-    text = OracleStubBackend(base).complete("[stage:direct]", "u").text
+    stub = OracleStubBackend()
+    pair = build_graph(["A", "B"], False, False, [("A", "B")])
+    text = ask_stub(stub, "direct", directive="",
+                    problem=problem_text(pair, "graph_coloring")).text
     body = extract_block(text, "answer")
     assert "color A: 0" in body and "colors: 2" in body
 
-    base["optimal"] = {"kind": "boolean", "answer": False, "objective": "0"}
-    text = OracleStubBackend(base).complete("[stage:direct]", "u").text
+    chain = build_graph(["A", "B", "C"], False, False, [("A", "B"), ("B", "C")])
+    text = ask_stub(stub, "direct", directive="",
+                    problem=problem_text(chain, "cycle_detection")).text
     assert "answer: no" in extract_block(text, "answer")
-
-    base["optimal"] = None
-    text = OracleStubBackend(base).complete("[stage:direct]", "u").text
-    assert "answer: unknown" in extract_block(text, "answer")
 
 
 def test_stub_rejects_bad_inputs():
-    with pytest.raises(ConfigError):
-        OracleStubBackend({"problem_type": "tsp"})
-    stub = OracleStubBackend(tsp_hidden())
+    stub = OracleStubBackend()
     with pytest.raises(BackendError):
         stub.complete("no marker here", "u")
     with pytest.raises(BackendError):
         stub.complete("[stage:mystery]", "u")
+    # a prompt the stub cannot read fails like a backend, not with a guess
+    for stage, slots, problem in [
+        ("classify", {"problem": "Words with no structure."}, "no roster sentence found"),
+        ("direct", {"directive": "", "problem": TSP_TEXT.rsplit("\n\n", 1)[0]},
+         "no question sentence found"),
+        ("select", {"problem_type": "tsp", "stats": "many nodes", "catalogue": ""},
+         "unreadable graph facts 'many nodes'"),
+    ]:
+        message = f"stub cannot answer the {stage} prompt: {problem}"
+        with pytest.raises(BackendError, match=message):
+            ask_stub(stub, stage, **slots)
+    system, _ = render_stage("classify", {"problem": "p"})
+    with pytest.raises(BackendError, match="does not frame a {problem} slot"):
+        stub.complete(system, "a user prompt not rendered from the template")
 
 
 def test_make_backend_dispatch(tmp_path):
-    stub = make_backend(BackendConfig(kind="stub"), hidden=tsp_hidden())
-    assert isinstance(stub, OracleStubBackend)
-    with pytest.raises(ConfigError):
-        make_backend(BackendConfig(kind="stub"))
+    assert isinstance(make_backend(BackendConfig(kind="stub")), OracleStubBackend)
     fixtures = tmp_path / "f.jsonl"
     fixtures.write_text("")
     assert isinstance(make_backend(BackendConfig(kind="replay", fixtures=str(fixtures))), ReplayBackend)
     recording = make_backend(
         BackendConfig(kind="record", fixtures=str(fixtures), inner=BackendConfig(kind="stub")),
-        hidden=tsp_hidden(),
     )
     assert isinstance(recording, RecordingBackend)

@@ -257,16 +257,25 @@ class TestSolve:
         )
         assert result.exit_code == 2
 
-    def test_stub_needs_hidden_data(self, runner, tmp_path):
+    def test_stub_solves_text_only_files(self, runner, tmp_path):
+        # the stub reads each statement from its prompts, so the hidden
+        # part of a record changes nothing it writes
         out = tmp_path / "ds"
-        _generate(runner, out, extra=["--type", "tsp"])
-        config = _write_stub_config(tmp_path)
-        result = runner.invoke(
-            main,
-            ["solve", "--dataset", str(out / "tsp.text.jsonl"),
-             "--backend-config", str(config)],
-        )
-        assert result.exit_code == 2
+        families = ["tsp", "graph_coloring", "vertex_cover", "shortest_path", "cycle_detection"]
+        _generate(runner, out, extra=[arg for family in families for arg in ("--type", family)])
+        config = str(_write_stub_config(tmp_path))
+        for family in families:
+            for verb in ("solve", "solve-direct"):
+                written = []
+                for dataset in (f"{family}.jsonl", f"{family}.text.jsonl"):
+                    results = tmp_path / f"{verb}-{dataset}"
+                    result = runner.invoke(main, [verb, "--dataset", str(out / dataset),
+                                                  "--backend-config", config,
+                                                  "--out", str(results)])
+                    assert result.exit_code == 0, result.output
+                    written.append(results.read_bytes())
+                assert written[0] == written[1], (family, verb)
+                assert written[0].count(b'"status":"ok"') == 4
 
 
     @pytest.mark.parametrize("verb", ["solve", "solve-direct"])

@@ -268,14 +268,14 @@ class TestRecords:
         truth_value = str(instances[0].truth.optimal.objective)
         assert f'"{truth_value}"' not in path.read_text()
 
-    def test_text_only_instances_refuse_hidden_payload(self, tmp_path):
+    def test_text_only_instances_carry_no_hidden_data(self, tmp_path):
         instances = [build_instance(TSP, 8, 0)]
         path = tmp_path / "public.jsonl"
         write_text_only(instances, path)
         lite = read_instances(path)[0]
         assert lite.graph is None and lite.truth is None
-        with pytest.raises(ValueError):
-            lite.hidden_payload()
+        assert lite.source is None and lite.target is None
+        assert lite.text == instances[0].text
 
     def test_record_needs_id_and_text(self):
         with pytest.raises(ValueError):

@@ -35,10 +35,30 @@ class TestExactRecovery:
         assert reference_extract(found.text).graph == found.graph
 
 
+class TestReader:
+    @pytest.mark.parametrize("ptype", PROBLEM_TYPES)
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    @pytest.mark.parametrize("noise", NOISE_LEVELS)
+    def test_reads_family_graph_and_route(self, ptype, scenario, noise):
+        # what the offline stub answers classify and extract_graph with
+        for n in (8, 16, 25):
+            inst = build_instance(ptype, n, 0, master_seed=11, noise_level=noise,
+                                  scenario=scenario)
+            got = reference_extract(inst.text)
+            assert (got.problem_type, got.graph, got.source, got.target) == (
+                inst.problem_type, inst.graph, inst.source, inst.target), inst.instance_id
+
+
 class TestRejection:
     def test_no_roster_is_an_error(self):
         with pytest.raises(ExtractionError, match="roster"):
             reference_extract("Just some words with no structure at all.")
+
+    def test_no_question_is_an_error(self):
+        inst = build_instance(TSP, 8, 0, noise_level="none")
+        statement = inst.text.rsplit("\n\n", 1)[0]
+        with pytest.raises(ExtractionError, match="no question sentence found"):
+            reference_extract(statement)
 
     def test_mixed_fact_styles_rejected(self):
         inst_w = build_instance(TSP, 8, 0, noise_level="none")

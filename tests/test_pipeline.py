@@ -1,6 +1,7 @@
 import random
 import threading
 import time
+from fractions import Fraction
 from importlib import resources
 
 import pytest
@@ -18,13 +19,14 @@ from graphcrew.agents import (
     run_pipeline,
     whitespace_token_count,
 )
+from graphcrew.agents import pipeline
 from graphcrew.agents.backends import BackendError
 from graphcrew.agents.prompts import TAGS, TemplateError, load_template, render_stage, stage_of_prompt
 from graphcrew.formats import parse_graph
 from graphcrew.graph import GraphError, UnknownEndpointError, build_graph
 from graphcrew.knowledge import NoApplicableAlgorithmError, load_knowledge_base
 
-from test_backends import tsp_hidden
+from test_backends import TSP_TEXT, problem_text
 
 
 class StageScripted:
@@ -32,9 +34,9 @@ class StageScripted:
 
     backend_id = "scripted"
 
-    def __init__(self, scripts: dict[str, list], hidden=None):
+    def __init__(self, scripts: dict[str, list]):
         self.scripts = {stage: list(replies) for stage, replies in scripts.items()}
-        self.fallback = OracleStubBackend(hidden or tsp_hidden())
+        self.fallback = OracleStubBackend()
         self.seen: list[tuple[str, str]] = []
 
     def complete(self, system_prompt, user_prompt, params=None):
@@ -49,7 +51,7 @@ class StageScripted:
 
 
 def test_full_run_with_stub():
-    out = run_pipeline(OracleStubBackend(tsp_hidden()), "prose statement")
+    out = run_pipeline(OracleStubBackend(), TSP_TEXT)
     assert out.solution.algorithm_id == "held_karp"
     assert out.solution.objective == 14
     assert out.solution.exact
@@ -66,22 +68,22 @@ def test_full_run_with_stub():
 
 
 def test_n_check_controls_audit_rounds():
-    none = run_pipeline(OracleStubBackend(tsp_hidden()), "p", PipelineConfig(n_check=0))
+    none = run_pipeline(OracleStubBackend(), TSP_TEXT, PipelineConfig(n_check=0))
     assert none.audit_verdicts == ()
     assert [c.stage for c in none.calls].count("audit") == 0
-    three = run_pipeline(OracleStubBackend(tsp_hidden()), "p", PipelineConfig(n_check=3))
+    three = run_pipeline(OracleStubBackend(), TSP_TEXT, PipelineConfig(n_check=3))
     assert three.audit_verdicts == ("pass", "pass", "pass")
 
 
 def test_repeat_runs_are_identical():
-    first = run_pipeline(OracleStubBackend(tsp_hidden()), "p")
-    second = run_pipeline(OracleStubBackend(tsp_hidden()), "p")
+    first = run_pipeline(OracleStubBackend(), TSP_TEXT)
+    second = run_pipeline(OracleStubBackend(), TSP_TEXT)
     assert first.solution == second.solution
     assert first.calls == second.calls
 
 
 def test_stage_inputs_stay_narrow():
-    prose = "UNIQUE_PROSE_MARKER the courier story"
+    prose = "UNIQUE_PROSE_MARKER " + TSP_TEXT
     backend = StageScripted({})
     run_pipeline(backend, prose)
     by_stage = {}
@@ -102,7 +104,7 @@ def test_retry_appends_feedback_and_counts_attempts():
     backend.scripts["classify"][1] = (
         "```result:problem\nproblem_type: tsp\nobjective: o\nsource: none\ntarget: none\n```"
     )
-    out = run_pipeline(backend, "prose")
+    out = run_pipeline(backend, TSP_TEXT)
     assert out.problem_spec.problem_type == "tsp"
     classify_calls = [u for s, u in backend.seen if s == "classify"]
     assert len(classify_calls) == 2
@@ -112,7 +114,7 @@ def test_retry_appends_feedback_and_counts_attempts():
 def test_retry_budget_exhaustion():
     backend = StageScripted({"classify": ["junk", "junk", "junk"]})
     with pytest.raises(ParseFailureError) as err:
-        run_pipeline(backend, "prose")
+        run_pipeline(backend, TSP_TEXT)
     assert err.value.stage == "classify"
     assert len([1 for s, _ in backend.seen if s == "classify"]) == 3
 
@@ -126,13 +128,13 @@ def test_missing_field_retries_but_unknown_type_does_not():
             ]
         }
     )
-    assert run_pipeline(backend, "p").problem_spec.problem_type == "tsp"
+    assert run_pipeline(backend, TSP_TEXT).problem_spec.problem_type == "tsp"
 
     backend = StageScripted(
         {"classify": ["```result:problem\nproblem_type: minimum_spanning_tree\n```"]}
     )
     with pytest.raises(UnsupportedProblemTypeError):
-        run_pipeline(backend, "p")
+        run_pipeline(backend, TSP_TEXT)
     assert len([1 for s, _ in backend.seen if s == "classify"]) == 1
 
 
@@ -141,7 +143,7 @@ def test_backend_errors_retry_then_surface():
         {"classify": [BackendError("down"), BackendError("down"), BackendError("down")]}
     )
     with pytest.raises(PipelineError) as err:
-        run_pipeline(backend, "p")
+        run_pipeline(backend, TSP_TEXT)
     assert err.value.stage == "classify"
     assert "3 times" in str(err.value)
 
@@ -161,13 +163,13 @@ def test_extract_empty_graph():
     # an empty block is retried like any other reply the reader refuses
     empty = graph_reply("")
     backend = StageScripted({"extract_graph": [empty]})
-    assert run_pipeline(backend, "p").solution.objective == 14
+    assert run_pipeline(backend, TSP_TEXT).solution.objective == 14
     retry = extract_prompts(backend)[1]
     assert "rejected: the edge list contained no nodes or edges" in retry
 
     backend = StageScripted({"extract_graph": [empty] * 3})
     with pytest.raises(ParseFailureError) as err:
-        run_pipeline(backend, "p")
+        run_pipeline(backend, TSP_TEXT)
     assert err.value.stage == "extract_graph"
     assert "no nodes or edges" in str(err.value)
     assert [stage for stage, _ in backend.seen] == ["classify", *["extract_graph"] * 3]
@@ -200,15 +202,13 @@ FAULTY_ROUTES = {
 }
 
 
-def route_hidden():
-    return {"problem_type": "shortest_path", "graph": parse_graph(ROUTE),
-            "source": "A", "target": "D"}
+ROUTE_TEXT = problem_text(parse_graph(ROUTE), "shortest_path", "A", "D")
 
 
 @pytest.mark.parametrize("faulty, problem", FAULTY_ROUTES.values(), ids=FAULTY_ROUTES)
 def test_faulty_extract_reply_is_retried_with_its_problem(faulty, problem):
-    backend = StageScripted({"extract_graph": [graph_reply(faulty)]}, hidden=route_hidden())
-    out = run_pipeline(backend, "p")
+    backend = StageScripted({"extract_graph": [graph_reply(faulty)]})
+    out = run_pipeline(backend, ROUTE_TEXT)
     assert out.solution.payload == ("A", "C", "D")
     assert out.solution.objective == 2
     assert out.notes == ()
@@ -218,10 +218,9 @@ def test_faulty_extract_reply_is_retried_with_its_problem(faulty, problem):
 
 @pytest.mark.parametrize("faulty, problem", FAULTY_ROUTES.values(), ids=FAULTY_ROUTES)
 def test_three_faulty_extract_replies_fail_as_extract_graph(faulty, problem):
-    backend = StageScripted({"extract_graph": [graph_reply(faulty)] * 3},
-                            hidden=route_hidden())
+    backend = StageScripted({"extract_graph": [graph_reply(faulty)] * 3})
     with pytest.raises(ParseFailureError) as err:
-        run_pipeline(backend, "p")
+        run_pipeline(backend, ROUTE_TEXT)
     assert err.value.stage == "extract_graph"
     assert f"(last problem: the edge list could not be read ({problem}))" in str(err.value)
     assert [c.stage for c in err.value.partial_calls] == ["classify", *["extract_graph"] * 3]
@@ -234,11 +233,10 @@ def test_normalize_merges_duplicates():
         "# nodes: A B C\n# directed: false\n# weighted: true\n"
         "A B 3\nB A 3\nB C 4\nA C 5\n"
     )
-    hidden = dict(tsp_hidden(), graph=k3)
-    backend = StageScripted({"extract_graph": [graph_reply(raw)]}, hidden=hidden)
-    out = run_pipeline(backend, "p")
+    backend = StageScripted({"extract_graph": [graph_reply(raw)]})
+    out = run_pipeline(backend, problem_text(k3, "tsp"))
     assert out.graph.edges == ((0, 1, 3), (0, 2, 5), (1, 2, 4))
-    assert out.notes == ()  # the stub's clean list is the merge
+    assert out.notes == ()  # the stub echoes the raw list, which reads as the merge
     assert out.solution.objective == 12
 
 
@@ -246,42 +244,60 @@ def test_normalize_conflicting_weights():
     # a conflict is a fault of the extract reply, so that reply is asked again
     raw = "# weighted: true\nA B 3\nB A 5\n"
     backend = StageScripted({"extract_graph": [graph_reply(raw)]})
-    out = run_pipeline(backend, "p")
+    out = run_pipeline(backend, TSP_TEXT)
     assert out.solution.objective == 14
     assert "edge A-B stated with weights 3 and 5" in extract_prompts(backend)[1]
 
     backend = StageScripted({"extract_graph": [graph_reply(raw)] * 3})
     with pytest.raises(ParseFailureError) as err:
-        run_pipeline(backend, "p")
+        run_pipeline(backend, TSP_TEXT)
     assert err.value.stage == "extract_graph"
     assert "edge A-B stated with weights 3 and 5" in str(err.value)
     assert [c.stage for c in err.value.partial_calls] == ["classify", *["extract_graph"] * 3]
 
 
 def test_normalize_override_is_deterministic_and_noted():
-    hidden = tsp_hidden()
     wrong = "# nodes: A B\n# directed: false\n# weighted: true\nA B 99\n"
-    backend = StageScripted({"normalize": [graph_reply(wrong)]}, hidden=hidden)
-    out = run_pipeline(backend, "p")
+    backend = StageScripted({"normalize": [graph_reply(wrong)]})
+    out = run_pipeline(backend, TSP_TEXT)
     assert out.graph.node_names == ("Depot", "Mill", "Quay", "Yard")
     assert len(out.notes) == 1 and "deterministic result kept" in out.notes[0]
 
 
+def test_an_unchanged_normalize_reply_is_not_read_again(monkeypatch):
+    reads = []
+    monkeypatch.setattr(pipeline, "parse_graph",
+                        lambda text: reads.append(text) or parse_graph(text))
+    out = run_pipeline(OracleStubBackend(), TSP_TEXT)
+    assert out.notes == ()
+    assert len(reads) == 1  # the extract reply; the stub's echo of it is not read again
+
+    # a different list is read, and noted only when it reads as another graph
+    clean = parse_graph(reads[0])
+    reordered = "\n".join(reversed(reads[0].splitlines()))
+    wrong = "# nodes: A B\n# directed: false\n# weighted: true\nA B 99"
+    for reply, noted in ((reordered, False), (wrong, True)):
+        reads.clear()
+        out = run_pipeline(StageScripted({"normalize": [graph_reply(reply + "\n")]}), TSP_TEXT)
+        assert reads[1:] == [reply]
+        assert out.graph == clean
+        assert [("deterministic result kept" in note) for note in out.notes] == (
+            [True] if noted else [])
+
+
 def test_unreadable_normalize_reply_is_retried():
     backend = StageScripted({"normalize": [graph_reply("A B 3 km\n")]})
-    out = run_pipeline(backend, "p")
-    assert out.notes == ()  # the retry came back as the stub's clean list
+    out = run_pipeline(backend, TSP_TEXT)
+    assert out.notes == ()  # the retry came back as the stub's echo of the extract reply
     retry = [user for stage, user in backend.seen if stage == "normalize"][1]
     assert "line 1, column 1: expected 'U V' or 'U V W', got 'A B 3 km'" in retry
 
 
 def test_select_override_is_noted():
-    hidden = tsp_hidden()
     backend = StageScripted(
         {"select": ["```result:choice\nalgorithm: nearest_neighbor_2opt\nreason: vibes\n```"]},
-        hidden=hidden,
     )
-    out = run_pipeline(backend, "p")
+    out = run_pipeline(backend, TSP_TEXT)
     assert out.choice.record.algorithm_id == "held_karp"
     assert any("selector wins" in note for note in out.notes)
 
@@ -290,7 +306,7 @@ def test_audit_fail_verdict_is_advisory():
     backend = StageScripted(
         {"audit": ["```result:verdict\nverdict: fail\nnote: hmm\n```"]}
     )
-    out = run_pipeline(backend, "p")
+    out = run_pipeline(backend, TSP_TEXT)
     assert out.solution.objective == 14
     assert out.audit_verdicts[0] == "fail"
     assert any("mechanical verification is authoritative" in n for n in out.notes)
@@ -321,10 +337,9 @@ def test_solver_rejection_surfaces_with_rationale():
         True,
         [("Depot", "Mill", 3), ("Mill", "Quay", 5), ("Quay", "Yard", 2)],
     )
-    hidden = dict(tsp_hidden(), graph=incomplete)
     config = PipelineConfig(kb=load_knowledge_base(WRONG_LIMIT_KB))
     with pytest.raises(SolverError) as err:
-        run_pipeline(OracleStubBackend(hidden, config.kb), "p", config)
+        run_pipeline(OracleStubBackend(config.kb), problem_text(incomplete, "tsp"), config)
     assert err.value.stage == "solve"
     assert "not complete" in str(err.value) and "rationale" in str(err.value)
 
@@ -332,32 +347,32 @@ def test_solver_rejection_surfaces_with_rationale():
 def test_pipeline_error_carries_partial_trail():
     backend = StageScripted({"classify": ["junk", "junk", "junk"]})
     with pytest.raises(ParseFailureError) as err:
-        run_pipeline(backend, "p")
+        run_pipeline(backend, TSP_TEXT)
     stages = [c.stage for c in err.value.partial_calls]
     assert stages.count("classify") == 3
     assert stages.count("extract_graph") == 1
 
 
 def test_choose_algorithm_standalone():
-    out = run_pipeline(OracleStubBackend(tsp_hidden()), "p")
+    out = run_pipeline(OracleStubBackend(), TSP_TEXT)
     assert out.choice.record.algorithm_id == "held_karp"
     assert "exact" in out.choice.rationale
 
 
-def path_hidden():
-    graph = build_graph(["Ash", "Birch", "Cedar"], True, True,
-                        [("Ash", "Birch", 2), ("Birch", "Cedar", 3), ("Ash", "Cedar", 9)])
-    return {"problem_type": "shortest_path", "graph": graph,
-            "source": "Ash", "target": "Cedar"}
+PATH_TEXT = problem_text(
+    build_graph(["Ash", "Birch", "Cedar"], True, True,
+                [("Ash", "Birch", 2), ("Birch", "Cedar", 3), ("Ash", "Cedar", 9)]),
+    "shortest_path", "Ash", "Cedar",
+)
 
 
 @pytest.mark.parametrize("source, cause", [("none", GraphError), ("Zed", UnknownEndpointError)])
 def test_solver_failure_is_named_solve_and_sends_no_wave_2(source, cause):
     reply = (f"```result:problem\nproblem_type: shortest_path\nobjective: o\n"
              f"source: {source}\ntarget: Cedar\n```")
-    backend = StageScripted({"classify": [reply]}, hidden=path_hidden())
+    backend = StageScripted({"classify": [reply]})
     with pytest.raises(PipelineError) as err:
-        run_pipeline(backend, "p")
+        run_pipeline(backend, PATH_TEXT)
     assert err.value.stage == "solve"
     assert isinstance(err.value.__cause__, cause)
     assert [c.stage for c in err.value.partial_calls] == WAVE_1
@@ -368,7 +383,7 @@ def test_selector_failure_is_named_select_and_sends_no_wave_2():
     incomplete = "# nodes: A B C\n# directed: false\n# weighted: true\nA B 1\nB C 2\n"
     backend = StageScripted({"extract_graph": [graph_reply(incomplete)]})
     with pytest.raises(PipelineError) as err:
-        run_pipeline(backend, "p")
+        run_pipeline(backend, TSP_TEXT)
     assert err.value.stage == "select"
     assert isinstance(err.value.__cause__, NoApplicableAlgorithmError)
     assert [c.stage for c in err.value.partial_calls] == WAVE_1
@@ -400,7 +415,7 @@ def test_render_stage_never_reads_a_slot_value_as_a_slot():
 
 
 def test_run_direct_modes():
-    outcome = run_direct(OracleStubBackend(tsp_hidden()), "p", mode="direct")
+    outcome = run_direct(OracleStubBackend(), TSP_TEXT, mode="direct")
     assert outcome.failure is None
     assert outcome.solution.kind == "tour"
     assert outcome.solution.payload == ("Depot", "Mill", "Quay", "Yard")
@@ -408,31 +423,35 @@ def test_run_direct_modes():
     assert outcome.solution.algorithm_id == "direct"
     assert not outcome.solution.exact
 
-    cot = run_direct(OracleStubBackend(tsp_hidden()), "p", mode="cot")
+    cot = run_direct(OracleStubBackend(), TSP_TEXT, mode="cot")
     assert cot.solution.algorithm_id == "direct_cot"
     assert "step by step" in cot.calls[0].user_prompt
 
     with pytest.raises(ValueError):
-        run_direct(OracleStubBackend(tsp_hidden()), "p", mode="telepathy")
+        run_direct(OracleStubBackend(), TSP_TEXT, mode="telepathy")
 
 
 def test_run_direct_failure_is_data_not_exception():
     backend = StageScripted({"direct": ["word salad", "more salad", "still salad"]})
-    outcome = run_direct(backend, "p")
+    outcome = run_direct(backend, TSP_TEXT)
     assert outcome.solution is None
     assert "no usable reply" in outcome.failure
     assert len(outcome.calls) == 3
 
 
 def test_run_direct_parses_each_kind():
+    stars = build_graph(["A", "B", "C", "D", "E", "F"], False, False,
+                        [("A", "C"), ("A", "D"), ("B", "E"), ("B", "F")])
+    hop = build_graph(["A", "B", "C"], False, True,
+                      [("A", "B", Fraction(7, 2)), ("B", "C", 1), ("A", "C", 5)])
+    triangle = build_graph(["A", "B", "C"], False, False, [("A", "B"), ("B", "C"), ("A", "C")])
     cases = [
-        ({"kind": "node_set", "nodes": ["B", "A"], "objective": "2"}, "node_set", ("A", "B"), 2),
-        ({"kind": "path", "path": ["A", "B"], "objective": "7/2"}, "path", ("A", "B"), None),
-        ({"kind": "boolean", "answer": True, "objective": "1"}, "boolean", True, 1),
+        (problem_text(stars, "vertex_cover"), "node_set", ("A", "B"), 2),
+        (problem_text(hop, "shortest_path", "A", "B"), "path", ("A", "B"), None),
+        (problem_text(triangle, "cycle_detection"), "boolean", True, 1),
     ]
-    for optimal, kind, payload, objective in cases:
-        hidden = dict(tsp_hidden(), optimal=optimal)
-        outcome = run_direct(OracleStubBackend(hidden), "p")
+    for text, kind, payload, objective in cases:
+        outcome = run_direct(OracleStubBackend(), text)
         assert outcome.solution.kind == kind
         assert outcome.solution.payload == payload
         if objective is not None:
@@ -443,7 +462,7 @@ def test_run_direct_refuses_an_exponent_cost():
     reply = "```result:answer\norder: Depot, Mill, Quay, Yard\ncost: 1e9999999\n```"
     backend = StageScripted({"direct": [reply] * 3})
     start = time.perf_counter()
-    outcome = run_direct(backend, "p")
+    outcome = run_direct(backend, TSP_TEXT)
     assert time.perf_counter() - start < 1
     assert outcome.solution is None
     assert "exponent notation is not accepted" in outcome.failure
@@ -483,10 +502,10 @@ def test_io_bound_backend_overlaps_each_wave():
     barriers = {"classify": wave1, "extract_graph": wave1,
                 "normalize": wave2, "select": wave2, "audit": wave2}
     threads_before = threading.active_count()
-    out = run_pipeline(IOBound(OracleStubBackend(tsp_hidden()), barriers), "p")
+    out = run_pipeline(IOBound(OracleStubBackend(), barriers), TSP_TEXT)
     assert threading.active_count() == threads_before  # the pool is shut down
     assert not wave1.broken and not wave2.broken
-    assert out == run_pipeline(OracleStubBackend(tsp_hidden()), "p")
+    assert out == run_pipeline(OracleStubBackend(), TSP_TEXT)
 
 
 def test_io_bound_path_matches_the_inline_path():
@@ -497,10 +516,11 @@ def test_io_bound_path_matches_the_inline_path():
             "select": ["```result:choice\nalgorithm: nearest_neighbor_2opt\nreason: vibes\n```"],
         })
 
-    inline = run_pipeline(scripted(), "p", PipelineConfig(n_check=3))
+    inline = run_pipeline(scripted(), TSP_TEXT, PipelineConfig(n_check=3))
     assert len(inline.notes) == 2
     for seed in range(20):
-        threaded = run_pipeline(IOBound(scripted(), seed=seed), "p", PipelineConfig(n_check=3))
+        threaded = run_pipeline(IOBound(scripted(), seed=seed), TSP_TEXT,
+                                PipelineConfig(n_check=3))
         assert threaded.calls == inline.calls
         assert threaded.notes == inline.notes
         assert threaded.audit_verdicts == inline.audit_verdicts
@@ -517,13 +537,13 @@ def test_earliest_stage_error_wins_and_every_call_is_kept(io_bound):
     junk = ["junk", "junk", "junk"]
     backend = StageScripted({"classify": list(junk), "extract_graph": list(junk)})
     with pytest.raises(ParseFailureError) as err:
-        run_pipeline(wrap(backend), "p")
+        run_pipeline(wrap(backend), TSP_TEXT)
     assert err.value.stage == "classify"
     assert [c.stage for c in err.value.partial_calls] == ["classify"] * 3 + ["extract_graph"] * 3
 
     backend = StageScripted({"normalize": list(junk), "select": list(junk)})
     with pytest.raises(ParseFailureError) as err:
-        run_pipeline(wrap(backend), "p")
+        run_pipeline(wrap(backend), TSP_TEXT)
     assert err.value.stage == "normalize"
     assert [c.stage for c in err.value.partial_calls] == [
         "classify", "extract_graph", *["normalize"] * 3, *["select"] * 3, "audit", "audit",
