@@ -24,7 +24,6 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Protocol, runtime_checkable
@@ -33,11 +32,10 @@ import yaml
 
 from ..dataset import ground_truth, reference_extract
 from ..formats import serialize_graph
-from ..graph import GraphStats
 from ..knowledge import KnowledgeBase, default_knowledge_base, select_algorithm
 from ..problems import CYCLE_DETECTION, GRAPH_COLORING, SHORTEST_PATH, TSP, VERTEX_COVER
 from ..solvers import solution_to_dict
-from .prompts import TAGS, slot_value, stage_of_prompt
+from .prompts import TAGS, read_graph_facts, slot_value, stage_of_prompt
 
 
 class BackendError(RuntimeError):
@@ -348,18 +346,9 @@ class OracleStubBackend:
         if stage == "normalize":
             return slot_value(stage, user, "graph")
         if stage == "select":
-            # "8 nodes, 12 edges, density 3/7, connected, not complete, weighted, undirected"
-            facts = slot_value(stage, user, "stats")
-            try:
-                n, m, density, connected, complete, weighted, directed = facts.split(", ")
-                stats = GraphStats(int(n.removesuffix(" nodes")), int(m.removesuffix(" edges")),
-                                   Fraction(density.removeprefix("density ")),
-                                   connected == "connected", complete == "complete")
-            except ValueError:
-                raise ValueError(f"unreadable graph facts {facts!r}") from None
+            stats, weighted, directed = read_graph_facts(slot_value(stage, user, "stats"))
             choice = select_algorithm(self._kb, slot_value(stage, user, "problem_type"), stats,
-                                      weighted=weighted == "weighted",
-                                      directed=directed == "directed")
+                                      weighted=weighted, directed=directed)
             return f"algorithm: {choice.record.algorithm_id}\nreason: {choice.rationale}"
         if stage == "audit":
             return "verdict: pass\nnote: consistent with the graph"

@@ -42,7 +42,7 @@ from typing import Any, Callable
 
 from ..execute import run_algorithm
 from ..formats import parse_graph, serialize_graph
-from ..graph import Graph, GraphError, GraphStats, graph_stats
+from ..graph import Graph, GraphError, graph_stats
 from ..knowledge import (
     AlgorithmChoice,
     KnowledgeBase,
@@ -55,7 +55,7 @@ from ..problems import PROBLEM_TYPES
 from ..solvers import Solution, SolverInputError, verify_solution
 from .backends import BackendError, ChatBackend
 from .blocks import extract_block, parse_fields
-from .prompts import TAGS, render_stage
+from .prompts import TAGS, graph_facts, render_stage
 
 MAX_ATTEMPTS = 3
 
@@ -243,17 +243,6 @@ def _catalogue_text(kb: KnowledgeBase, problem_type: str) -> str:
     return "\n".join(lines)
 
 
-def _stats_text(graph: Graph, stats: GraphStats) -> str:
-    return (
-        f"{stats.node_count} nodes, {stats.edge_count} edges, "
-        f"density {stats.density}, "
-        f"{'connected' if stats.is_connected else 'not connected'}, "
-        f"{'complete' if stats.is_complete else 'not complete'}, "
-        f"{'weighted' if graph.weighted else 'unweighted'}, "
-        f"{'directed' if graph.directed else 'undirected'}"
-    )
-
-
 def _explain(solution: Solution, graph: Graph, problem_type: str) -> str:
     n, m = graph.node_count, graph.edge_count
     head = f"Algorithm {solution.algorithm_id} ran on {n} nodes and {m} edges."
@@ -414,7 +403,7 @@ def run_pipeline(
         )
         select = _Row(
             "select",
-            {"problem_type": problem_type, "stats": _stats_text(graph, stats),
+            {"problem_type": problem_type, "stats": graph_facts(graph, stats),
              "catalogue": _catalogue_text(kb, problem_type)},
             _algorithm_id,
             lambda proposed: None if proposed == chosen else (

@@ -9,8 +9,11 @@ what a prompt holds in one of its slots, the way a model reads it.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+
+from ..graph import Graph, GraphStats
 
 # each stage, and the tag of the ```result:<tag>``` block its reply must end with
 TAGS: dict[str, str] = {
@@ -83,6 +86,32 @@ def slot_value(stage: str, user_prompt: str, name: str) -> str:
     if end < 0:
         raise TemplateError(f"the {stage!r} prompt does not frame a {{{name}}} slot")
     return user_prompt[start + len(head):end]
+
+
+# the select prompt's words for each graph flag, when true and when false
+_FLAG_WORDS = (("connected", "not connected"), ("complete", "not complete"),
+               ("weighted", "unweighted"), ("directed", "undirected"))
+
+
+def graph_facts(graph: Graph, stats: GraphStats) -> str:
+    """The select prompt's ``{stats}`` slot, e.g. "8 nodes, 12 edges,
+    density 3/7, connected, not complete, weighted, undirected"."""
+    flags = (stats.is_connected, stats.is_complete, graph.weighted, graph.directed)
+    words = [yes if flag else no for (yes, no), flag in zip(_FLAG_WORDS, flags)]
+    return ", ".join([f"{stats.node_count} nodes", f"{stats.edge_count} edges",
+                      f"density {stats.density}", *words])
+
+
+def read_graph_facts(text: str) -> tuple[GraphStats, bool, bool]:
+    """``(stats, weighted, directed)`` back from a :func:`graph_facts` text."""
+    try:
+        n, m, density, *words = text.split(", ")
+        flags = [pair.index(word) == 0 for pair, word in zip(_FLAG_WORDS, words, strict=True)]
+        stats = GraphStats(int(n.removesuffix(" nodes")), int(m.removesuffix(" edges")),
+                           Fraction(density.removeprefix("density ")), *flags[:2])
+    except ValueError:
+        raise ValueError(f"unreadable graph facts {text!r}") from None
+    return stats, *flags[2:]
 
 
 def cot_directive() -> str:

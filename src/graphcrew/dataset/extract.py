@@ -44,11 +44,12 @@ _QUESTION_PATTERNS = {
 def reference_extract(text: str) -> ExtractedProblem:
     """Recover the problem hidden in rendered problem text.
 
-    Each scenario's fact patterns scan the whole text once; their
-    sentence shapes are disjoint, so a fact sentence matches one pattern
-    at most.  Unrecognized lines are ignored, which is the whole point:
-    distractors and filler never match a fact pattern.
+    Each scenario's fact patterns scan the whole text, its lines stripped,
+    once; their sentence shapes are disjoint, so a fact sentence matches
+    one pattern at most.  Unrecognized lines are ignored, which is the
+    whole point: distractors and filler never match a fact pattern.
     """
+    text = "\n".join(map(str.strip, text.splitlines()))
     rosters = [match for pattern in _ROSTERS for match in pattern.finditer(text)]
     if not rosters:
         raise ExtractionError("no roster sentence found")

@@ -48,6 +48,13 @@ class TestReader:
             assert (got.problem_type, got.graph, got.source, got.target) == (
                 inst.problem_type, inst.graph, inst.source, inst.target), inst.instance_id
 
+    @pytest.mark.parametrize("ending", [" \n", "\t\n", "\r\n", " \r\n"])
+    def test_line_endings_and_trailing_blanks_change_nothing(self, ending):
+        inst = build_instance(TSP, 8, 0, noise_level="heavy")
+        got = reference_extract(ending.join(inst.text.split("\n")))
+        assert got == reference_extract(inst.text)
+        assert got.graph == inst.graph
+
 
 class TestRejection:
     def test_no_roster_is_an_error(self):

@@ -21,9 +21,17 @@ from graphcrew.agents import (
 )
 from graphcrew.agents import pipeline
 from graphcrew.agents.backends import BackendError
-from graphcrew.agents.prompts import TAGS, TemplateError, load_template, render_stage, stage_of_prompt
+from graphcrew.agents.prompts import (
+    TAGS,
+    TemplateError,
+    graph_facts,
+    load_template,
+    read_graph_facts,
+    render_stage,
+    stage_of_prompt,
+)
 from graphcrew.formats import parse_graph
-from graphcrew.graph import GraphError, UnknownEndpointError, build_graph
+from graphcrew.graph import GraphError, UnknownEndpointError, build_graph, graph_stats
 from graphcrew.knowledge import NoApplicableAlgorithmError, load_knowledge_base
 
 from test_backends import TSP_TEXT, problem_text
@@ -405,6 +413,26 @@ def test_every_template_belongs_to_a_stage():
     assert stems - {"cot_directive"} == set(TAGS)
 
 
+def test_graph_facts_read_back():
+    graphs = [
+        build_graph(["A", "B", "C"], False, True, [("A", "B", 2), ("B", "C", 3), ("A", "C", 1)]),
+        build_graph(["A", "B", "C", "D"], True, False, [("A", "B"), ("C", "D")]),
+        build_graph(["A"], False, False, []),
+    ]
+    for graph in graphs:
+        stats = graph_stats(graph)
+        text = graph_facts(graph, stats)
+        assert read_graph_facts(text) == (stats, graph.weighted, graph.directed)
+    assert graph_facts(graphs[1], graph_stats(graphs[1])) == (
+        "4 nodes, 2 edges, density 1/6, not connected, not complete, unweighted, directed")
+    for bad in ["many nodes", "4 nodes, 2 edges, density 1/6, not connected, not complete",
+                "4 nodes, 2 edges, density 1/6, connected, connected, weighted, directed",
+                "4 edges, 2 nodes, density 1/6, connected, complete, weighted, directed",
+                "4 nodes, 2 edges, density 1/6, connected, complete, weighted, directed, sparse"]:
+        with pytest.raises(ValueError, match="unreadable graph facts"):
+            read_graph_facts(bad)
+
+
 def test_render_stage_never_reads_a_slot_value_as_a_slot():
     _, user = render_stage("classify", {"problem": "drive {route}, then {problem}"})
     assert "drive {route}, then {problem}" in user
@@ -456,6 +484,13 @@ def test_run_direct_parses_each_kind():
         assert outcome.solution.payload == payload
         if objective is not None:
             assert outcome.solution.objective == objective
+
+    # a node set stated out of order is read sorted
+    unsorted = StageScripted({"direct": ["```result:answer\nnodes: B, A\nsize: 2\n```"]})
+    outcome = run_direct(unsorted, cases[0][0])
+    assert outcome.solution.kind == "node_set"
+    assert outcome.solution.payload == ("A", "B")
+    assert outcome.solution.objective == 2
 
 
 def test_run_direct_refuses_an_exponent_cost():
