@@ -24,13 +24,15 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass, field, fields
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Protocol, runtime_checkable
 
 import yaml
 
-from ..dataset import ground_truth, reference_extract
+from ..dataset import exact_route, reference_extract
+from ..execute import run_algorithm
 from ..formats import serialize_graph
 from ..knowledge import KnowledgeBase, default_knowledge_base, select_algorithm
 from ..problems import CYCLE_DETECTION, GRAPH_COLORING, SHORTEST_PATH, TSP, VERTEX_COVER
@@ -75,8 +77,10 @@ def whitespace_token_count(text: str) -> int:
 
 @dataclass(frozen=True)
 class PriceConfig:
-    input_per_million: str = "0"
-    output_per_million: str = "0"
+    """Per-million token rates, exact and non-negative once loaded."""
+
+    input_per_million: Fraction = Fraction(0)
+    output_per_million: Fraction = Fraction(0)
     currency: str = "USD"
 
 
@@ -100,6 +104,20 @@ def _refuse_unknown_keys(doc: dict, cls: type, where: str) -> None:
         raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)}")
 
 
+def _rate(prices: dict, key: str, where: str) -> Fraction:
+    """The rate under ``key`` as an exact fraction; a YAML float is read by
+    its decimal text, so ``0.6`` is 3/5."""
+    value = prices.get(key, 0)
+    number = isinstance(value, (int, float, str)) and not isinstance(value, bool)
+    try:
+        rate = Fraction(str(value)) if number else None
+    except (ValueError, ZeroDivisionError):
+        rate = None
+    if rate is None or rate < 0:
+        raise ConfigError(f"{where}: {key!r} must be a non-negative exact number, got {value!r}")
+    return rate
+
+
 def _config_from_mapping(doc: Any, where: str) -> BackendConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: backend config must be a mapping")
@@ -112,8 +130,8 @@ def _config_from_mapping(doc: Any, where: str) -> BackendConfig:
         raise ConfigError(f"{where}: 'prices' must be a mapping")
     _refuse_unknown_keys(prices_raw, PriceConfig, f"{where}.prices")
     prices = PriceConfig(
-        input_per_million=str(prices_raw.get("input_per_million", "0")),
-        output_per_million=str(prices_raw.get("output_per_million", "0")),
+        input_per_million=_rate(prices_raw, "input_per_million", f"{where}.prices"),
+        output_per_million=_rate(prices_raw, "output_per_million", f"{where}.prices"),
         currency=str(prices_raw.get("currency", "USD")),
     )
     timeout = doc.get("timeout_seconds", 60.0)
@@ -362,10 +380,9 @@ class OracleStubBackend:
             )
         if stage == "extract_graph":
             return serialize_graph(problem.graph).strip()
-        best = solution_to_dict(ground_truth(
-            problem.problem_type, problem.graph, problem.source, problem.target, self._kb
-        ).optimal)
-        return _answer_lines(best)
+        route = exact_route(problem.problem_type, problem.graph, self._kb).record
+        best = run_algorithm(route, problem.graph, source=problem.source, target=problem.target)
+        return _answer_lines(solution_to_dict(best))
 
     def complete(self, system_prompt, user_prompt, params=None):
         stage = stage_of_prompt(system_prompt)

@@ -18,7 +18,6 @@ from pathlib import Path
 import click
 
 from .agents import (
-    CallRecord,
     ConfigError,
     DirectOutcome,
     PipelineConfig,
@@ -38,7 +37,6 @@ from .dataset import (
     write_text_only,
 )
 from .evaluation import (
-    RateConfig,
     TruthDefectError,
     aggregate_scores,
     cost_report,
@@ -287,15 +285,15 @@ def cmd_solve_direct(dataset, backend_config_path, mode, concurrency, out):
     _run_dataset(instances, backend_config, None, concurrency, out, "answered", answer_one)
 
 
-def _priced_call(row: dict) -> CallRecord:
-    """A results file's usage row as a call to price; a row that would
-    make the cost table lie is refused."""
+def _priced_call(row: dict) -> tuple[str, int, int]:
+    """A results file's usage row as (stage, input tokens, output tokens);
+    a row that would make the cost table lie is refused."""
     stage, counts = row["stage"], (row["input_tokens"], row["output_tokens"])
     if not isinstance(stage, str):
         raise TypeError(f"usage stage must be a string, got {stage!r}")
     if not all(type(n) is int and n >= 0 for n in counts):
         raise ValueError(f"usage token counts must be non-negative integers, got {counts}")
-    return CallRecord(stage, row.get("attempt", 1), "", "", "", *counts)
+    return (stage, *counts)
 
 
 @main.command("evaluate")
@@ -319,11 +317,10 @@ def cmd_evaluate(results_path, dataset, backend_config_path, out_dir):
         prices = load_backend_config(backend_config_path).prices
     else:
         prices = PriceConfig()
-    rates = RateConfig.from_prices(prices)
 
     scores = []
-    trails: dict[str, list] = {}
-    any_usage = False
+    seen: set[str] = set()
+    calls: list[tuple[str, int, int]] = []
     for lineno, line in enumerate(
         results_path.read_text(encoding="utf-8").splitlines(), 1
     ):
@@ -342,62 +339,61 @@ def cmd_evaluate(results_path, dataset, backend_config_path, out_dir):
             raise ConfigError(
                 f"{results_path}: line {lineno}: result for unknown instance {record_id!r}"
             )
-        if instance.instance_id in trails:
+        if instance.instance_id in seen:
             raise ConfigError(
                 f"{results_path}: line {lineno}: second result for instance {instance.instance_id!r}"
             )
+        seen.add(instance.instance_id)
         if instance.truth is None or instance.graph is None:
             raise ConfigError(
                 f"instance {instance.instance_id} carries no ground truth; "
                 "evaluate needs the full (non text-only) dataset file"
             )
-        usage = record.get("usage") or []
         try:
-            trails[instance.instance_id] = [_priced_call(row) for row in usage]
+            calls += [_priced_call(row) for row in record.get("usage") or []]
             ok = record.get("status") == "ok"
             prediction = solution_from_dict(record["solution"]) if ok else None
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ConfigError(
                 f"{results_path}: line {lineno}: malformed result ({type(exc).__name__}: {exc})"
             ) from exc
-        any_usage = any_usage or bool(usage)
-        if prediction is not None:
-            try:
-                scores.append(score_prediction(
-                    prediction,
-                    instance.truth.optimal,
-                    instance.problem_type,
-                    instance.graph,
-                    source=instance.source,
-                    target=instance.target,
-                    instance_id=instance.instance_id,
-                ))
-            except TruthDefectError as exc:
-                raise ConfigError(
-                    f"{results_path}: line {lineno}: instance {instance.instance_id!r}: {exc}; "
-                    "the dataset's truth is wrong"
-                ) from exc
-        else:
+        if prediction is None:
             scores.append(score_failure(
                 instance.instance_id,
                 instance.problem_type,
                 record.get("failure") or "solve failed",
             ))
+            continue
+        try:
+            scores.append(score_prediction(
+                prediction,
+                instance.truth.optimal,
+                instance.problem_type,
+                instance.graph,
+                source=instance.source,
+                target=instance.target,
+                instance_id=instance.instance_id,
+            ))
+        except TruthDefectError as exc:
+            raise ConfigError(
+                f"{results_path}: line {lineno}: instance {instance.instance_id!r}: {exc}; "
+                "the dataset's truth is wrong"
+            ) from exc
 
     if not scores:
         raise ConfigError(f"{results_path} holds no results")
     scores += [
         score_failure(instance_id, instance.problem_type, "no result")
         for instance_id, instance in instances.items()
-        if instance_id not in trails
+        if instance_id not in seen
     ]
 
     summaries = aggregate_scores(scores)
     overall = overall_summary(scores)
     accuracy_text = render_accuracy_table(summaries, overall)
     sections = [accuracy_text]
-    if any_usage:
-        sections.append(render_cost_table(cost_report(trails, rates)))
+    if calls:
+        sections.append(render_cost_table(cost_report(calls, prices)))
     report_text = "\n\n".join(sections) + "\n"
 
     out_dir = out_dir or results_path.parent

@@ -9,6 +9,7 @@ from .generate import (
     NoExactTruthError,
     ProblemInstance,
     build_instance,
+    exact_route,
     generate_dataset,
     ground_truth,
     instance_seed,
@@ -32,6 +33,7 @@ __all__ = [
     "SCENARIO_STYLES",
     "build_instance",
     "dataset_manifest",
+    "exact_route",
     "generate_dataset",
     "generate_names",
     "ground_truth",

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from ..graph import Graph, build_graph, graph_stats
-from ..knowledge import KnowledgeBase, default_knowledge_base, select_algorithm
+from ..knowledge import AlgorithmChoice, KnowledgeBase, default_knowledge_base, select_algorithm
 from ..execute import run_algorithm
 from ..problems import (
     CYCLE_DETECTION,
@@ -169,19 +169,15 @@ def _make_graph(
     raise AssertionError(problem_type)
 
 
-def ground_truth(
-    problem_type: str,
-    graph: Graph,
-    source: str | None = None,
-    target: str | None = None,
-    kb: KnowledgeBase | None = None,
-) -> GroundTruth:
-    """Proven optimum plus the plain heuristic answer.
+def exact_route(
+    problem_type: str, graph: Graph, kb: KnowledgeBase | None = None
+) -> AlgorithmChoice:
+    """The selector's choice for ``graph``, which must be an exact route.
 
-    The optimal slot always comes from an exact route.  Raises
-    :class:`NoExactTruthError` when the selector would pick a heuristic,
-    for example past every exact route's node limit, because a heuristic
-    answer stored as the truth would grade answers against itself.
+    Raises :class:`NoExactTruthError` when the selector would pick a
+    heuristic, for example past every exact route's node limit, because
+    a heuristic answer stored as the truth would grade answers against
+    itself.
     """
     kb = kb or default_knowledge_base()
     stats = graph_stats(graph)
@@ -193,6 +189,18 @@ def ground_truth(
             f"no exact {problem_type} route fits a graph of {stats.node_count} "
             f"nodes, so its optimum cannot be proven ({choice.rationale})"
         )
+    return choice
+
+
+def ground_truth(
+    problem_type: str,
+    graph: Graph,
+    source: str | None = None,
+    target: str | None = None,
+    kb: KnowledgeBase | None = None,
+) -> GroundTruth:
+    """Proven optimum, from :func:`exact_route`, plus the plain heuristic answer."""
+    choice = exact_route(problem_type, graph, kb)
     best = run_algorithm(choice.record, graph, source=source, target=target)
 
     heuristic = next((record for record in choice.fallbacks if not record.exact), None)

@@ -12,8 +12,6 @@ from .scoring import (
 )
 from .costs import (
     CostReport,
-    InstanceCost,
-    RateConfig,
     StageCost,
     cost_report,
     price_of,
@@ -26,9 +24,7 @@ from .reports import (
 
 __all__ = [
     "CostReport",
-    "InstanceCost",
     "InstanceScore",
-    "RateConfig",
     "StageCost",
     "TaskSummary",
     "TruthDefectError",

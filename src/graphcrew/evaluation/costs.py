@@ -1,36 +1,22 @@
-"""Token and price accounting over call trails.
+"""Token and price accounting over the usage rows of a run.
 
-Prices are exact rationals: tokens times a per-million rate, summed with
-no floating point anywhere.  Rendering to dollars happens only at the
-report layer, so totals always equal the sum of their parts.
+The input is one ``(stage, input_tokens, output_tokens)`` row per model
+call, in the order the results file lists them, with counts already
+checked as non-negative integers.  Prices are exact rationals: tokens
+times a per-million rate, summed with no floating point anywhere.
+Rendering to dollars happens only at the report layer, so totals always
+equal the sum of their parts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from ..agents import CallRecord, PriceConfig
+from ..agents import PriceConfig
 
 MILLION = 1_000_000
-
-
-@dataclass(frozen=True)
-class RateConfig:
-    """Per-million token rates, as exact fractions."""
-
-    input_per_million: Fraction
-    output_per_million: Fraction
-    currency: str = "USD"
-
-    @classmethod
-    def from_prices(cls, prices: PriceConfig) -> "RateConfig":
-        return cls(
-            input_per_million=Fraction(prices.input_per_million),
-            output_per_million=Fraction(prices.output_per_million),
-            currency=prices.currency,
-        )
 
 
 @dataclass(frozen=True)
@@ -43,90 +29,38 @@ class StageCost:
 
 
 @dataclass(frozen=True)
-class InstanceCost:
-    instance_id: str
-    calls: int
-    input_tokens: int
-    output_tokens: int
-    price: Fraction
-
-
-@dataclass(frozen=True)
 class CostReport:
     stages: tuple[StageCost, ...]
-    instances: tuple[InstanceCost, ...]
-    total_calls: int
-    total_input_tokens: int
-    total_output_tokens: int
-    total_price: Fraction
+    total: StageCost
     currency: str
 
 
-def price_of(input_tokens: int, output_tokens: int, rates: RateConfig) -> Fraction:
+def price_of(input_tokens: int, output_tokens: int, prices: PriceConfig) -> Fraction:
     return (
-        Fraction(input_tokens) * rates.input_per_million
-        + Fraction(output_tokens) * rates.output_per_million
+        input_tokens * prices.input_per_million + output_tokens * prices.output_per_million
     ) / MILLION
 
 
-def _totals(calls: Iterable[CallRecord]) -> tuple[int, int, int]:
-    count = 0
-    input_tokens = 0
-    output_tokens = 0
-    for call in calls:
-        count += 1
-        input_tokens += call.input_tokens
-        output_tokens += call.output_tokens
-    return count, input_tokens, output_tokens
+def _stage_cost(stage: str, calls: int, input_tokens: int, output_tokens: int,
+                prices: PriceConfig) -> StageCost:
+    return StageCost(stage, calls, input_tokens, output_tokens,
+                     price_of(input_tokens, output_tokens, prices))
 
 
-def cost_report(
-    trails: Mapping[str, Iterable[CallRecord]], rates: RateConfig
-) -> CostReport:
-    """Aggregate call trails into per-stage and per-instance costs.
-
-    `trails` maps instance id to the calls made for it; stages aggregate
-    across all instances, in first-seen order.
-    """
-    stage_rows: dict[str, list[CallRecord]] = {}
-    instance_rows: list[InstanceCost] = []
-    total_calls = 0
-    total_in = 0
-    total_out = 0
-
-    for instance_id, calls in trails.items():
-        calls = list(calls)
-        for call in calls:
-            stage_rows.setdefault(call.stage, []).append(call)
-        count, ins, outs = _totals(calls)
-        instance_rows.append(InstanceCost(
-            instance_id=instance_id,
-            calls=count,
-            input_tokens=ins,
-            output_tokens=outs,
-            price=price_of(ins, outs, rates),
-        ))
-        total_calls += count
-        total_in += ins
-        total_out += outs
-
-    stages = []
-    for stage, calls in stage_rows.items():
-        count, ins, outs = _totals(calls)
-        stages.append(StageCost(
-            stage=stage,
-            calls=count,
-            input_tokens=ins,
-            output_tokens=outs,
-            price=price_of(ins, outs, rates),
-        ))
-
-    return CostReport(
-        stages=tuple(stages),
-        instances=tuple(instance_rows),
-        total_calls=total_calls,
-        total_input_tokens=total_in,
-        total_output_tokens=total_out,
-        total_price=price_of(total_in, total_out, rates),
-        currency=rates.currency,
+def cost_report(calls: Iterable[tuple[str, int, int]], prices: PriceConfig) -> CostReport:
+    """One row per stage, in first-seen order, and the run's total."""
+    counts: dict[str, list[int]] = {}
+    for stage, input_tokens, output_tokens in calls:
+        row = counts.setdefault(stage, [0, 0, 0])
+        row[0] += 1
+        row[1] += input_tokens
+        row[2] += output_tokens
+    stages = tuple(_stage_cost(stage, *row, prices) for stage, row in counts.items())
+    total = _stage_cost(
+        "total",
+        sum(s.calls for s in stages),
+        sum(s.input_tokens for s in stages),
+        sum(s.output_tokens for s in stages),
+        prices,
     )
+    return CostReport(stages=stages, total=total, currency=prices.currency)

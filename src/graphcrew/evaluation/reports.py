@@ -39,48 +39,24 @@ def render_accuracy_table(
     summaries: dict[str, TaskSummary], overall: TaskSummary | None = None
 ) -> str:
     headers = ["task", "instances", "acc_all", "acc_nodes", "acc_result", "error_rate"]
-    rows = []
-    for task in sorted(summaries):
-        s = summaries[task]
-        rows.append([
-            task,
-            str(s.instance_count),
-            _pct(s.mean_acc_all),
-            _pct(s.mean_acc_nodes),
-            _pct(s.mean_acc_result),
-            _pct(s.error_rate),
-        ])
+    named = sorted(summaries.items())
     if overall is not None:
-        rows.append([
-            "overall",
-            str(overall.instance_count),
-            _pct(overall.mean_acc_all),
-            _pct(overall.mean_acc_nodes),
-            _pct(overall.mean_acc_result),
-            _pct(overall.error_rate),
-        ])
+        named.append(("overall", overall))
+    rows = [
+        [name, str(s.instance_count),
+         *map(_pct, (s.mean_acc_all, s.mean_acc_nodes, s.mean_acc_result, s.error_rate))]
+        for name, s in named
+    ]
     return _table(headers, rows)
 
 
 def render_cost_table(report: CostReport) -> str:
     headers = ["stage", "calls", "input_tokens", "output_tokens", "price"]
     rows = [
-        [
-            stage.stage,
-            str(stage.calls),
-            str(stage.input_tokens),
-            str(stage.output_tokens),
-            _money(stage.price, report.currency),
-        ]
-        for stage in report.stages
+        [s.stage, str(s.calls), str(s.input_tokens), str(s.output_tokens),
+         _money(s.price, report.currency)]
+        for s in (*report.stages, report.total)
     ]
-    rows.append([
-        "total",
-        str(report.total_calls),
-        str(report.total_input_tokens),
-        str(report.total_output_tokens),
-        _money(report.total_price, report.currency),
-    ])
     return _table(headers, rows)
 
 

@@ -119,19 +119,16 @@ def score_failure(instance_id: str, problem_type: str, reason: str) -> InstanceS
 
 
 def score_prediction(
-    prediction: Solution | None,
+    prediction: Solution,
     truth: Solution,
     problem_type: str,
     graph: Graph,
     source: str | None = None,
     target: str | None = None,
     instance_id: str = "",
-    failure: str | None = None,
 ) -> InstanceScore:
-    """Lenient front door: failures and wrong-kind answers score zero; a
-    truth defect still raises."""
-    if prediction is None:
-        return score_failure(instance_id, problem_type, failure or "no answer produced")
+    """Lenient front door: a wrong-kind answer scores zero; a truth defect
+    still raises."""
     try:
         return score_instance(
             prediction, truth, problem_type, graph,

@@ -23,14 +23,13 @@ from graphcrew.dataset import (
     write_instances,
 )
 from graphcrew.evaluation import (
-    RateConfig,
     cost_report,
     overall_summary,
     price_of,
     score_instance,
     score_prediction,
 )
-from graphcrew.agents import CallRecord, OracleStubBackend, run_pipeline
+from graphcrew.agents import OracleStubBackend, PriceConfig, run_pipeline
 from graphcrew.problems import (
     GRAPH_COLORING,
     NOISE_LEVELS,
@@ -222,25 +221,19 @@ def test_criterion_5_scoring_formula():
 
 @criterion(6, "cost accounting")
 def test_criterion_6_cost_accounting():
-    rates = RateConfig(Fraction("0.15"), Fraction("0.60"))
+    rates = PriceConfig(Fraction("0.15"), Fraction("0.60"))
 
     # hand-checked: 100 in and 50 out is 45 millionths of a dollar
     assert price_of(100, 50, rates) == Fraction(45, 1_000_000)
     # published-rate example: 13.32k in, 4.56k out costs $0.004734
     assert price_of(13_320, 4_560, rates) == Fraction(2367, 500_000)
 
-    def call(stage, ins, outs):
-        return CallRecord(stage, 1, "s", "u", "r", ins, outs)
-
-    trails = {
-        "inst-a": [call("extract_graph", 120, 30), call("select", 80, 10)],
-        "inst-b": [call("extract_graph", 200, 40)],
-    }
-    report = cost_report(trails, rates)
-    assert report.total_price == exact_price(400, 80, Fraction("0.15"), Fraction("0.60"))
-    assert report.total_price == sum((s.price for s in report.stages), Fraction(0))
-    assert report.total_price == sum((i.price for i in report.instances), Fraction(0))
-    assert report.total_input_tokens == sum(i.input_tokens for i in report.instances)
+    calls = [("extract_graph", 120, 30), ("select", 80, 10), ("extract_graph", 200, 40)]
+    report = cost_report(calls, rates)
+    assert report.total.price == exact_price(400, 80, Fraction("0.15"), Fraction("0.60"))
+    assert report.total.price == sum((s.price for s in report.stages), Fraction(0))
+    assert report.total.input_tokens == sum(s.input_tokens for s in report.stages) == 400
+    assert report.total.output_tokens == sum(s.output_tokens for s in report.stages) == 80
 
 
 @criterion(7, "large-instance heuristics")

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -25,7 +26,9 @@ from graphcrew.agents import (
     parse_fields,
     whitespace_token_count,
 )
+from graphcrew.agents import backends
 from graphcrew.agents.backends import BackendConfig
+from graphcrew.dataset import generate
 from graphcrew.agents.prompts import render_stage
 from graphcrew.dataset import render_problem_text
 from graphcrew.formats import serialize_graph
@@ -76,8 +79,21 @@ def test_load_backend_config(tmp_path):
     assert config.kind == "live"
     assert config.model == "test-model"
     assert config.timeout_seconds == 30.0
-    assert config.prices.input_per_million == "0.15"
+    assert config.prices.input_per_million == Fraction(3, 20)
     assert config.prices.currency == "USD"
+
+
+def test_price_rates_read_exactly(tmp_path):
+    path = tmp_path / "stub.yaml"
+    path.write_text(
+        "kind: stub\nprices:\n  input_per_million: '0.15'\n  output_per_million: 0.6\n"
+    )
+    prices = load_backend_config(path).prices
+    assert prices.input_per_million == Fraction(3, 20)
+    assert prices.output_per_million == Fraction(3, 5)
+    path.write_text("kind: stub\n")
+    prices = load_backend_config(path).prices
+    assert (prices.input_per_million, prices.output_per_million) == (0, 0)
 
 
 def test_config_rejections(tmp_path):
@@ -111,6 +127,11 @@ def test_config_rejections(tmp_path):
     for endpoint in ("api.example.com/v1", "ftp://api.example.com/v1", "https:///v1"):
         bad.write_text(f"kind: live\nendpoint: {endpoint}\nmodel: m\napi_key_env: K\n")
         with pytest.raises(ConfigError, match="http:// or https:// URL"):
+            load_backend_config(bad)
+    for price in ("-5", "'-5'", "abc", "true", ".nan", ".inf", "null", "[1]", "'1/0'"):
+        bad.write_text(f"kind: stub\nprices:\n  output_per_million: {price}\n")
+        with pytest.raises(ConfigError,
+                           match="prices: 'output_per_million' must be a non-negative exact number"):
             load_backend_config(bad)
     for timeout in ("0", "-1", ".nan", ".inf", "'30'", "true"):
         bad.write_text(f"kind: stub\ntimeout_seconds: {timeout}\n")
@@ -427,6 +448,20 @@ def test_stub_direct_answers_other_kinds():
     text = ask_stub(stub, "direct", directive="",
                     problem=problem_text(chain, "cycle_detection")).text
     assert "answer: no" in extract_block(text, "answer")
+
+
+def test_stub_direct_runs_one_route(monkeypatch):
+    routes = []
+    run = backends.run_algorithm
+
+    def counted(record, *args, **kwargs):
+        routes.append(record.algorithm_id)
+        return run(record, *args, **kwargs)
+
+    monkeypatch.setattr(backends, "run_algorithm", counted)
+    monkeypatch.setattr(generate, "run_algorithm", counted)
+    ask_stub(OracleStubBackend(), "direct", directive="", problem=TSP_TEXT)
+    assert routes == ["held_karp"]
 
 
 def test_stub_rejects_bad_inputs():

@@ -278,6 +278,32 @@ class TestSolve:
                 assert written[0].count(b'"status":"ok"') == 4
 
 
+    @pytest.mark.parametrize("verb", ["solve", "solve-direct", "evaluate"])
+    def test_bad_price_is_config_error_before_any_call(self, runner, tmp_path, monkeypatch,
+                                                       verb):
+        out = tmp_path / "ds"
+        _generate(runner, out, extra=["--type", "vertex_cover"])
+        calls = []
+        monkeypatch.setattr(OracleStubBackend, "complete",
+                            lambda self, *args, **kwargs: calls.append(args))
+        config = tmp_path / "bad.yaml"
+        config.write_text('kind: stub\nprices:\n  input_per_million: "-5"\n')
+        dataset = str(out / "vertex_cover.jsonl")
+        results = tmp_path / "results.jsonl"
+        if verb == "evaluate":
+            results.write_text('{"id": "vertex_cover-n08-i00", "status": "failed"}\n')
+            args = ["--results", str(results), "--out", str(tmp_path / "report")]
+        else:
+            args = ["--out", str(results)]
+        result = runner.invoke(
+            main, [verb, "--dataset", dataset, "--backend-config", str(config), *args]
+        )
+        assert result.exit_code == 2
+        assert "'input_per_million' must be a non-negative exact number, got '-5'" in result.output
+        assert calls == []
+        assert not (tmp_path / "report").exists()
+        assert results.exists() == (verb == "evaluate")
+
     @pytest.mark.parametrize("verb", ["solve", "solve-direct"])
     def test_out_in_a_new_directory_is_created(self, runner, tmp_path, verb):
         out = tmp_path / "ds"
@@ -427,6 +453,44 @@ class TestEvaluate:
         assert scores[-1]["id"] == "tsp-n08-i00"
         assert scores[-1]["acc_all"] == "0"
         assert scores[-1]["failure_reason"] == "no result"
+
+    def test_cost_table_text(self, runner, tmp_path):
+        # stages are first met in the order classify, extract_graph (first
+        # instance), then audit, classify (second); at $0.15 in and $0.60 out
+        # per million, classify's 2203 in and 141 out cost 415.05 millionths
+        out = tmp_path / "ds"
+        _generate(runner, out, extra=["--type", "tsp"])
+        usage = [
+            [("classify", 1203, 81), ("extract_graph", 2999, 457)],
+            [("audit", 1501, 39), ("classify", 1000, 60)],
+        ]
+        results = tmp_path / "results.jsonl"
+        results.write_text("".join(
+            json.dumps({"id": ident, "status": "failed", "failure": "x", "usage": [
+                {"stage": stage, "attempt": 1, "input_tokens": ins, "output_tokens": outs}
+                for stage, ins, outs in rows]}) + "\n"
+            for ident, rows in zip(("tsp-n08-i00", "tsp-n08-i01"), usage)
+        ))
+        report_dir = tmp_path / "report"
+        result = runner.invoke(
+            main,
+            ["evaluate", "--results", str(results), "--dataset", str(out / "tsp.jsonl"),
+             "--backend-config", str(_write_stub_config(tmp_path)), "--out", str(report_dir)],
+        )
+        assert result.exit_code == 0, result.output
+        assert (report_dir / "report.txt").read_text() == (
+            "task     instances  acc_all  acc_nodes  acc_result  error_rate\n"
+            "-------  ---------  -------  ---------  ----------  ----------\n"
+            "tsp      4          0.0%     0.0%       0.0%        100.0%\n"
+            "overall  4          0.0%     0.0%       0.0%        100.0%\n"
+            "\n"
+            "stage          calls  input_tokens  output_tokens  price\n"
+            "-------------  -----  ------------  -------------  ---------\n"
+            "classify       2      2203          141            $0.000415\n"
+            "extract_graph  1      2999          457            $0.000724\n"
+            "audit          1      1501          39             $0.000249\n"
+            "total          4      6703          637            $0.001388\n"
+        )
 
     def test_answer_beating_the_truth_is_config_error(self, runner, tmp_path):
         dataset, config, results = self._solve(runner, tmp_path)

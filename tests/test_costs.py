@@ -5,24 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from graphcrew.agents import CallRecord, PriceConfig
-from graphcrew.evaluation import RateConfig, cost_report, price_of
+from graphcrew.agents import PriceConfig
+from graphcrew.evaluation import cost_report, price_of
 
 from oracles import exact_price
 
-RATES = RateConfig(Fraction("0.15"), Fraction("0.60"))
-
-
-def _call(stage, input_tokens, output_tokens, attempt=1):
-    return CallRecord(
-        stage=stage,
-        attempt=attempt,
-        system_prompt="s",
-        user_prompt="u",
-        response_text="r",
-        input_tokens=input_tokens,
-        output_tokens=output_tokens,
-    )
+RATES = PriceConfig(Fraction("0.15"), Fraction("0.60"))
 
 
 class TestPriceOf:
@@ -54,77 +42,54 @@ class TestPriceOf:
         )
 
 
-class TestRateConfig:
-    def test_from_prices_parses_strings_exactly(self):
-        rates = RateConfig.from_prices(
-            PriceConfig(input_per_million="0.15", output_per_million="0.60")
-        )
-        assert rates.input_per_million == Fraction(3, 20)
-        assert rates.output_per_million == Fraction(3, 5)
-        assert rates.currency == "USD"
-
-    def test_default_prices_are_zero(self):
-        rates = RateConfig.from_prices(PriceConfig())
-        assert price_of(10**6, 10**6, rates) == 0
-
-
 class TestCostReport:
-    def test_stage_totals_sum_to_instance_totals(self):
-        trails = {
-            "a": [_call("extract_graph", 100, 10), _call("classify", 200, 20)],
-            "b": [_call("extract_graph", 50, 5), _call("audit", 10, 1)],
-        }
-        report = cost_report(trails, RATES)
-        assert report.total_input_tokens == sum(
+    def test_default_prices_are_zero(self):
+        assert price_of(10**6, 10**6, PriceConfig()) == 0
+
+    def test_stage_totals_sum_to_the_total(self):
+        calls = [("extract_graph", 100, 10), ("classify", 200, 20),
+                 ("extract_graph", 50, 5), ("audit", 10, 1)]
+        report = cost_report(calls, RATES)
+        assert [s.stage for s in report.stages] == ["extract_graph", "classify", "audit"]
+        assert report.total.input_tokens == sum(
             s.input_tokens for s in report.stages
-        ) == sum(i.input_tokens for i in report.instances) == 360
-        assert report.total_output_tokens == 36
-        assert report.total_price == sum(
-            (s.price for s in report.stages), Fraction(0)
-        ) == sum((i.price for i in report.instances), Fraction(0))
+        ) == 360
+        assert report.total.output_tokens == 36
+        assert report.total.price == sum((s.price for s in report.stages), Fraction(0))
 
     def test_retries_counted_as_separate_calls(self):
-        trails = {"a": [_call("classify", 10, 1), _call("classify", 12, 2, attempt=2)]}
-        report = cost_report(trails, RATES)
-        assert report.total_calls == 2
+        report = cost_report([("classify", 10, 1), ("classify", 12, 2)], RATES)
+        assert report.total.calls == 2
         assert report.stages[0].calls == 2
 
     def test_disjoint_trails_costs_add(self):
-        a = {"a": [_call("extract_graph", 123, 45)]}
-        b = {"b": [_call("select", 67, 8), _call("audit", 9, 10)]}
-        combined = cost_report({**a, **b}, RATES)
-        assert combined.total_price == (
-            cost_report(a, RATES).total_price + cost_report(b, RATES).total_price
+        a = [("extract_graph", 123, 45)]
+        b = [("select", 67, 8), ("audit", 9, 10)]
+        combined = cost_report(a + b, RATES)
+        assert combined.total.price == (
+            cost_report(a, RATES).total.price + cost_report(b, RATES).total.price
         )
 
     def test_empty_trails_zero_cost(self):
-        report = cost_report({}, RATES)
-        assert report.total_calls == 0
-        assert report.total_price == 0
+        report = cost_report([], RATES)
+        assert report.total.calls == 0
+        assert report.total.price == 0
         assert report.stages == ()
 
     @given(
-        st.dictionaries(
-            st.text(alphabet="ab", min_size=1, max_size=3),
-            st.lists(
-                st.tuples(
-                    st.sampled_from(["extract_graph", "classify", "select"]),
-                    st.integers(min_value=0, max_value=10_000),
-                    st.integers(min_value=0, max_value=10_000),
-                ),
-                max_size=5,
+        st.lists(
+            st.tuples(
+                st.sampled_from(["extract_graph", "classify", "select"]),
+                st.integers(min_value=0, max_value=10_000),
+                st.integers(min_value=0, max_value=10_000),
             ),
-            max_size=4,
+            max_size=20,
         )
     )
-    def test_total_price_equals_oracle_on_totals(self, raw):
-        trails = {
-            key: [_call(stage, ins, outs) for stage, ins, outs in calls]
-            for key, calls in raw.items()
-        }
-        report = cost_report(trails, RATES)
-        total_in = sum(c.input_tokens for calls in trails.values() for c in calls)
-        total_out = sum(c.output_tokens for calls in trails.values() for c in calls)
-        assert report.total_price == exact_price(
+    def test_total_price_equals_oracle_on_totals(self, calls):
+        report = cost_report(calls, RATES)
+        total_in = sum(ins for _, ins, _ in calls)
+        total_out = sum(outs for _, _, outs in calls)
+        assert report.total.price == exact_price(
             total_in, total_out, Fraction("0.15"), Fraction("0.60")
         )

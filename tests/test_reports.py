@@ -4,7 +4,6 @@ from fractions import Fraction
 
 from graphcrew.evaluation import (
     InstanceScore,
-    RateConfig,
     aggregate_scores,
     cost_report,
     overall_summary,
@@ -12,7 +11,7 @@ from graphcrew.evaluation import (
     render_cost_table,
     scores_to_records,
 )
-from graphcrew.agents import CallRecord
+from graphcrew.agents import PriceConfig
 
 
 def _score(ident, ptype, nodes, result, failed=False):
@@ -55,15 +54,14 @@ class TestAccuracyTable:
 
 class TestCostTable:
     def test_total_row_present(self):
-        calls = [CallRecord("direct", 1, "s", "u", "r", 1000, 100)]
-        report = cost_report({"a": calls}, RateConfig(Fraction("0.15"), Fraction("0.60")))
+        prices = PriceConfig(Fraction("0.15"), Fraction("0.60"))
+        report = cost_report([("direct", 1000, 100)], prices)
         table = render_cost_table(report)
         assert table.splitlines()[-1].startswith("total")
         assert "$0.000210" in table
 
     def test_non_dollar_currency_labelled(self):
-        calls = [CallRecord("direct", 1, "s", "u", "r", 10, 1)]
-        report = cost_report({"a": calls}, RateConfig(Fraction(1), Fraction(1), "EUR"))
+        report = cost_report([("direct", 10, 1)], PriceConfig(Fraction(1), Fraction(1), "EUR"))
         assert "EUR" in render_cost_table(report)
 
 

@@ -233,15 +233,6 @@ class TestKindHandling:
         assert score.acc_all == 0
         assert score.failure_reason is not None
 
-    def test_lenient_wrapper_handles_missing_answer(self, tour_instance):
-        truth = tour_instance.truth.optimal
-        score = score_prediction(
-            None, truth, TSP, tour_instance.graph,
-            instance_id="x", failure="backend went dark",
-        )
-        assert score.failure_reason == "backend went dark"
-        assert score.acc_all == 0
-
 
 class TestAggregation:
     def _score(self, acc_nodes, acc_result, ptype=TSP, failed=False, ident="i"):
