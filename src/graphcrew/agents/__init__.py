@@ -20,14 +20,9 @@ from .blocks import extract_block, parse_fields
 from .direct import DirectOutcome, run_direct
 from .pipeline import (
     CallRecord,
-    ParseFailureError,
-    PipelineConfig,
     PipelineError,
     ProblemSpec,
     SolveOutcome,
-    SolverError,
-    UnsupportedProblemTypeError,
-    VerificationFailedError,
     run_pipeline,
 )
 
@@ -42,17 +37,12 @@ __all__ = [
     "LiveChatBackend",
     "OracleStubBackend",
     "PriceConfig",
-    "ParseFailureError",
-    "PipelineConfig",
     "PipelineError",
     "ProblemSpec",
     "RecordingBackend",
     "ReplayBackend",
     "SolveOutcome",
-    "SolverError",
-    "UnsupportedProblemTypeError",
     "Usage",
-    "VerificationFailedError",
     "extract_block",
     "load_backend_config",
     "make_backend",

@@ -36,7 +36,7 @@ from ..execute import run_algorithm
 from ..formats import serialize_graph
 from ..knowledge import KnowledgeBase, default_knowledge_base, select_algorithm
 from ..problems import CYCLE_DETECTION, GRAPH_COLORING, SHORTEST_PATH, TSP, VERTEX_COVER
-from ..solvers import solution_to_dict
+from .blocks import answer_lines
 from .prompts import TAGS, read_graph_facts, slot_value, stage_of_prompt
 
 
@@ -178,7 +178,7 @@ def load_backend_config(path: str | Path) -> BackendConfig:
     if not path.is_file():
         raise ConfigError(f"backend config {path} does not exist")
     try:
-        doc = yaml.safe_load(path.read_text())
+        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path} is not valid YAML: {exc}") from exc
     return _config_from_mapping(doc, str(path))
@@ -273,7 +273,7 @@ class ReplayBackend:
         if not path.is_file():
             raise ConfigError(f"fixtures file {path} does not exist")
         self._replies: dict[str, tuple[str, int, int]] = {}
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
             if not line.strip():
                 continue
             try:
@@ -323,7 +323,7 @@ class RecordingBackend:
             "output_tokens": completion.usage.output_tokens,
         }
         with self._lock:
-            with self._path.open("a") as fh:
+            with self._path.open("a", encoding="utf-8") as fh:
                 fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
         return completion
 
@@ -382,7 +382,7 @@ class OracleStubBackend:
             return serialize_graph(problem.graph).strip()
         route = exact_route(problem.problem_type, problem.graph, self._kb).record
         best = run_algorithm(route, problem.graph, source=problem.source, target=problem.target)
-        return _answer_lines(solution_to_dict(best))
+        return answer_lines(best)
 
     def complete(self, system_prompt, user_prompt, params=None):
         stage = stage_of_prompt(system_prompt)
@@ -400,22 +400,6 @@ class OracleStubBackend:
             output_tokens=whitespace_token_count(text),
         )
         return Completion(text=text, usage=usage)
-
-
-def _answer_lines(best: dict[str, Any]) -> str:
-    """A direct-mode answer block body for a solution record."""
-    kind = best["kind"]
-    if kind == "tour":
-        return f"order: {', '.join(best['order'])}\ncost: {best['objective']}"
-    if kind == "coloring":
-        lines = [f"color {name}: {c}" for name, c in sorted(best["colors"].items())]
-        lines.append(f"colors: {best['objective']}")
-        return "\n".join(lines)
-    if kind == "node_set":
-        return f"nodes: {', '.join(best['nodes'])}\nsize: {best['objective']}"
-    if kind == "path":
-        return f"path: {', '.join(best['path'])}\ncost: {best['objective']}"
-    return f"answer: {'yes' if best['answer'] else 'no'}"
 
 
 def make_backend(config: BackendConfig, *, kb: KnowledgeBase | None = None) -> ChatBackend:

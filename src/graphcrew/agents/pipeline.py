@@ -29,7 +29,9 @@ every ``audit`` round) goes out only once both steps have succeeded,
 and its replies can only add notes.  A backend that waits on the
 network (``io_bound = True``) gets a thread per row of a wave; any
 other runs the rows one after another.  Calls and notes are joined in
-stage order whatever order the replies came in.
+stage order whatever order the replies came in.  Every failure of an
+instance is one :class:`PipelineError`, named after the failing stage,
+whose ``partial_calls`` lists every call made.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from ..execute import run_algorithm
 from ..formats import parse_graph, serialize_graph
@@ -54,33 +56,21 @@ from ..knowledge import (
 from ..problems import PROBLEM_TYPES
 from ..solvers import Solution, SolverInputError, verify_solution
 from .backends import BackendError, ChatBackend
-from .blocks import extract_block, parse_fields
+from .blocks import RejectReply, extract_block, parse_fields
 from .prompts import TAGS, graph_facts, render_stage
 
 MAX_ATTEMPTS = 3
 
 
 class PipelineError(RuntimeError):
+    """The failure of one instance, named after the stage that failed."""
+
+    # the calls made before the failure, in stage order; set by run_pipeline
+    partial_calls: tuple[CallRecord, ...] = ()
+
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage {stage}: {message}")
         self.stage = stage
-        self.partial_calls = ()  # the calls made before the failure, in stage order
-
-
-class ParseFailureError(PipelineError):
-    pass
-
-
-class UnsupportedProblemTypeError(PipelineError):
-    pass
-
-
-class SolverError(PipelineError):
-    pass
-
-
-class VerificationFailedError(PipelineError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -90,24 +80,13 @@ class ProblemSpec:
     target: str | None
 
 
-@dataclass(frozen=True)
-class CallRecord:
+class CallRecord(NamedTuple):
+    """One model call, as the results file's usage row records it."""
+
     stage: str
     attempt: int
-    system_prompt: str
-    user_prompt: str
-    response_text: str
     input_tokens: int
     output_tokens: int
-
-
-@dataclass
-class PipelineConfig:
-    kb: KnowledgeBase | None = None
-    n_check: int = 2
-
-    def knowledge_base(self) -> KnowledgeBase:
-        return self.kb if self.kb is not None else default_knowledge_base()
 
 
 @dataclass(frozen=True)
@@ -120,10 +99,6 @@ class SolveOutcome:
     audit_verdicts: tuple[str, ...]
     calls: tuple[CallRecord, ...]
     notes: tuple[str, ...]
-
-
-class _RejectReply(Exception):
-    """Internal: this reply must be retried, with the given feedback."""
 
 
 def _ask(backend: ChatBackend, stage: str, slots: dict[str, str],
@@ -145,30 +120,21 @@ def _ask(backend: ChatBackend, stage: str, slots: dict[str, str],
         except BackendError as exc:
             last_backend_error = exc
             continue
-        calls.append(
-            CallRecord(
-                stage=stage,
-                attempt=attempt,
-                system_prompt=system,
-                user_prompt=user,
-                response_text=completion.text,
-                input_tokens=completion.usage.input_tokens,
-                output_tokens=completion.usage.output_tokens,
-            )
-        )
+        usage = completion.usage
+        calls.append(CallRecord(stage, attempt, usage.input_tokens, usage.output_tokens))
         body = extract_block(completion.text, tag)
         if body is None:
             feedback = f"the reply did not end with a ```result:{tag}``` fenced block"
             continue
         try:
             return validate(body)
-        except _RejectReply as rej:
+        except RejectReply as rej:
             feedback = str(rej)
     if last_backend_error is not None and feedback is None:
         raise PipelineError(
             stage, f"backend failed {MAX_ATTEMPTS} times: {last_backend_error}"
         ) from last_backend_error
-    raise ParseFailureError(
+    raise PipelineError(
         stage, f"no usable reply in {MAX_ATTEMPTS} attempts (last problem: {feedback})"
     )
 
@@ -179,10 +145,10 @@ def _ask(backend: ChatBackend, stage: str, slots: dict[str, str],
 def _problem_spec(body: str) -> ProblemSpec:
     fields = parse_fields(body)
     if "problem_type" not in fields:
-        raise _RejectReply("the block is missing a problem_type line")
+        raise RejectReply("the block is missing a problem_type line")
     problem_type = fields["problem_type"]
     if problem_type not in PROBLEM_TYPES:
-        raise UnsupportedProblemTypeError(
+        raise PipelineError(
             "classify",
             f"problem type {problem_type!r} is not supported "
             f"(known: {', '.join(PROBLEM_TYPES)})",
@@ -201,23 +167,23 @@ def _graph(body: str) -> Graph:
     try:
         graph = parse_graph(body)
     except GraphError as exc:
-        raise _RejectReply(f"the edge list could not be read ({exc})") from None
+        raise RejectReply(f"the edge list could not be read ({exc})") from None
     if not graph.node_count:
-        raise _RejectReply("the edge list contained no nodes or edges")
+        raise RejectReply("the edge list contained no nodes or edges")
     return graph
 
 
 def _algorithm_id(body: str) -> str:
     fields = parse_fields(body)
     if not fields.get("algorithm"):
-        raise _RejectReply("the block is missing an algorithm line")
+        raise RejectReply("the block is missing an algorithm line")
     return fields["algorithm"]
 
 
 def _verdict(body: str) -> str:
     verdict = parse_fields(body).get("verdict", "")
     if verdict not in ("pass", "fail"):
-        raise _RejectReply("the verdict line must say pass or fail")
+        raise RejectReply("the verdict line must say pass or fail")
     return verdict
 
 
@@ -278,7 +244,7 @@ def _solve_with_fallback(
         except SolverInputError as exc:
             if route is not choice.record:
                 raise
-            raise SolverError(
+            raise PipelineError(
                 "solve",
                 f"{chosen} rejected the graph ({exc}); choice rationale was: {choice.rationale}",
             ) from exc
@@ -296,7 +262,7 @@ def _solve_with_fallback(
                 f"solve: {chosen} answer failed verification "
                 f"({'; '.join(report.violations)}); trying the next applicable route"
             )
-    raise VerificationFailedError(
+    raise PipelineError(
         "solve", "no applicable algorithm produced a verifiable answer"
     )
 
@@ -334,90 +300,89 @@ def _calls(rows: list[_Row]) -> tuple[CallRecord, ...]:
     return tuple(call for row in rows for call in row.calls)
 
 
-def _wave(pool: ThreadPoolExecutor | None, backend: ChatBackend, rows: list[_Row],
-          trail: list[_Row]) -> None:
-    """Run every row of a wave, on the pool's threads if there is a pool, then
-    raise the earliest row's error; a :class:`PipelineError` carries the
-    calls of every row in ``trail`` as ``partial_calls``."""
+def _wave(pool: ThreadPoolExecutor | None, backend: ChatBackend, rows: list[_Row]) -> None:
+    """Run every row of a wave, on the pool's threads if there is a pool,
+    then raise the earliest row's error."""
     list((map if pool is None else pool.map)(partial(_run, backend), rows))
     error = next((row.error for row in rows if row.error is not None), None)
     if error is not None:
-        if isinstance(error, PipelineError):
-            error.partial_calls = _calls(trail)
         raise error
 
 
 @contextmanager
-def _step(stage: str, trail: list[_Row]):
-    """A deterministic step: its failure is raised at once as a
-    :class:`PipelineError` named after ``stage``, carrying the calls of
-    every row in ``trail``; other exceptions pass through unchanged."""
+def _step(stage: str):
+    """A deterministic step: its failure is raised as a
+    :class:`PipelineError` named after ``stage``; other exceptions pass
+    through unchanged."""
     try:
         yield
-    except PipelineError as exc:
-        exc.partial_calls = _calls(trail)
-        raise
     except (GraphError, KnowledgeBaseError, SolverInputError) as exc:
-        error = PipelineError(stage, str(exc))
-        error.partial_calls = _calls(trail)
-        raise error from exc
+        raise PipelineError(stage, str(exc)) from exc
 
 
 def run_pipeline(
-    backend: ChatBackend, problem_text: str, config: PipelineConfig | None = None
+    backend: ChatBackend, problem_text: str, *, kb: KnowledgeBase | None = None,
+    n_check: int = 2,
 ) -> SolveOutcome:
     """Run all stages on one problem statement, issuing calls in two waves.
 
-    A failed row is raised once the rest of its wave is back, as the
-    earliest stage's error (see :func:`_wave`); a failed deterministic
-    step is raised at once, and no wave-2 call is made.
+    ``kb`` is the catalogue to select from (default: the bundled one) and
+    ``n_check`` the number of audit rounds.  A failed row is raised once
+    the rest of its wave is back, as the earliest stage's error (see
+    :func:`_wave`); a failed deterministic step is raised at once, and no
+    wave-2 call is made.  Either way the :class:`PipelineError` carries
+    every call made as ``partial_calls``.
     """
-    config = config or PipelineConfig()
-    kb = config.knowledge_base()
+    kb = kb or default_knowledge_base()
     text = {"problem": problem_text}
     wave1 = [_Row("classify", text, _problem_spec),
              _Row("extract_graph", text, lambda body: (body, _graph(body)))]
+    rows = list(wave1)  # every row asked so far, in stage order
     io_bound = getattr(backend, "io_bound", False)
-    with ThreadPoolExecutor(2 + config.n_check) if io_bound else nullcontext() as pool:
-        _wave(pool, backend, wave1, wave1)
-        spec, (raw_text, graph) = wave1[0].value, wave1[1].value
-        problem_type = spec.problem_type
-        solve_notes: list[str] = []
-        with _step("select", wave1):
-            stats = graph_stats(graph)
-            choice = select_algorithm(
-                kb, problem_type, stats, weighted=graph.weighted, directed=graph.directed
+    try:
+        with ThreadPoolExecutor(2 + n_check) if io_bound else nullcontext() as pool:
+            _wave(pool, backend, wave1)
+            spec, (raw_text, graph) = wave1[0].value, wave1[1].value
+            problem_type = spec.problem_type
+            solve_notes: list[str] = []
+            with _step("select"):
+                stats = graph_stats(graph)
+                choice = select_algorithm(
+                    kb, problem_type, stats, weighted=graph.weighted, directed=graph.directed
+                )
+            with _step("solve"):
+                solution = _solve_with_fallback(choice, graph, spec, solve_notes)
+            explanation = _explain(solution, graph, problem_type)
+            chosen = choice.record.algorithm_id
+            audit = {"problem_type": problem_type, "graph": serialize_graph(graph),
+                     "solution": explanation, "report": "valid"}
+            normalize = _Row(
+                "normalize", {"graph": raw_text},
+                lambda body: graph if body == raw_text else _graph(body),
+                lambda proposal: None if proposal == graph else (
+                    "normalize: backend proposal differed from the deterministic merge; "
+                    "deterministic result kept"),
             )
-        with _step("solve", wave1):
-            solution = _solve_with_fallback(choice, graph, spec, solve_notes)
-        explanation = _explain(solution, graph, problem_type)
-        chosen = choice.record.algorithm_id
-        audit = {"problem_type": problem_type, "graph": serialize_graph(graph),
-                 "solution": explanation, "report": "valid"}
-        normalize = _Row(
-            "normalize", {"graph": raw_text},
-            lambda body: graph if body == raw_text else _graph(body),
-            lambda proposal: None if proposal == graph else (
-                "normalize: backend proposal differed from the deterministic merge; "
-                "deterministic result kept"),
-        )
-        select = _Row(
-            "select",
-            {"problem_type": problem_type, "stats": graph_facts(graph, stats),
-             "catalogue": _catalogue_text(kb, problem_type)},
-            _algorithm_id,
-            lambda proposed: None if proposed == chosen else (
-                f"select: backend proposed {proposed!r}, selector chose {chosen!r}; "
-                "selector wins"),
-        )
-        audit_note = ("audit: backend voted fail; mechanical verification is authoritative "
-                      f"and reported: {audit['report']}")
-        audits = [
-            _Row("audit", audit, _verdict, lambda verdict: None if verdict == "pass" else audit_note)
-            for _ in range(config.n_check)
-        ]
-        wave2 = [normalize, select, *audits]
-        _wave(pool, backend, wave2, wave1 + wave2)
+            select = _Row(
+                "select",
+                {"problem_type": problem_type, "stats": graph_facts(graph, stats),
+                 "catalogue": _catalogue_text(kb, problem_type)},
+                _algorithm_id,
+                lambda proposed: None if proposed == chosen else (
+                    f"select: backend proposed {proposed!r}, selector chose {chosen!r}; "
+                    "selector wins"),
+            )
+            audit_note = ("audit: backend voted fail; mechanical verification is "
+                          f"authoritative and reported: {audit['report']}")
+            audits = [_Row("audit", audit, _verdict,
+                           lambda verdict: None if verdict == "pass" else audit_note)
+                      for _ in range(n_check)]
+            wave2 = [normalize, select, *audits]
+            rows += wave2
+            _wave(pool, backend, wave2)
+    except PipelineError as exc:
+        exc.partial_calls = _calls(rows)
+        raise
     return SolveOutcome(
         solution=solution,
         explanation=explanation,
@@ -425,7 +390,7 @@ def run_pipeline(
         graph=graph,
         choice=choice,
         audit_verdicts=tuple(row.value for row in audits),
-        calls=_calls(wave1 + wave2),
+        calls=_calls(rows),
         notes=(*normalize.notes, *select.notes, *solve_notes,
                *(note for row in audits for note in row.notes)),
     )

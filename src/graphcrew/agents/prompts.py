@@ -34,7 +34,7 @@ class TemplateError(ValueError):
 
 
 def _read(name: str) -> str:
-    return resources.files("graphcrew").joinpath(f"agents/templates/{name}.txt").read_text()
+    return resources.files("graphcrew").joinpath(f"agents/templates/{name}.txt").read_text("utf-8")
 
 
 @lru_cache(maxsize=None)

@@ -20,7 +20,6 @@ import click
 from .agents import (
     ConfigError,
     DirectOutcome,
-    PipelineConfig,
     PipelineError,
     PriceConfig,
     load_backend_config,
@@ -152,15 +151,7 @@ def _load_kb(path: Path | None):
 
 
 def _usage_rows(calls) -> list[dict]:
-    return [
-        {
-            "stage": call.stage,
-            "attempt": call.attempt,
-            "input_tokens": call.input_tokens,
-            "output_tokens": call.output_tokens,
-        }
-        for call in calls
-    ]
+    return [call._asdict() for call in calls]
 
 
 def _dump(record: dict) -> str:
@@ -226,12 +217,11 @@ def cmd_solve(dataset, backend_config_path, kb_path, n_check, concurrency, out):
     instances = read_instances(dataset)
     backend_config = load_backend_config(backend_config_path)
     kb = _load_kb(kb_path)
-    pipeline_config = PipelineConfig(kb=kb, n_check=n_check)
 
     def solve_one(backend, instance):
         record = {"id": instance.instance_id, "problem_type": instance.problem_type}
         try:
-            outcome = run_pipeline(backend, instance.text, pipeline_config)
+            outcome = run_pipeline(backend, instance.text, kb=kb, n_check=n_check)
         except PipelineError as exc:
             record["status"] = "failed"
             record["failure"] = str(exc)

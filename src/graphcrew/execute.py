@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from .graph import Graph, GraphError
+from .problems import CYCLE_DETECTION, GRAPH_COLORING, SHORTEST_PATH, TSP, VERTEX_COVER
 from .solvers import (
     Solution,
     coloring_dsatur,
@@ -36,17 +37,20 @@ def _dijkstra(graph: Graph, limit: int, source: str | None, target: str | None) 
     return shortest_path_dijkstra(graph, source, target)
 
 
-# every catalogue id, and its solver called as (graph, node limit, source, target);
-# the catalogue loader refuses an id that is not here
-RUNNERS: dict[str, Callable[[Graph, int, str | None, str | None], Solution]] = {
-    "held_karp": lambda graph, limit, *_: tsp_exact_held_karp(graph, max_nodes=limit),
-    "nearest_neighbor_2opt": lambda graph, *_: tsp_nearest_neighbor_two_opt(graph),
-    "exact_coloring": lambda graph, limit, *_: coloring_exact(graph, max_nodes=limit),
-    "dsatur": lambda graph, *_: coloring_dsatur(graph),
-    "bnb_cover": lambda graph, limit, *_: vertex_cover_exact(graph, max_nodes=limit),
-    "matching_cover": lambda graph, *_: vertex_cover_approx(graph),
-    "dijkstra": _dijkstra,
-    "cycle_check": lambda graph, *_: detect_cycle(graph),
+# every catalogue id: the problem family its solver answers, and the solver,
+# called as (graph, node limit, source, target); the catalogue loader refuses
+# an id that is not here, or that is filed under another family
+RUNNERS: dict[str, tuple[str, Callable[[Graph, int, str | None, str | None], Solution]]] = {
+    "held_karp": (TSP, lambda graph, limit, *_: tsp_exact_held_karp(graph, max_nodes=limit)),
+    "nearest_neighbor_2opt": (TSP, lambda graph, *_: tsp_nearest_neighbor_two_opt(graph)),
+    "exact_coloring": (
+        GRAPH_COLORING, lambda graph, limit, *_: coloring_exact(graph, max_nodes=limit)),
+    "dsatur": (GRAPH_COLORING, lambda graph, *_: coloring_dsatur(graph)),
+    "bnb_cover": (
+        VERTEX_COVER, lambda graph, limit, *_: vertex_cover_exact(graph, max_nodes=limit)),
+    "matching_cover": (VERTEX_COVER, lambda graph, *_: vertex_cover_approx(graph)),
+    "dijkstra": (SHORTEST_PATH, _dijkstra),
+    "cycle_check": (CYCLE_DETECTION, lambda graph, *_: detect_cycle(graph)),
 }
 
 
@@ -61,7 +65,7 @@ def run_algorithm(
 
     Shortest-path records additionally need ``source`` and ``target``.
     """
-    runner = RUNNERS.get(record.algorithm_id)
-    if runner is None:
+    if record.algorithm_id not in RUNNERS:
         raise UnknownAlgorithmError(f"no runner for algorithm {record.algorithm_id!r}")
+    _, runner = RUNNERS[record.algorithm_id]
     return runner(graph, record.applicability.max_nodes, source, target)

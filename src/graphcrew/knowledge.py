@@ -69,12 +69,6 @@ class AlgorithmRecord:
 class KnowledgeBase:
     records: tuple[AlgorithmRecord, ...]
 
-    def by_id(self, algorithm_id: str) -> AlgorithmRecord:
-        for record in self.records:
-            if record.algorithm_id == algorithm_id:
-                return record
-        raise UnknownProblemTypeError(f"no algorithm {algorithm_id!r} in the catalogue")
-
 
 @dataclass(frozen=True)
 class AlgorithmChoice:
@@ -115,8 +109,8 @@ def load_knowledge_base(text: str) -> KnowledgeBase:
     """Parse and validate catalogue YAML.
 
     Raises :class:`SchemaError` on shape problems (including an unknown
-    key, an id with no runner, and a problem type that appears without
-    any exact route),
+    key, an id with no runner, an id filed under a family its runner does
+    not answer, and a problem type that appears without any exact route),
     :class:`DuplicateAlgorithmError` on repeated ids, and
     :class:`UnknownProblemTypeError` on an unsupported problem family.
     """
@@ -148,6 +142,9 @@ def load_knowledge_base(text: str) -> KnowledgeBase:
                 f"{where}: unsupported problem type {problem!r} "
                 f"(known: {', '.join(PROBLEM_TYPES)})"
             )
+        family = RUNNERS[algorithm_id][0]
+        if problem != family:
+            raise SchemaError(f"{where}: its runner answers {family}, not {problem}")
         app_raw = entry.get("applicability")
         if not isinstance(app_raw, dict):
             raise SchemaError(f"{where}: missing 'applicability' mapping")
@@ -183,7 +180,7 @@ def load_knowledge_base(text: str) -> KnowledgeBase:
 
 @lru_cache(maxsize=1)
 def default_knowledge_base() -> KnowledgeBase:
-    text = resources.files("graphcrew").joinpath("data/knowledge_base.yaml").read_text()
+    text = resources.files("graphcrew").joinpath("data/knowledge_base.yaml").read_text("utf-8")
     return load_knowledge_base(text)
 
 

@@ -84,47 +84,40 @@ def canonical_coloring(colors: dict[str, int]) -> dict[str, int]:
     return out
 
 
+# each answer kind's payload key in a solution record
+_PAYLOAD_KEYS = {TOUR: "order", COLORING: "colors", NODE_SET: "nodes", PATH: "path",
+                 BOOLEAN: "answer"}
+
+
 def solution_to_dict(solution: Solution) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "kind": solution.kind,
+    kind, payload = solution.kind, solution.payload
+    if kind not in _PAYLOAD_KEYS:
+        raise ValueError(f"unknown solution kind {kind!r}")
+    return {
+        "kind": kind,
         "algorithm": solution.algorithm_id,
         "exact": solution.exact,
         "objective": format_weight(solution.objective),
+        _PAYLOAD_KEYS[kind]: (dict(payload) if kind == COLORING
+                             else bool(payload) if kind == BOOLEAN else list(payload)),
     }
-    if solution.kind == TOUR:
-        out["order"] = list(solution.payload)
-    elif solution.kind == COLORING:
-        out["colors"] = dict(solution.payload)
-    elif solution.kind == NODE_SET:
-        out["nodes"] = list(solution.payload)
-    elif solution.kind == PATH:
-        out["path"] = list(solution.payload)
-    elif solution.kind == BOOLEAN:
-        out["answer"] = bool(solution.payload)
-    else:
-        raise ValueError(f"unknown solution kind {solution.kind!r}")
-    return out
 
 
 def solution_from_dict(data: dict[str, Any]) -> Solution:
     """Read a solution record, refusing with ValueError any value of the wrong JSON type."""
     kind = data["kind"]
-    if kind == TOUR:
-        payload: Any = tuple(data["order"])
-    elif kind == COLORING:
-        payload = dict(sorted(data["colors"].items()))
+    if kind not in _PAYLOAD_KEYS:
+        raise ValueError(f"unknown solution kind {kind!r}")
+    payload = data[_PAYLOAD_KEYS[kind]]
+    if kind == COLORING:
+        payload = dict(sorted(payload.items()))
         if not all(type(c) is int for c in payload.values()):
             raise ValueError("colors must be integers")
-    elif kind == NODE_SET:
-        payload = tuple(data["nodes"])
-    elif kind == PATH:
-        payload = tuple(data["path"])
     elif kind == BOOLEAN:
-        payload = data["answer"]
         if not isinstance(payload, bool):
             raise ValueError("'answer' must be true or false")
     else:
-        raise ValueError(f"unknown solution kind {kind!r}")
+        payload = tuple(payload)
     if kind != BOOLEAN and not all(isinstance(name, str) for name in payload):
         raise ValueError("node names must be strings")
     objective = coerce_weight(data["objective"])

@@ -1,13 +1,9 @@
 import json
-import os
 import random
-import subprocess
-import sys
 import threading
 import time
 from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 
 import pytest
 
@@ -34,7 +30,7 @@ from graphcrew.dataset import render_problem_text
 from graphcrew.formats import serialize_graph
 from graphcrew.graph import build_graph
 from graphcrew.problems import DEFAULT_SCENARIO
-from util import closed_port_url
+from util import closed_port_url, run_python
 
 
 def problem_text(graph, problem_type, source=None, target=None):
@@ -313,11 +309,7 @@ def test_live_call_needs_no_third_party_http_client(endpoint):
         "                       api_key_env='EXAMPLE_KEY')\n"
         "print(LiveChatBackend(config).complete('sys', 'user').text)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "EXAMPLE_KEY": "sk-test",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=60)
+    done = run_python("-c", script, env={"EXAMPLE_KEY": "sk-test"})
     assert done.returncode == 0, done.stderr
     assert done.stdout == "over stdlib\n"
     assert len(endpoint.seen) == 1
@@ -348,6 +340,28 @@ def test_record_then_replay_is_byte_identical(tmp_path):
     entries = [json.loads(line) for line in fixtures.read_text().splitlines()]
     assert [e["stage"] for e in entries] == ["classify", ""]
     assert entries[0]["text"] == "first reply"
+
+
+def test_record_then_replay_under_an_ascii_locale(tmp_path):
+    # the fixture is UTF-8 whatever the locale: the script is ASCII, its reply is not
+    script = (
+        "import sys\n"
+        "from graphcrew.agents import Completion, RecordingBackend, ReplayBackend, Usage\n"
+        "class Arrow:\n"
+        "    backend_id = 'arrow'\n"
+        "    def complete(self, system_prompt, user_prompt, params=None):\n"
+        "        return Completion('Depot \\u2192 Mill', Usage(1, 3))\n"
+        "ask = ('[stage:direct]\\nsys', 'from Depot \\u2192 Mill?', {'temperature': 0.0})\n"
+        "recorded = RecordingBackend(Arrow(), sys.argv[1]).complete(*ask)\n"
+        "replayed = ReplayBackend(sys.argv[1]).complete(*ask)\n"
+        "print(ascii(replayed.text), replayed == recorded)\n"
+    )
+    fixtures = tmp_path / "fixtures.jsonl"
+    done = run_python("-c", script, str(fixtures),
+                      env={"PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "'Depot \\u2192 Mill' True\n"
+    assert json.loads(fixtures.read_text(encoding="utf-8"))["text"] == "Depot \u2192 Mill"
 
 
 def test_replay_misses_and_bad_fixtures(tmp_path):

@@ -1,4 +1,10 @@
+from fractions import Fraction
+
+import pytest
+
 from graphcrew.agents import extract_block, parse_fields
+from graphcrew.agents.blocks import answer_lines, read_answer
+from graphcrew.solvers import Solution
 
 
 def test_extract_returns_last_matching_block():
@@ -52,3 +58,24 @@ def test_parse_fields():
 def test_parse_fields_empty():
     assert parse_fields("") == {}
     assert parse_fields("nothing") == {}
+
+
+ANSWERS = {
+    "tour": Solution("tour", ("A", "C", "B"), Fraction(7, 2), "direct", exact=False),
+    "coloring": Solution("coloring", {"A": 0, "B": 1, "C": 0}, 2, "direct", exact=False),
+    "node_set": Solution("node_set", ("A", "C"), 2, "direct", exact=False),
+    "path": Solution("path", ("A", "B", "C"), 9, "direct", exact=False),
+    "boolean": Solution("boolean", False, 0, "direct", exact=False),
+}
+
+
+@pytest.mark.parametrize("kind", ANSWERS)
+def test_answer_lines_read_back(kind):
+    assert read_answer(answer_lines(ANSWERS[kind]), "direct") == ANSWERS[kind]
+
+
+def test_answer_lines_text():
+    assert answer_lines(ANSWERS["tour"]) == "order: A, C, B\ncost: 7/2"
+    assert answer_lines(ANSWERS["coloring"]) == "color A: 0\ncolor B: 1\ncolor C: 0\ncolors: 2"
+    assert answer_lines(ANSWERS["boolean"]) == "answer: no"
+

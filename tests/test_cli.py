@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 from graphcrew.agents import OracleStubBackend, pipeline
 from graphcrew.cli import main
-from util import closed_port_url
+from util import closed_port_url, run_python
 
 STUB_CONFIG = """\
 kind: stub
@@ -214,6 +214,30 @@ class TestSolve:
         assert all(r["status"] == "failed" for r in records)
         assert all("failure" in r for r in records)
 
+    def test_route_filed_under_another_family_is_config_error_before_any_call(
+        self, runner, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "ds"
+        _generate(runner, out, extra=["--type", "tsp"])
+        calls = []
+        monkeypatch.setattr(OracleStubBackend, "complete",
+                            lambda self, *args, **kwargs: calls.append(args))
+        kb = tmp_path / "kb.yaml"
+        kb.write_text("version: 1\nalgorithms:\n  - id: cycle_check\n    problem: tsp\n"
+                      "    description: d\n    complexity: c\n    exact: true\n"
+                      "    applicability:\n      max_nodes: 25\n      directedness: any\n")
+        results = tmp_path / "results.jsonl"
+        result = runner.invoke(
+            main,
+            ["solve", "--dataset", str(out / "tsp.jsonl"), "--kb", str(kb),
+             "--backend-config", str(_write_stub_config(tmp_path)), "--out", str(results)],
+        )
+        assert result.exit_code == 2
+        assert ("configuration error: algorithm 'cycle_check': "
+                "its runner answers cycle_detection, not tsp") in result.output
+        assert calls == []
+        assert not results.exists()
+
     def test_bad_backend_kind_is_config_error(self, runner, tmp_path):
         out = tmp_path / "ds"
         _generate(runner, out, extra=["--type", "tsp"])
@@ -344,6 +368,27 @@ class TestSolve:
         assert "cannot create the directory" in result.output
         assert calls == []
         assert blocker.read_text() == ""
+
+
+def test_no_file_is_opened_in_the_locale_encoding(tmp_path):
+    # each command in a fresh interpreter that fails on an open() naming no encoding
+    def run(*args):
+        done = run_python("-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                          "-m", "graphcrew.cli", *map(str, args))
+        assert done.returncode == 0, done.stderr
+        assert "EncodingWarning" not in done.stderr
+
+    data, fixtures = tmp_path / "ds", tmp_path / "fixtures.jsonl"
+    record, replay = tmp_path / "record.yaml", tmp_path / "replay.yaml"
+    record.write_text(f"kind: record\nfixtures: {fixtures}\ninner:\n  kind: stub\n")
+    replay.write_text(f"kind: replay\nfixtures: {fixtures}\n")
+    run("generate", "--type", "vertex_cover", "--sizes", "8", "--per-size", "1", "--out", data)
+    dataset = data / "vertex_cover.jsonl"
+    for config, results in ((record, tmp_path / "recorded.jsonl"),
+                            (replay, tmp_path / "replayed.jsonl")):
+        run("solve", "--dataset", dataset, "--backend-config", config, "--out", results)
+    run("evaluate", "--results", results, "--dataset", dataset, "--out", tmp_path / "report")
+    assert (tmp_path / "report" / "report.txt").is_file()
 
 
 class TestEvaluate:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -9,6 +10,7 @@ from graphcrew.knowledge import (
     Applicability,
     AlgorithmRecord,
     DuplicateAlgorithmError,
+    KnowledgeBase,
     NoApplicableAlgorithmError,
     SchemaError,
     UnknownProblemTypeError,
@@ -39,6 +41,10 @@ def choose(kb, problem_type, graph):
         weighted=graph.weighted,
         directed=graph.directed,
     )
+
+
+def record(kb, algorithm_id):
+    return next(r for r in kb.records if r.algorithm_id == algorithm_id)
 
 
 def test_default_catalogue_shape():
@@ -105,7 +111,7 @@ def test_selector_rejects_structurally_wrong_graphs():
 
 def test_applicability_reason_is_checkable_alone():
     kb = default_knowledge_base()
-    hk = kb.by_id("held_karp")
+    hk = record(kb, "held_karp")
     small = graph_stats(complete_graph(10, seed=1))
     big = graph_stats(complete_graph(26, seed=1))
     assert applicability_reason(hk, small, weighted=True, directed=False) is None
@@ -114,12 +120,15 @@ def test_applicability_reason_is_checkable_alone():
     assert "directed" in applicability_reason(hk, small, weighted=True, directed=True)
 
 
-# a second heuristic and a second exact route for one family, file order mixed
+# a second heuristic and a second exact route for one family, file order
+# mixed; coloring has one of each, so the two vertex cover routes are
+# refiled under it below, past the loader, which refuses a route filed
+# under a family its runner does not answer (the selector never runs one)
 TWO_HEURISTICS = """
 version: 1
 algorithms:
   - id: matching_cover
-    problem: graph_coloring
+    problem: vertex_cover
     description: A weighted-only heuristic listed first.
     complexity: O(m)
     exact: false
@@ -144,7 +153,7 @@ algorithms:
       max_nodes: 1000
       directedness: undirected
   - id: bnb_cover
-    problem: graph_coloring
+    problem: vertex_cover
     description: A complete-only exact route.
     complexity: exponential
     exact: true
@@ -153,6 +162,9 @@ algorithms:
       requires_complete: true
       directedness: directed
 """
+TWO_HEURISTICS_KB = KnowledgeBase(tuple(
+    replace(r, problem_type="graph_coloring") for r in load_knowledge_base(TWO_HEURISTICS).records
+))
 
 
 def derived_fallbacks(kb, problem_type, stats, weighted, directed):
@@ -164,7 +176,7 @@ def derived_fallbacks(kb, problem_type, stats, weighted, directed):
     return applicable[0], tuple(applicable[1:])
 
 
-@pytest.mark.parametrize("kb", [default_knowledge_base(), load_knowledge_base(TWO_HEURISTICS)],
+@pytest.mark.parametrize("kb", [default_knowledge_base(), TWO_HEURISTICS_KB],
                          ids=["default", "two_heuristics"])
 def test_fallbacks_are_the_other_applicable_routes_in_lookup_order(kb):
     for problem_type in sorted({record.problem_type for record in kb.records}):
@@ -183,7 +195,7 @@ def test_fallbacks_are_the_other_applicable_routes_in_lookup_order(kb):
 
 
 def test_fallbacks_keep_two_heuristics_in_file_order():
-    kb = load_knowledge_base(TWO_HEURISTICS)
+    kb = TWO_HEURISTICS_KB
     stats = GraphStats(10, 45, Fraction(1), True, True)
     choice = select_algorithm(kb, "graph_coloring", stats, weighted=True, directed=False)
     assert choice.record.algorithm_id == "exact_coloring"
@@ -254,23 +266,28 @@ def test_schema_rejections():
     # An id with no runner would only fail at the first solve.
     with pytest.raises(SchemaError, match="no runner"):
         load_knowledge_base(MINIMAL.replace("id: dijkstra", "id: bellman_ford"))
+    # An id filed under another family would fail verification of every answer.
+    with pytest.raises(SchemaError,
+                       match="algorithm 'cycle_check': its runner answers cycle_detection, "
+                             "not shortest_path"):
+        load_knowledge_base(MINIMAL.replace("id: dijkstra", "id: cycle_check"))
 
 
 def test_run_algorithm_matches_direct_calls():
     kb = default_knowledge_base()
     tsp_g = complete_graph(9, seed=11)
-    assert run_algorithm(kb.by_id("held_karp"), tsp_g) == tsp_exact_held_karp(tsp_g)
+    assert run_algorithm(record(kb, "held_karp"), tsp_g) == tsp_exact_held_karp(tsp_g)
     color_g = gnp_graph(12, 0.35, seed=12)
-    assert run_algorithm(kb.by_id("exact_coloring"), color_g) == coloring_exact(color_g)
+    assert run_algorithm(record(kb, "exact_coloring"), color_g) == coloring_exact(color_g)
     cover_g = gnp_graph(14, 0.3, seed=13)
-    assert run_algorithm(kb.by_id("bnb_cover"), cover_g) == vertex_cover_exact(cover_g)
+    assert run_algorithm(record(kb, "bnb_cover"), cover_g) == vertex_cover_exact(cover_g)
     sp_g = gnp_graph(10, 0.4, seed=14, weighted=True, connected=True)
     src, dst = sp_g.node_names[0], sp_g.node_names[-1]
-    assert run_algorithm(kb.by_id("dijkstra"), sp_g, source=src, target=dst) == (
+    assert run_algorithm(record(kb, "dijkstra"), sp_g, source=src, target=dst) == (
         shortest_path_dijkstra(sp_g, src, dst)
     )
     cyc_g = gnp_graph(10, 0.2, seed=15)
-    assert run_algorithm(kb.by_id("cycle_check"), cyc_g) == detect_cycle(cyc_g)
+    assert run_algorithm(record(kb, "cycle_check"), cyc_g) == detect_cycle(cyc_g)
 
 
 def test_run_algorithm_respects_catalogue_limit():
@@ -299,7 +316,7 @@ def test_run_algorithm_error_cases():
     kb = default_knowledge_base()
     g = gnp_graph(6, 0.5, seed=18, weighted=True)
     with pytest.raises(GraphError):
-        run_algorithm(kb.by_id("dijkstra"), g)
+        run_algorithm(record(kb, "dijkstra"), g)
     stray = AlgorithmRecord(
         algorithm_id="simulated_annealing",
         problem_type="tsp",

@@ -9,11 +9,7 @@ import pytest
 from graphcrew.agents import (
     Completion,
     OracleStubBackend,
-    ParseFailureError,
-    PipelineConfig,
     PipelineError,
-    SolverError,
-    UnsupportedProblemTypeError,
     Usage,
     run_direct,
     run_pipeline,
@@ -76,10 +72,10 @@ def test_full_run_with_stub():
 
 
 def test_n_check_controls_audit_rounds():
-    none = run_pipeline(OracleStubBackend(), TSP_TEXT, PipelineConfig(n_check=0))
+    none = run_pipeline(OracleStubBackend(), TSP_TEXT, n_check=0)
     assert none.audit_verdicts == ()
     assert [c.stage for c in none.calls].count("audit") == 0
-    three = run_pipeline(OracleStubBackend(), TSP_TEXT, PipelineConfig(n_check=3))
+    three = run_pipeline(OracleStubBackend(), TSP_TEXT, n_check=3)
     assert three.audit_verdicts == ("pass", "pass", "pass")
 
 
@@ -121,9 +117,10 @@ def test_retry_appends_feedback_and_counts_attempts():
 
 def test_retry_budget_exhaustion():
     backend = StageScripted({"classify": ["junk", "junk", "junk"]})
-    with pytest.raises(ParseFailureError) as err:
+    with pytest.raises(PipelineError) as err:
         run_pipeline(backend, TSP_TEXT)
     assert err.value.stage == "classify"
+    assert "no usable reply in 3 attempts" in str(err.value)
     assert len([1 for s, _ in backend.seen if s == "classify"]) == 3
 
 
@@ -141,8 +138,10 @@ def test_missing_field_retries_but_unknown_type_does_not():
     backend = StageScripted(
         {"classify": ["```result:problem\nproblem_type: minimum_spanning_tree\n```"]}
     )
-    with pytest.raises(UnsupportedProblemTypeError):
+    with pytest.raises(PipelineError) as err:
         run_pipeline(backend, TSP_TEXT)
+    assert err.value.stage == "classify"
+    assert "'minimum_spanning_tree' is not supported" in str(err.value)
     assert len([1 for s, _ in backend.seen if s == "classify"]) == 1
 
 
@@ -176,9 +175,10 @@ def test_extract_empty_graph():
     assert "rejected: the edge list contained no nodes or edges" in retry
 
     backend = StageScripted({"extract_graph": [empty] * 3})
-    with pytest.raises(ParseFailureError) as err:
+    with pytest.raises(PipelineError) as err:
         run_pipeline(backend, TSP_TEXT)
     assert err.value.stage == "extract_graph"
+    assert "no usable reply in 3 attempts" in str(err.value)
     assert "no nodes or edges" in str(err.value)
     assert [stage for stage, _ in backend.seen] == ["classify", *["extract_graph"] * 3]
 
@@ -227,9 +227,10 @@ def test_faulty_extract_reply_is_retried_with_its_problem(faulty, problem):
 @pytest.mark.parametrize("faulty, problem", FAULTY_ROUTES.values(), ids=FAULTY_ROUTES)
 def test_three_faulty_extract_replies_fail_as_extract_graph(faulty, problem):
     backend = StageScripted({"extract_graph": [graph_reply(faulty)] * 3})
-    with pytest.raises(ParseFailureError) as err:
+    with pytest.raises(PipelineError) as err:
         run_pipeline(backend, ROUTE_TEXT)
     assert err.value.stage == "extract_graph"
+    assert "no usable reply in 3 attempts" in str(err.value)
     assert f"(last problem: the edge list could not be read ({problem}))" in str(err.value)
     assert [c.stage for c in err.value.partial_calls] == ["classify", *["extract_graph"] * 3]
     assert [stage for stage, _ in backend.seen] == ["classify", *["extract_graph"] * 3]
@@ -257,9 +258,10 @@ def test_normalize_conflicting_weights():
     assert "edge A-B stated with weights 3 and 5" in extract_prompts(backend)[1]
 
     backend = StageScripted({"extract_graph": [graph_reply(raw)] * 3})
-    with pytest.raises(ParseFailureError) as err:
+    with pytest.raises(PipelineError) as err:
         run_pipeline(backend, TSP_TEXT)
     assert err.value.stage == "extract_graph"
+    assert "no usable reply in 3 attempts" in str(err.value)
     assert "edge A-B stated with weights 3 and 5" in str(err.value)
     assert [c.stage for c in err.value.partial_calls] == ["classify", *["extract_graph"] * 3]
 
@@ -345,17 +347,20 @@ def test_solver_rejection_surfaces_with_rationale():
         True,
         [("Depot", "Mill", 3), ("Mill", "Quay", 5), ("Quay", "Yard", 2)],
     )
-    config = PipelineConfig(kb=load_knowledge_base(WRONG_LIMIT_KB))
-    with pytest.raises(SolverError) as err:
-        run_pipeline(OracleStubBackend(config.kb), problem_text(incomplete, "tsp"), config)
+    kb = load_knowledge_base(WRONG_LIMIT_KB)
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(OracleStubBackend(kb), problem_text(incomplete, "tsp"), kb=kb)
     assert err.value.stage == "solve"
+    assert "held_karp rejected the graph" in str(err.value)
     assert "not complete" in str(err.value) and "rationale" in str(err.value)
 
 
 def test_pipeline_error_carries_partial_trail():
     backend = StageScripted({"classify": ["junk", "junk", "junk"]})
-    with pytest.raises(ParseFailureError) as err:
+    with pytest.raises(PipelineError) as err:
         run_pipeline(backend, TSP_TEXT)
+    assert err.value.stage == "classify"
+    assert "no usable reply" in str(err.value)
     stages = [c.stage for c in err.value.partial_calls]
     assert stages.count("classify") == 3
     assert stages.count("extract_graph") == 1
@@ -451,9 +456,11 @@ def test_run_direct_modes():
     assert outcome.solution.algorithm_id == "direct"
     assert not outcome.solution.exact
 
-    cot = run_direct(OracleStubBackend(), TSP_TEXT, mode="cot")
+    spy = StageScripted({})
+    cot = run_direct(spy, TSP_TEXT, mode="cot")
     assert cot.solution.algorithm_id == "direct_cot"
-    assert "step by step" in cot.calls[0].user_prompt
+    assert [stage for stage, _ in spy.seen] == ["direct"]
+    assert "step by step" in spy.seen[0][1]
 
     with pytest.raises(ValueError):
         run_direct(OracleStubBackend(), TSP_TEXT, mode="telepathy")
@@ -467,30 +474,54 @@ def test_run_direct_failure_is_data_not_exception():
     assert len(outcome.calls) == 3
 
 
+STARS = build_graph(["A", "B", "C", "D", "E", "F"], False, False,
+                    [("A", "C"), ("A", "D"), ("B", "E"), ("B", "F")])
+HOP = build_graph(["A", "B", "C"], False, True,
+                  [("A", "B", Fraction(7, 2)), ("B", "C", 1), ("A", "C", 5)])
+TRIANGLE = build_graph(["A", "B", "C"], False, False, [("A", "B"), ("B", "C"), ("A", "C")])
+# per answer kind: a statement asking for that kind, and the stub's direct answer
+DIRECT_CASES = {
+    "tour": (TSP_TEXT, ("Depot", "Mill", "Quay", "Yard"), 14),
+    "coloring": (problem_text(TRIANGLE, "graph_coloring"), {"A": 0, "B": 1, "C": 2}, 3),
+    "node_set": (problem_text(STARS, "vertex_cover"), ("A", "B"), 2),
+    "path": (problem_text(HOP, "shortest_path", "A", "B"), ("A", "B"), Fraction(7, 2)),
+    "boolean": (problem_text(TRIANGLE, "cycle_detection"), True, 1),
+}
+
+
 def test_run_direct_parses_each_kind():
-    stars = build_graph(["A", "B", "C", "D", "E", "F"], False, False,
-                        [("A", "C"), ("A", "D"), ("B", "E"), ("B", "F")])
-    hop = build_graph(["A", "B", "C"], False, True,
-                      [("A", "B", Fraction(7, 2)), ("B", "C", 1), ("A", "C", 5)])
-    triangle = build_graph(["A", "B", "C"], False, False, [("A", "B"), ("B", "C"), ("A", "C")])
-    cases = [
-        (problem_text(stars, "vertex_cover"), "node_set", ("A", "B"), 2),
-        (problem_text(hop, "shortest_path", "A", "B"), "path", ("A", "B"), None),
-        (problem_text(triangle, "cycle_detection"), "boolean", True, 1),
-    ]
-    for text, kind, payload, objective in cases:
+    for kind, (text, payload, objective) in DIRECT_CASES.items():
         outcome = run_direct(OracleStubBackend(), text)
         assert outcome.solution.kind == kind
         assert outcome.solution.payload == payload
-        if objective is not None:
-            assert outcome.solution.objective == objective
+        assert outcome.solution.objective == objective
 
     # a node set stated out of order is read sorted
     unsorted = StageScripted({"direct": ["```result:answer\nnodes: B, A\nsize: 2\n```"]})
-    outcome = run_direct(unsorted, cases[0][0])
+    outcome = run_direct(unsorted, DIRECT_CASES["node_set"][0])
     assert outcome.solution.kind == "node_set"
     assert outcome.solution.payload == ("A", "B")
     assert outcome.solution.objective == 2
+
+
+# a direct answer of each kind that states no count or cost, and the line it lacks
+UNCOUNTED = {
+    "tour": ("order: Depot, Mill, Quay, Yard", "cost"),
+    "coloring": ("color A: 0\ncolor B: 1\ncolor C: 2", "colors"),
+    "node_set": ("nodes: A, B", "size"),
+    "path": ("path: A, B", "cost"),
+}
+
+
+@pytest.mark.parametrize("kind", UNCOUNTED)
+def test_run_direct_retries_an_answer_without_its_count(kind):
+    body, line = UNCOUNTED[kind]
+    text, payload, objective = DIRECT_CASES[kind]
+    backend = StageScripted({"direct": [f"```result:answer\n{body}\n```"]})
+    outcome = run_direct(backend, text)
+    assert [call.attempt for call in outcome.calls] == [1, 2]
+    assert f"rejected: the block is missing a {line} line" in backend.seen[1][1]
+    assert (outcome.solution.payload, outcome.solution.objective) == (payload, objective)
 
 
 def test_run_direct_refuses_an_exponent_cost():
@@ -551,11 +582,11 @@ def test_io_bound_path_matches_the_inline_path():
             "select": ["```result:choice\nalgorithm: nearest_neighbor_2opt\nreason: vibes\n```"],
         })
 
-    inline = run_pipeline(scripted(), TSP_TEXT, PipelineConfig(n_check=3))
+    inline = run_pipeline(scripted(), TSP_TEXT, n_check=3)
     assert len(inline.notes) == 2
     for seed in range(20):
         threaded = run_pipeline(IOBound(scripted(), seed=seed), TSP_TEXT,
-                                PipelineConfig(n_check=3))
+                                n_check=3)
         assert threaded.calls == inline.calls
         assert threaded.notes == inline.notes
         assert threaded.audit_verdicts == inline.audit_verdicts
@@ -571,15 +602,17 @@ def test_earliest_stage_error_wins_and_every_call_is_kept(io_bound):
 
     junk = ["junk", "junk", "junk"]
     backend = StageScripted({"classify": list(junk), "extract_graph": list(junk)})
-    with pytest.raises(ParseFailureError) as err:
+    with pytest.raises(PipelineError) as err:
         run_pipeline(wrap(backend), TSP_TEXT)
     assert err.value.stage == "classify"
+    assert "no usable reply in 3 attempts" in str(err.value)
     assert [c.stage for c in err.value.partial_calls] == ["classify"] * 3 + ["extract_graph"] * 3
 
     backend = StageScripted({"normalize": list(junk), "select": list(junk)})
-    with pytest.raises(ParseFailureError) as err:
+    with pytest.raises(PipelineError) as err:
         run_pipeline(wrap(backend), TSP_TEXT)
     assert err.value.stage == "normalize"
+    assert "no usable reply in 3 attempts" in str(err.value)
     assert [c.stage for c in err.value.partial_calls] == [
         "classify", "extract_graph", *["normalize"] * 3, *["select"] * 3, "audit", "audit",
     ]

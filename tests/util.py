@@ -1,7 +1,12 @@
-"""Small helpers shared across tests: seeded graph builders and a dead endpoint."""
+"""Small helpers shared across tests: seeded graph builders, a dead
+endpoint and a fresh interpreter."""
 
+import os
 import random
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 from graphcrew.graph import build_graph, graph_stats
 
@@ -47,3 +52,12 @@ def closed_port_url():
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
     return f"http://127.0.0.1:{port}/v1"
+
+
+def run_python(*args, env=None):
+    """Run ``python *args`` in a fresh interpreter that imports graphcrew from
+    this checkout, with ``env`` added to the environment."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path, **(env or {})})
