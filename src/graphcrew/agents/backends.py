@@ -25,7 +25,6 @@ import urllib.parse
 import urllib.request
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
 from typing import Any, Protocol, runtime_checkable
 
@@ -35,7 +34,6 @@ from ..dataset import exact_route, reference_extract
 from ..execute import run_algorithm
 from ..formats import serialize_graph
 from ..knowledge import KnowledgeBase, default_knowledge_base, select_algorithm
-from ..problems import CYCLE_DETECTION, GRAPH_COLORING, SHORTEST_PATH, TSP, VERTEX_COVER
 from .blocks import answer_lines
 from .prompts import TAGS, read_graph_facts, slot_value, stage_of_prompt
 
@@ -328,61 +326,46 @@ class RecordingBackend:
         return completion
 
 
-# the objective line of a classify reply, by family
-_OBJECTIVES = {
-    TSP: "find the cheapest round trip visiting every node once",
-    GRAPH_COLORING: "find the minimum number of colors for adjacent nodes to differ",
-    VERTEX_COVER: "find a smallest node set touching every edge",
-    SHORTEST_PATH: "find the cheapest path between the two named nodes",
-    CYCLE_DETECTION: "decide whether the graph contains a cycle",
-}
-
-
 class OracleStubBackend:
     """Offline backend that answers each stage from its own prompt.
 
-    It holds no instance data.  ``classify``, ``extract_graph`` and
-    ``direct`` read the problem statement in their prompt with
+    It holds no instance data.  ``extract_graph`` and ``direct`` read the
+    problem statement in their prompt with
     :func:`~graphcrew.dataset.reference_extract`, which recovers a
-    generated text's family, graph and route exactly; ``direct`` answers
-    with the proven optimum on the graph it read.  ``normalize`` echoes
-    the edge list it is given, ``select`` runs the catalogue's selector
-    on the graph facts it is given, and ``audit`` passes.  Replies follow
-    the same fenced-block contract a live model is asked for, so the
-    pipeline cannot tell the difference.
+    generated text's family, graph and route exactly; ``extract_graph``
+    answers both of its blocks from that one read, and ``direct``
+    answers with the proven optimum on the graph it read.  ``normalize``
+    echoes the edge list it is given, ``select`` runs the catalogue's
+    selector on the graph facts it is given, and ``audit`` passes.
+    Replies follow the same fenced-block contract a live model is asked
+    for, so the pipeline cannot tell the difference.
     """
 
     backend_id = "stub"
 
     def __init__(self, kb: KnowledgeBase | None = None):
         self._kb = kb or default_knowledge_base()
-        # classify and extract_graph are given the same statement: read it once
-        self._read = lru_cache(maxsize=64)(reference_extract)
 
-    def _reply(self, stage: str, user: str) -> str:
-        """The reply body for ``stage``, one of the stages in ``TAGS``."""
+    def _reply(self, stage: str, user: str) -> tuple[str, ...]:
+        """The reply's block bodies for ``stage``, one per tag in ``TAGS[stage]``."""
         if stage == "normalize":
-            return slot_value(stage, user, "graph")
+            return (slot_value(stage, user, "graph"),)
         if stage == "select":
             stats, weighted, directed = read_graph_facts(slot_value(stage, user, "stats"))
             choice = select_algorithm(self._kb, slot_value(stage, user, "problem_type"), stats,
                                       weighted=weighted, directed=directed)
-            return f"algorithm: {choice.record.algorithm_id}\nreason: {choice.rationale}"
+            return (f"algorithm: {choice.record.algorithm_id}\nreason: {choice.rationale}",)
         if stage == "audit":
-            return "verdict: pass\nnote: consistent with the graph"
-        problem = self._read(slot_value(stage, user, "problem"))
-        if stage == "classify":
-            return (
-                f"problem_type: {problem.problem_type}\n"
-                f"objective: {_OBJECTIVES[problem.problem_type]}\n"
-                f"source: {problem.source or 'none'}\n"
-                f"target: {problem.target or 'none'}"
-            )
+            return ("verdict: pass\nnote: consistent with the graph",)
+        problem = reference_extract(slot_value(stage, user, "problem"))
         if stage == "extract_graph":
-            return serialize_graph(problem.graph).strip()
+            spec = (f"problem_type: {problem.problem_type}\n"
+                    f"source: {problem.source or 'none'}\n"
+                    f"target: {problem.target or 'none'}")
+            return spec, serialize_graph(problem.graph).strip()
         route = exact_route(problem.problem_type, problem.graph, self._kb).record
         best = run_algorithm(route, problem.graph, source=problem.source, target=problem.target)
-        return answer_lines(best)
+        return (answer_lines(best),)
 
     def complete(self, system_prompt, user_prompt, params=None):
         stage = stage_of_prompt(system_prompt)
@@ -391,10 +374,11 @@ class OracleStubBackend:
         if stage not in TAGS:
             raise BackendError(f"stub cannot answer stage {stage!r}")
         try:
-            body = self._reply(stage, user_prompt)
+            bodies = self._reply(stage, user_prompt)
         except ValueError as exc:
             raise BackendError(f"stub cannot answer the {stage} prompt: {exc}") from exc
-        text = f"```result:{TAGS[stage]}\n{body}\n```"
+        text = "\n".join(f"```result:{tag}\n{body}\n```"
+                         for tag, body in zip(TAGS[stage], bodies, strict=True))
         usage = Usage(
             input_tokens=whitespace_token_count(system_prompt + " " + user_prompt),
             output_tokens=whitespace_token_count(text),

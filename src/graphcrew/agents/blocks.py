@@ -1,8 +1,9 @@
 """Fenced result blocks: the machine-readable tail of every agent reply.
 
-A reply may ramble, but it must end with a fenced block tagged
-``result:<tag>``; only the last block with the expected tag counts, so
-models that think out loud in earlier fences stay parseable.
+A reply may ramble, but it must carry a fenced block tagged
+``result:<tag>`` for each tag its stage expects; only the last block
+with each tag counts, so models that think out loud in earlier fences
+stay parseable.
 
 The ``direct`` stage's answer block is written by :func:`answer_lines`
 and read by :func:`read_answer`, side by side here.  Every kind but a

@@ -1,37 +1,38 @@
 """The staged solving flow: prose in, verified solution out.
 
-Five stages, each a separate backend conversation with its own narrow
+Four stages, each a separate backend conversation with its own narrow
 input:
 
-1. ``classify``: problem family plus the asked question.
-2. ``extract_graph``: edge-list transcription of the statement.
-3. ``normalize``: cleaned edge list, compared with the extracted graph.
-4. ``select``: algorithm choice, compared with the catalogue's selector.
-5. solve natively, then ``audit`` rounds on the computed answer.
+1. ``extract_graph``: the problem family and route endpoints, plus an
+   edge-list transcription of the statement, in one reply.
+2. ``normalize``: cleaned edge list, compared with the extracted graph.
+3. ``select``: algorithm choice, compared with the catalogue's selector.
+4. solve natively, then ``audit`` rounds on the computed answer.
 
 Each model stage is one row (:class:`_Row`): the stage name, its prompt
 slots, its reply validator and, for the stages that only compare, the
 function that turns the reply into an override note.  One ask loop
-(:func:`_ask`) runs every row.  A reply that does not carry the stage's
-fenced block (``TAGS`` in :mod:`.prompts`), or that its validator
-rejects, is retried with the rejection reason appended, up to
+(:func:`_ask`) runs every row.  A reply that lacks one of the stage's
+fenced blocks (``TAGS`` in :mod:`.prompts`), or that its validator
+rejects, is retried with a reason that names the block, up to
 ``MAX_ATTEMPTS`` attempts.  Both edge-list stages are read by
 :func:`~graphcrew.formats.parse_graph`, which also merges an edge stated
 twice; an unreadable line, a conflicting weight, an endpoint outside the
-roster or an empty list is retried with the parser's own message.
+roster, an empty list or a route endpoint the list does not hold is
+retried with the reader's own message.
 
 :func:`run_pipeline` runs the rows in two waves, so an instance waits
-out two model round trips, not ``4 + n_check``.  Wave 1 (``classify``,
-``extract_graph``) reads only the problem text.  From its replies the
-code selects the algorithm and solves and verifies the answer; no model
-reply can change these decisions.  Wave 2 (``normalize``, ``select``,
-every ``audit`` round) goes out only once both steps have succeeded,
-and its replies can only add notes.  A backend that waits on the
-network (``io_bound = True``) gets a thread per row of a wave; any
-other runs the rows one after another.  Calls and notes are joined in
-stage order whatever order the replies came in.  Every failure of an
-instance is one :class:`PipelineError`, named after the failing stage,
-whose ``partial_calls`` lists every call made.
+out two model round trips, not ``3 + n_check``.  Wave 1 is the one
+``extract_graph`` call, the only one that reads the problem text.  From
+its reply the code selects the algorithm and solves and verifies the
+answer; no model reply can change these decisions.  Wave 2
+(``normalize``, ``select``, every ``audit`` round) goes out only once
+both steps have succeeded, and its replies can only add notes.  A
+backend that waits on the network (``io_bound = True``) gets a thread
+per row of wave 2; any other runs the rows one after another.  Calls
+and notes are joined in stage order whatever order the replies came
+in.  Every failure of an instance is one :class:`PipelineError`, named
+after the failing stage, whose ``partial_calls`` lists every call made.
 """
 
 from __future__ import annotations
@@ -102,12 +103,13 @@ class SolveOutcome:
 
 
 def _ask(backend: ChatBackend, stage: str, slots: dict[str, str],
-         calls: list[CallRecord], validate: Callable[[str], Any]):
-    """The validated body of the stage's fenced block; every reply is kept in ``calls``."""
-    tag = TAGS[stage]
+         calls: list[CallRecord], validate: Callable[..., Any]):
+    """``validate`` applied to the bodies of the stage's fenced blocks, in
+    ``TAGS`` order; every reply is kept in ``calls``."""
+    tags = TAGS[stage]
     system, prompt = render_stage(stage, slots)
-    feedback: str | None = None
-    last_backend_error: BackendError | None = None
+    feedback: str | None = None  # why the last reply was rejected
+    backend_error: BackendError | None = None  # what the last attempt raised, if it raised
     for attempt in range(1, MAX_ATTEMPTS + 1):
         user = prompt
         if feedback:
@@ -118,38 +120,40 @@ def _ask(backend: ChatBackend, stage: str, slots: dict[str, str],
         try:
             completion = backend.complete(system, user, {"temperature": 0.0})
         except BackendError as exc:
-            last_backend_error = exc
+            backend_error = exc
             continue
+        backend_error = None
         usage = completion.usage
         calls.append(CallRecord(stage, attempt, usage.input_tokens, usage.output_tokens))
-        body = extract_block(completion.text, tag)
-        if body is None:
-            feedback = f"the reply did not end with a ```result:{tag}``` fenced block"
+        bodies = [extract_block(completion.text, tag) for tag in tags]
+        if None in bodies:
+            feedback = f"the reply has no ```result:{tags[bodies.index(None)]}``` fenced block"
             continue
         try:
-            return validate(body)
+            return validate(*bodies)
         except RejectReply as rej:
             feedback = str(rej)
-    if last_backend_error is not None and feedback is None:
+    if feedback is None:
         raise PipelineError(
-            stage, f"backend failed {MAX_ATTEMPTS} times: {last_backend_error}"
-        ) from last_backend_error
+            stage, f"backend failed {MAX_ATTEMPTS} times: {backend_error}"
+        ) from backend_error
+    last = feedback if backend_error is None else f"the backend failed: {backend_error}"
     raise PipelineError(
-        stage, f"no usable reply in {MAX_ATTEMPTS} attempts (last problem: {feedback})"
-    )
+        stage, f"no usable reply in {MAX_ATTEMPTS} attempts (last problem: {last})"
+    ) from backend_error
 
 
-# -- reply validators, one per stage ------------------------------------
+# -- reply validators --------------------------------------------------
 
 
 def _problem_spec(body: str) -> ProblemSpec:
     fields = parse_fields(body)
     if "problem_type" not in fields:
-        raise RejectReply("the block is missing a problem_type line")
+        raise RejectReply("the problem block is missing a problem_type line")
     problem_type = fields["problem_type"]
     if problem_type not in PROBLEM_TYPES:
         raise PipelineError(
-            "classify",
+            "extract_graph",
             f"problem type {problem_type!r} is not supported "
             f"(known: {', '.join(PROBLEM_TYPES)})",
         )
@@ -171,6 +175,17 @@ def _graph(body: str) -> Graph:
     if not graph.node_count:
         raise RejectReply("the edge list contained no nodes or edges")
     return graph
+
+
+def _extract(problem_body: str, graph_body: str) -> tuple[ProblemSpec, str, Graph]:
+    """The problem block and the edge list; a route endpoint the problem
+    block names must be a node of the edge list."""
+    spec, graph = _problem_spec(problem_body), _graph(graph_body)
+    for role, name in (("source", spec.source), ("target", spec.target)):
+        if name is not None and name not in graph.node_names:
+            raise RejectReply(f"the problem block names {role} {name!r}, "
+                              "which is not a node of the edge list")
+    return spec, graph_body, graph
 
 
 def _algorithm_id(body: str) -> str:
@@ -276,7 +291,7 @@ class _Row:
 
     stage: str
     slots: dict[str, str]
-    validate: Callable[[str], Any]
+    validate: Callable[..., Any]  # takes the bodies of the stage's blocks
     note: Callable[[Any], str | None] | None = None  # the override note a reply earns
     calls: list[CallRecord] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
@@ -334,51 +349,49 @@ def run_pipeline(
     every call made as ``partial_calls``.
     """
     kb = kb or default_knowledge_base()
-    text = {"problem": problem_text}
-    wave1 = [_Row("classify", text, _problem_spec),
-             _Row("extract_graph", text, lambda body: (body, _graph(body)))]
-    rows = list(wave1)  # every row asked so far, in stage order
-    io_bound = getattr(backend, "io_bound", False)
+    extract = _Row("extract_graph", {"problem": problem_text}, _extract)
+    rows = [extract]  # every row asked so far, in stage order
     try:
-        with ThreadPoolExecutor(2 + n_check) if io_bound else nullcontext() as pool:
-            _wave(pool, backend, wave1)
-            spec, (raw_text, graph) = wave1[0].value, wave1[1].value
-            problem_type = spec.problem_type
-            solve_notes: list[str] = []
-            with _step("select"):
-                stats = graph_stats(graph)
-                choice = select_algorithm(
-                    kb, problem_type, stats, weighted=graph.weighted, directed=graph.directed
-                )
-            with _step("solve"):
-                solution = _solve_with_fallback(choice, graph, spec, solve_notes)
-            explanation = _explain(solution, graph, problem_type)
-            chosen = choice.record.algorithm_id
-            audit = {"problem_type": problem_type, "graph": serialize_graph(graph),
-                     "solution": explanation, "report": "valid"}
-            normalize = _Row(
-                "normalize", {"graph": raw_text},
-                lambda body: graph if body == raw_text else _graph(body),
-                lambda proposal: None if proposal == graph else (
-                    "normalize: backend proposal differed from the deterministic merge; "
-                    "deterministic result kept"),
+        _wave(None, backend, [extract])
+        spec, raw_text, graph = extract.value
+        problem_type = spec.problem_type
+        solve_notes: list[str] = []
+        with _step("select"):
+            stats = graph_stats(graph)
+            choice = select_algorithm(
+                kb, problem_type, stats, weighted=graph.weighted, directed=graph.directed
             )
-            select = _Row(
-                "select",
-                {"problem_type": problem_type, "stats": graph_facts(graph, stats),
-                 "catalogue": _catalogue_text(kb, problem_type)},
-                _algorithm_id,
-                lambda proposed: None if proposed == chosen else (
-                    f"select: backend proposed {proposed!r}, selector chose {chosen!r}; "
-                    "selector wins"),
-            )
-            audit_note = ("audit: backend voted fail; mechanical verification is "
-                          f"authoritative and reported: {audit['report']}")
-            audits = [_Row("audit", audit, _verdict,
-                           lambda verdict: None if verdict == "pass" else audit_note)
-                      for _ in range(n_check)]
-            wave2 = [normalize, select, *audits]
-            rows += wave2
+        with _step("solve"):
+            solution = _solve_with_fallback(choice, graph, spec, solve_notes)
+        explanation = _explain(solution, graph, problem_type)
+        chosen = choice.record.algorithm_id
+        audit = {"problem_type": problem_type, "graph": serialize_graph(graph),
+                 "solution": explanation, "report": "valid"}
+        normalize = _Row(
+            "normalize", {"graph": raw_text},
+            lambda body: graph if body == raw_text else _graph(body),
+            lambda proposal: None if proposal == graph else (
+                "normalize: backend proposal differed from the deterministic merge; "
+                "deterministic result kept"),
+        )
+        select = _Row(
+            "select",
+            {"problem_type": problem_type, "stats": graph_facts(graph, stats),
+             "catalogue": _catalogue_text(kb, problem_type)},
+            _algorithm_id,
+            lambda proposed: None if proposed == chosen else (
+                f"select: backend proposed {proposed!r}, selector chose {chosen!r}; "
+                "selector wins"),
+        )
+        audit_note = ("audit: backend voted fail; mechanical verification is "
+                      f"authoritative and reported: {audit['report']}")
+        audits = [_Row("audit", audit, _verdict,
+                       lambda verdict: None if verdict == "pass" else audit_note)
+                  for _ in range(n_check)]
+        wave2 = [normalize, select, *audits]
+        rows += wave2
+        io_bound = getattr(backend, "io_bound", False)
+        with ThreadPoolExecutor(len(wave2)) if io_bound else nullcontext() as pool:
             _wave(pool, backend, wave2)
     except PipelineError as exc:
         exc.partial_calls = _calls(rows)

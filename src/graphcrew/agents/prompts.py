@@ -15,14 +15,13 @@ from importlib import resources
 
 from ..graph import Graph, GraphStats
 
-# each stage, and the tag of the ```result:<tag>``` block its reply must end with
-TAGS: dict[str, str] = {
-    "classify": "problem",
-    "extract_graph": "graph",
-    "normalize": "graph",
-    "select": "choice",
-    "audit": "verdict",
-    "direct": "answer",
+# each stage, and the tags of the ```result:<tag>``` blocks its reply must carry, in order
+TAGS: dict[str, tuple[str, ...]] = {
+    "extract_graph": ("problem", "graph"),
+    "normalize": ("graph",),
+    "select": ("choice",),
+    "audit": ("verdict",),
+    "direct": ("answer",),
 }
 
 _MARKER_RE = re.compile(r"\[stage:([a-z_]+)\]")

@@ -330,15 +330,15 @@ def test_record_then_replay_is_byte_identical(tmp_path):
     fixtures = tmp_path / "fixtures.jsonl"
     inner = ScriptedInner(["first reply", "second reply"])
     recorder = RecordingBackend(inner, fixtures)
-    first = recorder.complete("[stage:classify]\nsys", "user one", {"temperature": 0.0})
+    first = recorder.complete("[stage:extract_graph]\nsys", "user one", {"temperature": 0.0})
     second = recorder.complete("sys", "user two", {"temperature": 0.0})
 
     replay = ReplayBackend(fixtures)
-    assert replay.complete("[stage:classify]\nsys", "user one", {"temperature": 0.0}) == first
+    assert replay.complete("[stage:extract_graph]\nsys", "user one", {"temperature": 0.0}) == first
     assert replay.complete("sys", "user two", {"temperature": 0.0}) == second
 
     entries = [json.loads(line) for line in fixtures.read_text().splitlines()]
-    assert [e["stage"] for e in entries] == ["classify", ""]
+    assert [e["stage"] for e in entries] == ["extract_graph", ""]
     assert entries[0]["text"] == "first reply"
 
 
@@ -403,16 +403,15 @@ def ask_stub(stub, stage, **slots):
 
 def test_stub_answers_every_stage_in_contract_shape():
     stub = OracleStubBackend()
-    classify = ask_stub(stub, "classify", problem=TSP_TEXT)
-    assert classify.usage.output_tokens == whitespace_token_count(classify.text)
-    fields = parse_fields(extract_block(classify.text, "problem"))
-    assert fields["problem_type"] == "tsp"
-    assert fields["source"] == "none" and fields["target"] == "none"
-
     extract = ask_stub(stub, "extract_graph", problem=TSP_TEXT)
+    assert extract.usage.output_tokens == whitespace_token_count(extract.text)
+    fields = parse_fields(extract_block(extract.text, "problem"))
+    assert fields == {"problem_type": "tsp", "source": "none", "target": "none"}
     graph_text = extract_block(extract.text, "graph")
     assert graph_text == serialize_graph(tsp_graph()).strip()
-    assert ask_stub(stub, "normalize", graph=graph_text).text == extract.text
+    assert extract.text.endswith(f"```result:graph\n{graph_text}\n```")
+    assert ask_stub(stub, "normalize", graph=graph_text).text == (
+        f"```result:graph\n{graph_text}\n```")
 
     facts = "4 nodes, 6 edges, density 1, connected, complete, weighted, undirected"
     select = ask_stub(stub, "select", problem_type="tsp", stats=facts, catalogue="")
@@ -436,12 +435,12 @@ def test_stub_reads_its_prompt_not_a_fixed_reply():
     retried = f"{user}\n\nYour previous reply was rejected: A B 2. Reply again."
     assert extract_block(stub.complete(system, retried).text, "graph") == "A B 1"
 
-    # a statement's route and the graph facts decide the classify and select replies
+    # a statement's route and the graph facts decide the extract and select replies
     route = build_graph(["Ash", "Birch", "Cedar"], False, True,
                         [("Ash", "Birch", 2), ("Birch", "Cedar", 3)])
-    classify = ask_stub(stub, "classify",
-                        problem=problem_text(route, "shortest_path", "Cedar", "Ash"))
-    fields = parse_fields(extract_block(classify.text, "problem"))
+    extract = ask_stub(stub, "extract_graph",
+                       problem=problem_text(route, "shortest_path", "Cedar", "Ash"))
+    fields = parse_fields(extract_block(extract.text, "problem"))
     assert (fields["problem_type"], fields["source"], fields["target"]) == (
         "shortest_path", "Cedar", "Ash")
     facts = "30 nodes, 435 edges, density 1, connected, complete, weighted, undirected"
@@ -486,7 +485,7 @@ def test_stub_rejects_bad_inputs():
         stub.complete("[stage:mystery]", "u")
     # a prompt the stub cannot read fails like a backend, not with a guess
     for stage, slots, problem in [
-        ("classify", {"problem": "Words with no structure."}, "no roster sentence found"),
+        ("extract_graph", {"problem": "Words with no structure."}, "no roster sentence found"),
         ("direct", {"directive": "", "problem": TSP_TEXT.rsplit("\n\n", 1)[0]},
          "no question sentence found"),
         ("select", {"problem_type": "tsp", "stats": "many nodes", "catalogue": ""},
@@ -495,7 +494,7 @@ def test_stub_rejects_bad_inputs():
         message = f"stub cannot answer the {stage} prompt: {problem}"
         with pytest.raises(BackendError, match=message):
             ask_stub(stub, stage, **slots)
-    system, _ = render_stage("classify", {"problem": "p"})
+    system, _ = render_stage("extract_graph", {"problem": "p"})
     with pytest.raises(BackendError, match="does not frame a {problem} slot"):
         stub.complete(system, "a user prompt not rendered from the template")
 

@@ -40,7 +40,7 @@ class TestReader:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     @pytest.mark.parametrize("noise", NOISE_LEVELS)
     def test_reads_family_graph_and_route(self, ptype, scenario, noise):
-        # what the offline stub answers classify and extract_graph with
+        # what the offline stub answers extract_graph with
         for n in (8, 16, 25):
             inst = build_instance(ptype, n, 0, master_seed=11, noise_level=noise,
                                   scenario=scenario)

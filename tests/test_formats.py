@@ -215,7 +215,7 @@ def read_with_oracle(text):
 
 @given(st.one_of(messy_edge_lists(), restated_edge_lists()))
 @settings(max_examples=600)
-def test_loose_reader_matches_the_strip_first_oracle(text):
+def test_parse_graph_matches_the_strip_first_oracle(text):
     # parse_graph raises the reference's first problem at the same line and
     # column, or builds the graph the reference's parts build
     assert outcome(lambda: parse_graph(text)) == outcome(lambda: read_with_oracle(text))

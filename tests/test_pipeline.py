@@ -26,11 +26,11 @@ from graphcrew.agents.prompts import (
     render_stage,
     stage_of_prompt,
 )
-from graphcrew.formats import parse_graph
-from graphcrew.graph import GraphError, UnknownEndpointError, build_graph, graph_stats
+from graphcrew.formats import parse_graph, serialize_graph
+from graphcrew.graph import GraphError, build_graph, graph_stats
 from graphcrew.knowledge import NoApplicableAlgorithmError, load_knowledge_base
 
-from test_backends import TSP_TEXT, problem_text
+from test_backends import TSP_TEXT, problem_text, tsp_graph
 
 
 class StageScripted:
@@ -64,7 +64,7 @@ def test_full_run_with_stub():
     assert out.choice.record.algorithm_id == "held_karp"
     assert out.audit_verdicts == ("pass", "pass")
     assert [c.stage for c in out.calls] == [
-        "classify", "extract_graph", "normalize", "select", "audit", "audit",
+        "extract_graph", "normalize", "select", "audit", "audit",
     ]
     assert out.notes == ()
     assert all(c.input_tokens > 0 and c.output_tokens > 0 for c in out.calls)
@@ -93,9 +93,8 @@ def test_stage_inputs_stay_narrow():
     by_stage = {}
     for stage, user in backend.seen:
         by_stage.setdefault(stage, []).append(user)
-    # The statement goes to the reading stages only.
-    for stage in ("classify", "extract_graph"):
-        assert all("UNIQUE_PROSE_MARKER" in u for u in by_stage[stage])
+    # The statement goes to the reading stage only.
+    assert all("UNIQUE_PROSE_MARKER" in u for u in by_stage["extract_graph"])
     for stage in ("normalize", "select", "audit"):
         assert all("UNIQUE_PROSE_MARKER" not in u for u in by_stage[stage])
     # The cleaner sees the raw edge list, the picker sees facts and catalogue.
@@ -103,67 +102,110 @@ def test_stage_inputs_stay_narrow():
     assert any("held_karp" in u and "nearest_neighbor_2opt" in u for u in by_stage["select"])
 
 
+TSP_GRAPH = serialize_graph(tsp_graph())
+
+
+def graph_reply(text, problem="problem_type: tsp\nsource: none\ntarget: none"):
+    """A scripted reply: ``problem`` in its problem block, then ``text`` in
+    its graph block.  An extract reply reads both; a normalize reply reads
+    only the graph block."""
+    return f"```result:problem\n{problem}\n```\n```result:graph\n{text}```"
+
+
+def extract_prompts(backend):
+    return [user for stage, user in backend.seen if stage == "extract_graph"]
+
+
 def test_retry_appends_feedback_and_counts_attempts():
-    backend = StageScripted({"classify": ["no block at all", None]})
-    backend.scripts["classify"][1] = (
-        "```result:problem\nproblem_type: tsp\nobjective: o\nsource: none\ntarget: none\n```"
-    )
+    backend = StageScripted({"extract_graph": ["no block at all"]})
     out = run_pipeline(backend, TSP_TEXT)
     assert out.problem_spec.problem_type == "tsp"
-    classify_calls = [u for s, u in backend.seen if s == "classify"]
-    assert len(classify_calls) == 2
-    assert "rejected" in classify_calls[1] and "fenced block" in classify_calls[1]
+    extract_calls = extract_prompts(backend)
+    assert len(extract_calls) == 2
+    assert "rejected" in extract_calls[1] and "fenced block" in extract_calls[1]
+
+
+def test_retry_feedback_names_the_missing_block():
+    graph_only = f"```result:graph\n{TSP_GRAPH}```"
+    problem_only = graph_reply(TSP_GRAPH).split("```result:graph")[0]
+    for reply, tag in ((graph_only, "problem"), (problem_only, "graph")):
+        backend = StageScripted({"extract_graph": [reply]})
+        assert run_pipeline(backend, TSP_TEXT).solution.objective == 14
+        retry = extract_prompts(backend)[1]
+        assert f"rejected: the reply has no ```result:{tag}``` fenced block" in retry
 
 
 def test_retry_budget_exhaustion():
-    backend = StageScripted({"classify": ["junk", "junk", "junk"]})
+    backend = StageScripted({"extract_graph": ["junk", "junk", "junk"]})
     with pytest.raises(PipelineError) as err:
         run_pipeline(backend, TSP_TEXT)
-    assert err.value.stage == "classify"
+    assert err.value.stage == "extract_graph"
     assert "no usable reply in 3 attempts" in str(err.value)
-    assert len([1 for s, _ in backend.seen if s == "classify"]) == 3
+    assert len(extract_prompts(backend)) == 3
 
 
 def test_missing_field_retries_but_unknown_type_does_not():
     backend = StageScripted(
         {
-            "classify": [
-                "```result:problem\nobjective: no type line\n```",
-                "```result:problem\nproblem_type: tsp\n```",
+            "extract_graph": [
+                graph_reply(TSP_GRAPH, "source: none"),
+                graph_reply(TSP_GRAPH, "problem_type: tsp"),
             ]
         }
     )
     assert run_pipeline(backend, TSP_TEXT).problem_spec.problem_type == "tsp"
+    assert "rejected: the problem block is missing a problem_type line" in (
+        extract_prompts(backend)[1])
 
     backend = StageScripted(
-        {"classify": ["```result:problem\nproblem_type: minimum_spanning_tree\n```"]}
+        {"extract_graph": [graph_reply(TSP_GRAPH, "problem_type: minimum_spanning_tree")]}
     )
     with pytest.raises(PipelineError) as err:
         run_pipeline(backend, TSP_TEXT)
-    assert err.value.stage == "classify"
+    assert err.value.stage == "extract_graph"
     assert "'minimum_spanning_tree' is not supported" in str(err.value)
-    assert len([1 for s, _ in backend.seen if s == "classify"]) == 1
+    assert len(extract_prompts(backend)) == 1
 
 
 def test_backend_errors_retry_then_surface():
     backend = StageScripted(
-        {"classify": [BackendError("down"), BackendError("down"), BackendError("down")]}
+        {"extract_graph": [BackendError("down"), BackendError("down"), BackendError("down")]}
     )
     with pytest.raises(PipelineError) as err:
         run_pipeline(backend, TSP_TEXT)
-    assert err.value.stage == "classify"
-    assert "3 times" in str(err.value)
+    assert err.value.stage == "extract_graph"
+    assert str(err.value) == "stage extract_graph: backend failed 3 times: down"
 
 
-WAVE_1 = ["classify", "extract_graph"]
+def test_failure_names_a_backend_error_on_the_last_attempt():
+    # a rejected reply, then an outage: the failure names the outage, and
+    # each retry prompt carries only the rejected reply's reason
+    outage = ["junk", BackendError("HTTP 503"), BackendError("HTTP 503")]
+    backend = StageScripted({"extract_graph": list(outage)})
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(backend, TSP_TEXT)
+    assert str(err.value) == ("stage extract_graph: no usable reply in 3 attempts "
+                              "(last problem: the backend failed: HTTP 503)")
+    assert isinstance(err.value.__cause__, BackendError)
+    retries = extract_prompts(backend)[1:]
+    assert len(retries) == 2
+    assert all("rejected: the reply has no ```result:problem``` fenced block" in user
+               and "503" not in user for user in retries)
+    assert [c.attempt for c in err.value.partial_calls] == [1]
+
+    outcome = run_direct(StageScripted({"direct": list(outage)}), TSP_TEXT)
+    assert outcome.failure == ("stage direct: no usable reply in 3 attempts "
+                               "(last problem: the backend failed: HTTP 503)")
+
+    # an outage followed by rejected replies still names the last rejection
+    backend = StageScripted({"extract_graph": [BackendError("HTTP 503"), "junk", "junk"]})
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(backend, TSP_TEXT)
+    assert str(err.value).endswith(
+        "(last problem: the reply has no ```result:problem``` fenced block)")
 
 
-def graph_reply(text):
-    return f"```result:graph\n{text}```"
-
-
-def extract_prompts(backend):
-    return [user for stage, user in backend.seen if stage == "extract_graph"]
+WAVE_1 = ["extract_graph"]
 
 
 def test_extract_empty_graph():
@@ -180,7 +222,7 @@ def test_extract_empty_graph():
     assert err.value.stage == "extract_graph"
     assert "no usable reply in 3 attempts" in str(err.value)
     assert "no nodes or edges" in str(err.value)
-    assert [stage for stage, _ in backend.seen] == ["classify", *["extract_graph"] * 3]
+    assert [stage for stage, _ in backend.seen] == ["extract_graph"] * 3
 
 
 ROUTE = (
@@ -188,52 +230,67 @@ ROUTE = (
     "A B 3\nA C 1\nB D 4\nC D 1\n"
 )
 
-# A transcription fault in each row; a reader that drops the row, or a
-# merge that fails without asking again, loses the route A -> C -> D.
+ROUTE_TEXT = problem_text(parse_graph(ROUTE), "shortest_path", "A", "D")
+
+
+def route_reply(graph=ROUTE, source="A", target="D"):
+    return graph_reply(graph, f"problem_type: shortest_path\nsource: {source}\ntarget: {target}")
+
+
+# A transcription fault in each reply, and the feedback it earns; a reader
+# that drops the row, or a merge or a route check that fails without asking
+# again, loses the route A -> C -> D.
 FAULTY_ROUTES = {
     "unit-after-weight": (
-        ROUTE.replace("C D 1\n", "C D 1 minutes\n"),
-        "line 7, column 1: expected 'U V' or 'U V W', got 'C D 1 minutes'",
+        route_reply(ROUTE.replace("C D 1\n", "C D 1 minutes\n")),
+        "the edge list could not be read "
+        "(line 7, column 1: expected 'U V' or 'U V W', got 'C D 1 minutes')",
     ),
     "dash-between-names": (
-        ROUTE.replace("A C 1", "A - C 1"),
-        "line 5, column 1: expected 'U V' or 'U V W', got 'A - C 1'",
+        route_reply(ROUTE.replace("A C 1", "A - C 1")),
+        "the edge list could not be read "
+        "(line 5, column 1: expected 'U V' or 'U V W', got 'A - C 1')",
     ),
     "conflicting-weight": (
-        ROUTE.replace("A B 3\n", "A B 3\nB A 9\n"),
-        "edge A-B stated with weights 3 and 9",
+        route_reply(ROUTE.replace("A B 3\n", "A B 3\nB A 9\n")),
+        "the edge list could not be read (edge A-B stated with weights 3 and 9)",
     ),
     "outside-roster": (
-        ROUTE + "C E 1\n",
-        "line 8, column 3: endpoint 'E' missing from roster",
+        route_reply(ROUTE + "C E 1\n"),
+        "the edge list could not be read (line 8, column 3: endpoint 'E' missing from roster)",
+    ),
+    "source-outside-graph": (
+        route_reply(source="E"),
+        "the problem block names source 'E', which is not a node of the edge list",
+    ),
+    "target-outside-graph": (
+        route_reply(target="Nowhere"),
+        "the problem block names target 'Nowhere', which is not a node of the edge list",
     ),
 }
 
 
-ROUTE_TEXT = problem_text(parse_graph(ROUTE), "shortest_path", "A", "D")
-
-
 @pytest.mark.parametrize("faulty, problem", FAULTY_ROUTES.values(), ids=FAULTY_ROUTES)
 def test_faulty_extract_reply_is_retried_with_its_problem(faulty, problem):
-    backend = StageScripted({"extract_graph": [graph_reply(faulty)]})
+    backend = StageScripted({"extract_graph": [faulty]})
     out = run_pipeline(backend, ROUTE_TEXT)
     assert out.solution.payload == ("A", "C", "D")
     assert out.solution.objective == 2
     assert out.notes == ()
     first, retry = extract_prompts(backend)
-    assert problem not in first and problem in retry
+    assert problem not in first and f"rejected: {problem}." in retry
 
 
 @pytest.mark.parametrize("faulty, problem", FAULTY_ROUTES.values(), ids=FAULTY_ROUTES)
 def test_three_faulty_extract_replies_fail_as_extract_graph(faulty, problem):
-    backend = StageScripted({"extract_graph": [graph_reply(faulty)] * 3})
+    backend = StageScripted({"extract_graph": [faulty] * 3})
     with pytest.raises(PipelineError) as err:
         run_pipeline(backend, ROUTE_TEXT)
     assert err.value.stage == "extract_graph"
-    assert "no usable reply in 3 attempts" in str(err.value)
-    assert f"(last problem: the edge list could not be read ({problem}))" in str(err.value)
-    assert [c.stage for c in err.value.partial_calls] == ["classify", *["extract_graph"] * 3]
-    assert [stage for stage, _ in backend.seen] == ["classify", *["extract_graph"] * 3]
+    assert str(err.value) == (
+        f"stage extract_graph: no usable reply in 3 attempts (last problem: {problem})")
+    assert [c.stage for c in err.value.partial_calls] == ["extract_graph"] * 3
+    assert [stage for stage, _ in backend.seen] == ["extract_graph"] * 3
 
 
 def test_normalize_merges_duplicates():
@@ -263,7 +320,7 @@ def test_normalize_conflicting_weights():
     assert err.value.stage == "extract_graph"
     assert "no usable reply in 3 attempts" in str(err.value)
     assert "edge A-B stated with weights 3 and 5" in str(err.value)
-    assert [c.stage for c in err.value.partial_calls] == ["classify", *["extract_graph"] * 3]
+    assert [c.stage for c in err.value.partial_calls] == ["extract_graph"] * 3
 
 
 def test_normalize_override_is_deterministic_and_noted():
@@ -356,14 +413,13 @@ def test_solver_rejection_surfaces_with_rationale():
 
 
 def test_pipeline_error_carries_partial_trail():
-    backend = StageScripted({"classify": ["junk", "junk", "junk"]})
+    backend = StageScripted({"extract_graph": ["junk", "junk", "junk"]})
     with pytest.raises(PipelineError) as err:
         run_pipeline(backend, TSP_TEXT)
-    assert err.value.stage == "classify"
+    assert err.value.stage == "extract_graph"
     assert "no usable reply" in str(err.value)
-    stages = [c.stage for c in err.value.partial_calls]
-    assert stages.count("classify") == 3
-    assert stages.count("extract_graph") == 1
+    assert [(c.stage, c.attempt) for c in err.value.partial_calls] == [
+        ("extract_graph", 1), ("extract_graph", 2), ("extract_graph", 3)]
 
 
 def test_choose_algorithm_standalone():
@@ -372,18 +428,16 @@ def test_choose_algorithm_standalone():
     assert "exact" in out.choice.rationale
 
 
-PATH_TEXT = problem_text(
-    build_graph(["Ash", "Birch", "Cedar"], True, True,
-                [("Ash", "Birch", 2), ("Birch", "Cedar", 3), ("Ash", "Cedar", 9)]),
-    "shortest_path", "Ash", "Cedar",
-)
+PATH = build_graph(["Ash", "Birch", "Cedar"], True, True,
+                  [("Ash", "Birch", 2), ("Birch", "Cedar", 3), ("Ash", "Cedar", 9)])
+PATH_TEXT = problem_text(PATH, "shortest_path", "Ash", "Cedar")
 
 
-@pytest.mark.parametrize("source, cause", [("none", GraphError), ("Zed", UnknownEndpointError)])
+@pytest.mark.parametrize("source, cause", [("none", GraphError)])
 def test_solver_failure_is_named_solve_and_sends_no_wave_2(source, cause):
-    reply = (f"```result:problem\nproblem_type: shortest_path\nobjective: o\n"
-             f"source: {source}\ntarget: Cedar\n```")
-    backend = StageScripted({"classify": [reply]})
+    # a missing route endpoint is left to the solver, whose family decides if it needs one
+    problem = f"problem_type: shortest_path\nsource: {source}\ntarget: Cedar"
+    backend = StageScripted({"extract_graph": [graph_reply(serialize_graph(PATH), problem)]})
     with pytest.raises(PipelineError) as err:
         run_pipeline(backend, PATH_TEXT)
     assert err.value.stage == "solve"
@@ -404,10 +458,11 @@ def test_selector_failure_is_named_select_and_sends_no_wave_2():
 
 
 def test_every_template_asks_for_its_stage_tag():
-    for stage, tag in TAGS.items():
+    for stage, tags in TAGS.items():
         system, user = load_template(stage)
         assert system.startswith(f"[stage:{stage}]")
-        assert f"```result:{tag}\n" in user
+        for tag in tags:
+            assert f"```result:{tag}\n" in user
 
 
 def test_every_template_belongs_to_a_stage():
@@ -439,12 +494,12 @@ def test_graph_facts_read_back():
 
 
 def test_render_stage_never_reads_a_slot_value_as_a_slot():
-    _, user = render_stage("classify", {"problem": "drive {route}, then {problem}"})
+    _, user = render_stage("extract_graph", {"problem": "drive {route}, then {problem}"})
     assert "drive {route}, then {problem}" in user
     with pytest.raises(TemplateError, match="has no slot {route}"):
-        render_stage("classify", {"problem": "p", "route": "r"})
-    with pytest.raises(TemplateError, match="slot {problem} of 'classify' was not filled"):
-        render_stage("classify", {})
+        render_stage("extract_graph", {"problem": "p", "route": "r"})
+    with pytest.raises(TemplateError, match="slot {problem} of 'extract_graph' was not filled"):
+        render_stage("extract_graph", {})
 
 
 def test_run_direct_modes():
@@ -561,16 +616,15 @@ class IOBound:
 
 
 def test_io_bound_backend_overlaps_each_wave():
-    # Each barrier opens only when all of its wave's calls wait at it at
+    # The barrier opens only when all of wave 2's calls wait at it at
     # once; a schedule that issues them one by one breaks it and fails.
-    wave1 = threading.Barrier(2, timeout=30)
+    # Wave 1 is the one extract call.
     wave2 = threading.Barrier(4, timeout=30)
-    barriers = {"classify": wave1, "extract_graph": wave1,
-                "normalize": wave2, "select": wave2, "audit": wave2}
+    barriers = {"normalize": wave2, "select": wave2, "audit": wave2}
     threads_before = threading.active_count()
     out = run_pipeline(IOBound(OracleStubBackend(), barriers), TSP_TEXT)
     assert threading.active_count() == threads_before  # the pool is shut down
-    assert not wave1.broken and not wave2.broken
+    assert not wave2.broken
     assert out == run_pipeline(OracleStubBackend(), TSP_TEXT)
 
 
@@ -597,16 +651,16 @@ def test_io_bound_path_matches_the_inline_path():
 def test_earliest_stage_error_wins_and_every_call_is_kept(io_bound):
     def wrap(backend):
         # the earlier stage's failure comes back last
-        delays = {"classify": 0.02, "normalize": 0.02}
+        delays = {"normalize": 0.02}
         return IOBound(backend, delays=delays) if io_bound else backend
 
     junk = ["junk", "junk", "junk"]
-    backend = StageScripted({"classify": list(junk), "extract_graph": list(junk)})
+    backend = StageScripted({"extract_graph": list(junk)})
     with pytest.raises(PipelineError) as err:
         run_pipeline(wrap(backend), TSP_TEXT)
-    assert err.value.stage == "classify"
+    assert err.value.stage == "extract_graph"
     assert "no usable reply in 3 attempts" in str(err.value)
-    assert [c.stage for c in err.value.partial_calls] == ["classify"] * 3 + ["extract_graph"] * 3
+    assert [c.stage for c in err.value.partial_calls] == ["extract_graph"] * 3
 
     backend = StageScripted({"normalize": list(junk), "select": list(junk)})
     with pytest.raises(PipelineError) as err:
@@ -614,5 +668,5 @@ def test_earliest_stage_error_wins_and_every_call_is_kept(io_bound):
     assert err.value.stage == "normalize"
     assert "no usable reply in 3 attempts" in str(err.value)
     assert [c.stage for c in err.value.partial_calls] == [
-        "classify", "extract_graph", *["normalize"] * 3, *["select"] * 3, "audit", "audit",
+        "extract_graph", *["normalize"] * 3, *["select"] * 3, "audit", "audit",
     ]
