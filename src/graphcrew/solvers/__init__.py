@@ -12,7 +12,6 @@ from .solution import (
     verify_solution,
 )
 from .tsp import (
-    tour_cost,
     tsp_exact_held_karp,
     tsp_nearest_neighbor_two_opt,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "shortest_path_dijkstra",
     "solution_from_dict",
     "solution_to_dict",
-    "tour_cost",
     "tsp_exact_held_karp",
     "tsp_nearest_neighbor_two_opt",
     "vertex_cover_approx",

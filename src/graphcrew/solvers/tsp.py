@@ -2,7 +2,13 @@
 
 Exact route: branch and bound over the Held-Karp 1-tree Lagrangian bound
 (Held & Karp, 1971; branching after Volgenant & Jonker, 1982), up to a
-configurable node limit.  Heuristic routes: nearest neighbor and
+configurable node limit.  Its incumbent starts as the nearest neighbor +
+2-opt tour; during the root ascent the same two heuristics also run on
+the penalized costs ``w[i][j] + pi[i] + pi[j]`` (Volgenant & Jonker,
+1982), and their tour replaces the incumbent when it is strictly
+cheaper.  A better incumbent sharpens both the ascent's step and the
+prune test; the search itself is unchanged, so its answer is still
+proven optimal.  Heuristic routes: nearest neighbor and
 first-improvement 2-opt, used alone or chained.  All arithmetic stays
 exact (int or Fraction, scaled to int inside the branch and bound); every
 tie is broken toward the lower node index, so repeated runs return
@@ -12,9 +18,8 @@ identical tours.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from ..graph import Graph, GraphError, Weight, graph_stats
+from ..graph import Graph, GraphError, Weight
 from ..problems import TOUR
 from .solution import (
     GraphNotCompleteError,
@@ -30,35 +35,45 @@ _BANNED = float("inf")
 # Weights are multiplied by this so that integer penalties can move in
 # steps finer than one weight unit.
 _PENALTY_SCALE = 16
-# (steps, patience) of subgradient ascent at the root and below it
-_ROOT_ASCENT = (100, 5)
-_CHILD_ASCENT = (20, 3)
+# (steps, patience, penalized tours) of subgradient ascent at the root
+# and below it
+_ROOT_ASCENT = (100, 5, True)
+_CHILD_ASCENT = (20, 3, False)
+# Root ascent steps between two penalized-cost tours, counted from the
+# first halving of the step size
+_TOUR_PERIOD = 10
 
 
 def _require_tour_input(graph: Graph) -> None:
     if graph.directed:
         raise GraphError("tour solvers need an undirected graph")
-    if graph.node_count < 3:
-        raise GraphError(f"a tour needs at least 3 nodes, got {graph.node_count}")
-    if not graph_stats(graph).is_complete:
+    n = graph.node_count
+    if n < 3:
+        raise GraphError(f"a tour needs at least 3 nodes, got {n}")
+    # build_graph stores each undirected edge once and no self-loops
+    if graph.edge_count != n * (n - 1) // 2:
         raise GraphNotCompleteError(
-            f"graph with {graph.node_count} nodes and {graph.edge_count} edges is not complete"
+            f"graph with {n} nodes and {graph.edge_count} edges is not complete"
         )
 
 
 def _matrix(graph: Graph) -> list[list[Weight]]:
     n = graph.node_count
-    wm = graph.weight_map
-    return [[0 if i == j else wm[(i, j)] for j in range(n)] for i in range(n)]
+    m: list[list[Weight]] = [[0] * n for _ in range(n)]
+    for u, v, w in graph.edges:
+        m[u][v] = m[v][u] = w
+    return m
 
 
-def tour_cost(graph: Graph, order: tuple[str, ...] | list[str]) -> Weight:
-    """Exact cost of the closed tour visiting ``order`` and returning home."""
-    idx = [graph.index_of(name) for name in order]
-    cost: Weight = 0
-    for a, b in zip(idx, idx[1:] + idx[:1]):
-        cost = cost + graph.weight(a, b)
-    return cost
+def _cycle_cost(m: list[list], order: list[int]) -> Weight:
+    return sum(m[a][b] for a, b in zip(order, order[1:] + order[:1]))
+
+
+def _tour_solution(
+    graph: Graph, m: list[list[Weight]], order: list[int], algorithm_id: str, exact: bool
+) -> Solution:
+    names = canonical_tour(tuple(graph.node_names[i] for i in order))
+    return Solution(TOUR, names, _cycle_cost(m, order), algorithm_id, exact=exact)
 
 
 def _as_start_index(graph: Graph, start: str | int) -> int:
@@ -69,27 +84,56 @@ def _as_start_index(graph: Graph, start: str | int) -> int:
     raise GraphError(f"start index {start} out of range")
 
 
+def _nearest_neighbor(m: list[list], start: int) -> list[int]:
+    """Hop to the closest unvisited node; ties go to the lower index."""
+    order = [start]
+    rest = [v for v in range(len(m)) if v != start]
+    while rest:
+        nxt = min(rest, key=m[order[-1]].__getitem__)
+        order.append(nxt)
+        rest.remove(nxt)
+    return order
+
+
+def _two_opt(m: list[list], order: list[int]) -> list[int]:
+    """First-improvement 2-opt on ``order`` in place, start node pinned.
+
+    Scans (i, j) pairs in ascending order over positions 1..n-1, reverses
+    the first segment that shortens the tour and restarts the scan.
+    """
+    n = len(order)
+    improved = True
+    while improved:
+        improved = False
+        for i in range(1, n - 1):
+            a, b = order[i - 1], order[i]
+            row_a, row_b = m[a], m[b]
+            kept = row_a[b]
+            for j in range(i + 1, n):
+                c, d = order[j], order[j + 1 - n]
+                if row_a[c] + row_b[d] < kept + m[c][d]:
+                    order[i : j + 1] = reversed(order[i : j + 1])
+                    improved = True
+                    break
+            if improved:
+                break
+    return order
+
+
+def _canonical(order: list[int]) -> list[int]:
+    """``order`` in the direction :func:`canonical_tour` gives its names."""
+    return order[:1] + order[:0:-1] if order[1] > order[-1] else order
+
+
 def tsp_nearest_neighbor(graph: Graph, start: str | int = 0) -> Solution:
     """Greedy construction: always hop to the closest unvisited node.
 
     Distance ties go to the lower node index.
     """
     _require_tour_input(graph)
-    n = graph.node_count
-    s = _as_start_index(graph, start)
-    wm = graph.weight_map
-    order = [s]
-    visited = {s}
-    while len(order) < n:
-        u = order[-1]
-        nxt = min(
-            (v for v in range(n) if v not in visited),
-            key=lambda v: (wm[(u, v)], v),
-        )
-        order.append(nxt)
-        visited.add(nxt)
-    names = canonical_tour(tuple(graph.node_names[i] for i in order))
-    return Solution(TOUR, names, tour_cost(graph, names), "nearest_neighbor", exact=False)
+    m = _matrix(graph)
+    order = _nearest_neighbor(m, _as_start_index(graph, start))
+    return _tour_solution(graph, m, order, "nearest_neighbor", exact=False)
 
 
 def tsp_two_opt(graph: Graph, tour: tuple[str, ...] | list[str]) -> Solution:
@@ -104,45 +148,59 @@ def tsp_two_opt(graph: Graph, tour: tuple[str, ...] | list[str]) -> Solution:
     order = [graph.index_of(name) for name in tour]
     if sorted(order) != list(range(graph.node_count)):
         raise GraphError("2-opt needs a tour visiting every node exactly once")
-    wm = graph.weight_map
-    n = len(order)
-    improved = True
-    while improved:
-        improved = False
-        for i in range(1, n - 1):
-            for j in range(i + 1, n):
-                a, b = order[i - 1], order[i]
-                c, d = order[j], order[(j + 1) % n]
-                if a == c or b == d:
-                    continue
-                delta = (wm[(a, c)] + wm[(b, d)]) - (wm[(a, b)] + wm[(c, d)])
-                if delta < 0:
-                    order[i : j + 1] = reversed(order[i : j + 1])
-                    improved = True
-                    break
-            if improved:
-                break
-    names = canonical_tour(tuple(graph.node_names[i] for i in order))
-    return Solution(TOUR, names, tour_cost(graph, names), "two_opt", exact=False)
+    m = _matrix(graph)
+    return _tour_solution(graph, m, _two_opt(m, order), "two_opt", exact=False)
+
+
+def _nearest_neighbor_two_opt(m: list[list], start: int) -> list[int]:
+    # 2-opt starts from the nearest neighbor tour as its Solution states it
+    return _two_opt(m, _canonical(_nearest_neighbor(m, start)))
 
 
 def tsp_nearest_neighbor_two_opt(graph: Graph, start: str | int = 0) -> Solution:
     """Nearest neighbor seed polished by 2-opt; the standard fast route."""
-    seed = tsp_nearest_neighbor(graph, start)
-    refined = tsp_two_opt(graph, seed.payload)
-    return Solution(TOUR, refined.payload, refined.objective, "nearest_neighbor_2opt", exact=False)
+    _require_tour_input(graph)
+    m = _matrix(graph)
+    order = _nearest_neighbor_two_opt(m, _as_start_index(graph, start))
+    return _tour_solution(graph, m, order, "nearest_neighbor_2opt", exact=False)
 
 
-def _integer_matrix(graph: Graph) -> list[list[int]]:
+def _integer_matrix(m: list[list[Weight]]) -> list[list[int]]:
     """Weights times the LCM of their denominators and ``_PENALTY_SCALE``.
 
     Every tour then costs a whole multiple of ``_PENALTY_SCALE``, and
     integer penalties have a finer grain than the weights themselves.
     """
-    scale = _PENALTY_SCALE * math.lcm(
-        *(Fraction(w).denominator for _, _, w in graph.edges)
-    )
-    return [[int(w * scale) for w in row] for row in _matrix(graph)]
+    scale = _PENALTY_SCALE * math.lcm(*(w.denominator for row in m for w in row))
+    return [[int(w * scale) for w in row] for row in m]
+
+
+class _Incumbent:
+    """The cheapest tour found so far and its cost; only a strictly
+    cheaper tour replaces it, so ties keep the earlier one."""
+
+    __slots__ = ("cost", "tour")
+
+    def __init__(self, cost: int, tour: list[int]):
+        self.cost = cost
+        self.tour = tour
+
+    def offer(self, cost: int, tour: list[int]) -> None:
+        if cost < self.cost:
+            self.cost, self.tour = cost, tour
+
+
+def _penalized_tour(w: list[list[int]], pi: list[int]) -> list[int]:
+    """Nearest neighbor from node 0 and 2-opt on ``w[i][j] + pi[i] + pi[j]``.
+
+    Every tour's penalized cost is its cost plus ``2 * sum(pi)``, so the
+    penalties only steer the greedy choices towards the 1-tree's edges.
+    From node i the nearest neighbor compares ``w[i][j] + pi[j]`` alone.
+    A 2-opt move swaps two edges for two on the same four nodes, so the
+    penalties cancel in its gain and it runs on ``w`` itself.
+    """
+    steered = [[c + q for c, q in zip(row, pi)] for row in w]
+    return _two_opt(w, _nearest_neighbor(steered, 0))
 
 
 class _Subproblem:
@@ -278,18 +336,27 @@ def _one_tree(
 
 
 def _ascend(
-    w: list[list[int]], sub: _Subproblem, best: int, steps: int, patience: int
+    w: list[list[int]],
+    sub: _Subproblem,
+    incumbent: _Incumbent,
+    steps: int,
+    patience: int,
+    tours: bool,
 ) -> tuple[int, list[int], list[tuple[int, int]]] | None:
     """Subgradient ascent on ``sub.pi``; keeps the penalties of the best
     bound and returns that bound's 1-tree, or None when there is none.
 
     Stops early once the bound prunes the subproblem or the 1-tree is a
-    tour.  The step is the Polyak step towards ``best``, in whole units.
+    tour.  The step is the Polyak step towards the incumbent's cost, in
+    whole units.  With ``tours``, a penalized-cost tour is offered to the
+    incumbent once the step size first halves and every
+    ``_TOUR_PERIOD`` steps after that.
     """
     top = None
     lam = 2.0
     stall = 0
-    for _ in range(steps):
+    due = None  # the step of the next penalized tour
+    for step in range(steps):
         found = _one_tree(w, sub)
         if found is None:
             return None
@@ -302,11 +369,18 @@ def _ascend(
             stall += 1
             if stall >= patience:
                 lam, stall = lam / 2, 0
+                if tours and due is None:
+                    due = step
+        if step == due:
+            tour = _penalized_tour(w, sub.pi)
+            incumbent.offer(_cycle_cost(w, tour), tour)
+            due += _TOUR_PERIOD
+        best = incumbent.cost
         if bound > best - _PENALTY_SCALE:
             break
         norm = sum((d - 2) ** 2 for d in degree)
-        step = max(1, int(lam * (best - bound) / norm))
-        sub.pi = [p + step * (d - 2) for p, d in zip(sub.pi, degree)]
+        step_size = max(1, int(lam * (best - bound) / norm))
+        sub.pi = [p + step_size * (d - 2) for p, d in zip(sub.pi, degree)]
     sub.pi = top_pi
     return top
 
@@ -326,9 +400,10 @@ def _tour_from_edges(n: int, edges: list[tuple[int, int]]) -> list[int]:
 def _branch_and_bound(w: list[list[int]], tour: list[int]) -> list[int]:
     """Cheapest tour, searched depth first from a known ``tour``.
 
-    Each subproblem runs subgradient ascent on its penalties.  It is
-    pruned once its 1-tree bound shows that it holds no tour cheaper than
-    the best one found so far.  Weights are integers and tour costs
+    Each subproblem runs subgradient ascent on its penalties; the root's
+    ascent also offers penalized-cost tours to the incumbent.  A
+    subproblem is pruned once its 1-tree bound shows that it holds no
+    tour cheaper than the incumbent.  Weights are integers and tour costs
     whole multiples of ``_PENALTY_SCALE``, so that test is exact.  A
     1-tree that is itself a tour is the subproblem's optimum.  Otherwise
     the search branches on a node of degree above 2 (Volgenant & Jonker,
@@ -336,20 +411,20 @@ def _branch_and_bound(w: list[list[int]], tour: list[int]) -> list[int]:
     e1 banned; e1 forced and e2 banned; both forced.
     """
     n = len(w)
-    best = sum(w[a][b] for a, b in zip(tour, tour[1:] + tour[:1]))
+    incumbent = _Incumbent(_cycle_cost(w, tour), tour)
     stack = [_Subproblem(w)]
-    steps, patience = _ROOT_ASCENT
+    ascent = _ROOT_ASCENT
     while stack:
         sub = stack.pop()
-        found = _ascend(w, sub, best, steps, patience)
-        steps, patience = _CHILD_ASCENT
+        found = _ascend(w, sub, incumbent, *ascent)
+        ascent = _CHILD_ASCENT
         if found is None:
             continue
         bound, degree, edges = found
-        if bound > best - _PENALTY_SCALE:
+        if bound > incumbent.cost - _PENALTY_SCALE:
             continue
         if max(degree) == 2:
-            best, tour = bound, _tour_from_edges(n, edges)
+            incumbent.offer(bound, _tour_from_edges(n, edges))
             continue
         v = max(range(n), key=lambda u: (degree[u], -u))
         free = [a + b - v for a, b in edges if v in (a, b)]
@@ -366,24 +441,21 @@ def _branch_and_bound(w: list[list[int]], tour: list[int]) -> list[int]:
         if child.force(v, e1) and child.force(v, e2):
             children.append(child)
         stack.extend(reversed(children))
-    return tour
+    return incumbent.tour
 
 
 def tsp_exact_held_karp(graph: Graph, max_nodes: int = HELD_KARP_LIMIT) -> Solution:
     """Exact minimum tour by branch and bound over the Held-Karp bound.
 
     The search starts from the nearest neighbor + 2-opt tour and keeps a
-    tour only when it is strictly cheaper, so ties resolve to that seed
-    and repeated runs return identical tours.  The search has no node or
-    time cap: the answer is always proven optimal.
+    tour only when it is strictly cheaper, so ties resolve to the tour
+    found first and repeated runs return identical tours.  The search
+    has no node or time cap: the answer is always proven optimal.
     """
     _require_tour_input(graph)
     n = graph.node_count
     if n > max_nodes:
         raise TooLargeError(n, max_nodes)
-    seed = tsp_nearest_neighbor_two_opt(graph)
-    tour = _branch_and_bound(
-        _integer_matrix(graph), [graph.index_of(name) for name in seed.payload]
-    )
-    order = canonical_tour(tuple(graph.node_names[i] for i in tour))
-    return Solution(TOUR, order, tour_cost(graph, order), "held_karp", exact=True)
+    m = _matrix(graph)
+    tour = _branch_and_bound(_integer_matrix(m), _nearest_neighbor_two_opt(m, 0))
+    return _tour_solution(graph, m, tour, "held_karp", exact=True)

@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from graphcrew.dataset import build_instance
 from graphcrew.graph import GraphError, build_graph
 from graphcrew.solvers import (
     GraphNotCompleteError,
     TooLargeError,
-    tour_cost,
     tsp_exact_held_karp,
     tsp_nearest_neighbor_two_opt,
     verify_solution,
@@ -14,7 +14,7 @@ from graphcrew.solvers import (
 from graphcrew.solvers import tsp as tsp_module
 from graphcrew.solvers.tsp import tsp_nearest_neighbor, tsp_two_opt
 
-from oracles import brute_tour_cost, held_karp_tour_cost
+from oracles import brute_tour_cost, held_karp_tour_cost, milp_tour_cost, tour_cost
 from util import complete_graph, names_for
 
 
@@ -62,6 +62,31 @@ def test_exact_solver_agrees_with_subset_dp():
                 assert verify_solution("tsp", g, sol).valid
                 assert sol.objective == tour_cost(g, sol.payload)
                 assert sol.objective == held_karp_tour_cost(g), (n, seed, high)
+
+
+@pytest.mark.parametrize("n", range(15, 26))
+def test_stored_optimum_agrees_with_milp_at_shipped_sizes(n):
+    # the subset DP stops at n = 14; integer programming with subtour cuts
+    # proves the optimum independently at every larger size the sweep ships
+    pytest.importorskip("scipy")
+    for seed in (7, 8):
+        inst = build_instance("tsp", n, 0, master_seed=seed)
+        sol = inst.truth.optimal
+        assert sol.algorithm_id == "held_karp" and sol.exact
+        assert verify_solution("tsp", inst.graph, sol).valid
+        assert sol.objective == milp_tour_cost(inst.graph), (seed, n)
+
+
+def test_exact_solver_agrees_with_milp_on_fractions():
+    pytest.importorskip("scipy")
+    for seed in range(2):
+        g = complete_graph(18, seed=700 + seed)
+        edges = [
+            (g.node_names[u], g.node_names[v], Fraction(w, (1, 2, 3, 7)[(u * v) % 4]))
+            for u, v, w in g.edges
+        ]
+        h = build_graph(g.node_names, False, True, edges)
+        assert tsp_exact_held_karp(h).objective == milp_tour_cost(h)
 
 
 def test_two_opt_uncrosses_square():
@@ -184,3 +209,44 @@ def test_input_rejections():
         tsp_exact_held_karp(directed)
     with pytest.raises(GraphError):
         tsp_two_opt(square(), ("A", "B", "C"))
+
+
+def test_equal_cost_penalized_tour_never_replaces_the_seed(monkeypatch):
+    # here the seed is optimal and the root ascent runs long enough to
+    # build penalized tours; each one offered is the seed rotated by one
+    # place: a different tour list of the same cost, which would surface
+    # as a payload starting elsewhere if a tie replaced the incumbent
+    g = complete_graph(9, seed=3)
+    seed = tsp_nearest_neighbor_two_opt(g)
+    offered = []
+
+    def rotated_seed(w, pi):
+        offered.append(pi)
+        tour = [g.index_of(name) for name in seed.payload]
+        return tour[1:] + tour[:1]
+
+    monkeypatch.setattr(tsp_module, "_penalized_tour", rotated_seed)
+    sol = tsp_exact_held_karp(g)
+    assert offered
+    assert sol.payload == seed.payload
+    assert sol.objective == seed.objective
+
+
+def test_penalized_tours_cut_the_search_on_a_hard_instance(monkeypatch):
+    # seed 7, n = 22: nearest neighbor + 2-opt costs 296 against an optimum
+    # of 220.  With that seed as its only incumbent the search spends 587
+    # one-trees; with penalized-cost tours it spends 28.  The bound of 100
+    # leaves room to retune when those tours are built, and still fails
+    # long before the search falls back to its seed-only cost.
+    graph = build_instance("tsp", 22, 0, master_seed=7).graph
+    assert tsp_nearest_neighbor_two_opt(graph).objective == 296
+    bounds = []
+    one_tree = tsp_module._one_tree
+
+    def counted(*args):
+        bounds.append(1)
+        return one_tree(*args)
+
+    monkeypatch.setattr(tsp_module, "_one_tree", counted)
+    assert tsp_exact_held_karp(graph).objective == 220
+    assert len(bounds) <= 100
