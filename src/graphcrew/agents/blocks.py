@@ -13,14 +13,14 @@ without that line does not read.
 
 from __future__ import annotations
 
-import re
 from typing import Any, Callable
 
 from ..graph import coerce_weight, format_weight
 from ..problems import BOOLEAN, COLORING, NODE_SET, PATH, TOUR
 from ..solvers import Solution
 
-_BLOCK_RE = re.compile(r"```result:([a-z_]+)[ \t]*\n(.*?)```", re.DOTALL)
+_OPEN = "```result:"
+_TAG_LETTERS = "abcdefghijklmnopqrstuvwxyz_"
 
 
 class RejectReply(Exception):
@@ -28,11 +28,28 @@ class RejectReply(Exception):
 
 
 def extract_block(text: str, tag: str) -> str | None:
-    """The body of the last ``result:<tag>`` block, or None."""
+    """The body of the last ``result:<tag>`` block, or None.
+
+    One forward scan: a block opens with ``result:``, a tag of ``[a-z_]``
+    letters and nothing after it on its line but spaces or tabs, and its
+    body runs to the next three backticks, where the scan resumes.
+    """
     body = None
-    for match in _BLOCK_RE.finditer(text):
-        if match.group(1) == tag:
-            body = match.group(2)
+    start = text.find(_OPEN)
+    while start != -1:
+        newline = text.find("\n", start)
+        if newline == -1:
+            break
+        name = text[start + len(_OPEN):newline].rstrip(" \t")
+        if not name or name.strip(_TAG_LETTERS):
+            start = text.find(_OPEN, start + 1)
+            continue
+        close = text.find("```", newline + 1)
+        if close == -1:
+            break
+        if name == tag:
+            body = text[newline + 1:close]
+        start = text.find(_OPEN, close + 3)
     return body.strip() if body is not None else None
 
 

@@ -214,7 +214,7 @@ def cmd_solve(dataset, backend_config_path, kb_path, n_check, concurrency, out):
     """Run the staged pipeline over a dataset."""
     if n_check < 0:
         raise click.UsageError("--n-check must be >= 0")
-    instances = read_instances(dataset)
+    instances = read_instances(dataset, statements_only=True)
     backend_config = load_backend_config(backend_config_path)
     kb = _load_kb(kb_path)
 
@@ -253,7 +253,7 @@ def cmd_solve(dataset, backend_config_path, kb_path, n_check, concurrency, out):
 @_config_guard
 def cmd_solve_direct(dataset, backend_config_path, mode, concurrency, out):
     """Ask for the answer in one prompt, no pipeline; the baseline condition."""
-    instances = read_instances(dataset)
+    instances = read_instances(dataset, statements_only=True)
     backend_config = load_backend_config(backend_config_path)
 
     def answer_one(backend, instance):

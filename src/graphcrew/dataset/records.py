@@ -86,7 +86,17 @@ def write_instances(instances: list[ProblemInstance], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_instances(path: str | Path) -> list[ProblemInstance]:
+# the keys of a text-only record: all that solving an instance reads
+_STATEMENT_KEYS = ("id", "problem_type", "text")
+
+
+def read_instances(path: str | Path, *, statements_only: bool = False) -> list[ProblemInstance]:
+    """Read an instances file, naming the file and line of a bad record.
+
+    With ``statements_only`` each record is read as its text-only line
+    would be (id, problem type and text), so its ``hidden`` section is
+    never parsed; ``solve`` needs nothing else.
+    """
     instances = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
@@ -97,6 +107,8 @@ def read_instances(path: str | Path) -> list[ProblemInstance]:
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: line {lineno} is not valid JSON: {exc}") from exc
         try:
+            if statements_only:
+                record = {key: record[key] for key in _STATEMENT_KEYS if key in record}
             instances.append(record_to_instance(record))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ValueError(

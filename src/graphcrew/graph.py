@@ -151,6 +151,11 @@ class Graph:
             raise GraphError(f"no edge {nu}-{nv}") from None
 
 
+def neighbor_masks(graph: Graph) -> list[int]:
+    """:attr:`Graph.adjacency` as one ``int`` per node, bit ``v`` set for neighbor ``v``."""
+    return [sum(1 << v for v in ns) for ns in graph.adjacency]
+
+
 @dataclass(frozen=True)
 class GraphStats:
     """Structural facts the algorithm selector keys on."""

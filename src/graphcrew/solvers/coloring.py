@@ -3,12 +3,15 @@
 The exact route squeezes the answer between a greedy clique lower bound
 and the DSATUR upper bound, then tries each candidate color count with
 backtracking.  New colors are only ever opened in order, which removes
-color-permutation symmetry from the search.
+color-permutation symmetry from the search.  The search runs on one
+``int`` neighbor bitmask per node and one node mask per color class, so
+testing a color for a node costs one ``&``; DSATUR keeps each node's
+neighbor colors as a color mask.
 """
 
 from __future__ import annotations
 
-from ..graph import Graph, GraphError
+from ..graph import Graph, GraphError, neighbor_masks
 from ..problems import COLORING
 from .solution import Solution, TooLargeError, canonical_coloring
 
@@ -21,24 +24,25 @@ def _require_undirected(graph: Graph) -> None:
 
 
 def _dsatur_order_colors(graph: Graph) -> dict[str, int]:
-    n = graph.node_count
     adj = graph.adjacency
-    degree = [len(adj[v]) for v in range(n)]
-    colors: dict[int, int] = {}
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
-    while len(colors) < n:
-        # Highest saturation, then highest degree, then lowest index.
-        v = min(
-            (u for u in range(n) if u not in colors),
-            key=lambda u: (-len(neighbor_colors[u]), -degree[u], u),
-        )
-        c = 0
-        while c in neighbor_colors[v]:
-            c += 1
-        colors[v] = c
+    # Highest saturation, then highest degree, then lowest index: the
+    # score is saturation in units above any degree, and max() keeps the
+    # first of equal scores.
+    unit = graph.node_count
+    score = [len(ns) for ns in adj]
+    seen = [0] * graph.node_count  # per node, the mask of its neighbors' colors
+    uncolored = list(range(graph.node_count))
+    colors: dict[str, int] = {}
+    while uncolored:
+        v = max(uncolored, key=score.__getitem__)
+        uncolored.remove(v)
+        free = ~seen[v] & (seen[v] + 1)
+        colors[graph.node_names[v]] = free.bit_length() - 1
         for u in adj[v]:
-            neighbor_colors[u].add(c)
-    return {graph.node_names[v]: c for v, c in colors.items()}
+            if not seen[u] & free:
+                seen[u] |= free
+                score[u] += unit
+    return colors
 
 
 def coloring_dsatur(graph: Graph) -> Solution:
@@ -49,37 +53,36 @@ def coloring_dsatur(graph: Graph) -> Solution:
     return Solution(COLORING, colors, used, "dsatur", exact=False)
 
 
-def _greedy_clique_size(graph: Graph) -> int:
-    adj = [set(ns) for ns in graph.adjacency]
-    order = sorted(range(graph.node_count), key=lambda v: (-len(adj[v]), v))
-    clique: list[int] = []
+def _greedy_clique_size(neighbors: list[int], order: list[int]) -> int:
+    clique = 0
     for v in order:
-        if all(u in adj[v] for u in clique):
-            clique.append(v)
-    return len(clique)
+        if neighbors[v] & clique == clique:
+            clique |= 1 << v
+    return clique.bit_count()
 
 
-def _try_k_coloring(graph: Graph, k: int, order: list[int]) -> dict[int, int] | None:
-    adj = graph.adjacency
+def _try_k_coloring(neighbors: list[int], k: int, order: list[int]) -> dict[int, int] | None:
+    classes = [0] * k  # per color, the mask of nodes holding it
     colors: dict[int, int] = {}
+    end = len(order)
 
     def branch(pos: int, opened: int) -> bool:
-        if pos == len(order):
+        if pos == end:
             return True
         v = order[pos]
-        forbidden = {colors[u] for u in adj[v] if u in colors}
+        bit, around = 1 << v, neighbors[v]
         # A fresh color only as the single next id: symmetry break.
-        top = min(opened, k - 1)
-        for c in range(top + 1):
-            if c in forbidden:
+        for c in range(opened + 1 if opened < k else k):
+            if classes[c] & around:
                 continue
-            colors[v] = c
-            if branch(pos + 1, max(opened, c + 1)):
+            classes[c] |= bit
+            if branch(pos + 1, c + 1 if c == opened else opened):
+                colors[v] = c
                 return True
-            del colors[v]
+            classes[c] ^= bit
         return False
 
-    return dict(colors) if branch(0, 0) else None
+    return colors if branch(0, 0) else None
 
 
 def coloring_exact(graph: Graph, max_nodes: int = EXACT_COLORING_LIMIT) -> Solution:
@@ -92,16 +95,14 @@ def coloring_exact(graph: Graph, max_nodes: int = EXACT_COLORING_LIMIT) -> Solut
         return Solution(COLORING, {}, 0, "exact_coloring", exact=True)
     witness = _dsatur_order_colors(graph)
     upper = len(set(witness.values()))
-    lower = max(1, _greedy_clique_size(graph))
-    if lower < upper:
-        order = sorted(
-            range(n), key=lambda v: (-len(graph.adjacency[v]), v)
-        )
-        for k in range(lower, upper):
-            found = _try_k_coloring(graph, k, order)
-            if found is not None:
-                witness = {graph.node_names[v]: c for v, c in found.items()}
-                break
+    neighbors = neighbor_masks(graph)
+    order = sorted(range(n), key=lambda v: (-len(graph.adjacency[v]), v))
+    lower = max(1, _greedy_clique_size(neighbors, order))
+    for k in range(lower, upper):
+        found = _try_k_coloring(neighbors, k, order)
+        if found is not None:
+            witness = {graph.node_names[v]: c for v, c in found.items()}
+            break
     colors = canonical_coloring(witness)
     used = len(set(colors.values()))
     return Solution(COLORING, colors, used, "exact_coloring", exact=True)

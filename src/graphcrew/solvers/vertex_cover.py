@@ -3,13 +3,16 @@
 The exact search applies degree-0/degree-1 reductions at every node of
 the search tree, prunes with a maximal-matching lower bound, and
 branches on the highest-degree vertex (take it, or take its whole
-neighborhood).  The heuristic takes both endpoints of a greedily built
-maximal matching, a classic factor-2 answer.
+neighborhood).  It runs on one ``int`` neighbor bitmask per node: the
+search state is the mask of nodes still in play and the mask of nodes
+taken, so no node of the search copies the graph.  The heuristic takes
+both endpoints of a greedily built maximal matching, a classic factor-2
+answer.
 """
 
 from __future__ import annotations
 
-from ..graph import Graph, GraphError
+from ..graph import Graph, GraphError, neighbor_masks
 from ..problems import NODE_SET
 from .solution import Solution, TooLargeError
 
@@ -19,25 +22,6 @@ EXACT_COVER_LIMIT = 30
 def _require_undirected(graph: Graph) -> None:
     if graph.directed:
         raise GraphError("vertex cover needs an undirected graph")
-
-
-def _adjacency_sets(graph: Graph) -> dict[int, set[int]]:
-    return {v: set(ns) for v, ns in enumerate(graph.adjacency)}
-
-
-def _matching_lower_bound(adj: dict[int, set[int]]) -> int:
-    taken: set[int] = set()
-    size = 0
-    for u in sorted(adj):
-        if u in taken:
-            continue
-        for v in sorted(adj[u]):
-            if v not in taken:
-                taken.add(u)
-                taken.add(v)
-                size += 1
-                break
-    return size
 
 
 def vertex_cover_approx(graph: Graph) -> Solution:
@@ -63,47 +47,56 @@ def vertex_cover_exact(graph: Graph, max_nodes: int = EXACT_COVER_LIMIT) -> Solu
     n = graph.node_count
     if n > max_nodes:
         raise TooLargeError(n, max_nodes)
-    seed = {graph.index_of(name) for name in vertex_cover_approx(graph).payload}
-    best: set[int] = seed
+    neighbors = neighbor_masks(graph)
+    best = 0
+    for name in vertex_cover_approx(graph).payload:
+        best |= 1 << graph.index_of(name)
+    best_size = best.bit_count()
 
-    def search(adj: dict[int, set[int]], chosen: set[int]) -> None:
-        nonlocal best
-        # Reductions: drop isolated vertices; a degree-1 vertex forces
-        # its neighbor into the cover.
-        while True:
-            isolated = [v for v in adj if not adj[v]]
-            for v in isolated:
-                del adj[v]
-            leaf = next((v for v in sorted(adj) if len(adj[v]) == 1), None)
-            if leaf is None:
+    def search(alive: int, chosen: int) -> None:
+        nonlocal best, best_size
+        # Reductions: drop isolated nodes; the lowest-index degree-1
+        # node forces its neighbor into the cover.  The pass that finds
+        # no leaf also picks the branch node: highest degree, lowest
+        # index first on ties.
+        while alive:
+            leaf_neighbor, v, top = 0, -1, 0
+            for u in range((alive & -alive).bit_length() - 1, alive.bit_length()):
+                if not alive >> u & 1:
+                    continue
+                around = neighbors[u] & alive
+                if not around:
+                    alive ^= 1 << u
+                elif around & (around - 1):
+                    degree = around.bit_count()
+                    if degree > top:
+                        v, top = u, degree
+                else:
+                    leaf_neighbor = around
+                    break
+            if not leaf_neighbor:
                 break
-            neighbor = next(iter(adj[leaf]))
-            chosen.add(neighbor)
-            for u in list(adj[neighbor]):
-                adj[u].discard(neighbor)
-            del adj[neighbor]
-        if not adj:
-            if len(chosen) < len(best):
-                best = set(chosen)
+            chosen |= leaf_neighbor
+            alive &= ~leaf_neighbor
+        size = chosen.bit_count()
+        if not alive:
+            if size < best_size:
+                best, best_size = chosen, size
             return
-        if len(chosen) + _matching_lower_bound(adj) >= len(best):
-            return
-        v = max(adj, key=lambda u: (len(adj[u]), -u))
-        neighbors = sorted(adj[v])
+        # Greedy maximal matching, ascending: a lower bound on the rest.
+        free = alive
+        for u in range((alive & -alive).bit_length() - 1, alive.bit_length()):
+            if free >> u & 1:
+                partners = neighbors[u] & free
+                if partners:
+                    free ^= (1 << u) | (partners & -partners)
+                    size += 1
+                    if size >= best_size:
+                        return
+        around = neighbors[v] & alive
+        search(alive ^ (1 << v), chosen | (1 << v))
+        search(alive & ~around, chosen | around)
 
-        branch_adj = {u: set(ns) for u, ns in adj.items()}
-        for u in branch_adj[v]:
-            branch_adj[u].discard(v)
-        del branch_adj[v]
-        search(branch_adj, chosen | {v})
-
-        branch_adj = {u: set(ns) for u, ns in adj.items()}
-        for w in neighbors:
-            for u in list(branch_adj[w]):
-                branch_adj[u].discard(w)
-            del branch_adj[w]
-        search(branch_adj, chosen | set(neighbors))
-
-    search(_adjacency_sets(graph), set())
-    nodes = tuple(sorted(graph.node_names[v] for v in best))
+    search((1 << n) - 1, 0)
+    nodes = tuple(name for v, name in enumerate(graph.node_names) if best >> v & 1)
     return Solution(NODE_SET, nodes, len(nodes), "bnb_cover", exact=True)

@@ -10,12 +10,20 @@ edge-list text read the slow way, every weight string through
 ``Fraction`` and every line stripped first, and answers scored by
 recomputing their objective outside the verifier.
 Slow and obviously correct beats fast here.
+
+The set-based cover and coloring searches and the regex block reader
+are the package's former implementations, kept so that tests can show
+their faster replacements return the same answers.
 """
 
 import math
 import re
 from fractions import Fraction
 from itertools import combinations, permutations
+
+from graphcrew.problems import COLORING, NODE_SET
+from graphcrew.solvers import Solution, vertex_cover_approx
+from graphcrew.solvers.solution import canonical_coloring
 
 INF = float("inf")
 
@@ -214,6 +222,141 @@ def brute_min_cover_size(graph):
             if all(u in chosen or v in chosen for u, v in pairs):
                 return k
     return n
+
+
+def set_vertex_cover(graph):
+    """Minimum cover by the set-based branch and bound the bitmask search
+    replaced: the same reductions, bound and branch order on a
+    dict-of-sets adjacency copied at every search node."""
+    seed = {graph.index_of(name) for name in vertex_cover_approx(graph).payload}
+    best = seed
+
+    def matching_lower_bound(adj):
+        taken = set()
+        size = 0
+        for u in sorted(adj):
+            if u in taken:
+                continue
+            for v in sorted(adj[u]):
+                if v not in taken:
+                    taken.add(u)
+                    taken.add(v)
+                    size += 1
+                    break
+        return size
+
+    def search(adj, chosen):
+        nonlocal best
+        while True:
+            isolated = [v for v in adj if not adj[v]]
+            for v in isolated:
+                del adj[v]
+            leaf = next((v for v in sorted(adj) if len(adj[v]) == 1), None)
+            if leaf is None:
+                break
+            neighbor = next(iter(adj[leaf]))
+            chosen.add(neighbor)
+            for u in list(adj[neighbor]):
+                adj[u].discard(neighbor)
+            del adj[neighbor]
+        if not adj:
+            if len(chosen) < len(best):
+                best = set(chosen)
+            return
+        if len(chosen) + matching_lower_bound(adj) >= len(best):
+            return
+        v = max(adj, key=lambda u: (len(adj[u]), -u))
+        neighbors = sorted(adj[v])
+
+        branch_adj = {u: set(ns) for u, ns in adj.items()}
+        for u in branch_adj[v]:
+            branch_adj[u].discard(v)
+        del branch_adj[v]
+        search(branch_adj, chosen | {v})
+
+        branch_adj = {u: set(ns) for u, ns in adj.items()}
+        for w in neighbors:
+            for u in list(branch_adj[w]):
+                branch_adj[u].discard(w)
+            del branch_adj[w]
+        search(branch_adj, chosen | set(neighbors))
+
+    search({v: set(ns) for v, ns in enumerate(graph.adjacency)}, set())
+    nodes = tuple(sorted(graph.node_names[v] for v in best))
+    return Solution(NODE_SET, nodes, len(nodes), "bnb_cover", exact=True)
+
+
+def set_dsatur_colors(graph):
+    """DSATUR as the set-based coloring ran it: name -> color."""
+    n = graph.node_count
+    adj = graph.adjacency
+    degree = [len(adj[v]) for v in range(n)]
+    colors = {}
+    neighbor_colors = [set() for _ in range(n)]
+    while len(colors) < n:
+        v = min(
+            (u for u in range(n) if u not in colors),
+            key=lambda u: (-len(neighbor_colors[u]), -degree[u], u),
+        )
+        c = 0
+        while c in neighbor_colors[v]:
+            c += 1
+        colors[v] = c
+        for u in adj[v]:
+            neighbor_colors[u].add(c)
+    return {graph.node_names[v]: c for v, c in colors.items()}
+
+
+def set_coloring(graph):
+    """Minimum coloring by the set-based search the bitmask one replaced:
+    DSATUR upper bound, greedy clique lower bound, then backtracking
+    over the fixed degree order with a ``forbidden`` set per node."""
+    n = graph.node_count
+    if n == 0:
+        return Solution(COLORING, {}, 0, "exact_coloring", exact=True)
+    adj = graph.adjacency
+    witness = set_dsatur_colors(graph)
+    upper = len(set(witness.values()))
+    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
+    clique = []
+    for v in order:
+        if all(u in adj[v] for u in clique):
+            clique.append(v)
+    for k in range(max(1, len(clique)), upper):
+        colors = {}
+
+        def branch(pos, opened):
+            if pos == len(order):
+                return True
+            v = order[pos]
+            forbidden = {colors[u] for u in adj[v] if u in colors}
+            for c in range(min(opened, k - 1) + 1):
+                if c in forbidden:
+                    continue
+                colors[v] = c
+                if branch(pos + 1, max(opened, c + 1)):
+                    return True
+                del colors[v]
+            return False
+
+        if branch(0, 0):
+            witness = {graph.node_names[v]: c for v, c in colors.items()}
+            break
+    colors = canonical_coloring(witness)
+    return Solution(COLORING, colors, len(set(colors.values())), "exact_coloring", exact=True)
+
+
+_BLOCK_RE = re.compile(r"```result:([a-z_]+)[ \t]*\n(.*?)```", re.DOTALL)
+
+
+def regex_extract_block(text, tag):
+    """The body of the last ``result:<tag>`` block, read by one lazy
+    DOTALL regex over the whole reply."""
+    body = None
+    for match in _BLOCK_RE.finditer(text):
+        if match.group(1) == tag:
+            body = match.group(2)
+    return body.strip() if body is not None else None
 
 
 def has_cycle_undirected(graph):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from graphcrew.agents import extract_block, parse_fields
 from graphcrew.agents.blocks import answer_lines, read_answer
 from graphcrew.solvers import Solution
+
+from oracles import regex_extract_block
 
 
 def test_extract_returns_last_matching_block():
@@ -29,6 +32,42 @@ def test_extract_ignores_other_tags_and_plain_fences():
 def test_extract_missing():
     assert extract_block("no blocks here", "graph") is None
     assert extract_block("```result:graph", "graph") is None
+
+
+# reply fragments that stress the block grammar: unclosed fences, a
+# ``result:`` tag inside a body, \r\n line ends, trailing spaces and tabs
+# after a tag, tags outside ``[a-z_]``, and repeated tags
+_FRAGMENTS = [
+    "```result:graph\n", "```result:graph  \n", "```result:graph\t \n",
+    "```result:graph\r\n", "```result:choice\n", "```result:Graph\n", "```result:\n",
+    "```result:graph x\n", "```result: graph\n", "```result:graph```", "result:graph\n",
+    "```", "````", "``", "```python\n", "A B 1\n", "A B 1\r\n", "verdict: pass  \n",
+    "\n", "\r\n", " ", "prose ", "é",
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_extract_agrees_with_the_regex_reader(seed):
+    rng = random.Random(seed)
+    for _ in range(5000):
+        text = "".join(rng.choice(_FRAGMENTS) for _ in range(rng.randint(0, 14)))
+        for tag in ("graph", "choice", "Graph", ""):
+            assert extract_block(text, tag) == regex_extract_block(text, tag), (text, tag)
+
+
+def test_extract_scan_cases():
+    # an unclosed fence ends the scan; the fence that closes one block
+    # cannot open the next
+    assert extract_block("```result:graph\nA B 1\n```\n```result:graph\nA B 2\n", "graph") == (
+        "A B 1"
+    )
+    assert extract_block("```result:graph\nA B\n```result:choice\nx\n```", "choice") is None
+    # a tag inside a body is body text, and the last block per tag wins
+    text = "```result:graph\nresult:choice\n```\n```result:graph \t\nA B 2  \n```"
+    assert extract_block(text, "graph") == "A B 2"
+    assert extract_block(text, "choice") is None
+    # a \r before the newline is not spaces or tabs: no block opens
+    assert extract_block("```result:graph\r\nA B 1\r\n```", "graph") is None
 
 
 def test_format_and_extract_round_trip():

@@ -261,16 +261,81 @@ class TestSolve:
         lines[1] = json.dumps(record)
         dataset.write_text("\n".join(lines) + "\n")
         config = _write_stub_config(tmp_path)
+        # solve reads only the statements: the corrupt truth surfaces at evaluate
+        solved = []
+        for name in ("tsp.jsonl", "tsp.text.jsonl"):
+            result = runner.invoke(main, ["solve", "--dataset", str(out / name),
+                                          "--backend-config", str(config),
+                                          "--out", str(tmp_path / f"solved-{name}")])
+            assert result.exit_code == 0, result.output
+            solved.append((tmp_path / f"solved-{name}").read_bytes())
+        assert solved[0] == solved[1]
         results = tmp_path / "results.jsonl"
         results.write_text("")
-        for args in (["solve", "--dataset", str(dataset), "--backend-config", str(config),
-                      "--out", str(tmp_path / "solved.jsonl")],
-                     ["evaluate", "--results", str(results), "--dataset", str(dataset)]):
-            result = runner.invoke(main, args)
-            assert result.exit_code == 2
-            assert (f"configuration error: {dataset}: line 2: "
-                    "malformed instance (KeyError: 'kind')") in result.output
-            assert "Traceback" not in result.output
+        result = runner.invoke(main, ["evaluate", "--results", str(results),
+                                      "--dataset", str(dataset)])
+        assert result.exit_code == 2
+        assert (f"configuration error: {dataset}: line 2: "
+                "malformed instance (KeyError: 'kind')") in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("verb", ["solve", "solve-direct"])
+    @pytest.mark.parametrize("line, message", [
+        ("not json", "line 2 is not valid JSON"),
+        ('{"problem_type": "vertex_cover", "text": "t"}',
+         "line 2: malformed instance (ValueError: instance record needs at least 'id' and 'text')"),
+        ('{"id": "x", "problem_type": "vertex_cover"}',
+         "line 2: malformed instance (ValueError: instance record needs at least 'id' and 'text')"),
+        ("5", "line 2: malformed instance (TypeError: argument of type 'int' is not iterable)"),
+    ], ids=["bad-json", "no-id", "no-text", "not-an-object"])
+    def test_unreadable_statement_is_config_error_before_any_call(
+        self, runner, tmp_path, monkeypatch, verb, line, message
+    ):
+        out = tmp_path / "ds"
+        _generate(runner, out, extra=["--type", "vertex_cover"])
+        calls = []
+        monkeypatch.setattr(OracleStubBackend, "complete",
+                            lambda self, *args, **kwargs: calls.append(args))
+        dataset = out / "vertex_cover.text.jsonl"
+        lines = dataset.read_text().splitlines()
+        lines[1] = line
+        dataset.write_text("\n".join(lines) + "\n")
+        results = tmp_path / "results.jsonl"
+        result = runner.invoke(main, [verb, "--dataset", str(dataset), "--backend-config",
+                                      str(_write_stub_config(tmp_path)), "--out", str(results)])
+        assert result.exit_code == 2
+        assert f"configuration error: {dataset}: {message}" in result.output
+        assert "Traceback" not in result.output
+        assert calls == []
+        assert not results.exists()
+
+    @pytest.mark.parametrize("verb", ["solve", "solve-direct"])
+    def test_corrupt_hidden_section_solves_like_its_text_only_line(self, runner, tmp_path, verb):
+        out = tmp_path / "ds"
+        _generate(runner, out, extra=["--type", "graph_coloring"])
+        config = str(_write_stub_config(tmp_path))
+        lines = (out / "graph_coloring.jsonl").read_text().splitlines()
+        corruptions = [
+            lambda hidden: hidden["truth"]["optimal"].pop("kind"),
+            lambda hidden: hidden.update(graph="# nodes: A\n# directed: maybe\nA B x"),
+            lambda hidden: hidden.update(truth=5),
+            lambda hidden: hidden.clear() or hidden.update(truth={"optimal": []}),
+        ]
+        for i, corrupt in enumerate(corruptions):
+            record = json.loads(lines[i])
+            corrupt(record["hidden"])
+            lines[i] = json.dumps(record)
+        corrupted = tmp_path / "corrupted.jsonl"
+        corrupted.write_text("\n".join(lines) + "\n")
+        written = []
+        for dataset in (corrupted, out / "graph_coloring.text.jsonl"):
+            results = tmp_path / f"{verb}-{dataset.name}"
+            result = runner.invoke(main, [verb, "--dataset", str(dataset),
+                                          "--backend-config", config, "--out", str(results)])
+            assert result.exit_code == 0, result.output
+            written.append(results.read_bytes())
+        assert written[0] == written[1]
+        assert written[0].count(b'"status":"ok"') == 4
 
     def test_missing_dataset_is_config_error(self, runner, tmp_path):
         config = _write_stub_config(tmp_path)

@@ -298,7 +298,8 @@ class TestRecords:
     def test_malformed_record_names_its_file_line(self, tmp_path, corrupt, message):
         path = tmp_path / "tsp.jsonl"
         spec = DatasetSpec(TSP, min_nodes=8, max_nodes=8, instances_per_size=2)
-        write_instances(generate_dataset(spec), path)
+        instances = generate_dataset(spec)
+        write_instances(instances, path)
         lines = path.read_text().splitlines()
         record = json.loads(lines[1])
         corrupt(record["hidden"])
@@ -307,6 +308,11 @@ class TestRecords:
         with pytest.raises(ValueError) as err:
             read_instances(path)
         assert str(err.value) == f"{path}: line 2: malformed instance {message}"
+        # a statement read never parses the hidden section: it reads the
+        # corrupt file as it reads the text-only one
+        public = tmp_path / "tsp.text.jsonl"
+        write_text_only(instances, public)
+        assert read_instances(path, statements_only=True) == read_instances(public)
 
     def test_manifest_checksum_tracks_content(self, tmp_path):
         spec = DatasetSpec(TSP, min_nodes=8, max_nodes=8, instances_per_size=1)

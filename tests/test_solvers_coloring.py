@@ -1,10 +1,13 @@
 import pytest
 
+from graphcrew.dataset import build_instance
 from graphcrew.graph import GraphError, build_graph
+from graphcrew.problems import GRAPH_COLORING
 from graphcrew.solvers import TooLargeError, coloring_dsatur, coloring_exact, verify_solution
+from graphcrew.solvers.coloring import EXACT_COLORING_LIMIT, _dsatur_order_colors
 
-from oracles import brute_chromatic_number
-from util import gnp_graph, names_for
+from oracles import brute_chromatic_number, set_coloring, set_dsatur_colors
+from util import gnp_graph, mixed_gnp_graphs, names_for
 
 
 def cycle_graph(n):
@@ -79,3 +82,20 @@ def test_input_rejections():
         coloring_exact(directed)
     with pytest.raises(GraphError):
         coloring_dsatur(directed)
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_bitmask_search_returns_the_set_search_coloring(seed):
+    # same DSATUR tie order, same clique bound, same backtracking order:
+    # the very same coloring, not just one with as many colors
+    for n in range(8, EXACT_COLORING_LIMIT + 1):
+        for index in range(5):
+            graph = build_instance(GRAPH_COLORING, n, index, master_seed=seed).graph
+            assert coloring_exact(graph) == set_coloring(graph), (n, index)
+            assert _dsatur_order_colors(graph) == set_dsatur_colors(graph), (n, index)
+
+
+def test_bitmask_search_returns_the_set_search_coloring_on_random_graphs():
+    for graph in mixed_gnp_graphs(200, 22):
+        assert coloring_exact(graph) == set_coloring(graph)
+        assert _dsatur_order_colors(graph) == set_dsatur_colors(graph)

@@ -1,15 +1,18 @@
 import pytest
 
+from graphcrew.dataset import build_instance
 from graphcrew.graph import GraphError, build_graph
+from graphcrew.problems import VERTEX_COVER
 from graphcrew.solvers import (
     TooLargeError,
     vertex_cover_approx,
     vertex_cover_exact,
     verify_solution,
 )
+from graphcrew.solvers.vertex_cover import EXACT_COVER_LIMIT
 
-from oracles import brute_min_cover_size
-from util import gnp_graph, names_for
+from oracles import brute_min_cover_size, set_vertex_cover
+from util import gnp_graph, mixed_gnp_graphs, names_for
 
 
 def test_known_covers():
@@ -81,3 +84,18 @@ def test_input_rejections():
         vertex_cover_exact(directed)
     with pytest.raises(GraphError):
         vertex_cover_approx(directed)
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_bitmask_search_returns_the_set_search_cover(seed):
+    # the bitmask kernel keeps the set-based search's order, so it
+    # returns the very same cover, not just one of the same size
+    for n in range(8, EXACT_COVER_LIMIT + 1):
+        for index in range(5):
+            graph = build_instance(VERTEX_COVER, n, index, master_seed=seed).graph
+            assert vertex_cover_exact(graph) == set_vertex_cover(graph), (n, index)
+
+
+def test_bitmask_search_returns_the_set_search_cover_on_random_graphs():
+    for graph in mixed_gnp_graphs(200, 24):
+        assert vertex_cover_exact(graph) == set_vertex_cover(graph)

@@ -46,6 +46,15 @@ def gnp_graph(n, p, seed, weighted=False, directed=False, connected=False):
             return g
 
 
+def mixed_gnp_graphs(count, max_nodes):
+    """``count`` seeded undirected graphs of 0 to ``max_nodes`` nodes and
+    densities from sparse to dense."""
+    rng = random.Random(1807)
+    for seed in range(count):
+        yield gnp_graph(rng.randint(0, max_nodes), rng.choice((0.1, 0.2, 0.35, 0.5, 0.8)),
+                        seed=seed)
+
+
 def closed_port_url():
     """A loopback chat endpoint URL on a port that nothing listens on."""
     with socket.socket() as sock:
