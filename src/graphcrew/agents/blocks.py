@@ -31,8 +31,9 @@ def extract_block(text: str, tag: str) -> str | None:
     """The body of the last ``result:<tag>`` block, or None.
 
     One forward scan: a block opens with ``result:``, a tag of ``[a-z_]``
-    letters and nothing after it on its line but spaces or tabs, and its
-    body runs to the next three backticks, where the scan resumes.
+    letters and nothing after it on its line but spaces, tabs or carriage
+    returns (so a reply with ``\\r\\n`` line ends reads), and its body runs
+    to the next three backticks, where the scan resumes.
     """
     body = None
     start = text.find(_OPEN)
@@ -40,7 +41,7 @@ def extract_block(text: str, tag: str) -> str | None:
         newline = text.find("\n", start)
         if newline == -1:
             break
-        name = text[start + len(_OPEN):newline].rstrip(" \t")
+        name = text[start + len(_OPEN):newline].rstrip(" \t\r")
         if not name or name.strip(_TAG_LETTERS):
             start = text.find(_OPEN, start + 1)
             continue

@@ -1,8 +1,9 @@
 """Bridge from catalogue records to native solver calls.
 
-Node limits live in the catalogue's applicability blocks and are passed
-through to the solvers here, so a custom catalogue with tighter or wider
-limits changes runtime behavior without touching solver code.
+Node limits live only in the catalogue's applicability blocks.  The
+selector picks a record only for a graph within its limit, and records
+reach this bridge only from the selector's choice and fallbacks, so the
+solvers take no limit of their own.
 """
 
 from __future__ import annotations
@@ -27,27 +28,21 @@ if TYPE_CHECKING:
     from .knowledge import AlgorithmRecord
 
 
-class UnknownAlgorithmError(ValueError):
-    pass
-
-
-def _dijkstra(graph: Graph, limit: int, source: str | None, target: str | None) -> Solution:
+def _dijkstra(graph: Graph, source: str | None, target: str | None) -> Solution:
     if source is None or target is None:
         raise GraphError("dijkstra needs a source and a target node")
     return shortest_path_dijkstra(graph, source, target)
 
 
 # every catalogue id: the problem family its solver answers, and the solver,
-# called as (graph, node limit, source, target); the catalogue loader refuses
-# an id that is not here, or that is filed under another family
-RUNNERS: dict[str, tuple[str, Callable[[Graph, int, str | None, str | None], Solution]]] = {
-    "held_karp": (TSP, lambda graph, limit, *_: tsp_exact_held_karp(graph, max_nodes=limit)),
+# called as (graph, source, target); the catalogue loader refuses an id that
+# is not here, or that is filed under another family
+RUNNERS: dict[str, tuple[str, Callable[[Graph, str | None, str | None], Solution]]] = {
+    "held_karp": (TSP, lambda graph, *_: tsp_exact_held_karp(graph)),
     "nearest_neighbor_2opt": (TSP, lambda graph, *_: tsp_nearest_neighbor_two_opt(graph)),
-    "exact_coloring": (
-        GRAPH_COLORING, lambda graph, limit, *_: coloring_exact(graph, max_nodes=limit)),
+    "exact_coloring": (GRAPH_COLORING, lambda graph, *_: coloring_exact(graph)),
     "dsatur": (GRAPH_COLORING, lambda graph, *_: coloring_dsatur(graph)),
-    "bnb_cover": (
-        VERTEX_COVER, lambda graph, limit, *_: vertex_cover_exact(graph, max_nodes=limit)),
+    "bnb_cover": (VERTEX_COVER, lambda graph, *_: vertex_cover_exact(graph)),
     "matching_cover": (VERTEX_COVER, lambda graph, *_: vertex_cover_approx(graph)),
     "dijkstra": (SHORTEST_PATH, _dijkstra),
     "cycle_check": (CYCLE_DETECTION, lambda graph, *_: detect_cycle(graph)),
@@ -65,7 +60,5 @@ def run_algorithm(
 
     Shortest-path records additionally need ``source`` and ``target``.
     """
-    if record.algorithm_id not in RUNNERS:
-        raise UnknownAlgorithmError(f"no runner for algorithm {record.algorithm_id!r}")
     _, runner = RUNNERS[record.algorithm_id]
-    return runner(graph, record.applicability.max_nodes, source, target)
+    return runner(graph, source, target)

@@ -11,16 +11,9 @@ neighbor colors as a color mask.
 
 from __future__ import annotations
 
-from ..graph import Graph, GraphError, neighbor_masks
+from ..graph import Graph, neighbor_masks
 from ..problems import COLORING
-from .solution import Solution, TooLargeError, canonical_coloring
-
-EXACT_COLORING_LIMIT = 25
-
-
-def _require_undirected(graph: Graph) -> None:
-    if graph.directed:
-        raise GraphError("coloring needs an undirected graph")
+from .solution import Solution, canonical_coloring, require_undirected
 
 
 def _dsatur_order_colors(graph: Graph) -> dict[str, int]:
@@ -47,7 +40,7 @@ def _dsatur_order_colors(graph: Graph) -> dict[str, int]:
 
 def coloring_dsatur(graph: Graph) -> Solution:
     """Saturation-degree greedy coloring; valid but not always minimal."""
-    _require_undirected(graph)
+    require_undirected(graph, "coloring")
     colors = canonical_coloring(_dsatur_order_colors(graph))
     used = len(set(colors.values())) if colors else 0
     return Solution(COLORING, colors, used, "dsatur", exact=False)
@@ -85,12 +78,10 @@ def _try_k_coloring(neighbors: list[int], k: int, order: list[int]) -> dict[int,
     return colors if branch(0, 0) else None
 
 
-def coloring_exact(graph: Graph, max_nodes: int = EXACT_COLORING_LIMIT) -> Solution:
+def coloring_exact(graph: Graph) -> Solution:
     """Minimum coloring by iterative deepening between clique and DSATUR bounds."""
-    _require_undirected(graph)
+    require_undirected(graph, "coloring")
     n = graph.node_count
-    if n > max_nodes:
-        raise TooLargeError(n, max_nodes)
     if n == 0:
         return Solution(COLORING, {}, 0, "exact_coloring", exact=True)
     witness = _dsatur_order_colors(graph)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..graph import Graph, Weight, coerce_weight, format_weight
+from ..graph import Graph, GraphError, Weight, coerce_weight, format_weight
 from ..problems import BOOLEAN, COLORING, KIND_BY_PROBLEM, NODE_SET, PATH, TOUR
 
 
@@ -34,15 +34,9 @@ class SolverInputError(ValueError):
     """A solver was handed a graph outside its preconditions."""
 
 
-class TooLargeError(SolverInputError):
-    def __init__(self, node_count: int, limit: int):
-        super().__init__(f"graph has {node_count} nodes, limit is {limit}")
-        self.node_count = node_count
-        self.limit = limit
-
-
-class GraphNotCompleteError(SolverInputError):
-    pass
+def require_undirected(graph: Graph, solver: str) -> None:
+    if graph.directed:
+        raise GraphError(f"{solver} needs an undirected graph")
 
 
 class KindMismatchError(ValueError):

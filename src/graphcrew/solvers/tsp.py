@@ -1,18 +1,17 @@
 """Tour solvers for complete undirected graphs.
 
 Exact route: branch and bound over the Held-Karp 1-tree Lagrangian bound
-(Held & Karp, 1971; branching after Volgenant & Jonker, 1982), up to a
-configurable node limit.  Its incumbent starts as the nearest neighbor +
-2-opt tour; during the root ascent the same two heuristics also run on
-the penalized costs ``w[i][j] + pi[i] + pi[j]`` (Volgenant & Jonker,
-1982), and their tour replaces the incumbent when it is strictly
-cheaper.  A better incumbent sharpens both the ascent's step and the
-prune test; the search itself is unchanged, so its answer is still
-proven optimal.  Heuristic routes: nearest neighbor and
-first-improvement 2-opt, used alone or chained.  All arithmetic stays
-exact (int or Fraction, scaled to int inside the branch and bound); every
-tie is broken toward the lower node index, so repeated runs return
-identical tours.
+(Held & Karp, 1971; branching after Volgenant & Jonker, 1982).  Its
+incumbent starts as the nearest neighbor + 2-opt tour; during the root
+ascent the same two heuristics also run on the penalized costs
+``w[i][j] + pi[i] + pi[j]`` (Volgenant & Jonker, 1982), and their tour
+replaces the incumbent when it is strictly cheaper.  A better incumbent
+sharpens both the ascent's step and the prune test; the search itself
+is unchanged, so its answer is still proven optimal.  Heuristic route:
+the nearest neighbor tour polished by first-improvement 2-opt.  All
+arithmetic stays exact (int or Fraction, scaled to int inside the
+branch and bound); every tie is broken toward the lower node index, so
+repeated runs return identical tours.
 """
 
 from __future__ import annotations
@@ -21,14 +20,7 @@ import math
 
 from ..graph import Graph, GraphError, Weight
 from ..problems import TOUR
-from .solution import (
-    GraphNotCompleteError,
-    Solution,
-    TooLargeError,
-    canonical_tour,
-)
-
-HELD_KARP_LIMIT = 25
+from .solution import Solution, SolverInputError, canonical_tour
 
 _FORCED = float("-inf")
 _BANNED = float("inf")
@@ -52,7 +44,7 @@ def _require_tour_input(graph: Graph) -> None:
         raise GraphError(f"a tour needs at least 3 nodes, got {n}")
     # build_graph stores each undirected edge once and no self-loops
     if graph.edge_count != n * (n - 1) // 2:
-        raise GraphNotCompleteError(
+        raise SolverInputError(
             f"graph with {n} nodes and {graph.edge_count} edges is not complete"
         )
 
@@ -74,14 +66,6 @@ def _tour_solution(
 ) -> Solution:
     names = canonical_tour(tuple(graph.node_names[i] for i in order))
     return Solution(TOUR, names, _cycle_cost(m, order), algorithm_id, exact=exact)
-
-
-def _as_start_index(graph: Graph, start: str | int) -> int:
-    if isinstance(start, str):
-        return graph.index_of(start)
-    if 0 <= start < graph.node_count:
-        return int(start)
-    raise GraphError(f"start index {start} out of range")
 
 
 def _nearest_neighbor(m: list[list], start: int) -> list[int]:
@@ -125,43 +109,16 @@ def _canonical(order: list[int]) -> list[int]:
     return order[:1] + order[:0:-1] if order[1] > order[-1] else order
 
 
-def tsp_nearest_neighbor(graph: Graph, start: str | int = 0) -> Solution:
-    """Greedy construction: always hop to the closest unvisited node.
-
-    Distance ties go to the lower node index.
-    """
-    _require_tour_input(graph)
-    m = _matrix(graph)
-    order = _nearest_neighbor(m, _as_start_index(graph, start))
-    return _tour_solution(graph, m, order, "nearest_neighbor", exact=False)
-
-
-def tsp_two_opt(graph: Graph, tour: tuple[str, ...] | list[str]) -> Solution:
-    """First-improvement 2-opt: reverse the first segment that shortens
-    the tour, restart the scan, stop at a local optimum.
-
-    Scans (i, j) pairs in ascending order over positions 1..n-1, keeping
-    the start node pinned, so the local optimum reached is a function of
-    the input tour alone.
-    """
-    _require_tour_input(graph)
-    order = [graph.index_of(name) for name in tour]
-    if sorted(order) != list(range(graph.node_count)):
-        raise GraphError("2-opt needs a tour visiting every node exactly once")
-    m = _matrix(graph)
-    return _tour_solution(graph, m, _two_opt(m, order), "two_opt", exact=False)
-
-
-def _nearest_neighbor_two_opt(m: list[list], start: int) -> list[int]:
+def _nearest_neighbor_two_opt(m: list[list]) -> list[int]:
     # 2-opt starts from the nearest neighbor tour as its Solution states it
-    return _two_opt(m, _canonical(_nearest_neighbor(m, start)))
+    return _two_opt(m, _canonical(_nearest_neighbor(m, 0)))
 
 
-def tsp_nearest_neighbor_two_opt(graph: Graph, start: str | int = 0) -> Solution:
-    """Nearest neighbor seed polished by 2-opt; the standard fast route."""
+def tsp_nearest_neighbor_two_opt(graph: Graph) -> Solution:
+    """Nearest neighbor tour from node 0 polished by 2-opt; the standard fast route."""
     _require_tour_input(graph)
     m = _matrix(graph)
-    order = _nearest_neighbor_two_opt(m, _as_start_index(graph, start))
+    order = _nearest_neighbor_two_opt(m)
     return _tour_solution(graph, m, order, "nearest_neighbor_2opt", exact=False)
 
 
@@ -444,7 +401,7 @@ def _branch_and_bound(w: list[list[int]], tour: list[int]) -> list[int]:
     return incumbent.tour
 
 
-def tsp_exact_held_karp(graph: Graph, max_nodes: int = HELD_KARP_LIMIT) -> Solution:
+def tsp_exact_held_karp(graph: Graph) -> Solution:
     """Exact minimum tour by branch and bound over the Held-Karp bound.
 
     The search starts from the nearest neighbor + 2-opt tour and keeps a
@@ -453,9 +410,6 @@ def tsp_exact_held_karp(graph: Graph, max_nodes: int = HELD_KARP_LIMIT) -> Solut
     has no node or time cap: the answer is always proven optimal.
     """
     _require_tour_input(graph)
-    n = graph.node_count
-    if n > max_nodes:
-        raise TooLargeError(n, max_nodes)
     m = _matrix(graph)
-    tour = _branch_and_bound(_integer_matrix(m), _nearest_neighbor_two_opt(m, 0))
+    tour = _branch_and_bound(_integer_matrix(m), _nearest_neighbor_two_opt(m))
     return _tour_solution(graph, m, tour, "held_karp", exact=True)

@@ -12,21 +12,14 @@ answer.
 
 from __future__ import annotations
 
-from ..graph import Graph, GraphError, neighbor_masks
+from ..graph import Graph, neighbor_masks
 from ..problems import NODE_SET
-from .solution import Solution, TooLargeError
-
-EXACT_COVER_LIMIT = 30
-
-
-def _require_undirected(graph: Graph) -> None:
-    if graph.directed:
-        raise GraphError("vertex cover needs an undirected graph")
+from .solution import Solution, require_undirected
 
 
 def vertex_cover_approx(graph: Graph) -> Solution:
     """Endpoints of a maximal matching; at most twice the optimum."""
-    _require_undirected(graph)
+    require_undirected(graph, "vertex cover")
     matched: set[int] = set()
     for u, v, _ in graph.edges:
         if u not in matched and v not in matched:
@@ -36,17 +29,15 @@ def vertex_cover_approx(graph: Graph) -> Solution:
     return Solution(NODE_SET, nodes, len(nodes), "matching_cover", exact=False)
 
 
-def vertex_cover_exact(graph: Graph, max_nodes: int = EXACT_COVER_LIMIT) -> Solution:
+def vertex_cover_exact(graph: Graph) -> Solution:
     """Minimum cover by branch and bound.
 
     Branch order is fixed (highest degree, then lowest index), updates
     require strict improvement, and reductions fire in index order, so
     the cover returned is the same every run.
     """
-    _require_undirected(graph)
+    require_undirected(graph, "vertex cover")
     n = graph.node_count
-    if n > max_nodes:
-        raise TooLargeError(n, max_nodes)
     neighbors = neighbor_masks(graph)
     best = 0
     for name in vertex_cover_approx(graph).payload:

@@ -346,7 +346,7 @@ def set_coloring(graph):
     return Solution(COLORING, colors, len(set(colors.values())), "exact_coloring", exact=True)
 
 
-_BLOCK_RE = re.compile(r"```result:([a-z_]+)[ \t]*\n(.*?)```", re.DOTALL)
+_BLOCK_RE = re.compile(r"```result:([a-z_]+)[ \t\r]*\n(.*?)```", re.DOTALL)
 
 
 def regex_extract_block(text, tag):

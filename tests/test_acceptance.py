@@ -48,7 +48,7 @@ from graphcrew.solvers import (
     vertex_cover_exact,
     verify_solution,
 )
-from graphcrew.solvers.tsp import tsp_nearest_neighbor
+from graphcrew.solvers import tsp
 
 from oracles import (
     bellman_ford_cost,
@@ -126,10 +126,11 @@ def test_criterion_2_heuristic_bounds():
     for i in range(500):
         n = 4 + i % 17
         graph = complete_graph(n, seed=8000 + i)
-        plain = tsp_nearest_neighbor(graph)
+        m = tsp._matrix(graph)
+        plain = tsp._nearest_neighbor(m, 0)
         improved = tsp_nearest_neighbor_two_opt(graph)
-        assert improved.objective <= plain.objective, i
-        assert verify_solution(TSP, graph, plain).valid, i
+        assert sorted(plain) == list(range(n)), i
+        assert improved.objective <= tsp._cycle_cost(m, plain), i
         assert verify_solution(TSP, graph, improved).valid, i
 
 

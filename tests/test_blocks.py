@@ -66,8 +66,8 @@ def test_extract_scan_cases():
     text = "```result:graph\nresult:choice\n```\n```result:graph \t\nA B 2  \n```"
     assert extract_block(text, "graph") == "A B 2"
     assert extract_block(text, "choice") is None
-    # a \r before the newline is not spaces or tabs: no block opens
-    assert extract_block("```result:graph\r\nA B 1\r\n```", "graph") is None
+    # a \r before the newline ends the tag line like a space: CRLF replies read
+    assert extract_block("```result:graph\r\nA B 1\r\n```", "graph") == "A B 1"
 
 
 def test_format_and_extract_round_trip():

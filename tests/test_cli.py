@@ -79,13 +79,14 @@ class TestGenerate:
         assert result.exit_code == 2
 
     def test_past_exact_limit_is_config_error(self, runner, tmp_path):
-        result = runner.invoke(
-            main,
-            ["generate", "--sizes", "26", "--per-size", "1", "--type", "tsp",
-             "--out", str(tmp_path / "x")],
-        )
-        assert result.exit_code == 2
-        assert "no exact tsp route" in result.output
+        for family, size in (("tsp", 26), ("graph_coloring", 26), ("vertex_cover", 31)):
+            result = runner.invoke(
+                main,
+                ["generate", "--sizes", str(size), "--per-size", "1", "--type", family,
+                 "--out", str(tmp_path / family)],
+            )
+            assert result.exit_code == 2
+            assert f"no exact {family} route" in result.output
 
     def test_regeneration_is_byte_identical(self, runner, tmp_path):
         a = tmp_path / "a"

@@ -24,6 +24,7 @@ from graphcrew.dataset.names import MAX_LENGTH, MIN_LENGTH
 from graphcrew.dataset.records import dataset_manifest, file_checksum
 from graphcrew.dataset.text import SCENARIO_STYLES, _QUESTIONS, render_problem_text
 from graphcrew.graph import graph_stats
+from graphcrew.knowledge import default_knowledge_base
 from graphcrew.problems import (
     CYCLE_DETECTION,
     GRAPH_COLORING,
@@ -231,10 +232,15 @@ class TestGroundTruth:
         assert inst.truth.optimal.algorithm_id == "held_karp"
         assert inst.truth.optimal.exact
         assert inst.truth.optimal.objective <= inst.truth.approximate.objective
-        with pytest.raises(NoExactTruthError) as err:
-            build_instance(TSP, 26, 0)
-        assert isinstance(err.value, ValueError)
-        assert "limit of 25" in str(err.value)
+        # past each exact route's catalogue limit, the only limit there is
+        for route in default_knowledge_base().records:
+            if route.algorithm_id in ("held_karp", "exact_coloring", "bnb_cover"):
+                limit = route.applicability.max_nodes
+                with pytest.raises(NoExactTruthError) as err:
+                    build_instance(route.problem_type, limit + 1, 0)
+                assert isinstance(err.value, ValueError)
+                assert f"no exact {route.problem_type} route" in str(err.value)
+                assert f"limit of {limit}" in str(err.value)
 
 
 class TestRecords:

@@ -4,11 +4,9 @@ from itertools import product
 
 import pytest
 
-from graphcrew.execute import UnknownAlgorithmError, run_algorithm
+from graphcrew.execute import run_algorithm
 from graphcrew.graph import GraphError, GraphStats, build_graph, graph_stats
 from graphcrew.knowledge import (
-    Applicability,
-    AlgorithmRecord,
     DuplicateAlgorithmError,
     KnowledgeBase,
     NoApplicableAlgorithmError,
@@ -22,7 +20,6 @@ from graphcrew.knowledge import (
 )
 from graphcrew.problems import PROBLEM_TYPES
 from graphcrew.solvers import (
-    TooLargeError,
     coloring_exact,
     detect_cycle,
     shortest_path_dijkstra,
@@ -290,19 +287,6 @@ def test_run_algorithm_matches_direct_calls():
     assert run_algorithm(record(kb, "cycle_check"), cyc_g) == detect_cycle(cyc_g)
 
 
-def test_run_algorithm_respects_catalogue_limit():
-    tight = AlgorithmRecord(
-        algorithm_id="held_karp",
-        problem_type="tsp",
-        description="d",
-        complexity="c",
-        exact=True,
-        applicability=Applicability(10, True, True, "undirected"),
-    )
-    with pytest.raises(TooLargeError):
-        run_algorithm(tight, complete_graph(12, seed=16))
-
-
 def test_run_algorithm_via_choice_binds_parameters():
     kb = default_knowledge_base()
     g = complete_graph(26, seed=17)
@@ -317,13 +301,3 @@ def test_run_algorithm_error_cases():
     g = gnp_graph(6, 0.5, seed=18, weighted=True)
     with pytest.raises(GraphError):
         run_algorithm(record(kb, "dijkstra"), g)
-    stray = AlgorithmRecord(
-        algorithm_id="simulated_annealing",
-        problem_type="tsp",
-        description="d",
-        complexity="c",
-        exact=False,
-        applicability=Applicability(10, True, True, "undirected"),
-    )
-    with pytest.raises(UnknownAlgorithmError):
-        run_algorithm(stray, complete_graph(5, seed=19))

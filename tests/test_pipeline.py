@@ -26,6 +26,7 @@ from graphcrew.agents.prompts import (
     render_stage,
     stage_of_prompt,
 )
+from graphcrew.dataset import build_instance
 from graphcrew.formats import parse_graph, serialize_graph
 from graphcrew.graph import GraphError, build_graph, graph_stats
 from graphcrew.knowledge import NoApplicableAlgorithmError, load_knowledge_base
@@ -133,6 +134,16 @@ def test_retry_feedback_names_the_missing_block():
         assert run_pipeline(backend, TSP_TEXT).solution.objective == 14
         retry = extract_prompts(backend)[1]
         assert f"rejected: the reply has no ```result:{tag}``` fenced block" in retry
+
+
+def test_crlf_extract_reply_reads_in_one_call():
+    lf = graph_reply(TSP_GRAPH)
+    expected = run_pipeline(StageScripted({"extract_graph": [lf]}), TSP_TEXT)
+    backend = StageScripted({"extract_graph": [lf.replace("\n", "\r\n")]})
+    out = run_pipeline(backend, TSP_TEXT)
+    assert len(extract_prompts(backend)) == 1
+    assert (out.solution, out.graph, out.notes) == (
+        expected.solution, expected.graph, expected.notes)
 
 
 def test_retry_budget_exhaustion():
@@ -410,6 +421,32 @@ def test_solver_rejection_surfaces_with_rationale():
     assert err.value.stage == "solve"
     assert "held_karp rejected the graph" in str(err.value)
     assert "not complete" in str(err.value) and "rationale" in str(err.value)
+
+
+TIGHT_LIMIT_KB = WRONG_LIMIT_KB.replace("max_nodes: 16", "max_nodes: 10").replace(
+    "requires_complete: false", "requires_complete: true") + """
+  - id: nearest_neighbor_2opt
+    problem: tsp
+    description: Nearest-neighbor tour refined by 2-opt.
+    complexity: O(n^2) per pass
+    exact: false
+    applicability:
+      max_nodes: 1000
+      requires_complete: true
+      requires_weighted: true
+      directedness: undirected
+"""
+
+
+def test_catalogue_limit_sends_a_larger_tour_to_the_heuristic():
+    # the catalogue's limit is the only one: held_karp itself would solve 12 nodes
+    kb = load_knowledge_base(TIGHT_LIMIT_KB)
+    inst = build_instance("tsp", 12, 0)
+    out = run_pipeline(OracleStubBackend(kb), inst.text, kb=kb)
+    assert out.graph == inst.graph
+    assert out.choice.record.algorithm_id == "nearest_neighbor_2opt"
+    assert "held_karp: 12 nodes exceeds its limit of 10" in out.choice.rationale
+    assert out.solution == inst.truth.approximate
 
 
 def test_pipeline_error_carries_partial_trail():

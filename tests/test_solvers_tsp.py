@@ -5,14 +5,12 @@ import pytest
 from graphcrew.dataset import build_instance
 from graphcrew.graph import GraphError, build_graph
 from graphcrew.solvers import (
-    GraphNotCompleteError,
-    TooLargeError,
+    SolverInputError,
     tsp_exact_held_karp,
     tsp_nearest_neighbor_two_opt,
     verify_solution,
 )
 from graphcrew.solvers import tsp as tsp_module
-from graphcrew.solvers.tsp import tsp_nearest_neighbor, tsp_two_opt
 
 from oracles import brute_tour_cost, held_karp_tour_cost, milp_tour_cost, tour_cost
 from util import complete_graph, names_for
@@ -41,7 +39,8 @@ def test_equal_weight_k4_gives_identity_order():
         names, False, True, [(a, b, 1) for i, a in enumerate(names) for b in names[i + 1 :]]
     )
     assert tsp_exact_held_karp(k4).payload == ("A", "B", "C", "D")
-    assert tsp_nearest_neighbor(k4).payload == ("A", "B", "C", "D")
+    # nearest neighbor ties go to the lower index
+    assert tsp_module._nearest_neighbor(tsp_module._matrix(k4), 0) == [0, 1, 2, 3]
 
 
 def test_exact_solvers_agree_with_enumeration():
@@ -90,19 +89,19 @@ def test_exact_solver_agrees_with_milp_on_fractions():
 
 
 def test_two_opt_uncrosses_square():
-    sol = tsp_two_opt(square(), ("A", "C", "B", "D"))
-    assert sol.objective == 4
-    assert sol.algorithm_id == "two_opt"
-    assert not sol.exact
+    m = tsp_module._matrix(square())
+    order = tsp_module._two_opt(m, [0, 2, 1, 3])  # A C B D crosses itself
+    assert order == [0, 1, 2, 3]
+    assert tsp_module._cycle_cost(m, order) == 4
 
 
 def test_two_opt_never_worsens():
     for seed in range(8):
         g = complete_graph(7, seed=100 + seed)
-        start = tuple(g.node_names)
-        improved = tsp_two_opt(g, start)
-        assert improved.objective <= tour_cost(g, start)
-        assert verify_solution("tsp", g, improved).valid
+        m = tsp_module._matrix(g)
+        improved = tsp_module._two_opt(m, list(range(7)))
+        assert sorted(improved) == list(range(7))
+        assert tsp_module._cycle_cost(m, improved) <= tour_cost(g, g.node_names)
 
 
 def test_heuristic_chain_bounds_and_validity():
@@ -113,14 +112,6 @@ def test_heuristic_chain_bounds_and_validity():
         assert fast.objective >= best
         assert verify_solution("tsp", g, fast).valid
         assert fast.algorithm_id == "nearest_neighbor_2opt"
-
-
-def test_nearest_neighbor_start_by_name_and_index():
-    g = complete_graph(6, seed=3)
-    by_name = tsp_nearest_neighbor(g, g.node_names[2])
-    by_index = tsp_nearest_neighbor(g, 2)
-    assert by_name == by_index
-    assert by_name.payload[0] == g.node_names[2]
 
 
 def test_fraction_weights_stay_exact():
@@ -185,17 +176,15 @@ def test_deterministic_across_runs():
 def test_tour_direction_is_canonical():
     for seed in range(6):
         g = complete_graph(7, seed=300 + seed)
-        for sol in (tsp_exact_held_karp(g), tsp_nearest_neighbor(g, 4)):
+        for sol in (tsp_exact_held_karp(g), tsp_nearest_neighbor_two_opt(g)):
             assert sol.payload[1] < sol.payload[-1]
 
 
 def test_input_rejections():
-    with pytest.raises(TooLargeError):
-        tsp_exact_held_karp(complete_graph(26, seed=1))
-    assert tsp_exact_held_karp(complete_graph(9, seed=1), max_nodes=9).exact
     incomplete = build_graph(["A", "B", "C"], False, True, [("A", "B", 1), ("B", "C", 1)])
-    with pytest.raises(GraphNotCompleteError):
-        tsp_exact_held_karp(incomplete)
+    for solver in (tsp_exact_held_karp, tsp_nearest_neighbor_two_opt):
+        with pytest.raises(SolverInputError, match="3 nodes and 2 edges is not complete"):
+            solver(incomplete)
     tiny = build_graph(["A", "B"], False, True, [("A", "B", 1)])
     with pytest.raises(GraphError):
         tsp_exact_held_karp(tiny)
@@ -207,8 +196,6 @@ def test_input_rejections():
     )
     with pytest.raises(GraphError):
         tsp_exact_held_karp(directed)
-    with pytest.raises(GraphError):
-        tsp_two_opt(square(), ("A", "B", "C"))
 
 
 def test_equal_cost_penalized_tour_never_replaces_the_seed(monkeypatch):

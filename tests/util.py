@@ -9,6 +9,13 @@ import sys
 from pathlib import Path
 
 from graphcrew.graph import build_graph, graph_stats
+from graphcrew.knowledge import default_knowledge_base
+
+
+def catalogue_limit(algorithm_id):
+    """The node limit the bundled catalogue sets for ``algorithm_id``."""
+    return next(r.applicability.max_nodes for r in default_knowledge_base().records
+                if r.algorithm_id == algorithm_id)
 
 
 def names_for(n):
