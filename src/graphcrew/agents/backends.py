@@ -33,9 +33,8 @@ import yaml
 from ..dataset import exact_route, reference_extract
 from ..execute import run_algorithm
 from ..formats import serialize_graph
-from ..knowledge import KnowledgeBase, default_knowledge_base, select_algorithm
 from .blocks import answer_lines
-from .prompts import TAGS, read_graph_facts, slot_value, stage_of_prompt
+from .prompts import TAGS, slot_value, stage_of_prompt
 
 
 class BackendError(RuntimeError):
@@ -334,27 +333,16 @@ class OracleStubBackend:
     :func:`~graphcrew.dataset.reference_extract`, which recovers a
     generated text's family, graph and route exactly; ``extract_graph``
     answers both of its blocks from that one read, and ``direct``
-    answers with the proven optimum on the graph it read.  ``normalize``
-    echoes the edge list it is given, ``select`` runs the catalogue's
-    selector on the graph facts it is given, and ``audit`` passes.
-    Replies follow the same fenced-block contract a live model is asked
-    for, so the pipeline cannot tell the difference.
+    answers with the proven optimum on the graph it read, by the bundled
+    catalogue's exact route; ``audit`` passes.  Replies follow the same
+    fenced-block contract a live model is asked for, so the pipeline
+    cannot tell the difference.
     """
 
     backend_id = "stub"
 
-    def __init__(self, kb: KnowledgeBase | None = None):
-        self._kb = kb or default_knowledge_base()
-
     def _reply(self, stage: str, user: str) -> tuple[str, ...]:
         """The reply's block bodies for ``stage``, one per tag in ``TAGS[stage]``."""
-        if stage == "normalize":
-            return (slot_value(stage, user, "graph"),)
-        if stage == "select":
-            stats, weighted, directed = read_graph_facts(slot_value(stage, user, "stats"))
-            choice = select_algorithm(self._kb, slot_value(stage, user, "problem_type"), stats,
-                                      weighted=weighted, directed=directed)
-            return (f"algorithm: {choice.record.algorithm_id}\nreason: {choice.rationale}",)
         if stage == "audit":
             return ("verdict: pass\nnote: consistent with the graph",)
         problem = reference_extract(slot_value(stage, user, "problem"))
@@ -363,7 +351,7 @@ class OracleStubBackend:
                     f"source: {problem.source or 'none'}\n"
                     f"target: {problem.target or 'none'}")
             return spec, serialize_graph(problem.graph).strip()
-        route = exact_route(problem.problem_type, problem.graph, self._kb).record
+        route = exact_route(problem.problem_type, problem.graph).record
         best = run_algorithm(route, problem.graph, source=problem.source, target=problem.target)
         return (answer_lines(best),)
 
@@ -386,14 +374,14 @@ class OracleStubBackend:
         return Completion(text=text, usage=usage)
 
 
-def make_backend(config: BackendConfig, *, kb: KnowledgeBase | None = None) -> ChatBackend:
-    """Build a backend from config; ``kb`` is the catalogue the stub selects from."""
+def make_backend(config: BackendConfig) -> ChatBackend:
+    """Build a backend from config."""
     if config.kind == "live":
         return LiveChatBackend(config)
     if config.kind == "replay":
         return ReplayBackend(config.fixtures)
     if config.kind == "record":
-        return RecordingBackend(make_backend(config.inner, kb=kb), config.fixtures)
+        return RecordingBackend(make_backend(config.inner), config.fixtures)
     if config.kind == "stub":
-        return OracleStubBackend(kb)
+        return OracleStubBackend()
     raise ConfigError(f"unknown backend kind {config.kind!r}")

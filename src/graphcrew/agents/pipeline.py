@@ -1,44 +1,42 @@
 """The staged solving flow: prose in, verified solution out.
 
-Four stages, each a separate backend conversation with its own narrow
-input:
+Two model stages, each a separate backend conversation with its own
+narrow input:
 
 1. ``extract_graph``: the problem family and route endpoints, plus an
    edge-list transcription of the statement, in one reply.
-2. ``normalize``: cleaned edge list, compared with the extracted graph.
-3. ``select``: algorithm choice, compared with the catalogue's selector.
-4. solve natively, then ``audit`` rounds on the computed answer.
+2. ``audit``: rounds that vote on the answer which the catalogue's
+   selector, the native solver and :func:`verify_solution` produced
+   from the extracted graph.
 
-Each model stage is one row (:class:`_Row`): the stage name, its prompt
-slots, its reply validator and, for the stages that only compare, the
-function that turns the reply into an override note.  One ask loop
-(:func:`_ask`) runs every row.  A reply that lacks one of the stage's
-fenced blocks (``TAGS`` in :mod:`.prompts`), or that its validator
-rejects, is retried with a reason that names the block, up to
-``MAX_ATTEMPTS`` attempts.  Both edge-list stages are read by
-:func:`~graphcrew.formats.parse_graph`, which also merges an edge stated
-twice; an unreadable line, a conflicting weight, an endpoint outside the
-roster, an empty list or a route endpoint the list does not hold is
-retried with the reader's own message.
+Each model call is one row (:class:`_Row`): the stage name, its prompt
+slots and its reply validator.  One ask loop (:func:`_ask`) runs every
+row.  A reply that lacks one of the stage's fenced blocks (``TAGS`` in
+:mod:`.prompts`), or that its validator rejects, is retried with a
+reason that names the block, up to ``MAX_ATTEMPTS`` attempts.  The edge
+list is read by :func:`~graphcrew.formats.parse_graph`, which also
+merges an edge stated twice; an unreadable line, a conflicting weight,
+an endpoint outside the roster, an empty list or a route endpoint the
+list does not hold is retried with the reader's own message.
 
 :func:`run_pipeline` runs the rows in two waves, so an instance waits
-out two model round trips, not ``3 + n_check``.  Wave 1 is the one
+out two model round trips, not ``1 + n_check``.  Wave 1 is the one
 ``extract_graph`` call, the only one that reads the problem text.  From
 its reply the code selects the algorithm and solves and verifies the
-answer; no model reply can change these decisions.  Wave 2
-(``normalize``, ``select``, every ``audit`` round) goes out only once
-both steps have succeeded, and its replies can only add notes.  A
-backend that waits on the network (``io_bound = True``) gets a thread
-per row of wave 2; any other runs the rows one after another.  Calls
-and notes are joined in stage order whatever order the replies came
-in.  Every failure of an instance is one :class:`PipelineError`, named
-after the failing stage, whose ``partial_calls`` lists every call made.
+answer; no model reply can change these decisions.  Wave 2 (the
+``n_check`` audit rounds) goes out only once both steps have succeeded,
+and its verdicts can only add notes.  A backend that waits on the
+network (``io_bound = True``) gets a thread per row of a wave that has
+more than one; any other runs the rows one after another.  Calls and
+notes are joined in stage order whatever order the replies came in.
+Every failure of an instance is one :class:`PipelineError`, named after
+the failing stage, whose ``partial_calls`` lists every call made.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, NamedTuple
@@ -51,14 +49,13 @@ from ..knowledge import (
     KnowledgeBase,
     KnowledgeBaseError,
     default_knowledge_base,
-    lookup_algorithms,
     select_algorithm,
 )
 from ..problems import PROBLEM_TYPES
 from ..solvers import Solution, SolverInputError, verify_solution
 from .backends import BackendError, ChatBackend
 from .blocks import RejectReply, extract_block, parse_fields
-from .prompts import TAGS, graph_facts, render_stage
+from .prompts import TAGS, render_stage
 
 MAX_ATTEMPTS = 3
 
@@ -166,33 +163,22 @@ def _problem_spec(body: str) -> ProblemSpec:
     )
 
 
-def _graph(body: str) -> Graph:
-    """The edge list as :func:`parse_graph` reads and merges it."""
+def _extract(problem_body: str, graph_body: str) -> tuple[ProblemSpec, Graph]:
+    """The problem block, and the edge list as :func:`parse_graph` reads
+    and merges it; a route endpoint the problem block names must be a
+    node of the edge list."""
+    spec = _problem_spec(problem_body)
     try:
-        graph = parse_graph(body)
+        graph = parse_graph(graph_body)
     except GraphError as exc:
         raise RejectReply(f"the edge list could not be read ({exc})") from None
     if not graph.node_count:
         raise RejectReply("the edge list contained no nodes or edges")
-    return graph
-
-
-def _extract(problem_body: str, graph_body: str) -> tuple[ProblemSpec, str, Graph]:
-    """The problem block and the edge list; a route endpoint the problem
-    block names must be a node of the edge list."""
-    spec, graph = _problem_spec(problem_body), _graph(graph_body)
     for role, name in (("source", spec.source), ("target", spec.target)):
         if name is not None and name not in graph.node_names:
             raise RejectReply(f"the problem block names {role} {name!r}, "
                               "which is not a node of the edge list")
-    return spec, graph_body, graph
-
-
-def _algorithm_id(body: str) -> str:
-    fields = parse_fields(body)
-    if not fields.get("algorithm"):
-        raise RejectReply("the block is missing an algorithm line")
-    return fields["algorithm"]
+    return spec, graph
 
 
 def _verdict(body: str) -> str:
@@ -203,25 +189,6 @@ def _verdict(body: str) -> str:
 
 
 # -- the deterministic steps between the waves --------------------------
-
-
-def _catalogue_text(kb: KnowledgeBase, problem_type: str) -> str:
-    lines = []
-    for record in lookup_algorithms(kb, problem_type):
-        app = record.applicability
-        needs = []
-        if app.requires_complete:
-            needs.append("complete graphs only")
-        if app.requires_weighted:
-            needs.append("weighted graphs only")
-        if app.directedness != "any":
-            needs.append(f"{app.directedness} graphs only")
-        needs.append(f"up to {app.max_nodes} nodes")
-        lines.append(
-            f"- {record.algorithm_id} ({'exact' if record.exact else 'heuristic'}, "
-            f"{record.complexity}; {', '.join(needs)}): {record.description}"
-        )
-    return "\n".join(lines)
 
 
 def _explain(solution: Solution, graph: Graph, problem_type: str) -> str:
@@ -287,38 +254,39 @@ def _solve_with_fallback(
 
 @dataclass
 class _Row:
-    """One model stage (or audit round): what to ask, and its own trail."""
+    """One model call to make (an extract or an audit round) and its own trail."""
 
     stage: str
     slots: dict[str, str]
     validate: Callable[..., Any]  # takes the bodies of the stage's blocks
-    note: Callable[[Any], str | None] | None = None  # the override note a reply earns
     calls: list[CallRecord] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
     value: Any = None
     error: Exception | None = None
 
 
 def _run(backend: ChatBackend, row: _Row) -> None:
-    """Ask the row's question, keeping its value and note or its error; never raises."""
+    """Ask the row's question, keeping its value or its error; never raises."""
     try:
         row.value = _ask(backend, row.stage, row.slots, row.calls, row.validate)
     except Exception as exc:
         row.error = exc
-        return
-    note = row.note(row.value) if row.note is not None else None
-    if note:
-        row.notes.append(note)
 
 
 def _calls(rows: list[_Row]) -> tuple[CallRecord, ...]:
     return tuple(call for row in rows for call in row.calls)
 
 
-def _wave(pool: ThreadPoolExecutor | None, backend: ChatBackend, rows: list[_Row]) -> None:
-    """Run every row of a wave, on the pool's threads if there is a pool,
-    then raise the earliest row's error."""
-    list((map if pool is None else pool.map)(partial(_run, backend), rows))
+def _wave(backend: ChatBackend, rows: list[_Row]) -> None:
+    """Run every row of a wave, each on its own thread when the backend is
+    io-bound and the wave has more than one row, then raise the earliest
+    row's error."""
+    run = partial(_run, backend)
+    if len(rows) > 1 and getattr(backend, "io_bound", False):
+        with ThreadPoolExecutor(len(rows)) as pool:
+            list(pool.map(run, rows))
+    else:
+        for row in rows:
+            run(row)
     error = next((row.error for row in rows if row.error is not None), None)
     if error is not None:
         raise error
@@ -342,7 +310,8 @@ def run_pipeline(
     """Run all stages on one problem statement, issuing calls in two waves.
 
     ``kb`` is the catalogue to select from (default: the bundled one) and
-    ``n_check`` the number of audit rounds.  A failed row is raised once
+    ``n_check`` the number of audit rounds, wave 2; at 0 the extract call
+    is the only call.  A failed row is raised once
     the rest of its wave is back, as the earliest stage's error (see
     :func:`_wave`); a failed deterministic step is raised at once, and no
     wave-2 call is made.  Either way the :class:`PipelineError` carries
@@ -352,58 +321,34 @@ def run_pipeline(
     extract = _Row("extract_graph", {"problem": problem_text}, _extract)
     rows = [extract]  # every row asked so far, in stage order
     try:
-        _wave(None, backend, [extract])
-        spec, raw_text, graph = extract.value
+        _wave(backend, [extract])
+        spec, graph = extract.value
         problem_type = spec.problem_type
-        solve_notes: list[str] = []
+        notes: list[str] = []
         with _step("select"):
-            stats = graph_stats(graph)
-            choice = select_algorithm(
-                kb, problem_type, stats, weighted=graph.weighted, directed=graph.directed
-            )
+            choice = select_algorithm(kb, problem_type, graph_stats(graph),
+                                      weighted=graph.weighted, directed=graph.directed)
         with _step("solve"):
-            solution = _solve_with_fallback(choice, graph, spec, solve_notes)
+            solution = _solve_with_fallback(choice, graph, spec, notes)
         explanation = _explain(solution, graph, problem_type)
-        chosen = choice.record.algorithm_id
         audit = {"problem_type": problem_type, "graph": serialize_graph(graph),
                  "solution": explanation, "report": "valid"}
-        normalize = _Row(
-            "normalize", {"graph": raw_text},
-            lambda body: graph if body == raw_text else _graph(body),
-            lambda proposal: None if proposal == graph else (
-                "normalize: backend proposal differed from the deterministic merge; "
-                "deterministic result kept"),
-        )
-        select = _Row(
-            "select",
-            {"problem_type": problem_type, "stats": graph_facts(graph, stats),
-             "catalogue": _catalogue_text(kb, problem_type)},
-            _algorithm_id,
-            lambda proposed: None if proposed == chosen else (
-                f"select: backend proposed {proposed!r}, selector chose {chosen!r}; "
-                "selector wins"),
-        )
-        audit_note = ("audit: backend voted fail; mechanical verification is "
-                      f"authoritative and reported: {audit['report']}")
-        audits = [_Row("audit", audit, _verdict,
-                       lambda verdict: None if verdict == "pass" else audit_note)
-                  for _ in range(n_check)]
-        wave2 = [normalize, select, *audits]
-        rows += wave2
-        io_bound = getattr(backend, "io_bound", False)
-        with ThreadPoolExecutor(len(wave2)) if io_bound else nullcontext() as pool:
-            _wave(pool, backend, wave2)
+        audits = [_Row("audit", audit, _verdict) for _ in range(n_check)]
+        rows += audits
+        _wave(backend, audits)
     except PipelineError as exc:
         exc.partial_calls = _calls(rows)
         raise
+    verdicts = tuple(row.value for row in audits)
+    notes += ["audit: backend voted fail; mechanical verification is authoritative "
+              f"and reported: {audit['report']}" for verdict in verdicts if verdict == "fail"]
     return SolveOutcome(
         solution=solution,
         explanation=explanation,
         problem_spec=spec,
         graph=graph,
         choice=choice,
-        audit_verdicts=tuple(row.value for row in audits),
+        audit_verdicts=verdicts,
         calls=_calls(rows),
-        notes=(*normalize.notes, *select.notes, *solve_notes,
-               *(note for row in audits for note in row.notes)),
+        notes=tuple(notes),
     )

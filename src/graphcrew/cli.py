@@ -31,7 +31,9 @@ from .dataset import (
     DatasetSpec,
     dataset_manifest,
     generate_dataset,
+    json_line,
     read_instances,
+    text_digest,
     write_instances,
     write_text_only,
 )
@@ -154,8 +156,11 @@ def _usage_rows(calls) -> list[dict]:
     return [call._asdict() for call in calls]
 
 
-def _dump(record: dict) -> str:
-    return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+def _result_head(instance) -> dict:
+    """The keys that open every results record: the instance answered,
+    and the digest of the statement it was answered from."""
+    return {"id": instance.instance_id, "problem_type": instance.problem_type,
+            "text_sha256": text_digest(instance.text)}
 
 
 def _make_dir(path: Path) -> None:
@@ -169,7 +174,7 @@ def _write_lines(lines: list[str], path: Path) -> None:
     path.write_text("\n".join(lines) + "\n" if lines else "", encoding="utf-8")
 
 
-def _run_dataset(instances, backend_config, kb, concurrency, out, verb, answer_one) -> None:
+def _run_dataset(instances, backend_config, concurrency, out, verb, answer_one) -> None:
     """Answer every instance, write the results in dataset order and report.
 
     ``answer_one(backend, instance)`` returns the instance's results
@@ -179,7 +184,7 @@ def _run_dataset(instances, backend_config, kb, concurrency, out, verb, answer_o
     instance failed.
     """
     _make_dir(out.parent)
-    run_one = functools.partial(answer_one, make_backend(backend_config, kb=kb))
+    run_one = functools.partial(answer_one, make_backend(backend_config))
 
     if concurrency > 1:
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
@@ -187,7 +192,7 @@ def _run_dataset(instances, backend_config, kb, concurrency, out, verb, answer_o
     else:
         records = [run_one(instance) for instance in instances]
 
-    _write_lines([_dump(r) for r in records], out)
+    _write_lines([json_line(r) for r in records], out)
     failed = sum(1 for r in records if r["status"] != "ok")
     click.echo(f"{verb} {len(records) - failed}/{len(records)} instances -> {out}")
     if failed:
@@ -219,7 +224,7 @@ def cmd_solve(dataset, backend_config_path, kb_path, n_check, concurrency, out):
     kb = _load_kb(kb_path)
 
     def solve_one(backend, instance):
-        record = {"id": instance.instance_id, "problem_type": instance.problem_type}
+        record = _result_head(instance)
         try:
             outcome = run_pipeline(backend, instance.text, kb=kb, n_check=n_check)
         except PipelineError as exc:
@@ -236,7 +241,7 @@ def cmd_solve(dataset, backend_config_path, kb_path, n_check, concurrency, out):
         record["usage"] = _usage_rows(outcome.calls)
         return record
 
-    _run_dataset(instances, backend_config, kb, concurrency, out, "solved", solve_one)
+    _run_dataset(instances, backend_config, concurrency, out, "solved", solve_one)
 
 
 @main.command("solve-direct")
@@ -258,11 +263,7 @@ def cmd_solve_direct(dataset, backend_config_path, mode, concurrency, out):
 
     def answer_one(backend, instance):
         outcome: DirectOutcome = run_direct(backend, instance.text, mode=mode)
-        record = {
-            "id": instance.instance_id,
-            "problem_type": instance.problem_type,
-            "mode": mode,
-        }
+        record = {**_result_head(instance), "mode": mode}
         if outcome.solution is not None:
             record["status"] = "ok"
             record["solution"] = solution_to_dict(outcome.solution)
@@ -272,7 +273,7 @@ def cmd_solve_direct(dataset, backend_config_path, mode, concurrency, out):
         record["usage"] = _usage_rows(outcome.calls)
         return record
 
-    _run_dataset(instances, backend_config, None, concurrency, out, "answered", answer_one)
+    _run_dataset(instances, backend_config, concurrency, out, "answered", answer_one)
 
 
 def _priced_call(row: dict) -> tuple[str, int, int]:
@@ -334,6 +335,12 @@ def cmd_evaluate(results_path, dataset, backend_config_path, out_dir):
                 f"{results_path}: line {lineno}: second result for instance {instance.instance_id!r}"
             )
         seen.add(instance.instance_id)
+        digest = record.get("text_sha256")
+        if digest != text_digest(instance.text):
+            raise ConfigError(
+                f"{results_path}: line {lineno}: result for {instance.instance_id!r} was not "
+                f"answered from this dataset's statement (text_sha256 {digest!r})"
+            )
         if instance.truth is None or instance.graph is None:
             raise ConfigError(
                 f"instance {instance.instance_id} carries no ground truth; "
@@ -388,7 +395,7 @@ def cmd_evaluate(results_path, dataset, backend_config_path, out_dir):
 
     out_dir = out_dir or results_path.parent
     _make_dir(out_dir)
-    _write_lines([_dump(r) for r in scores_to_records(scores)], out_dir / "scores.jsonl")
+    _write_lines([json_line(r) for r in scores_to_records(scores)], out_dir / "scores.jsonl")
     (out_dir / "report.txt").write_text(report_text, encoding="utf-8")
     click.echo(report_text.rstrip("\n"))
     click.echo(f"reports written to {out_dir}")

@@ -17,8 +17,10 @@ from .generate import (
 from .records import (
     dataset_manifest,
     instance_to_record,
+    json_line,
     read_instances,
     record_to_instance,
+    text_digest,
     write_instances,
     write_text_only,
 )
@@ -39,11 +41,13 @@ __all__ = [
     "ground_truth",
     "instance_seed",
     "instance_to_record",
+    "json_line",
     "load_reserved_words",
     "read_instances",
     "record_to_instance",
     "reference_extract",
     "render_problem_text",
+    "text_digest",
     "write_instances",
     "write_text_only",
 ]

@@ -77,12 +77,18 @@ def record_to_instance(record: dict[str, Any]) -> ProblemInstance:
     )
 
 
-def _dump(record: dict[str, Any]) -> str:
+def json_line(record: dict[str, Any]) -> str:
+    """A record as one compact JSONL line, as dataset, results and scores files hold it."""
     return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
 
 
+def text_digest(text: str) -> str:
+    """The sha256 of a problem statement, which binds a result to it."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def write_instances(instances: list[ProblemInstance], path: str | Path) -> None:
-    lines = [_dump(instance_to_record(inst)) for inst in instances]
+    lines = [json_line(instance_to_record(inst)) for inst in instances]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -120,7 +126,7 @@ def read_instances(path: str | Path, *, statements_only: bool = False) -> list[P
 def write_text_only(instances: list[ProblemInstance], path: str | Path) -> None:
     """Public split: statements only, nothing hidden."""
     lines = [
-        _dump({"id": inst.instance_id, "problem_type": inst.problem_type, "text": inst.text})
+        json_line({"id": inst.instance_id, "problem_type": inst.problem_type, "text": inst.text})
         for inst in instances
     ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -161,8 +161,6 @@ class GraphStats:
     """Structural facts the algorithm selector keys on."""
 
     node_count: int
-    edge_count: int
-    density: Fraction
     is_connected: bool
     is_complete: bool
 
@@ -234,18 +232,11 @@ def build_graph(
 
 def graph_stats(graph: Graph) -> GraphStats:
     n = graph.node_count
-    m = graph.edge_count
-    if graph.directed:
-        possible = n * (n - 1)
-    else:
-        possible = n * (n - 1) // 2
-    density = Fraction(m, possible) if possible else Fraction(0)
+    possible = n * (n - 1) if graph.directed else n * (n - 1) // 2
     return GraphStats(
         node_count=n,
-        edge_count=m,
-        density=density,
         is_connected=_connected(graph),
-        is_complete=possible > 0 and m == possible,
+        is_complete=possible > 0 and graph.edge_count == possible,
     )
 
 

@@ -410,13 +410,6 @@ def test_stub_answers_every_stage_in_contract_shape():
     graph_text = extract_block(extract.text, "graph")
     assert graph_text == serialize_graph(tsp_graph()).strip()
     assert extract.text.endswith(f"```result:graph\n{graph_text}\n```")
-    assert ask_stub(stub, "normalize", graph=graph_text).text == (
-        f"```result:graph\n{graph_text}\n```")
-
-    facts = "4 nodes, 6 edges, density 1, connected, complete, weighted, undirected"
-    select = ask_stub(stub, "select", problem_type="tsp", stats=facts, catalogue="")
-    choice = parse_fields(extract_block(select.text, "choice"))
-    assert choice["algorithm"] == "held_karp"
 
     audit = ask_stub(stub, "audit", problem_type="tsp", graph=graph_text, solution="s",
                      report="valid")
@@ -429,24 +422,19 @@ def test_stub_answers_every_stage_in_contract_shape():
 
 
 def test_stub_reads_its_prompt_not_a_fixed_reply():
-    # retry feedback after the template does not change what a slot holds
+    # a statement's route decides the extract reply, and retry feedback
+    # after the template does not change what the slot holds
     stub = OracleStubBackend()
-    system, user = render_stage("normalize", {"graph": "A B 1"})
-    retried = f"{user}\n\nYour previous reply was rejected: A B 2. Reply again."
-    assert extract_block(stub.complete(system, retried).text, "graph") == "A B 1"
-
-    # a statement's route and the graph facts decide the extract and select replies
     route = build_graph(["Ash", "Birch", "Cedar"], False, True,
                         [("Ash", "Birch", 2), ("Birch", "Cedar", 3)])
-    extract = ask_stub(stub, "extract_graph",
-                       problem=problem_text(route, "shortest_path", "Cedar", "Ash"))
-    fields = parse_fields(extract_block(extract.text, "problem"))
-    assert (fields["problem_type"], fields["source"], fields["target"]) == (
-        "shortest_path", "Cedar", "Ash")
-    facts = "30 nodes, 435 edges, density 1, connected, complete, weighted, undirected"
-    select = ask_stub(stub, "select", problem_type="tsp", stats=facts, catalogue="")
-    assert parse_fields(extract_block(select.text, "choice"))["algorithm"] == (
-        "nearest_neighbor_2opt")
+    system, user = render_stage(
+        "extract_graph", {"problem": problem_text(route, "shortest_path", "Cedar", "Ash")})
+    retried = f"{user}\n\nYour previous reply was rejected: source Ash. Reply again."
+    for prompt in (user, retried):
+        extract = stub.complete(system, prompt)
+        fields = parse_fields(extract_block(extract.text, "problem"))
+        assert (fields["problem_type"], fields["source"], fields["target"]) == (
+            "shortest_path", "Cedar", "Ash")
 
 
 def test_stub_direct_answers_other_kinds():
@@ -488,8 +476,6 @@ def test_stub_rejects_bad_inputs():
         ("extract_graph", {"problem": "Words with no structure."}, "no roster sentence found"),
         ("direct", {"directive": "", "problem": TSP_TEXT.rsplit("\n\n", 1)[0]},
          "no question sentence found"),
-        ("select", {"problem_type": "tsp", "stats": "many nodes", "catalogue": ""},
-         "unreadable graph facts 'many nodes'"),
     ]:
         message = f"stub cannot answer the {stage} prompt: {problem}"
         with pytest.raises(BackendError, match=message):

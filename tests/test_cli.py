@@ -1,5 +1,6 @@
 """Command-line behaviors: files written, exit codes, reproducibility."""
 
+import hashlib
 import json
 import random
 import time
@@ -20,6 +21,10 @@ prices:
   input_per_million: "0.15"
   output_per_million: "0.60"
 """
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.fixture()
@@ -163,7 +168,7 @@ class TestSolve:
         result = runner.invoke(main, ["solve", "--dataset", dataset, "--backend-config",
                                       str(record), "--out", str(recorded)])
         assert result.exit_code == 0, result.output
-        assert threads == [2 + 2] * 4  # 2 + n_check threads per instance
+        assert threads == [2] * 4  # one thread per audit round (n_check) per instance
 
         # Replay must find each reply by its prompt, whatever the line order.
         fixtures.write_text("".join(reversed(fixtures.read_text().splitlines(True))))
@@ -546,6 +551,52 @@ class TestEvaluate:
         assert result.exit_code == 2
         assert f"line {len(lines) + 1}: second result for instance 'tsp-n08-i00'" in result.output
 
+    @pytest.mark.parametrize("verb", ["solve", "solve-direct"])
+    def test_each_result_carries_the_digest_of_its_statement(self, runner, tmp_path, verb):
+        out = tmp_path / "ds"
+        _generate(runner, out, extra=["--type", "vertex_cover"])
+        dataset = out / "vertex_cover.jsonl"
+        results = tmp_path / "results.jsonl"
+        result = runner.invoke(main, [verb, "--dataset", str(dataset), "--backend-config",
+                                      str(_write_stub_config(tmp_path)), "--out", str(results)])
+        assert result.exit_code == 0, result.output
+        texts = [json.loads(line)["text"] for line in dataset.read_text().splitlines()]
+        records = [json.loads(line) for line in results.read_text().splitlines()]
+        assert [list(r)[:3] for r in records] == [["id", "problem_type", "text_sha256"]] * 4
+        assert [r["text_sha256"] for r in records] == [sha256(text) for text in texts]
+
+        # a result whose digest is missing is refused, naming its line
+        lines = results.read_text().splitlines()
+        unbound = json.loads(lines[1])
+        del unbound["text_sha256"]
+        bad = tmp_path / "unbound.jsonl"
+        bad.write_text("\n".join([lines[0], json.dumps(unbound), *lines[2:]]) + "\n")
+        result = runner.invoke(main, ["evaluate", "--results", str(bad),
+                                      "--dataset", str(dataset), "--out", str(tmp_path / "rep")])
+        assert result.exit_code == 2
+        assert (f"{bad}: line 2: result for 'vertex_cover-n08-i01' was not answered from "
+                "this dataset's statement (text_sha256 None)") in result.output
+        assert not (tmp_path / "rep").exists()
+
+    def test_results_of_another_seed_are_config_error(self, runner, tmp_path):
+        # the ids of seeds 7 and 8 are the same; their statements are not
+        seven, eight = tmp_path / "ds7", tmp_path / "ds8"
+        _generate(runner, seven, extra=["--type", "vertex_cover", "--seed", "7"])
+        _generate(runner, eight, extra=["--type", "vertex_cover", "--seed", "8"])
+        results = tmp_path / "results.jsonl"
+        result = runner.invoke(main, ["solve", "--dataset", str(seven / "vertex_cover.jsonl"),
+                                      "--backend-config", str(_write_stub_config(tmp_path)),
+                                      "--out", str(results)])
+        assert result.exit_code == 0, result.output
+        digest = json.loads(results.read_text().splitlines()[0])["text_sha256"]
+        result = runner.invoke(main, ["evaluate", "--results", str(results), "--dataset",
+                                      str(eight / "vertex_cover.jsonl"),
+                                      "--out", str(tmp_path / "rep")])
+        assert result.exit_code == 2
+        assert (f"{results}: line 1: result for 'vertex_cover-n08-i00' was not answered from "
+                f"this dataset's statement (text_sha256 '{digest}')") in result.output
+        assert not (tmp_path / "rep").exists()
+
     def test_missing_results_score_as_failures(self, runner, tmp_path):
         dataset, config, results = self._solve(runner, tmp_path)
         lines = results.read_text().splitlines()
@@ -575,12 +626,14 @@ class TestEvaluate:
             [("classify", 1203, 81), ("extract_graph", 2999, 457)],
             [("audit", 1501, 39), ("classify", 1000, 60)],
         ]
+        texts = [json.loads(line)["text"] for line in (out / "tsp.jsonl").read_text().splitlines()]
         results = tmp_path / "results.jsonl"
         results.write_text("".join(
-            json.dumps({"id": ident, "status": "failed", "failure": "x", "usage": [
+            json.dumps({"id": ident, "text_sha256": sha256(text), "status": "failed",
+                        "failure": "x", "usage": [
                 {"stage": stage, "attempt": 1, "input_tokens": ins, "output_tokens": outs}
                 for stage, ins, outs in rows]}) + "\n"
-            for ident, rows in zip(("tsp-n08-i00", "tsp-n08-i01"), usage)
+            for ident, text, rows in zip(("tsp-n08-i00", "tsp-n08-i01"), texts, usage)
         ))
         report_dir = tmp_path / "report"
         result = runner.invoke(
@@ -652,8 +705,11 @@ class TestEvaluate:
             "string-tokens", "negative-tokens", "fractional-tokens", "stage-not-a-string"])
     def test_malformed_record_is_config_error(self, runner, tmp_path, record, message):
         dataset, config, results = self._solve(runner, tmp_path)
+        lines = results.read_text().splitlines()
+        if isinstance(record, dict):  # bound to tsp-n08-i00's statement, as solve binds it
+            record = {**record, "text_sha256": json.loads(lines[0])["text_sha256"]}
         bad = tmp_path / "bad.jsonl"
-        bad.write_text("\n".join(results.read_text().splitlines()[1:] + [json.dumps(record)]) + "\n")
+        bad.write_text("\n".join(lines[1:] + [json.dumps(record)]) + "\n")
         result = runner.invoke(
             main,
             ["evaluate", "--results", str(bad), "--dataset", str(dataset)],

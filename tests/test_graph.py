@@ -201,12 +201,10 @@ def test_restated_edges_build_the_same_graph(parts, rng):
 def test_stats_small_cases():
     k3 = build_graph(["A", "B", "C"], False, False, [("A", "B"), ("A", "C"), ("B", "C")])
     s = graph_stats(k3)
-    assert s.node_count == 3 and s.edge_count == 3
-    assert s.density == 1 and s.is_complete and s.is_connected
+    assert s.node_count == 3 and s.is_complete and s.is_connected
 
     path = build_graph(["A", "B", "C", "D"], False, False, [("A", "B"), ("B", "C"), ("C", "D")])
     s = graph_stats(path)
-    assert s.density == Fraction(3, 6)
     assert s.is_connected and not s.is_complete
 
     split = build_graph(["A", "B", "C"], False, False, [("A", "B")])
@@ -214,12 +212,15 @@ def test_stats_small_cases():
 
     single = build_graph(["A"], False, False, [])
     s = graph_stats(single)
-    assert s.is_connected and not s.is_complete and s.density == 0
+    assert s.is_connected and not s.is_complete
 
 
-def test_stats_directed_density():
-    g = build_graph(["A", "B", "C"], True, False, [("A", "B"), ("B", "A")])
-    assert graph_stats(g).density == Fraction(2, 6)
+def test_stats_directed_completeness():
+    # a complete directed graph states every ordered pair
+    pair = build_graph(["A", "B"], True, False, [("A", "B")])
+    assert not graph_stats(pair).is_complete
+    both = build_graph(["A", "B"], True, False, [("A", "B"), ("B", "A")])
+    assert graph_stats(both).is_complete
 
 
 @given(graph_parts(min_nodes=2))
@@ -229,7 +230,7 @@ def test_stats_match_definitions(parts):
     s = graph_stats(g)
     n = g.node_count
     possible = n * (n - 1) if directed else n * (n - 1) // 2
-    assert s.density == Fraction(g.edge_count, possible)
+    assert s.node_count == n
     assert s.is_complete == (g.edge_count == possible)
     reach = {0}
     frontier = [0]

@@ -1,5 +1,4 @@
 from dataclasses import replace
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -180,7 +179,7 @@ def test_fallbacks_are_the_other_applicable_routes_in_lookup_order(kb):
         limits = {r.applicability.max_nodes for r in lookup_algorithms(kb, problem_type)}
         sizes = sorted({size for limit in limits for size in (limit, limit + 1)})
         for n, complete, weighted, directed in product(sizes, *[(False, True)] * 3):
-            stats = GraphStats(n, n, Fraction(1, 2), True, complete)
+            stats = GraphStats(n, True, complete)
             try:
                 want = derived_fallbacks(kb, problem_type, stats, weighted, directed)
             except IndexError:
@@ -193,7 +192,7 @@ def test_fallbacks_are_the_other_applicable_routes_in_lookup_order(kb):
 
 def test_fallbacks_keep_two_heuristics_in_file_order():
     kb = TWO_HEURISTICS_KB
-    stats = GraphStats(10, 45, Fraction(1), True, True)
+    stats = GraphStats(10, True, True)
     choice = select_algorithm(kb, "graph_coloring", stats, weighted=True, directed=False)
     assert choice.record.algorithm_id == "exact_coloring"
     assert [r.algorithm_id for r in choice.fallbacks] == ["matching_cover", "dsatur"]

@@ -1,4 +1,5 @@
 import random
+import re
 import threading
 import time
 from fractions import Fraction
@@ -20,15 +21,13 @@ from graphcrew.agents.backends import BackendError
 from graphcrew.agents.prompts import (
     TAGS,
     TemplateError,
-    graph_facts,
     load_template,
-    read_graph_facts,
     render_stage,
     stage_of_prompt,
 )
 from graphcrew.dataset import build_instance
 from graphcrew.formats import parse_graph, serialize_graph
-from graphcrew.graph import GraphError, build_graph, graph_stats
+from graphcrew.graph import GraphError, build_graph
 from graphcrew.knowledge import NoApplicableAlgorithmError, load_knowledge_base
 
 from test_backends import TSP_TEXT, problem_text, tsp_graph
@@ -64,9 +63,7 @@ def test_full_run_with_stub():
     assert out.graph.node_names == ("Depot", "Mill", "Quay", "Yard")
     assert out.choice.record.algorithm_id == "held_karp"
     assert out.audit_verdicts == ("pass", "pass")
-    assert [c.stage for c in out.calls] == [
-        "extract_graph", "normalize", "select", "audit", "audit",
-    ]
+    assert [c.stage for c in out.calls] == ["extract_graph", "audit", "audit"]
     assert out.notes == ()
     assert all(c.input_tokens > 0 and c.output_tokens > 0 for c in out.calls)
     assert "held_karp" in out.explanation and "total cost 14" in out.explanation
@@ -94,22 +91,18 @@ def test_stage_inputs_stay_narrow():
     by_stage = {}
     for stage, user in backend.seen:
         by_stage.setdefault(stage, []).append(user)
-    # The statement goes to the reading stage only.
+    # The statement goes to the reading stage only; the auditor sees the merged graph.
     assert all("UNIQUE_PROSE_MARKER" in u for u in by_stage["extract_graph"])
-    for stage in ("normalize", "select", "audit"):
-        assert all("UNIQUE_PROSE_MARKER" not in u for u in by_stage[stage])
-    # The cleaner sees the raw edge list, the picker sees facts and catalogue.
-    assert any("# nodes:" in u for u in by_stage["normalize"])
-    assert any("held_karp" in u and "nearest_neighbor_2opt" in u for u in by_stage["select"])
+    assert all("UNIQUE_PROSE_MARKER" not in u and "# nodes:" in u for u in by_stage["audit"])
+    assert set(by_stage) == {"extract_graph", "audit"}
 
 
 TSP_GRAPH = serialize_graph(tsp_graph())
 
 
 def graph_reply(text, problem="problem_type: tsp\nsource: none\ntarget: none"):
-    """A scripted reply: ``problem`` in its problem block, then ``text`` in
-    its graph block.  An extract reply reads both; a normalize reply reads
-    only the graph block."""
+    """A scripted extract reply: ``problem`` in its problem block, then
+    ``text`` in its graph block."""
     return f"```result:problem\n{problem}\n```\n```result:graph\n{text}```"
 
 
@@ -313,7 +306,7 @@ def test_normalize_merges_duplicates():
     backend = StageScripted({"extract_graph": [graph_reply(raw)]})
     out = run_pipeline(backend, problem_text(k3, "tsp"))
     assert out.graph.edges == ((0, 1, 3), (0, 2, 5), (1, 2, 4))
-    assert out.notes == ()  # the stub echoes the raw list, which reads as the merge
+    assert out.notes == ()
     assert out.solution.objective == 12
 
 
@@ -332,52 +325,6 @@ def test_normalize_conflicting_weights():
     assert "no usable reply in 3 attempts" in str(err.value)
     assert "edge A-B stated with weights 3 and 5" in str(err.value)
     assert [c.stage for c in err.value.partial_calls] == ["extract_graph"] * 3
-
-
-def test_normalize_override_is_deterministic_and_noted():
-    wrong = "# nodes: A B\n# directed: false\n# weighted: true\nA B 99\n"
-    backend = StageScripted({"normalize": [graph_reply(wrong)]})
-    out = run_pipeline(backend, TSP_TEXT)
-    assert out.graph.node_names == ("Depot", "Mill", "Quay", "Yard")
-    assert len(out.notes) == 1 and "deterministic result kept" in out.notes[0]
-
-
-def test_an_unchanged_normalize_reply_is_not_read_again(monkeypatch):
-    reads = []
-    monkeypatch.setattr(pipeline, "parse_graph",
-                        lambda text: reads.append(text) or parse_graph(text))
-    out = run_pipeline(OracleStubBackend(), TSP_TEXT)
-    assert out.notes == ()
-    assert len(reads) == 1  # the extract reply; the stub's echo of it is not read again
-
-    # a different list is read, and noted only when it reads as another graph
-    clean = parse_graph(reads[0])
-    reordered = "\n".join(reversed(reads[0].splitlines()))
-    wrong = "# nodes: A B\n# directed: false\n# weighted: true\nA B 99"
-    for reply, noted in ((reordered, False), (wrong, True)):
-        reads.clear()
-        out = run_pipeline(StageScripted({"normalize": [graph_reply(reply + "\n")]}), TSP_TEXT)
-        assert reads[1:] == [reply]
-        assert out.graph == clean
-        assert [("deterministic result kept" in note) for note in out.notes] == (
-            [True] if noted else [])
-
-
-def test_unreadable_normalize_reply_is_retried():
-    backend = StageScripted({"normalize": [graph_reply("A B 3 km\n")]})
-    out = run_pipeline(backend, TSP_TEXT)
-    assert out.notes == ()  # the retry came back as the stub's echo of the extract reply
-    retry = [user for stage, user in backend.seen if stage == "normalize"][1]
-    assert "line 1, column 1: expected 'U V' or 'U V W', got 'A B 3 km'" in retry
-
-
-def test_select_override_is_noted():
-    backend = StageScripted(
-        {"select": ["```result:choice\nalgorithm: nearest_neighbor_2opt\nreason: vibes\n```"]},
-    )
-    out = run_pipeline(backend, TSP_TEXT)
-    assert out.choice.record.algorithm_id == "held_karp"
-    assert any("selector wins" in note for note in out.notes)
 
 
 def test_audit_fail_verdict_is_advisory():
@@ -417,7 +364,7 @@ def test_solver_rejection_surfaces_with_rationale():
     )
     kb = load_knowledge_base(WRONG_LIMIT_KB)
     with pytest.raises(PipelineError) as err:
-        run_pipeline(OracleStubBackend(kb), problem_text(incomplete, "tsp"), kb=kb)
+        run_pipeline(OracleStubBackend(), problem_text(incomplete, "tsp"), kb=kb)
     assert err.value.stage == "solve"
     assert "held_karp rejected the graph" in str(err.value)
     assert "not complete" in str(err.value) and "rationale" in str(err.value)
@@ -442,7 +389,7 @@ def test_catalogue_limit_sends_a_larger_tour_to_the_heuristic():
     # the catalogue's limit is the only one: held_karp itself would solve 12 nodes
     kb = load_knowledge_base(TIGHT_LIMIT_KB)
     inst = build_instance("tsp", 12, 0)
-    out = run_pipeline(OracleStubBackend(kb), inst.text, kb=kb)
+    out = run_pipeline(OracleStubBackend(), inst.text, kb=kb)
     assert out.graph == inst.graph
     assert out.choice.record.algorithm_id == "nearest_neighbor_2opt"
     assert "held_karp: 12 nodes exceeds its limit of 10" in out.choice.rationale
@@ -503,31 +450,10 @@ def test_every_template_asks_for_its_stage_tag():
 
 
 def test_every_template_belongs_to_a_stage():
-    # a deleted stage must not leave its template behind
+    # a deleted stage must not leave its template shipped as package data
     templates = resources.files("graphcrew").joinpath("agents/templates")
-    stems = {path.name.removesuffix(".txt") for path in templates.iterdir()
-             if path.name.endswith(".txt")}
-    assert stems - {"cot_directive"} == set(TAGS)
-
-
-def test_graph_facts_read_back():
-    graphs = [
-        build_graph(["A", "B", "C"], False, True, [("A", "B", 2), ("B", "C", 3), ("A", "C", 1)]),
-        build_graph(["A", "B", "C", "D"], True, False, [("A", "B"), ("C", "D")]),
-        build_graph(["A"], False, False, []),
-    ]
-    for graph in graphs:
-        stats = graph_stats(graph)
-        text = graph_facts(graph, stats)
-        assert read_graph_facts(text) == (stats, graph.weighted, graph.directed)
-    assert graph_facts(graphs[1], graph_stats(graphs[1])) == (
-        "4 nodes, 2 edges, density 1/6, not connected, not complete, unweighted, directed")
-    for bad in ["many nodes", "4 nodes, 2 edges, density 1/6, not connected, not complete",
-                "4 nodes, 2 edges, density 1/6, connected, connected, weighted, directed",
-                "4 edges, 2 nodes, density 1/6, connected, complete, weighted, directed",
-                "4 nodes, 2 edges, density 1/6, connected, complete, weighted, directed, sparse"]:
-        with pytest.raises(ValueError, match="unreadable graph facts"):
-            read_graph_facts(bad)
+    names = {path.name for path in templates.iterdir()}
+    assert names == {f"{stage}.txt" for stage in (*TAGS, "cot_directive")}
 
 
 def test_render_stage_never_reads_a_slot_value_as_a_slot():
@@ -653,28 +579,72 @@ class IOBound:
 
 
 def test_io_bound_backend_overlaps_each_wave():
-    # The barrier opens only when all of wave 2's calls wait at it at
-    # once; a schedule that issues them one by one breaks it and fails.
+    # The barrier opens only when all of wave 2's audit rounds wait at it
+    # at once; a schedule that issues them one by one breaks it and fails.
     # Wave 1 is the one extract call.
-    wave2 = threading.Barrier(4, timeout=30)
-    barriers = {"normalize": wave2, "select": wave2, "audit": wave2}
+    wave2 = threading.Barrier(3, timeout=30)
     threads_before = threading.active_count()
-    out = run_pipeline(IOBound(OracleStubBackend(), barriers), TSP_TEXT)
+    out = run_pipeline(IOBound(OracleStubBackend(), {"audit": wave2}), TSP_TEXT, n_check=3)
     assert threading.active_count() == threads_before  # the pool is shut down
     assert not wave2.broken
-    assert out == run_pipeline(OracleStubBackend(), TSP_TEXT)
+    assert out == run_pipeline(OracleStubBackend(), TSP_TEXT, n_check=3)
 
 
-def test_io_bound_path_matches_the_inline_path():
+@pytest.mark.parametrize("n_check", [0, 1])
+def test_a_wave_of_one_call_or_none_opens_no_pool(monkeypatch, n_check):
+    pools = []
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", lambda workers: pools.append(workers))
+    backend = StageScripted({})
+    out = run_pipeline(IOBound(backend), TSP_TEXT, n_check=n_check)
+    stages = ["extract_graph", *["audit"] * n_check]
+    assert [stage for stage, _ in backend.seen] == stages
+    assert [c.stage for c in out.calls] == stages
+    assert pools == []
+
+
+class RoundScripted(StageScripted):
+    """Scripted replies for chosen audit rounds, keyed ``audit <k>``; with
+    :func:`numbered_audits`, round k's prompt reports "valid, round k", so
+    a round gets its own replies whichever thread asks first."""
+
+    def complete(self, system_prompt, user_prompt, params=None):
+        round_ = re.search(r"Mechanical check: valid, round (\d+)", user_prompt)
+        script = self.scripts.get(f"audit {round_.group(1)}") if round_ else None
+        if not script:
+            return super().complete(system_prompt, user_prompt, params)
+        self.seen.append(("audit", user_prompt))
+        reply, delay = script.pop(0)
+        time.sleep(delay)
+        return Completion(reply, Usage(7, whitespace_token_count(reply)))
+
+
+@pytest.fixture()
+def numbered_audits(monkeypatch):
+    """Number the audit rounds of each run in the ``report`` slot of their prompt."""
+    make_row, rounds = pipeline._Row, [0]
+
+    def numbered(stage, slots, validate):
+        if stage == "audit":
+            rounds[0] += 1
+            slots = {**slots, "report": f"valid, round {rounds[0]}"}
+        else:  # a new run starts with its extract row
+            rounds[0] = 0
+        return make_row(stage, slots, validate)
+
+    monkeypatch.setattr(pipeline, "_Row", numbered)
+
+
+def test_io_bound_path_matches_the_inline_path(numbered_audits):
+    fail = "```result:verdict\nverdict: fail\nnote: hmm\n```"
+
     def scripted():
-        wrong = "# nodes: A B\n# directed: false\n# weighted: true\nA B 99\n"
-        return StageScripted({
-            "normalize": [f"```result:graph\n{wrong}```"],
-            "select": ["```result:choice\nalgorithm: nearest_neighbor_2opt\nreason: vibes\n```"],
-        })
+        # rounds 1 and 3 vote fail, round 1 slowly; round 2 is the stub's pass
+        return RoundScripted({"audit 1": [(fail, 0.01)], "audit 3": [(fail, 0.0)]})
 
     inline = run_pipeline(scripted(), TSP_TEXT, n_check=3)
+    assert inline.audit_verdicts == ("fail", "pass", "fail")
     assert len(inline.notes) == 2
+    assert all("mechanical verification is authoritative" in note for note in inline.notes)
     for seed in range(20):
         threaded = run_pipeline(IOBound(scripted(), seed=seed), TSP_TEXT,
                                 n_check=3)
@@ -685,11 +655,9 @@ def test_io_bound_path_matches_the_inline_path():
 
 
 @pytest.mark.parametrize("io_bound", [False, True])
-def test_earliest_stage_error_wins_and_every_call_is_kept(io_bound):
+def test_earliest_stage_error_wins_and_every_call_is_kept(io_bound, numbered_audits):
     def wrap(backend):
-        # the earlier stage's failure comes back last
-        delays = {"normalize": 0.02}
-        return IOBound(backend, delays=delays) if io_bound else backend
+        return IOBound(backend) if io_bound else backend
 
     junk = ["junk", "junk", "junk"]
     backend = StageScripted({"extract_graph": list(junk)})
@@ -699,11 +667,12 @@ def test_earliest_stage_error_wins_and_every_call_is_kept(io_bound):
     assert "no usable reply in 3 attempts" in str(err.value)
     assert [c.stage for c in err.value.partial_calls] == ["extract_graph"] * 3
 
-    backend = StageScripted({"normalize": list(junk), "select": list(junk)})
+    # round 1 fails last, on a verdict it cannot read; round 2 fails first, on junk
+    maybe = "```result:verdict\nverdict: maybe\n```"
+    backend = RoundScripted({"audit 1": [(maybe, 0.02)] * 3, "audit 2": [("junk", 0.0)] * 3})
     with pytest.raises(PipelineError) as err:
         run_pipeline(wrap(backend), TSP_TEXT)
-    assert err.value.stage == "normalize"
-    assert "no usable reply in 3 attempts" in str(err.value)
-    assert [c.stage for c in err.value.partial_calls] == [
-        "extract_graph", *["normalize"] * 3, *["select"] * 3, "audit", "audit",
-    ]
+    assert str(err.value) == ("stage audit: no usable reply in 3 attempts "
+                              "(last problem: the verdict line must say pass or fail)")
+    assert [(c.stage, c.attempt, c.output_tokens) for c in err.value.partial_calls][1:] == [
+        *(("audit", k, 4) for k in (1, 2, 3)), *(("audit", k, 1) for k in (1, 2, 3))]
