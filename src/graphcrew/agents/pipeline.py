@@ -22,8 +22,9 @@ list does not hold is retried with the reader's own message.
 :func:`run_pipeline` runs the rows in two waves, so an instance waits
 out two model round trips, not ``1 + n_check``.  Wave 1 is the one
 ``extract_graph`` call, the only one that reads the problem text.  From
-its reply the code selects the algorithm and solves and verifies the
-answer; no model reply can change these decisions.  Wave 2 (the
+its reply the code selects one route, solves and verifies its answer;
+no model reply can change these decisions, and an answer that fails
+verification fails the instance as ``solve``.  Wave 2 (the
 ``n_check`` audit rounds) goes out only once both steps have succeeded,
 and its verdicts can only add notes.  A backend that waits on the
 network (``io_bound = True``) gets a thread per row of a wave that has
@@ -43,7 +44,7 @@ from typing import Any, Callable, NamedTuple
 
 from ..execute import run_algorithm
 from ..formats import parse_graph, serialize_graph
-from ..graph import Graph, GraphError, graph_stats
+from ..graph import Graph, GraphError
 from ..knowledge import (
     AlgorithmChoice,
     KnowledgeBase,
@@ -210,43 +211,24 @@ def _explain(solution: Solution, graph: Graph, problem_type: str) -> str:
     return f"{head} Answer: {answer}."
 
 
-def _solve_with_fallback(
-    choice: AlgorithmChoice,
-    graph: Graph,
-    problem_spec: ProblemSpec,
-    notes: list[str],
-) -> Solution:
-    """The chosen route's answer, or the next applicable route's; always verified."""
+def _solve(choice: AlgorithmChoice, graph: Graph, spec: ProblemSpec) -> Solution:
+    """The chosen route's answer, verified; an answer that fails
+    verification fails the instance, with no other route in its place."""
     chosen = choice.record.algorithm_id
-    for route in (choice.record, *choice.fallbacks):
-        try:
-            solution = run_algorithm(
-                route, graph, source=problem_spec.source, target=problem_spec.target
-            )
-        except SolverInputError as exc:
-            if route is not choice.record:
-                raise
-            raise PipelineError(
-                "solve",
-                f"{chosen} rejected the graph ({exc}); choice rationale was: {choice.rationale}",
-            ) from exc
-        report = verify_solution(
-            problem_spec.problem_type,
-            graph,
-            solution,
-            source=problem_spec.source,
-            target=problem_spec.target,
+    try:
+        solution = run_algorithm(choice.record, graph, source=spec.source, target=spec.target)
+    except SolverInputError as exc:
+        raise PipelineError(
+            "solve",
+            f"{chosen} rejected the graph ({exc}); choice rationale was: {choice.rationale}",
+        ) from exc
+    report = verify_solution(spec.problem_type, graph, solution,
+                             source=spec.source, target=spec.target)
+    if not report.valid:
+        raise PipelineError(
+            "solve", f"{chosen} answer failed verification ({'; '.join(report.violations)})"
         )
-        if report.valid:
-            return solution
-        if route is choice.record:
-            notes.append(
-                f"solve: {chosen} answer failed verification "
-                f"({'; '.join(report.violations)}); trying the next applicable route"
-            )
-    raise PipelineError(
-        "solve", "no applicable algorithm produced a verifiable answer"
-    )
+    return solution
 
 
 # -- rows and waves ------------------------------------------------------
@@ -324,12 +306,10 @@ def run_pipeline(
         _wave(backend, [extract])
         spec, graph = extract.value
         problem_type = spec.problem_type
-        notes: list[str] = []
         with _step("select"):
-            choice = select_algorithm(kb, problem_type, graph_stats(graph),
-                                      weighted=graph.weighted, directed=graph.directed)
+            choice = select_algorithm(kb, problem_type, graph)
         with _step("solve"):
-            solution = _solve_with_fallback(choice, graph, spec, notes)
+            solution = _solve(choice, graph, spec)
         explanation = _explain(solution, graph, problem_type)
         audit = {"problem_type": problem_type, "graph": serialize_graph(graph),
                  "solution": explanation, "report": "valid"}
@@ -340,8 +320,8 @@ def run_pipeline(
         exc.partial_calls = _calls(rows)
         raise
     verdicts = tuple(row.value for row in audits)
-    notes += ["audit: backend voted fail; mechanical verification is authoritative "
-              f"and reported: {audit['report']}" for verdict in verdicts if verdict == "fail"]
+    notes = ["audit: backend voted fail; mechanical verification is authoritative "
+             f"and reported: {audit['report']}" for verdict in verdicts if verdict == "fail"]
     return SolveOutcome(
         solution=solution,
         explanation=explanation,

@@ -29,6 +29,7 @@ from .agents import (
 )
 from .dataset import (
     DatasetSpec,
+    check_manifest,
     dataset_manifest,
     generate_dataset,
     json_line,
@@ -302,7 +303,8 @@ def _priced_call(row: dict) -> tuple[str, int, int]:
               help="Report directory; default is next to the results file.")
 @_config_guard
 def cmd_evaluate(results_path, dataset, backend_config_path, out_dir):
-    """Score results against hidden truth and account for token costs."""
+    """Check the hidden truth, then score results against it and account for token costs."""
+    check_manifest(dataset)
     instances = {inst.instance_id: inst for inst in read_instances(dataset)}
     if backend_config_path is not None:
         prices = load_backend_config(backend_config_path).prices

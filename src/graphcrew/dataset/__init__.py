@@ -15,6 +15,7 @@ from .generate import (
     instance_seed,
 )
 from .records import (
+    check_manifest,
     dataset_manifest,
     instance_to_record,
     json_line,
@@ -34,6 +35,7 @@ __all__ = [
     "ProblemInstance",
     "SCENARIO_STYLES",
     "build_instance",
+    "check_manifest",
     "dataset_manifest",
     "exact_route",
     "generate_dataset",

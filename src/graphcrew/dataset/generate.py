@@ -13,8 +13,15 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from ..graph import Graph, build_graph, graph_stats
-from ..knowledge import AlgorithmChoice, KnowledgeBase, default_knowledge_base, select_algorithm
+from ..graph import Graph, build_graph, is_connected
+from ..knowledge import (
+    AlgorithmChoice,
+    KnowledgeBase,
+    applicability_reason,
+    default_knowledge_base,
+    lookup_algorithms,
+    select_algorithm,
+)
 from ..execute import run_algorithm
 from ..problems import (
     CYCLE_DETECTION,
@@ -129,7 +136,7 @@ def _gnp_connected(names: list[str], rng: random.Random, weighted: bool) -> Grap
                     weight = rng.randint(1, 100) if weighted else 1
                     edges.append((ordered[i], ordered[j], weight))
         graph = build_graph(names, directed=False, weighted=weighted, edges=edges)
-        if graph_stats(graph).is_connected:
+        if is_connected(graph):
             return graph
 
 
@@ -179,14 +186,10 @@ def exact_route(
     a heuristic answer stored as the truth would grade answers against
     itself.
     """
-    kb = kb or default_knowledge_base()
-    stats = graph_stats(graph)
-    choice = select_algorithm(
-        kb, problem_type, stats, weighted=graph.weighted, directed=graph.directed
-    )
+    choice = select_algorithm(kb or default_knowledge_base(), problem_type, graph)
     if not choice.record.exact:
         raise NoExactTruthError(
-            f"no exact {problem_type} route fits a graph of {stats.node_count} "
+            f"no exact {problem_type} route fits a graph of {graph.node_count} "
             f"nodes, so its optimum cannot be proven ({choice.rationale})"
         )
     return choice
@@ -199,11 +202,15 @@ def ground_truth(
     target: str | None = None,
     kb: KnowledgeBase | None = None,
 ) -> GroundTruth:
-    """Proven optimum, from :func:`exact_route`, plus the plain heuristic answer."""
+    """Proven optimum, from :func:`exact_route`, plus the plain heuristic
+    answer: that of the first heuristic route in lookup order that fits
+    the graph."""
+    kb = kb or default_knowledge_base()
     choice = exact_route(problem_type, graph, kb)
     best = run_algorithm(choice.record, graph, source=source, target=target)
 
-    heuristic = next((record for record in choice.fallbacks if not record.exact), None)
+    heuristic = next((record for record in lookup_algorithms(kb, problem_type)
+                      if not record.exact and applicability_reason(record, graph) is None), None)
     approximate = (
         best if heuristic is None
         else run_algorithm(heuristic, graph, source=source, target=target)

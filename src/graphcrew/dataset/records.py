@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Any
 
 from ..formats import parse_graph, serialize_graph
-from ..solvers.solution import solution_from_dict, solution_to_dict
+from ..solvers.solution import solution_from_dict, solution_to_dict, verify_solution
 from .generate import DatasetSpec, GroundTruth, ProblemInstance
 
 
@@ -99,6 +99,8 @@ _STATEMENT_KEYS = ("id", "problem_type", "text")
 def read_instances(path: str | Path, *, statements_only: bool = False) -> list[ProblemInstance]:
     """Read an instances file, naming the file and line of a bad record.
 
+    A stored optimum that fails :func:`verify_solution` on its hidden
+    graph and route, stated objective included, makes a bad record.
     With ``statements_only`` each record is read as its text-only line
     would be (id, problem type and text), so its ``hidden`` section is
     never parsed; ``solve`` needs nothing else.
@@ -115,11 +117,22 @@ def read_instances(path: str | Path, *, statements_only: bool = False) -> list[P
         try:
             if statements_only:
                 record = {key: record[key] for key in _STATEMENT_KEYS if key in record}
-            instances.append(record_to_instance(record))
+            instance = record_to_instance(record)
+            report = None
+            if instance.truth is not None and instance.graph is not None:
+                report = verify_solution(instance.problem_type, instance.graph,
+                                         instance.truth.optimal,
+                                         source=instance.source, target=instance.target)
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ValueError(
                 f"{path}: line {lineno}: malformed instance ({type(exc).__name__}: {exc})"
             ) from exc
+        if report is not None and not report.valid:
+            raise ValueError(
+                f"{path}: line {lineno}: the stored optimum of {instance.instance_id!r} fails "
+                f"verification on its graph ({'; '.join(report.violations)})"
+            )
+        instances.append(instance)
     return instances
 
 
@@ -149,3 +162,21 @@ def dataset_manifest(spec: DatasetSpec, instances_path: str | Path) -> dict[str,
         "file": Path(instances_path).name,
         "sha256": file_checksum(instances_path),
     }
+
+
+def check_manifest(path: str | Path) -> None:
+    """Refuse (ValueError) an instances file whose sha256 differs from the
+    one the ``manifest.json`` beside it lists; an unlisted file passes."""
+    path = Path(path)
+    manifest = path.parent / "manifest.json"
+    if not manifest.is_file():
+        return
+    try:
+        entries = json.loads(manifest.read_text(encoding="utf-8"))["datasets"]
+        want = next((entry["sha256"] for entry in entries if entry["file"] == path.name), None)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{manifest}: unreadable manifest ({type(exc).__name__}: {exc})") from exc
+    got = file_checksum(path)
+    if want is not None and got != want:
+        raise ValueError(f"{path}: sha256 {got} differs from the {want} that {manifest} "
+                         "lists; the file changed after it was generated")

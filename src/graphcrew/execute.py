@@ -1,8 +1,8 @@
 """Bridge from catalogue records to native solver calls.
 
 Node limits live only in the catalogue's applicability blocks.  The
-selector picks a record only for a graph within its limit, and records
-reach this bridge only from the selector's choice and fallbacks, so the
+selector picks a record only for a graph within its limit, and a record
+reaches this bridge only once judged applicable to its graph, so the
 solvers take no limit of their own.
 """
 

@@ -110,6 +110,14 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    @property
+    def is_complete(self) -> bool:
+        """Every pair of distinct nodes is joined, both ways round if directed
+        (:func:`build_graph` stores each edge once and no self-loops)."""
+        n = self.node_count
+        possible = n * (n - 1) if self.directed else n * (n - 1) // 2
+        return possible > 0 and self.edge_count == possible
+
     def index_of(self, name: str) -> int:
         try:
             return self._index[name]
@@ -154,15 +162,6 @@ class Graph:
 def neighbor_masks(graph: Graph) -> list[int]:
     """:attr:`Graph.adjacency` as one ``int`` per node, bit ``v`` set for neighbor ``v``."""
     return [sum(1 << v for v in ns) for ns in graph.adjacency]
-
-
-@dataclass(frozen=True)
-class GraphStats:
-    """Structural facts the algorithm selector keys on."""
-
-    node_count: int
-    is_connected: bool
-    is_complete: bool
 
 
 def build_graph(
@@ -230,18 +229,8 @@ def build_graph(
     return Graph(tuple(names), directed, weighted, tuple(edges))
 
 
-def graph_stats(graph: Graph) -> GraphStats:
-    n = graph.node_count
-    possible = n * (n - 1) if graph.directed else n * (n - 1) // 2
-    return GraphStats(
-        node_count=n,
-        is_connected=_connected(graph),
-        is_complete=possible > 0 and graph.edge_count == possible,
-    )
-
-
-def _connected(graph: Graph) -> bool:
-    # Weak connectivity: direction is ignored for directed graphs.
+def is_connected(graph: Graph) -> bool:
+    """Weak connectivity: direction is ignored for directed graphs."""
     n = graph.node_count
     if n <= 1:
         return True

@@ -3,8 +3,8 @@
 The catalogue is data, not code: a YAML file lists every solving route
 with its problem family, exactness, cost profile, and an applicability
 block the selector can check mechanically.  Selection is a pure function
-of the catalogue and the graph's measured structure, so the same graph
-always yields the same choice with the same stated rationale.
+of the catalogue and the graph, so the same graph always yields the same
+choice with the same stated rationale.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Any
 import yaml
 
 from .execute import RUNNERS
-from .graph import GraphStats
+from .graph import Graph
 from .problems import PROBLEM_TYPES
 
 _DIRECTEDNESS = ("undirected", "directed", "any")
@@ -74,7 +74,6 @@ class KnowledgeBase:
 class AlgorithmChoice:
     record: AlgorithmRecord
     rationale: str
-    fallbacks: tuple[AlgorithmRecord, ...]  # the other applicable routes, in lookup order
 
 
 def _expect(mapping: Any, key: str, kind: type, where: str) -> Any:
@@ -192,62 +191,49 @@ def lookup_algorithms(kb: KnowledgeBase, problem_type: str) -> tuple[AlgorithmRe
     return tuple(r for r in matching if r.exact) + tuple(r for r in matching if not r.exact)
 
 
-def applicability_reason(
-    record: AlgorithmRecord, stats: GraphStats, *, weighted: bool, directed: bool
-) -> str | None:
+def applicability_reason(record: AlgorithmRecord, graph: Graph) -> str | None:
     """Why this record cannot run on this graph, or None if it can."""
     app = record.applicability
-    if stats.node_count > app.max_nodes:
-        return f"{stats.node_count} nodes exceeds its limit of {app.max_nodes}"
-    if app.requires_complete and not stats.is_complete:
+    if graph.node_count > app.max_nodes:
+        return f"{graph.node_count} nodes exceeds its limit of {app.max_nodes}"
+    if app.requires_complete and not graph.is_complete:
         return "the graph is not complete"
-    if app.requires_weighted and not weighted:
+    if app.requires_weighted and not graph.weighted:
         return "the graph is unweighted"
-    if app.directedness == "undirected" and directed:
+    if app.directedness == "undirected" and graph.directed:
         return "the graph is directed"
-    if app.directedness == "directed" and not directed:
+    if app.directedness == "directed" and not graph.directed:
         return "the graph is undirected"
     return None
 
 
-def select_algorithm(
-    kb: KnowledgeBase,
-    problem_type: str,
-    stats: GraphStats,
-    *,
-    weighted: bool,
-    directed: bool,
-) -> AlgorithmChoice:
-    """Pick the route for a graph: the first applicable exact record,
-    else the first applicable heuristic.
+def select_algorithm(kb: KnowledgeBase, problem_type: str, graph: Graph) -> AlgorithmChoice:
+    """Pick the one route for a graph: the first applicable record in
+    lookup order, so an exact one when any fits, else a heuristic.
 
-    The rationale spells out the decision, including which exact routes
-    were passed over and why.  The choice also lists every other
-    applicable route, in lookup order, so callers never re-judge
-    applicability to find a second route.  Raises
-    :class:`NoApplicableAlgorithmError` when nothing fits.
+    The choice is final; no caller runs a second route in its place.  The
+    rationale spells out the decision, including which exact routes were
+    passed over and why.  Raises :class:`NoApplicableAlgorithmError`
+    when nothing fits.
     """
     rejections: list[str] = []
-    applicable: list[AlgorithmRecord] = []
     for record in lookup_algorithms(kb, problem_type):
-        reason = applicability_reason(record, stats, weighted=weighted, directed=directed)
+        reason = applicability_reason(record, graph)
         if reason is None:
-            applicable.append(record)
-        elif not applicable:
-            rejections.append(f"{record.algorithm_id}: {reason}")
-    if not applicable:
+            break
+        rejections.append(f"{record.algorithm_id}: {reason}")
+    else:
         raise NoApplicableAlgorithmError(
             f"no applicable algorithm for {problem_type} "
-            f"on {stats.node_count} nodes ({'; '.join(rejections)})"
+            f"on {graph.node_count} nodes ({'; '.join(rejections)})"
         )
-    record, *fallbacks = applicable
     if record.exact:
         rationale = (
             f"{record.algorithm_id} is exact and applicable: "
-            f"{stats.node_count} nodes within its limit of "
+            f"{graph.node_count} nodes within its limit of "
             f"{record.applicability.max_nodes}"
         )
     else:
         skipped = "; ".join(rejections) if rejections else "no exact route listed"
         rationale = f"{record.algorithm_id} chosen as heuristic fallback ({skipped})"
-    return AlgorithmChoice(record=record, rationale=rationale, fallbacks=tuple(fallbacks))
+    return AlgorithmChoice(record=record, rationale=rationale)

@@ -42,8 +42,7 @@ def _require_tour_input(graph: Graph) -> None:
     n = graph.node_count
     if n < 3:
         raise GraphError(f"a tour needs at least 3 nodes, got {n}")
-    # build_graph stores each undirected edge once and no self-loops
-    if graph.edge_count != n * (n - 1) // 2:
+    if not graph.is_complete:
         raise SolverInputError(
             f"graph with {n} nodes and {graph.edge_count} edges is not complete"
         )

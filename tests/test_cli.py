@@ -5,7 +5,6 @@ import json
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +12,7 @@ from click.testing import CliRunner
 
 from graphcrew.agents import OracleStubBackend, pipeline
 from graphcrew.cli import main
+from graphcrew.formats import parse_graph
 from util import closed_port_url, run_python
 
 STUB_CONFIG = """\
@@ -260,16 +260,16 @@ class TestSolve:
     def test_malformed_dataset_record_is_config_error(self, runner, tmp_path):
         out = tmp_path / "ds"
         _generate(runner, out, extra=["--type", "tsp"])
-        dataset = out / "tsp.jsonl"
-        lines = dataset.read_text().splitlines()
+        lines = (out / "tsp.jsonl").read_text().splitlines()
         record = json.loads(lines[1])
         del record["hidden"]["truth"]["optimal"]["kind"]
         lines[1] = json.dumps(record)
+        dataset = out / "tsp.edited.jsonl"  # a name the manifest does not list
         dataset.write_text("\n".join(lines) + "\n")
         config = _write_stub_config(tmp_path)
         # solve reads only the statements: the corrupt truth surfaces at evaluate
         solved = []
-        for name in ("tsp.jsonl", "tsp.text.jsonl"):
+        for name in ("tsp.edited.jsonl", "tsp.text.jsonl"):
             result = runner.invoke(main, ["solve", "--dataset", str(out / name),
                                           "--backend-config", str(config),
                                           "--out", str(tmp_path / f"solved-{name}")])
@@ -657,26 +657,107 @@ class TestEvaluate:
         )
 
     def test_answer_beating_the_truth_is_config_error(self, runner, tmp_path):
-        dataset, config, results = self._solve(runner, tmp_path)
-        # the stored optimum of the second instance is raised by one, so the
-        # solved answer, a valid tour, now beats it
+        dataset, config, results = self._solve(runner, tmp_path, "vertex_cover")
+        # the stored optimum of the second instance becomes the cover of every
+        # node, valid but not optimal, so the solved answer now beats it
         lines = dataset.read_text().splitlines()
         record = json.loads(lines[1])
         optimal = record["hidden"]["truth"]["optimal"]
-        stored = Fraction(optimal["objective"])
-        optimal["objective"] = str(stored + 1)
+        stored = int(optimal["objective"])
+        optimal["nodes"] = list(parse_graph(record["hidden"]["graph"]).node_names)
+        optimal["objective"] = str(len(optimal["nodes"]))
         lines[1] = json.dumps(record)
-        dataset.write_text("\n".join(lines) + "\n")
+        edited = tmp_path / "vertex_cover.jsonl"
+        edited.write_text("\n".join(lines) + "\n")
         result = runner.invoke(
             main,
-            ["evaluate", "--results", str(results), "--dataset", str(dataset)],
+            ["evaluate", "--results", str(results), "--dataset", str(edited)],
         )
         assert result.exit_code == 2
         assert (
             f"{results}: line 2: instance {record['id']!r}: a valid answer has objective "
-            f"{stored}, below the stored optimum {stored + 1}; the dataset's truth is wrong"
+            f"{stored}, below the stored optimum {optimal['objective']}; "
+            "the dataset's truth is wrong"
         ) in result.output
         assert "Traceback" not in result.output
+
+    def _solve_seed_7_covers(self, runner, tmp_path):
+        """Stub results for seed-7 vertex covers (n = 8, 2 instances), and
+        the dataset's lines."""
+        out = tmp_path / "ds"
+        result = runner.invoke(main, ["generate", "--type", "vertex_cover", "--sizes", "8",
+                                      "--per-size", "2", "--seed", "7", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        results = tmp_path / "results.jsonl"
+        result = runner.invoke(main, ["solve", "--dataset", str(out / "vertex_cover.jsonl"),
+                                      "--backend-config", str(_write_stub_config(tmp_path)),
+                                      "--out", str(results)])
+        assert result.exit_code == 0, result.output
+        return results, (out / "vertex_cover.jsonl").read_text().splitlines()
+
+    def test_misstated_stored_optimum_is_config_error(self, runner, tmp_path):
+        # a lowered objective on the stored payload could never be beaten:
+        # the stub's right answer of 6 would score 0
+        results, lines = self._solve_seed_7_covers(runner, tmp_path)
+        record = json.loads(lines[0])
+        optimal = record["hidden"]["truth"]["optimal"]
+        assert (optimal["objective"], len(optimal["nodes"])) == ("6", 6)
+        optimal["objective"] = "5"
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text("\n".join([json.dumps(record), *lines[1:]]) + "\n")
+        result = runner.invoke(main, ["evaluate", "--results", str(results),
+                                      "--dataset", str(edited), "--out", str(tmp_path / "rep")])
+        assert result.exit_code == 2
+        assert (f"configuration error: {edited}: line 1: the stored optimum of "
+                "'vertex_cover-n08-i00' fails verification on its graph "
+                "(stated size 5 but 6 nodes listed)") in result.output
+        assert not (tmp_path / "rep").exists()
+
+    def test_stored_optimum_invalid_on_its_graph_is_config_error(self, runner, tmp_path):
+        results, lines = self._solve_seed_7_covers(runner, tmp_path)
+        record = json.loads(lines[1])
+        optimal = record["hidden"]["truth"]["optimal"]
+        optimal["nodes"] = optimal["nodes"][1:]
+        optimal["objective"] = str(len(optimal["nodes"]))
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text("\n".join([lines[0], json.dumps(record)]) + "\n")
+        result = runner.invoke(main, ["evaluate", "--results", str(results),
+                                      "--dataset", str(edited), "--out", str(tmp_path / "rep")])
+        assert result.exit_code == 2
+        assert (f"configuration error: {edited}: line 2: the stored optimum of "
+                "'vertex_cover-n08-i01' fails verification on its graph (cover misses edge"
+                ) in result.output
+        assert not (tmp_path / "rep").exists()
+
+    def test_dataset_unlike_its_manifest_is_config_error(self, runner, tmp_path):
+        results, lines = self._solve_seed_7_covers(runner, tmp_path)
+        dataset = tmp_path / "ds" / "vertex_cover.jsonl"
+        listed = json.loads((tmp_path / "ds" / "manifest.json").read_text())["datasets"][0]
+        # the same records in other bytes: under its own name the manifest
+        # refuses the file, under a name it does not list the file scores
+        rewritten = "\n".join(json.dumps(json.loads(line)) for line in lines) + "\n"
+        dataset.write_text(rewritten)
+        result = runner.invoke(main, ["evaluate", "--results", str(results),
+                                      "--dataset", str(dataset), "--out", str(tmp_path / "rep")])
+        assert result.exit_code == 2
+        assert (f"configuration error: {dataset}: sha256 {sha256(rewritten)} differs from the "
+                f"{listed['sha256']} that {tmp_path / 'ds' / 'manifest.json'} lists; "
+                "the file changed after it was generated") in result.output
+        assert not (tmp_path / "rep").exists()
+        unlisted = tmp_path / "ds" / "unlisted.jsonl"
+        unlisted.write_text(rewritten)
+        result = runner.invoke(main, ["evaluate", "--results", str(results),
+                                      "--dataset", str(unlisted), "--out", str(tmp_path / "rep")])
+        assert result.exit_code == 0, result.output
+        assert "100.0%" in result.output
+        # a manifest that cannot be read vouches for nothing
+        manifest = tmp_path / "ds" / "manifest.json"
+        manifest.write_text('{"datasets": 5}\n')
+        result = runner.invoke(main, ["evaluate", "--results", str(results),
+                                      "--dataset", str(unlisted), "--out", str(tmp_path / "rep")])
+        assert result.exit_code == 2
+        assert (f"configuration error: {manifest}: unreadable manifest "
+                "(TypeError: 'int' object is not iterable)") in result.output
 
     @pytest.mark.parametrize("record, message", [
         ({"id": "tsp-n08-i00", "status": "ok", "solution": {}}, "malformed result (KeyError:"),

@@ -23,7 +23,7 @@ from graphcrew.dataset import (
 from graphcrew.dataset.names import MAX_LENGTH, MIN_LENGTH
 from graphcrew.dataset.records import dataset_manifest, file_checksum
 from graphcrew.dataset.text import SCENARIO_STYLES, _QUESTIONS, render_problem_text
-from graphcrew.graph import graph_stats
+from graphcrew.graph import is_connected
 from graphcrew.knowledge import default_knowledge_base
 from graphcrew.problems import (
     CYCLE_DETECTION,
@@ -171,14 +171,13 @@ class TestSeeding:
 class TestGraphFamilies:
     def test_tour_instances_are_complete_weighted(self):
         inst = build_instance(TSP, 9, 4)
-        stats = graph_stats(inst.graph)
-        assert stats.is_complete and inst.graph.weighted and not inst.graph.directed
+        assert inst.graph.is_complete and inst.graph.weighted and not inst.graph.directed
 
     def test_sparse_families_are_connected(self):
         for ptype in (GRAPH_COLORING, VERTEX_COVER, SHORTEST_PATH):
             for idx in range(5):
                 inst = build_instance(ptype, 10, idx)
-                assert graph_stats(inst.graph).is_connected, (ptype, idx)
+                assert is_connected(inst.graph), (ptype, idx)
 
     def test_route_endpoints_distinct_and_present(self):
         inst = build_instance(SHORTEST_PATH, 8, 7)

@@ -14,7 +14,7 @@ from graphcrew.graph import (
     build_graph,
     coerce_weight,
     format_weight,
-    graph_stats,
+    is_connected,
 )
 from oracles import fraction_coerce_weight
 
@@ -200,38 +200,34 @@ def test_restated_edges_build_the_same_graph(parts, rng):
 
 def test_stats_small_cases():
     k3 = build_graph(["A", "B", "C"], False, False, [("A", "B"), ("A", "C"), ("B", "C")])
-    s = graph_stats(k3)
-    assert s.node_count == 3 and s.is_complete and s.is_connected
+    assert k3.node_count == 3 and k3.is_complete and is_connected(k3)
 
     path = build_graph(["A", "B", "C", "D"], False, False, [("A", "B"), ("B", "C"), ("C", "D")])
-    s = graph_stats(path)
-    assert s.is_connected and not s.is_complete
+    assert is_connected(path) and not path.is_complete
 
     split = build_graph(["A", "B", "C"], False, False, [("A", "B")])
-    assert not graph_stats(split).is_connected
+    assert not is_connected(split)
 
     single = build_graph(["A"], False, False, [])
-    s = graph_stats(single)
-    assert s.is_connected and not s.is_complete
+    assert is_connected(single) and not single.is_complete
 
 
 def test_stats_directed_completeness():
     # a complete directed graph states every ordered pair
     pair = build_graph(["A", "B"], True, False, [("A", "B")])
-    assert not graph_stats(pair).is_complete
+    assert not pair.is_complete
     both = build_graph(["A", "B"], True, False, [("A", "B"), ("B", "A")])
-    assert graph_stats(both).is_complete
+    assert both.is_complete
 
 
 @given(graph_parts(min_nodes=2))
 def test_stats_match_definitions(parts):
     names, directed, weighted, edges = parts
     g = build_graph(names, directed, weighted, edges)
-    s = graph_stats(g)
     n = g.node_count
     possible = n * (n - 1) if directed else n * (n - 1) // 2
-    assert s.node_count == n
-    assert s.is_complete == (g.edge_count == possible)
+    assert n == len(names)
+    assert g.is_complete == (g.edge_count == possible)
     reach = {0}
     frontier = [0]
     while frontier:
@@ -241,4 +237,4 @@ def test_stats_match_definitions(parts):
                 if x == u and y not in reach:
                     reach.add(y)
                     frontier.append(y)
-    assert s.is_connected == (len(reach) == n)
+    assert is_connected(g) == (len(reach) == n)

@@ -1,10 +1,9 @@
 from dataclasses import replace
-from itertools import product
 
 import pytest
 
 from graphcrew.execute import run_algorithm
-from graphcrew.graph import GraphError, GraphStats, build_graph, graph_stats
+from graphcrew.graph import GraphError, build_graph
 from graphcrew.knowledge import (
     DuplicateAlgorithmError,
     KnowledgeBase,
@@ -29,14 +28,8 @@ from graphcrew.solvers import (
 from util import complete_graph, gnp_graph
 
 
-def choose(kb, problem_type, graph):
-    return select_algorithm(
-        kb,
-        problem_type,
-        graph_stats(graph),
-        weighted=graph.weighted,
-        directed=graph.directed,
-    )
+def route_id(kb, problem_type, graph):
+    return select_algorithm(kb, problem_type, graph).record.algorithm_id
 
 
 def record(kb, algorithm_id):
@@ -63,15 +56,15 @@ def test_lookup_orders_exact_first():
 
 def test_selector_prefers_exact_within_limit():
     kb = default_knowledge_base()
-    pick = choose(kb, "tsp", complete_graph(12, seed=1))
+    pick = select_algorithm(kb, "tsp", complete_graph(12, seed=1))
     assert pick.record.algorithm_id == "held_karp"
     assert "12 nodes" in pick.rationale and "25" in pick.rationale
 
 
 def test_selector_falls_back_past_the_limit():
     kb = default_knowledge_base()
-    assert choose(kb, "tsp", complete_graph(25, seed=1)).record.algorithm_id == "held_karp"
-    pick = choose(kb, "tsp", complete_graph(26, seed=1))
+    assert route_id(kb, "tsp", complete_graph(25, seed=1)) == "held_karp"
+    pick = select_algorithm(kb, "tsp", complete_graph(26, seed=1))
     assert pick.record.algorithm_id == "nearest_neighbor_2opt"
     assert not pick.record.exact
     assert "held_karp" in pick.rationale and "limit of 25" in pick.rationale
@@ -79,41 +72,44 @@ def test_selector_falls_back_past_the_limit():
 
 def test_selector_boundaries_per_family():
     kb = default_knowledge_base()
-    assert choose(kb, "graph_coloring", gnp_graph(25, 0.3, seed=2)).record.algorithm_id == "exact_coloring"
-    assert choose(kb, "graph_coloring", gnp_graph(26, 0.3, seed=2)).record.algorithm_id == "dsatur"
-    assert choose(kb, "vertex_cover", gnp_graph(30, 0.3, seed=3)).record.algorithm_id == "bnb_cover"
-    assert choose(kb, "vertex_cover", gnp_graph(31, 0.3, seed=3)).record.algorithm_id == "matching_cover"
+    assert route_id(kb, "graph_coloring", gnp_graph(25, 0.3, seed=2)) == "exact_coloring"
+    assert route_id(kb, "graph_coloring", gnp_graph(26, 0.3, seed=2)) == "dsatur"
+    assert route_id(kb, "vertex_cover", gnp_graph(30, 0.3, seed=3)) == "bnb_cover"
+    assert route_id(kb, "vertex_cover", gnp_graph(31, 0.3, seed=3)) == "matching_cover"
     sp = gnp_graph(40, 0.3, seed=4, weighted=True, connected=True)
-    assert choose(kb, "shortest_path", sp).record.algorithm_id == "dijkstra"
-    assert choose(kb, "cycle_detection", gnp_graph(40, 0.1, seed=5)).record.algorithm_id == "cycle_check"
+    assert route_id(kb, "shortest_path", sp) == "dijkstra"
+    assert route_id(kb, "cycle_detection", gnp_graph(40, 0.1, seed=5)) == "cycle_check"
 
 
 def test_selector_rejects_structurally_wrong_graphs():
     kb = default_knowledge_base()
     incomplete = gnp_graph(10, 0.4, seed=6, weighted=True)
     with pytest.raises(NoApplicableAlgorithmError) as err:
-        choose(kb, "tsp", incomplete)
+        select_algorithm(kb, "tsp", incomplete)
     assert "not complete" in str(err.value)
     directed = gnp_graph(10, 0.3, seed=7, directed=True)
     with pytest.raises(NoApplicableAlgorithmError):
-        choose(kb, "graph_coloring", directed)
+        select_algorithm(kb, "graph_coloring", directed)
     names = [f"N{i:02d}" for i in range(4)]
     unweighted_k4 = build_graph(
         names, False, False, [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
     )
     with pytest.raises(NoApplicableAlgorithmError):
-        choose(kb, "tsp", unweighted_k4)
+        select_algorithm(kb, "tsp", unweighted_k4)
 
 
 def test_applicability_reason_is_checkable_alone():
     kb = default_knowledge_base()
     hk = record(kb, "held_karp")
-    small = graph_stats(complete_graph(10, seed=1))
-    big = graph_stats(complete_graph(26, seed=1))
-    assert applicability_reason(hk, small, weighted=True, directed=False) is None
-    assert "exceeds" in applicability_reason(hk, big, weighted=True, directed=False)
-    assert "unweighted" in applicability_reason(hk, small, weighted=False, directed=False)
-    assert "directed" in applicability_reason(hk, small, weighted=True, directed=True)
+    names = [f"N{i:02d}" for i in range(10)]
+    unweighted = build_graph(names, False, False,
+                             [(a, b) for i, a in enumerate(names) for b in names[i + 1:]])
+    directed = gnp_graph(10, 1.0, seed=1, weighted=True, directed=True)
+    assert directed.is_complete
+    assert applicability_reason(hk, complete_graph(10, seed=1)) is None
+    assert "exceeds" in applicability_reason(hk, complete_graph(26, seed=1))
+    assert "unweighted" in applicability_reason(hk, unweighted)
+    assert "directed" in applicability_reason(hk, directed)
 
 
 # a second heuristic and a second exact route for one family, file order
@@ -163,39 +159,25 @@ TWO_HEURISTICS_KB = KnowledgeBase(tuple(
 ))
 
 
-def derived_fallbacks(kb, problem_type, stats, weighted, directed):
-    """The other applicable routes, judged one by one after the choice."""
-    applicable = [
-        record for record in lookup_algorithms(kb, problem_type)
-        if applicability_reason(record, stats, weighted=weighted, directed=directed) is None
-    ]
-    return applicable[0], tuple(applicable[1:])
-
-
-@pytest.mark.parametrize("kb", [default_knowledge_base(), TWO_HEURISTICS_KB],
-                         ids=["default", "two_heuristics"])
-def test_fallbacks_are_the_other_applicable_routes_in_lookup_order(kb):
-    for problem_type in sorted({record.problem_type for record in kb.records}):
-        limits = {r.applicability.max_nodes for r in lookup_algorithms(kb, problem_type)}
-        sizes = sorted({size for limit in limits for size in (limit, limit + 1)})
-        for n, complete, weighted, directed in product(sizes, *[(False, True)] * 3):
-            stats = GraphStats(n, True, complete)
-            try:
-                want = derived_fallbacks(kb, problem_type, stats, weighted, directed)
-            except IndexError:
-                with pytest.raises(NoApplicableAlgorithmError):
-                    select_algorithm(kb, problem_type, stats, weighted=weighted, directed=directed)
-                continue
-            choice = select_algorithm(kb, problem_type, stats, weighted=weighted, directed=directed)
-            assert (choice.record, choice.fallbacks) == want
-
-
-def test_fallbacks_keep_two_heuristics_in_file_order():
+def test_selector_takes_the_first_applicable_route_in_lookup_order():
+    # lookup order: exact_coloring, bnb_cover, then matching_cover, dsatur
     kb = TWO_HEURISTICS_KB
-    stats = GraphStats(10, True, True)
-    choice = select_algorithm(kb, "graph_coloring", stats, weighted=True, directed=False)
-    assert choice.record.algorithm_id == "exact_coloring"
-    assert [r.algorithm_id for r in choice.fallbacks] == ["matching_cover", "dsatur"]
+    pick = select_algorithm(kb, "graph_coloring", complete_graph(25, seed=1))
+    assert pick.record.algorithm_id == "exact_coloring"
+    assert pick.rationale == (
+        "exact_coloring is exact and applicable: 25 nodes within its limit of 25"
+    )
+    # past that limit, the first applicable heuristic in file order
+    pick = select_algorithm(kb, "graph_coloring", complete_graph(26, seed=1))
+    assert pick.record.algorithm_id == "matching_cover"
+    assert pick.rationale == (
+        "matching_cover chosen as heuristic fallback (exact_coloring: 26 nodes exceeds its "
+        "limit of 25; bnb_cover: 26 nodes exceeds its limit of 10)"
+    )
+    assert route_id(kb, "graph_coloring", gnp_graph(26, 0.3, seed=2)) == "dsatur"
+    # the second exact route, where the first does not fit
+    directed = gnp_graph(10, 1.0, seed=1, weighted=True, directed=True)
+    assert route_id(kb, "graph_coloring", directed) == "bnb_cover"
 
 
 MINIMAL = """
@@ -216,7 +198,7 @@ def test_custom_catalogue_loads_and_limits_apply():
     kb = load_knowledge_base(MINIMAL)
     assert len(kb.records) == 1
     g = gnp_graph(8, 0.5, seed=9, weighted=True, connected=True)
-    pick = choose(kb, "shortest_path", g)
+    pick = select_algorithm(kb, "shortest_path", g)
     assert pick.record.applicability.max_nodes == 50
     with pytest.raises(UnknownProblemTypeError):
         lookup_algorithms(kb, "tsp")
@@ -289,7 +271,7 @@ def test_run_algorithm_matches_direct_calls():
 def test_run_algorithm_via_choice_binds_parameters():
     kb = default_knowledge_base()
     g = complete_graph(26, seed=17)
-    pick = choose(kb, "tsp", g)
+    pick = select_algorithm(kb, "tsp", g)
     sol = run_algorithm(pick.record, g)
     assert sol.algorithm_id == "nearest_neighbor_2opt"
     assert sol.payload[0] == g.node_names[0]

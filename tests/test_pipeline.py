@@ -16,6 +16,7 @@ from graphcrew.agents import (
     run_pipeline,
     whitespace_token_count,
 )
+from graphcrew import execute
 from graphcrew.agents import pipeline
 from graphcrew.agents.backends import BackendError
 from graphcrew.agents.prompts import (
@@ -29,6 +30,7 @@ from graphcrew.dataset import build_instance
 from graphcrew.formats import parse_graph, serialize_graph
 from graphcrew.graph import GraphError, build_graph
 from graphcrew.knowledge import NoApplicableAlgorithmError, load_knowledge_base
+from graphcrew.solvers import Solution, verify_solution
 
 from test_backends import TSP_TEXT, problem_text, tsp_graph
 
@@ -368,6 +370,22 @@ def test_solver_rejection_surfaces_with_rationale():
     assert err.value.stage == "solve"
     assert "held_karp rejected the graph" in str(err.value)
     assert "not complete" in str(err.value) and "rationale" in str(err.value)
+
+
+def test_unverifiable_answer_fails_as_solve(monkeypatch):
+    # the chosen route answers alone: no other route stands in for a wrong answer
+    inst = build_instance("graph_coloring", 8, 0)
+    one_color = Solution("coloring", {name: 0 for name in inst.graph.node_names}, 1,
+                         "exact_coloring", exact=True)
+    family, _ = execute.RUNNERS["exact_coloring"]
+    monkeypatch.setitem(execute.RUNNERS, "exact_coloring", (family, lambda *_: one_color))
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(OracleStubBackend(), inst.text)
+    violations = verify_solution("graph_coloring", inst.graph, one_color).violations
+    assert err.value.stage == "solve"
+    assert str(err.value) == ("stage solve: exact_coloring answer failed verification "
+                              f"({'; '.join(violations)})")
+    assert [c.stage for c in err.value.partial_calls] == WAVE_1
 
 
 TIGHT_LIMIT_KB = WRONG_LIMIT_KB.replace("max_nodes: 16", "max_nodes: 10").replace(

@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from graphcrew.graph import build_graph, graph_stats
+from graphcrew.graph import build_graph, is_connected
 from graphcrew.knowledge import default_knowledge_base
 
 
@@ -49,7 +49,7 @@ def gnp_graph(n, p, seed, weighted=False, directed=False, connected=False):
                 else:
                     edges.append((names[i], names[j]))
         g = build_graph(names, directed, weighted, edges)
-        if not connected or graph_stats(g).is_connected:
+        if not connected or is_connected(g):
             return g
 
 
