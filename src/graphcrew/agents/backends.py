@@ -204,8 +204,6 @@ def _reported_tokens(usage: dict[str, Any], key: str, text: str) -> int:
 class LiveChatBackend:
     """OpenAI-style chat-completions client over HTTP."""
 
-    io_bound = True  # calls wait on the network: the pipeline overlaps them
-
     def __init__(self, config: BackendConfig):
         if config.kind != "live":
             raise ConfigError(f"expected a live config, got kind={config.kind!r}")
@@ -305,7 +303,6 @@ class RecordingBackend:
         self._path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self.backend_id = f"record({inner.backend_id})"
-        self.io_bound = getattr(inner, "io_bound", False)
 
     def complete(self, system_prompt, user_prompt, params=None):
         completion = self._inner.complete(system_prompt, user_prompt, params)
@@ -334,17 +331,15 @@ class OracleStubBackend:
     generated text's family, graph and route exactly; ``extract_graph``
     answers both of its blocks from that one read, and ``direct``
     answers with the proven optimum on the graph it read, by the bundled
-    catalogue's exact route; ``audit`` passes.  Replies follow the same
-    fenced-block contract a live model is asked for, so the pipeline
-    cannot tell the difference.
+    catalogue's exact route.  Replies follow the same fenced-block
+    contract a live model is asked for, so the pipeline cannot tell the
+    difference.
     """
 
     backend_id = "stub"
 
     def _reply(self, stage: str, user: str) -> tuple[str, ...]:
         """The reply's block bodies for ``stage``, one per tag in ``TAGS[stage]``."""
-        if stage == "audit":
-            return ("verdict: pass\nnote: consistent with the graph",)
         problem = reference_extract(slot_value(stage, user, "problem"))
         if stage == "extract_graph":
             spec = (f"problem_type: {problem.problem_type}\n"

@@ -1,49 +1,34 @@
 """The staged solving flow: prose in, verified solution out.
 
-Two model stages, each a separate backend conversation with its own
-narrow input:
+One model stage, ``extract_graph``, reads the problem statement and
+replies with the problem family and route endpoints, plus an edge-list
+transcription of the statement, in one reply.  Everything after it is
+deterministic: the catalogue's selector chooses one route, the native
+solver answers and :func:`verify_solution` checks the answer; no model
+reply can change these decisions, and an answer that fails
+verification fails the instance as ``solve``.
 
-1. ``extract_graph``: the problem family and route endpoints, plus an
-   edge-list transcription of the statement, in one reply.
-2. ``audit``: rounds that vote on the answer which the catalogue's
-   selector, the native solver and :func:`verify_solution` produced
-   from the extracted graph.
-
-Each model call is one row (:class:`_Row`): the stage name, its prompt
-slots and its reply validator.  One ask loop (:func:`_ask`) runs every
-row.  A reply that lacks one of the stage's fenced blocks (``TAGS`` in
-:mod:`.prompts`), or that its validator rejects, is retried with a
-reason that names the block, up to ``MAX_ATTEMPTS`` attempts.  The edge
-list is read by :func:`~graphcrew.formats.parse_graph`, which also
-merges an edge stated twice; an unreadable line, a conflicting weight,
-an endpoint outside the roster, an empty list or a route endpoint the
-list does not hold is retried with the reader's own message.
-
-:func:`run_pipeline` runs the rows in two waves, so an instance waits
-out two model round trips, not ``1 + n_check``.  Wave 1 is the one
-``extract_graph`` call, the only one that reads the problem text.  From
-its reply the code selects one route, solves and verifies its answer;
-no model reply can change these decisions, and an answer that fails
-verification fails the instance as ``solve``.  Wave 2 (the
-``n_check`` audit rounds) goes out only once both steps have succeeded,
-and its verdicts can only add notes.  A backend that waits on the
-network (``io_bound = True``) gets a thread per row of a wave that has
-more than one; any other runs the rows one after another.  Calls and
-notes are joined in stage order whatever order the replies came in.
-Every failure of an instance is one :class:`PipelineError`, named after
-the failing stage, whose ``partial_calls`` lists every call made.
+One ask loop (:func:`_ask`) makes every model call, here and in the
+direct baseline.  A reply that lacks one of the stage's fenced blocks
+(``TAGS`` in :mod:`.prompts`), or that its validator rejects, is
+retried with a reason that names the block, up to ``MAX_ATTEMPTS``
+attempts.  The edge list is read by
+:func:`~graphcrew.formats.parse_graph`, which also merges an edge stated
+twice; an unreadable line, a conflicting weight, an endpoint outside
+the roster, an empty list or a route endpoint the list does not hold is
+retried with the reader's own message.  Every failure of an instance is
+one :class:`PipelineError`, named after the failing stage, whose
+``partial_calls`` lists every call made.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
 from ..execute import run_algorithm
-from ..formats import parse_graph, serialize_graph
+from ..formats import parse_graph
 from ..graph import Graph, GraphError
 from ..knowledge import (
     AlgorithmChoice,
@@ -95,9 +80,7 @@ class SolveOutcome:
     problem_spec: ProblemSpec
     graph: Graph
     choice: AlgorithmChoice
-    audit_verdicts: tuple[str, ...]
     calls: tuple[CallRecord, ...]
-    notes: tuple[str, ...]
 
 
 def _ask(backend: ChatBackend, stage: str, slots: dict[str, str],
@@ -182,14 +165,7 @@ def _extract(problem_body: str, graph_body: str) -> tuple[ProblemSpec, Graph]:
     return spec, graph
 
 
-def _verdict(body: str) -> str:
-    verdict = parse_fields(body).get("verdict", "")
-    if verdict not in ("pass", "fail"):
-        raise RejectReply("the verdict line must say pass or fail")
-    return verdict
-
-
-# -- the deterministic steps between the waves --------------------------
+# -- the deterministic steps after the extract call ---------------------
 
 
 def _explain(solution: Solution, graph: Graph, problem_type: str) -> str:
@@ -231,49 +207,6 @@ def _solve(choice: AlgorithmChoice, graph: Graph, spec: ProblemSpec) -> Solution
     return solution
 
 
-# -- rows and waves ------------------------------------------------------
-
-
-@dataclass
-class _Row:
-    """One model call to make (an extract or an audit round) and its own trail."""
-
-    stage: str
-    slots: dict[str, str]
-    validate: Callable[..., Any]  # takes the bodies of the stage's blocks
-    calls: list[CallRecord] = field(default_factory=list)
-    value: Any = None
-    error: Exception | None = None
-
-
-def _run(backend: ChatBackend, row: _Row) -> None:
-    """Ask the row's question, keeping its value or its error; never raises."""
-    try:
-        row.value = _ask(backend, row.stage, row.slots, row.calls, row.validate)
-    except Exception as exc:
-        row.error = exc
-
-
-def _calls(rows: list[_Row]) -> tuple[CallRecord, ...]:
-    return tuple(call for row in rows for call in row.calls)
-
-
-def _wave(backend: ChatBackend, rows: list[_Row]) -> None:
-    """Run every row of a wave, each on its own thread when the backend is
-    io-bound and the wave has more than one row, then raise the earliest
-    row's error."""
-    run = partial(_run, backend)
-    if len(rows) > 1 and getattr(backend, "io_bound", False):
-        with ThreadPoolExecutor(len(rows)) as pool:
-            list(pool.map(run, rows))
-    else:
-        for row in rows:
-            run(row)
-    error = next((row.error for row in rows if row.error is not None), None)
-    if error is not None:
-        raise error
-
-
 @contextmanager
 def _step(stage: str):
     """A deterministic step: its failure is raised as a
@@ -287,48 +220,31 @@ def _step(stage: str):
 
 def run_pipeline(
     backend: ChatBackend, problem_text: str, *, kb: KnowledgeBase | None = None,
-    n_check: int = 2,
 ) -> SolveOutcome:
-    """Run all stages on one problem statement, issuing calls in two waves.
+    """Run all stages on one problem statement: one ``extract_graph``
+    call, then selection, solving, verification and explanation with no
+    model.
 
-    ``kb`` is the catalogue to select from (default: the bundled one) and
-    ``n_check`` the number of audit rounds, wave 2; at 0 the extract call
-    is the only call.  A failed row is raised once
-    the rest of its wave is back, as the earliest stage's error (see
-    :func:`_wave`); a failed deterministic step is raised at once, and no
-    wave-2 call is made.  Either way the :class:`PipelineError` carries
+    ``kb`` is the catalogue to select from (default: the bundled one).
+    A failed stage is raised as a :class:`PipelineError` that carries
     every call made as ``partial_calls``.
     """
     kb = kb or default_knowledge_base()
-    extract = _Row("extract_graph", {"problem": problem_text}, _extract)
-    rows = [extract]  # every row asked so far, in stage order
+    calls: list[CallRecord] = []
     try:
-        _wave(backend, [extract])
-        spec, graph = extract.value
-        problem_type = spec.problem_type
+        spec, graph = _ask(backend, "extract_graph", {"problem": problem_text}, calls, _extract)
         with _step("select"):
-            choice = select_algorithm(kb, problem_type, graph)
+            choice = select_algorithm(kb, spec.problem_type, graph)
         with _step("solve"):
             solution = _solve(choice, graph, spec)
-        explanation = _explain(solution, graph, problem_type)
-        audit = {"problem_type": problem_type, "graph": serialize_graph(graph),
-                 "solution": explanation, "report": "valid"}
-        audits = [_Row("audit", audit, _verdict) for _ in range(n_check)]
-        rows += audits
-        _wave(backend, audits)
     except PipelineError as exc:
-        exc.partial_calls = _calls(rows)
+        exc.partial_calls = tuple(calls)
         raise
-    verdicts = tuple(row.value for row in audits)
-    notes = ["audit: backend voted fail; mechanical verification is authoritative "
-             f"and reported: {audit['report']}" for verdict in verdicts if verdict == "fail"]
     return SolveOutcome(
         solution=solution,
-        explanation=explanation,
+        explanation=_explain(solution, graph, spec.problem_type),
         problem_spec=spec,
         graph=graph,
         choice=choice,
-        audit_verdicts=verdicts,
-        calls=_calls(rows),
-        notes=tuple(notes),
+        calls=tuple(calls),
     )

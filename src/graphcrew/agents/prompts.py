@@ -15,7 +15,6 @@ from importlib import resources
 # each stage, and the tags of the ```result:<tag>``` blocks its reply must carry, in order
 TAGS: dict[str, tuple[str, ...]] = {
     "extract_graph": ("problem", "graph"),
-    "audit": ("verdict",),
     "direct": ("answer",),
 }
 

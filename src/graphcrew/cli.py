@@ -112,7 +112,8 @@ def _parse_sizes(text: str) -> tuple[int, int]:
               help="Cover story; default picks one per problem family.")
 @click.option("--out", default="dataset", show_default=True,
               type=click.Path(file_okay=False, path_type=Path), help="Output directory.")
-@click.option("--workers", default=1, show_default=True, help="Parallel generation processes.")
+@click.option("--workers", default=1, show_default=True, type=click.IntRange(min=1),
+              help="Parallel generation processes.")
 @_config_guard
 def cmd_generate(types, sizes, per_size, seed, noise, scenario, out, workers):
     """Generate seeded datasets with hidden ground truth."""
@@ -180,9 +181,10 @@ def _run_dataset(instances, backend_config, concurrency, out, verb, answer_one) 
 
     ``answer_one(backend, instance)`` returns the instance's results
     record.  One backend answers every instance, and it is given only
-    the prompts.  The directory of ``out`` is made before the first call,
-    so a run never pays for answers it cannot write.  Exits 1 when some
-    instance failed.
+    the prompts.  An instance makes its calls one after another, so at
+    most ``concurrency`` calls are in flight.  The directory of ``out``
+    is made before the first call, so a run never pays for answers it
+    cannot write.  Exits 1 when some instance failed.
     """
     _make_dir(out.parent)
     run_one = functools.partial(answer_one, make_backend(backend_config))
@@ -211,15 +213,13 @@ def _run_dataset(instances, backend_config, concurrency, out, verb, answer_one) 
 @click.option("--kb", "kb_path", default=None,
               type=click.Path(exists=True, dir_okay=False, path_type=Path),
               help="Algorithm catalogue YAML; default uses the bundled one.")
-@click.option("--n-check", default=2, show_default=True, help="Self-check rounds after solving.")
-@click.option("--concurrency", default=4, show_default=True, help="Parallel instances in flight.")
+@click.option("--concurrency", default=4, show_default=True, type=click.IntRange(min=1),
+              help="Instances in flight, and so model calls in flight.")
 @click.option("--out", default=Path("results.jsonl"), show_default=True,
               type=click.Path(dir_okay=False, path_type=Path), help="Results file to write.")
 @_config_guard
-def cmd_solve(dataset, backend_config_path, kb_path, n_check, concurrency, out):
+def cmd_solve(dataset, backend_config_path, kb_path, concurrency, out):
     """Run the staged pipeline over a dataset."""
-    if n_check < 0:
-        raise click.UsageError("--n-check must be >= 0")
     instances = read_instances(dataset, statements_only=True)
     backend_config = load_backend_config(backend_config_path)
     kb = _load_kb(kb_path)
@@ -227,7 +227,7 @@ def cmd_solve(dataset, backend_config_path, kb_path, n_check, concurrency, out):
     def solve_one(backend, instance):
         record = _result_head(instance)
         try:
-            outcome = run_pipeline(backend, instance.text, kb=kb, n_check=n_check)
+            outcome = run_pipeline(backend, instance.text, kb=kb)
         except PipelineError as exc:
             record["status"] = "failed"
             record["failure"] = str(exc)
@@ -238,7 +238,6 @@ def cmd_solve(dataset, backend_config_path, kb_path, n_check, concurrency, out):
         record["solution"] = solution_to_dict(outcome.solution)
         record["algorithm"] = outcome.solution.algorithm_id
         record["explanation"] = outcome.explanation
-        record["notes"] = list(outcome.notes)
         record["usage"] = _usage_rows(outcome.calls)
         return record
 
@@ -253,7 +252,8 @@ def cmd_solve(dataset, backend_config_path, kb_path, n_check, concurrency, out):
 @click.option("--mode", default="direct", show_default=True,
               type=click.Choice(("direct", "cot")),
               help="Single-prompt baseline; cot prepends the step-by-step directive.")
-@click.option("--concurrency", default=4, show_default=True)
+@click.option("--concurrency", default=4, show_default=True, type=click.IntRange(min=1),
+              help="Instances in flight, and so model calls in flight.")
 @click.option("--out", default=Path("results_direct.jsonl"), show_default=True,
               type=click.Path(dir_okay=False, path_type=Path))
 @_config_guard

@@ -3,14 +3,15 @@
 import hashlib
 import json
 import random
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from graphcrew.agents import OracleStubBackend, pipeline
+from graphcrew import cli
+from graphcrew.agents import Completion, OracleStubBackend, Usage
 from graphcrew.cli import main
 from graphcrew.formats import parse_graph
 from util import closed_port_url, run_python
@@ -45,6 +46,34 @@ def _write_stub_config(directory: Path) -> Path:
     path = directory / "stub.yaml"
     path.write_text(STUB_CONFIG)
     return path
+
+
+class InFlight:
+    """A thread-safe stub that records how many of its calls are in flight
+    at once.  The first two calls wait for each other, so two callers on
+    two threads are always seen in flight together."""
+
+    backend_id = "in-flight"
+
+    def __init__(self):
+        self.inner = OracleStubBackend()
+        self.lock = threading.Lock()
+        self.first_two = threading.Barrier(2, timeout=10)
+        self.calls = self.in_flight = self.peak = 0
+
+    def complete(self, system_prompt, user_prompt, params=None):
+        with self.lock:
+            self.calls += 1
+            wait = self.calls <= 2
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            if wait:
+                self.first_two.wait()
+            return self.inner.complete(system_prompt, user_prompt, params)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
 
 
 class TestGenerate:
@@ -93,6 +122,15 @@ class TestGenerate:
             assert result.exit_code == 2
             assert f"no exact {family} route" in result.output
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_usage_error(self, runner, tmp_path, workers):
+        out = tmp_path / "ds"
+        result = runner.invoke(main, ["generate", "--sizes", "8", "--per-size", "1",
+                                      "--workers", workers, "--out", str(out)])
+        assert result.exit_code == 2
+        assert "Invalid value for '--workers'" in result.output
+        assert not out.exists()
+
     def test_regeneration_is_byte_identical(self, runner, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -134,7 +172,7 @@ class TestSolve:
             assert result.exit_code == 0, result.output
         assert first.read_bytes() == second.read_bytes()
 
-    def test_recording_io_bound_calls_then_replay_is_byte_identical(
+    def test_recording_concurrent_calls_then_replay_is_byte_identical(
         self, runner, tmp_path, monkeypatch
     ):
         out = tmp_path / "ds"
@@ -145,8 +183,8 @@ class TestSolve:
                                       str(_write_stub_config(tmp_path)), "--out", str(stub_results)])
         assert result.exit_code == 0, result.output
 
-        # The stub, made to look I/O-bound, gets its calls on threads; a
-        # random wait per call makes replies come back in varying order.
+        # Four instances in flight at once; a random wait per call makes
+        # replies come back, and get recorded, in varying order.
         jitter = random.Random(3)
         answer = OracleStubBackend.complete
 
@@ -154,21 +192,15 @@ class TestSolve:
             time.sleep(jitter.uniform(0.0, 0.003))
             return answer(self, system_prompt, user_prompt, params)
 
-        monkeypatch.setattr(OracleStubBackend, "io_bound", True, raising=False)
         monkeypatch.setattr(OracleStubBackend, "complete", slow_complete)
-        threads = []
-        monkeypatch.setattr(
-            pipeline, "ThreadPoolExecutor",
-            lambda workers: threads.append(workers) or ThreadPoolExecutor(workers),
-        )
         fixtures = tmp_path / "fixtures.jsonl"
         record = tmp_path / "record.yaml"
         record.write_text(f"kind: record\nfixtures: {fixtures}\ninner:\n  kind: stub\n")
         recorded = tmp_path / "recorded.jsonl"
         result = runner.invoke(main, ["solve", "--dataset", dataset, "--backend-config",
-                                      str(record), "--out", str(recorded)])
+                                      str(record), "--concurrency", "4", "--out", str(recorded)])
         assert result.exit_code == 0, result.output
-        assert threads == [2] * 4  # one thread per audit round (n_check) per instance
+        assert len(fixtures.read_text().splitlines()) == 4  # one call per instance
 
         # Replay must find each reply by its prompt, whatever the line order.
         fixtures.write_text("".join(reversed(fixtures.read_text().splitlines(True))))
@@ -179,6 +211,69 @@ class TestSolve:
                                       str(replay), "--out", str(replayed)])
         assert result.exit_code == 0, result.output
         assert recorded.read_bytes() == replayed.read_bytes() == stub_results.read_bytes()
+
+    def test_concurrency_caps_calls_in_flight(self, runner, tmp_path, monkeypatch):
+        out = tmp_path / "ds"
+        _generate(runner, out, extra=["--type", "vertex_cover", "--sizes", "8-10"])
+        backend = InFlight()
+        monkeypatch.setattr(cli, "make_backend", lambda config: backend)
+        results = tmp_path / "results.jsonl"
+        result = runner.invoke(main, ["solve", "--dataset", str(out / "vertex_cover.jsonl"),
+                                      "--backend-config", str(_write_stub_config(tmp_path)),
+                                      "--concurrency", "2", "--out", str(results)])
+        assert result.exit_code == 0, result.output
+        records = [json.loads(line) for line in results.read_text().splitlines()]
+        assert len(records) == 6
+        assert backend.peak == 2
+        assert backend.calls == len(records)
+        assert [[row["stage"] for row in r["usage"]] for r in records] == [["extract_graph"]] * 6
+
+    def test_failed_extract_keeps_a_usage_row_for_every_attempt(
+        self, runner, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "ds"
+        _generate(runner, out, extra=["--type", "vertex_cover"])
+        monkeypatch.setattr(OracleStubBackend, "complete",
+                            lambda self, *args, **kwargs: Completion("junk", Usage(5, 1)))
+        results = tmp_path / "results.jsonl"
+        result = runner.invoke(main, ["solve", "--dataset", str(out / "vertex_cover.jsonl"),
+                                      "--backend-config", str(_write_stub_config(tmp_path)),
+                                      "--out", str(results)])
+        assert result.exit_code == 1
+        records = [json.loads(line) for line in results.read_text().splitlines()]
+        assert [r["stage"] for r in records] == ["extract_graph"] * 4
+        rows = [{"stage": "extract_graph", "attempt": k, "input_tokens": 5, "output_tokens": 1}
+                for k in (1, 2, 3)]
+        assert all(r["usage"] == rows for r in records)
+
+    @pytest.mark.parametrize("verb", ["solve", "solve-direct"])
+    @pytest.mark.parametrize("concurrency", ["0", "-2"])
+    def test_concurrency_below_one_is_usage_error(self, runner, tmp_path, monkeypatch, verb,
+                                                  concurrency):
+        out = tmp_path / "ds"
+        _generate(runner, out, extra=["--type", "vertex_cover"])
+        calls = []
+        monkeypatch.setattr(OracleStubBackend, "complete",
+                            lambda self, *args, **kwargs: calls.append(args))
+        results = tmp_path / "results.jsonl"
+        result = runner.invoke(main, [verb, "--dataset", str(out / "vertex_cover.jsonl"),
+                                      "--backend-config", str(_write_stub_config(tmp_path)),
+                                      "--concurrency", concurrency, "--out", str(results)])
+        assert result.exit_code == 2
+        assert "Invalid value for '--concurrency'" in result.output
+        assert calls == []
+        assert not results.exists()
+
+    def test_n_check_is_no_option(self, runner, tmp_path):
+        out = tmp_path / "ds"
+        _generate(runner, out, extra=["--type", "vertex_cover"])
+        results = tmp_path / "results.jsonl"
+        result = runner.invoke(main, ["solve", "--dataset", str(out / "vertex_cover.jsonl"),
+                                      "--backend-config", str(_write_stub_config(tmp_path)),
+                                      "--n-check", "1", "--out", str(results)])
+        assert result.exit_code == 2
+        assert "No such option '--n-check'" in result.output
+        assert not results.exists()
 
     @pytest.mark.parametrize("verb", ["solve", "solve-direct"])
     def test_braces_in_a_statement_reach_the_prompt_verbatim(self, runner, tmp_path, verb):

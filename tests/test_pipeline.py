@@ -1,6 +1,3 @@
-import random
-import re
-import threading
 import time
 from fractions import Fraction
 from importlib import resources
@@ -17,7 +14,6 @@ from graphcrew.agents import (
     whitespace_token_count,
 )
 from graphcrew import execute
-from graphcrew.agents import pipeline
 from graphcrew.agents.backends import BackendError
 from graphcrew.agents.prompts import (
     TAGS,
@@ -64,19 +60,9 @@ def test_full_run_with_stub():
     assert out.problem_spec.problem_type == "tsp"
     assert out.graph.node_names == ("Depot", "Mill", "Quay", "Yard")
     assert out.choice.record.algorithm_id == "held_karp"
-    assert out.audit_verdicts == ("pass", "pass")
-    assert [c.stage for c in out.calls] == ["extract_graph", "audit", "audit"]
-    assert out.notes == ()
+    assert [(c.stage, c.attempt) for c in out.calls] == [("extract_graph", 1)]
     assert all(c.input_tokens > 0 and c.output_tokens > 0 for c in out.calls)
     assert "held_karp" in out.explanation and "total cost 14" in out.explanation
-
-
-def test_n_check_controls_audit_rounds():
-    none = run_pipeline(OracleStubBackend(), TSP_TEXT, n_check=0)
-    assert none.audit_verdicts == ()
-    assert [c.stage for c in none.calls].count("audit") == 0
-    three = run_pipeline(OracleStubBackend(), TSP_TEXT, n_check=3)
-    assert three.audit_verdicts == ("pass", "pass", "pass")
 
 
 def test_repeat_runs_are_identical():
@@ -93,10 +79,9 @@ def test_stage_inputs_stay_narrow():
     by_stage = {}
     for stage, user in backend.seen:
         by_stage.setdefault(stage, []).append(user)
-    # The statement goes to the reading stage only; the auditor sees the merged graph.
+    # The statement goes to the reading stage, the only stage that calls the model.
+    assert set(by_stage) == {"extract_graph"}
     assert all("UNIQUE_PROSE_MARKER" in u for u in by_stage["extract_graph"])
-    assert all("UNIQUE_PROSE_MARKER" not in u and "# nodes:" in u for u in by_stage["audit"])
-    assert set(by_stage) == {"extract_graph", "audit"}
 
 
 TSP_GRAPH = serialize_graph(tsp_graph())
@@ -137,8 +122,7 @@ def test_crlf_extract_reply_reads_in_one_call():
     backend = StageScripted({"extract_graph": [lf.replace("\n", "\r\n")]})
     out = run_pipeline(backend, TSP_TEXT)
     assert len(extract_prompts(backend)) == 1
-    assert (out.solution, out.graph, out.notes) == (
-        expected.solution, expected.graph, expected.notes)
+    assert (out.solution, out.graph) == (expected.solution, expected.graph)
 
 
 def test_retry_budget_exhaustion():
@@ -211,7 +195,7 @@ def test_failure_names_a_backend_error_on_the_last_attempt():
         "(last problem: the reply has no ```result:problem``` fenced block)")
 
 
-WAVE_1 = ["extract_graph"]
+EXTRACT_ONLY = ["extract_graph"]
 
 
 def test_extract_empty_graph():
@@ -282,7 +266,6 @@ def test_faulty_extract_reply_is_retried_with_its_problem(faulty, problem):
     out = run_pipeline(backend, ROUTE_TEXT)
     assert out.solution.payload == ("A", "C", "D")
     assert out.solution.objective == 2
-    assert out.notes == ()
     first, retry = extract_prompts(backend)
     assert problem not in first and f"rejected: {problem}." in retry
 
@@ -308,7 +291,6 @@ def test_normalize_merges_duplicates():
     backend = StageScripted({"extract_graph": [graph_reply(raw)]})
     out = run_pipeline(backend, problem_text(k3, "tsp"))
     assert out.graph.edges == ((0, 1, 3), (0, 2, 5), (1, 2, 4))
-    assert out.notes == ()
     assert out.solution.objective == 12
 
 
@@ -327,16 +309,6 @@ def test_normalize_conflicting_weights():
     assert "no usable reply in 3 attempts" in str(err.value)
     assert "edge A-B stated with weights 3 and 5" in str(err.value)
     assert [c.stage for c in err.value.partial_calls] == ["extract_graph"] * 3
-
-
-def test_audit_fail_verdict_is_advisory():
-    backend = StageScripted(
-        {"audit": ["```result:verdict\nverdict: fail\nnote: hmm\n```"]}
-    )
-    out = run_pipeline(backend, TSP_TEXT)
-    assert out.solution.objective == 14
-    assert out.audit_verdicts[0] == "fail"
-    assert any("mechanical verification is authoritative" in n for n in out.notes)
 
 
 WRONG_LIMIT_KB = """
@@ -385,7 +357,7 @@ def test_unverifiable_answer_fails_as_solve(monkeypatch):
     assert err.value.stage == "solve"
     assert str(err.value) == ("stage solve: exact_coloring answer failed verification "
                               f"({'; '.join(violations)})")
-    assert [c.stage for c in err.value.partial_calls] == WAVE_1
+    assert [c.stage for c in err.value.partial_calls] == EXTRACT_ONLY
 
 
 TIGHT_LIMIT_KB = WRONG_LIMIT_KB.replace("max_nodes: 16", "max_nodes: 10").replace(
@@ -444,8 +416,8 @@ def test_solver_failure_is_named_solve_and_sends_no_wave_2(source, cause):
         run_pipeline(backend, PATH_TEXT)
     assert err.value.stage == "solve"
     assert isinstance(err.value.__cause__, cause)
-    assert [c.stage for c in err.value.partial_calls] == WAVE_1
-    assert [stage for stage, _ in backend.seen] == WAVE_1
+    assert [c.stage for c in err.value.partial_calls] == EXTRACT_ONLY
+    assert [stage for stage, _ in backend.seen] == EXTRACT_ONLY
 
 
 def test_selector_failure_is_named_select_and_sends_no_wave_2():
@@ -455,8 +427,8 @@ def test_selector_failure_is_named_select_and_sends_no_wave_2():
         run_pipeline(backend, TSP_TEXT)
     assert err.value.stage == "select"
     assert isinstance(err.value.__cause__, NoApplicableAlgorithmError)
-    assert [c.stage for c in err.value.partial_calls] == WAVE_1
-    assert [stage for stage, _ in backend.seen] == WAVE_1
+    assert [c.stage for c in err.value.partial_calls] == EXTRACT_ONLY
+    assert [stage for stage, _ in backend.seen] == EXTRACT_ONLY
 
 
 def test_every_template_asks_for_its_stage_tag():
@@ -568,129 +540,3 @@ def test_run_direct_refuses_an_exponent_cost():
     assert time.perf_counter() - start < 1
     assert outcome.solution is None
     assert "exponent notation is not accepted" in outcome.failure
-
-
-class IOBound:
-    """Wraps a backend as one that waits on I/O, so the pipeline puts its
-    calls on threads.  Each call first waits at its stage's barrier, if it
-    has one, then for a seeded random few milliseconds plus its stage's
-    fixed delay, so replies come back in a varying order."""
-
-    io_bound = True
-    backend_id = "io-bound"
-
-    def __init__(self, inner, barriers=None, delays=None, seed=0):
-        self.inner = inner
-        self.barriers = barriers or {}
-        self.delays = delays or {}
-        self.rng = random.Random(seed)
-        self.lock = threading.Lock()
-
-    def complete(self, system_prompt, user_prompt, params=None):
-        stage = stage_of_prompt(system_prompt)
-        if stage in self.barriers:
-            self.barriers[stage].wait()
-        with self.lock:
-            jitter = self.rng.uniform(0.0, 0.003)
-        time.sleep(jitter + self.delays.get(stage, 0.0))
-        return self.inner.complete(system_prompt, user_prompt, params)
-
-
-def test_io_bound_backend_overlaps_each_wave():
-    # The barrier opens only when all of wave 2's audit rounds wait at it
-    # at once; a schedule that issues them one by one breaks it and fails.
-    # Wave 1 is the one extract call.
-    wave2 = threading.Barrier(3, timeout=30)
-    threads_before = threading.active_count()
-    out = run_pipeline(IOBound(OracleStubBackend(), {"audit": wave2}), TSP_TEXT, n_check=3)
-    assert threading.active_count() == threads_before  # the pool is shut down
-    assert not wave2.broken
-    assert out == run_pipeline(OracleStubBackend(), TSP_TEXT, n_check=3)
-
-
-@pytest.mark.parametrize("n_check", [0, 1])
-def test_a_wave_of_one_call_or_none_opens_no_pool(monkeypatch, n_check):
-    pools = []
-    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", lambda workers: pools.append(workers))
-    backend = StageScripted({})
-    out = run_pipeline(IOBound(backend), TSP_TEXT, n_check=n_check)
-    stages = ["extract_graph", *["audit"] * n_check]
-    assert [stage for stage, _ in backend.seen] == stages
-    assert [c.stage for c in out.calls] == stages
-    assert pools == []
-
-
-class RoundScripted(StageScripted):
-    """Scripted replies for chosen audit rounds, keyed ``audit <k>``; with
-    :func:`numbered_audits`, round k's prompt reports "valid, round k", so
-    a round gets its own replies whichever thread asks first."""
-
-    def complete(self, system_prompt, user_prompt, params=None):
-        round_ = re.search(r"Mechanical check: valid, round (\d+)", user_prompt)
-        script = self.scripts.get(f"audit {round_.group(1)}") if round_ else None
-        if not script:
-            return super().complete(system_prompt, user_prompt, params)
-        self.seen.append(("audit", user_prompt))
-        reply, delay = script.pop(0)
-        time.sleep(delay)
-        return Completion(reply, Usage(7, whitespace_token_count(reply)))
-
-
-@pytest.fixture()
-def numbered_audits(monkeypatch):
-    """Number the audit rounds of each run in the ``report`` slot of their prompt."""
-    make_row, rounds = pipeline._Row, [0]
-
-    def numbered(stage, slots, validate):
-        if stage == "audit":
-            rounds[0] += 1
-            slots = {**slots, "report": f"valid, round {rounds[0]}"}
-        else:  # a new run starts with its extract row
-            rounds[0] = 0
-        return make_row(stage, slots, validate)
-
-    monkeypatch.setattr(pipeline, "_Row", numbered)
-
-
-def test_io_bound_path_matches_the_inline_path(numbered_audits):
-    fail = "```result:verdict\nverdict: fail\nnote: hmm\n```"
-
-    def scripted():
-        # rounds 1 and 3 vote fail, round 1 slowly; round 2 is the stub's pass
-        return RoundScripted({"audit 1": [(fail, 0.01)], "audit 3": [(fail, 0.0)]})
-
-    inline = run_pipeline(scripted(), TSP_TEXT, n_check=3)
-    assert inline.audit_verdicts == ("fail", "pass", "fail")
-    assert len(inline.notes) == 2
-    assert all("mechanical verification is authoritative" in note for note in inline.notes)
-    for seed in range(20):
-        threaded = run_pipeline(IOBound(scripted(), seed=seed), TSP_TEXT,
-                                n_check=3)
-        assert threaded.calls == inline.calls
-        assert threaded.notes == inline.notes
-        assert threaded.audit_verdicts == inline.audit_verdicts
-        assert threaded == inline
-
-
-@pytest.mark.parametrize("io_bound", [False, True])
-def test_earliest_stage_error_wins_and_every_call_is_kept(io_bound, numbered_audits):
-    def wrap(backend):
-        return IOBound(backend) if io_bound else backend
-
-    junk = ["junk", "junk", "junk"]
-    backend = StageScripted({"extract_graph": list(junk)})
-    with pytest.raises(PipelineError) as err:
-        run_pipeline(wrap(backend), TSP_TEXT)
-    assert err.value.stage == "extract_graph"
-    assert "no usable reply in 3 attempts" in str(err.value)
-    assert [c.stage for c in err.value.partial_calls] == ["extract_graph"] * 3
-
-    # round 1 fails last, on a verdict it cannot read; round 2 fails first, on junk
-    maybe = "```result:verdict\nverdict: maybe\n```"
-    backend = RoundScripted({"audit 1": [(maybe, 0.02)] * 3, "audit 2": [("junk", 0.0)] * 3})
-    with pytest.raises(PipelineError) as err:
-        run_pipeline(wrap(backend), TSP_TEXT)
-    assert str(err.value) == ("stage audit: no usable reply in 3 attempts "
-                              "(last problem: the verdict line must say pass or fail)")
-    assert [(c.stage, c.attempt, c.output_tokens) for c in err.value.partial_calls][1:] == [
-        *(("audit", k, 4) for k in (1, 2, 3)), *(("audit", k, 1) for k in (1, 2, 3))]
