@@ -6,7 +6,7 @@ representation:
 - ``dataset``: seeded generators that hide a known graph inside prose,
   plus the reference extractor that recovers it.
 - ``solvers``: native exact and heuristic algorithms over that graph type.
-- ``knowledge``: the algorithm catalogue and the deterministic selector.
+- ``knowledge``: the route table and the deterministic selector.
 - ``agents``: the staged chat pipeline that turns prose into a solved,
   verified answer via a pluggable backend.
 - ``evaluation``: exact-arithmetic scoring and token cost accounting.

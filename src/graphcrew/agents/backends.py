@@ -330,8 +330,8 @@ class OracleStubBackend:
     :func:`~graphcrew.dataset.reference_extract`, which recovers a
     generated text's family, graph and route exactly; ``extract_graph``
     answers both of its blocks from that one read, and ``direct``
-    answers with the proven optimum on the graph it read, by the bundled
-    catalogue's exact route.  Replies follow the same fenced-block
+    answers with the proven optimum on the graph it read, by the route
+    table's exact route.  Replies follow the same fenced-block
     contract a live model is asked for, so the pipeline cannot tell the
     difference.
     """

@@ -1,6 +1,6 @@
 """Single-model baseline: one backend call answers the whole problem.
 
-No extraction, no catalogue, no native solving; the backend reads the
+No extraction, no route table, no native solving; the backend reads the
 prose and commits to an answer block.  ``cot`` mode prepends a
 step-by-step directive to the same template.  A reply that never parses,
 or a backend that keeps failing, is a scored failure of that instance,

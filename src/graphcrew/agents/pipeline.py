@@ -3,7 +3,7 @@
 One model stage, ``extract_graph``, reads the problem statement and
 replies with the problem family and route endpoints, plus an edge-list
 transcription of the statement, in one reply.  Everything after it is
-deterministic: the catalogue's selector chooses one route, the native
+deterministic: the route table's selector chooses one route, the native
 solver answers and :func:`verify_solution` checks the answer; no model
 reply can change these decisions, and an answer that fails
 verification fails the instance as ``solve``.
@@ -15,9 +15,10 @@ retried with a reason that names the block, up to ``MAX_ATTEMPTS``
 attempts.  The edge list is read by
 :func:`~graphcrew.formats.parse_graph`, which also merges an edge stated
 twice; an unreadable line, a conflicting weight, an endpoint outside
-the roster, an empty list or a route endpoint the list does not hold is
-retried with the reader's own message.  Every failure of an instance is
-one :class:`PipelineError`, named after the failing stage, whose
+the roster, an empty list, a ``shortest_path`` block without both route
+endpoints or a route endpoint the list does not hold is retried with the
+reader's own message.  Every failure of an instance is one
+:class:`PipelineError`, named after the failing stage, whose
 ``partial_calls`` lists every call made.
 """
 
@@ -30,14 +31,8 @@ from typing import Any, Callable, NamedTuple
 from ..execute import run_algorithm
 from ..formats import parse_graph
 from ..graph import Graph, GraphError
-from ..knowledge import (
-    AlgorithmChoice,
-    KnowledgeBase,
-    KnowledgeBaseError,
-    default_knowledge_base,
-    select_algorithm,
-)
-from ..problems import PROBLEM_TYPES
+from ..knowledge import AlgorithmChoice, NoApplicableAlgorithmError, select_algorithm
+from ..problems import PROBLEM_TYPES, SHORTEST_PATH
 from ..solvers import Solution, SolverInputError, verify_solution
 from .backends import BackendError, ChatBackend
 from .blocks import RejectReply, extract_block, parse_fields
@@ -140,11 +135,16 @@ def _problem_spec(body: str) -> ProblemSpec:
         )
     source = fields.get("source", "none")
     target = fields.get("target", "none")
-    return ProblemSpec(
+    spec = ProblemSpec(
         problem_type=problem_type,
         source=None if source in ("", "none") else source,
         target=None if target in ("", "none") else target,
     )
+    if problem_type == SHORTEST_PATH:
+        for role, name in (("source", spec.source), ("target", spec.target)):
+            if name is None:
+                raise RejectReply(f"the {SHORTEST_PATH} problem block names no {role}")
+    return spec
 
 
 def _extract(problem_body: str, graph_body: str) -> tuple[ProblemSpec, Graph]:
@@ -214,27 +214,23 @@ def _step(stage: str):
     through unchanged."""
     try:
         yield
-    except (GraphError, KnowledgeBaseError, SolverInputError) as exc:
+    except (GraphError, NoApplicableAlgorithmError, SolverInputError) as exc:
         raise PipelineError(stage, str(exc)) from exc
 
 
-def run_pipeline(
-    backend: ChatBackend, problem_text: str, *, kb: KnowledgeBase | None = None,
-) -> SolveOutcome:
+def run_pipeline(backend: ChatBackend, problem_text: str) -> SolveOutcome:
     """Run all stages on one problem statement: one ``extract_graph``
     call, then selection, solving, verification and explanation with no
     model.
 
-    ``kb`` is the catalogue to select from (default: the bundled one).
     A failed stage is raised as a :class:`PipelineError` that carries
     every call made as ``partial_calls``.
     """
-    kb = kb or default_knowledge_base()
     calls: list[CallRecord] = []
     try:
         spec, graph = _ask(backend, "extract_graph", {"problem": problem_text}, calls, _extract)
         with _step("select"):
-            choice = select_algorithm(kb, spec.problem_type, graph)
+            choice = select_algorithm(spec.problem_type, graph)
         with _step("solve"):
             solution = _solve(choice, graph, spec)
     except PipelineError as exc:

@@ -49,7 +49,6 @@ from .evaluation import (
     score_prediction,
     scores_to_records,
 )
-from .knowledge import load_knowledge_base
 from .problems import (
     CYCLE_DETECTION,
     GRAPH_COLORING,
@@ -148,12 +147,6 @@ def cmd_generate(types, sizes, per_size, seed, noise, scenario, out, workers):
     click.echo(f"manifest written to {manifest_path}")
 
 
-def _load_kb(path: Path | None):
-    if path is None:
-        return None
-    return load_knowledge_base(path.read_text(encoding="utf-8"))
-
-
 def _usage_rows(calls) -> list[dict]:
     return [call._asdict() for call in calls]
 
@@ -210,24 +203,20 @@ def _run_dataset(instances, backend_config, concurrency, out, verb, answer_one) 
 @click.option("--backend-config", "backend_config_path", required=True,
               type=click.Path(exists=True, dir_okay=False, path_type=Path),
               help="Backend YAML config.")
-@click.option("--kb", "kb_path", default=None,
-              type=click.Path(exists=True, dir_okay=False, path_type=Path),
-              help="Algorithm catalogue YAML; default uses the bundled one.")
 @click.option("--concurrency", default=4, show_default=True, type=click.IntRange(min=1),
               help="Instances in flight, and so model calls in flight.")
 @click.option("--out", default=Path("results.jsonl"), show_default=True,
               type=click.Path(dir_okay=False, path_type=Path), help="Results file to write.")
 @_config_guard
-def cmd_solve(dataset, backend_config_path, kb_path, concurrency, out):
+def cmd_solve(dataset, backend_config_path, concurrency, out):
     """Run the staged pipeline over a dataset."""
     instances = read_instances(dataset, statements_only=True)
     backend_config = load_backend_config(backend_config_path)
-    kb = _load_kb(kb_path)
 
     def solve_one(backend, instance):
         record = _result_head(instance)
         try:
-            outcome = run_pipeline(backend, instance.text, kb=kb)
+            outcome = run_pipeline(backend, instance.text)
         except PipelineError as exc:
             record["status"] = "failed"
             record["failure"] = str(exc)

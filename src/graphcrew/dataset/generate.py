@@ -14,14 +14,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from ..graph import Graph, build_graph, is_connected
-from ..knowledge import (
-    AlgorithmChoice,
-    KnowledgeBase,
-    applicability_reason,
-    default_knowledge_base,
-    lookup_algorithms,
-    select_algorithm,
-)
+from .. import knowledge
+from ..knowledge import AlgorithmChoice, applicability_reason, select_algorithm
 from ..execute import run_algorithm
 from ..problems import (
     CYCLE_DETECTION,
@@ -43,7 +37,7 @@ DEFAULT_PER_SIZE = 50
 
 
 class NoExactTruthError(ValueError):
-    """No exact route in the catalogue fits the graph, so no proven optimum exists."""
+    """No exact route in the route table fits the graph, so no proven optimum exists."""
 
 
 @dataclass(frozen=True)
@@ -176,9 +170,7 @@ def _make_graph(
     raise AssertionError(problem_type)
 
 
-def exact_route(
-    problem_type: str, graph: Graph, kb: KnowledgeBase | None = None
-) -> AlgorithmChoice:
+def exact_route(problem_type: str, graph: Graph) -> AlgorithmChoice:
     """The selector's choice for ``graph``, which must be an exact route.
 
     Raises :class:`NoExactTruthError` when the selector would pick a
@@ -186,7 +178,7 @@ def exact_route(
     a heuristic answer stored as the truth would grade answers against
     itself.
     """
-    choice = select_algorithm(kb or default_knowledge_base(), problem_type, graph)
+    choice = select_algorithm(problem_type, graph)
     if not choice.record.exact:
         raise NoExactTruthError(
             f"no exact {problem_type} route fits a graph of {graph.node_count} "
@@ -200,17 +192,16 @@ def ground_truth(
     graph: Graph,
     source: str | None = None,
     target: str | None = None,
-    kb: KnowledgeBase | None = None,
 ) -> GroundTruth:
     """Proven optimum, from :func:`exact_route`, plus the plain heuristic
-    answer: that of the first heuristic route in lookup order that fits
-    the graph."""
-    kb = kb or default_knowledge_base()
-    choice = exact_route(problem_type, graph, kb)
+    answer: that of the family's first heuristic route in the table that
+    fits the graph."""
+    choice = exact_route(problem_type, graph)
     best = run_algorithm(choice.record, graph, source=source, target=target)
 
-    heuristic = next((record for record in lookup_algorithms(kb, problem_type)
-                      if not record.exact and applicability_reason(record, graph) is None), None)
+    heuristic = next((route for route in knowledge.ROUTES
+                      if route.problem_type == problem_type and not route.exact
+                      and applicability_reason(route, graph) is None), None)
     approximate = (
         best if heuristic is None
         else run_algorithm(heuristic, graph, source=source, target=target)
@@ -225,7 +216,6 @@ def build_instance(
     master_seed: int = 7,
     noise_level: str = "standard",
     scenario: str | None = None,
-    kb: KnowledgeBase | None = None,
 ) -> ProblemInstance:
     check_problem_type(problem_type)
     scenario = scenario or DEFAULT_SCENARIO[problem_type]
@@ -237,7 +227,7 @@ def build_instance(
     text = render_problem_text(
         graph, problem_type, scenario, noise_level, rng, source, target
     )
-    truth = ground_truth(problem_type, graph, source, target, kb)
+    truth = ground_truth(problem_type, graph, source, target)
     return ProblemInstance(
         instance_id=f"{problem_type}-n{node_count:02d}-i{index:02d}",
         problem_type=problem_type,

@@ -149,9 +149,10 @@ def test_criterion_3_dataset_statistics(tmp_path):
         assert sorted(by_size) == list(range(8, 26)), problem_type
         assert all(len(group) == 50 for group in by_size.values()), problem_type
 
-        # regeneration from the same master seed is byte-identical
+        # regeneration from the same master seed, in two worker processes,
+        # is byte-identical to the serial run
         regenerated = tmp_path / f"{problem_type}_again.jsonl"
-        write_instances(generate_dataset(DatasetSpec(problem_type)), regenerated)
+        write_instances(generate_dataset(DatasetSpec(problem_type), workers=2), regenerated)
         assert regenerated.read_bytes() == (out / f"{problem_type}.jsonl").read_bytes()
 
         # every stored optimum was proven by an exact route

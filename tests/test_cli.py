@@ -315,28 +315,15 @@ class TestSolve:
         assert all(r["status"] == "failed" for r in records)
         assert all("failure" in r for r in records)
 
-    def test_route_filed_under_another_family_is_config_error_before_any_call(
-        self, runner, tmp_path, monkeypatch
-    ):
+    def test_kb_is_no_option(self, runner, tmp_path):
         out = tmp_path / "ds"
         _generate(runner, out, extra=["--type", "tsp"])
-        calls = []
-        monkeypatch.setattr(OracleStubBackend, "complete",
-                            lambda self, *args, **kwargs: calls.append(args))
-        kb = tmp_path / "kb.yaml"
-        kb.write_text("version: 1\nalgorithms:\n  - id: cycle_check\n    problem: tsp\n"
-                      "    description: d\n    complexity: c\n    exact: true\n"
-                      "    applicability:\n      max_nodes: 25\n      directedness: any\n")
         results = tmp_path / "results.jsonl"
-        result = runner.invoke(
-            main,
-            ["solve", "--dataset", str(out / "tsp.jsonl"), "--kb", str(kb),
-             "--backend-config", str(_write_stub_config(tmp_path)), "--out", str(results)],
-        )
+        result = runner.invoke(main, ["solve", "--dataset", str(out / "tsp.jsonl"),
+                                      "--backend-config", str(_write_stub_config(tmp_path)),
+                                      "--kb", "kb.yaml", "--out", str(results)])
         assert result.exit_code == 2
-        assert ("configuration error: algorithm 'cycle_check': "
-                "its runner answers cycle_detection, not tsp") in result.output
-        assert calls == []
+        assert "No such option '--kb'" in result.output
         assert not results.exists()
 
     def test_bad_backend_kind_is_config_error(self, runner, tmp_path):

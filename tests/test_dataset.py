@@ -24,7 +24,7 @@ from graphcrew.dataset.names import MAX_LENGTH, MIN_LENGTH
 from graphcrew.dataset.records import dataset_manifest, file_checksum
 from graphcrew.dataset.text import SCENARIO_STYLES, _QUESTIONS, render_problem_text
 from graphcrew.graph import is_connected
-from graphcrew.knowledge import default_knowledge_base
+from graphcrew.knowledge import ROUTES
 from graphcrew.problems import (
     CYCLE_DETECTION,
     GRAPH_COLORING,
@@ -231,10 +231,10 @@ class TestGroundTruth:
         assert inst.truth.optimal.algorithm_id == "held_karp"
         assert inst.truth.optimal.exact
         assert inst.truth.optimal.objective <= inst.truth.approximate.objective
-        # past each exact route's catalogue limit, the only limit there is
-        for route in default_knowledge_base().records:
+        # past each exact route's limit in the route table, the only limit there is
+        for route in ROUTES:
             if route.algorithm_id in ("held_karp", "exact_coloring", "bnb_cover"):
-                limit = route.applicability.max_nodes
+                limit = route.max_nodes
                 with pytest.raises(NoExactTruthError) as err:
                     build_instance(route.problem_type, limit + 1, 0)
                 assert isinstance(err.value, ValueError)

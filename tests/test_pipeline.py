@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 
@@ -13,7 +14,7 @@ from graphcrew.agents import (
     run_pipeline,
     whitespace_token_count,
 )
-from graphcrew import execute
+from graphcrew import knowledge
 from graphcrew.agents.backends import BackendError
 from graphcrew.agents.prompts import (
     TAGS,
@@ -24,9 +25,9 @@ from graphcrew.agents.prompts import (
 )
 from graphcrew.dataset import build_instance
 from graphcrew.formats import parse_graph, serialize_graph
-from graphcrew.graph import GraphError, build_graph
-from graphcrew.knowledge import NoApplicableAlgorithmError, load_knowledge_base
-from graphcrew.solvers import Solution, verify_solution
+from graphcrew.graph import build_graph
+from graphcrew.knowledge import ROUTES, NoApplicableAlgorithmError
+from graphcrew.solvers import NoPathError, Solution, verify_solution
 
 from test_backends import TSP_TEXT, problem_text, tsp_graph
 
@@ -257,6 +258,14 @@ FAULTY_ROUTES = {
         route_reply(target="Nowhere"),
         "the problem block names target 'Nowhere', which is not a node of the edge list",
     ),
+    "source-missing": (
+        route_reply(source="none"),
+        "the shortest_path problem block names no source",
+    ),
+    "target-missing": (
+        graph_reply(ROUTE, "problem_type: shortest_path\nsource: A"),
+        "the shortest_path problem block names no target",
+    ),
 }
 
 
@@ -311,24 +320,14 @@ def test_normalize_conflicting_weights():
     assert [c.stage for c in err.value.partial_calls] == ["extract_graph"] * 3
 
 
-WRONG_LIMIT_KB = """
-version: 1
-algorithms:
-  - id: held_karp
-    problem: tsp
-    description: Exact tour search.
-    complexity: O(n^2 * 2^n)
-    exact: true
-    applicability:
-      max_nodes: 16
-      requires_complete: false
-      requires_weighted: true
-      directedness: undirected
-"""
+def patch_route(monkeypatch, algorithm_id, **changes):
+    """Replace the row ``algorithm_id`` of ``ROUTES`` by a copy with ``changes``."""
+    monkeypatch.setattr(knowledge, "ROUTES", tuple(
+        replace(r, **changes) if r.algorithm_id == algorithm_id else r for r in ROUTES))
 
 
-def test_solver_rejection_surfaces_with_rationale():
-    # A catalogue that forgets the completeness requirement sends an
+def test_solver_rejection_surfaces_with_rationale(monkeypatch):
+    # A route that forgets the completeness requirement sends an
     # incomplete graph into the exact tour solver, which refuses it.
     incomplete = build_graph(
         ["Depot", "Mill", "Quay", "Yard"],
@@ -336,9 +335,9 @@ def test_solver_rejection_surfaces_with_rationale():
         True,
         [("Depot", "Mill", 3), ("Mill", "Quay", 5), ("Quay", "Yard", 2)],
     )
-    kb = load_knowledge_base(WRONG_LIMIT_KB)
+    patch_route(monkeypatch, "held_karp", requires_complete=False)
     with pytest.raises(PipelineError) as err:
-        run_pipeline(OracleStubBackend(), problem_text(incomplete, "tsp"), kb=kb)
+        run_pipeline(OracleStubBackend(), problem_text(incomplete, "tsp"))
     assert err.value.stage == "solve"
     assert "held_karp rejected the graph" in str(err.value)
     assert "not complete" in str(err.value) and "rationale" in str(err.value)
@@ -349,8 +348,7 @@ def test_unverifiable_answer_fails_as_solve(monkeypatch):
     inst = build_instance("graph_coloring", 8, 0)
     one_color = Solution("coloring", {name: 0 for name in inst.graph.node_names}, 1,
                          "exact_coloring", exact=True)
-    family, _ = execute.RUNNERS["exact_coloring"]
-    monkeypatch.setitem(execute.RUNNERS, "exact_coloring", (family, lambda *_: one_color))
+    patch_route(monkeypatch, "exact_coloring", solve=lambda *_: one_color)
     with pytest.raises(PipelineError) as err:
         run_pipeline(OracleStubBackend(), inst.text)
     violations = verify_solution("graph_coloring", inst.graph, one_color).violations
@@ -360,26 +358,11 @@ def test_unverifiable_answer_fails_as_solve(monkeypatch):
     assert [c.stage for c in err.value.partial_calls] == EXTRACT_ONLY
 
 
-TIGHT_LIMIT_KB = WRONG_LIMIT_KB.replace("max_nodes: 16", "max_nodes: 10").replace(
-    "requires_complete: false", "requires_complete: true") + """
-  - id: nearest_neighbor_2opt
-    problem: tsp
-    description: Nearest-neighbor tour refined by 2-opt.
-    complexity: O(n^2) per pass
-    exact: false
-    applicability:
-      max_nodes: 1000
-      requires_complete: true
-      requires_weighted: true
-      directedness: undirected
-"""
-
-
-def test_catalogue_limit_sends_a_larger_tour_to_the_heuristic():
-    # the catalogue's limit is the only one: held_karp itself would solve 12 nodes
-    kb = load_knowledge_base(TIGHT_LIMIT_KB)
+def test_catalogue_limit_sends_a_larger_tour_to_the_heuristic(monkeypatch):
+    # the route table's limit is the only one: held_karp itself would solve 12 nodes
     inst = build_instance("tsp", 12, 0)
-    out = run_pipeline(OracleStubBackend(), inst.text, kb=kb)
+    patch_route(monkeypatch, "held_karp", max_nodes=10)
+    out = run_pipeline(OracleStubBackend(), inst.text)
     assert out.graph == inst.graph
     assert out.choice.record.algorithm_id == "nearest_neighbor_2opt"
     assert "held_karp: 12 nodes exceeds its limit of 10" in out.choice.rationale
@@ -407,20 +390,20 @@ PATH = build_graph(["Ash", "Birch", "Cedar"], True, True,
 PATH_TEXT = problem_text(PATH, "shortest_path", "Ash", "Cedar")
 
 
-@pytest.mark.parametrize("source, cause", [("none", GraphError)])
-def test_solver_failure_is_named_solve_and_sends_no_wave_2(source, cause):
-    # a missing route endpoint is left to the solver, whose family decides if it needs one
-    problem = f"problem_type: shortest_path\nsource: {source}\ntarget: Cedar"
+def test_solver_failure_is_named_solve():
+    # both route endpoints are nodes, but no directed edge leads back to Ash
+    problem = "problem_type: shortest_path\nsource: Cedar\ntarget: Ash"
     backend = StageScripted({"extract_graph": [graph_reply(serialize_graph(PATH), problem)]})
     with pytest.raises(PipelineError) as err:
         run_pipeline(backend, PATH_TEXT)
     assert err.value.stage == "solve"
-    assert isinstance(err.value.__cause__, cause)
+    assert isinstance(err.value.__cause__, NoPathError)
+    assert str(err.value) == "stage solve: no path from Cedar to Ash"
     assert [c.stage for c in err.value.partial_calls] == EXTRACT_ONLY
     assert [stage for stage, _ in backend.seen] == EXTRACT_ONLY
 
 
-def test_selector_failure_is_named_select_and_sends_no_wave_2():
+def test_selector_failure_is_named_select():
     incomplete = "# nodes: A B C\n# directed: false\n# weighted: true\nA B 1\nB C 2\n"
     backend = StageScripted({"extract_graph": [graph_reply(incomplete)]})
     with pytest.raises(PipelineError) as err:

@@ -9,13 +9,12 @@ import sys
 from pathlib import Path
 
 from graphcrew.graph import build_graph, is_connected
-from graphcrew.knowledge import default_knowledge_base
+from graphcrew.knowledge import ROUTES
 
 
 def catalogue_limit(algorithm_id):
-    """The node limit the bundled catalogue sets for ``algorithm_id``."""
-    return next(r.applicability.max_nodes for r in default_knowledge_base().records
-                if r.algorithm_id == algorithm_id)
+    """The node limit the route table sets for ``algorithm_id``."""
+    return next(r.max_nodes for r in ROUTES if r.algorithm_id == algorithm_id)
 
 
 def names_for(n):
