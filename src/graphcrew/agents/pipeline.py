@@ -5,8 +5,8 @@ replies with the problem family and route endpoints, plus an edge-list
 transcription of the statement, in one reply.  Everything after it is
 deterministic: the route table's selector chooses one route, the native
 solver answers and :func:`verify_solution` checks the answer; no model
-reply can change these decisions, and an answer that fails
-verification fails the instance as ``solve``.
+reply can change these decisions, and a solver's refusal or an answer
+that fails verification fails the instance as ``solve``.
 
 One ask loop (:func:`_ask`) makes every model call, here and in the
 direct baseline.  A reply that lacks one of the stage's fenced blocks
@@ -15,16 +15,17 @@ retried with a reason that names the block, up to ``MAX_ATTEMPTS``
 attempts.  The edge list is read by
 :func:`~graphcrew.formats.parse_graph`, which also merges an edge stated
 twice; an unreadable line, a conflicting weight, an endpoint outside
-the roster, an empty list, a ``shortest_path`` block without both route
-endpoints or a route endpoint the list does not hold is retried with the
-reader's own message.  Every failure of an instance is one
-:class:`PipelineError`, named after the failing stage, whose
-``partial_calls`` lists every call made.
+the roster, a graph declared one-way (every connection a statement
+gives runs both ways), an empty list, a ``shortest_path`` block without
+both route endpoints, a route endpoint the list does not hold or a
+graph that no route fits (a tour's graph with a pair left out, say) is
+retried with the reader's or the selector's own message.  Every failure
+of an instance is one :class:`PipelineError`, named after the failing
+stage, whose ``partial_calls`` lists every call made.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
@@ -147,10 +148,11 @@ def _problem_spec(body: str) -> ProblemSpec:
     return spec
 
 
-def _extract(problem_body: str, graph_body: str) -> tuple[ProblemSpec, Graph]:
-    """The problem block, and the edge list as :func:`parse_graph` reads
-    and merges it; a route endpoint the problem block names must be a
-    node of the edge list."""
+def _extract(problem_body: str, graph_body: str) -> tuple[ProblemSpec, Graph, AlgorithmChoice]:
+    """The problem block, the edge list as :func:`parse_graph` reads and
+    merges it, and the route :func:`select_algorithm` picks for them; a
+    route endpoint the problem block names must be a node of the edge
+    list, and a graph that no route fits is refused."""
     spec = _problem_spec(problem_body)
     try:
         graph = parse_graph(graph_body)
@@ -162,7 +164,11 @@ def _extract(problem_body: str, graph_body: str) -> tuple[ProblemSpec, Graph]:
         if name is not None and name not in graph.node_names:
             raise RejectReply(f"the problem block names {role} {name!r}, "
                               "which is not a node of the edge list")
-    return spec, graph
+    try:
+        choice = select_algorithm(spec.problem_type, graph)
+    except NoApplicableAlgorithmError as exc:
+        raise RejectReply(f"no route can solve the edge list ({exc})") from None
+    return spec, graph, choice
 
 
 # -- the deterministic steps after the extract call ---------------------
@@ -188,8 +194,9 @@ def _explain(solution: Solution, graph: Graph, problem_type: str) -> str:
 
 
 def _solve(choice: AlgorithmChoice, graph: Graph, spec: ProblemSpec) -> Solution:
-    """The chosen route's answer, verified; an answer that fails
-    verification fails the instance, with no other route in its place."""
+    """The chosen route's answer, verified; a solver's refusal or an
+    answer that fails verification fails the instance as ``solve``, with
+    no other route in its place."""
     chosen = choice.record.algorithm_id
     try:
         solution = run_algorithm(choice.record, graph, source=spec.source, target=spec.target)
@@ -198,6 +205,8 @@ def _solve(choice: AlgorithmChoice, graph: Graph, spec: ProblemSpec) -> Solution
             "solve",
             f"{chosen} rejected the graph ({exc}); choice rationale was: {choice.rationale}",
         ) from exc
+    except GraphError as exc:  # no path between the route endpoints, say
+        raise PipelineError("solve", str(exc)) from exc
     report = verify_solution(spec.problem_type, graph, solution,
                              source=spec.source, target=spec.target)
     if not report.valid:
@@ -207,32 +216,19 @@ def _solve(choice: AlgorithmChoice, graph: Graph, spec: ProblemSpec) -> Solution
     return solution
 
 
-@contextmanager
-def _step(stage: str):
-    """A deterministic step: its failure is raised as a
-    :class:`PipelineError` named after ``stage``; other exceptions pass
-    through unchanged."""
-    try:
-        yield
-    except (GraphError, NoApplicableAlgorithmError, SolverInputError) as exc:
-        raise PipelineError(stage, str(exc)) from exc
-
-
 def run_pipeline(backend: ChatBackend, problem_text: str) -> SolveOutcome:
     """Run all stages on one problem statement: one ``extract_graph``
-    call, then selection, solving, verification and explanation with no
-    model.
+    call, which also selects the route, then solving, verification and
+    explanation with no model.
 
     A failed stage is raised as a :class:`PipelineError` that carries
     every call made as ``partial_calls``.
     """
     calls: list[CallRecord] = []
     try:
-        spec, graph = _ask(backend, "extract_graph", {"problem": problem_text}, calls, _extract)
-        with _step("select"):
-            choice = select_algorithm(spec.problem_type, graph)
-        with _step("solve"):
-            solution = _solve(choice, graph, spec)
+        spec, graph, choice = _ask(backend, "extract_graph", {"problem": problem_text},
+                                   calls, _extract)
+        solution = _solve(choice, graph, spec)
     except PipelineError as exc:
         exc.partial_calls = tuple(calls)
         raise

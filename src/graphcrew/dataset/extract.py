@@ -67,6 +67,6 @@ def reference_extract(text: str) -> ExtractedProblem:
         raise ExtractionError("no question sentence found")
     route = ROUTE_QUESTION_PATTERN.search(text)
 
-    graph = build_graph([part.strip() for part in roster.split(",")], directed=False,
+    graph = build_graph([part.strip() for part in roster.split(",")],
                         weighted=bool(weighted), edges=weighted or unweighted)
     return ExtractedProblem(family, graph, *(route.groups() if route else (None, None)))

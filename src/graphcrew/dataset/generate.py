@@ -114,7 +114,7 @@ def _complete_graph(names: list[str], rng: random.Random) -> Graph:
     for i, u in enumerate(ordered):
         for v in ordered[i + 1:]:
             edges.append((u, v, rng.randint(1, 100)))
-    return build_graph(names, directed=False, weighted=True, edges=edges)
+    return build_graph(names, weighted=True, edges=edges)
 
 
 def _gnp_connected(names: list[str], rng: random.Random, weighted: bool) -> Graph:
@@ -129,7 +129,7 @@ def _gnp_connected(names: list[str], rng: random.Random, weighted: bool) -> Grap
                 if rng.random() < p:
                     weight = rng.randint(1, 100) if weighted else 1
                     edges.append((ordered[i], ordered[j], weight))
-        graph = build_graph(names, directed=False, weighted=weighted, edges=edges)
+        graph = build_graph(names, weighted=weighted, edges=edges)
         if is_connected(graph):
             return graph
 
@@ -151,7 +151,7 @@ def _near_tree(names: list[str], rng: random.Random) -> Graph:
         ]
         present.add(rng.choice(absent))
     edges = [(ordered[i], ordered[j], 1) for i, j in sorted(present)]
-    return build_graph(names, directed=False, weighted=False, edges=edges)
+    return build_graph(names, weighted=False, edges=edges)
 
 
 def _make_graph(

@@ -1,15 +1,18 @@
 """The one text form of a graph: an edge list under ``#`` header lines.
 
 The headers pin down what the rows alone cannot: the node roster
-(isolated nodes included), directedness and weightedness.  Grammar, one
-line each, blank lines ignored:
+(isolated nodes included) and weightedness.  Grammar, one line each,
+blank lines ignored:
 
-- header:  ``# nodes: A B C`` | ``# directed: true`` | ``# weighted: false``
+- header:  ``# nodes: A B C`` | ``# weighted: false``
 - row:     ``U V`` (unweighted) | ``U V 7/2`` (weighted)
 
-A missing ``directed`` header means undirected; a missing ``weighted``
-header means weighted exactly when some row carries a weight; a missing
-``nodes`` header means the roster is the rows' endpoints.
+A missing ``weighted`` header means weighted exactly when some row
+carries a weight; a missing ``nodes`` header means the roster is the
+rows' endpoints.  Every graph is undirected, so a row joins its two
+nodes both ways round.  Text written by earlier versions carries a
+``# directed: false`` header, which is read and changes nothing; a
+``directed`` header with any other value is refused.
 
 One scanner reads every line once and refuses the first unreadable
 line; :func:`parse_graph` then checks the roster and builds the
@@ -43,7 +46,6 @@ def serialize_graph(graph: Graph) -> str:
     names = graph.node_names
     lines = [
         "# nodes: " + " ".join(names),
-        f"# directed: {'true' if graph.directed else 'false'}",
         f"# weighted: {'true' if graph.weighted else 'false'}",
     ]
     if graph.weighted:
@@ -62,11 +64,10 @@ def _column(raw: str, index: int) -> int:
     return [m.start() for m in _TOKEN_RE.finditer(raw)][index] + 1
 
 
-def _scan(text: str) -> tuple[list[str] | None, bool, bool, list[tuple[str, str, Weight]]]:
-    """Names (``None`` without a roster), directed, weighted and rows;
-    raises the first unreadable line as a :class:`ParseError`."""
+def _scan(text: str) -> tuple[list[str] | None, bool, list[tuple[str, str, Weight]]]:
+    """Names (``None`` without a roster), weighted and rows; raises the
+    first unreadable line as a :class:`ParseError`."""
     names: list[str] | None = None
-    directed = False
     weighted: bool | None = None
     rows: list[tuple[str, str, Weight]] = []
     saw_weight = False
@@ -96,13 +97,15 @@ def _scan(text: str) -> tuple[list[str] | None, bool, bool, list[tuple[str, str,
             names = value.split()
             if not names:
                 raise ParseError("empty node roster", lineno, column)
+        elif key == "directed":
+            if value != "false":
+                raise ParseError("every connection a statement gives runs both ways, so "
+                                 f"the graph cannot be directed (got {value!r})", lineno, column)
         elif value not in ("true", "false"):
             raise ParseError(f"expected 'true' or 'false', got {value!r}", lineno, column)
-        elif key == "directed":
-            directed = value == "true"
         else:
             weighted = value == "true"
-    return names, directed, saw_weight if weighted is None else weighted, rows
+    return names, saw_weight if weighted is None else weighted, rows
 
 
 def parse_graph(text: str) -> Graph:
@@ -113,7 +116,7 @@ def parse_graph(text: str) -> Graph:
     :class:`~graphcrew.graph.GraphError` subclasses on semantic problems,
     :class:`~graphcrew.graph.ConflictingWeightsError` among them.
     """
-    names, directed, weighted, rows = _scan(text)
+    names, weighted, rows = _scan(text)
     if names is None:
         names = sorted({name for u, v, _ in rows for name in (u, v)})
     else:
@@ -124,7 +127,7 @@ def parse_graph(text: str) -> Graph:
                 lineno, raw = _row_line(text, index)
                 raise ParseError(f"endpoint {token!r} missing from roster", lineno,
                                  _column(raw, 0 if token == u else 1))
-    return build_graph(names, directed, weighted, rows)
+    return build_graph(names, weighted, rows)
 
 
 def _row_line(text: str, index: int) -> tuple[int, str]:

@@ -2,8 +2,9 @@
 
 Every subsystem trades in one frozen :class:`Graph` shape so that equal
 graphs compare equal and serialize to identical bytes: node names are
-sorted, edges are stored as sorted index triples, and undirected edges
-always run from the lower index to the higher one.  Weights are exact
+sorted, edges are stored as sorted index triples, and each edge runs
+from the lower index to the higher one.  Every graph is undirected: each
+connection a problem statement gives runs both ways.  Weights are exact
 (``int`` or :class:`fractions.Fraction`); floats are refused at the door
 rather than rounded somewhere downstream.
 """
@@ -91,14 +92,13 @@ class Graph:
     """An immutable graph in canonical form.
 
     ``node_names`` is lexicographically sorted; ``edges`` holds
-    ``(u, v, weight)`` index triples sorted ascending, with ``u < v``
-    whenever the graph is undirected.  Two structurally equal graphs are
-    therefore equal as values.  Use :func:`build_graph` instead of the
-    raw constructor; it validates and canonicalizes.
+    ``(u, v, weight)`` index triples sorted ascending, one per undirected
+    edge, with ``u < v``.  Two structurally equal graphs are therefore
+    equal as values.  Use :func:`build_graph` instead of the raw
+    constructor; it validates and canonicalizes.
     """
 
     node_names: tuple[str, ...]
-    directed: bool
     weighted: bool
     edges: tuple[tuple[int, int, Weight], ...]
 
@@ -112,11 +112,10 @@ class Graph:
 
     @property
     def is_complete(self) -> bool:
-        """Every pair of distinct nodes is joined, both ways round if directed
-        (:func:`build_graph` stores each edge once and no self-loops)."""
+        """Every pair of distinct nodes is joined (:func:`build_graph`
+        stores each edge once and no self-loops)."""
         n = self.node_count
-        possible = n * (n - 1) if self.directed else n * (n - 1) // 2
-        return possible > 0 and self.edge_count == possible
+        return n > 1 and self.edge_count == n * (n - 1) // 2
 
     def index_of(self, name: str) -> int:
         try:
@@ -130,22 +129,19 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Out-neighbors per node, ascending (both directions if undirected)."""
+        """Neighbors per node, ascending."""
         neigh: list[list[int]] = [[] for _ in self.node_names]
         for u, v, _ in self.edges:
             neigh[u].append(v)
-            if not self.directed:
-                neigh[v].append(u)
+            neigh[v].append(u)
         return tuple(tuple(sorted(ns)) for ns in neigh)
 
     @cached_property
     def weight_map(self) -> dict[tuple[int, int], Weight]:
-        """Edge lookup by ordered index pair; undirected edges appear both ways."""
+        """Edge lookup by index pair; each edge appears both ways round."""
         wm: dict[tuple[int, int], Weight] = {}
         for u, v, w in self.edges:
-            wm[(u, v)] = w
-            if not self.directed:
-                wm[(v, u)] = w
+            wm[(u, v)] = wm[(v, u)] = w
         return wm
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -166,16 +162,15 @@ def neighbor_masks(graph: Graph) -> list[int]:
 
 def build_graph(
     node_names: list[str] | tuple[str, ...],
-    directed: bool,
     weighted: bool,
     edges: list[tuple] | tuple[tuple, ...],
 ) -> Graph:
     """Validate and canonicalize raw parts into a :class:`Graph`.
 
     ``edges`` elements are ``(u_name, v_name)`` or ``(u_name, v_name, weight)``;
-    a missing weight defaults to 1.  An edge stated again with the same
-    weight is kept once (both ways round, if undirected); stated again with
-    another weight, it raises :class:`ConflictingWeightsError`.  Raises a
+    a missing weight defaults to 1.  An edge stated again, either way
+    round, with the same weight is kept once; stated again with another
+    weight, it raises :class:`ConflictingWeightsError`.  Raises a
     :class:`GraphError` subclass on duplicate or empty names, unknown
     endpoints, self-loops, negative weights, or a non-1 weight in an
     unweighted graph.
@@ -217,7 +212,7 @@ def build_graph(
             raise GraphError(
                 f"unweighted graph but edge {u_name}-{v_name} has weight {format_weight(w)}"
             )
-        if not directed and u > v:
+        if u > v:
             u, v = v, u
         stated = used.setdefault((u, v), w)
         if stated != w:
@@ -226,18 +221,15 @@ def build_graph(
                 f"{format_weight(stated)} and {format_weight(w)}"
             )
     edges = sorted((u, v, w) for (u, v), w in used.items())
-    return Graph(tuple(names), directed, weighted, tuple(edges))
+    return Graph(tuple(names), weighted, tuple(edges))
 
 
 def is_connected(graph: Graph) -> bool:
-    """Weak connectivity: direction is ignored for directed graphs."""
+    """Every node can reach every other."""
     n = graph.node_count
     if n <= 1:
         return True
-    neigh: list[list[int]] = [[] for _ in range(n)]
-    for u, v, _ in graph.edges:
-        neigh[u].append(v)
-        neigh[v].append(u)
+    neigh = graph.adjacency
     seen = {0}
     queue = deque([0])
     while queue:

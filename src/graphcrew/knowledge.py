@@ -2,6 +2,8 @@
 
 :data:`ROUTES` lists every solving route: its problem family, whether it
 proves an optimum, the graphs it applies to and the solver it runs.
+Every graph is undirected, so a row limits only size, completeness and
+weightedness.
 Selection is a pure function of the table and the graph, so the same
 graph always yields the same choice with the same stated rationale.
 Raising a node limit is a one-line edit of its row.
@@ -43,25 +45,21 @@ class Route:
     solve: Callable[..., Solution]
     requires_complete: bool = False
     requires_weighted: bool = False
-    undirected_only: bool = False
 
 
 # every route, in selection order: within a family, the first route that
 # fits a graph is the one that runs, so each family lists its exact route first
 ROUTES: tuple[Route, ...] = (
     Route("held_karp", TSP, exact=True, max_nodes=25, solve=tsp_exact_held_karp,
-          requires_complete=True, requires_weighted=True, undirected_only=True),
+          requires_complete=True, requires_weighted=True),
     Route("nearest_neighbor_2opt", TSP, exact=False, max_nodes=1000,
           solve=tsp_nearest_neighbor_two_opt,
-          requires_complete=True, requires_weighted=True, undirected_only=True),
-    Route("exact_coloring", GRAPH_COLORING, exact=True, max_nodes=25, solve=coloring_exact,
-          undirected_only=True),
-    Route("dsatur", GRAPH_COLORING, exact=False, max_nodes=1000, solve=coloring_dsatur,
-          undirected_only=True),
-    Route("bnb_cover", VERTEX_COVER, exact=True, max_nodes=30, solve=vertex_cover_exact,
-          undirected_only=True),
+          requires_complete=True, requires_weighted=True),
+    Route("exact_coloring", GRAPH_COLORING, exact=True, max_nodes=25, solve=coloring_exact),
+    Route("dsatur", GRAPH_COLORING, exact=False, max_nodes=1000, solve=coloring_dsatur),
+    Route("bnb_cover", VERTEX_COVER, exact=True, max_nodes=30, solve=vertex_cover_exact),
     Route("matching_cover", VERTEX_COVER, exact=False, max_nodes=1000,
-          solve=vertex_cover_approx, undirected_only=True),
+          solve=vertex_cover_approx),
     Route("dijkstra", SHORTEST_PATH, exact=True, max_nodes=100000,
           solve=shortest_path_dijkstra),
     Route("cycle_check", CYCLE_DETECTION, exact=True, max_nodes=100000, solve=detect_cycle),
@@ -82,8 +80,6 @@ def applicability_reason(route: Route, graph: Graph) -> str | None:
         return "the graph is not complete"
     if route.requires_weighted and not graph.weighted:
         return "the graph is unweighted"
-    if route.undirected_only and graph.directed:
-        return "the graph is directed"
     return None
 
 

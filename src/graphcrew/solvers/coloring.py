@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from ..graph import Graph, neighbor_masks
 from ..problems import COLORING
-from .solution import Solution, canonical_coloring, require_undirected
+from .solution import Solution, canonical_coloring
 
 
 def _dsatur_order_colors(graph: Graph) -> dict[str, int]:
@@ -40,7 +40,6 @@ def _dsatur_order_colors(graph: Graph) -> dict[str, int]:
 
 def coloring_dsatur(graph: Graph) -> Solution:
     """Saturation-degree greedy coloring; valid but not always minimal."""
-    require_undirected(graph, "coloring")
     colors = canonical_coloring(_dsatur_order_colors(graph))
     used = len(set(colors.values())) if colors else 0
     return Solution(COLORING, colors, used, "dsatur", exact=False)
@@ -80,7 +79,6 @@ def _try_k_coloring(neighbors: list[int], k: int, order: list[int]) -> dict[int,
 
 def coloring_exact(graph: Graph) -> Solution:
     """Minimum coloring by iterative deepening between clique and DSATUR bounds."""
-    require_undirected(graph, "coloring")
     n = graph.node_count
     if n == 0:
         return Solution(COLORING, {}, 0, "exact_coloring", exact=True)

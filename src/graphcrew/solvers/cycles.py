@@ -1,4 +1,4 @@
-"""Cycle existence checks."""
+"""Cycle existence: union-find over the edges of an undirected graph."""
 
 from __future__ import annotations
 
@@ -7,8 +7,9 @@ from ..problems import BOOLEAN
 from .solution import Solution
 
 
-def _undirected_has_cycle(graph: Graph) -> bool:
-    # Union-find over the canonical edge order.
+def _has_cycle(graph: Graph) -> bool:
+    # Union-find over the canonical edge order: an edge whose endpoints
+    # are already joined closes a cycle.
     parent = list(range(graph.node_count))
 
     def find(x: int) -> int:
@@ -25,33 +26,7 @@ def _undirected_has_cycle(graph: Graph) -> bool:
     return False
 
 
-def _directed_has_cycle(graph: Graph) -> bool:
-    # Iterative DFS; a back edge into the active stack means a cycle.
-    n = graph.node_count
-    adj = graph.adjacency
-    WHITE, GRAY, BLACK = 0, 1, 2
-    state = [WHITE] * n
-    for root in range(n):
-        if state[root] != WHITE:
-            continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        state[root] = GRAY
-        while stack:
-            u, i = stack.pop()
-            if i < len(adj[u]):
-                stack.append((u, i + 1))
-                v = adj[u][i]
-                if state[v] == GRAY:
-                    return True
-                if state[v] == WHITE:
-                    state[v] = GRAY
-                    stack.append((v, 0))
-            else:
-                state[u] = BLACK
-    return False
-
-
 def detect_cycle(graph: Graph) -> Solution:
-    """Does the graph contain any cycle (directed cycles for directed graphs)?"""
-    found = _directed_has_cycle(graph) if graph.directed else _undirected_has_cycle(graph)
+    """Does the graph contain any cycle?"""
+    found = _has_cycle(graph)
     return Solution(BOOLEAN, found, int(found), "cycle_check", exact=True)

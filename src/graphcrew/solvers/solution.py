@@ -26,17 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..graph import Graph, GraphError, Weight, coerce_weight, format_weight
+from ..graph import Graph, Weight, coerce_weight, format_weight
 from ..problems import BOOLEAN, COLORING, KIND_BY_PROBLEM, NODE_SET, PATH, TOUR
 
 
 class SolverInputError(ValueError):
     """A solver was handed a graph outside its preconditions."""
-
-
-def require_undirected(graph: Graph, solver: str) -> None:
-    if graph.directed:
-        raise GraphError(f"{solver} needs an undirected graph")
 
 
 class KindMismatchError(ValueError):

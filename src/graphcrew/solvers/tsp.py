@@ -37,8 +37,6 @@ _TOUR_PERIOD = 10
 
 
 def _require_tour_input(graph: Graph) -> None:
-    if graph.directed:
-        raise GraphError("tour solvers need an undirected graph")
     n = graph.node_count
     if n < 3:
         raise GraphError(f"a tour needs at least 3 nodes, got {n}")

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from ..graph import Graph, neighbor_masks
 from ..problems import NODE_SET
-from .solution import Solution, require_undirected
+from .solution import Solution
 
 
 def vertex_cover_approx(graph: Graph) -> Solution:
     """Endpoints of a maximal matching; at most twice the optimum."""
-    require_undirected(graph, "vertex cover")
     matched: set[int] = set()
     for u, v, _ in graph.edges:
         if u not in matched and v not in matched:
@@ -36,7 +35,6 @@ def vertex_cover_exact(graph: Graph) -> Solution:
     require strict improvement, and reductions fire in index order, so
     the cover returned is the same every run.
     """
-    require_undirected(graph, "vertex cover")
     n = graph.node_count
     neighbors = neighbor_masks(graph)
     best = 0

@@ -34,11 +34,7 @@ def bellman_ford_cost(graph, src, dst):
     s, t = graph.index_of(src), graph.index_of(dst)
     dist = [INF] * n
     dist[s] = 0
-    arcs = []
-    for u, v, w in graph.edges:
-        arcs.append((u, v, w))
-        if not graph.directed:
-            arcs.append((v, u, w))
+    arcs = [arc for u, v, w in graph.edges for arc in ((u, v, w), (v, u, w))]
     for _ in range(n - 1):
         changed = False
         for u, v, w in arcs:
@@ -383,26 +379,6 @@ def has_cycle_undirected(graph):
     return graph.edge_count > n - components
 
 
-def has_cycle_directed(graph):
-    """Kahn's algorithm: a cycle exists iff the topological order is short."""
-    n = graph.node_count
-    indeg = [0] * n
-    out = [[] for _ in range(n)]
-    for u, v, _ in graph.edges:
-        out[u].append(v)
-        indeg[v] += 1
-    queue = [u for u in range(n) if indeg[u] == 0]
-    removed = 0
-    while queue:
-        u = queue.pop()
-        removed += 1
-        for v in out[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    return removed < n
-
-
 def exact_price(input_tokens, output_tokens, rate_in_per_million, rate_out_per_million):
     """Token price as an exact Fraction of currency units."""
     return (
@@ -451,14 +427,15 @@ def scan_edge_list(text):
     own line, so the roster is checked without finding the row again.
     Returns the first problem as ``parse_graph`` orders them (an unreadable
     line first, then an endpoint missing from the last ``# nodes:`` roster)
-    as a ``ParseError``; else the parts ``(names, directed, weighted,
-    triples)`` for ``build_graph``, with the rows' endpoints as the roster
-    when there is no ``# nodes:`` line.
+    as a ``ParseError``; else the parts ``(names, weighted, triples)`` for
+    ``build_graph``, with the rows' endpoints as the roster when there is
+    no ``# nodes:`` line.  A ``# directed:`` line is read only to refuse
+    any value but ``false``.
     """
     from graphcrew.formats import ParseError
     from graphcrew.graph import GraphError
 
-    names = directed = weighted = None
+    names = weighted = None
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -486,10 +463,12 @@ def scan_edge_list(text):
             names = value.split()
             if not names:
                 return ParseError("empty node roster", lineno, column)
+        elif key == "directed":
+            if value != "false":
+                return ParseError("every connection a statement gives runs both ways, so "
+                                  f"the graph cannot be directed (got {value!r})", lineno, column)
         elif value not in ("true", "false"):
             return ParseError(f"expected 'true' or 'false', got {value!r}", lineno, column)
-        elif key == "directed":
-            directed = value == "true"
         else:
             weighted = value == "true"
     if names is None:
@@ -502,7 +481,7 @@ def scan_edge_list(text):
     if weighted is None:
         weighted = any(w is not None for *_, w in rows)
     triples = [(u, v, 1 if w is None else w) for _, _, u, v, w in rows]
-    return names, bool(directed), weighted, triples
+    return names, weighted, triples
 
 
 def _recompute_objective(graph, solution):

@@ -42,7 +42,6 @@ def problem_text(graph, problem_type, source=None, target=None):
 def tsp_graph():
     return build_graph(
         ["Depot", "Mill", "Quay", "Yard"],
-        False,
         True,
         [
             ("Depot", "Mill", 3), ("Depot", "Quay", 9), ("Depot", "Yard", 4),
@@ -421,7 +420,7 @@ def test_stub_reads_its_prompt_not_a_fixed_reply():
     # a statement's route decides the extract reply, and retry feedback
     # after the template does not change what the slot holds
     stub = OracleStubBackend()
-    route = build_graph(["Ash", "Birch", "Cedar"], False, True,
+    route = build_graph(["Ash", "Birch", "Cedar"], True,
                         [("Ash", "Birch", 2), ("Birch", "Cedar", 3)])
     system, user = render_stage(
         "extract_graph", {"problem": problem_text(route, "shortest_path", "Cedar", "Ash")})
@@ -435,13 +434,13 @@ def test_stub_reads_its_prompt_not_a_fixed_reply():
 
 def test_stub_direct_answers_other_kinds():
     stub = OracleStubBackend()
-    pair = build_graph(["A", "B"], False, False, [("A", "B")])
+    pair = build_graph(["A", "B"], False, [("A", "B")])
     text = ask_stub(stub, "direct", directive="",
                     problem=problem_text(pair, "graph_coloring")).text
     body = extract_block(text, "answer")
     assert "color A: 0" in body and "colors: 2" in body
 
-    chain = build_graph(["A", "B", "C"], False, False, [("A", "B"), ("B", "C")])
+    chain = build_graph(["A", "B", "C"], False, [("A", "B"), ("B", "C")])
     text = ask_stub(stub, "direct", directive="",
                     problem=problem_text(chain, "cycle_detection")).text
     assert "answer: no" in extract_block(text, "answer")

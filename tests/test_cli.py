@@ -14,6 +14,7 @@ from graphcrew import cli
 from graphcrew.agents import Completion, OracleStubBackend, Usage
 from graphcrew.cli import main
 from graphcrew.formats import parse_graph
+from graphcrew.problems import PROBLEM_TYPES
 from util import closed_port_url, run_python
 
 STUB_CONFIG = """\
@@ -572,6 +573,35 @@ class TestEvaluate:
         assert "acc_all" in report and "price" in report
         scores = [json.loads(l) for l in (report_dir / "scores.jsonl").read_text().splitlines()]
         assert all(s["acc_all"] == "1" for s in scores)
+
+    def test_hidden_graphs_in_the_old_form_score_byte_identically(self, runner, tmp_path):
+        # files written before every graph was undirected carry a
+        # "# directed: false" line under each hidden graph's roster
+        _generate(runner, tmp_path / "ds", extra=[f"--type={t}" for t in PROBLEM_TYPES])
+        (tmp_path / "old").mkdir()
+        config = str(_write_stub_config(tmp_path))
+        for family in PROBLEM_TYPES:
+            new = tmp_path / "ds" / f"{family}.jsonl"
+            records = [json.loads(line) for line in new.read_text().splitlines()]
+            for record in records:
+                roster, rest = record["hidden"]["graph"].split("\n", 1)
+                assert roster.startswith("# nodes:") and "directed" not in rest
+                record["hidden"]["graph"] = f"{roster}\n# directed: false\n{rest}"
+            old = tmp_path / "old" / new.name
+            old.write_text("".join(json.dumps(record) + "\n" for record in records))
+            reports = []
+            for dataset in (new, old):
+                results = dataset.with_suffix(".results.jsonl")
+                report = dataset.with_suffix(".report")
+                for args in (["solve", "--dataset", dataset, "--backend-config", config,
+                              "--out", results],
+                             ["evaluate", "--results", results, "--dataset", dataset,
+                              "--backend-config", config, "--out", report]):
+                    result = runner.invoke(main, [str(arg) for arg in args])
+                    assert result.exit_code == 0, result.output
+                reports.append([(report / name).read_bytes()
+                                for name in ("scores.jsonl", "report.txt")])
+            assert reports[0] == reports[1]
 
     def test_out_under_a_file_is_config_error(self, runner, tmp_path):
         dataset, config, results = self._solve(runner, tmp_path)

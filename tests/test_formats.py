@@ -12,14 +12,13 @@ from test_graph import graph_parts
 
 
 def k3_unit():
-    return build_graph(["A", "B", "C"], False, True, [("A", "B", 1), ("A", "C", 1), ("B", "C", 1)])
+    return build_graph(["A", "B", "C"], True, [("A", "B", 1), ("A", "C", 1), ("B", "C", 1)])
 
 
 def test_edge_list_text_shape():
     text = serialize_graph(k3_unit())
     assert text == (
         "# nodes: A B C\n"
-        "# directed: false\n"
         "# weighted: true\n"
         "A B 1\n"
         "A C 1\n"
@@ -29,25 +28,38 @@ def test_edge_list_text_shape():
 
 @given(graph_parts())
 def test_round_trip_edge_and_adjacency(parts):
-    names, directed, weighted, edges = parts
-    g = build_graph(names, directed, weighted, edges)
+    names, weighted, edges = parts
+    g = build_graph(names, weighted, edges)
     assert parse_graph(serialize_graph(g)) == g
-    zero = build_graph(["A", "B"], False, True, [("A", "B", 0)])
+    # text written before every graph was undirected carries a
+    # "# directed: false" line under the roster
+    roster, rest = serialize_graph(g).split("\n", 1)
+    assert parse_graph(f"{roster}\n# directed: false\n{rest}") == g
+    zero = build_graph(["A", "B"], True, [("A", "B", 0)])
     assert parse_graph(serialize_graph(zero)) == zero
 
 
 @given(graph_parts())
 def test_serialization_is_byte_stable(parts):
-    names, directed, weighted, edges = parts
-    g = build_graph(names, directed, weighted, edges)
+    names, weighted, edges = parts
+    g = build_graph(names, weighted, edges)
     first = serialize_graph(g)
     assert serialize_graph(parse_graph(first)) == first
+
+
+def test_directed_header_other_than_false_is_refused_at_its_value():
+    for value in ("true", "maybe", ""):
+        with pytest.raises(ParseError) as err:
+            parse_graph(f"# nodes: A B\n#  directed: {value}\nA B 1\n")
+        assert str(err.value) == (
+            "line 2, column 13: every connection a statement gives runs both ways, "
+            f"so the graph cannot be directed (got {value!r})")
 
 
 def test_edge_list_headerless_inference():
     g = parse_graph("B C 4\nA B 2\n")
     assert g.node_names == ("A", "B", "C")
-    assert g.weighted and not g.directed
+    assert g.weighted
     assert g.edges == ((0, 1, 2), (1, 2, 4))
     plain = parse_graph("B C\nA B\n")
     assert not plain.weighted
@@ -142,7 +154,7 @@ def test_parse_refuses_mess_at_its_first_bad_line():
 
 
 def test_fraction_weights_survive_all_formats():
-    g = build_graph(["A", "B"], False, True, [("A", "B", Fraction(85, 6))])
+    g = build_graph(["A", "B"], True, [("A", "B", Fraction(85, 6))])
     back = parse_graph(serialize_graph(g))
     assert back.edges[0][2] == Fraction(85, 6)
 
@@ -188,8 +200,6 @@ def restated_edge_lists(draw):
     if draw(st.booleans()):
         roster = draw(st.permutations("ABCD"))[:draw(st.integers(1, 4))]
         lines.append("# nodes: " + " ".join(roster))
-    if draw(st.booleans()):
-        lines.append(f"# directed: {draw(st.sampled_from(['true', 'false']))}")
     weights = st.sampled_from(["", " 1", " 2", " 2/1", " 7/2"])
     for _ in range(draw(st.integers(0, 8))):
         u, v = draw(st.permutations("ABCDE"))[:2]

@@ -25,13 +25,9 @@ NAME_POOL = [f"N{c}{d}" for c in "abcdef" for d in "abcdef"]
 def graph_parts(draw, min_nodes=1, max_nodes=8, weighted=None, allow_zero=True):
     n = draw(st.integers(min_nodes, max_nodes))
     names = list(draw(st.permutations(NAME_POOL[:max_nodes])))[:n]
-    directed = draw(st.booleans())
     if weighted is None:
         weighted = draw(st.booleans())
-    if directed:
-        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    else:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if pairs:
         chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
     else:
@@ -44,17 +40,16 @@ def graph_parts(draw, min_nodes=1, max_nodes=8, weighted=None, allow_zero=True):
     for i, j in chosen:
         w = draw(weights) if weighted else 1
         edges.append((names[i], names[j], w))
-    return names, directed, weighted, edges
+    return names, weighted, edges
 
 
 @given(graph_parts())
 def test_canonical_ordering(parts):
-    names, directed, weighted, edges = parts
-    g = build_graph(names, directed, weighted, edges)
+    names, weighted, edges = parts
+    g = build_graph(names, weighted, edges)
     assert g.node_names == tuple(sorted(names))
     assert list(g.edges) == sorted(g.edges)
-    if not directed:
-        assert all(u < v for u, v, _ in g.edges)
+    assert all(u < v for u, v, _ in g.edges)
     for _, _, w in g.edges:
         assert isinstance(w, (int, Fraction)) and not isinstance(w, bool)
         if isinstance(w, Fraction):
@@ -63,15 +58,15 @@ def test_canonical_ordering(parts):
 
 @given(graph_parts())
 def test_rebuild_from_canonical_parts_is_identity(parts):
-    names, directed, weighted, edges = parts
-    g = build_graph(names, directed, weighted, edges)
+    names, weighted, edges = parts
+    g = build_graph(names, weighted, edges)
     named = [(g.node_names[u], g.node_names[v], w) for u, v, w in g.edges]
-    assert build_graph(list(g.node_names), directed, weighted, named) == g
+    assert build_graph(list(g.node_names), weighted, named) == g
 
 
 def test_equal_graphs_from_different_statement_order():
-    a = build_graph(["B", "A", "C"], False, True, [("C", "A", 2), ("B", "A", 1)])
-    b = build_graph(["A", "C", "B"], False, True, [("A", "B", 1), ("A", "C", 2)])
+    a = build_graph(["B", "A", "C"], True, [("C", "A", 2), ("B", "A", 1)])
+    b = build_graph(["A", "C", "B"], True, [("A", "B", 1), ("A", "C", 2)])
     assert a == b
 
 
@@ -142,32 +137,25 @@ def test_format_weight():
 
 def test_build_rejections():
     with pytest.raises(DuplicateNodeError):
-        build_graph(["A", "A"], False, False, [])
+        build_graph(["A", "A"], False, [])
     with pytest.raises(GraphError):
-        build_graph(["A", ""], False, False, [])
+        build_graph(["A", ""], False, [])
     with pytest.raises(GraphError):
-        build_graph(["A", " B"], False, False, [])
+        build_graph(["A", " B"], False, [])
     with pytest.raises(UnknownEndpointError):
-        build_graph(["A", "B"], False, False, [("A", "Z")])
+        build_graph(["A", "B"], False, [("A", "Z")])
     with pytest.raises(SelfLoopError):
-        build_graph(["A", "B"], False, False, [("A", "A")])
+        build_graph(["A", "B"], False, [("A", "A")])
     with pytest.raises(NegativeWeightError):
-        build_graph(["A", "B"], False, True, [("A", "B", -1)])
+        build_graph(["A", "B"], True, [("A", "B", -1)])
     with pytest.raises(ConflictingWeightsError):
-        build_graph(["A", "B"], False, True, [("A", "B", 1), ("B", "A", 2)])
+        build_graph(["A", "B"], True, [("A", "B", 1), ("B", "A", 2)])
     with pytest.raises(GraphError):
-        build_graph(["A", "B"], False, False, [("A", "B", 3)])
-
-
-def test_directed_antiparallel_edges_allowed():
-    g = build_graph(["A", "B"], True, True, [("A", "B", 1), ("B", "A", 5)])
-    assert g.edge_count == 2
-    assert g.weight(0, 1) == 1
-    assert g.weight(1, 0) == 5
+        build_graph(["A", "B"], False, [("A", "B", 3)])
 
 
 def test_adjacency_and_weight_lookup():
-    g = build_graph(["A", "B", "C"], False, True, [("A", "B", 3), ("B", "C", 4)])
+    g = build_graph(["A", "B", "C"], True, [("A", "B", 3), ("B", "C", 4)])
     assert g.adjacency == ((1,), (0, 2), (1,))
     assert g.weight(2, 1) == 4
     assert g.has_edge(0, 1) and not g.has_edge(0, 2)
@@ -178,56 +166,42 @@ def test_adjacency_and_weight_lookup():
 
 
 def test_build_graph_merges_restated_edges():
-    g = build_graph(["A", "B", "C"], False, True, [("A", "B", 3), ("B", "A", 3), ("A", "C", 2)])
+    g = build_graph(["A", "B", "C"], True, [("A", "B", 3), ("B", "A", 3), ("A", "C", 2)])
     assert g.edges == ((0, 1, 3), (0, 2, 2))
     with pytest.raises(ConflictingWeightsError, match="^edge A-B stated with weights 3 and 5$"):
-        build_graph(["A", "B"], False, True, [("B", "A", 3), ("A", "B", 5)])
-    # Direction matters for directed graphs: an antiparallel pair is two edges.
-    assert build_graph(["A", "B"], True, True, [("A", "B", 3), ("B", "A", 5)]).edge_count == 2
-    with pytest.raises(ConflictingWeightsError, match="^edge B-A stated with weights 5 and 4$"):
-        build_graph(["A", "B"], True, True, [("B", "A", 5), ("A", "B", 3), ("B", "A", 4)])
+        build_graph(["A", "B"], True, [("B", "A", 3), ("A", "B", 5)])
 
 
 @given(graph_parts(), st.randoms(use_true_random=False))
 def test_restated_edges_build_the_same_graph(parts, rng):
-    names, directed, weighted, edges = parts
-    again = [(u, v, w) if directed else (v, u, w) for u, v, w in edges]
-    restated = edges + again
+    names, weighted, edges = parts
+    restated = edges + [(v, u, w) for u, v, w in edges]
     rng.shuffle(restated)
-    assert build_graph(names, directed, weighted, restated) == build_graph(
-        names, directed, weighted, edges)
+    assert build_graph(names, weighted, restated) == build_graph(
+        names, weighted, edges)
 
 
 def test_stats_small_cases():
-    k3 = build_graph(["A", "B", "C"], False, False, [("A", "B"), ("A", "C"), ("B", "C")])
+    k3 = build_graph(["A", "B", "C"], False, [("A", "B"), ("A", "C"), ("B", "C")])
     assert k3.node_count == 3 and k3.is_complete and is_connected(k3)
 
-    path = build_graph(["A", "B", "C", "D"], False, False, [("A", "B"), ("B", "C"), ("C", "D")])
+    path = build_graph(["A", "B", "C", "D"], False, [("A", "B"), ("B", "C"), ("C", "D")])
     assert is_connected(path) and not path.is_complete
 
-    split = build_graph(["A", "B", "C"], False, False, [("A", "B")])
+    split = build_graph(["A", "B", "C"], False, [("A", "B")])
     assert not is_connected(split)
 
-    single = build_graph(["A"], False, False, [])
+    single = build_graph(["A"], False, [])
     assert is_connected(single) and not single.is_complete
-
-
-def test_stats_directed_completeness():
-    # a complete directed graph states every ordered pair
-    pair = build_graph(["A", "B"], True, False, [("A", "B")])
-    assert not pair.is_complete
-    both = build_graph(["A", "B"], True, False, [("A", "B"), ("B", "A")])
-    assert both.is_complete
 
 
 @given(graph_parts(min_nodes=2))
 def test_stats_match_definitions(parts):
-    names, directed, weighted, edges = parts
-    g = build_graph(names, directed, weighted, edges)
+    names, weighted, edges = parts
+    g = build_graph(names, weighted, edges)
     n = g.node_count
-    possible = n * (n - 1) if directed else n * (n - 1) // 2
     assert n == len(names)
-    assert g.is_complete == (g.edge_count == possible)
+    assert g.is_complete == (g.edge_count == n * (n - 1) // 2)
     reach = {0}
     frontier = [0]
     while frontier:

@@ -98,12 +98,9 @@ def test_selector_rejects_structurally_wrong_graphs():
     with pytest.raises(NoApplicableAlgorithmError) as err:
         select_algorithm("tsp", incomplete)
     assert "not complete" in str(err.value)
-    directed = gnp_graph(10, 0.3, seed=7, directed=True)
-    with pytest.raises(NoApplicableAlgorithmError):
-        select_algorithm("graph_coloring", directed)
     names = [f"N{i:02d}" for i in range(4)]
     unweighted_k4 = build_graph(
-        names, False, False, [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+        names, False, [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
     )
     with pytest.raises(NoApplicableAlgorithmError):
         select_algorithm("tsp", unweighted_k4)
@@ -112,26 +109,25 @@ def test_selector_rejects_structurally_wrong_graphs():
 def test_applicability_reason_is_checkable_alone():
     hk = route("held_karp")
     names = [f"N{i:02d}" for i in range(10)]
-    unweighted = build_graph(names, False, False,
+    unweighted = build_graph(names, False,
                              [(a, b) for i, a in enumerate(names) for b in names[i + 1:]])
-    directed = gnp_graph(10, 1.0, seed=1, weighted=True, directed=True)
-    assert directed.is_complete
     assert applicability_reason(hk, complete_graph(10, seed=1)) is None
     assert "exceeds" in applicability_reason(hk, complete_graph(26, seed=1))
     assert "unweighted" in applicability_reason(hk, unweighted)
-    assert "directed" in applicability_reason(hk, directed)
+    assert "not complete" in applicability_reason(hk, gnp_graph(10, 0.5, seed=1, weighted=True))
 
 
 def test_selector_takes_the_first_applicable_route_in_lookup_order(monkeypatch):
-    # coloring has one route of each kind, so the two vertex cover routes
-    # are refiled under it: a second exact route (complete graphs only,
-    # directed allowed) and a weighted-only heuristic ahead of dsatur
+    # coloring has one route of each kind, so the exact one is made
+    # weighted-only and the two vertex cover routes are refiled under it:
+    # a second exact route (complete graphs only) and a weighted-only
+    # heuristic ahead of dsatur
     monkeypatch.setattr(knowledge, "ROUTES", (
-        route("exact_coloring"),
+        replace(route("exact_coloring"), requires_weighted=True),
         replace(route("bnb_cover"), problem_type=GRAPH_COLORING, max_nodes=10,
-                requires_complete=True, undirected_only=False),
+                requires_complete=True),
         replace(route("matching_cover"), problem_type=GRAPH_COLORING, max_nodes=40,
-                requires_weighted=True, undirected_only=False),
+                requires_weighted=True),
         route("dsatur"),
     ))
     pick = select_algorithm("graph_coloring", complete_graph(25, seed=1))
@@ -148,8 +144,7 @@ def test_selector_takes_the_first_applicable_route_in_lookup_order(monkeypatch):
     )
     assert route_id("graph_coloring", gnp_graph(26, 0.3, seed=2)) == "dsatur"
     # the second exact route, where the first does not fit
-    directed = gnp_graph(10, 1.0, seed=1, weighted=True, directed=True)
-    assert route_id("graph_coloring", directed) == "bnb_cover"
+    assert route_id("graph_coloring", gnp_graph(10, 1.0, seed=1)) == "bnb_cover"
 
 
 def test_run_algorithm_matches_direct_calls():

@@ -26,7 +26,7 @@ from graphcrew.agents.prompts import (
 from graphcrew.dataset import build_instance
 from graphcrew.formats import parse_graph, serialize_graph
 from graphcrew.graph import build_graph
-from graphcrew.knowledge import ROUTES, NoApplicableAlgorithmError
+from graphcrew.knowledge import ROUTES
 from graphcrew.solvers import NoPathError, Solution, verify_solution
 
 from test_backends import TSP_TEXT, problem_text, tsp_graph
@@ -216,6 +216,7 @@ def test_extract_empty_graph():
     assert [stage for stage, _ in backend.seen] == ["extract_graph"] * 3
 
 
+# in the form written before every graph was undirected, which still reads
 ROUTE = (
     "# nodes: A B C D\n# directed: false\n# weighted: true\n"
     "A B 3\nA C 1\nB D 4\nC D 1\n"
@@ -228,62 +229,97 @@ def route_reply(graph=ROUTE, source="A", target="D"):
     return graph_reply(graph, f"problem_type: shortest_path\nsource: {source}\ntarget: {target}")
 
 
-# A transcription fault in each reply, and the feedback it earns; a reader
-# that drops the row, or a merge or a route check that fails without asking
-# again, loses the route A -> C -> D.
-FAULTY_ROUTES = {
+# per statement, its answer
+ANSWERS = {ROUTE_TEXT: (("A", "C", "D"), 2), TSP_TEXT: (("Depot", "Mill", "Quay", "Yard"), 14)}
+# the tour's graph with its weights left out
+UNWEIGHTED_TOUR = ("# nodes: Depot Mill Quay Yard\n# weighted: false\n"
+                   "Depot Mill\nDepot Quay\nDepot Yard\nMill Quay\nMill Yard\nQuay Yard\n")
+
+# A transcription fault in each reply, the feedback it earns, and the
+# statement it was read from; a reader that drops the row, or a merge, a
+# route check or a selection that fails without asking again, loses the
+# statement's answer.
+FAULTY_REPLIES = {
     "unit-after-weight": (
+        ROUTE_TEXT,
         route_reply(ROUTE.replace("C D 1\n", "C D 1 minutes\n")),
         "the edge list could not be read "
         "(line 7, column 1: expected 'U V' or 'U V W', got 'C D 1 minutes')",
     ),
     "dash-between-names": (
+        ROUTE_TEXT,
         route_reply(ROUTE.replace("A C 1", "A - C 1")),
         "the edge list could not be read "
         "(line 5, column 1: expected 'U V' or 'U V W', got 'A - C 1')",
     ),
     "conflicting-weight": (
+        ROUTE_TEXT,
         route_reply(ROUTE.replace("A B 3\n", "A B 3\nB A 9\n")),
         "the edge list could not be read (edge A-B stated with weights 3 and 9)",
     ),
     "outside-roster": (
+        ROUTE_TEXT,
         route_reply(ROUTE + "C E 1\n"),
         "the edge list could not be read (line 8, column 3: endpoint 'E' missing from roster)",
     ),
     "source-outside-graph": (
+        ROUTE_TEXT,
         route_reply(source="E"),
         "the problem block names source 'E', which is not a node of the edge list",
     ),
     "target-outside-graph": (
+        ROUTE_TEXT,
         route_reply(target="Nowhere"),
         "the problem block names target 'Nowhere', which is not a node of the edge list",
     ),
     "source-missing": (
+        ROUTE_TEXT,
         route_reply(source="none"),
         "the shortest_path problem block names no source",
     ),
     "target-missing": (
+        ROUTE_TEXT,
         graph_reply(ROUTE, "problem_type: shortest_path\nsource: A"),
         "the shortest_path problem block names no target",
+    ),
+    # every connection a statement gives runs both ways
+    "declared-directed": (
+        ROUTE_TEXT,
+        route_reply(ROUTE.replace("# directed: false", "# directed: true")),
+        "the edge list could not be read (line 2, column 12: every connection a statement "
+        "gives runs both ways, so the graph cannot be directed (got 'true'))",
+    ),
+    "pair-dropped": (
+        TSP_TEXT,
+        graph_reply(TSP_GRAPH.replace("Depot Mill 3\n", "")),
+        "no route can solve the edge list (no applicable algorithm for tsp on 4 nodes "
+        "(held_karp: the graph is not complete; nearest_neighbor_2opt: the graph is not "
+        "complete))",
+    ),
+    "weights-dropped": (
+        TSP_TEXT,
+        graph_reply(UNWEIGHTED_TOUR),
+        "no route can solve the edge list (no applicable algorithm for tsp on 4 nodes "
+        "(held_karp: the graph is unweighted; nearest_neighbor_2opt: the graph is "
+        "unweighted))",
     ),
 }
 
 
-@pytest.mark.parametrize("faulty, problem", FAULTY_ROUTES.values(), ids=FAULTY_ROUTES)
-def test_faulty_extract_reply_is_retried_with_its_problem(faulty, problem):
+@pytest.mark.parametrize("text, faulty, problem", FAULTY_REPLIES.values(), ids=FAULTY_REPLIES)
+def test_faulty_extract_reply_is_retried_with_its_problem(text, faulty, problem):
     backend = StageScripted({"extract_graph": [faulty]})
-    out = run_pipeline(backend, ROUTE_TEXT)
-    assert out.solution.payload == ("A", "C", "D")
-    assert out.solution.objective == 2
+    out = run_pipeline(backend, text)
+    assert (out.solution.payload, out.solution.objective) == ANSWERS[text]
     first, retry = extract_prompts(backend)
     assert problem not in first and f"rejected: {problem}." in retry
 
 
-@pytest.mark.parametrize("faulty, problem", FAULTY_ROUTES.values(), ids=FAULTY_ROUTES)
-def test_three_faulty_extract_replies_fail_as_extract_graph(faulty, problem):
+@pytest.mark.parametrize("text, faulty, problem", FAULTY_REPLIES.values(), ids=FAULTY_REPLIES)
+def test_three_faulty_extract_replies_fail_as_extract_graph(text, faulty, problem):
     backend = StageScripted({"extract_graph": [faulty] * 3})
     with pytest.raises(PipelineError) as err:
-        run_pipeline(backend, ROUTE_TEXT)
+        run_pipeline(backend, text)
     assert err.value.stage == "extract_graph"
     assert str(err.value) == (
         f"stage extract_graph: no usable reply in 3 attempts (last problem: {problem})")
@@ -292,7 +328,7 @@ def test_three_faulty_extract_replies_fail_as_extract_graph(faulty, problem):
 
 
 def test_normalize_merges_duplicates():
-    k3 = build_graph(["A", "B", "C"], False, True, [("A", "B", 3), ("A", "C", 5), ("B", "C", 4)])
+    k3 = build_graph(["A", "B", "C"], True, [("A", "B", 3), ("A", "C", 5), ("B", "C", 4)])
     raw = (
         "# nodes: A B C\n# directed: false\n# weighted: true\n"
         "A B 3\nB A 3\nB C 4\nA C 5\n"
@@ -331,7 +367,6 @@ def test_solver_rejection_surfaces_with_rationale(monkeypatch):
     # incomplete graph into the exact tour solver, which refuses it.
     incomplete = build_graph(
         ["Depot", "Mill", "Quay", "Yard"],
-        False,
         True,
         [("Depot", "Mill", 3), ("Mill", "Quay", 5), ("Quay", "Yard", 2)],
     )
@@ -385,31 +420,19 @@ def test_choose_algorithm_standalone():
     assert "exact" in out.choice.rationale
 
 
-PATH = build_graph(["Ash", "Birch", "Cedar"], True, True,
-                  [("Ash", "Birch", 2), ("Birch", "Cedar", 3), ("Ash", "Cedar", 9)])
-PATH_TEXT = problem_text(PATH, "shortest_path", "Ash", "Cedar")
+# two components: Ash and Birch, and Cedar alone
+SPLIT = build_graph(["Ash", "Birch", "Cedar"], True, [("Ash", "Birch", 2)])
 
 
 def test_solver_failure_is_named_solve():
-    # both route endpoints are nodes, but no directed edge leads back to Ash
+    # both route endpoints are nodes, but no edge leads from Cedar to Ash
     problem = "problem_type: shortest_path\nsource: Cedar\ntarget: Ash"
-    backend = StageScripted({"extract_graph": [graph_reply(serialize_graph(PATH), problem)]})
+    backend = StageScripted({"extract_graph": [graph_reply(serialize_graph(SPLIT), problem)]})
     with pytest.raises(PipelineError) as err:
-        run_pipeline(backend, PATH_TEXT)
+        run_pipeline(backend, problem_text(SPLIT, "shortest_path", "Cedar", "Ash"))
     assert err.value.stage == "solve"
     assert isinstance(err.value.__cause__, NoPathError)
     assert str(err.value) == "stage solve: no path from Cedar to Ash"
-    assert [c.stage for c in err.value.partial_calls] == EXTRACT_ONLY
-    assert [stage for stage, _ in backend.seen] == EXTRACT_ONLY
-
-
-def test_selector_failure_is_named_select():
-    incomplete = "# nodes: A B C\n# directed: false\n# weighted: true\nA B 1\nB C 2\n"
-    backend = StageScripted({"extract_graph": [graph_reply(incomplete)]})
-    with pytest.raises(PipelineError) as err:
-        run_pipeline(backend, TSP_TEXT)
-    assert err.value.stage == "select"
-    assert isinstance(err.value.__cause__, NoApplicableAlgorithmError)
     assert [c.stage for c in err.value.partial_calls] == EXTRACT_ONLY
     assert [stage for stage, _ in backend.seen] == EXTRACT_ONLY
 
@@ -465,11 +488,11 @@ def test_run_direct_failure_is_data_not_exception():
     assert len(outcome.calls) == 3
 
 
-STARS = build_graph(["A", "B", "C", "D", "E", "F"], False, False,
+STARS = build_graph(["A", "B", "C", "D", "E", "F"], False,
                     [("A", "C"), ("A", "D"), ("B", "E"), ("B", "F")])
-HOP = build_graph(["A", "B", "C"], False, True,
+HOP = build_graph(["A", "B", "C"], True,
                   [("A", "B", Fraction(7, 2)), ("B", "C", 1), ("A", "C", 5)])
-TRIANGLE = build_graph(["A", "B", "C"], False, False, [("A", "B"), ("B", "C"), ("A", "C")])
+TRIANGLE = build_graph(["A", "B", "C"], False, [("A", "B"), ("B", "C"), ("A", "C")])
 # per answer kind: a statement asking for that kind, and the stub's direct answer
 DIRECT_CASES = {
     "tour": (TSP_TEXT, ("Depot", "Mill", "Quay", "Yard"), 14),

@@ -1,7 +1,7 @@
 import pytest
 
 from graphcrew.dataset import build_instance
-from graphcrew.graph import GraphError, build_graph
+from graphcrew.graph import build_graph
 from graphcrew.problems import GRAPH_COLORING
 from graphcrew.solvers import coloring_dsatur, coloring_exact, verify_solution
 from graphcrew.solvers.coloring import _dsatur_order_colors
@@ -13,7 +13,7 @@ from util import catalogue_limit, gnp_graph, mixed_gnp_graphs, names_for
 def cycle_graph(n):
     names = names_for(n)
     edges = [(names[i], names[(i + 1) % n]) for i in range(n)]
-    return build_graph(names, False, False, edges)
+    return build_graph(names, False, edges)
 
 
 def test_known_chromatic_numbers():
@@ -21,7 +21,7 @@ def test_known_chromatic_numbers():
     assert coloring_exact(triangle).objective == 3
     assert coloring_exact(cycle_graph(5)).objective == 3
     assert coloring_exact(cycle_graph(6)).objective == 2
-    edgeless = build_graph(["A", "B", "C"], False, False, [])
+    edgeless = build_graph(["A", "B", "C"], False, [])
     assert coloring_exact(edgeless).objective == 1
     assert coloring_dsatur(edgeless).objective == 1
 
@@ -32,7 +32,7 @@ def test_petersen_graph_needs_three_colors():
     spokes = [(i, 5 + i) for i in range(5)]
     names = names_for(10)
     edges = [(names[a], names[b]) for a, b in outer + inner + spokes]
-    g = build_graph(names, False, False, edges)
+    g = build_graph(names, False, edges)
     sol = coloring_exact(g)
     assert sol.objective == 3
     assert verify_solution("graph_coloring", g, sol).valid
@@ -71,13 +71,6 @@ def test_deterministic_across_runs():
     g = gnp_graph(12, 0.35, seed=77)
     assert coloring_exact(g) == coloring_exact(g)
     assert coloring_dsatur(g) == coloring_dsatur(g)
-
-
-def test_input_rejections():
-    directed = build_graph(["A", "B"], True, False, [("A", "B")])
-    for solver in (coloring_exact, coloring_dsatur):
-        with pytest.raises(GraphError, match="^coloring needs an undirected graph$"):
-            solver(directed)
 
 
 @pytest.mark.parametrize("seed", [7, 8])

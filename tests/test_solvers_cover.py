@@ -1,7 +1,7 @@
 import pytest
 
 from graphcrew.dataset import build_instance
-from graphcrew.graph import GraphError, build_graph
+from graphcrew.graph import build_graph
 from graphcrew.problems import VERTEX_COVER
 from graphcrew.solvers import vertex_cover_approx, vertex_cover_exact, verify_solution
 
@@ -10,20 +10,20 @@ from util import catalogue_limit, gnp_graph, mixed_gnp_graphs, names_for
 
 
 def test_known_covers():
-    path = build_graph(["A", "B", "C", "D"], False, False, [("A", "B"), ("B", "C"), ("C", "D")])
+    path = build_graph(["A", "B", "C", "D"], False, [("A", "B"), ("B", "C"), ("C", "D")])
     sol = vertex_cover_exact(path)
     assert sol.objective == 2
     assert verify_solution("vertex_cover", path, sol).valid
 
     star = build_graph(
-        ["Hub", "X", "Y", "Z"], False, False, [("Hub", "X"), ("Hub", "Y"), ("Hub", "Z")]
+        ["Hub", "X", "Y", "Z"], False, [("Hub", "X"), ("Hub", "Y"), ("Hub", "Z")]
     )
     assert vertex_cover_exact(star).payload == ("Hub",)
 
-    triangle = build_graph(["A", "B", "C"], False, False, [("A", "B"), ("A", "C"), ("B", "C")])
+    triangle = build_graph(["A", "B", "C"], False, [("A", "B"), ("A", "C"), ("B", "C")])
     assert vertex_cover_exact(triangle).objective == 2
 
-    empty = build_graph(["A", "B"], False, False, [])
+    empty = build_graph(["A", "B"], False, [])
     assert vertex_cover_exact(empty).payload == ()
     assert vertex_cover_approx(empty).payload == ()
 
@@ -50,7 +50,6 @@ def test_factor_two_is_reached_on_a_square():
     square = build_graph(
         names,
         False,
-        False,
         [(names[0], names[1]), (names[1], names[2]), (names[2], names[3]), (names[0], names[3])],
     )
     assert vertex_cover_exact(square).objective == 2
@@ -67,13 +66,6 @@ def test_cover_payload_is_sorted():
     g = gnp_graph(12, 0.4, seed=8)
     for sol in (vertex_cover_exact(g), vertex_cover_approx(g)):
         assert list(sol.payload) == sorted(sol.payload)
-
-
-def test_input_rejections():
-    directed = build_graph(["A", "B"], True, False, [("A", "B")])
-    for solver in (vertex_cover_exact, vertex_cover_approx):
-        with pytest.raises(GraphError, match="^vertex cover needs an undirected graph$"):
-            solver(directed)
 
 
 @pytest.mark.parametrize("seed", [7, 8])

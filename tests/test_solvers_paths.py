@@ -13,7 +13,6 @@ from graphcrew.solvers import (
 from oracles import (
     bellman_ford_cost,
     best_paths_by_enumeration,
-    has_cycle_directed,
     has_cycle_undirected,
 )
 from util import gnp_graph, names_for
@@ -21,7 +20,7 @@ from util import gnp_graph, names_for
 
 def test_line_graph_path():
     g = build_graph(
-        ["A", "B", "C", "D"], False, True, [("A", "B", 2), ("B", "C", 3), ("C", "D", 4)]
+        ["A", "B", "C", "D"], True, [("A", "B", 2), ("B", "C", 3), ("C", "D", 4)]
     )
     sol = shortest_path_dijkstra(g, "A", "D")
     assert sol.payload == ("A", "B", "C", "D")
@@ -31,7 +30,7 @@ def test_line_graph_path():
 
 def test_tie_breaks_toward_lexicographic_path():
     diamond = build_graph(
-        ["A", "B", "C", "D"], False, True, [("A", "B", 1), ("B", "D", 1), ("A", "C", 1), ("C", "D", 1)]
+        ["A", "B", "C", "D"], True, [("A", "B", 1), ("B", "D", 1), ("A", "C", 1), ("C", "D", 1)]
     )
     assert shortest_path_dijkstra(diamond, "A", "D").payload == ("A", "B", "D")
 
@@ -63,20 +62,13 @@ def test_matches_bellman_ford_cost():
 
 
 def test_source_equals_target():
-    g = build_graph(["A", "B"], False, True, [("A", "B", 5)])
+    g = build_graph(["A", "B"], True, [("A", "B", 5)])
     sol = shortest_path_dijkstra(g, "A", "A")
     assert sol.payload == ("A",) and sol.objective == 0
 
 
-def test_directed_edges_are_one_way():
-    g = build_graph(["A", "B"], True, True, [("A", "B", 5)])
-    assert shortest_path_dijkstra(g, "A", "B").objective == 5
-    with pytest.raises(NoPathError):
-        shortest_path_dijkstra(g, "B", "A")
-
-
 def test_error_cases():
-    g = build_graph(["A", "B", "C"], False, True, [("A", "B", 1)])
+    g = build_graph(["A", "B", "C"], True, [("A", "B", 1)])
     with pytest.raises(NoPathError):
         shortest_path_dijkstra(g, "A", "C")
     with pytest.raises(UnknownEndpointError):
@@ -85,7 +77,7 @@ def test_error_cases():
 
 def test_fraction_costs():
     g = build_graph(
-        ["A", "B", "C"], False, True, [("A", "B", "1/2"), ("B", "C", "1/3"), ("A", "C", 1)]
+        ["A", "B", "C"], True, [("A", "B", "1/2"), ("B", "C", "1/3"), ("A", "C", 1)]
     )
     sol = shortest_path_dijkstra(g, "A", "C")
     assert sol.objective == Fraction(5, 6)
@@ -95,30 +87,26 @@ def test_fraction_costs():
 def test_cycle_known_cases():
     names = names_for(5)
     tree = build_graph(
-        names, False, False, [(names[0], names[i]) for i in range(1, 5)]
+        names, False, [(names[0], names[i]) for i in range(1, 5)]
     )
     assert detect_cycle(tree).payload is False
     assert detect_cycle(tree).objective == 0
 
     extra = build_graph(
-        names, False, False, [(names[0], names[i]) for i in range(1, 5)] + [(names[1], names[2])]
+        names, False, [(names[0], names[i]) for i in range(1, 5)] + [(names[1], names[2])]
     )
     assert detect_cycle(extra).payload is True
     assert detect_cycle(extra).objective == 1
 
-    ring = build_graph(["A", "B", "C"], True, False, [("A", "B"), ("B", "C"), ("C", "A")])
+    ring = build_graph(["A", "B", "C"], False, [("A", "B"), ("B", "C"), ("C", "A")])
     assert detect_cycle(ring).payload is True
 
-    dag = build_graph(["A", "B", "C"], True, False, [("A", "B"), ("A", "C"), ("B", "C")])
-    assert detect_cycle(dag).payload is False
-
-    two_way = build_graph(["A", "B"], True, False, [("A", "B"), ("B", "A")])
-    assert detect_cycle(two_way).payload is True
+    # an edge stated both ways round is one edge, not a cycle
+    two_way = build_graph(["A", "B"], False, [("A", "B"), ("B", "A")])
+    assert detect_cycle(two_way).payload is False
 
 
 def test_cycle_matches_oracles():
     for seed in range(20):
         ug = gnp_graph(9, 0.2, seed=4000 + seed)
         assert detect_cycle(ug).payload == has_cycle_undirected(ug)
-        dg = gnp_graph(7, 0.2, seed=5000 + seed, directed=True)
-        assert detect_cycle(dg).payload == has_cycle_directed(dg)

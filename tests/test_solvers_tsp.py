@@ -19,7 +19,6 @@ from util import complete_graph, names_for
 def square():
     return build_graph(
         ["A", "B", "C", "D"],
-        False,
         True,
         [("A", "B", 1), ("B", "C", 1), ("C", "D", 1), ("A", "D", 1), ("A", "C", 10), ("B", "D", 10)],
     )
@@ -36,7 +35,7 @@ def test_square_known_optimum():
 def test_equal_weight_k4_gives_identity_order():
     names = ["A", "B", "C", "D"]
     k4 = build_graph(
-        names, False, True, [(a, b, 1) for i, a in enumerate(names) for b in names[i + 1 :]]
+        names, True, [(a, b, 1) for i, a in enumerate(names) for b in names[i + 1 :]]
     )
     assert tsp_exact_held_karp(k4).payload == ("A", "B", "C", "D")
     # nearest neighbor ties go to the lower index
@@ -84,7 +83,7 @@ def test_exact_solver_agrees_with_milp_on_fractions():
             (g.node_names[u], g.node_names[v], Fraction(w, (1, 2, 3, 7)[(u * v) % 4]))
             for u, v, w in g.edges
         ]
-        h = build_graph(g.node_names, False, True, edges)
+        h = build_graph(g.node_names, True, edges)
         assert tsp_exact_held_karp(h).objective == milp_tour_cost(h)
 
 
@@ -118,7 +117,6 @@ def test_fraction_weights_stay_exact():
     names = ["A", "B", "C", "D"]
     g = build_graph(
         names,
-        False,
         True,
         [
             ("A", "B", "1/3"), ("A", "C", "1/3"), ("A", "D", 1),
@@ -138,7 +136,7 @@ def test_fraction_weights_with_unlike_denominators():
             (g.node_names[u], g.node_names[v], Fraction(w, denominators[(u + v) % 4]))
             for u, v, w in g.edges
         ]
-        h = build_graph(g.node_names, False, True, edges)
+        h = build_graph(g.node_names, True, edges)
         sol = tsp_exact_held_karp(h)
         assert sol.objective == held_karp_tour_cost(h) == tour_cost(h, sol.payload)
         assert verify_solution("tsp", h, sol).valid
@@ -147,7 +145,7 @@ def test_fraction_weights_with_unlike_denominators():
 def test_all_equal_weights_return_identity_tour_at_once(monkeypatch):
     names = names_for(12)
     k12 = build_graph(
-        names, False, True, [(a, b, 7) for i, a in enumerate(names) for b in names[i + 1 :]]
+        names, True, [(a, b, 7) for i, a in enumerate(names) for b in names[i + 1 :]]
     )
     bounds = []
     one_tree = tsp_module._one_tree
@@ -181,21 +179,13 @@ def test_tour_direction_is_canonical():
 
 
 def test_input_rejections():
-    incomplete = build_graph(["A", "B", "C"], False, True, [("A", "B", 1), ("B", "C", 1)])
+    incomplete = build_graph(["A", "B", "C"], True, [("A", "B", 1), ("B", "C", 1)])
     for solver in (tsp_exact_held_karp, tsp_nearest_neighbor_two_opt):
         with pytest.raises(SolverInputError, match="3 nodes and 2 edges is not complete"):
             solver(incomplete)
-    tiny = build_graph(["A", "B"], False, True, [("A", "B", 1)])
+    tiny = build_graph(["A", "B"], True, [("A", "B", 1)])
     with pytest.raises(GraphError):
         tsp_exact_held_karp(tiny)
-    directed = build_graph(
-        ["A", "B", "C"],
-        True,
-        True,
-        [("A", "B", 1), ("B", "A", 1), ("B", "C", 1), ("C", "B", 1), ("A", "C", 1), ("C", "A", 1)],
-    )
-    with pytest.raises(GraphError):
-        tsp_exact_held_karp(directed)
 
 
 def test_equal_cost_penalized_tour_never_replaces_the_seed(monkeypatch):

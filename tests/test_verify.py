@@ -16,7 +16,7 @@ from graphcrew.solvers.solution import canonical_coloring, canonical_tour
 def k4():
     names = ["A", "B", "C", "D"]
     return build_graph(
-        names, False, True, [(a, b, 1) for i, a in enumerate(names) for b in names[i + 1 :]]
+        names, True, [(a, b, 1) for i, a in enumerate(names) for b in names[i + 1 :]]
     )
 
 
@@ -33,14 +33,14 @@ def test_tour_checks():
     report = verify_solution("tsp", g, wrong_cost)
     assert not report.valid and "edges sum to 4" in report.violations[0]
 
-    sparse = build_graph(["A", "B", "C"], False, True, [("A", "B", 1), ("B", "C", 1)])
+    sparse = build_graph(["A", "B", "C"], True, [("A", "B", 1), ("B", "C", 1)])
     missing = Solution("tour", ("A", "B", "C"), 2, "held_karp", True)
     report = verify_solution("tsp", sparse, missing)
     assert not report.valid and "no edge C-A" in report.violations
 
 
 def test_coloring_checks():
-    g = build_graph(["A", "B", "C"], False, False, [("A", "B"), ("B", "C")])
+    g = build_graph(["A", "B", "C"], False, [("A", "B"), ("B", "C")])
     good = Solution("coloring", {"A": 0, "B": 1, "C": 0}, 2, "dsatur", False)
     assert verify_solution("graph_coloring", g, good).valid
 
@@ -58,7 +58,7 @@ def test_coloring_checks():
 
 
 def test_cover_checks():
-    g = build_graph(["A", "B", "C"], False, False, [("A", "B"), ("B", "C")])
+    g = build_graph(["A", "B", "C"], False, [("A", "B"), ("B", "C")])
     good = Solution("node_set", ("B",), 1, "bnb_cover", True)
     assert verify_solution("vertex_cover", g, good).valid
 
@@ -72,7 +72,7 @@ def test_cover_checks():
 
 
 def test_path_checks():
-    g = build_graph(["A", "B", "C"], False, True, [("A", "B", 2), ("B", "C", 3)])
+    g = build_graph(["A", "B", "C"], True, [("A", "B", 2), ("B", "C", 3)])
     good = Solution("path", ("A", "B", "C"), 5, "dijkstra", True)
     assert verify_solution("shortest_path", g, good, source="A", target="C").valid
 
@@ -89,7 +89,7 @@ def test_path_checks():
 
 
 def test_boolean_checks():
-    g = build_graph(["A", "B"], False, False, [("A", "B")])
+    g = build_graph(["A", "B"], False, [("A", "B")])
     assert verify_solution("cycle_detection", g, Solution("boolean", False, 0, "cycle_check", True)).valid
     off = Solution("boolean", True, 0, "cycle_check", True)
     assert not verify_solution("cycle_detection", g, off).valid

@@ -29,25 +29,22 @@ def complete_graph(n, seed, low=1, high=100):
         for i in range(n)
         for j in range(i + 1, n)
     ]
-    return build_graph(names, False, True, edges)
+    return build_graph(names, True, edges)
 
 
-def gnp_graph(n, p, seed, weighted=False, directed=False, connected=False):
+def gnp_graph(n, p, seed, weighted=False, connected=False):
     rng = random.Random(seed)
     names = names_for(n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     while True:
         edges = []
-        if directed:
-            pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        else:
-            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         for i, j in pairs:
             if rng.random() < p:
                 if weighted:
                     edges.append((names[i], names[j], rng.randint(1, 100)))
                 else:
                     edges.append((names[i], names[j]))
-        g = build_graph(names, directed, weighted, edges)
+        g = build_graph(names, weighted, edges)
         if not connected or is_connected(g):
             return g
 
