@@ -5,8 +5,9 @@ replies with the problem family and route endpoints, plus an edge-list
 transcription of the statement, in one reply.  Everything after it is
 deterministic: the route table's selector chooses one route, the native
 solver answers and :func:`verify_solution` checks the answer; no model
-reply can change these decisions, and a solver's refusal or an answer
-that fails verification fails the instance as ``solve``.
+reply can change these decisions, and a solver that finds no answer
+(no path between the endpoints) or an answer that fails verification
+fails the instance as ``solve``.
 
 One ask loop (:func:`_ask`) makes every model call, here and in the
 direct baseline.  A reply that lacks one of the stage's fenced blocks
@@ -18,10 +19,11 @@ twice; an unreadable line, a conflicting weight, an endpoint outside
 the roster, a graph declared one-way (every connection a statement
 gives runs both ways), an empty list, a ``shortest_path`` block without
 both route endpoints, a route endpoint the list does not hold or a
-graph that no route fits (a tour's graph with a pair left out, say) is
-retried with the reader's or the selector's own message.  Every failure
-of an instance is one :class:`PipelineError`, named after the failing
-stage, whose ``partial_calls`` lists every call made.
+graph that no route fits (a tour's graph with a pair left out, or of
+fewer than 3 nodes, say) is retried with the reader's or the selector's
+own message.  Every failure of an instance is one
+:class:`PipelineError`, named after the failing stage, whose
+``partial_calls`` lists every call made.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from ..formats import parse_graph
 from ..graph import Graph, GraphError
 from ..knowledge import AlgorithmChoice, NoApplicableAlgorithmError, select_algorithm
 from ..problems import PROBLEM_TYPES, SHORTEST_PATH
-from ..solvers import Solution, SolverInputError, verify_solution
+from ..solvers import Solution, verify_solution
 from .backends import BackendError, ChatBackend
 from .blocks import RejectReply, extract_block, parse_fields
 from .prompts import TAGS, render_stage
@@ -194,17 +196,14 @@ def _explain(solution: Solution, graph: Graph, problem_type: str) -> str:
 
 
 def _solve(choice: AlgorithmChoice, graph: Graph, spec: ProblemSpec) -> Solution:
-    """The chosen route's answer, verified; a solver's refusal or an
-    answer that fails verification fails the instance as ``solve``, with
-    no other route in its place."""
+    """The chosen route's answer, verified.  The route table has already
+    judged the graph fit for the route, so the solver is not asked to
+    judge it again; no path between the route endpoints, or an answer
+    that fails verification, fails the instance as ``solve``, with no
+    other route in its place."""
     chosen = choice.record.algorithm_id
     try:
         solution = run_algorithm(choice.record, graph, source=spec.source, target=spec.target)
-    except SolverInputError as exc:
-        raise PipelineError(
-            "solve",
-            f"{chosen} rejected the graph ({exc}); choice rationale was: {choice.rationale}",
-        ) from exc
     except GraphError as exc:  # no path between the route endpoints, say
         raise PipelineError("solve", str(exc)) from exc
     report = verify_solution(spec.problem_type, graph, solution,

@@ -1,6 +1,6 @@
 """Seeded benchmark generation: hidden graphs wrapped in prose."""
 
-from .names import generate_names, load_reserved_words
+from .names import generate_names
 from .text import SCENARIO_STYLES, render_problem_text
 from .extract import ExtractedProblem, ExtractionError, reference_extract
 from .generate import (
@@ -44,7 +44,6 @@ __all__ = [
     "instance_seed",
     "instance_to_record",
     "json_line",
-    "load_reserved_words",
     "read_instances",
     "record_to_instance",
     "reference_extract",

@@ -4,16 +4,16 @@ Names are built from syllables so they read as plausible proper nouns
 without ever colliding with the vocabulary used by the prose templates.
 A collision would be poison: if a node were called "Depot" the sentence
 "the courier leaves the depot" would suddenly contain a node reference
-that no extractor could tell apart from flavour text.  The bundled
-reserved-word list holds every word the templates can emit, and the
-generator rejects any name that lands on it.
+that no extractor could tell apart from flavour text.  The generator
+rejects any name in :data:`~graphcrew.dataset.text.RESERVED_WORDS`,
+which is read from the templates themselves: every word they can emit.
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache
-from importlib import resources
+
+from .text import RESERVED_WORDS
 
 _ONSETS = (
     "b", "br", "c", "cl", "d", "dr", "f", "fl", "g", "gr",
@@ -26,19 +26,6 @@ _CODAS = ("", "", "", "n", "r", "l", "s", "th", "x", "m")
 # generated names stay within these bounds
 MIN_LENGTH = 4
 MAX_LENGTH = 10
-
-
-@lru_cache(maxsize=1)
-def load_reserved_words() -> frozenset[str]:
-    """Words generated names must avoid, lowercased."""
-    text = resources.files("graphcrew.data").joinpath("reserved_words.txt").read_text("utf-8")
-    words = set()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        words.add(line.lower())
-    return frozenset(words)
 
 
 def _candidate(rng: random.Random) -> str:
@@ -59,7 +46,6 @@ def generate_names(count: int, rng: random.Random) -> list[str]:
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    reserved = load_reserved_words()
     names: list[str] = []
     seen: set[str] = set()
     while len(names) < count:
@@ -67,7 +53,7 @@ def generate_names(count: int, rng: random.Random) -> list[str]:
         if not (MIN_LENGTH <= len(name) <= MAX_LENGTH):
             continue
         key = name.lower()
-        if key in seen or key in reserved:
+        if key in seen or key in RESERVED_WORDS:
             continue
         seen.add(key)
         names.append(name)

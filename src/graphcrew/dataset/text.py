@@ -9,13 +9,17 @@ halves of the same contract, and a test pins them together.
 Noise is additive only.  Distractor sentences carry numbers on purpose
 (years, fees, head counts) but never match an edge template, so a
 structure-aware reader loses nothing while a sloppy one gets tempted.
+
+:data:`RESERVED_WORDS` is read from the templates themselves: every word
+any of them can emit, so a generated node name that avoids it can never
+be confused with the prose around it.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from ..graph import Graph, format_weight
 from ..problems import (
@@ -277,6 +281,34 @@ _QUESTIONS = {
         "{link_noun}? Answer yes or no."
     ),
 }
+
+
+def _strings(value: object) -> list[str]:
+    """The strings in a template field, nested tuples included."""
+    if isinstance(value, str):
+        return [value]
+    if isinstance(value, tuple):
+        return [text for item in value for text in _strings(item)]
+    return []
+
+
+def _emitted_texts() -> list[str]:
+    # every style field but the ``scenario`` id, which no sentence emits
+    texts = list(_QUESTIONS.values())
+    for style in SCENARIO_STYLES.values():
+        texts.append(style.unit_singular)
+        for field in fields(ScenarioStyle):
+            if field.name != "scenario":
+                texts += _strings(getattr(style, field.name))
+    return texts
+
+
+# every word the templates can emit, lowercased, slots left out
+RESERVED_WORDS: frozenset[str] = frozenset(
+    word
+    for text in _emitted_texts()
+    for word in re.findall(r"[a-z]+", re.sub(r"\{[a-z_]+\}", " ", text).lower())
+)
 
 ROUTE_QUESTION_PATTERN = re.compile(r"route from ([A-Za-z]+) to ([A-Za-z]+)")
 

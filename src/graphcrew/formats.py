@@ -91,8 +91,9 @@ def _scan(text: str) -> tuple[list[str] | None, bool, list[tuple[str, str, Weigh
         match = _HEADER_RE.match(line)
         if match is None:
             raise ParseError(f"bad header line {line!r}", lineno)
-        key, value = match.group(1), match.group(2).strip()
-        column = raw.index(":") + 2
+        key, value = match.group(1), match.group(2)
+        # where the value starts, or just after the colon when it is empty
+        column = raw.index("#") + match.start(2) + 1
         if key == "nodes":
             names = value.split()
             if not names:

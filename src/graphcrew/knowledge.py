@@ -2,8 +2,10 @@
 
 :data:`ROUTES` lists every solving route: its problem family, whether it
 proves an optimum, the graphs it applies to and the solver it runs.
-Every graph is undirected, so a row limits only size, completeness and
-weightedness.
+Every graph is undirected, so a row limits only size (a tour needs at
+least 3 nodes), completeness and weightedness; a graph a row admits is
+one its solver can take, so the solvers check no preconditions of their
+own.
 Selection is a pure function of the table and the graph, so the same
 graph always yields the same choice with the same stated rationale.
 Raising a node limit is a one-line edit of its row.
@@ -43,6 +45,7 @@ class Route:
     exact: bool
     max_nodes: int
     solve: Callable[..., Solution]
+    min_nodes: int = 0
     requires_complete: bool = False
     requires_weighted: bool = False
 
@@ -51,10 +54,10 @@ class Route:
 # fits a graph is the one that runs, so each family lists its exact route first
 ROUTES: tuple[Route, ...] = (
     Route("held_karp", TSP, exact=True, max_nodes=25, solve=tsp_exact_held_karp,
-          requires_complete=True, requires_weighted=True),
+          min_nodes=3, requires_complete=True, requires_weighted=True),
     Route("nearest_neighbor_2opt", TSP, exact=False, max_nodes=1000,
           solve=tsp_nearest_neighbor_two_opt,
-          requires_complete=True, requires_weighted=True),
+          min_nodes=3, requires_complete=True, requires_weighted=True),
     Route("exact_coloring", GRAPH_COLORING, exact=True, max_nodes=25, solve=coloring_exact),
     Route("dsatur", GRAPH_COLORING, exact=False, max_nodes=1000, solve=coloring_dsatur),
     Route("bnb_cover", VERTEX_COVER, exact=True, max_nodes=30, solve=vertex_cover_exact),
@@ -76,6 +79,8 @@ def applicability_reason(route: Route, graph: Graph) -> str | None:
     """Why this route cannot run on this graph, or None if it can."""
     if graph.node_count > route.max_nodes:
         return f"{graph.node_count} nodes exceeds its limit of {route.max_nodes}"
+    if graph.node_count < route.min_nodes:
+        return f"{graph.node_count} nodes is below its minimum of {route.min_nodes}"
     if route.requires_complete and not graph.is_complete:
         return "the graph is not complete"
     if route.requires_weighted and not graph.weighted:

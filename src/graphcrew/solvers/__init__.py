@@ -3,7 +3,6 @@
 from .solution import (
     KindMismatchError,
     Solution,
-    SolverInputError,
     ValidityReport,
     solution_from_dict,
     solution_to_dict,
@@ -19,7 +18,6 @@ __all__ = [
     "KindMismatchError",
     "NoPathError",
     "Solution",
-    "SolverInputError",
     "ValidityReport",
     "coloring_dsatur",
     "coloring_exact",

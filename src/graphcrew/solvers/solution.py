@@ -30,10 +30,6 @@ from ..graph import Graph, Weight, coerce_weight, format_weight
 from ..problems import BOOLEAN, COLORING, KIND_BY_PROBLEM, NODE_SET, PATH, TOUR
 
 
-class SolverInputError(ValueError):
-    """A solver was handed a graph outside its preconditions."""
-
-
 class KindMismatchError(ValueError):
     """Solution kind does not fit the problem type under verification."""
 

@@ -1,4 +1,5 @@
-"""Tour solvers for complete undirected graphs.
+"""Tour solvers for complete undirected graphs of at least 3 nodes, the
+only graphs the tour rows of the route table admit.
 
 Exact route: branch and bound over the Held-Karp 1-tree Lagrangian bound
 (Held & Karp, 1971; branching after Volgenant & Jonker, 1982).  Its
@@ -18,9 +19,9 @@ from __future__ import annotations
 
 import math
 
-from ..graph import Graph, GraphError, Weight
+from ..graph import Graph, Weight
 from ..problems import TOUR
-from .solution import Solution, SolverInputError, canonical_tour
+from .solution import Solution, canonical_tour
 
 _FORCED = float("-inf")
 _BANNED = float("inf")
@@ -34,16 +35,6 @@ _CHILD_ASCENT = (20, 3, False)
 # Root ascent steps between two penalized-cost tours, counted from the
 # first halving of the step size
 _TOUR_PERIOD = 10
-
-
-def _require_tour_input(graph: Graph) -> None:
-    n = graph.node_count
-    if n < 3:
-        raise GraphError(f"a tour needs at least 3 nodes, got {n}")
-    if not graph.is_complete:
-        raise SolverInputError(
-            f"graph with {n} nodes and {graph.edge_count} edges is not complete"
-        )
 
 
 def _matrix(graph: Graph) -> list[list[Weight]]:
@@ -113,7 +104,6 @@ def _nearest_neighbor_two_opt(m: list[list]) -> list[int]:
 
 def tsp_nearest_neighbor_two_opt(graph: Graph) -> Solution:
     """Nearest neighbor tour from node 0 polished by 2-opt; the standard fast route."""
-    _require_tour_input(graph)
     m = _matrix(graph)
     order = _nearest_neighbor_two_opt(m)
     return _tour_solution(graph, m, order, "nearest_neighbor_2opt", exact=False)
@@ -406,7 +396,6 @@ def tsp_exact_held_karp(graph: Graph) -> Solution:
     found first and repeated runs return identical tours.  The search
     has no node or time cap: the answer is always proven optimal.
     """
-    _require_tour_input(graph)
     m = _matrix(graph)
     tour = _branch_and_bound(_integer_matrix(m), _nearest_neighbor_two_opt(m))
     return _tour_solution(graph, m, tour, "held_karp", exact=True)

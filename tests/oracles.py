@@ -458,7 +458,9 @@ def scan_edge_list(text):
         if match is None:
             return ParseError(f"bad header line {line!r}", lineno)
         key, value = match.group(1), match.group(2).strip()
-        column = raw.index(":") + 2
+        # the value's first character, or the one after the colon when it is empty
+        colon = raw.index(":")
+        column = raw.index(value, colon) + 1 if value else colon + 2
         if key == "nodes":
             names = value.split()
             if not names:

@@ -14,7 +14,6 @@ from graphcrew.dataset import (
     generate_names,
     instance_seed,
     instance_to_record,
-    load_reserved_words,
     read_instances,
     record_to_instance,
     write_instances,
@@ -22,13 +21,15 @@ from graphcrew.dataset import (
 )
 from graphcrew.dataset.names import MAX_LENGTH, MIN_LENGTH
 from graphcrew.dataset.records import dataset_manifest, file_checksum
-from graphcrew.dataset.text import SCENARIO_STYLES, _QUESTIONS, render_problem_text
+from graphcrew.dataset.text import RESERVED_WORDS, SCENARIO_STYLES, render_problem_text
 from graphcrew.graph import is_connected
 from graphcrew.knowledge import ROUTES
 from graphcrew.problems import (
     CYCLE_DETECTION,
     GRAPH_COLORING,
+    NOISE_LEVELS,
     PROBLEM_TYPES,
+    SCENARIOS,
     SHORTEST_PATH,
     TSP,
     VERTEX_COVER,
@@ -60,9 +61,8 @@ class TestNames:
             assert MIN_LENGTH <= len(name) <= MAX_LENGTH
 
     def test_never_reserved(self):
-        reserved = load_reserved_words()
         for name in generate_names(500, random.Random(3)):
-            assert name.lower() not in reserved
+            assert name.lower() not in RESERVED_WORDS
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
@@ -70,34 +70,22 @@ class TestNames:
 
 
 class TestReservedWords:
-    def test_templates_covered(self):
-        """Every word a template can emit must be on the reserved list."""
-        reserved = load_reserved_words()
-        vocabulary = set()
-
-        def add(template: str) -> None:
-            cleaned = re.sub(r"\{[a-z_]+\}", " ", template)
-            vocabulary.update(re.findall(r"[A-Za-z]+", cleaned.lower()))
-
-        for style in SCENARIO_STYLES.values():
-            add(style.roster_template)
-            add(style.edge_weighted)
-            add(style.edge_unweighted)
-            for text in style.framings + style.descriptions + style.fillers:
-                add(text)
-            for text, _, _ in style.distractors:
-                add(text)
-            for field in (
-                "node_noun", "node_noun_plural", "link_noun", "link_noun_plural",
-                "unit", "agent", "monitor_plural", "slot_noun", "slot_noun_plural",
-            ):
-                add(getattr(style, field))
-            vocabulary.add(style.unit_singular)
-        for question in _QUESTIONS.values():
-            add(question)
-
-        missing = vocabulary - reserved
-        assert not missing, f"templates emit unreserved words: {sorted(missing)}"
+    def test_rendered_words_are_reserved_and_names_are_not(self):
+        """Over every family, scenario and noise level at both ends of the
+        sweep, each word of a statement is a node name or a reserved word,
+        never both; the grid emits every reserved word, so the set holds
+        exactly what the templates emit."""
+        emitted = set()
+        for problem_type in PROBLEM_TYPES:
+            for n in (8, 25):
+                for scenario in SCENARIOS:
+                    for noise in NOISE_LEVELS:
+                        inst = build_instance(problem_type, n, 0, 7, noise, scenario)
+                        names = {name.lower() for name in inst.graph.node_names}
+                        assert not names & RESERVED_WORDS
+                        words = {w.lower() for w in re.findall(r"[A-Za-z]+", inst.text)}
+                        emitted |= words - names
+        assert emitted == RESERVED_WORDS
 
 
 class TestRendering:
@@ -296,7 +284,7 @@ class TestRecords:
         (lambda hidden: hidden["truth"]["optimal"].pop("kind"), "(KeyError: 'kind')"),
         (lambda hidden: hidden.update(graph=hidden["graph"].replace("weighted: true",
                                                                      "weighted: yes")),
-         "(ParseError: line 2, column 12: expected 'true' or 'false', got 'yes')"),
+         "(ParseError: line 2, column 13: expected 'true' or 'false', got 'yes')"),
         (lambda hidden: hidden.update(truth=5),
          "(TypeError: 'int' object is not subscriptable)"),
     ], ids=["truth-without-kind", "bad-hidden-graph", "truth-not-an-object"])

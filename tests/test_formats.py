@@ -48,11 +48,12 @@ def test_serialization_is_byte_stable(parts):
 
 
 def test_directed_header_other_than_false_is_refused_at_its_value():
-    for value in ("true", "maybe", ""):
+    # the column is the value's own, or just after the colon when it is empty
+    for value, column in (("true", 14), ("maybe", 14), ("", 13)):
         with pytest.raises(ParseError) as err:
             parse_graph(f"# nodes: A B\n#  directed: {value}\nA B 1\n")
         assert str(err.value) == (
-            "line 2, column 13: every connection a statement gives runs both ways, "
+            f"line 2, column {column}: every connection a statement gives runs both ways, "
             f"so the graph cannot be directed (got {value!r})")
 
 
@@ -116,7 +117,7 @@ def test_parse_reports_problems_in_line_order():
     assert str(err.value) == "line 2, column 1: expected 'U V' or 'U V W', got 'A B 1 9'"
     with pytest.raises(ParseError) as err:
         parse_graph(text.replace("A B 1 9", "A B 1"))
-    assert str(err.value) == "line 3, column 14: expected 'true' or 'false', got 'maybe'"
+    assert str(err.value) == "line 3, column 15: expected 'true' or 'false', got 'maybe'"
     # an unreadable line anywhere comes before an endpoint missing from the roster
     with pytest.raises(ParseError) as err:
         parse_graph("# nodes: A B\nA C 1\nA B x\n")

@@ -106,6 +106,17 @@ def test_selector_rejects_structurally_wrong_graphs():
         select_algorithm("tsp", unweighted_k4)
 
 
+def test_tour_rows_need_three_nodes_and_every_pair():
+    incomplete = build_graph(["A", "B", "C"], True, [("A", "B", 1), ("B", "C", 1)])
+    tiny = build_graph(["A", "B"], True, [("A", "B", 1)])
+    for row in family_routes("tsp"):
+        assert applicability_reason(row, incomplete) == "the graph is not complete"
+        assert applicability_reason(row, tiny) == "2 nodes is below its minimum of 3"
+        assert applicability_reason(row, complete_graph(3, seed=1)) is None
+    with pytest.raises(NoApplicableAlgorithmError, match="2 nodes is below its minimum of 3"):
+        select_algorithm("tsp", tiny)
+
+
 def test_applicability_reason_is_checkable_alone():
     hk = route("held_karp")
     names = [f"N{i:02d}" for i in range(10)]

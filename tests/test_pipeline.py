@@ -286,7 +286,7 @@ FAULTY_REPLIES = {
     "declared-directed": (
         ROUTE_TEXT,
         route_reply(ROUTE.replace("# directed: false", "# directed: true")),
-        "the edge list could not be read (line 2, column 12: every connection a statement "
+        "the edge list could not be read (line 2, column 13: every connection a statement "
         "gives runs both ways, so the graph cannot be directed (got 'true'))",
     ),
     "pair-dropped": (
@@ -295,6 +295,13 @@ FAULTY_REPLIES = {
         "no route can solve the edge list (no applicable algorithm for tsp on 4 nodes "
         "(held_karp: the graph is not complete; nearest_neighbor_2opt: the graph is not "
         "complete))",
+    ),
+    "two-node-tour": (
+        TSP_TEXT,
+        graph_reply("# nodes: Depot Mill\n# weighted: true\nDepot Mill 3\n"),
+        "no route can solve the edge list (no applicable algorithm for tsp on 2 nodes "
+        "(held_karp: 2 nodes is below its minimum of 3; nearest_neighbor_2opt: 2 nodes is "
+        "below its minimum of 3))",
     ),
     "weights-dropped": (
         TSP_TEXT,
@@ -362,9 +369,10 @@ def patch_route(monkeypatch, algorithm_id, **changes):
         replace(r, **changes) if r.algorithm_id == algorithm_id else r for r in ROUTES))
 
 
-def test_solver_rejection_surfaces_with_rationale(monkeypatch):
-    # A route that forgets the completeness requirement sends an
-    # incomplete graph into the exact tour solver, which refuses it.
+def test_route_without_its_completeness_condition_fails_verification(monkeypatch):
+    # The route table alone judges a graph: a row that forgets the
+    # completeness requirement sends an incomplete graph into the exact
+    # tour solver, whose tour then fails verification.
     incomplete = build_graph(
         ["Depot", "Mill", "Quay", "Yard"],
         True,
@@ -374,8 +382,9 @@ def test_solver_rejection_surfaces_with_rationale(monkeypatch):
     with pytest.raises(PipelineError) as err:
         run_pipeline(OracleStubBackend(), problem_text(incomplete, "tsp"))
     assert err.value.stage == "solve"
-    assert "held_karp rejected the graph" in str(err.value)
-    assert "not complete" in str(err.value) and "rationale" in str(err.value)
+    assert str(err.value) == ("stage solve: held_karp answer failed verification "
+                              "(no edge Mill-Yard; no edge Quay-Depot)")
+    assert [c.stage for c in err.value.partial_calls] == EXTRACT_ONLY
 
 
 def test_unverifiable_answer_fails_as_solve(monkeypatch):

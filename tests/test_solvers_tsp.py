@@ -3,9 +3,8 @@ from fractions import Fraction
 import pytest
 
 from graphcrew.dataset import build_instance
-from graphcrew.graph import GraphError, build_graph
+from graphcrew.graph import build_graph
 from graphcrew.solvers import (
-    SolverInputError,
     tsp_exact_held_karp,
     tsp_nearest_neighbor_two_opt,
     verify_solution,
@@ -176,16 +175,6 @@ def test_tour_direction_is_canonical():
         g = complete_graph(7, seed=300 + seed)
         for sol in (tsp_exact_held_karp(g), tsp_nearest_neighbor_two_opt(g)):
             assert sol.payload[1] < sol.payload[-1]
-
-
-def test_input_rejections():
-    incomplete = build_graph(["A", "B", "C"], True, [("A", "B", 1), ("B", "C", 1)])
-    for solver in (tsp_exact_held_karp, tsp_nearest_neighbor_two_opt):
-        with pytest.raises(SolverInputError, match="3 nodes and 2 edges is not complete"):
-            solver(incomplete)
-    tiny = build_graph(["A", "B"], True, [("A", "B", 1)])
-    with pytest.raises(GraphError):
-        tsp_exact_held_karp(tiny)
 
 
 def test_equal_cost_penalized_tour_never_replaces_the_seed(monkeypatch):
