@@ -17,12 +17,12 @@ from .backends import (
     whitespace_token_count,
 )
 from .blocks import extract_block, parse_fields
-from .direct import DirectOutcome, run_direct
+from .direct import run_direct
 from .pipeline import (
     CallRecord,
+    Outcome,
     PipelineError,
     ProblemSpec,
-    SolveOutcome,
     run_pipeline,
 )
 
@@ -33,15 +33,14 @@ __all__ = [
     "ChatBackend",
     "Completion",
     "ConfigError",
-    "DirectOutcome",
     "LiveChatBackend",
     "OracleStubBackend",
+    "Outcome",
     "PriceConfig",
     "PipelineError",
     "ProblemSpec",
     "RecordingBackend",
     "ReplayBackend",
-    "SolveOutcome",
     "Usage",
     "extract_block",
     "load_backend_config",

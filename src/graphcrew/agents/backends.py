@@ -26,11 +26,11 @@ import urllib.request
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Protocol, runtime_checkable
+from typing import Any, Protocol
 
 import yaml
 
-from ..dataset import exact_route, reference_extract
+from ..dataset import exact_route, read_jsonl, reference_extract
 from ..execute import run_algorithm
 from ..formats import serialize_graph
 from .blocks import answer_lines
@@ -57,10 +57,7 @@ class Completion:
     usage: Usage
 
 
-@runtime_checkable
 class ChatBackend(Protocol):
-    backend_id: str
-
     def complete(
         self, system_prompt: str, user_prompt: str, params: dict[str, Any] | None = None
     ) -> Completion:
@@ -215,7 +212,6 @@ class LiveChatBackend:
             )
         self._key = key
         self._config = config
-        self.backend_id = f"live:{config.model}"
 
     def complete(self, system_prompt, user_prompt, params=None):
         config = self._config
@@ -261,18 +257,17 @@ class LiveChatBackend:
 class ReplayBackend:
     """Serves previously recorded replies; a prompt it has not seen fails."""
 
-    backend_id = "replay"
-
     def __init__(self, fixtures_path: str | Path):
         path = Path(fixtures_path)
         if not path.is_file():
             raise ConfigError(f"fixtures file {path} does not exist")
         self._replies: dict[str, tuple[str, int, int]] = {}
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-            if not line.strip():
-                continue
+        try:
+            entries = list(read_jsonl(path))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        for lineno, entry in entries:
             try:
-                entry = json.loads(line)
                 text, counts = entry["text"], (entry["input_tokens"], entry["output_tokens"])
                 if not isinstance(text, str):
                     raise TypeError(f"text must be a string, got {text!r}")
@@ -280,7 +275,7 @@ class ReplayBackend:
                     raise ValueError(f"token counts must be non-negative integers, got {counts}")
                 self._replies[entry["key"]] = (text, *counts)
             except (ValueError, KeyError, TypeError) as exc:
-                raise ConfigError(f"{path}:{lineno}: bad fixture line: {exc}") from exc
+                raise ConfigError(f"{path}: line {lineno}: bad fixture line: {exc}") from exc
 
     def complete(self, system_prompt, user_prompt, params=None):
         key = _fixture_key(system_prompt, user_prompt, params)
@@ -302,7 +297,6 @@ class RecordingBackend:
         self._path = Path(fixtures_path)
         self._path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        self.backend_id = f"record({inner.backend_id})"
 
     def complete(self, system_prompt, user_prompt, params=None):
         completion = self._inner.complete(system_prompt, user_prompt, params)
@@ -335,8 +329,6 @@ class OracleStubBackend:
     contract a live model is asked for, so the pipeline cannot tell the
     difference.
     """
-
-    backend_id = "stub"
 
     def _reply(self, stage: str, user: str) -> tuple[str, ...]:
         """The reply's block bodies for ``stage``, one per tag in ``TAGS[stage]``."""

@@ -10,25 +10,15 @@ measured quantity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..solvers import Solution
 from .backends import ChatBackend
 from .blocks import read_answer
-from .pipeline import CallRecord, PipelineError, _ask
+from .pipeline import CallRecord, Outcome, PipelineError, _ask
 from .prompts import cot_directive
 
 MODES = ("direct", "cot")
 
 
-@dataclass(frozen=True)
-class DirectOutcome:
-    solution: Solution | None
-    failure: str | None
-    calls: tuple[CallRecord, ...]
-
-
-def run_direct(backend: ChatBackend, problem_text: str, mode: str = "direct") -> DirectOutcome:
+def run_direct(backend: ChatBackend, problem_text: str, mode: str = "direct") -> Outcome:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {', '.join(MODES)}, got {mode!r}")
     algorithm_id = "direct" if mode == "direct" else "direct_cot"
@@ -43,5 +33,5 @@ def run_direct(backend: ChatBackend, problem_text: str, mode: str = "direct") ->
             lambda body: read_answer(body, algorithm_id),
         )
     except PipelineError as exc:
-        return DirectOutcome(solution=None, failure=str(exc), calls=tuple(calls))
-    return DirectOutcome(solution=solution, failure=None, calls=tuple(calls))
+        return Outcome(tuple(calls), failure=str(exc), stage=exc.stage)
+    return Outcome(tuple(calls), solution=solution)

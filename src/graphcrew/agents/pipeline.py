@@ -13,7 +13,10 @@ One ask loop (:func:`_ask`) makes every model call, here and in the
 direct baseline.  A reply that lacks one of the stage's fenced blocks
 (``TAGS`` in :mod:`.prompts`), or that its validator rejects, is
 retried with a reason that names the block, up to ``MAX_ATTEMPTS``
-attempts.  The edge list is read by
+attempts.  The problem block's family is read case-insensitively, with
+spaces and hyphens read as ``_`` (``Graph coloring`` is
+``graph_coloring``); a family outside ``PROBLEM_TYPES`` is retried with
+the allowed list.  The edge list is read by
 :func:`~graphcrew.formats.parse_graph`, which also merges an edge stated
 twice; an unreadable line, a conflicting weight, an endpoint outside
 the roster, a graph declared one-way (every connection a statement
@@ -21,9 +24,10 @@ gives runs both ways), an empty list, a ``shortest_path`` block without
 both route endpoints, a route endpoint the list does not hold or a
 graph that no route fits (a tour's graph with a pair left out, or of
 fewer than 3 nodes, say) is retried with the reader's or the selector's
-own message.  Every failure of an instance is one
-:class:`PipelineError`, named after the failing stage, whose
-``partial_calls`` lists every call made.
+own message.  Every failure of an instance is a
+:class:`PipelineError` named after the failing stage, which
+:func:`run_pipeline` returns as data in its :class:`Outcome`, beside
+every call made.
 """
 
 from __future__ import annotations
@@ -47,9 +51,6 @@ MAX_ATTEMPTS = 3
 class PipelineError(RuntimeError):
     """The failure of one instance, named after the stage that failed."""
 
-    # the calls made before the failure, in stage order; set by run_pipeline
-    partial_calls: tuple[CallRecord, ...] = ()
-
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage {stage}: {message}")
         self.stage = stage
@@ -72,13 +73,19 @@ class CallRecord(NamedTuple):
 
 
 @dataclass(frozen=True)
-class SolveOutcome:
-    solution: Solution
-    explanation: str
-    problem_spec: ProblemSpec
-    graph: Graph
-    choice: AlgorithmChoice
+class Outcome:
+    """What answering one instance came to: a solution, or a failure
+    named after its stage, and every model call made, in order.  A
+    pipeline outcome also keeps what the extract call read, once it
+    was read."""
+
     calls: tuple[CallRecord, ...]
+    solution: Solution | None = None
+    failure: str | None = None
+    stage: str | None = None
+    problem_spec: ProblemSpec | None = None
+    graph: Graph | None = None
+    choice: AlgorithmChoice | None = None
 
 
 def _ask(backend: ChatBackend, stage: str, slots: dict[str, str],
@@ -129,13 +136,10 @@ def _problem_spec(body: str) -> ProblemSpec:
     fields = parse_fields(body)
     if "problem_type" not in fields:
         raise RejectReply("the problem block is missing a problem_type line")
-    problem_type = fields["problem_type"]
+    stated = fields["problem_type"]
+    problem_type = stated.lower().replace(" ", "_").replace("-", "_")
     if problem_type not in PROBLEM_TYPES:
-        raise PipelineError(
-            "extract_graph",
-            f"problem type {problem_type!r} is not supported "
-            f"(known: {', '.join(PROBLEM_TYPES)})",
-        )
+        raise RejectReply(f"problem type {stated!r} is not one of {', '.join(PROBLEM_TYPES)}")
     source = fields.get("source", "none")
     target = fields.get("target", "none")
     spec = ProblemSpec(
@@ -176,25 +180,6 @@ def _extract(problem_body: str, graph_body: str) -> tuple[ProblemSpec, Graph, Al
 # -- the deterministic steps after the extract call ---------------------
 
 
-def _explain(solution: Solution, graph: Graph, problem_type: str) -> str:
-    n, m = graph.node_count, graph.edge_count
-    head = f"Algorithm {solution.algorithm_id} ran on {n} nodes and {m} edges."
-    if solution.kind == "tour":
-        route = " -> ".join(solution.payload) + f" -> {solution.payload[0]}"
-        return f"{head} Best found tour: {route}, total cost {solution.objective}."
-    if solution.kind == "coloring":
-        assignment = ", ".join(f"{name}={c}" for name, c in solution.payload.items())
-        return f"{head} Coloring with {solution.objective} colors: {assignment}."
-    if solution.kind == "node_set":
-        listing = ", ".join(solution.payload) if solution.payload else "(empty)"
-        return f"{head} Cover of size {solution.objective}: {listing}."
-    if solution.kind == "path":
-        route = " -> ".join(solution.payload)
-        return f"{head} Route {route}, total cost {solution.objective}."
-    answer = "yes, a cycle exists" if solution.payload else "no cycle exists"
-    return f"{head} Answer: {answer}."
-
-
 def _solve(choice: AlgorithmChoice, graph: Graph, spec: ProblemSpec) -> Solution:
     """The chosen route's answer, verified.  The route table has already
     judged the graph fit for the route, so the solver is not asked to
@@ -215,27 +200,18 @@ def _solve(choice: AlgorithmChoice, graph: Graph, spec: ProblemSpec) -> Solution
     return solution
 
 
-def run_pipeline(backend: ChatBackend, problem_text: str) -> SolveOutcome:
+def run_pipeline(backend: ChatBackend, problem_text: str) -> Outcome:
     """Run all stages on one problem statement: one ``extract_graph``
-    call, which also selects the route, then solving, verification and
-    explanation with no model.
-
-    A failed stage is raised as a :class:`PipelineError` that carries
-    every call made as ``partial_calls``.
-    """
+    call, which also selects the route, then solving and verification
+    with no model.  A failed stage is returned, not raised."""
     calls: list[CallRecord] = []
+    spec = graph = choice = None
     try:
         spec, graph, choice = _ask(backend, "extract_graph", {"problem": problem_text},
                                    calls, _extract)
         solution = _solve(choice, graph, spec)
     except PipelineError as exc:
-        exc.partial_calls = tuple(calls)
-        raise
-    return SolveOutcome(
-        solution=solution,
-        explanation=_explain(solution, graph, spec.problem_type),
-        problem_spec=spec,
-        graph=graph,
-        choice=choice,
-        calls=tuple(calls),
-    )
+        solution, failure, stage = None, str(exc), exc.stage
+    else:
+        failure = stage = None
+    return Outcome(tuple(calls), solution, failure, stage, spec, graph, choice)

@@ -19,8 +19,6 @@ import click
 
 from .agents import (
     ConfigError,
-    DirectOutcome,
-    PipelineError,
     PriceConfig,
     load_backend_config,
     make_backend,
@@ -32,10 +30,11 @@ from .dataset import (
     check_manifest,
     dataset_manifest,
     generate_dataset,
-    json_line,
     read_instances,
-    text_digest,
+    read_results,
+    result_record,
     write_instances,
+    write_jsonl,
     write_text_only,
 )
 from .evaluation import (
@@ -59,7 +58,6 @@ from .problems import (
     TSP,
     VERTEX_COVER,
 )
-from .solvers import solution_from_dict, solution_to_dict
 
 # the default sweep; cycle detection is opt-in via --type
 DEFAULT_TYPES = (TSP, GRAPH_COLORING, VERTEX_COVER, SHORTEST_PATH)
@@ -147,17 +145,6 @@ def cmd_generate(types, sizes, per_size, seed, noise, scenario, out, workers):
     click.echo(f"manifest written to {manifest_path}")
 
 
-def _usage_rows(calls) -> list[dict]:
-    return [call._asdict() for call in calls]
-
-
-def _result_head(instance) -> dict:
-    """The keys that open every results record: the instance answered,
-    and the digest of the statement it was answered from."""
-    return {"id": instance.instance_id, "problem_type": instance.problem_type,
-            "text_sha256": text_digest(instance.text)}
-
-
 def _make_dir(path: Path) -> None:
     try:
         path.mkdir(parents=True, exist_ok=True)
@@ -165,22 +152,22 @@ def _make_dir(path: Path) -> None:
         raise ConfigError(f"cannot create the directory {path}: {exc}") from None
 
 
-def _write_lines(lines: list[str], path: Path) -> None:
-    path.write_text("\n".join(lines) + "\n" if lines else "", encoding="utf-8")
-
-
-def _run_dataset(instances, backend_config, concurrency, out, verb, answer_one) -> None:
+def _run_dataset(instances, backend_config, concurrency, out, verb, answer, **fields) -> None:
     """Answer every instance, write the results in dataset order and report.
 
-    ``answer_one(backend, instance)`` returns the instance's results
-    record.  One backend answers every instance, and it is given only
-    the prompts.  An instance makes its calls one after another, so at
-    most ``concurrency`` calls are in flight.  The directory of ``out``
-    is made before the first call, so a run never pays for answers it
-    cannot write.  Exits 1 when some instance failed.
+    ``answer(backend, problem_text)`` returns an instance's outcome, and
+    its results record holds ``fields`` too.  One backend answers every
+    instance, and it is given only the prompts.  An instance makes its
+    calls one after another, so at most ``concurrency`` calls are in
+    flight.  The directory of ``out`` is made before the first call, so
+    a run never pays for answers it cannot write.  Exits 1 when some
+    instance failed.
     """
     _make_dir(out.parent)
-    run_one = functools.partial(answer_one, make_backend(backend_config))
+    backend = make_backend(backend_config)
+
+    def run_one(instance):
+        return result_record(instance, answer(backend, instance.text), **fields)
 
     if concurrency > 1:
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
@@ -188,7 +175,7 @@ def _run_dataset(instances, backend_config, concurrency, out, verb, answer_one) 
     else:
         records = [run_one(instance) for instance in instances]
 
-    _write_lines([json_line(r) for r in records], out)
+    write_jsonl(records, out)
     failed = sum(1 for r in records if r["status"] != "ok")
     click.echo(f"{verb} {len(records) - failed}/{len(records)} instances -> {out}")
     if failed:
@@ -212,25 +199,7 @@ def cmd_solve(dataset, backend_config_path, concurrency, out):
     """Run the staged pipeline over a dataset."""
     instances = read_instances(dataset, statements_only=True)
     backend_config = load_backend_config(backend_config_path)
-
-    def solve_one(backend, instance):
-        record = _result_head(instance)
-        try:
-            outcome = run_pipeline(backend, instance.text)
-        except PipelineError as exc:
-            record["status"] = "failed"
-            record["failure"] = str(exc)
-            record["stage"] = exc.stage
-            record["usage"] = _usage_rows(exc.partial_calls)
-            return record
-        record["status"] = "ok"
-        record["solution"] = solution_to_dict(outcome.solution)
-        record["algorithm"] = outcome.solution.algorithm_id
-        record["explanation"] = outcome.explanation
-        record["usage"] = _usage_rows(outcome.calls)
-        return record
-
-    _run_dataset(instances, backend_config, concurrency, out, "solved", solve_one)
+    _run_dataset(instances, backend_config, concurrency, out, "solved", run_pipeline)
 
 
 @main.command("solve-direct")
@@ -250,31 +219,8 @@ def cmd_solve_direct(dataset, backend_config_path, mode, concurrency, out):
     """Ask for the answer in one prompt, no pipeline; the baseline condition."""
     instances = read_instances(dataset, statements_only=True)
     backend_config = load_backend_config(backend_config_path)
-
-    def answer_one(backend, instance):
-        outcome: DirectOutcome = run_direct(backend, instance.text, mode=mode)
-        record = {**_result_head(instance), "mode": mode}
-        if outcome.solution is not None:
-            record["status"] = "ok"
-            record["solution"] = solution_to_dict(outcome.solution)
-        else:
-            record["status"] = "failed"
-            record["failure"] = outcome.failure
-        record["usage"] = _usage_rows(outcome.calls)
-        return record
-
-    _run_dataset(instances, backend_config, concurrency, out, "answered", answer_one)
-
-
-def _priced_call(row: dict) -> tuple[str, int, int]:
-    """A results file's usage row as (stage, input tokens, output tokens);
-    a row that would make the cost table lie is refused."""
-    stage, counts = row["stage"], (row["input_tokens"], row["output_tokens"])
-    if not isinstance(stage, str):
-        raise TypeError(f"usage stage must be a string, got {stage!r}")
-    if not all(type(n) is int and n >= 0 for n in counts):
-        raise ValueError(f"usage token counts must be non-negative integers, got {counts}")
-    return (stage, *counts)
+    _run_dataset(instances, backend_config, concurrency, out, "answered",
+                 functools.partial(run_direct, mode=mode), mode=mode)
 
 
 @main.command("evaluate")
@@ -300,61 +246,19 @@ def cmd_evaluate(results_path, dataset, backend_config_path, out_dir):
     else:
         prices = PriceConfig()
 
+    results = read_results(results_path, instances)
+    if not results:
+        raise ConfigError(f"{results_path} holds no results")
     scores = []
-    seen: set[str] = set()
-    calls: list[tuple[str, int, int]] = []
-    for lineno, line in enumerate(
-        results_path.read_text(encoding="utf-8").splitlines(), 1
-    ):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{results_path}: line {lineno}: {exc}") from exc
-        if not isinstance(record, dict):
-            raise ConfigError(f"{results_path}: line {lineno}: a result must be a JSON object")
-        record_id = record.get("id")
-        instance = instances.get(record_id) if isinstance(record_id, str) else None
-        if instance is None:
-            raise ConfigError(
-                f"{results_path}: line {lineno}: result for unknown instance {record_id!r}"
-            )
-        if instance.instance_id in seen:
-            raise ConfigError(
-                f"{results_path}: line {lineno}: second result for instance {instance.instance_id!r}"
-            )
-        seen.add(instance.instance_id)
-        digest = record.get("text_sha256")
-        if digest != text_digest(instance.text):
-            raise ConfigError(
-                f"{results_path}: line {lineno}: result for {instance.instance_id!r} was not "
-                f"answered from this dataset's statement (text_sha256 {digest!r})"
-            )
-        if instance.truth is None or instance.graph is None:
-            raise ConfigError(
-                f"instance {instance.instance_id} carries no ground truth; "
-                "evaluate needs the full (non text-only) dataset file"
-            )
-        try:
-            calls += [_priced_call(row) for row in record.get("usage") or []]
-            ok = record.get("status") == "ok"
-            prediction = solution_from_dict(record["solution"]) if ok else None
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
-            raise ConfigError(
-                f"{results_path}: line {lineno}: malformed result ({type(exc).__name__}: {exc})"
-            ) from exc
-        if prediction is None:
-            scores.append(score_failure(
-                instance.instance_id,
-                instance.problem_type,
-                record.get("failure") or "solve failed",
-            ))
+    for result in results:
+        instance = result.instance
+        if result.solution is None:
+            scores.append(score_failure(instance.instance_id, instance.problem_type,
+                                        result.failure))
             continue
         try:
             scores.append(score_prediction(
-                prediction,
+                result.solution,
                 instance.truth.optimal,
                 instance.problem_type,
                 instance.graph,
@@ -364,17 +268,16 @@ def cmd_evaluate(results_path, dataset, backend_config_path, out_dir):
             ))
         except TruthDefectError as exc:
             raise ConfigError(
-                f"{results_path}: line {lineno}: instance {instance.instance_id!r}: {exc}; "
-                "the dataset's truth is wrong"
+                f"{results_path}: line {result.lineno}: instance {instance.instance_id!r}: "
+                f"{exc}; the dataset's truth is wrong"
             ) from exc
-
-    if not scores:
-        raise ConfigError(f"{results_path} holds no results")
+    answered = {result.instance.instance_id for result in results}
     scores += [
         score_failure(instance_id, instance.problem_type, "no result")
         for instance_id, instance in instances.items()
-        if instance_id not in seen
+        if instance_id not in answered
     ]
+    calls = [call for result in results for call in result.usage]
 
     summaries = aggregate_scores(scores)
     overall = overall_summary(scores)
@@ -386,7 +289,7 @@ def cmd_evaluate(results_path, dataset, backend_config_path, out_dir):
 
     out_dir = out_dir or results_path.parent
     _make_dir(out_dir)
-    _write_lines([json_line(r) for r in scores_to_records(scores)], out_dir / "scores.jsonl")
+    write_jsonl(scores_to_records(scores), out_dir / "scores.jsonl")
     (out_dir / "report.txt").write_text(report_text, encoding="utf-8")
     click.echo(report_text.rstrip("\n"))
     click.echo(f"reports written to {out_dir}")

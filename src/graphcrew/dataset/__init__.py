@@ -17,12 +17,16 @@ from .generate import (
 from .records import (
     check_manifest,
     dataset_manifest,
+    Result,
     instance_to_record,
-    json_line,
     read_instances,
+    read_jsonl,
+    read_results,
     record_to_instance,
+    result_record,
     text_digest,
     write_instances,
+    write_jsonl,
     write_text_only,
 )
 
@@ -33,6 +37,7 @@ __all__ = [
     "GroundTruth",
     "NoExactTruthError",
     "ProblemInstance",
+    "Result",
     "SCENARIO_STYLES",
     "build_instance",
     "check_manifest",
@@ -43,12 +48,15 @@ __all__ = [
     "ground_truth",
     "instance_seed",
     "instance_to_record",
-    "json_line",
     "read_instances",
+    "read_jsonl",
+    "read_results",
     "record_to_instance",
     "reference_extract",
     "render_problem_text",
+    "result_record",
     "text_digest",
     "write_instances",
+    "write_jsonl",
     "write_text_only",
 ]

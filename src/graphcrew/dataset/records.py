@@ -1,6 +1,9 @@
-"""Instance serialization: JSONL records, text-only export, manifests.
+"""The files of a run: instances, text-only export, manifests and results.
 
-Records are written with fixed key order and compact separators so a
+Every JSONL file (instances, text-only statements, results, scores and
+replay fixtures) is read by :func:`read_jsonl`, and every one but the
+fixtures, which are appended a reply at a time, is written by
+:func:`write_jsonl`: fixed key order and compact separators, so a
 regenerated dataset is byte-identical to the original, which the
 manifest checksum then certifies.
 """
@@ -10,11 +13,40 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple
 
 from ..formats import parse_graph, serialize_graph
-from ..solvers.solution import solution_from_dict, solution_to_dict, verify_solution
+from ..solvers.solution import Solution, solution_from_dict, solution_to_dict, verify_solution
 from .generate import DatasetSpec, GroundTruth, ProblemInstance
+
+if TYPE_CHECKING:
+    from ..agents import Outcome
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
+    """Each record of a JSONL file with its line number.  Blank lines are
+    skipped but counted; a line that is not a JSON object is refused
+    (ValueError), naming the file and line."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {lineno}: not valid JSON ({exc})") from exc
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}: line {lineno}: not a JSON object")
+            yield lineno, record
+
+
+def write_jsonl(records: Iterable[dict[str, Any]], path: str | Path) -> None:
+    """``records`` as compact JSONL lines, their keys in the order given."""
+    Path(path).write_text(
+        "".join(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n"
+                for record in records),
+        encoding="utf-8",
+    )
 
 
 def instance_to_record(instance: ProblemInstance) -> dict[str, Any]:
@@ -77,19 +109,13 @@ def record_to_instance(record: dict[str, Any]) -> ProblemInstance:
     )
 
 
-def json_line(record: dict[str, Any]) -> str:
-    """A record as one compact JSONL line, as dataset, results and scores files hold it."""
-    return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
-
-
 def text_digest(text: str) -> str:
     """The sha256 of a problem statement, which binds a result to it."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def write_instances(instances: list[ProblemInstance], path: str | Path) -> None:
-    lines = [json_line(instance_to_record(inst)) for inst in instances]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_jsonl(map(instance_to_record, instances), path)
 
 
 # the keys of a text-only record: all that solving an instance reads
@@ -106,14 +132,7 @@ def read_instances(path: str | Path, *, statements_only: bool = False) -> list[P
     never parsed; ``solve`` needs nothing else.
     """
     instances = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: line {lineno} is not valid JSON: {exc}") from exc
+    for lineno, record in read_jsonl(path):
         try:
             if statements_only:
                 record = {key: record[key] for key in _STATEMENT_KEYS if key in record}
@@ -138,11 +157,8 @@ def read_instances(path: str | Path, *, statements_only: bool = False) -> list[P
 
 def write_text_only(instances: list[ProblemInstance], path: str | Path) -> None:
     """Public split: statements only, nothing hidden."""
-    lines = [
-        json_line({"id": inst.instance_id, "problem_type": inst.problem_type, "text": inst.text})
-        for inst in instances
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_jsonl(({"id": inst.instance_id, "problem_type": inst.problem_type, "text": inst.text}
+                 for inst in instances), path)
 
 
 def file_checksum(path: str | Path) -> str:
@@ -180,3 +196,78 @@ def check_manifest(path: str | Path) -> None:
     if want is not None and got != want:
         raise ValueError(f"{path}: sha256 {got} differs from the {want} that {manifest} "
                          "lists; the file changed after it was generated")
+
+
+# -- results files: one record per instance answered by solve or solve-direct
+
+
+def result_record(instance: ProblemInstance, outcome: Outcome, **fields: Any) -> dict[str, Any]:
+    """The results record of ``instance`` answered as ``outcome``: its id,
+    family and the digest of the statement it was answered from, then
+    ``fields`` (solve-direct's ``mode``), the solution or the failure and
+    its stage, and one usage row per model call."""
+    record = {"id": instance.instance_id, "problem_type": instance.problem_type,
+              "text_sha256": text_digest(instance.text), **fields}
+    if outcome.solution is not None:
+        record.update(status="ok", solution=solution_to_dict(outcome.solution))
+    else:
+        record.update(status="failed", failure=outcome.failure, stage=outcome.stage)
+    record["usage"] = [call._asdict() for call in outcome.calls]
+    return record
+
+
+class Result(NamedTuple):
+    """One record of a results file, bound to the instance it answers."""
+
+    lineno: int
+    instance: ProblemInstance
+    solution: Solution | None  # None when the instance failed
+    failure: str | None
+    usage: list[tuple[str, int, int]]  # (stage, input tokens, output tokens) per call
+
+
+def read_results(path: str | Path, instances: dict[str, ProblemInstance]) -> list[Result]:
+    """Read a results file against the dataset instances it answers, by id.
+
+    Refused (ValueError), naming the file and line: a record for an id
+    the dataset lacks, a second record for an id, a record whose
+    ``text_sha256`` is not its statement's, and a malformed solution or
+    usage row, which would make the accuracy or cost table lie.  An
+    instance without ground truth is refused too: its answer cannot be
+    graded.
+    """
+    results: list[Result] = []
+    seen: set[str] = set()
+    for lineno, record in read_jsonl(path):
+        where = f"{path}: line {lineno}"
+        record_id = record.get("id")
+        instance = instances.get(record_id) if isinstance(record_id, str) else None
+        if instance is None:
+            raise ValueError(f"{where}: result for unknown instance {record_id!r}")
+        if record_id in seen:
+            raise ValueError(f"{where}: second result for instance {record_id!r}")
+        seen.add(record_id)
+        digest = record.get("text_sha256")
+        if digest != text_digest(instance.text):
+            raise ValueError(f"{where}: result for {record_id!r} was not answered from this "
+                             f"dataset's statement (text_sha256 {digest!r})")
+        if instance.truth is None or instance.graph is None:
+            raise ValueError(f"instance {record_id} carries no ground truth; "
+                             "evaluate needs the full (non text-only) dataset file")
+        try:
+            usage = []
+            for row in record.get("usage") or []:
+                stage, counts = row["stage"], (row["input_tokens"], row["output_tokens"])
+                if not isinstance(stage, str):
+                    raise TypeError(f"usage stage must be a string, got {stage!r}")
+                if not all(type(n) is int and n >= 0 for n in counts):
+                    raise ValueError(
+                        f"usage token counts must be non-negative integers, got {counts}")
+                usage.append((stage, *counts))
+            ok = record.get("status") == "ok"
+            solution = solution_from_dict(record["solution"]) if ok else None
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise ValueError(f"{where}: malformed result ({type(exc).__name__}: {exc})") from exc
+        failure = None if ok else record.get("failure") or "solve failed"
+        results.append(Result(lineno, instance, solution, failure, usage))
+    return results

@@ -315,8 +315,6 @@ def test_live_call_needs_no_third_party_http_client(endpoint):
 
 
 class ScriptedInner:
-    backend_id = "scripted"
-
     def __init__(self, replies):
         self.replies = list(replies)
 
@@ -347,7 +345,6 @@ def test_record_then_replay_under_an_ascii_locale(tmp_path):
         "import sys\n"
         "from graphcrew.agents import Completion, RecordingBackend, ReplayBackend, Usage\n"
         "class Arrow:\n"
-        "    backend_id = 'arrow'\n"
         "    def complete(self, system_prompt, user_prompt, params=None):\n"
         "        return Completion('Depot \\u2192 Mill', Usage(1, 3))\n"
         "ask = ('[stage:direct]\\nsys', 'from Depot \\u2192 Mill?', {'temperature': 0.0})\n"
@@ -393,7 +390,7 @@ def test_replay_misses_and_bad_fixtures(tmp_path):
         broken.write_text(json.dumps(good) + "\n" + json.dumps({**good, **change}) + "\n")
         with pytest.raises(ConfigError) as err:
             ReplayBackend(broken)
-        assert str(err.value) == f"{broken}:2: bad fixture line: {problem}"
+        assert str(err.value) == f"{broken}: line 2: bad fixture line: {problem}"
 
 
 def ask_stub(stub, stage, **slots):

@@ -54,8 +54,6 @@ class InFlight:
     at once.  The first two calls wait for each other, so two callers on
     two threads are always seen in flight together."""
 
-    backend_id = "in-flight"
-
     def __init__(self):
         self.inner = OracleStubBackend()
         self.lock = threading.Lock()
@@ -370,12 +368,12 @@ class TestSolve:
 
     @pytest.mark.parametrize("verb", ["solve", "solve-direct"])
     @pytest.mark.parametrize("line, message", [
-        ("not json", "line 2 is not valid JSON"),
+        ("not json", "line 2: not valid JSON (Expecting value: line 1 column 1 (char 0))"),
         ('{"problem_type": "vertex_cover", "text": "t"}',
          "line 2: malformed instance (ValueError: instance record needs at least 'id' and 'text')"),
         ('{"id": "x", "problem_type": "vertex_cover"}',
          "line 2: malformed instance (ValueError: instance record needs at least 'id' and 'text')"),
-        ("5", "line 2: malformed instance (TypeError: argument of type 'int' is not iterable)"),
+        ("5", "line 2: not a JSON object"),
     ], ids=["bad-json", "no-id", "no-text", "not-an-object"])
     def test_unreadable_statement_is_config_error_before_any_call(
         self, runner, tmp_path, monkeypatch, verb, line, message
@@ -543,6 +541,46 @@ def test_no_file_is_opened_in_the_locale_encoding(tmp_path):
         run("solve", "--dataset", dataset, "--backend-config", config, "--out", results)
     run("evaluate", "--results", results, "--dataset", dataset, "--out", tmp_path / "report")
     assert (tmp_path / "report" / "report.txt").is_file()
+
+
+# a line that no JSONL file may hold, and the reader's message for it
+UNREADABLE_LINES = {
+    "bad-json": ("not json", "not valid JSON (Expecting value: line 1 column 1 (char 0))"),
+    "number": ("5", "not a JSON object"),
+    "list": ('["tsp-n08-i00", "ok"]', "not a JSON object"),
+}
+
+
+@pytest.mark.parametrize("name", UNREADABLE_LINES)
+@pytest.mark.parametrize("kind", ["dataset-solve", "dataset-evaluate", "results", "fixtures"])
+def test_every_jsonl_file_refuses_a_line_by_file_and_line(runner, tmp_path, kind, name):
+    line, message = UNREADABLE_LINES[name]
+    out = tmp_path / "ds"
+    _generate(runner, out, extra=["--type", "tsp"])
+    dataset, config = out / "tsp.jsonl", _write_stub_config(tmp_path)
+    results = tmp_path / "results.jsonl"
+    result = runner.invoke(main, ["solve", "--dataset", str(dataset), "--backend-config",
+                                  str(config), "--out", str(results)])
+    assert result.exit_code == 0, result.output
+    fixtures = tmp_path / "fixtures.jsonl"
+    fixtures.write_text('{"key": "k", "text": "t", "input_tokens": 1, "output_tokens": 2}\n')
+    # a good first record, then blank lines, which are skipped but counted
+    broken = tmp_path / "broken.jsonl"
+    source = {"results": results, "fixtures": fixtures}.get(kind, dataset)
+    broken.write_text(source.read_text().splitlines()[0] + f"\n\n   \n{line}\n")
+    replay = tmp_path / "replay.yaml"
+    replay.write_text(f"kind: replay\nfixtures: {broken}\n")
+    args = {
+        "dataset-solve": ["solve", "--dataset", broken, "--backend-config", config],
+        "dataset-evaluate": ["evaluate", "--results", results, "--dataset", broken],
+        "results": ["evaluate", "--results", broken, "--dataset", dataset],
+        "fixtures": ["solve", "--dataset", dataset, "--backend-config", replay],
+    }[kind]
+    report = tmp_path / "report"
+    result = runner.invoke(main, [*map(str, args), "--out", str(report)])
+    assert result.exit_code == 2
+    assert result.output == f"configuration error: {broken}: line 4: {message}\n"
+    assert not report.exists()
 
 
 class TestEvaluate:
@@ -876,7 +914,7 @@ class TestEvaluate:
         ({"id": "tsp-n08-i00", "status": "failed",
           "usage": [{"attempt": 1, "input_tokens": 5, "output_tokens": 7}]},
          "malformed result (KeyError:"),
-        (["tsp-n08-i00", "ok"], "a result must be a JSON object"),
+        (["tsp-n08-i00", "ok"], "not a JSON object"),
         ({"id": ["tsp-n08-i00"], "status": "failed"},
          "result for unknown instance ['tsp-n08-i00']"),
         ({"id": "tsp-n08-i00", "status": "failed",

@@ -8,7 +8,6 @@ import pytest
 from graphcrew.agents import (
     Completion,
     OracleStubBackend,
-    PipelineError,
     Usage,
     run_direct,
     run_pipeline,
@@ -27,15 +26,13 @@ from graphcrew.dataset import build_instance
 from graphcrew.formats import parse_graph, serialize_graph
 from graphcrew.graph import build_graph
 from graphcrew.knowledge import ROUTES
-from graphcrew.solvers import NoPathError, Solution, verify_solution
+from graphcrew.solvers import Solution, verify_solution
 
 from test_backends import TSP_TEXT, problem_text, tsp_graph
 
 
 class StageScripted:
     """Scripted replies for chosen stages; everything else goes to a stub."""
-
-    backend_id = "scripted"
 
     def __init__(self, scripts: dict[str, list]):
         self.scripts = {stage: list(replies) for stage, replies in scripts.items()}
@@ -63,7 +60,7 @@ def test_full_run_with_stub():
     assert out.choice.record.algorithm_id == "held_karp"
     assert [(c.stage, c.attempt) for c in out.calls] == [("extract_graph", 1)]
     assert all(c.input_tokens > 0 and c.output_tokens > 0 for c in out.calls)
-    assert "held_karp" in out.explanation and "total cost 14" in out.explanation
+    assert (out.failure, out.stage) == (None, None)
 
 
 def test_repeat_runs_are_identical():
@@ -128,14 +125,16 @@ def test_crlf_extract_reply_reads_in_one_call():
 
 def test_retry_budget_exhaustion():
     backend = StageScripted({"extract_graph": ["junk", "junk", "junk"]})
-    with pytest.raises(PipelineError) as err:
-        run_pipeline(backend, TSP_TEXT)
-    assert err.value.stage == "extract_graph"
-    assert "no usable reply in 3 attempts" in str(err.value)
+    out = run_pipeline(backend, TSP_TEXT)
+    assert out.solution is None and out.stage == "extract_graph"
+    assert "no usable reply in 3 attempts" in out.failure
     assert len(extract_prompts(backend)) == 3
 
 
-def test_missing_field_retries_but_unknown_type_does_not():
+FAMILIES = "tsp, graph_coloring, vertex_cover, shortest_path, cycle_detection"
+
+
+def test_missing_field_and_unknown_family_are_retried():
     backend = StageScripted(
         {
             "extract_graph": [
@@ -148,13 +147,35 @@ def test_missing_field_retries_but_unknown_type_does_not():
     assert "rejected: the problem block is missing a problem_type line" in (
         extract_prompts(backend)[1])
 
-    backend = StageScripted(
-        {"extract_graph": [graph_reply(TSP_GRAPH, "problem_type: minimum_spanning_tree")]}
-    )
-    with pytest.raises(PipelineError) as err:
-        run_pipeline(backend, TSP_TEXT)
-    assert err.value.stage == "extract_graph"
-    assert "'minimum_spanning_tree' is not supported" in str(err.value)
+    # a family outside the allowed list is asked again, naming the list
+    for stated in ("minimum_spanning_tree", "tsp."):
+        unknown = graph_reply(TSP_GRAPH, f"problem_type: {stated}")
+        problem = f"problem type {stated!r} is not one of {FAMILIES}"
+        backend = StageScripted({"extract_graph": [unknown]})
+        assert run_pipeline(backend, TSP_TEXT).solution.objective == 14
+        assert f"rejected: {problem}." in extract_prompts(backend)[1]
+
+        backend = StageScripted({"extract_graph": [unknown] * 3})
+        out = run_pipeline(backend, TSP_TEXT)
+        assert out.stage == "extract_graph"
+        assert out.failure == (
+            f"stage extract_graph: no usable reply in 3 attempts (last problem: {problem})")
+        assert len(extract_prompts(backend)) == 3
+
+
+@pytest.mark.parametrize("stated, family", [
+    ("TSP", "tsp"),
+    ("Tsp", "tsp"),
+    ("graph coloring", "graph_coloring"),
+    ("Graph-Coloring", "graph_coloring"),
+])
+def test_family_reads_case_and_spacing_blind(stated, family):
+    text = TSP_TEXT if family == "tsp" else problem_text(tsp_graph(), family)
+    backend = StageScripted({"extract_graph": [graph_reply(
+        TSP_GRAPH, f"problem_type: {stated}\nsource: none\ntarget: none")]})
+    out = run_pipeline(backend, text)
+    assert out.problem_spec.problem_type == family
+    assert out.solution is not None
     assert len(extract_prompts(backend)) == 1
 
 
@@ -162,10 +183,10 @@ def test_backend_errors_retry_then_surface():
     backend = StageScripted(
         {"extract_graph": [BackendError("down"), BackendError("down"), BackendError("down")]}
     )
-    with pytest.raises(PipelineError) as err:
-        run_pipeline(backend, TSP_TEXT)
-    assert err.value.stage == "extract_graph"
-    assert str(err.value) == "stage extract_graph: backend failed 3 times: down"
+    out = run_pipeline(backend, TSP_TEXT)
+    assert out.stage == "extract_graph"
+    assert out.failure == "stage extract_graph: backend failed 3 times: down"
+    assert out.calls == ()
 
 
 def test_failure_names_a_backend_error_on_the_last_attempt():
@@ -173,26 +194,24 @@ def test_failure_names_a_backend_error_on_the_last_attempt():
     # each retry prompt carries only the rejected reply's reason
     outage = ["junk", BackendError("HTTP 503"), BackendError("HTTP 503")]
     backend = StageScripted({"extract_graph": list(outage)})
-    with pytest.raises(PipelineError) as err:
-        run_pipeline(backend, TSP_TEXT)
-    assert str(err.value) == ("stage extract_graph: no usable reply in 3 attempts "
-                              "(last problem: the backend failed: HTTP 503)")
-    assert isinstance(err.value.__cause__, BackendError)
+    out = run_pipeline(backend, TSP_TEXT)
+    assert out.failure == ("stage extract_graph: no usable reply in 3 attempts "
+                           "(last problem: the backend failed: HTTP 503)")
     retries = extract_prompts(backend)[1:]
     assert len(retries) == 2
     assert all("rejected: the reply has no ```result:problem``` fenced block" in user
                and "503" not in user for user in retries)
-    assert [c.attempt for c in err.value.partial_calls] == [1]
+    assert [c.attempt for c in out.calls] == [1]
 
     outcome = run_direct(StageScripted({"direct": list(outage)}), TSP_TEXT)
     assert outcome.failure == ("stage direct: no usable reply in 3 attempts "
                                "(last problem: the backend failed: HTTP 503)")
+    assert outcome.stage == "direct"
 
     # an outage followed by rejected replies still names the last rejection
     backend = StageScripted({"extract_graph": [BackendError("HTTP 503"), "junk", "junk"]})
-    with pytest.raises(PipelineError) as err:
-        run_pipeline(backend, TSP_TEXT)
-    assert str(err.value).endswith(
+    out = run_pipeline(backend, TSP_TEXT)
+    assert out.failure.endswith(
         "(last problem: the reply has no ```result:problem``` fenced block)")
 
 
@@ -208,11 +227,10 @@ def test_extract_empty_graph():
     assert "rejected: the edge list contained no nodes or edges" in retry
 
     backend = StageScripted({"extract_graph": [empty] * 3})
-    with pytest.raises(PipelineError) as err:
-        run_pipeline(backend, TSP_TEXT)
-    assert err.value.stage == "extract_graph"
-    assert "no usable reply in 3 attempts" in str(err.value)
-    assert "no nodes or edges" in str(err.value)
+    out = run_pipeline(backend, TSP_TEXT)
+    assert out.stage == "extract_graph"
+    assert "no usable reply in 3 attempts" in out.failure
+    assert "no nodes or edges" in out.failure
     assert [stage for stage, _ in backend.seen] == ["extract_graph"] * 3
 
 
@@ -325,12 +343,11 @@ def test_faulty_extract_reply_is_retried_with_its_problem(text, faulty, problem)
 @pytest.mark.parametrize("text, faulty, problem", FAULTY_REPLIES.values(), ids=FAULTY_REPLIES)
 def test_three_faulty_extract_replies_fail_as_extract_graph(text, faulty, problem):
     backend = StageScripted({"extract_graph": [faulty] * 3})
-    with pytest.raises(PipelineError) as err:
-        run_pipeline(backend, text)
-    assert err.value.stage == "extract_graph"
-    assert str(err.value) == (
+    out = run_pipeline(backend, text)
+    assert out.stage == "extract_graph"
+    assert out.failure == (
         f"stage extract_graph: no usable reply in 3 attempts (last problem: {problem})")
-    assert [c.stage for c in err.value.partial_calls] == ["extract_graph"] * 3
+    assert [c.stage for c in out.calls] == ["extract_graph"] * 3
     assert [stage for stage, _ in backend.seen] == ["extract_graph"] * 3
 
 
@@ -355,12 +372,11 @@ def test_normalize_conflicting_weights():
     assert "edge A-B stated with weights 3 and 5" in extract_prompts(backend)[1]
 
     backend = StageScripted({"extract_graph": [graph_reply(raw)] * 3})
-    with pytest.raises(PipelineError) as err:
-        run_pipeline(backend, TSP_TEXT)
-    assert err.value.stage == "extract_graph"
-    assert "no usable reply in 3 attempts" in str(err.value)
-    assert "edge A-B stated with weights 3 and 5" in str(err.value)
-    assert [c.stage for c in err.value.partial_calls] == ["extract_graph"] * 3
+    out = run_pipeline(backend, TSP_TEXT)
+    assert out.stage == "extract_graph"
+    assert "no usable reply in 3 attempts" in out.failure
+    assert "edge A-B stated with weights 3 and 5" in out.failure
+    assert [c.stage for c in out.calls] == ["extract_graph"] * 3
 
 
 def patch_route(monkeypatch, algorithm_id, **changes):
@@ -379,12 +395,11 @@ def test_route_without_its_completeness_condition_fails_verification(monkeypatch
         [("Depot", "Mill", 3), ("Mill", "Quay", 5), ("Quay", "Yard", 2)],
     )
     patch_route(monkeypatch, "held_karp", requires_complete=False)
-    with pytest.raises(PipelineError) as err:
-        run_pipeline(OracleStubBackend(), problem_text(incomplete, "tsp"))
-    assert err.value.stage == "solve"
-    assert str(err.value) == ("stage solve: held_karp answer failed verification "
-                              "(no edge Mill-Yard; no edge Quay-Depot)")
-    assert [c.stage for c in err.value.partial_calls] == EXTRACT_ONLY
+    out = run_pipeline(OracleStubBackend(), problem_text(incomplete, "tsp"))
+    assert (out.solution, out.stage) == (None, "solve")
+    assert out.failure == ("stage solve: held_karp answer failed verification "
+                           "(no edge Mill-Yard; no edge Quay-Depot)")
+    assert [c.stage for c in out.calls] == EXTRACT_ONLY
 
 
 def test_unverifiable_answer_fails_as_solve(monkeypatch):
@@ -393,13 +408,12 @@ def test_unverifiable_answer_fails_as_solve(monkeypatch):
     one_color = Solution("coloring", {name: 0 for name in inst.graph.node_names}, 1,
                          "exact_coloring", exact=True)
     patch_route(monkeypatch, "exact_coloring", solve=lambda *_: one_color)
-    with pytest.raises(PipelineError) as err:
-        run_pipeline(OracleStubBackend(), inst.text)
+    out = run_pipeline(OracleStubBackend(), inst.text)
     violations = verify_solution("graph_coloring", inst.graph, one_color).violations
-    assert err.value.stage == "solve"
-    assert str(err.value) == ("stage solve: exact_coloring answer failed verification "
-                              f"({'; '.join(violations)})")
-    assert [c.stage for c in err.value.partial_calls] == EXTRACT_ONLY
+    assert out.stage == "solve"
+    assert out.failure == ("stage solve: exact_coloring answer failed verification "
+                           f"({'; '.join(violations)})")
+    assert [c.stage for c in out.calls] == EXTRACT_ONLY
 
 
 def test_catalogue_limit_sends_a_larger_tour_to_the_heuristic(monkeypatch):
@@ -415,12 +429,12 @@ def test_catalogue_limit_sends_a_larger_tour_to_the_heuristic(monkeypatch):
 
 def test_pipeline_error_carries_partial_trail():
     backend = StageScripted({"extract_graph": ["junk", "junk", "junk"]})
-    with pytest.raises(PipelineError) as err:
-        run_pipeline(backend, TSP_TEXT)
-    assert err.value.stage == "extract_graph"
-    assert "no usable reply" in str(err.value)
-    assert [(c.stage, c.attempt) for c in err.value.partial_calls] == [
+    out = run_pipeline(backend, TSP_TEXT)
+    assert out.stage == "extract_graph"
+    assert "no usable reply" in out.failure
+    assert [(c.stage, c.attempt) for c in out.calls] == [
         ("extract_graph", 1), ("extract_graph", 2), ("extract_graph", 3)]
+    assert (out.problem_spec, out.graph, out.choice) == (None, None, None)
 
 
 def test_choose_algorithm_standalone():
@@ -437,13 +451,13 @@ def test_solver_failure_is_named_solve():
     # both route endpoints are nodes, but no edge leads from Cedar to Ash
     problem = "problem_type: shortest_path\nsource: Cedar\ntarget: Ash"
     backend = StageScripted({"extract_graph": [graph_reply(serialize_graph(SPLIT), problem)]})
-    with pytest.raises(PipelineError) as err:
-        run_pipeline(backend, problem_text(SPLIT, "shortest_path", "Cedar", "Ash"))
-    assert err.value.stage == "solve"
-    assert isinstance(err.value.__cause__, NoPathError)
-    assert str(err.value) == "stage solve: no path from Cedar to Ash"
-    assert [c.stage for c in err.value.partial_calls] == EXTRACT_ONLY
+    out = run_pipeline(backend, problem_text(SPLIT, "shortest_path", "Cedar", "Ash"))
+    assert out.stage == "solve"
+    assert out.failure == "stage solve: no path from Cedar to Ash"
+    assert [c.stage for c in out.calls] == EXTRACT_ONLY
     assert [stage for stage, _ in backend.seen] == EXTRACT_ONLY
+    # a failure after the extract call keeps what the call read
+    assert (out.problem_spec.source, out.problem_spec.target, out.graph) == ("Cedar", "Ash", SPLIT)
 
 
 def test_every_template_asks_for_its_stage_tag():
@@ -493,6 +507,7 @@ def test_run_direct_failure_is_data_not_exception():
     backend = StageScripted({"direct": ["word salad", "more salad", "still salad"]})
     outcome = run_direct(backend, TSP_TEXT)
     assert outcome.solution is None
+    assert outcome.stage == "direct"
     assert "no usable reply" in outcome.failure
     assert len(outcome.calls) == 3
 

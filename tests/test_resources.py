@@ -1,6 +1,10 @@
-"""The package's non-Python files: prompt templates and the globs that ship them."""
+"""The package's non-Python files: prompt templates and the globs that ship
+them; and the names the benchmark's tracer finds in the package."""
 
+import importlib
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +44,25 @@ def test_package_data_globs_match_the_resource_files():
         if path.is_file() and path.suffix != ".py" and "__pycache__" not in path.parts
     }
     assert resources <= shipped, f"not shipped: {sorted(resources - shipped)}"
+
+
+# traced names whose code is gone; perfbench/tracing.py still lists them
+DELETED_TRACED = {
+    ("graphcrew.formats", "read_edge_list_loose"),
+    ("graphcrew.graph", "graph_stats"),
+    ("graphcrew.graph", "merge_edge_triples"),
+}
+
+
+def test_every_traced_function_resolves(monkeypatch):
+    # the tracer wraps each function by its home module and name and skips
+    # one it cannot find, so a moved function would silently read 0 calls
+    spec = importlib.util.spec_from_file_location("tracing", REPO / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "tracing", tracing)
+    spec.loader.exec_module(tracing)
+    missing = {(home, attr) for _, home, attr in tracing.FUNCTIONS
+               if not callable(getattr(importlib.import_module(home), attr, None))}
+    assert missing == DELETED_TRACED
+    backends = importlib.import_module("graphcrew.agents.backends")
+    assert all("complete" in vars(getattr(backends, name)) for name in tracing.BACKENDS)
