@@ -8,7 +8,6 @@ from .backends import (
     ConfigError,
     LiveChatBackend,
     OracleStubBackend,
-    PriceConfig,
     RecordingBackend,
     ReplayBackend,
     Usage,
@@ -36,7 +35,6 @@ __all__ = [
     "LiveChatBackend",
     "OracleStubBackend",
     "Outcome",
-    "PriceConfig",
     "PipelineError",
     "ProblemSpec",
     "RecordingBackend",

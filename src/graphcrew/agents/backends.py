@@ -15,14 +15,11 @@ backend config, never from the config file or the command line.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import math
 import os
 import threading
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
@@ -30,9 +27,11 @@ from typing import Any, Protocol
 
 import yaml
 
-from ..dataset import exact_route, read_jsonl, reference_extract
+from ..dataset import exact_route, read_jsonl
+from ..dataset.extract import reference_extract
 from ..execute import run_algorithm
 from ..formats import serialize_graph
+from ..prices import PriceConfig
 from .blocks import answer_lines
 from .prompts import TAGS, slot_value, stage_of_prompt
 
@@ -67,15 +66,6 @@ class ChatBackend(Protocol):
 def whitespace_token_count(text: str) -> int:
     """Token stand-in for offline backends: whitespace-separated words."""
     return len(text.split())
-
-
-@dataclass(frozen=True)
-class PriceConfig:
-    """Per-million token rates, exact and non-negative once loaded."""
-
-    input_per_million: Fraction = Fraction(0)
-    output_per_million: Fraction = Fraction(0)
-    currency: str = "USD"
 
 
 @dataclass(frozen=True)
@@ -214,6 +204,10 @@ class LiveChatBackend:
         self._config = config
 
     def complete(self, system_prompt, user_prompt, params=None):
+        import http.client
+        import urllib.error
+        import urllib.request
+
         config = self._config
         payload = {
             "model": config.model,
@@ -321,7 +315,7 @@ class OracleStubBackend:
 
     It holds no instance data.  ``extract_graph`` and ``direct`` read the
     problem statement in their prompt with
-    :func:`~graphcrew.dataset.reference_extract`, which recovers a
+    :func:`~graphcrew.dataset.extract.reference_extract`, which recovers a
     generated text's family, graph and route exactly; ``extract_graph``
     answers both of its blocks from that one read, and ``direct``
     answers with the proven optimum on the graph it read, by the route

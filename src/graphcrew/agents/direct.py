@@ -2,20 +2,41 @@
 
 No extraction, no route table, no native solving; the backend reads the
 prose and commits to an answer block.  ``cot`` mode prepends a
-step-by-step directive to the same template.  A reply that never parses,
-or a backend that keeps failing, is a scored failure of that instance,
-not an exception, because baseline failure rates are themselves a
-measured quantity.
+step-by-step directive to the same template.  An answer that names a
+node the statement never mentions (``order: A -> B`` read as one stop,
+say) is asked again, like any reply that does not read.  A reply that
+never parses, or a backend that keeps failing, is a scored failure of
+that instance, not an exception, because baseline failure rates are
+themselves a measured quantity.
 """
 
 from __future__ import annotations
 
+import re
+
+from ..problems import BOOLEAN
+from ..solvers import Solution
 from .backends import ChatBackend
-from .blocks import read_answer
+from .blocks import RejectReply, read_answer
 from .pipeline import CallRecord, Outcome, PipelineError, _ask
 from .prompts import cot_directive
 
 MODES = ("direct", "cot")
+
+
+def _read_mentioned(body: str, algorithm_id: str, problem_text: str) -> Solution:
+    """The answer ``body`` states, refused when it names a node that
+    ``problem_text`` does not mention: as a word, or as a run of text
+    with no word character on either side (``North-Gate``)."""
+    solution = read_answer(body, algorithm_id)
+    if solution.kind != BOOLEAN:
+        words = set(re.findall(r"\w+", problem_text))
+        for name in solution.payload:  # a coloring's payload iterates its nodes
+            if name not in words and not re.search(rf"(?<!\w){re.escape(name)}(?!\w)",
+                                                   problem_text):
+                raise RejectReply(f"the answer names {name!r}, "
+                                  "which the statement does not mention")
+    return solution
 
 
 def run_direct(backend: ChatBackend, problem_text: str, mode: str = "direct") -> Outcome:
@@ -30,7 +51,7 @@ def run_direct(backend: ChatBackend, problem_text: str, mode: str = "direct") ->
             "direct",
             {"directive": directive, "problem": problem_text},
             calls,
-            lambda body: read_answer(body, algorithm_id),
+            lambda body: _read_mentioned(body, algorithm_id, problem_text),
         )
     except PipelineError as exc:
         return Outcome(tuple(calls), failure=str(exc), stage=exc.stage)

@@ -5,6 +5,10 @@ instances failed to solve, 2 for configuration problems.  Offline runs
 (stub or replay backends) are byte-reproducible end to end; the only
 secret a live backend ever sees is its API key, read from the
 environment variable named in the backend config, never from a flag.
+
+Every command is a fresh process, so each imports the layers it runs
+inside its own body: ``generate`` never loads the agents, the
+evaluation layer, YAML or the HTTP client.
 """
 
 from __future__ import annotations
@@ -12,19 +16,10 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
 
-from .agents import (
-    ConfigError,
-    PriceConfig,
-    load_backend_config,
-    make_backend,
-    run_direct,
-    run_pipeline,
-)
 from .dataset import (
     DatasetSpec,
     check_manifest,
@@ -36,17 +31,6 @@ from .dataset import (
     write_instances,
     write_jsonl,
     write_text_only,
-)
-from .evaluation import (
-    TruthDefectError,
-    aggregate_scores,
-    cost_report,
-    overall_summary,
-    render_accuracy_table,
-    render_cost_table,
-    score_failure,
-    score_prediction,
-    scores_to_records,
 )
 from .problems import (
     CYCLE_DETECTION,
@@ -149,7 +133,7 @@ def _make_dir(path: Path) -> None:
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create the directory {path}: {exc}") from None
+        raise ValueError(f"cannot create the directory {path}: {exc}") from None
 
 
 def _run_dataset(instances, backend_config, concurrency, out, verb, answer, **fields) -> None:
@@ -163,6 +147,8 @@ def _run_dataset(instances, backend_config, concurrency, out, verb, answer, **fi
     a run never pays for answers it cannot write.  Exits 1 when some
     instance failed.
     """
+    from .agents import make_backend
+
     _make_dir(out.parent)
     backend = make_backend(backend_config)
 
@@ -170,6 +156,8 @@ def _run_dataset(instances, backend_config, concurrency, out, verb, answer, **fi
         return result_record(instance, answer(backend, instance.text), **fields)
 
     if concurrency > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
             records = list(pool.map(run_one, instances))
     else:
@@ -197,6 +185,8 @@ def _run_dataset(instances, backend_config, concurrency, out, verb, answer, **fi
 @_config_guard
 def cmd_solve(dataset, backend_config_path, concurrency, out):
     """Run the staged pipeline over a dataset."""
+    from .agents import load_backend_config, run_pipeline
+
     instances = read_instances(dataset, statements_only=True)
     backend_config = load_backend_config(backend_config_path)
     _run_dataset(instances, backend_config, concurrency, out, "solved", run_pipeline)
@@ -217,6 +207,8 @@ def cmd_solve(dataset, backend_config_path, concurrency, out):
 @_config_guard
 def cmd_solve_direct(dataset, backend_config_path, mode, concurrency, out):
     """Ask for the answer in one prompt, no pipeline; the baseline condition."""
+    from .agents import load_backend_config, run_direct
+
     instances = read_instances(dataset, statements_only=True)
     backend_config = load_backend_config(backend_config_path)
     _run_dataset(instances, backend_config, concurrency, out, "answered",
@@ -239,16 +231,31 @@ def cmd_solve_direct(dataset, backend_config_path, mode, concurrency, out):
 @_config_guard
 def cmd_evaluate(results_path, dataset, backend_config_path, out_dir):
     """Check the hidden truth, then score results against it and account for token costs."""
+    from .evaluation import (
+        PriceConfig,
+        TruthDefectError,
+        aggregate_scores,
+        cost_report,
+        overall_summary,
+        render_accuracy_table,
+        render_cost_table,
+        score_failure,
+        score_prediction,
+        scores_to_records,
+    )
+
     check_manifest(dataset)
     instances = {inst.instance_id: inst for inst in read_instances(dataset)}
     if backend_config_path is not None:
+        from .agents import load_backend_config
+
         prices = load_backend_config(backend_config_path).prices
     else:
         prices = PriceConfig()
 
     results = read_results(results_path, instances)
     if not results:
-        raise ConfigError(f"{results_path} holds no results")
+        raise ValueError(f"{results_path} holds no results")
     scores = []
     for result in results:
         instance = result.instance
@@ -267,7 +274,7 @@ def cmd_evaluate(results_path, dataset, backend_config_path, out_dir):
                 instance_id=instance.instance_id,
             ))
         except TruthDefectError as exc:
-            raise ConfigError(
+            raise ValueError(
                 f"{results_path}: line {result.lineno}: instance {instance.instance_id!r}: "
                 f"{exc}; the dataset's truth is wrong"
             ) from exc

@@ -2,7 +2,6 @@
 
 from .names import generate_names
 from .text import SCENARIO_STYLES, render_problem_text
-from .extract import ExtractedProblem, ExtractionError, reference_extract
 from .generate import (
     DatasetSpec,
     GroundTruth,
@@ -32,8 +31,6 @@ from .records import (
 
 __all__ = [
     "DatasetSpec",
-    "ExtractedProblem",
-    "ExtractionError",
     "GroundTruth",
     "NoExactTruthError",
     "ProblemInstance",
@@ -52,7 +49,6 @@ __all__ = [
     "read_jsonl",
     "read_results",
     "record_to_instance",
-    "reference_extract",
     "render_problem_text",
     "result_record",
     "text_digest",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from ..graph import Graph, build_graph, is_connected
@@ -262,6 +261,8 @@ def generate_dataset(spec: DatasetSpec, workers: int | None = None) -> list[Prob
         for i in range(spec.instances_per_size)
     ]
     if workers is not None and workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_build_cell, cells, chunksize=8))
     return [_build_cell(cell) for cell in cells]

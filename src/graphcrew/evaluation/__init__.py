@@ -12,6 +12,7 @@ from .scoring import (
 )
 from .costs import (
     CostReport,
+    PriceConfig,
     StageCost,
     cost_report,
     price_of,
@@ -25,6 +26,7 @@ from .reports import (
 __all__ = [
     "CostReport",
     "InstanceScore",
+    "PriceConfig",
     "StageCost",
     "TaskSummary",
     "TruthDefectError",

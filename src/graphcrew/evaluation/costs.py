@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from ..agents import PriceConfig
+from ..prices import PriceConfig
 
 MILLION = 1_000_000
 

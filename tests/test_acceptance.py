@@ -19,17 +19,18 @@ from graphcrew.dataset import (
     build_instance,
     generate_dataset,
     read_instances,
-    reference_extract,
     write_instances,
 )
+from graphcrew.dataset.extract import reference_extract
 from graphcrew.evaluation import (
+    PriceConfig,
     cost_report,
     overall_summary,
     price_of,
     score_instance,
     score_prediction,
 )
-from graphcrew.agents import OracleStubBackend, PriceConfig, run_pipeline
+from graphcrew.agents import OracleStubBackend, run_pipeline
 from graphcrew.problems import (
     GRAPH_COLORING,
     NOISE_LEVELS,

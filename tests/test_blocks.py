@@ -118,3 +118,12 @@ def test_answer_lines_text():
     assert answer_lines(ANSWERS["coloring"]) == "color A: 0\ncolor B: 1\ncolor C: 0\ncolors: 2"
     assert answer_lines(ANSWERS["boolean"]) == "answer: no"
 
+
+
+@pytest.mark.parametrize("line", ["order: A -> B -> C", "order: A B C", "nodes: A and B",
+                                  "path: A → B"])
+def test_read_answer_splits_names_on_commas_only(line):
+    # names joined any other way read as one; run_direct refuses that name
+    # because the statement does not mention it
+    count = "size" if line.startswith("nodes") else "cost"
+    assert read_answer(f"{line}\n{count}: 1", "direct").payload == (line.partition(": ")[2],)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from graphcrew import cli
+from graphcrew import agents
 from graphcrew.agents import Completion, OracleStubBackend, Usage
 from graphcrew.cli import main
 from graphcrew.formats import parse_graph
@@ -215,7 +215,7 @@ class TestSolve:
         out = tmp_path / "ds"
         _generate(runner, out, extra=["--type", "vertex_cover", "--sizes", "8-10"])
         backend = InFlight()
-        monkeypatch.setattr(cli, "make_backend", lambda config: backend)
+        monkeypatch.setattr(agents, "make_backend", lambda config: backend)
         results = tmp_path / "results.jsonl"
         result = runner.invoke(main, ["solve", "--dataset", str(out / "vertex_cover.jsonl"),
                                       "--backend-config", str(_write_stub_config(tmp_path)),
@@ -541,6 +541,46 @@ def test_no_file_is_opened_in_the_locale_encoding(tmp_path):
         run("solve", "--dataset", dataset, "--backend-config", config, "--out", results)
     run("evaluate", "--results", results, "--dataset", dataset, "--out", tmp_path / "report")
     assert (tmp_path / "report" / "report.txt").is_file()
+
+
+# runs the command named in its arguments, then prints the modules loaded
+LOADED_MODULES = """\
+import json, sys
+from graphcrew.cli import main
+try:
+    main(sys.argv[1:], prog_name="graphcrew")
+except SystemExit as exc:
+    if exc.code:
+        raise
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_each_command_loads_only_its_own_layers(tmp_path):
+    # each command in a fresh interpreter; a name stands for itself and its submodules
+    def loaded(*args):
+        done = run_python("-c", LOADED_MODULES, *map(str, args))
+        assert done.returncode == 0, done.stderr
+        return set(json.loads(done.stdout.splitlines()[-1]))
+
+    def assert_not_loaded(modules, names):
+        assert sorted(m for m in modules for name in names
+                      if m == name or m.startswith(name + ".")) == []
+
+    data, config = tmp_path / "ds", _write_stub_config(tmp_path)
+    dataset, results = data / "vertex_cover.jsonl", tmp_path / "results.jsonl"
+    modules = loaded("generate", "--type", "vertex_cover", "--sizes", "8", "--per-size", "1",
+                     "--out", data)
+    assert_not_loaded(modules, ["graphcrew.agents", "graphcrew.evaluation",
+                                "graphcrew.dataset.extract", "yaml", "multiprocessing",
+                                "http.client", "urllib.request"])
+    modules = loaded("solve", "--dataset", dataset, "--backend-config", config, "--out", results)
+    assert "graphcrew.agents" in modules
+    assert_not_loaded(modules, ["http.client", "urllib.request", "graphcrew.evaluation"])
+    modules = loaded("evaluate", "--results", results, "--dataset", dataset,
+                     "--out", tmp_path / "report")
+    assert "graphcrew.evaluation" in modules
+    assert_not_loaded(modules, ["graphcrew.agents", "yaml", "http.client"])
 
 
 # a line that no JSONL file may hold, and the reader's message for it

@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from graphcrew.agents import PriceConfig
-from graphcrew.evaluation import cost_report, price_of
+from graphcrew.evaluation import PriceConfig, cost_report, price_of
 
 from oracles import exact_price
 

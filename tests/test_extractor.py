@@ -2,8 +2,8 @@
 
 import pytest
 
-from graphcrew.dataset import build_instance, reference_extract
-from graphcrew.dataset.extract import ExtractionError
+from graphcrew.dataset import build_instance
+from graphcrew.dataset.extract import ExtractionError, reference_extract
 from graphcrew.problems import NOISE_LEVELS, PROBLEM_TYPES, SCENARIOS, TSP
 
 

@@ -570,3 +570,35 @@ def test_run_direct_refuses_an_exponent_cost():
     assert time.perf_counter() - start < 1
     assert outcome.solution is None
     assert "exponent notation is not accepted" in outcome.failure
+
+
+# per way of joining names with no comma: the answer kind, a direct answer
+# body, and the one name the reader takes it for
+JOINED = {
+    "arrows": ("tour", "order: Depot -> Mill -> Quay -> Yard\ncost: 14",
+               "Depot -> Mill -> Quay -> Yard"),
+    "spaces": ("tour", "order: Depot Mill Quay Yard\ncost: 14", "Depot Mill Quay Yard"),
+    "and": ("node_set", "nodes: A and B\nsize: 2", "A and B"),
+    "unicode arrow": ("path", "path: A → B\ncost: 7/2", "A → B"),
+}
+
+
+@pytest.mark.parametrize("case", JOINED)
+def test_run_direct_retries_an_answer_naming_an_unmentioned_node(case):
+    kind, body, name = JOINED[case]
+    text, payload, objective = DIRECT_CASES[kind]
+    backend = StageScripted({"direct": [f"```result:answer\n{body}\n```"]})
+    outcome = run_direct(backend, text)
+    assert [call.attempt for call in outcome.calls] == [1, 2]
+    assert (f"rejected: the answer names {name!r}, which the statement does not mention"
+            in backend.seen[1][1])
+    assert (outcome.solution.payload, outcome.solution.objective) == (payload, objective)
+
+
+def test_run_direct_reads_a_mentioned_name_with_punctuation_in_one_call():
+    text = "Visit North-Gate, Mill and Quay once each and return. Find the cheapest tour."
+    backend = StageScripted({"direct": ["```result:answer\norder: North-Gate, Mill, Quay\n"
+                                        "cost: 9\n```"]})
+    outcome = run_direct(backend, text)
+    assert len(outcome.calls) == 1
+    assert outcome.solution.payload == ("North-Gate", "Mill", "Quay")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from graphcrew.evaluation import (
     InstanceScore,
+    PriceConfig,
     aggregate_scores,
     cost_report,
     overall_summary,
@@ -11,7 +12,6 @@ from graphcrew.evaluation import (
     render_cost_table,
     scores_to_records,
 )
-from graphcrew.agents import PriceConfig
 
 
 def _score(ident, ptype, nodes, result, failed=False):
