@@ -83,11 +83,14 @@ def _parse_sizes(text: str) -> tuple[int, int]:
 @main.command("generate")
 @click.option("--type", "types", multiple=True, type=click.Choice(PROBLEM_TYPES),
               help="Problem family to generate; repeatable. Default: the four standard families.")
-@click.option("--sizes", default="8-25", show_default=True,
-              help="Node-count range, as LO-HI or a single N.")
-@click.option("--per-size", default=50, show_default=True, help="Instances per node count.")
-@click.option("--seed", default=7, show_default=True, help="Master seed; all randomness flows from it.")
-@click.option("--noise", default="standard", show_default=True,
+# the other defaults are DatasetSpec's, read from its class attributes
+@click.option("--sizes", default=f"{DatasetSpec.min_nodes}-{DatasetSpec.max_nodes}",
+              show_default=True, help="Node-count range, as LO-HI or a single N.")
+@click.option("--per-size", default=DatasetSpec.instances_per_size, show_default=True,
+              help="Instances per node count.")
+@click.option("--seed", default=DatasetSpec.master_seed, show_default=True,
+              help="Master seed; all randomness flows from it.")
+@click.option("--noise", default=DatasetSpec.noise_level, show_default=True,
               type=click.Choice(NOISE_LEVELS), help="How much irrelevant prose to add.")
 @click.option("--scenario", default=None, type=click.Choice(sorted(SCENARIOS)),
               help="Cover story; default picks one per problem family.")
@@ -231,18 +234,7 @@ def cmd_solve_direct(dataset, backend_config_path, mode, concurrency, out):
 @_config_guard
 def cmd_evaluate(results_path, dataset, backend_config_path, out_dir):
     """Check the hidden truth, then score results against it and account for token costs."""
-    from .evaluation import (
-        PriceConfig,
-        TruthDefectError,
-        aggregate_scores,
-        cost_report,
-        overall_summary,
-        render_accuracy_table,
-        render_cost_table,
-        score_failure,
-        score_prediction,
-        scores_to_records,
-    )
+    from .evaluation import PriceConfig, render_report, score_results, scores_to_records
 
     check_manifest(dataset)
     instances = {inst.instance_id: inst for inst in read_instances(dataset)}
@@ -256,43 +248,9 @@ def cmd_evaluate(results_path, dataset, backend_config_path, out_dir):
     results = read_results(results_path, instances)
     if not results:
         raise ValueError(f"{results_path} holds no results")
-    scores = []
-    for result in results:
-        instance = result.instance
-        if result.solution is None:
-            scores.append(score_failure(instance.instance_id, instance.problem_type,
-                                        result.failure))
-            continue
-        try:
-            scores.append(score_prediction(
-                result.solution,
-                instance.truth.optimal,
-                instance.problem_type,
-                instance.graph,
-                source=instance.source,
-                target=instance.target,
-                instance_id=instance.instance_id,
-            ))
-        except TruthDefectError as exc:
-            raise ValueError(
-                f"{results_path}: line {result.lineno}: instance {instance.instance_id!r}: "
-                f"{exc}; the dataset's truth is wrong"
-            ) from exc
-    answered = {result.instance.instance_id for result in results}
-    scores += [
-        score_failure(instance_id, instance.problem_type, "no result")
-        for instance_id, instance in instances.items()
-        if instance_id not in answered
-    ]
+    scores = score_results(results, instances, results_path)
     calls = [call for result in results for call in result.usage]
-
-    summaries = aggregate_scores(scores)
-    overall = overall_summary(scores)
-    accuracy_text = render_accuracy_table(summaries, overall)
-    sections = [accuracy_text]
-    if calls:
-        sections.append(render_cost_table(cost_report(calls, prices)))
-    report_text = "\n\n".join(sections) + "\n"
+    report_text = render_report(scores, calls, prices)
 
     out_dir = out_dir or results_path.parent
     _make_dir(out_dir)

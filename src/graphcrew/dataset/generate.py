@@ -30,11 +30,6 @@ from ..solvers import Solution
 from .names import generate_names
 from .text import SCENARIO_STYLES, render_problem_text
 
-DEFAULT_MIN_NODES = 8
-DEFAULT_MAX_NODES = 25
-DEFAULT_PER_SIZE = 50
-
-
 class NoExactTruthError(ValueError):
     """No exact route in the route table fits the graph, so no proven optimum exists."""
 
@@ -72,9 +67,9 @@ class DatasetSpec:
 
     problem_type: str
     master_seed: int = 7
-    min_nodes: int = DEFAULT_MIN_NODES
-    max_nodes: int = DEFAULT_MAX_NODES
-    instances_per_size: int = DEFAULT_PER_SIZE
+    min_nodes: int = 8
+    max_nodes: int = 25
+    instances_per_size: int = 50
     noise_level: str = "standard"
     scenario: str | None = None
 

@@ -7,8 +7,8 @@ from .scoring import (
     aggregate_scores,
     overall_summary,
     score_failure,
-    score_instance,
     score_prediction,
+    score_results,
 )
 from .costs import (
     CostReport,
@@ -20,6 +20,7 @@ from .costs import (
 from .reports import (
     render_accuracy_table,
     render_cost_table,
+    render_report,
     scores_to_records,
 )
 
@@ -36,8 +37,9 @@ __all__ = [
     "price_of",
     "render_accuracy_table",
     "render_cost_table",
+    "render_report",
     "score_failure",
-    "score_instance",
     "score_prediction",
+    "score_results",
     "scores_to_records",
 ]

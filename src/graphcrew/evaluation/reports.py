@@ -10,8 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any
 
-from .costs import CostReport
-from .scoring import InstanceScore, TaskSummary
+from ..prices import PriceConfig
+from .costs import CostReport, cost_report
+from .scoring import InstanceScore, TaskSummary, aggregate_scores, overall_summary
 
 
 def _pct(value: Fraction) -> str:
@@ -58,6 +59,16 @@ def render_cost_table(report: CostReport) -> str:
         for s in (*report.stages, report.total)
     ]
     return _table(headers, rows)
+
+
+def render_report(scores: list[InstanceScore], calls: list[tuple[str, int, int]],
+                  prices: PriceConfig) -> str:
+    """The report of a graded run: the accuracy table by task and overall,
+    then the cost table of ``calls`` when there are any usage rows."""
+    sections = [render_accuracy_table(aggregate_scores(scores), overall_summary(scores))]
+    if calls:
+        sections.append(render_cost_table(cost_report(calls, prices)))
+    return "\n\n".join(sections) + "\n"
 
 
 def scores_to_records(scores: list[InstanceScore]) -> list[dict[str, Any]]:

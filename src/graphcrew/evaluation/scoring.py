@@ -1,5 +1,9 @@
 """Instance scoring: half for the node set, half for the value.
 
+:func:`score_results` is the one grading pass over a results file and
+:func:`score_prediction` the one scorer; an answer of the wrong kind for
+its family scores zero as a failure that names both kinds.
+
 A prediction earns its result point by stating the true objective value
 exactly, and its node point by presenting a payload that is structurally
 valid on the hidden graph and whose own objective matches the optimum.
@@ -22,10 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
+from ..dataset import ProblemInstance, Result
 from ..graph import Graph, Weight, format_weight
 from ..problems import BOOLEAN, KIND_BY_PROBLEM, check_problem_type
-from ..solvers import KindMismatchError, Solution, verify_solution
+from ..solvers import Solution, verify_solution
 
 HALF = Fraction(1, 2)
 
@@ -62,7 +68,7 @@ class TaskSummary:
     error_rate: Fraction
 
 
-def score_instance(
+def score_prediction(
     prediction: Solution,
     truth: Solution,
     problem_type: str,
@@ -73,16 +79,16 @@ def score_instance(
 ) -> InstanceScore:
     """Score one prediction against the known best solution.
 
-    Raises KindMismatchError when the prediction answers a different
-    problem shape than the task asks for, and TruthDefectError when its
-    payload is valid and beats the optimum.
+    An answer of the wrong kind for the family is a scored failure.
+    Raises TruthDefectError when the payload is valid and beats the
+    optimum, and ValueError for an unknown problem type.
     """
     check_problem_type(problem_type)
     expected_kind = KIND_BY_PROBLEM[problem_type]
     if prediction.kind != expected_kind:
-        raise KindMismatchError(
-            f"{problem_type} expects a {expected_kind} answer, got {prediction.kind}"
-        )
+        return score_failure(instance_id, problem_type,
+                             f"{problem_type} expects a {expected_kind} answer, "
+                             f"got {prediction.kind}")
 
     acc_result = Fraction(int(prediction.objective == truth.objective))
     if expected_kind == BOOLEAN:
@@ -118,24 +124,36 @@ def score_failure(instance_id: str, problem_type: str, reason: str) -> InstanceS
     )
 
 
-def score_prediction(
-    prediction: Solution,
-    truth: Solution,
-    problem_type: str,
-    graph: Graph,
-    source: str | None = None,
-    target: str | None = None,
-    instance_id: str = "",
-) -> InstanceScore:
-    """Lenient front door: a wrong-kind answer scores zero; a truth defect
-    still raises."""
-    try:
-        return score_instance(
-            prediction, truth, problem_type, graph,
-            source=source, target=target, instance_id=instance_id,
-        )
-    except KindMismatchError as exc:
-        return score_failure(instance_id, problem_type, str(exc))
+def score_results(
+    results: list[Result], instances: dict[str, ProblemInstance], path: str | Path
+) -> list[InstanceScore]:
+    """One score per result of the file at ``path``, in file order, then a
+    ``"no result"`` failure for each of ``instances`` left unanswered.
+    A truth defect raises ValueError naming the result's line."""
+    scores = []
+    for result in results:
+        instance = result.instance
+        if result.solution is None:
+            scores.append(score_failure(instance.instance_id, instance.problem_type,
+                                        result.failure))
+            continue
+        try:
+            scores.append(score_prediction(
+                result.solution, instance.truth.optimal, instance.problem_type, instance.graph,
+                source=instance.source, target=instance.target, instance_id=instance.instance_id,
+            ))
+        except TruthDefectError as exc:
+            raise ValueError(
+                f"{path}: line {result.lineno}: instance {instance.instance_id!r}: "
+                f"{exc}; the dataset's truth is wrong"
+            ) from exc
+    answered = {result.instance.instance_id for result in results}
+    scores += [
+        score_failure(instance_id, instance.problem_type, "no result")
+        for instance_id, instance in instances.items()
+        if instance_id not in answered
+    ]
+    return scores
 
 
 def _summarize(problem_type: str, scores: list[InstanceScore]) -> TaskSummary:

@@ -1,7 +1,6 @@
 """Native graph algorithms with exact arithmetic and fixed tie-breaking."""
 
 from .solution import (
-    KindMismatchError,
     Solution,
     ValidityReport,
     solution_from_dict,
@@ -15,7 +14,6 @@ from .shortest_path import NoPathError, shortest_path_dijkstra
 from .cycles import detect_cycle
 
 __all__ = [
-    "KindMismatchError",
     "NoPathError",
     "Solution",
     "ValidityReport",

@@ -18,7 +18,9 @@ equal values serialize to identical bytes.
 :func:`verify_solution` is the one place an answer is measured: a
 per-kind check reads the payload's structure and computes its own
 objective, and the verifier compares that with the stated objective.
-Scoring and the pipeline both read the verifier's report.
+A solution of the wrong kind for its family is reported invalid with
+that one violation, not raised.  Scoring, the pipeline and the dataset
+reader all read the verifier's report.
 """
 
 from __future__ import annotations
@@ -28,10 +30,6 @@ from typing import Any
 
 from ..graph import Graph, Weight, coerce_weight, format_weight
 from ..problems import BOOLEAN, COLORING, KIND_BY_PROBLEM, NODE_SET, PATH, TOUR
-
-
-class KindMismatchError(ValueError):
-    """Solution kind does not fit the problem type under verification."""
 
 
 @dataclass(frozen=True)
@@ -132,16 +130,15 @@ def verify_solution(
     valid.  The payload's own objective is measured here, and only here;
     the report carries it, or None when the structure is broken, and a
     stated objective that differs from it is the one violation left.
-    Raises :class:`KindMismatchError` when the solution kind does not
-    belong to the problem type at all.
+    A solution whose kind does not belong to the problem type is invalid
+    with that one violation.  Raises ValueError for an unknown problem type.
     """
     expected = KIND_BY_PROBLEM.get(problem_type)
     if expected is None:
         raise ValueError(f"unknown problem type {problem_type!r}")
     if solution.kind != expected:
-        raise KindMismatchError(
-            f"{problem_type} expects a {expected} solution, got {solution.kind}"
-        )
+        message = f"{problem_type} expects a {expected} solution, got {solution.kind}"
+        return ValidityReport(valid=False, violations=(message,), objective=None)
     check, misstated = _CHECKS[expected]
     violations, objective = check(graph, solution.payload, source, target)
     if violations:

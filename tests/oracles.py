@@ -520,23 +520,24 @@ def _recompute_objective(graph, solution):
     return None
 
 
-def recomputing_score_instance(prediction, truth, problem_type, graph,
-                               source=None, target=None, instance_id=""):
+def recomputing_score_prediction(prediction, truth, problem_type, graph,
+                                 source=None, target=None, instance_id=""):
     """Scoring that recomputes the payload's objective itself, then verifies a
     copy of the prediction that states it; returns the same ``InstanceScore``
-    and raises the same errors as ``score_instance``."""
+    and raises the same errors as ``score_prediction``."""
     from dataclasses import replace
 
     from graphcrew.evaluation import InstanceScore, TruthDefectError
     from graphcrew.problems import KIND_BY_PROBLEM, check_problem_type
-    from graphcrew.solvers import KindMismatchError, verify_solution
+    from graphcrew.solvers import verify_solution
 
     check_problem_type(problem_type)
     expected_kind = KIND_BY_PROBLEM[problem_type]
     if prediction.kind != expected_kind:
-        raise KindMismatchError(
-            f"{problem_type} expects a {expected_kind} answer, got {prediction.kind}"
-        )
+        zero = Fraction(0)
+        return InstanceScore(instance_id, problem_type, zero, zero, zero,
+                             f"{problem_type} expects a {expected_kind} answer, "
+                             f"got {prediction.kind}")
     half = Fraction(1, 2)
     acc_result = Fraction(int(prediction.objective == truth.objective))
     if expected_kind == "boolean":

@@ -27,7 +27,6 @@ from graphcrew.evaluation import (
     cost_report,
     overall_summary,
     price_of,
-    score_instance,
     score_prediction,
 )
 from graphcrew.agents import OracleStubBackend, run_pipeline
@@ -206,16 +205,16 @@ def test_criterion_5_scoring_formula():
     instance = build_instance(TSP, 8, 0)
     truth = instance.truth.optimal
 
-    both_right = score_instance(truth, truth, TSP, instance.graph)
+    both_right = score_prediction(truth, truth, TSP, instance.graph)
     assert both_right.acc_all == 1
 
     value_only = replace(truth, payload=truth.payload[:-1])
-    half = score_instance(value_only, truth, TSP, instance.graph)
+    half = score_prediction(value_only, truth, TSP, instance.graph)
     assert (half.acc_nodes, half.acc_result) == (0, 1)
     assert half.acc_all == Fraction(1, 2)
 
     neither = replace(truth, payload=truth.payload[:-1], objective=truth.objective + 1)
-    zero = score_instance(neither, truth, TSP, instance.graph)
+    zero = score_prediction(neither, truth, TSP, instance.graph)
     assert zero.acc_all == 0
 
     mixed = overall_summary([both_right, half, zero])

@@ -806,6 +806,23 @@ class TestEvaluate:
         assert scores[-1]["acc_all"] == "0"
         assert scores[-1]["failure_reason"] == "no result"
 
+    def test_answer_of_the_wrong_kind_scores_as_failure(self, runner, tmp_path):
+        dataset, config, results = self._solve(runner, tmp_path)
+        lines = results.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["solution"] = {"kind": "node_set", "algorithm": "direct", "exact": False,
+                              "objective": "1", "nodes": ["Nowhere"]}
+        results.write_text("\n".join([json.dumps(record), *lines[1:]]) + "\n")
+        report_dir = tmp_path / "report"
+        result = runner.invoke(main, ["evaluate", "--results", str(results),
+                                      "--dataset", str(dataset), "--out", str(report_dir)])
+        assert result.exit_code == 0, result.output
+        scores = [json.loads(l) for l in (report_dir / "scores.jsonl").read_text().splitlines()]
+        assert scores[0] == {"id": record["id"], "problem_type": "tsp", "acc_nodes": "0",
+                             "acc_result": "0", "acc_all": "0",
+                             "failure_reason": "tsp expects a tour answer, got node_set"}
+        assert all(score["acc_all"] == "1" for score in scores[1:])
+
     def test_cost_table_text(self, runner, tmp_path):
         # stages are first met in the order classify, extract_graph (first
         # instance), then audit, classify (second); at $0.15 in and $0.60 out
@@ -917,6 +934,22 @@ class TestEvaluate:
         assert (f"configuration error: {edited}: line 2: the stored optimum of "
                 "'vertex_cover-n08-i01' fails verification on its graph (cover misses edge"
                 ) in result.output
+        assert not (tmp_path / "rep").exists()
+
+    def test_stored_optimum_of_the_wrong_kind_is_config_error(self, runner, tmp_path):
+        results, lines = self._solve_seed_7_covers(runner, tmp_path)
+        record = json.loads(lines[0])
+        hidden = record["hidden"]["truth"]
+        hidden["optimal"] = {"kind": "tour", "algorithm": "held_karp", "exact": True,
+                             "objective": "6", "order": hidden["optimal"]["nodes"]}
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text("\n".join([json.dumps(record), *lines[1:]]) + "\n")
+        result = runner.invoke(main, ["evaluate", "--results", str(results),
+                                      "--dataset", str(edited), "--out", str(tmp_path / "rep")])
+        assert result.exit_code == 2
+        assert (f"configuration error: {edited}: line 1: the stored optimum of "
+                "'vertex_cover-n08-i00' fails verification on its graph "
+                "(vertex_cover expects a node_set solution, got tour)") in result.output
         assert not (tmp_path / "rep").exists()
 
     def test_dataset_unlike_its_manifest_is_config_error(self, runner, tmp_path):

@@ -23,8 +23,9 @@ from graphcrew.agents.prompts import (
     stage_of_prompt,
 )
 from graphcrew.dataset import build_instance
+from graphcrew.evaluation import score_prediction
 from graphcrew.formats import parse_graph, serialize_graph
-from graphcrew.graph import build_graph
+from graphcrew.graph import build_graph, format_weight
 from graphcrew.knowledge import ROUTES
 from graphcrew.solvers import Solution, verify_solution
 
@@ -602,3 +603,25 @@ def test_run_direct_reads_a_mentioned_name_with_punctuation_in_one_call():
     outcome = run_direct(backend, text)
     assert len(outcome.calls) == 1
     assert outcome.solution.payload == ("North-Gate", "Mill", "Quay")
+
+
+def test_run_direct_reads_a_tour_closed_on_its_first_stop_as_the_tour():
+    inst = build_instance("tsp", 8, 0)
+    truth = inst.truth.optimal
+    cost = format_weight(truth.objective)
+
+    def answer(order):
+        reply = f"```result:answer\norder: {', '.join(order)}\ncost: {cost}\n```"
+        return run_direct(StageScripted({"direct": [reply]}), inst.text)
+
+    closed = answer(truth.payload + truth.payload[:1])
+    assert len(closed.calls) == 1
+    assert closed.solution.payload == truth.payload
+    assert score_prediction(closed.solution, truth, "tsp", inst.graph).acc_all == 1
+    # a repeat anywhere else is kept as stated and fails verification
+    for order in (truth.payload[:1] + truth.payload, truth.payload + truth.payload[1:2]):
+        outcome = answer(order)
+        assert len(outcome.calls) == 1
+        assert outcome.solution.payload == order
+        assert verify_solution("tsp", inst.graph, outcome.solution).violations == (
+            "tour is not a permutation of the nodes",)

@@ -4,8 +4,8 @@ import pytest
 
 from graphcrew.graph import build_graph
 from graphcrew.solvers import (
-    KindMismatchError,
     Solution,
+    ValidityReport,
     solution_from_dict,
     solution_to_dict,
     verify_solution,
@@ -97,11 +97,13 @@ def test_boolean_checks():
     assert not verify_solution("cycle_detection", g, not_bool).valid
 
 
-def test_kind_mismatch_raises():
+def test_kind_mismatch_is_an_invalid_report():
     g = k4()
     cover = Solution("node_set", ("A",), 1, "bnb_cover", True)
-    with pytest.raises(KindMismatchError):
-        verify_solution("tsp", g, cover)
+    report = verify_solution("tsp", g, cover)
+    assert report == ValidityReport(
+        valid=False, violations=("tsp expects a tour solution, got node_set",), objective=None
+    )
     with pytest.raises(ValueError):
         verify_solution("minimum_spanning_tree", g, cover)
 
