@@ -10,7 +10,6 @@ from .backends import (
     OracleStubBackend,
     RecordingBackend,
     ReplayBackend,
-    Usage,
     load_backend_config,
     make_backend,
     whitespace_token_count,
@@ -21,7 +20,6 @@ from .pipeline import (
     CallRecord,
     Outcome,
     PipelineError,
-    ProblemSpec,
     run_pipeline,
 )
 
@@ -36,10 +34,8 @@ __all__ = [
     "OracleStubBackend",
     "Outcome",
     "PipelineError",
-    "ProblemSpec",
     "RecordingBackend",
     "ReplayBackend",
-    "Usage",
     "extract_block",
     "load_backend_config",
     "make_backend",

@@ -1,7 +1,8 @@
 """Chat backends: live HTTP, record/replay fixtures, and an offline oracle.
 
 Every backend answers one shape of question: a system prompt plus a user
-prompt, returning reply text with token usage.  The live backend talks
+prompt, returning reply text with its token counts, sampled with the one
+setting in :data:`SAMPLING`.  The live backend talks
 to any chat-completions endpoint; the recording pair captures live
 replies into a JSONL fixture and replays them byte-for-byte later; the
 offline stub reads the problem statement in its prompts the way a model
@@ -28,7 +29,6 @@ from typing import Any, Protocol
 import yaml
 
 from ..dataset import exact_route, read_jsonl
-from ..dataset.extract import reference_extract
 from ..execute import run_algorithm
 from ..formats import serialize_graph
 from ..prices import PriceConfig
@@ -44,22 +44,26 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Usage:
-    input_tokens: int
-    output_tokens: int
+# the sampling settings of every call: the live payload sends them, and
+# fixture keys and recorded lines hold them, so replay matches on them
+SAMPLING: dict[str, Any] = {"temperature": 0.0}
 
 
 @dataclass(frozen=True)
 class Completion:
     text: str
-    usage: Usage
+    input_tokens: int
+    output_tokens: int
+
+    @property
+    def usage(self) -> Completion:
+        """The completion itself, for readers of ``usage.input_tokens``
+        and ``usage.output_tokens`` (the perfbench tracer)."""
+        return self
 
 
 class ChatBackend(Protocol):
-    def complete(
-        self, system_prompt: str, user_prompt: str, params: dict[str, Any] | None = None
-    ) -> Completion:
+    def complete(self, system_prompt: str, user_prompt: str) -> Completion:
         ...
 
 
@@ -102,6 +106,15 @@ def _rate(prices: dict, key: str, where: str) -> Fraction:
     return rate
 
 
+def _text(doc: dict, key: str, default: str, where: str) -> str:
+    """The value under ``key`` as text; a YAML scalar is read as its text,
+    and a null, a list or a mapping is refused."""
+    value = doc.get(key, default)
+    if value is None or isinstance(value, (list, dict)):
+        raise ConfigError(f"{where}: {key!r} must be a string, got {value!r}")
+    return str(value)
+
+
 def _config_from_mapping(doc: Any, where: str) -> BackendConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: backend config must be a mapping")
@@ -116,7 +129,7 @@ def _config_from_mapping(doc: Any, where: str) -> BackendConfig:
     prices = PriceConfig(
         input_per_million=_rate(prices_raw, "input_per_million", f"{where}.prices"),
         output_per_million=_rate(prices_raw, "output_per_million", f"{where}.prices"),
-        currency=str(prices_raw.get("currency", "USD")),
+        currency=_text(prices_raw, "currency", "USD", f"{where}.prices"),
     )
     timeout = doc.get("timeout_seconds", 60.0)
     number = isinstance(timeout, (int, float)) and not isinstance(timeout, bool)
@@ -129,11 +142,11 @@ def _config_from_mapping(doc: Any, where: str) -> BackendConfig:
         inner = _config_from_mapping(doc["inner"], f"{where}.inner")
     config = BackendConfig(
         kind=kind,
-        endpoint=str(doc.get("endpoint", "")),
-        model=str(doc.get("model", "")),
-        api_key_env=str(doc.get("api_key_env", "")),
+        endpoint=_text(doc, "endpoint", "", where),
+        model=_text(doc, "model", "", where),
+        api_key_env=_text(doc, "api_key_env", "", where),
         timeout_seconds=float(timeout),
-        fixtures=str(doc.get("fixtures", "")),
+        fixtures=_text(doc, "fixtures", "", where),
         inner=inner,
         prices=prices,
     )
@@ -168,9 +181,9 @@ def load_backend_config(path: str | Path) -> BackendConfig:
     return _config_from_mapping(doc, str(path))
 
 
-def _fixture_key(system_prompt: str, user_prompt: str, params: dict[str, Any] | None) -> str:
+def _fixture_key(system_prompt: str, user_prompt: str) -> str:
     blob = json.dumps(
-        {"system": system_prompt, "user": user_prompt, "params": params or {}},
+        {"system": system_prompt, "user": user_prompt, "params": SAMPLING},
         sort_keys=True,
         ensure_ascii=False,
     )
@@ -203,7 +216,7 @@ class LiveChatBackend:
         self._key = key
         self._config = config
 
-    def complete(self, system_prompt, user_prompt, params=None):
+    def complete(self, system_prompt, user_prompt):
         import http.client
         import urllib.error
         import urllib.request
@@ -215,7 +228,7 @@ class LiveChatBackend:
                 {"role": "system", "content": system_prompt},
                 {"role": "user", "content": user_prompt},
             ],
-            **(params or {}),
+            **SAMPLING,
         }
         url = config.endpoint.rstrip("/") + "/chat/completions"
         request = urllib.request.Request(
@@ -245,7 +258,7 @@ class LiveChatBackend:
             output_tokens = _reported_tokens(usage, "completion_tokens", text)
         except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
             raise BackendError(f"unexpected response shape from {url}: {exc}") from exc
-        return Completion(text=text, usage=Usage(input_tokens, output_tokens))
+        return Completion(text, input_tokens, output_tokens)
 
 
 class ReplayBackend:
@@ -271,15 +284,14 @@ class ReplayBackend:
             except (ValueError, KeyError, TypeError) as exc:
                 raise ConfigError(f"{path}: line {lineno}: bad fixture line: {exc}") from exc
 
-    def complete(self, system_prompt, user_prompt, params=None):
-        key = _fixture_key(system_prompt, user_prompt, params)
+    def complete(self, system_prompt, user_prompt):
+        key = _fixture_key(system_prompt, user_prompt)
         if key not in self._replies:
             raise BackendError(
                 "no recorded reply for this prompt; the fixtures were made "
                 "for different inputs or settings"
             )
-        text, tokens_in, tokens_out = self._replies[key]
-        return Completion(text=text, usage=Usage(tokens_in, tokens_out))
+        return Completion(*self._replies[key])
 
 
 class RecordingBackend:
@@ -292,17 +304,17 @@ class RecordingBackend:
         self._path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
 
-    def complete(self, system_prompt, user_prompt, params=None):
-        completion = self._inner.complete(system_prompt, user_prompt, params)
+    def complete(self, system_prompt, user_prompt):
+        completion = self._inner.complete(system_prompt, user_prompt)
         entry = {
-            "key": _fixture_key(system_prompt, user_prompt, params),
+            "key": _fixture_key(system_prompt, user_prompt),
             "stage": stage_of_prompt(system_prompt) or "",
             "system": system_prompt,
             "user": user_prompt,
-            "params": params or {},
+            "params": SAMPLING,
             "text": completion.text,
-            "input_tokens": completion.usage.input_tokens,
-            "output_tokens": completion.usage.output_tokens,
+            "input_tokens": completion.input_tokens,
+            "output_tokens": completion.output_tokens,
         }
         with self._lock:
             with self._path.open("a", encoding="utf-8") as fh:
@@ -326,17 +338,19 @@ class OracleStubBackend:
 
     def _reply(self, stage: str, user: str) -> tuple[str, ...]:
         """The reply's block bodies for ``stage``, one per tag in ``TAGS[stage]``."""
+        from ..dataset.extract import reference_extract  # only the stub reads prompts
+
         problem = reference_extract(slot_value(stage, user, "problem"))
         if stage == "extract_graph":
             spec = (f"problem_type: {problem.problem_type}\n"
                     f"source: {problem.source or 'none'}\n"
                     f"target: {problem.target or 'none'}")
             return spec, serialize_graph(problem.graph).strip()
-        route = exact_route(problem.problem_type, problem.graph).record
+        route = exact_route(problem.problem_type, problem.graph)
         best = run_algorithm(route, problem.graph, source=problem.source, target=problem.target)
         return (answer_lines(best),)
 
-    def complete(self, system_prompt, user_prompt, params=None):
+    def complete(self, system_prompt, user_prompt):
         stage = stage_of_prompt(system_prompt)
         if stage is None:
             raise BackendError("stub got a prompt without a stage marker")
@@ -348,11 +362,8 @@ class OracleStubBackend:
             raise BackendError(f"stub cannot answer the {stage} prompt: {exc}") from exc
         text = "\n".join(f"```result:{tag}\n{body}\n```"
                          for tag, body in zip(TAGS[stage], bodies, strict=True))
-        usage = Usage(
-            input_tokens=whitespace_token_count(system_prompt + " " + user_prompt),
-            output_tokens=whitespace_token_count(text),
-        )
-        return Completion(text=text, usage=usage)
+        return Completion(text, whitespace_token_count(system_prompt + " " + user_prompt),
+                          whitespace_token_count(text))
 
 
 def make_backend(config: BackendConfig) -> ChatBackend:

@@ -29,8 +29,9 @@ MODES = ("direct", "cot")
 def _read_mentioned(body: str, algorithm_id: str, problem_text: str) -> Solution:
     """The answer ``body`` states, refused when it names a node that
     ``problem_text`` does not mention: as a word, or as a run of text
-    with no word character on either side (``North-Gate``).  A final tour
-    stop that repeats the first is dropped."""
+    that starts and ends on a word character with no word character on
+    either side (``North-Gate``, not the sentence-final ``Gate.``).  A
+    final tour stop that repeats the first is dropped."""
     solution = read_answer(body, algorithm_id)
     order = solution.payload
     if solution.kind == TOUR and len(order) > 1 and order[-1] == order[0]:
@@ -38,8 +39,7 @@ def _read_mentioned(body: str, algorithm_id: str, problem_text: str) -> Solution
     if solution.kind != BOOLEAN:
         words = set(re.findall(r"\w+", problem_text))
         for name in solution.payload:  # a coloring's payload iterates its nodes
-            if name not in words and not re.search(rf"(?<!\w){re.escape(name)}(?!\w)",
-                                                   problem_text):
+            if name not in words and not re.search(rf"\b{re.escape(name)}\b", problem_text):
                 raise RejectReply(f"the answer names {name!r}, "
                                   "which the statement does not mention")
     return solution

@@ -37,9 +37,9 @@ from typing import Any, Callable, NamedTuple
 
 from ..execute import run_algorithm
 from ..formats import parse_graph
-from ..graph import Graph, GraphError
-from ..knowledge import AlgorithmChoice, NoApplicableAlgorithmError, select_algorithm
-from ..problems import PROBLEM_TYPES, SHORTEST_PATH
+from ..graph import GraphError
+from ..knowledge import NoApplicableAlgorithmError, Route, select_algorithm
+from ..problems import PROBLEM_TYPES, SHORTEST_PATH, ExtractedProblem
 from ..solvers import Solution, verify_solution
 from .backends import BackendError, ChatBackend
 from .blocks import RejectReply, extract_block, parse_fields
@@ -56,13 +56,6 @@ class PipelineError(RuntimeError):
         self.stage = stage
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    problem_type: str
-    source: str | None
-    target: str | None
-
-
 class CallRecord(NamedTuple):
     """One model call, as the results file's usage row records it."""
 
@@ -76,16 +69,15 @@ class CallRecord(NamedTuple):
 class Outcome:
     """What answering one instance came to: a solution, or a failure
     named after its stage, and every model call made, in order.  A
-    pipeline outcome also keeps what the extract call read, once it
-    was read."""
+    pipeline outcome also keeps what the extract call read and the
+    route chosen for it, once they are known."""
 
     calls: tuple[CallRecord, ...]
     solution: Solution | None = None
     failure: str | None = None
     stage: str | None = None
-    problem_spec: ProblemSpec | None = None
-    graph: Graph | None = None
-    choice: AlgorithmChoice | None = None
+    extracted: ExtractedProblem | None = None
+    route: Route | None = None
 
 
 def _ask(backend: ChatBackend, stage: str, slots: dict[str, str],
@@ -104,13 +96,13 @@ def _ask(backend: ChatBackend, stage: str, slots: dict[str, str],
                 "Reply again, following the required format exactly."
             )
         try:
-            completion = backend.complete(system, user, {"temperature": 0.0})
+            completion = backend.complete(system, user)
         except BackendError as exc:
             backend_error = exc
             continue
         backend_error = None
-        usage = completion.usage
-        calls.append(CallRecord(stage, attempt, usage.input_tokens, usage.output_tokens))
+        calls.append(CallRecord(stage, attempt, completion.input_tokens,
+                                completion.output_tokens))
         bodies = [extract_block(completion.text, tag) for tag in tags]
         if None in bodies:
             feedback = f"the reply has no ```result:{tags[bodies.index(None)]}``` fenced block"
@@ -132,7 +124,8 @@ def _ask(backend: ChatBackend, stage: str, slots: dict[str, str],
 # -- reply validators --------------------------------------------------
 
 
-def _problem_spec(body: str) -> ProblemSpec:
+def _problem_fields(body: str) -> tuple[str, str | None, str | None]:
+    """The problem block's family, source and target."""
     fields = parse_fields(body)
     if "problem_type" not in fields:
         raise RejectReply("the problem block is missing a problem_type line")
@@ -140,63 +133,56 @@ def _problem_spec(body: str) -> ProblemSpec:
     problem_type = stated.lower().replace(" ", "_").replace("-", "_")
     if problem_type not in PROBLEM_TYPES:
         raise RejectReply(f"problem type {stated!r} is not one of {', '.join(PROBLEM_TYPES)}")
-    source = fields.get("source", "none")
-    target = fields.get("target", "none")
-    spec = ProblemSpec(
-        problem_type=problem_type,
-        source=None if source in ("", "none") else source,
-        target=None if target in ("", "none") else target,
-    )
-    if problem_type == SHORTEST_PATH:
-        for role, name in (("source", spec.source), ("target", spec.target)):
-            if name is None:
+    endpoints = {role: fields.get(role, "none") for role in ("source", "target")}
+    for role, name in endpoints.items():
+        if name in ("", "none"):
+            if problem_type == SHORTEST_PATH:
                 raise RejectReply(f"the {SHORTEST_PATH} problem block names no {role}")
-    return spec
+            endpoints[role] = None
+    return problem_type, endpoints["source"], endpoints["target"]
 
 
-def _extract(problem_body: str, graph_body: str) -> tuple[ProblemSpec, Graph, AlgorithmChoice]:
-    """The problem block, the edge list as :func:`parse_graph` reads and
-    merges it, and the route :func:`select_algorithm` picks for them; a
-    route endpoint the problem block names must be a node of the edge
+def _extract(problem_body: str, graph_body: str) -> tuple[ExtractedProblem, Route]:
+    """The problem block with the edge list as :func:`parse_graph` reads
+    and merges it, and the route :func:`select_algorithm` picks for them;
+    a route endpoint the problem block names must be a node of the edge
     list, and a graph that no route fits is refused."""
-    spec = _problem_spec(problem_body)
+    problem_type, source, target = _problem_fields(problem_body)
     try:
         graph = parse_graph(graph_body)
     except GraphError as exc:
         raise RejectReply(f"the edge list could not be read ({exc})") from None
     if not graph.node_count:
         raise RejectReply("the edge list contained no nodes or edges")
-    for role, name in (("source", spec.source), ("target", spec.target)):
+    for role, name in (("source", source), ("target", target)):
         if name is not None and name not in graph.node_names:
             raise RejectReply(f"the problem block names {role} {name!r}, "
                               "which is not a node of the edge list")
     try:
-        choice = select_algorithm(spec.problem_type, graph)
+        route = select_algorithm(problem_type, graph)
     except NoApplicableAlgorithmError as exc:
         raise RejectReply(f"no route can solve the edge list ({exc})") from None
-    return spec, graph, choice
+    return ExtractedProblem(problem_type, graph, source, target), route
 
 
 # -- the deterministic steps after the extract call ---------------------
 
 
-def _solve(choice: AlgorithmChoice, graph: Graph, spec: ProblemSpec) -> Solution:
+def _solve(route: Route, problem: ExtractedProblem) -> Solution:
     """The chosen route's answer, verified.  The route table has already
     judged the graph fit for the route, so the solver is not asked to
     judge it again; no path between the route endpoints, or an answer
     that fails verification, fails the instance as ``solve``, with no
     other route in its place."""
-    chosen = choice.record.algorithm_id
+    graph, source, target = problem.graph, problem.source, problem.target
     try:
-        solution = run_algorithm(choice.record, graph, source=spec.source, target=spec.target)
+        solution = run_algorithm(route, graph, source=source, target=target)
     except GraphError as exc:  # no path between the route endpoints, say
         raise PipelineError("solve", str(exc)) from exc
-    report = verify_solution(spec.problem_type, graph, solution,
-                             source=spec.source, target=spec.target)
+    report = verify_solution(problem.problem_type, graph, solution, source=source, target=target)
     if not report.valid:
-        raise PipelineError(
-            "solve", f"{chosen} answer failed verification ({'; '.join(report.violations)})"
-        )
+        raise PipelineError("solve", f"{route.algorithm_id} answer failed verification "
+                                     f"({'; '.join(report.violations)})")
     return solution
 
 
@@ -205,13 +191,13 @@ def run_pipeline(backend: ChatBackend, problem_text: str) -> Outcome:
     call, which also selects the route, then solving and verification
     with no model.  A failed stage is returned, not raised."""
     calls: list[CallRecord] = []
-    spec = graph = choice = None
+    extracted = route = None
     try:
-        spec, graph, choice = _ask(backend, "extract_graph", {"problem": problem_text},
-                                   calls, _extract)
-        solution = _solve(choice, graph, spec)
+        extracted, route = _ask(backend, "extract_graph", {"problem": problem_text},
+                                calls, _extract)
+        solution = _solve(route, extracted)
     except PipelineError as exc:
         solution, failure, stage = None, str(exc), exc.stage
     else:
         failure = stage = None
-    return Outcome(tuple(calls), solution, failure, stage, spec, graph, choice)
+    return Outcome(tuple(calls), solution, failure, stage, extracted, route)

@@ -11,22 +11,14 @@ so no backend ever sees an instance's hidden data.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from ..graph import Graph, build_graph
+from ..graph import build_graph
+from ..problems import ExtractedProblem
 from .text import _QUESTIONS, ROUTE_QUESTION_PATTERN, SCENARIO_STYLES
 
 
 class ExtractionError(ValueError):
     """The text does not contain a recoverable problem."""
-
-
-@dataclass(frozen=True)
-class ExtractedProblem:
-    problem_type: str
-    graph: Graph
-    source: str | None
-    target: str | None
 
 
 # every scenario's fact sentences, each found where it ends a line

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ..graph import Graph, build_graph, is_connected
 from .. import knowledge
-from ..knowledge import AlgorithmChoice, applicability_reason, select_algorithm
+from ..knowledge import Route, applicability_reason, select_algorithm
 from ..execute import run_algorithm
 from ..problems import (
     CYCLE_DETECTION,
@@ -164,21 +164,24 @@ def _make_graph(
     raise AssertionError(problem_type)
 
 
-def exact_route(problem_type: str, graph: Graph) -> AlgorithmChoice:
-    """The selector's choice for ``graph``, which must be an exact route.
+def exact_route(problem_type: str, graph: Graph) -> Route:
+    """The selector's route for ``graph``, which must be an exact one.
 
-    Raises :class:`NoExactTruthError` when the selector would pick a
-    heuristic, for example past every exact route's node limit, because
-    a heuristic answer stored as the truth would grade answers against
-    itself.
+    Raises :class:`NoExactTruthError`, naming why each exact row of the
+    family does not fit, when the selector would pick a heuristic, for
+    example past every exact route's node limit, because a heuristic
+    answer stored as the truth would grade answers against itself.
     """
-    choice = select_algorithm(problem_type, graph)
-    if not choice.record.exact:
+    route = select_algorithm(problem_type, graph)
+    if not route.exact:
+        reasons = "; ".join(f"{row.algorithm_id}: {applicability_reason(row, graph)}"
+                            for row in knowledge.ROUTES
+                            if row.problem_type == problem_type and row.exact)
         raise NoExactTruthError(
             f"no exact {problem_type} route fits a graph of {graph.node_count} "
-            f"nodes, so its optimum cannot be proven ({choice.rationale})"
+            f"nodes, so its optimum cannot be proven ({reasons})"
         )
-    return choice
+    return route
 
 
 def ground_truth(
@@ -190,8 +193,7 @@ def ground_truth(
     """Proven optimum, from :func:`exact_route`, plus the plain heuristic
     answer: that of the family's first heuristic route in the table that
     fits the graph."""
-    choice = exact_route(problem_type, graph)
-    best = run_algorithm(choice.record, graph, source=source, target=target)
+    best = run_algorithm(exact_route(problem_type, graph), graph, source=source, target=target)
 
     heuristic = next((route for route in knowledge.ROUTES
                       if route.problem_type == problem_type and not route.exact
@@ -207,12 +209,13 @@ def build_instance(
     problem_type: str,
     node_count: int,
     index: int,
-    master_seed: int = 7,
-    noise_level: str = "standard",
+    master_seed: int = DatasetSpec.master_seed,
+    noise_level: str = DatasetSpec.noise_level,
     scenario: str | None = None,
 ) -> ProblemInstance:
-    check_problem_type(problem_type)
-    scenario = scenario or DEFAULT_SCENARIO[problem_type]
+    """One instance of a :class:`DatasetSpec`'s sweep; a ``scenario`` of
+    None is the family's default, as in the spec."""
+    scenario = DatasetSpec(problem_type, scenario=scenario).resolved_scenario
     seed = instance_seed(master_seed, problem_type, node_count, index)
     rng = random.Random(seed)
 

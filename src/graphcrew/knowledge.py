@@ -7,7 +7,7 @@ least 3 nodes), completeness and weightedness; a graph a row admits is
 one its solver can take, so the solvers check no preconditions of their
 own.
 Selection is a pure function of the table and the graph, so the same
-graph always yields the same choice with the same stated rationale.
+graph always yields the same route.
 Raising a node limit is a one-line edit of its row.
 """
 
@@ -69,12 +69,6 @@ ROUTES: tuple[Route, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class AlgorithmChoice:
-    record: Route
-    rationale: str
-
-
 def applicability_reason(route: Route, graph: Graph) -> str | None:
     """Why this route cannot run on this graph, or None if it can."""
     if graph.node_count > route.max_nodes:
@@ -88,14 +82,13 @@ def applicability_reason(route: Route, graph: Graph) -> str | None:
     return None
 
 
-def select_algorithm(problem_type: str, graph: Graph) -> AlgorithmChoice:
+def select_algorithm(problem_type: str, graph: Graph) -> Route:
     """Pick the one route for a graph: the family's first applicable row
     of :data:`ROUTES`, so an exact one when any fits, else a heuristic.
 
-    The choice is final; no caller runs a second route in its place.  The
-    rationale spells out the decision, including which exact routes were
-    passed over and why.  Raises :class:`NoApplicableAlgorithmError`
-    when nothing fits.
+    The choice is final; no caller runs a second route in its place.
+    Raises :class:`NoApplicableAlgorithmError` when nothing fits, naming
+    every row of the family and why it was passed over.
     """
     rejections: list[str] = []
     for route in ROUTES:
@@ -103,19 +96,9 @@ def select_algorithm(problem_type: str, graph: Graph) -> AlgorithmChoice:
             continue
         reason = applicability_reason(route, graph)
         if reason is None:
-            break
+            return route
         rejections.append(f"{route.algorithm_id}: {reason}")
-    else:
-        raise NoApplicableAlgorithmError(
-            f"no applicable algorithm for {problem_type} on {graph.node_count} "
-            f"nodes ({'; '.join(rejections) or 'no route listed'})"
-        )
-    if route.exact:
-        rationale = (
-            f"{route.algorithm_id} is exact and applicable: "
-            f"{graph.node_count} nodes within its limit of {route.max_nodes}"
-        )
-    else:
-        skipped = "; ".join(rejections) if rejections else "no exact route listed"
-        rationale = f"{route.algorithm_id} chosen as heuristic fallback ({skipped})"
-    return AlgorithmChoice(record=route, rationale=rationale)
+    raise NoApplicableAlgorithmError(
+        f"no applicable algorithm for {problem_type} on {graph.node_count} "
+        f"nodes ({'; '.join(rejections) or 'no route listed'})"
+    )

@@ -1,4 +1,13 @@
-"""Shared vocabulary: problem families, answer kinds, scenario themes."""
+"""Shared vocabulary: problem families, answer kinds, scenario themes,
+and the shape of a problem read back from its statement."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .graph import Graph
 
 TSP = "tsp"
 GRAPH_COLORING = "graph_coloring"
@@ -46,6 +55,17 @@ DEFAULT_SCENARIO: dict[str, str] = {
 }
 
 NOISE_LEVELS: tuple[str, ...] = ("none", "standard", "heavy")
+
+
+@dataclass(frozen=True)
+class ExtractedProblem:
+    """What a reading of a problem statement recovered: its family, its
+    graph and any route endpoints."""
+
+    problem_type: str
+    graph: Graph
+    source: str | None
+    target: str | None
 
 
 def check_problem_type(problem_type: str) -> str:

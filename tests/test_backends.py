@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import threading
@@ -15,7 +16,6 @@ from graphcrew.agents import (
     OracleStubBackend,
     RecordingBackend,
     ReplayBackend,
-    Usage,
     extract_block,
     load_backend_config,
     make_backend,
@@ -134,6 +134,35 @@ def test_config_rejections(tmp_path):
             load_backend_config(bad)
 
 
+# per string field, a config that sets it, written around the value
+STRING_FIELDS = {
+    "endpoint": "kind: live\nmodel: m\napi_key_env: K\nendpoint: {}\n",
+    "model": "kind: live\nendpoint: https://x\napi_key_env: K\nmodel: {}\n",
+    "api_key_env": "kind: live\nendpoint: https://x\nmodel: m\napi_key_env: {}\n",
+    "fixtures": "kind: replay\nfixtures: {}\n",
+    "prices.currency": "kind: stub\nprices:\n  currency: {}\n",
+}
+
+
+@pytest.mark.parametrize("value, shown", [("", "None"), ("[a, b]", "['a', 'b']"),
+                                          ("{a: b}", "{'a': 'b'}")],
+                         ids=["null", "list", "mapping"])
+@pytest.mark.parametrize("key", STRING_FIELDS)
+def test_config_string_field_refuses_a_null_list_or_mapping(tmp_path, key, value, shown):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(STRING_FIELDS[key].format(value))
+    where, _, name = f"{bad}.{key}".rpartition(".")
+    with pytest.raises(ConfigError) as err:
+        load_backend_config(bad)
+    assert str(err.value) == f"{where}: {name!r} must be a string, got {shown}"
+
+
+def test_config_string_field_reads_a_scalar_as_its_text(tmp_path):
+    path = tmp_path / "live.yaml"
+    path.write_text(STRING_FIELDS["model"].format("2024"))
+    assert load_backend_config(path).model == "2024"
+
+
 def live_config(endpoint="https://api.example.com/v1", timeout_seconds=60.0):
     return BackendConfig(
         kind="live",
@@ -210,8 +239,8 @@ def test_live_backend_happy_path(monkeypatch, endpoint):
         "usage": {"prompt_tokens": 321, "completion_tokens": 45},
     }))
     backend = LiveChatBackend(live_config(endpoint.url))
-    completion = backend.complete("sys", "user", {"temperature": 0.0})
-    assert completion == Completion("reply text", Usage(321, 45))
+    completion = backend.complete("sys", "user")
+    assert completion == Completion("reply text", 321, 45)
     [seen] = endpoint.seen
     assert seen["path"] == "/v1/chat/completions"
     assert seen["headers"]["Authorization"] == "Bearer sk-test"
@@ -277,7 +306,7 @@ def test_live_backend_usage_fallback(monkeypatch, endpoint):
     endpoint.replies.append(reply(body={"choices": [{"message": {"content": "a b c"}}]}))
     backend = LiveChatBackend(live_config(endpoint.url))
     completion = backend.complete("one two", "three")
-    assert completion.usage == Usage(3, 3)
+    assert (completion.input_tokens, completion.output_tokens) == (3, 3)
 
 
 def test_live_backend_keeps_a_reported_zero(monkeypatch, endpoint):
@@ -287,13 +316,13 @@ def test_live_backend_keeps_a_reported_zero(monkeypatch, endpoint):
         "usage": {"prompt_tokens": 0, "completion_tokens": 0},
     }))
     backend = LiveChatBackend(live_config(endpoint.url))
-    assert backend.complete("one two", "three").usage == Usage(0, 0)
+    assert backend.complete("one two", "three") == Completion("a b c", 0, 0)
 
     endpoint.replies.append(reply(body={
         "choices": [{"message": {"content": "a b c"}}],
         "usage": {"prompt_tokens": None, "completion_tokens": 0},
     }))
-    assert backend.complete("one two", "three").usage == Usage(3, 0)
+    assert backend.complete("one two", "three") == Completion("a b c", 3, 0)
 
 
 def test_live_call_needs_no_third_party_http_client(endpoint):
@@ -318,36 +347,42 @@ class ScriptedInner:
     def __init__(self, replies):
         self.replies = list(replies)
 
-    def complete(self, system_prompt, user_prompt, params=None):
+    def complete(self, system_prompt, user_prompt):
         text = self.replies.pop(0)
-        return Completion(text, Usage(11, whitespace_token_count(text)))
+        return Completion(text, 11, whitespace_token_count(text))
 
 
 def test_record_then_replay_is_byte_identical(tmp_path):
     fixtures = tmp_path / "fixtures.jsonl"
     inner = ScriptedInner(["first reply", "second reply"])
     recorder = RecordingBackend(inner, fixtures)
-    first = recorder.complete("[stage:extract_graph]\nsys", "user one", {"temperature": 0.0})
-    second = recorder.complete("sys", "user two", {"temperature": 0.0})
+    first = recorder.complete("[stage:extract_graph]\nsys", "user one")
+    second = recorder.complete("sys", "user two")
 
     replay = ReplayBackend(fixtures)
-    assert replay.complete("[stage:extract_graph]\nsys", "user one", {"temperature": 0.0}) == first
-    assert replay.complete("sys", "user two", {"temperature": 0.0}) == second
+    assert replay.complete("[stage:extract_graph]\nsys", "user one") == first
+    assert replay.complete("sys", "user two") == second
 
     entries = [json.loads(line) for line in fixtures.read_text().splitlines()]
     assert [e["stage"] for e in entries] == ["extract_graph", ""]
     assert entries[0]["text"] == "first reply"
+    # every line records the one sampling setting, and its key hashes it with
+    # both prompts, so fixtures recorded by earlier versions still replay
+    assert [e["params"] for e in entries] == [{"temperature": 0.0}] * 2
+    blob = json.dumps({"system": "sys", "user": "user two", "params": {"temperature": 0.0}},
+                      sort_keys=True)
+    assert entries[1]["key"] == hashlib.sha256(blob.encode()).hexdigest()
 
 
 def test_record_then_replay_under_an_ascii_locale(tmp_path):
     # the fixture is UTF-8 whatever the locale: the script is ASCII, its reply is not
     script = (
         "import sys\n"
-        "from graphcrew.agents import Completion, RecordingBackend, ReplayBackend, Usage\n"
+        "from graphcrew.agents import Completion, RecordingBackend, ReplayBackend\n"
         "class Arrow:\n"
-        "    def complete(self, system_prompt, user_prompt, params=None):\n"
-        "        return Completion('Depot \\u2192 Mill', Usage(1, 3))\n"
-        "ask = ('[stage:direct]\\nsys', 'from Depot \\u2192 Mill?', {'temperature': 0.0})\n"
+        "    def complete(self, system_prompt, user_prompt):\n"
+        "        return Completion('Depot \\u2192 Mill', 1, 3)\n"
+        "ask = ('[stage:direct]\\nsys', 'from Depot \\u2192 Mill?')\n"
         "recorded = RecordingBackend(Arrow(), sys.argv[1]).complete(*ask)\n"
         "replayed = ReplayBackend(sys.argv[1]).complete(*ask)\n"
         "print(ascii(replayed.text), replayed == recorded)\n"
@@ -400,7 +435,7 @@ def ask_stub(stub, stage, **slots):
 def test_stub_answers_every_stage_in_contract_shape():
     stub = OracleStubBackend()
     extract = ask_stub(stub, "extract_graph", problem=TSP_TEXT)
-    assert extract.usage.output_tokens == whitespace_token_count(extract.text)
+    assert extract.output_tokens == whitespace_token_count(extract.text)
     fields = parse_fields(extract_block(extract.text, "problem"))
     assert fields == {"problem_type": "tsp", "source": "none", "target": "none"}
     graph_text = extract_block(extract.text, "graph")

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from graphcrew import agents
-from graphcrew.agents import Completion, OracleStubBackend, Usage
+from graphcrew.agents import Completion, OracleStubBackend
 from graphcrew.cli import main
 from graphcrew.formats import parse_graph
 from graphcrew.problems import PROBLEM_TYPES
@@ -60,7 +60,7 @@ class InFlight:
         self.first_two = threading.Barrier(2, timeout=10)
         self.calls = self.in_flight = self.peak = 0
 
-    def complete(self, system_prompt, user_prompt, params=None):
+    def complete(self, system_prompt, user_prompt):
         with self.lock:
             self.calls += 1
             wait = self.calls <= 2
@@ -69,7 +69,7 @@ class InFlight:
         try:
             if wait:
                 self.first_two.wait()
-            return self.inner.complete(system_prompt, user_prompt, params)
+            return self.inner.complete(system_prompt, user_prompt)
         finally:
             with self.lock:
                 self.in_flight -= 1
@@ -187,9 +187,9 @@ class TestSolve:
         jitter = random.Random(3)
         answer = OracleStubBackend.complete
 
-        def slow_complete(self, system_prompt, user_prompt, params=None):
+        def slow_complete(self, system_prompt, user_prompt):
             time.sleep(jitter.uniform(0.0, 0.003))
-            return answer(self, system_prompt, user_prompt, params)
+            return answer(self, system_prompt, user_prompt)
 
         monkeypatch.setattr(OracleStubBackend, "complete", slow_complete)
         fixtures = tmp_path / "fixtures.jsonl"
@@ -233,7 +233,7 @@ class TestSolve:
         out = tmp_path / "ds"
         _generate(runner, out, extra=["--type", "vertex_cover"])
         monkeypatch.setattr(OracleStubBackend, "complete",
-                            lambda self, *args, **kwargs: Completion("junk", Usage(5, 1)))
+                            lambda self, *args, **kwargs: Completion("junk", 5, 1))
         results = tmp_path / "results.jsonl"
         result = runner.invoke(main, ["solve", "--dataset", str(out / "vertex_cover.jsonl"),
                                       "--backend-config", str(_write_stub_config(tmp_path)),
@@ -503,9 +503,9 @@ class TestSolve:
         calls = []
         answer = OracleStubBackend.complete
 
-        def counted_complete(self, system_prompt, user_prompt, params=None):
+        def counted_complete(self, system_prompt, user_prompt):
             calls.append(system_prompt)
-            return answer(self, system_prompt, user_prompt, params)
+            return answer(self, system_prompt, user_prompt)
 
         monkeypatch.setattr(OracleStubBackend, "complete", counted_complete)
         blocker = tmp_path / "afile"
@@ -577,6 +577,17 @@ def test_each_command_loads_only_its_own_layers(tmp_path):
     modules = loaded("solve", "--dataset", dataset, "--backend-config", config, "--out", results)
     assert "graphcrew.agents" in modules
     assert_not_loaded(modules, ["http.client", "urllib.request", "graphcrew.evaluation"])
+    # a replay of fixtures recorded around the stub reads no prompt itself
+    fixtures, record, replay = (tmp_path / name for name in
+                                ("fixtures.jsonl", "record.yaml", "replay.yaml"))
+    record.write_text(f"kind: record\nfixtures: {fixtures}\ninner:\n  kind: stub\n")
+    replay.write_text(f"kind: replay\nfixtures: {fixtures}\n")
+    loaded("solve", "--dataset", dataset, "--backend-config", record, "--out", results)
+    modules = loaded("solve", "--dataset", dataset, "--backend-config", replay,
+                     "--out", tmp_path / "replayed.jsonl")
+    assert (tmp_path / "replayed.jsonl").read_bytes() == results.read_bytes()
+    assert_not_loaded(modules, ["graphcrew.dataset.extract", "http.client", "urllib.request",
+                                "graphcrew.evaluation"])
     modules = loaded("evaluate", "--results", results, "--dataset", dataset,
                      "--out", tmp_path / "report")
     assert "graphcrew.evaluation" in modules

@@ -228,6 +228,10 @@ class TestGroundTruth:
                 assert isinstance(err.value, ValueError)
                 assert f"no exact {route.problem_type} route" in str(err.value)
                 assert f"limit of {limit}" in str(err.value)
+                # the refusal names the exact row and why it does not fit, nothing more
+                assert str(err.value).endswith(
+                    f"cannot be proven ({route.algorithm_id}: {limit + 1} nodes exceeds its "
+                    f"limit of {limit})")
 
 
 class TestRecords:

@@ -25,7 +25,7 @@ from util import complete_graph, gnp_graph
 
 
 def route_id(problem_type, graph):
-    return select_algorithm(problem_type, graph).record.algorithm_id
+    return select_algorithm(problem_type, graph).algorithm_id
 
 
 def route(algorithm_id):
@@ -70,17 +70,12 @@ def test_lookup_orders_exact_first():
 
 
 def test_selector_prefers_exact_within_limit():
-    pick = select_algorithm("tsp", complete_graph(12, seed=1))
-    assert pick.record.algorithm_id == "held_karp"
-    assert "12 nodes" in pick.rationale and "25" in pick.rationale
+    assert select_algorithm("tsp", complete_graph(12, seed=1)) is route("held_karp")
 
 
 def test_selector_falls_back_past_the_limit():
     assert route_id("tsp", complete_graph(25, seed=1)) == "held_karp"
-    pick = select_algorithm("tsp", complete_graph(26, seed=1))
-    assert pick.record.algorithm_id == "nearest_neighbor_2opt"
-    assert not pick.record.exact
-    assert "held_karp" in pick.rationale and "limit of 25" in pick.rationale
+    assert select_algorithm("tsp", complete_graph(26, seed=1)) is route("nearest_neighbor_2opt")
 
 
 def test_selector_boundaries_per_family():
@@ -132,30 +127,31 @@ def test_selector_takes_the_first_applicable_route_in_lookup_order(monkeypatch):
     # coloring has one route of each kind, so the exact one is made
     # weighted-only and the two vertex cover routes are refiled under it:
     # a second exact route (complete graphs only) and a weighted-only
-    # heuristic ahead of dsatur
-    monkeypatch.setattr(knowledge, "ROUTES", (
+    # heuristic ahead of dsatur, which takes at most 100 nodes
+    rows = (
         replace(route("exact_coloring"), requires_weighted=True),
         replace(route("bnb_cover"), problem_type=GRAPH_COLORING, max_nodes=10,
                 requires_complete=True),
         replace(route("matching_cover"), problem_type=GRAPH_COLORING, max_nodes=40,
                 requires_weighted=True),
-        route("dsatur"),
-    ))
-    pick = select_algorithm("graph_coloring", complete_graph(25, seed=1))
-    assert pick.record.algorithm_id == "exact_coloring"
-    assert pick.rationale == (
-        "exact_coloring is exact and applicable: 25 nodes within its limit of 25"
+        replace(route("dsatur"), max_nodes=100),
     )
+    monkeypatch.setattr(knowledge, "ROUTES", rows)
+    assert select_algorithm("graph_coloring", complete_graph(25, seed=1)) is rows[0]
     # past that limit, the first applicable heuristic in table order
-    pick = select_algorithm("graph_coloring", complete_graph(26, seed=1))
-    assert pick.record.algorithm_id == "matching_cover"
-    assert pick.rationale == (
-        "matching_cover chosen as heuristic fallback (exact_coloring: 26 nodes exceeds its "
-        "limit of 25; bnb_cover: 26 nodes exceeds its limit of 10)"
-    )
-    assert route_id("graph_coloring", gnp_graph(26, 0.3, seed=2)) == "dsatur"
+    assert select_algorithm("graph_coloring", complete_graph(26, seed=1)) is rows[2]
+    assert select_algorithm("graph_coloring", gnp_graph(26, 0.3, seed=2)) is rows[3]
     # the second exact route, where the first does not fit
-    assert route_id("graph_coloring", gnp_graph(10, 1.0, seed=1)) == "bnb_cover"
+    assert select_algorithm("graph_coloring", gnp_graph(10, 1.0, seed=1)) is rows[1]
+    # where no row fits, the refusal names every row in table order, and why
+    with pytest.raises(NoApplicableAlgorithmError) as err:
+        select_algorithm("graph_coloring", gnp_graph(101, 0.05, seed=2))
+    assert str(err.value) == (
+        "no applicable algorithm for graph_coloring on 101 nodes (exact_coloring: 101 nodes "
+        "exceeds its limit of 25; bnb_cover: 101 nodes exceeds its limit of 10; "
+        "matching_cover: 101 nodes exceeds its limit of 40; dsatur: 101 nodes exceeds its "
+        "limit of 100)"
+    )
 
 
 def test_run_algorithm_matches_direct_calls():
@@ -176,8 +172,7 @@ def test_run_algorithm_matches_direct_calls():
 
 def test_run_algorithm_via_choice_binds_parameters():
     g = complete_graph(26, seed=17)
-    pick = select_algorithm("tsp", g)
-    sol = run_algorithm(pick.record, g)
+    sol = run_algorithm(select_algorithm("tsp", g), g)
     assert sol.algorithm_id == "nearest_neighbor_2opt"
     assert sol.payload[0] == g.node_names[0]
 

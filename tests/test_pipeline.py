@@ -8,7 +8,6 @@ import pytest
 from graphcrew.agents import (
     Completion,
     OracleStubBackend,
-    Usage,
     run_direct,
     run_pipeline,
     whitespace_token_count,
@@ -27,6 +26,7 @@ from graphcrew.evaluation import score_prediction
 from graphcrew.formats import parse_graph, serialize_graph
 from graphcrew.graph import build_graph, format_weight
 from graphcrew.knowledge import ROUTES
+from graphcrew.problems import ExtractedProblem
 from graphcrew.solvers import Solution, verify_solution
 
 from test_backends import TSP_TEXT, problem_text, tsp_graph
@@ -40,15 +40,15 @@ class StageScripted:
         self.fallback = OracleStubBackend()
         self.seen: list[tuple[str, str]] = []
 
-    def complete(self, system_prompt, user_prompt, params=None):
+    def complete(self, system_prompt, user_prompt):
         stage = stage_of_prompt(system_prompt)
         self.seen.append((stage, user_prompt))
         if stage in self.scripts and self.scripts[stage]:
             reply = self.scripts[stage].pop(0)
             if isinstance(reply, Exception):
                 raise reply
-            return Completion(reply, Usage(7, whitespace_token_count(reply)))
-        return self.fallback.complete(system_prompt, user_prompt, params)
+            return Completion(reply, 7, whitespace_token_count(reply))
+        return self.fallback.complete(system_prompt, user_prompt)
 
 
 def test_full_run_with_stub():
@@ -56,9 +56,9 @@ def test_full_run_with_stub():
     assert out.solution.algorithm_id == "held_karp"
     assert out.solution.objective == 14
     assert out.solution.exact
-    assert out.problem_spec.problem_type == "tsp"
-    assert out.graph.node_names == ("Depot", "Mill", "Quay", "Yard")
-    assert out.choice.record.algorithm_id == "held_karp"
+    assert out.extracted.problem_type == "tsp"
+    assert out.extracted.graph.node_names == ("Depot", "Mill", "Quay", "Yard")
+    assert out.route.algorithm_id == "held_karp"
     assert [(c.stage, c.attempt) for c in out.calls] == [("extract_graph", 1)]
     assert all(c.input_tokens > 0 and c.output_tokens > 0 for c in out.calls)
     assert (out.failure, out.stage) == (None, None)
@@ -99,7 +99,7 @@ def extract_prompts(backend):
 def test_retry_appends_feedback_and_counts_attempts():
     backend = StageScripted({"extract_graph": ["no block at all"]})
     out = run_pipeline(backend, TSP_TEXT)
-    assert out.problem_spec.problem_type == "tsp"
+    assert out.extracted.problem_type == "tsp"
     extract_calls = extract_prompts(backend)
     assert len(extract_calls) == 2
     assert "rejected" in extract_calls[1] and "fenced block" in extract_calls[1]
@@ -121,7 +121,7 @@ def test_crlf_extract_reply_reads_in_one_call():
     backend = StageScripted({"extract_graph": [lf.replace("\n", "\r\n")]})
     out = run_pipeline(backend, TSP_TEXT)
     assert len(extract_prompts(backend)) == 1
-    assert (out.solution, out.graph) == (expected.solution, expected.graph)
+    assert (out.solution, out.extracted) == (expected.solution, expected.extracted)
 
 
 def test_retry_budget_exhaustion():
@@ -144,7 +144,7 @@ def test_missing_field_and_unknown_family_are_retried():
             ]
         }
     )
-    assert run_pipeline(backend, TSP_TEXT).problem_spec.problem_type == "tsp"
+    assert run_pipeline(backend, TSP_TEXT).extracted.problem_type == "tsp"
     assert "rejected: the problem block is missing a problem_type line" in (
         extract_prompts(backend)[1])
 
@@ -175,7 +175,7 @@ def test_family_reads_case_and_spacing_blind(stated, family):
     backend = StageScripted({"extract_graph": [graph_reply(
         TSP_GRAPH, f"problem_type: {stated}\nsource: none\ntarget: none")]})
     out = run_pipeline(backend, text)
-    assert out.problem_spec.problem_type == family
+    assert out.extracted.problem_type == family
     assert out.solution is not None
     assert len(extract_prompts(backend)) == 1
 
@@ -360,7 +360,7 @@ def test_normalize_merges_duplicates():
     )
     backend = StageScripted({"extract_graph": [graph_reply(raw)]})
     out = run_pipeline(backend, problem_text(k3, "tsp"))
-    assert out.graph.edges == ((0, 1, 3), (0, 2, 5), (1, 2, 4))
+    assert out.extracted.graph.edges == ((0, 1, 3), (0, 2, 5), (1, 2, 4))
     assert out.solution.objective == 12
 
 
@@ -422,9 +422,8 @@ def test_catalogue_limit_sends_a_larger_tour_to_the_heuristic(monkeypatch):
     inst = build_instance("tsp", 12, 0)
     patch_route(monkeypatch, "held_karp", max_nodes=10)
     out = run_pipeline(OracleStubBackend(), inst.text)
-    assert out.graph == inst.graph
-    assert out.choice.record.algorithm_id == "nearest_neighbor_2opt"
-    assert "held_karp: 12 nodes exceeds its limit of 10" in out.choice.rationale
+    assert out.extracted.graph == inst.graph
+    assert out.route.algorithm_id == "nearest_neighbor_2opt"
     assert out.solution == inst.truth.approximate
 
 
@@ -435,13 +434,7 @@ def test_pipeline_error_carries_partial_trail():
     assert "no usable reply" in out.failure
     assert [(c.stage, c.attempt) for c in out.calls] == [
         ("extract_graph", 1), ("extract_graph", 2), ("extract_graph", 3)]
-    assert (out.problem_spec, out.graph, out.choice) == (None, None, None)
-
-
-def test_choose_algorithm_standalone():
-    out = run_pipeline(OracleStubBackend(), TSP_TEXT)
-    assert out.choice.record.algorithm_id == "held_karp"
-    assert "exact" in out.choice.rationale
+    assert (out.extracted, out.route) == (None, None)
 
 
 # two components: Ash and Birch, and Cedar alone
@@ -458,7 +451,8 @@ def test_solver_failure_is_named_solve():
     assert [c.stage for c in out.calls] == EXTRACT_ONLY
     assert [stage for stage, _ in backend.seen] == EXTRACT_ONLY
     # a failure after the extract call keeps what the call read
-    assert (out.problem_spec.source, out.problem_spec.target, out.graph) == ("Cedar", "Ash", SPLIT)
+    assert out.extracted == ExtractedProblem("shortest_path", SPLIT, "Cedar", "Ash")
+    assert out.route.algorithm_id == "dijkstra"
 
 
 def test_every_template_asks_for_its_stage_tag():
