@@ -54,6 +54,16 @@ def extract_block(text: str, tag: str) -> str | None:
     return body.strip() if body is not None else None
 
 
+def _split_field(line: str) -> tuple[str, str]:
+    """A stripped ``key: value`` line's key and value, split at its first
+    colon; markdown emphasis around the key (``**key:** value`` or
+    ``**key**: value``) is read as the bare key."""
+    key, _, value = line.partition(":")
+    if key.startswith("*"):
+        key, value = key.strip("*"), value.lstrip("*")
+    return key.strip(), value.strip()
+
+
 def parse_fields(body: str) -> dict[str, str]:
     """Read ``key: value`` lines; later keys win, junk lines are skipped."""
     fields: dict[str, str] = {}
@@ -61,8 +71,8 @@ def parse_fields(body: str) -> dict[str, str]:
         line = line.strip()
         if not line or ":" not in line:
             continue
-        key, _, value = line.partition(":")
-        fields[key.strip().lower()] = value.strip()
+        key, value = _split_field(line)
+        fields[key.lower()] = value
     return fields
 
 
@@ -100,10 +110,12 @@ def read_answer(body: str, algorithm_id: str) -> Solution:
     colors = {}
     for line in body.splitlines():
         line = line.strip()
-        if line.lower().startswith("color ") and ":" in line:
-            name, _, value = line[6:].partition(":")
+        if ":" not in line:
+            continue
+        key, value = _split_field(line)
+        if key.lower().startswith("color "):
             try:
-                colors[name.strip()] = int(value.strip())
+                colors[key[6:].strip()] = int(value)
             except ValueError:
                 raise RejectReply(f"bad color line {line!r}") from None
     for kind, (key, count_key, read_count) in _ANSWER_LINES.items():

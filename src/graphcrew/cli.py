@@ -97,7 +97,9 @@ def _parse_sizes(text: str) -> tuple[int, int]:
 @click.option("--out", default="dataset", show_default=True,
               type=click.Path(file_okay=False, path_type=Path), help="Output directory.")
 @click.option("--workers", default=1, show_default=True, type=click.IntRange(min=1),
-              help="Parallel generation processes.")
+              help="Parallel generation processes. The output is byte-identical to "
+                   "--workers 1; extra workers pay only on a host that runs the "
+                   "processes in parallel.")
 @_config_guard
 def cmd_generate(types, sizes, per_size, seed, noise, scenario, out, workers):
     """Generate seeded datasets with hidden ground truth."""

@@ -41,12 +41,12 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
 
 
 def write_jsonl(records: Iterable[dict[str, Any]], path: str | Path) -> None:
-    """``records`` as compact JSONL lines, their keys in the order given."""
-    Path(path).write_text(
-        "".join(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n"
-                for record in records),
-        encoding="utf-8",
-    )
+    """``records`` as compact JSONL lines, their keys in the order given.
+    Each line goes to the file as it is made, so ``records`` may be a
+    generator and the file is never held whole in memory."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n"
+                      for record in records)
 
 
 def instance_to_record(instance: ProblemInstance) -> dict[str, Any]:

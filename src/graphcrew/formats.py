@@ -7,6 +7,9 @@ blank lines ignored:
 - header:  ``# nodes: A B C`` | ``# weighted: false``
 - row:     ``U V`` (unweighted) | ``U V 7/2`` (weighted)
 
+Header keys and the ``true``/``false`` values are read case-blind
+(``# Weighted: True``); node names are case-sensitive.
+
 A missing ``weighted`` header means weighted exactly when some row
 carries a weight; a missing ``nodes`` header means the roster is the
 rows' endpoints.  Every graph is undirected, so a row joins its two
@@ -55,7 +58,8 @@ def serialize_graph(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-_HEADER_RE = re.compile(r"^#\s*(nodes|directed|weighted)\s*:\s*(.*)$")
+# keys are read case-blind in ASCII only, so ``# nodeſ:`` is no header
+_HEADER_RE = re.compile(r"^#\s*((?ai:nodes|directed|weighted))\s*:\s*(.*)$")
 _TOKEN_RE = re.compile(r"\S+")
 
 
@@ -91,7 +95,7 @@ def _scan(text: str) -> tuple[list[str] | None, bool, list[tuple[str, str, Weigh
         match = _HEADER_RE.match(line)
         if match is None:
             raise ParseError(f"bad header line {line!r}", lineno)
-        key, value = match.group(1), match.group(2)
+        key, value = match.group(1).lower(), match.group(2)
         # where the value starts, or just after the colon when it is empty
         column = raw.index("#") + match.start(2) + 1
         if key == "nodes":
@@ -99,13 +103,13 @@ def _scan(text: str) -> tuple[list[str] | None, bool, list[tuple[str, str, Weigh
             if not names:
                 raise ParseError("empty node roster", lineno, column)
         elif key == "directed":
-            if value != "false":
+            if value.lower() != "false":
                 raise ParseError("every connection a statement gives runs both ways, so "
                                  f"the graph cannot be directed (got {value!r})", lineno, column)
-        elif value not in ("true", "false"):
+        elif value.lower() not in ("true", "false"):
             raise ParseError(f"expected 'true' or 'false', got {value!r}", lineno, column)
         else:
-            weighted = value == "true"
+            weighted = value.lower() == "true"
     return names, saw_weight if weighted is None else weighted, rows
 
 

@@ -136,24 +136,6 @@ class Graph:
             neigh[v].append(u)
         return tuple(tuple(sorted(ns)) for ns in neigh)
 
-    @cached_property
-    def weight_map(self) -> dict[tuple[int, int], Weight]:
-        """Edge lookup by index pair; each edge appears both ways round."""
-        wm: dict[tuple[int, int], Weight] = {}
-        for u, v, w in self.edges:
-            wm[(u, v)] = wm[(v, u)] = w
-        return wm
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.weight_map
-
-    def weight(self, u: int, v: int) -> Weight:
-        try:
-            return self.weight_map[(u, v)]
-        except KeyError:
-            nu, nv = self.node_names[u], self.node_names[v]
-            raise GraphError(f"no edge {nu}-{nv}") from None
-
 
 def neighbor_masks(graph: Graph) -> list[int]:
     """:attr:`Graph.adjacency` as one ``int`` per node, bit ``v`` set for neighbor ``v``."""

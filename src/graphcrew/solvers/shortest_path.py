@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 
-from ..graph import Graph, GraphError
+from ..graph import Graph, GraphError, Weight
 from ..problems import PATH
 from .solution import Solution
 
@@ -28,8 +28,10 @@ def shortest_path_dijkstra(graph: Graph, source: str, target: str) -> Solution:
     t = graph.index_of(target)
     if s == t:
         return Solution(PATH, (source,), 0, "dijkstra", exact=True)
-    wm = graph.weight_map
-    adj = graph.adjacency
+    neighbors: list[list[tuple[int, Weight]]] = [[] for _ in graph.node_names]
+    for u, v, w in graph.edges:
+        neighbors[u].append((v, w))
+        neighbors[v].append((u, w))
     heap: list[tuple] = [(0, (s,))]
     settled: set[int] = set()
     while heap:
@@ -41,7 +43,7 @@ def shortest_path_dijkstra(graph: Graph, source: str, target: str) -> Solution:
         if u == t:
             names = tuple(graph.node_names[i] for i in path)
             return Solution(PATH, names, dist, "dijkstra", exact=True)
-        for v in adj[u]:
+        for v, w in neighbors[u]:
             if v not in settled:
-                heapq.heappush(heap, (dist + wm[(u, v)], path + (v,)))
+                heapq.heappush(heap, (dist + w, path + (v,)))
     raise NoPathError(source, target)

@@ -156,17 +156,22 @@ def verify_solution(
 
 
 def _walk_cost(graph: Graph, order: tuple[str, ...], close: bool) -> tuple[list[str], Weight]:
+    """The hops of ``order``, whose names are all nodes of ``graph``, that
+    have no edge, and the summed weight of the rest."""
+    names = graph.node_names
+    # node names are sorted, so each edge is keyed by its names in order
+    weights = {(names[u], names[v]): w for u, v, w in graph.edges}
     violations: list[str] = []
     cost: Weight = 0
     hops = list(zip(order, order[1:]))
     if close and len(order) > 1:
         hops.append((order[-1], order[0]))
     for a, b in hops:
-        u, v = graph.index_of(a), graph.index_of(b)
-        if not graph.has_edge(u, v):
+        w = weights.get((a, b) if a < b else (b, a))
+        if w is None:
             violations.append(f"no edge {a}-{b}")
         else:
-            cost = cost + graph.weight(u, v)
+            cost = cost + w
     return violations, cost
 
 

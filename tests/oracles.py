@@ -28,6 +28,14 @@ from graphcrew.solvers.solution import canonical_coloring
 INF = float("inf")
 
 
+def weight_table(graph):
+    """Edge weight by index pair, each edge both ways round."""
+    table = {}
+    for u, v, w in graph.edges:
+        table[u, v] = table[v, u] = w
+    return table
+
+
 def bellman_ford_cost(graph, src, dst):
     """Exact shortest-path cost from src to dst (names), or None."""
     n = graph.node_count
@@ -50,7 +58,7 @@ def best_paths_by_enumeration(graph, src, dst):
     """All lex-sorted optimal simple paths (tiny graphs only)."""
     s, t = graph.index_of(src), graph.index_of(dst)
     adj = graph.adjacency
-    wm = graph.weight_map
+    wm = weight_table(graph)
     found = []
 
     def walk(path, cost):
@@ -72,13 +80,14 @@ def best_paths_by_enumeration(graph, src, dst):
 def tour_cost(graph, order):
     """Exact cost of the closed tour visiting ``order`` (names)."""
     idx = [graph.index_of(name) for name in order]
-    return sum(graph.weight_map[(a, b)] for a, b in zip(idx, idx[1:] + idx[:1]))
+    wm = weight_table(graph)
+    return sum(wm[(a, b)] for a, b in zip(idx, idx[1:] + idx[:1]))
 
 
 def brute_tour_cost(graph):
     """Optimal tour cost by scanning all permutations (n <= 9 or so)."""
     n = graph.node_count
-    wm = graph.weight_map
+    wm = weight_table(graph)
     best = None
     for perm in permutations(range(1, n)):
         order = (0,) + perm
@@ -97,7 +106,7 @@ def held_karp_tour_cost(graph):
     exactly the nodes in ``mask`` and ends at ``i``.
     """
     n = graph.node_count
-    wm = graph.weight_map
+    wm = weight_table(graph)
     full = 1 << n
     dp = [[None] * n for _ in range(full)]
     dp[1][0] = 0
@@ -413,7 +422,7 @@ def fraction_coerce_weight(value):
     raise GraphError(f"bad weight {value!r}")
 
 
-_HEADER_RE = re.compile(r"^#\s*(nodes|directed|weighted)\s*:\s*(.*)$")
+_HEADER_RE = re.compile(r"^#\s*([A-Za-z]+)\s*:\s*(.*)$")
 
 
 def _token_column(raw, index):
@@ -429,8 +438,9 @@ def scan_edge_list(text):
     line first, then an endpoint missing from the last ``# nodes:`` roster)
     as a ``ParseError``; else the parts ``(names, weighted, triples)`` for
     ``build_graph``, with the rows' endpoints as the roster when there is
-    no ``# nodes:`` line.  A ``# directed:`` line is read only to refuse
-    any value but ``false``.
+    no ``# nodes:`` line.  Header keys and their ``true``/``false`` are
+    read in any case.  A ``# directed:`` line is read only to refuse any
+    value but ``false``.
     """
     from graphcrew.formats import ParseError
     from graphcrew.graph import GraphError
@@ -455,9 +465,9 @@ def scan_edge_list(text):
                 rows.append((lineno, raw, tokens[0], tokens[1], weight))
             continue
         match = _HEADER_RE.match(line)
-        if match is None:
+        if match is None or match.group(1).lower() not in ("nodes", "directed", "weighted"):
             return ParseError(f"bad header line {line!r}", lineno)
-        key, value = match.group(1), match.group(2).strip()
+        key, value = match.group(1).lower(), match.group(2).strip()
         # the value's first character, or the one after the colon when it is empty
         colon = raw.index(":")
         column = raw.index(value, colon) + 1 if value else colon + 2
@@ -466,13 +476,13 @@ def scan_edge_list(text):
             if not names:
                 return ParseError("empty node roster", lineno, column)
         elif key == "directed":
-            if value != "false":
+            if value.lower() != "false":
                 return ParseError("every connection a statement gives runs both ways, so "
                                   f"the graph cannot be directed (got {value!r})", lineno, column)
-        elif value not in ("true", "false"):
+        elif value.lower() not in ("true", "false"):
             return ParseError(f"expected 'true' or 'false', got {value!r}", lineno, column)
         else:
-            weighted = value == "true"
+            weighted = value.lower() == "true"
     if names is None:
         names = sorted({name for row in rows for name in row[2:4]})
     for lineno, raw, u, v, _ in rows:
@@ -491,6 +501,7 @@ def _recompute_objective(graph, solution):
     from graphcrew.graph import GraphError
 
     try:
+        wm = weight_table(graph)
         if solution.kind == "tour":
             order = solution.payload
             if not order:
@@ -499,7 +510,7 @@ def _recompute_objective(graph, solution):
             for i, name in enumerate(order):
                 u = graph.index_of(name)
                 v = graph.index_of(order[(i + 1) % len(order)])
-                total += graph.weight(u, v)
+                total += wm[(u, v)]
             return total
         if solution.kind == "coloring":
             return len(set(solution.payload.values()))
@@ -511,7 +522,7 @@ def _recompute_objective(graph, solution):
                 return None
             total = 0
             for a, b in zip(path, path[1:]):
-                total += graph.weight(graph.index_of(a), graph.index_of(b))
+                total += wm[(graph.index_of(a), graph.index_of(b))]
             return total
         if solution.kind == "boolean":
             return int(bool(solution.payload))

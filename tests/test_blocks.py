@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,17 @@ ANSWERS = {
 @pytest.mark.parametrize("kind", ANSWERS)
 def test_answer_lines_read_back(kind):
     assert read_answer(answer_lines(ANSWERS[kind]), "direct") == ANSWERS[kind]
+
+
+@pytest.mark.parametrize("kind", ANSWERS)
+@pytest.mark.parametrize("emphasis", [r"**\1:**", r"**\1**:", r"*\1:*"],
+                         ids=["bold-with-colon", "bold", "italic-with-colon"])
+def test_emphasis_around_keys_reads_as_the_bare_key(kind, emphasis):
+    body = re.sub(r"^([^:]+):", emphasis, answer_lines(ANSWERS[kind]), flags=re.M)
+    assert body != answer_lines(ANSWERS[kind])
+    assert read_answer(body, "direct") == ANSWERS[kind]
+    assert parse_fields(re.sub(r"^([^:]+):", emphasis, "problem_type: tsp\nsource: Depot")) == {
+        "problem_type": "tsp", "source": "Depot"}
 
 
 def test_answer_lines_text():

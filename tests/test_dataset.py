@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -17,6 +18,7 @@ from graphcrew.dataset import (
     read_instances,
     record_to_instance,
     write_instances,
+    write_jsonl,
     write_text_only,
 )
 from graphcrew.dataset.names import MAX_LENGTH, MIN_LENGTH
@@ -255,6 +257,24 @@ class TestRecords:
         write_instances(generate_dataset(spec), a)
         write_instances(generate_dataset(spec), b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_jsonl_is_written_line_by_line(self, tmp_path):
+        # a generator of about 2 MB of records: a writer that joined the
+        # file before writing it would hold all of it at once
+        path = tmp_path / "big.jsonl"
+        records = ({"id": i, "text": "é\n" + "x" * 1000} for i in range(2000))
+        tracemalloc.start()
+        try:
+            write_jsonl(records, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 2_000_000
+        assert peak < size / 4
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 2000
+        assert lines[1] == '{"id":1,"text":"é\\n' + "x" * 1000 + '"}'
 
     def test_text_only_export_hides_everything(self, tmp_path):
         instances = [build_instance(TSP, 8, 0)]

@@ -57,6 +57,23 @@ def test_directed_header_other_than_false_is_refused_at_its_value():
             f"so the graph cannot be directed (got {value!r})")
 
 
+def test_header_keys_and_flags_read_in_any_case():
+    g = parse_graph("# nodes: a B\n# weighted: false\na B\n")
+    for header in ("# Nodes: a B\n# WEIGHTED: False\n", "#NODES : a B\n# Weighted:FALSE\n"):
+        assert parse_graph(f"{header}a B\n") == g
+    assert parse_graph("# Directed: False\nA B 1\n") == parse_graph("A B 1\n")
+    # node names stay case-sensitive, and only a false directed header reads
+    with pytest.raises(ParseError, match="endpoint 'A' missing from roster"):
+        parse_graph("# Nodes: a B\nA B\n")
+    with pytest.raises(ParseError, match=r"cannot be directed \(got 'True'\)"):
+        parse_graph("# directed: True\nA B\n")
+    with pytest.raises(ParseError, match="expected 'true' or 'false', got 'Yes'"):
+        parse_graph("# Weighted: Yes\nA B\n")
+    # ASCII letters only: a key whose letter folds to one is no key
+    with pytest.raises(ParseError, match="bad header line"):
+        parse_graph("# node\u017f: A B\nA B\n")
+
+
 def test_edge_list_headerless_inference():
     g = parse_graph("B C 4\nA B 2\n")
     assert g.node_names == ("A", "B", "C")
@@ -180,8 +197,10 @@ def messy_edge_lists(draw):
             sep = draw(st.sampled_from([" ", "\t", "  ", " \t "]))
             body = sep.join(draw(ROW_TOKENS) for _ in range(count))
         elif kind == "header":
-            key = draw(st.sampled_from(["nodes", "directed", "weighted", "speed"]))
-            value = draw(st.sampled_from(["true", "false", "maybe", "", "A B C", "AB\tC"]))
+            key = draw(st.sampled_from(["nodes", "directed", "weighted", "speed", "Nodes",
+                                        "DIRECTED", "Weighted", "nodeſ"]))
+            value = draw(st.sampled_from(["true", "false", "maybe", "", "A B C", "AB\tC",
+                                          "True", "FALSE"]))
             body = f"#{draw(SPACE)}{key}{draw(SPACE)}:{draw(SPACE)}{value}"
         elif kind == "comment":
             body = "# edges follow"

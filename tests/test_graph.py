@@ -154,13 +154,10 @@ def test_build_rejections():
         build_graph(["A", "B"], False, [("A", "B", 3)])
 
 
-def test_adjacency_and_weight_lookup():
+def test_adjacency_and_index_lookup():
     g = build_graph(["A", "B", "C"], True, [("A", "B", 3), ("B", "C", 4)])
     assert g.adjacency == ((1,), (0, 2), (1,))
-    assert g.weight(2, 1) == 4
-    assert g.has_edge(0, 1) and not g.has_edge(0, 2)
-    with pytest.raises(GraphError):
-        g.weight(0, 2)
+    assert g.index_of("C") == 2
     with pytest.raises(UnknownEndpointError):
         g.index_of("Z")
 

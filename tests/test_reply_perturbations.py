@@ -50,12 +50,9 @@ CASES = {
     "pipeline-key-case": ("pipeline", "shortest_path", capitalize_keys, None),
     "pipeline-key-spacing": ("pipeline", "shortest_path", sub(r"^(\w+): ", r"  \1 :   "), None),
     "pipeline-header-spacing": ("pipeline", "tsp", sub(r"^# (\w+): ", r"#\1 :  "), None),
-    "pipeline-header-key-case": ("pipeline", "tsp", sub("^# nodes:", "# Nodes:"),
-                                 "the edge list could not be read (line 1, column 1: "
-                                 "bad header line '# Nodes:"),
+    "pipeline-header-key-case": ("pipeline", "tsp", sub("^# nodes:", "# Nodes:"), None),
     "pipeline-header-value-case": ("pipeline", "tsp", sub("^# weighted: true", "# weighted: True"),
-                                   "the edge list could not be read (line 2, column 13: "
-                                   "expected 'true' or 'false', got 'True')"),
+                                   None),
     "direct-key-case-tour": ("direct", "tsp", capitalize_keys, None),
     "direct-key-case-coloring": ("direct", "graph_coloring", capitalize_keys, None),
     "direct-key-case-boolean": ("direct", "cycle_detection", sub("^answer: no", "Answer: No"),
@@ -77,13 +74,10 @@ CASES = {
     "direct-answer-period": ("direct", "cycle_detection", sub("^answer: no$", "answer: no."),
                              "boolean answer must be yes or no, got 'no.'"),
     # markdown emphasis on keys
-    "pipeline-bold-keys": ("pipeline", "shortest_path", sub(r"^(\w+):", r"**\1:**"),
-                           "the problem block is missing a problem_type line"),
-    "direct-bold-keys": ("direct", "tsp", sub(r"^(\w+):", r"**\1:**"),
-                         "the answer block matches no known answer shape"),
+    "pipeline-bold-keys": ("pipeline", "shortest_path", sub(r"^(\w+):", r"**\1:**"), None),
+    "direct-bold-keys": ("direct", "tsp", sub(r"^(\w+):", r"**\1:**"), None),
     "direct-bold-keys-coloring": ("direct", "graph_coloring",
-                                  sub(r"^(color \w+|colors):", r"**\1:**"),
-                                  "the answer block matches no known answer shape"),
+                                  sub(r"^(color \w+|colors):", r"**\1:**"), None),
     # None or N/A for none
     "pipeline-none-capitalized": ("pipeline", "tsp", sub(r"^(source|target): none$", r"\1: None"),
                                   "the problem block names source 'None', which is not a node "
