@@ -28,9 +28,10 @@ from typing import Any, Protocol
 
 import yaml
 
-from ..dataset import exact_route, read_jsonl
+from ..dataset import read_jsonl
 from ..execute import run_algorithm
 from ..formats import serialize_graph
+from ..knowledge import select_algorithm
 from ..prices import PriceConfig
 from .blocks import answer_lines
 from .prompts import TAGS, slot_value, stage_of_prompt
@@ -346,7 +347,7 @@ class OracleStubBackend:
                     f"source: {problem.source or 'none'}\n"
                     f"target: {problem.target or 'none'}")
             return spec, serialize_graph(problem.graph).strip()
-        route = exact_route(problem.problem_type, problem.graph)
+        route = select_algorithm(problem.problem_type, problem.graph, exact=True)
         best = run_algorithm(route, problem.graph, source=problem.source, target=problem.target)
         return (answer_lines(best),)
 

@@ -37,7 +37,7 @@ from typing import Any, Callable, NamedTuple
 
 from ..execute import run_algorithm
 from ..formats import parse_graph
-from ..graph import GraphError
+from ..graph import Graph, GraphError
 from ..knowledge import NoApplicableAlgorithmError, Route, select_algorithm
 from ..problems import PROBLEM_TYPES, SHORTEST_PATH, ExtractedProblem
 from ..solvers import Solution, verify_solution
@@ -124,40 +124,46 @@ def _ask(backend: ChatBackend, stage: str, slots: dict[str, str],
 # -- reply validators --------------------------------------------------
 
 
-def _problem_fields(body: str) -> tuple[str, str | None, str | None]:
-    """The problem block's family, source and target."""
-    fields = parse_fields(body)
+def _problem_type(fields: dict[str, str]) -> str:
+    """The problem block's family."""
     if "problem_type" not in fields:
         raise RejectReply("the problem block is missing a problem_type line")
     stated = fields["problem_type"]
     problem_type = stated.lower().replace(" ", "_").replace("-", "_")
     if problem_type not in PROBLEM_TYPES:
         raise RejectReply(f"problem type {stated!r} is not one of {', '.join(PROBLEM_TYPES)}")
-    endpoints = {role: fields.get(role, "none") for role in ("source", "target")}
-    for role, name in endpoints.items():
-        if name in ("", "none"):
-            if problem_type == SHORTEST_PATH:
-                raise RejectReply(f"the {SHORTEST_PATH} problem block names no {role}")
-            endpoints[role] = None
-    return problem_type, endpoints["source"], endpoints["target"]
+    return problem_type
+
+
+def _endpoint(fields: dict[str, str], role: str, problem_type: str, graph: Graph) -> str | None:
+    """The route endpoint the problem block names for ``role``: a node of
+    the edge list, or None for an empty value, ``none`` or ``n/a`` in any
+    case, or no line at all, unless a node of the list has that name."""
+    name = fields.get(role, "")
+    if name in graph.node_names:
+        return name
+    if name.lower() not in ("", "none", "n/a"):
+        raise RejectReply(f"the problem block names {role} {name!r}, "
+                          "which is not a node of the edge list")
+    if problem_type == SHORTEST_PATH:
+        raise RejectReply(f"the {SHORTEST_PATH} problem block names no {role}")
+    return None
 
 
 def _extract(problem_body: str, graph_body: str) -> tuple[ExtractedProblem, Route]:
     """The problem block with the edge list as :func:`parse_graph` reads
     and merges it, and the route :func:`select_algorithm` picks for them;
-    a route endpoint the problem block names must be a node of the edge
-    list, and a graph that no route fits is refused."""
-    problem_type, source, target = _problem_fields(problem_body)
+    a graph that no route fits is refused."""
+    fields = parse_fields(problem_body)
+    problem_type = _problem_type(fields)
     try:
         graph = parse_graph(graph_body)
     except GraphError as exc:
         raise RejectReply(f"the edge list could not be read ({exc})") from None
     if not graph.node_count:
         raise RejectReply("the edge list contained no nodes or edges")
-    for role, name in (("source", source), ("target", target)):
-        if name is not None and name not in graph.node_names:
-            raise RejectReply(f"the problem block names {role} {name!r}, "
-                              "which is not a node of the edge list")
+    source, target = (_endpoint(fields, role, problem_type, graph)
+                      for role in ("source", "target"))
     try:
         route = select_algorithm(problem_type, graph)
     except NoApplicableAlgorithmError as exc:

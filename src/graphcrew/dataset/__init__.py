@@ -5,10 +5,8 @@ from .text import SCENARIO_STYLES, render_problem_text
 from .generate import (
     DatasetSpec,
     GroundTruth,
-    NoExactTruthError,
     ProblemInstance,
     build_instance,
-    exact_route,
     generate_dataset,
     ground_truth,
     instance_seed,
@@ -32,14 +30,12 @@ from .records import (
 __all__ = [
     "DatasetSpec",
     "GroundTruth",
-    "NoExactTruthError",
     "ProblemInstance",
     "Result",
     "SCENARIO_STYLES",
     "build_instance",
     "check_manifest",
     "dataset_manifest",
-    "exact_route",
     "generate_dataset",
     "generate_names",
     "ground_truth",

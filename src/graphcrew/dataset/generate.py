@@ -13,8 +13,7 @@ import random
 from dataclasses import dataclass
 
 from ..graph import Graph, build_graph, is_connected
-from .. import knowledge
-from ..knowledge import Route, applicability_reason, select_algorithm
+from ..knowledge import NoApplicableAlgorithmError, select_algorithm
 from ..execute import run_algorithm
 from ..problems import (
     CYCLE_DETECTION,
@@ -30,16 +29,13 @@ from ..solvers import Solution
 from .names import generate_names
 from .text import SCENARIO_STYLES, render_problem_text
 
-class NoExactTruthError(ValueError):
-    """No exact route in the route table fits the graph, so no proven optimum exists."""
-
 
 @dataclass(frozen=True)
 class GroundTruth:
     """Proven optimum plus the heuristic answer for the same graph.
 
-    ``approximate`` holds the first applicable heuristic route's answer,
-    or the optimum again when the family has no heuristic route.
+    ``approximate`` holds the selector's heuristic route's answer, or the
+    optimum again when no heuristic row of the family fits the graph.
     """
 
     optimal: Solution
@@ -164,44 +160,27 @@ def _make_graph(
     raise AssertionError(problem_type)
 
 
-def exact_route(problem_type: str, graph: Graph) -> Route:
-    """The selector's route for ``graph``, which must be an exact one.
-
-    Raises :class:`NoExactTruthError`, naming why each exact row of the
-    family does not fit, when the selector would pick a heuristic, for
-    example past every exact route's node limit, because a heuristic
-    answer stored as the truth would grade answers against itself.
-    """
-    route = select_algorithm(problem_type, graph)
-    if not route.exact:
-        reasons = "; ".join(f"{row.algorithm_id}: {applicability_reason(row, graph)}"
-                            for row in knowledge.ROUTES
-                            if row.problem_type == problem_type and row.exact)
-        raise NoExactTruthError(
-            f"no exact {problem_type} route fits a graph of {graph.node_count} "
-            f"nodes, so its optimum cannot be proven ({reasons})"
-        )
-    return route
-
-
 def ground_truth(
     problem_type: str,
     graph: Graph,
     source: str | None = None,
     target: str | None = None,
 ) -> GroundTruth:
-    """Proven optimum, from :func:`exact_route`, plus the plain heuristic
-    answer: that of the family's first heuristic route in the table that
-    fits the graph."""
-    best = run_algorithm(exact_route(problem_type, graph), graph, source=source, target=target)
+    """Proven optimum, by the selector's exact route, plus the answer of
+    its heuristic route, or the optimum again when no heuristic row fits.
 
-    heuristic = next((route for route in knowledge.ROUTES
-                      if route.problem_type == problem_type and not route.exact
-                      and applicability_reason(route, graph) is None), None)
-    approximate = (
-        best if heuristic is None
-        else run_algorithm(heuristic, graph, source=source, target=target)
-    )
+    Raises :class:`~graphcrew.knowledge.NoApplicableAlgorithmError` when
+    no exact row fits, for example past every exact route's node limit,
+    because a heuristic answer stored as the truth would grade answers
+    against itself.
+    """
+    best = run_algorithm(select_algorithm(problem_type, graph, exact=True), graph,
+                         source=source, target=target)
+    try:
+        heuristic = select_algorithm(problem_type, graph, exact=False)
+    except NoApplicableAlgorithmError:
+        return GroundTruth(optimal=best, approximate=best)
+    approximate = run_algorithm(heuristic, graph, source=source, target=target)
     return GroundTruth(optimal=best, approximate=approximate)
 
 

@@ -6,8 +6,9 @@ Every graph is undirected, so a row limits only size (a tour needs at
 least 3 nodes), completeness and weightedness; a graph a row admits is
 one its solver can take, so the solvers check no preconditions of their
 own.
-Selection is a pure function of the table and the graph, so the same
-graph always yields the same route.
+Selection is a pure function of the table, the graph and the exactness
+asked for, so the same graph always yields the same route; the pipeline,
+the stored truth and the offline stub all take their routes from it.
 Raising a node limit is a one-line edit of its row.
 """
 
@@ -82,23 +83,29 @@ def applicability_reason(route: Route, graph: Graph) -> str | None:
     return None
 
 
-def select_algorithm(problem_type: str, graph: Graph) -> Route:
+def select_algorithm(problem_type: str, graph: Graph, exact: bool | None = None) -> Route:
     """Pick the one route for a graph: the family's first applicable row
     of :data:`ROUTES`, so an exact one when any fits, else a heuristic.
+    With ``exact`` set, only rows of that exactness are candidates, so
+    ``exact=True`` picks the route that proves an optimum.
 
     The choice is final; no caller runs a second route in its place.
     Raises :class:`NoApplicableAlgorithmError` when nothing fits, naming
-    every row of the family and why it was passed over.
+    every candidate row of the family and why it was passed over.
     """
     rejections: list[str] = []
     for route in ROUTES:
-        if route.problem_type != problem_type:
+        if route.problem_type != problem_type or exact not in (None, route.exact):
             continue
         reason = applicability_reason(route, graph)
         if reason is None:
             return route
         rejections.append(f"{route.algorithm_id}: {reason}")
+    if exact is None:
+        refusal = f"no applicable algorithm for {problem_type} on {graph.node_count} nodes"
+    else:
+        refusal = (f"no {'exact' if exact else 'heuristic'} {problem_type} route fits "
+                   f"a graph of {graph.node_count} nodes")
     raise NoApplicableAlgorithmError(
-        f"no applicable algorithm for {problem_type} on {graph.node_count} "
-        f"nodes ({'; '.join(rejections) or 'no route listed'})"
+        f"{refusal} ({'; '.join(rejections) or 'no route listed'})"
     )

@@ -543,6 +543,31 @@ def test_no_file_is_opened_in_the_locale_encoding(tmp_path):
     assert (tmp_path / "report" / "report.txt").is_file()
 
 
+def test_offline_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # generate and a stub solve in fresh interpreters, under two hash seeds
+    config = tmp_path / "stub.yaml"
+    config.write_text("kind: stub\n")
+    families = ("graph_coloring", "vertex_cover")
+    written = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"hash-seed-{hash_seed}"
+
+        def run(*args):
+            done = run_python("-m", "graphcrew.cli", *map(str, args),
+                              env={"PYTHONHASHSEED": hash_seed})
+            assert done.returncode == 0, done.stderr
+
+        run("generate", *(arg for family in families for arg in ("--type", family)),
+            "--sizes", "8-10", "--per-size", "2", "--out", out)
+        for family in families:
+            run("solve", "--dataset", out / f"{family}.jsonl", "--backend-config", config,
+                "--concurrency", "1", "--out", out / f"{family}.results.jsonl")
+        written.append({path.name: path.read_bytes() for path in out.iterdir()})
+    # per family its instances, statements and results, and one manifest
+    assert len(written[0]) == 7
+    assert written[0] == written[1]
+
+
 # runs the command named in its arguments, then prints the modules loaded
 LOADED_MODULES = """\
 import json, sys

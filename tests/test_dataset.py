@@ -9,7 +9,6 @@ import pytest
 
 from graphcrew.dataset import (
     DatasetSpec,
-    NoExactTruthError,
     build_instance,
     generate_dataset,
     generate_names,
@@ -25,7 +24,7 @@ from graphcrew.dataset.names import MAX_LENGTH, MIN_LENGTH
 from graphcrew.dataset.records import dataset_manifest, file_checksum
 from graphcrew.dataset.text import RESERVED_WORDS, SCENARIO_STYLES, render_problem_text
 from graphcrew.graph import is_connected
-from graphcrew.knowledge import ROUTES
+from graphcrew.knowledge import ROUTES, NoApplicableAlgorithmError
 from graphcrew.problems import (
     CYCLE_DETECTION,
     GRAPH_COLORING,
@@ -225,14 +224,15 @@ class TestGroundTruth:
         for route in ROUTES:
             if route.algorithm_id in ("held_karp", "exact_coloring", "bnb_cover"):
                 limit = route.max_nodes
-                with pytest.raises(NoExactTruthError) as err:
+                with pytest.raises(NoApplicableAlgorithmError) as err:
                     build_instance(route.problem_type, limit + 1, 0)
                 assert isinstance(err.value, ValueError)
                 assert f"no exact {route.problem_type} route" in str(err.value)
                 assert f"limit of {limit}" in str(err.value)
                 # the refusal names the exact row and why it does not fit, nothing more
                 assert str(err.value).endswith(
-                    f"cannot be proven ({route.algorithm_id}: {limit + 1} nodes exceeds its "
+                    f"route fits a graph of {limit + 1} nodes "
+                    f"({route.algorithm_id}: {limit + 1} nodes exceeds its "
                     f"limit of {limit})")
 
 

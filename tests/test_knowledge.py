@@ -12,7 +12,13 @@ from graphcrew.knowledge import (
     applicability_reason,
     select_algorithm,
 )
-from graphcrew.problems import GRAPH_COLORING, KIND_BY_PROBLEM, PROBLEM_TYPES
+from graphcrew.problems import (
+    CYCLE_DETECTION,
+    GRAPH_COLORING,
+    KIND_BY_PROBLEM,
+    PROBLEM_TYPES,
+    SHORTEST_PATH,
+)
 from graphcrew.solvers import (
     coloring_exact,
     detect_cycle,
@@ -152,6 +158,47 @@ def test_selector_takes_the_first_applicable_route_in_lookup_order(monkeypatch):
         "matching_cover: 101 nodes exceeds its limit of 40; dsatur: 101 nodes exceeds its "
         "limit of 100)"
     )
+    # asked for one kind, the first row of that kind that fits, in table order
+    assert select_algorithm("graph_coloring", complete_graph(8, seed=1), exact=False) is rows[2]
+    assert select_algorithm("graph_coloring", gnp_graph(10, 1.0, seed=1), exact=True) is rows[1]
+    with pytest.raises(NoApplicableAlgorithmError) as err:
+        select_algorithm("graph_coloring", complete_graph(26, seed=1), exact=True)
+    assert str(err.value) == (
+        "no exact graph_coloring route fits a graph of 26 nodes (exact_coloring: 26 nodes "
+        "exceeds its limit of 25; bnb_cover: 26 nodes exceeds its limit of 10)"
+    )
+
+
+def test_exact_selection_past_the_limit_names_only_the_exact_rows():
+    with pytest.raises(NoApplicableAlgorithmError) as err:
+        select_algorithm("tsp", complete_graph(26, seed=1), exact=True)
+    assert str(err.value) == (
+        "no exact tsp route fits a graph of 26 nodes "
+        "(held_karp: 26 nodes exceeds its limit of 25)"
+    )
+
+
+def test_heuristic_selection_skips_a_fitting_exact_row():
+    assert select_algorithm("tsp", complete_graph(8, seed=1), exact=False) is route(
+        "nearest_neighbor_2opt")
+    assert select_algorithm("tsp", complete_graph(8, seed=1), exact=True) is route("held_karp")
+
+
+@pytest.mark.parametrize("problem_type", [SHORTEST_PATH, CYCLE_DETECTION])
+def test_family_without_a_heuristic_row_lists_none(problem_type):
+    graph = gnp_graph(8, 0.5, seed=3, weighted=True, connected=True)
+    with pytest.raises(NoApplicableAlgorithmError) as err:
+        select_algorithm(problem_type, graph, exact=False)
+    assert str(err.value) == (
+        f"no heuristic {problem_type} route fits a graph of 8 nodes (no route listed)"
+    )
+
+
+@pytest.mark.parametrize("problem_type", [SHORTEST_PATH, CYCLE_DETECTION])
+def test_truth_without_a_heuristic_row_stores_the_optimum_twice(problem_type):
+    truth = build_instance(problem_type, 8, 0).truth
+    assert truth.optimal.exact
+    assert truth.approximate is truth.optimal
 
 
 def test_run_algorithm_matches_direct_calls():

@@ -296,6 +296,11 @@ FAULTY_REPLIES = {
         route_reply(source="none"),
         "the shortest_path problem block names no source",
     ),
+    "source-n/a": (
+        ROUTE_TEXT,
+        route_reply(source="N/A"),
+        "the shortest_path problem block names no source",
+    ),
     "target-missing": (
         ROUTE_TEXT,
         graph_reply(ROUTE, "problem_type: shortest_path\nsource: A"),
@@ -350,6 +355,17 @@ def test_three_faulty_extract_replies_fail_as_extract_graph(text, faulty, proble
         f"stage extract_graph: no usable reply in 3 attempts (last problem: {problem})")
     assert [c.stage for c in out.calls] == ["extract_graph"] * 3
     assert [stage for stage, _ in backend.seen] == ["extract_graph"] * 3
+
+
+def test_endpoint_named_none_is_that_node():
+    # a generated roster can hold a node named None: an endpoint that names
+    # a node of the edge list is that node before it is read as absent
+    graph = ROUTE.replace("A", "None")
+    backend = StageScripted({"extract_graph": [route_reply(graph, source="None")]})
+    out = run_pipeline(backend, problem_text(parse_graph(graph), "shortest_path", "None", "D"))
+    assert out.extracted.source == "None"
+    assert (out.solution.payload, out.solution.objective) == (("None", "C", "D"), 2)
+    assert len(extract_prompts(backend)) == 1
 
 
 def test_normalize_merges_duplicates():
