@@ -30,7 +30,6 @@ from .dataset import (
     result_record,
     write_instances,
     write_jsonl,
-    write_text_only,
 )
 from .problems import (
     CYCLE_DETECTION,
@@ -118,10 +117,9 @@ def cmd_generate(types, sizes, per_size, seed, noise, scenario, out, workers):
             noise_level=noise,
             scenario=scenario,
         )
-        instances = generate_dataset(spec, workers=workers)
         instance_path = out / f"{problem_type}.jsonl"
-        write_instances(instances, instance_path)
-        write_text_only(instances, out / f"{problem_type}.text.jsonl")
+        write_instances(generate_dataset(spec, workers=workers), instance_path,
+                        out / f"{problem_type}.text.jsonl")
         entry = dataset_manifest(spec, instance_path)
         entries.append(entry)
         click.echo(f"{entry['sha256']}  {instance_path.name}  ({entry['instance_count']} instances)")

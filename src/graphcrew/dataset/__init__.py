@@ -24,7 +24,6 @@ from .records import (
     text_digest,
     write_instances,
     write_jsonl,
-    write_text_only,
 )
 
 __all__ = [
@@ -50,5 +49,4 @@ __all__ = [
     "text_digest",
     "write_instances",
     "write_jsonl",
-    "write_text_only",
 ]

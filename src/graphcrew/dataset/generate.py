@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from ..graph import Graph, build_graph, is_connected
 from ..knowledge import NoApplicableAlgorithmError, select_algorithm
@@ -226,8 +227,9 @@ def _build_cell(args: tuple[str, int, int, int, str, str | None]) -> ProblemInst
     )
 
 
-def generate_dataset(spec: DatasetSpec, workers: int | None = None) -> list[ProblemInstance]:
-    """Generate the full sweep, ordered by (node_count, index).
+def generate_dataset(spec: DatasetSpec, workers: int | None = None) -> Iterator[ProblemInstance]:
+    """Yield the full sweep, ordered by (node_count, index), an instance
+    at a time as it is built.
 
     With `workers` > 1 instances are built in parallel processes; the
     per-instance seeding makes the result identical either way.
@@ -241,5 +243,6 @@ def generate_dataset(spec: DatasetSpec, workers: int | None = None) -> list[Prob
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_build_cell, cells, chunksize=8))
-    return [_build_cell(cell) for cell in cells]
+            yield from pool.map(_build_cell, cells, chunksize=8)
+    else:
+        yield from map(_build_cell, cells)

@@ -1,21 +1,24 @@
 """The files of a run: instances, text-only export, manifests and results.
 
 Every JSONL file (instances, text-only statements, results, scores and
-replay fixtures) is read by :func:`read_jsonl`, and every one but the
-fixtures, which are appended a reply at a time, is written by
-:func:`write_jsonl`: fixed key order and compact separators, so a
-regenerated dataset is byte-identical to the original, which the
-manifest checksum then certifies.
+replay fixtures) is read by :func:`read_jsonl`.  Instances and their
+text-only statements are written together by :func:`write_instances`,
+and results and scores by :func:`write_jsonl`, one line per record in
+one format: fixed key order and compact separators, so a regenerated
+dataset is byte-identical to the original, which the manifest checksum
+then certifies.  Replay fixtures are appended a reply at a time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple, TextIO
 
 from ..formats import parse_graph, serialize_graph
+from ..graph import Graph
 from ..solvers.solution import Solution, solution_from_dict, solution_to_dict, verify_solution
 from .generate import DatasetSpec, GroundTruth, ProblemInstance
 
@@ -40,13 +43,16 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
             yield lineno, record
 
 
+def _jsonl_line(record: dict[str, Any]) -> str:
+    return json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n"
+
+
 def write_jsonl(records: Iterable[dict[str, Any]], path: str | Path) -> None:
     """``records`` as compact JSONL lines, their keys in the order given.
     Each line goes to the file as it is made, so ``records`` may be a
     generator and the file is never held whole in memory."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n"
-                      for record in records)
+        fh.writelines(map(_jsonl_line, records))
 
 
 def instance_to_record(instance: ProblemInstance) -> dict[str, Any]:
@@ -75,12 +81,19 @@ def instance_to_record(instance: ProblemInstance) -> dict[str, Any]:
     return record
 
 
+def _own_names(graph: Graph) -> dict[str, str]:
+    """Each node name of ``graph`` mapped to itself, for reading a solution
+    of it that holds the graph's strings (:func:`solution_from_dict`)."""
+    return dict(zip(graph.node_names, graph.node_names))
+
+
 def record_to_instance(record: dict[str, Any]) -> ProblemInstance:
     """Rebuild an instance from a record.
 
     Imported records may omit the hidden section entirely (text-only
     files from outside); such instances can be solved against a live or
-    replay backend but carry no truth to score exactly against.
+    replay backend but carry no truth to score exactly against.  The
+    truth's node names are the graph's own strings.
     """
     if "id" not in record or "text" not in record:
         raise ValueError("instance record needs at least 'id' and 'text'")
@@ -90,10 +103,13 @@ def record_to_instance(record: dict[str, Any]) -> ProblemInstance:
         graph = parse_graph(hidden["graph"])
     truth = None
     if "truth" in hidden:
-        truth = GroundTruth(
-            optimal=solution_from_dict(hidden["truth"]["optimal"]),
-            approximate=solution_from_dict(hidden["truth"]["approximate"]),
-        )
+        stored = hidden["truth"]
+        names = None if graph is None else _own_names(graph)
+        optimal = solution_from_dict(stored["optimal"], names)
+        # shortest_path and cycle_detection store the optimum in both slots
+        approximate = (optimal if stored["approximate"] == stored["optimal"]
+                       else solution_from_dict(stored["approximate"], names))
+        truth = GroundTruth(optimal=optimal, approximate=approximate)
     return ProblemInstance(
         instance_id=record["id"],
         problem_type=record.get("problem_type", "unknown"),
@@ -114,12 +130,37 @@ def text_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def write_instances(instances: list[ProblemInstance], path: str | Path) -> None:
-    write_jsonl(map(instance_to_record, instances), path)
-
-
 # the keys of a text-only record: all that solving an instance reads
 _STATEMENT_KEYS = ("id", "problem_type", "text")
+
+
+@contextlib.contextmanager
+def _complete_file(path: str | Path) -> Iterator[TextIO]:
+    """A file to write that takes the name ``path`` only once the block
+    ends, and is removed if the block raises: a partial file never shows."""
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            yield fh
+        partial.replace(path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
+def write_instances(instances: Iterable[ProblemInstance], path: str | Path,
+                    text_path: str | Path) -> None:
+    """Write each instance's full record to ``path`` and its public
+    statement (id, problem type and text, nothing hidden) to
+    ``text_path``, an instance at a time: ``instances`` may be a
+    generator, and neither file is held whole.  Each file appears only
+    once it is complete."""
+    with _complete_file(path) as full, _complete_file(text_path) as public:
+        for instance in instances:
+            record = instance_to_record(instance)
+            full.write(_jsonl_line(record))
+            public.write(_jsonl_line({key: record[key] for key in _STATEMENT_KEYS}))
 
 
 def read_instances(path: str | Path, *, statements_only: bool = False) -> list[ProblemInstance]:
@@ -153,12 +194,6 @@ def read_instances(path: str | Path, *, statements_only: bool = False) -> list[P
             )
         instances.append(instance)
     return instances
-
-
-def write_text_only(instances: list[ProblemInstance], path: str | Path) -> None:
-    """Public split: statements only, nothing hidden."""
-    write_jsonl(({"id": inst.instance_id, "problem_type": inst.problem_type, "text": inst.text}
-                 for inst in instances), path)
 
 
 def file_checksum(path: str | Path) -> str:
@@ -265,7 +300,8 @@ def read_results(path: str | Path, instances: dict[str, ProblemInstance]) -> lis
                         f"usage token counts must be non-negative integers, got {counts}")
                 usage.append((stage, *counts))
             ok = record.get("status") == "ok"
-            solution = solution_from_dict(record["solution"]) if ok else None
+            solution = (solution_from_dict(record["solution"], _own_names(instance.graph))
+                        if ok else None)
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ValueError(f"{where}: malformed result ({type(exc).__name__}: {exc})") from exc
         failure = None if ok else record.get("failure") or "solve failed"

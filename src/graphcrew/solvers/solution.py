@@ -86,8 +86,13 @@ def solution_to_dict(solution: Solution) -> dict[str, Any]:
     }
 
 
-def solution_from_dict(data: dict[str, Any]) -> Solution:
-    """Read a solution record, refusing with ValueError any value of the wrong JSON type."""
+def solution_from_dict(data: dict[str, Any], names: dict[str, str] | None = None) -> Solution:
+    """Read a solution record, refusing with ValueError any value of the wrong JSON type.
+
+    ``names`` maps each node name of the solution's graph to the graph's
+    own string; a payload name found there is that string, so the
+    solution holds no second copy of a name its graph holds.
+    """
     kind = data["kind"]
     if kind not in _PAYLOAD_KEYS:
         raise ValueError(f"unknown solution kind {kind!r}")
@@ -103,6 +108,9 @@ def solution_from_dict(data: dict[str, Any]) -> Solution:
         payload = tuple(payload)
     if kind != BOOLEAN and not all(isinstance(name, str) for name in payload):
         raise ValueError("node names must be strings")
+    if kind != BOOLEAN and names is not None:
+        payload = ({names.get(name, name): c for name, c in payload.items()} if kind == COLORING
+                   else tuple([names.get(name, name) for name in payload]))
     objective = coerce_weight(data["objective"])
     if kind == BOOLEAN and objective != int(payload):
         raise ValueError("a boolean answer's objective must be 1 for true, 0 for false")

@@ -152,8 +152,11 @@ def test_criterion_3_dataset_statistics(tmp_path):
         # regeneration from the same master seed, in two worker processes,
         # is byte-identical to the serial run
         regenerated = tmp_path / f"{problem_type}_again.jsonl"
-        write_instances(generate_dataset(DatasetSpec(problem_type), workers=2), regenerated)
+        statements = tmp_path / f"{problem_type}_again.text.jsonl"
+        write_instances(generate_dataset(DatasetSpec(problem_type), workers=2), regenerated,
+                        statements)
         assert regenerated.read_bytes() == (out / f"{problem_type}.jsonl").read_bytes()
+        assert statements.read_bytes() == (out / f"{problem_type}.text.jsonl").read_bytes()
 
         # every stored optimum was proven by an exact route
         assert all(instance.truth.optimal.exact for instance in instances), problem_type

@@ -5,6 +5,7 @@ import json
 import random
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,37 @@ class TestGenerate:
             )
             assert result.exit_code == 2
             assert f"no exact {family} route" in result.output
+        # a sweep that builds some instances before it crosses the limit
+        # leaves no partial family file
+        for family in ("tsp", "graph_coloring"):
+            out = tmp_path / f"{family}-crossing"
+            result = runner.invoke(
+                main,
+                ["generate", "--sizes", "25-26", "--per-size", "1", "--type", family,
+                 "--out", str(out)],
+            )
+            assert result.exit_code == 2
+            assert f"no exact {family} route" in result.output
+            assert not (out / f"{family}.jsonl").exists()
+            assert list(out.iterdir()) == []
+
+    def test_generate_holds_one_instance_at_a_time(self, runner, tmp_path):
+        # four times the instances of one size: a generate that held the
+        # family before writing it would peak near four times as high
+        def peak(per_size):
+            tracemalloc.start()
+            try:
+                result = runner.invoke(main, ["generate", "--type", "tsp", "--sizes", "12",
+                                              "--per-size", str(per_size), "--workers", "1",
+                                              "--out", str(tmp_path / f"per-size-{per_size}")])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.exit_code == 0, result.output
+            return peak
+
+        peak(1)  # first-call caches stay out of the measured runs
+        assert peak(8) < 1.5 * peak(2)
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_usage_error(self, runner, tmp_path, workers):

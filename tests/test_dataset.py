@@ -15,17 +15,20 @@ from graphcrew.dataset import (
     instance_seed,
     instance_to_record,
     read_instances,
+    read_results,
     record_to_instance,
+    text_digest,
     write_instances,
     write_jsonl,
-    write_text_only,
 )
 from graphcrew.dataset.names import MAX_LENGTH, MIN_LENGTH
 from graphcrew.dataset.records import dataset_manifest, file_checksum
 from graphcrew.dataset.text import RESERVED_WORDS, SCENARIO_STYLES, render_problem_text
 from graphcrew.graph import is_connected
 from graphcrew.knowledge import ROUTES, NoApplicableAlgorithmError
+from graphcrew.solvers import solution_to_dict
 from graphcrew.problems import (
+    BOOLEAN,
     CYCLE_DETECTION,
     GRAPH_COLORING,
     NOISE_LEVELS,
@@ -149,8 +152,8 @@ class TestSeeding:
 
     def test_parallel_generation_matches_serial(self, tmp_path):
         spec = DatasetSpec(TSP, min_nodes=8, max_nodes=9, instances_per_size=2)
-        serial = generate_dataset(spec)
-        parallel = generate_dataset(spec, workers=2)
+        serial = list(generate_dataset(spec))
+        parallel = list(generate_dataset(spec, workers=2))
         assert serial == parallel
         assert [i.instance_id for i in serial] == [
             "tsp-n08-i00", "tsp-n08-i01", "tsp-n09-i00", "tsp-n09-i01",
@@ -243,20 +246,21 @@ class TestRecords:
             assert record_to_instance(instance_to_record(inst)) == inst
 
     def test_jsonl_round_trip(self, tmp_path):
-        instances = generate_dataset(
+        instances = list(generate_dataset(
             DatasetSpec(VERTEX_COVER, min_nodes=8, max_nodes=9, instances_per_size=2)
-        )
+        ))
         path = tmp_path / "vc.jsonl"
-        write_instances(instances, path)
+        write_instances(instances, path, tmp_path / "vc.text.jsonl")
         assert read_instances(path) == instances
 
     def test_regeneration_is_byte_identical(self, tmp_path):
         spec = DatasetSpec(GRAPH_COLORING, min_nodes=8, max_nodes=9, instances_per_size=3)
         a = tmp_path / "a.jsonl"
         b = tmp_path / "b.jsonl"
-        write_instances(generate_dataset(spec), a)
-        write_instances(generate_dataset(spec), b)
+        write_instances(generate_dataset(spec), a, tmp_path / "a.text.jsonl")
+        write_instances(generate_dataset(spec), b, tmp_path / "b.text.jsonl")
         assert a.read_bytes() == b.read_bytes()
+        assert (tmp_path / "a.text.jsonl").read_bytes() == (tmp_path / "b.text.jsonl").read_bytes()
 
     def test_jsonl_is_written_line_by_line(self, tmp_path):
         # a generator of about 2 MB of records: a writer that joined the
@@ -276,10 +280,31 @@ class TestRecords:
         assert len(lines) == 2000
         assert lines[1] == '{"id":1,"text":"é\\n' + "x" * 1000 + '"}'
 
+    @pytest.mark.parametrize("problem_type", PROBLEM_TYPES)
+    def test_read_solutions_hold_their_graphs_names(self, tmp_path, problem_type):
+        # each node name read back is the graph's own string, not a copy,
+        # in the stored truth and in a results answer alike
+        spec = DatasetSpec(problem_type, min_nodes=8, max_nodes=9, instances_per_size=2)
+        path, results = tmp_path / "instances.jsonl", tmp_path / "results.jsonl"
+        write_instances(generate_dataset(spec), path, tmp_path / "instances.text.jsonl")
+        instances = read_instances(path)
+        write_jsonl(({"id": inst.instance_id, "text_sha256": text_digest(inst.text),
+                      "status": "ok", "solution": solution_to_dict(inst.truth.approximate)}
+                     for inst in instances), results)
+        answers = read_results(results, {inst.instance_id: inst for inst in instances})
+        for inst, answer in zip(instances, answers, strict=True):
+            own = {id(name) for name in inst.graph.node_names}
+            for solution in (inst.truth.optimal, inst.truth.approximate, answer.solution):
+                names = () if solution.kind == BOOLEAN else solution.payload
+                assert all(id(name) in own for name in names)
+            if problem_type in (SHORTEST_PATH, CYCLE_DETECTION):
+                # these families store the optimum in both truth slots
+                assert inst.truth.approximate is inst.truth.optimal
+
     def test_text_only_export_hides_everything(self, tmp_path):
         instances = [build_instance(TSP, 8, 0)]
         path = tmp_path / "public.jsonl"
-        write_text_only(instances, path)
+        write_instances(instances, tmp_path / "full.jsonl", path)
         record = json.loads(path.read_text().strip())
         assert set(record) == {"id", "problem_type", "text"}
         truth_value = str(instances[0].truth.optimal.objective)
@@ -288,7 +313,7 @@ class TestRecords:
     def test_text_only_instances_carry_no_hidden_data(self, tmp_path):
         instances = [build_instance(TSP, 8, 0)]
         path = tmp_path / "public.jsonl"
-        write_text_only(instances, path)
+        write_instances(instances, tmp_path / "full.jsonl", path)
         lite = read_instances(path)[0]
         assert lite.graph is None and lite.truth is None
         assert lite.source is None and lite.target is None
@@ -315,8 +340,8 @@ class TestRecords:
     def test_malformed_record_names_its_file_line(self, tmp_path, corrupt, message):
         path = tmp_path / "tsp.jsonl"
         spec = DatasetSpec(TSP, min_nodes=8, max_nodes=8, instances_per_size=2)
-        instances = generate_dataset(spec)
-        write_instances(instances, path)
+        public = tmp_path / "tsp.text.jsonl"
+        write_instances(generate_dataset(spec), path, public)
         lines = path.read_text().splitlines()
         record = json.loads(lines[1])
         corrupt(record["hidden"])
@@ -327,14 +352,12 @@ class TestRecords:
         assert str(err.value) == f"{path}: line 2: malformed instance {message}"
         # a statement read never parses the hidden section: it reads the
         # corrupt file as it reads the text-only one
-        public = tmp_path / "tsp.text.jsonl"
-        write_text_only(instances, public)
         assert read_instances(path, statements_only=True) == read_instances(public)
 
     def test_manifest_checksum_tracks_content(self, tmp_path):
         spec = DatasetSpec(TSP, min_nodes=8, max_nodes=8, instances_per_size=1)
         path = tmp_path / "tsp.jsonl"
-        write_instances(generate_dataset(spec), path)
+        write_instances(generate_dataset(spec), path, tmp_path / "tsp.text.jsonl")
         manifest = dataset_manifest(spec, path)
         assert manifest["instance_count"] == 1
         assert manifest["sha256"] == file_checksum(path)

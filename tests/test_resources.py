@@ -51,6 +51,7 @@ DELETED_TRACED = {
     ("graphcrew.formats", "read_edge_list_loose"),
     ("graphcrew.graph", "graph_stats"),
     ("graphcrew.graph", "merge_edge_triples"),
+    ("graphcrew.dataset.records", "write_text_only"),
 }
 
 
