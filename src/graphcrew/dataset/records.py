@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple, TextIO
 
 from ..formats import parse_graph, serialize_graph
-from ..graph import Graph
+from ..graph import Graph, Triple
 from ..solvers.solution import Solution, solution_from_dict, solution_to_dict, verify_solution
 from .generate import DatasetSpec, GroundTruth, ProblemInstance
 
@@ -87,20 +87,22 @@ def _own_names(graph: Graph) -> dict[str, str]:
     return dict(zip(graph.node_names, graph.node_names))
 
 
-def record_to_instance(record: dict[str, Any]) -> ProblemInstance:
+def record_to_instance(record: dict[str, Any],
+                       triples: dict[Triple, Triple] | None = None) -> ProblemInstance:
     """Rebuild an instance from a record.
 
     Imported records may omit the hidden section entirely (text-only
     files from outside); such instances can be solved against a live or
     replay backend but carry no truth to score exactly against.  The
-    truth's node names are the graph's own strings.
+    truth's node names are the graph's own strings.  The graph takes its
+    edge triples from ``triples`` when given (:func:`parse_graph`).
     """
     if "id" not in record or "text" not in record:
         raise ValueError("instance record needs at least 'id' and 'text'")
     hidden = record.get("hidden") or {}
     graph = None
     if "graph" in hidden:
-        graph = parse_graph(hidden["graph"])
+        graph = parse_graph(hidden["graph"], triples)
     truth = None
     if "truth" in hidden:
         stored = hidden["truth"]
@@ -171,13 +173,18 @@ def read_instances(path: str | Path, *, statements_only: bool = False) -> list[P
     With ``statements_only`` each record is read as its text-only line
     would be (id, problem type and text), so its ``hidden`` section is
     never parsed; ``solve`` needs nothing else.
+
+    The graphs of one read are built from one table of edge triples, so
+    an edge equal in several graphs of the file is one shared tuple.  The
+    table is local to the call and dies with it.
     """
     instances = []
+    triples: dict[Triple, Triple] = {}
     for lineno, record in read_jsonl(path):
         try:
             if statements_only:
                 record = {key: record[key] for key in _STATEMENT_KEYS if key in record}
-            instance = record_to_instance(record)
+            instance = record_to_instance(record, triples)
             report = None
             if instance.truth is not None and instance.graph is not None:
                 report = verify_solution(instance.problem_type, instance.graph,

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 
-from .graph import Graph, GraphError, Weight, build_graph, coerce_weight, format_weight
+from .graph import Graph, GraphError, Triple, Weight, build_graph, coerce_weight, format_weight
 
 
 class ParseError(GraphError):
@@ -113,13 +113,14 @@ def _scan(text: str) -> tuple[list[str] | None, bool, list[tuple[str, str, Weigh
     return names, saw_weight if weighted is None else weighted, rows
 
 
-def parse_graph(text: str) -> Graph:
+def parse_graph(text: str, triples: dict[Triple, Triple] | None = None) -> Graph:
     """Parse edge-list text into a canonical :class:`Graph`.
 
     Raises the first :class:`ParseError` in line order, then one for an
     endpoint missing from the ``# nodes:`` roster, and other
     :class:`~graphcrew.graph.GraphError` subclasses on semantic problems,
     :class:`~graphcrew.graph.ConflictingWeightsError` among them.
+    ``triples`` is passed to :func:`~graphcrew.graph.build_graph`.
     """
     names, weighted, rows = _scan(text)
     if names is None:
@@ -132,7 +133,7 @@ def parse_graph(text: str) -> Graph:
                 lineno, raw = _row_line(text, index)
                 raise ParseError(f"endpoint {token!r} missing from roster", lineno,
                                  _column(raw, 0 if token == u else 1))
-    return build_graph(names, weighted, rows)
+    return build_graph(names, weighted, rows, triples)
 
 
 def _row_line(text: str, index: int) -> tuple[int, str]:

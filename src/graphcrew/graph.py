@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 
 Weight = int | Fraction
+Triple = tuple[int, int, Weight]
 
 
 class GraphError(ValueError):
@@ -95,12 +96,14 @@ class Graph:
     ``(u, v, weight)`` index triples sorted ascending, one per undirected
     edge, with ``u < v``.  Two structurally equal graphs are therefore
     equal as values.  Use :func:`build_graph` instead of the raw
-    constructor; it validates and canonicalizes.
+    constructor; it validates and canonicalizes.  Graphs built from one
+    table of triples (:func:`build_graph`'s ``triples``) hold each equal
+    triple as one shared, immutable tuple object.
     """
 
     node_names: tuple[str, ...]
     weighted: bool
-    edges: tuple[tuple[int, int, Weight], ...]
+    edges: tuple[Triple, ...]
 
     @property
     def node_count(self) -> int:
@@ -146,6 +149,7 @@ def build_graph(
     node_names: list[str] | tuple[str, ...],
     weighted: bool,
     edges: list[tuple] | tuple[tuple, ...],
+    triples: dict[Triple, Triple] | None = None,
 ) -> Graph:
     """Validate and canonicalize raw parts into a :class:`Graph`.
 
@@ -156,6 +160,11 @@ def build_graph(
     :class:`GraphError` subclass on duplicate or empty names, unknown
     endpoints, self-loops, negative weights, or a non-1 weight in an
     unweighted graph.
+
+    With a ``triples`` table, each canonical ``(u, v, weight)`` triple is
+    taken from it, and added to it when new, so the graphs built from one
+    table hold one shared, immutable tuple per distinct triple.  The
+    caller owns the table and decides how long it lives.
     """
     names: list[str] = []
     seen: set[str] = set()
@@ -202,8 +211,10 @@ def build_graph(
                 f"edge {names[u]}-{names[v]} stated with weights "
                 f"{format_weight(stated)} and {format_weight(w)}"
             )
-    edges = sorted((u, v, w) for (u, v), w in used.items())
-    return Graph(tuple(names), weighted, tuple(edges))
+    canonical = ((u, v, w) for (u, v), w in used.items())
+    if triples is not None:
+        canonical = (triples.setdefault(t, t) for t in canonical)
+    return Graph(tuple(names), weighted, tuple(sorted(canonical)))
 
 
 def is_connected(graph: Graph) -> bool:

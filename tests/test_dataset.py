@@ -1,5 +1,6 @@
 """Dataset generation: names, rendering, seeding, records."""
 
+import gc
 import json
 import random
 import re
@@ -24,6 +25,7 @@ from graphcrew.dataset import (
 from graphcrew.dataset.names import MAX_LENGTH, MIN_LENGTH
 from graphcrew.dataset.records import dataset_manifest, file_checksum
 from graphcrew.dataset.text import RESERVED_WORDS, SCENARIO_STYLES, render_problem_text
+from graphcrew.formats import parse_graph, serialize_graph
 from graphcrew.graph import is_connected
 from graphcrew.knowledge import ROUTES, NoApplicableAlgorithmError
 from graphcrew.solvers import solution_to_dict
@@ -300,6 +302,50 @@ class TestRecords:
             if problem_type in (SHORTEST_PATH, CYCLE_DETECTION):
                 # these families store the optimum in both truth slots
                 assert inst.truth.approximate is inst.truth.optimal
+
+    @pytest.mark.parametrize("problem_type", PROBLEM_TYPES)
+    def test_a_read_holds_one_tuple_per_distinct_edge(self, tmp_path, problem_type):
+        # an edge equal in several graphs of one file is one shared triple
+        spec = DatasetSpec(problem_type, min_nodes=8, max_nodes=9, instances_per_size=10)
+        path = tmp_path / "instances.jsonl"
+        write_instances(generate_dataset(spec), path, tmp_path / "instances.text.jsonl")
+        edges = [edge for inst in read_instances(path) for edge in inst.graph.edges]
+        assert len({id(edge) for edge in edges}) == len(set(edges)) < len(edges)
+
+    def test_no_table_outlives_a_read(self, tmp_path):
+        def tsp_file(seed):
+            spec = DatasetSpec(TSP, master_seed=seed, min_nodes=8, max_nodes=9,
+                               instances_per_size=4)
+            path = tmp_path / f"tsp{seed}.jsonl"
+            write_instances(generate_dataset(spec), path, tmp_path / f"tsp{seed}.text.jsonl")
+            return path
+
+        # another seed's weights, so a table kept from the first read
+        # would still grow on the measured one
+        warm, measured = tsp_file(1), tsp_file(2)
+        read_instances(warm)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            instances = read_instances(measured)
+            del instances
+            gc.collect()
+            left = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert left < 4096
+        # each graph parsed with no table, and each read, has triples of its own
+        graphs = [inst.graph for inst in read_instances(measured)]
+        text = serialize_graph(graphs[0])
+        reads = [graphs, [parse_graph(text)], [parse_graph(text)],
+                 [inst.graph for inst in read_instances(measured)]]
+        assert reads[1] == reads[2] == graphs[:1]
+        seen: set[int] = set()
+        for read in reads:
+            ids = {id(edge) for graph in read for edge in graph.edges}
+            assert seen.isdisjoint(ids)
+            seen |= ids
 
     def test_text_only_export_hides_everything(self, tmp_path):
         instances = [build_instance(TSP, 8, 0)]

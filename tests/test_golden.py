@@ -1,8 +1,9 @@
 """Golden digests of the offline outputs.
 
 ``generate`` for the five families (8-10 nodes, 2 per size, seed 7),
-then stub ``solve`` and stub ``solve-direct`` on that dataset: the sha256
-of every file they write is pinned below.  Any change to a rendered
+then stub ``solve`` and stub ``solve-direct`` on that dataset, then
+``evaluate`` of each results file: the sha256 of every file they write
+is pinned below.  Any change to a rendered
 sentence, a record's layout or an answer fails here.  A change that
 alters these bytes on purpose updates the digests and says why.
 """
@@ -57,12 +58,53 @@ GOLDEN = {
         "40e113d5251897063ac4145ca7e244bc97b94decc8e091c8507a3473cd15f509",
     "results/vertex_cover.solve.jsonl":
         "f9ffcc9f0ea0554c32e7a7de0f5fbbe3b47246adaa46abfa3b82819924477def",
+    "scores/cycle_detection.direct/report.txt":
+        "f93466aa88bf1570e22e9efb9115d849a6195f76afa8aa294ead48ba8b5e47ea",
+    "scores/cycle_detection.direct/scores.jsonl":
+        "5b703e1a879699100d051d45382b3bfa2bcf06819bf33e8dc7b4c4e56ad46b16",
+    "scores/cycle_detection.solve/report.txt":
+        "93238a2da7bd9d4061adda7e9a6a9f59de20a6ff7f4b0d3bf03b1ef2697cd5ff",
+    "scores/cycle_detection.solve/scores.jsonl":
+        "5b703e1a879699100d051d45382b3bfa2bcf06819bf33e8dc7b4c4e56ad46b16",
+    "scores/graph_coloring.direct/report.txt":
+        "a402fa752e4ecf1af84bdf6562844cfd49faf311e5d54801c02d6cfc0584f8cd",
+    "scores/graph_coloring.direct/scores.jsonl":
+        "aac6c3b2e491d6315efb693a3e1d98a18607dd4485cb4ab95dc012f5b705fef4",
+    "scores/graph_coloring.solve/report.txt":
+        "671080470d3858e3e39cb10366ad0b000aa69a001a599fc80612a74fb2cb0354",
+    "scores/graph_coloring.solve/scores.jsonl":
+        "aac6c3b2e491d6315efb693a3e1d98a18607dd4485cb4ab95dc012f5b705fef4",
+    "scores/shortest_path.direct/report.txt":
+        "eafca79aca3d75a478734099fd07b945469951d856926629e0e183f424f4b577",
+    "scores/shortest_path.direct/scores.jsonl":
+        "7c067352211a855f500096e04b0dd42f0c1a4d4d4de2cdfc31a8cc013e847e8d",
+    "scores/shortest_path.solve/report.txt":
+        "df57efd4d3e4cc08cb9a97d99ff948019db153183ec41dac6aa0263316681d65",
+    "scores/shortest_path.solve/scores.jsonl":
+        "7c067352211a855f500096e04b0dd42f0c1a4d4d4de2cdfc31a8cc013e847e8d",
+    "scores/tsp.direct/report.txt":
+        "a6487403b2879d88da2f041ee522f5c4f5a3d5af727d2b80171bc38c336fca96",
+    "scores/tsp.direct/scores.jsonl":
+        "c545ab3ec078b3c61ced09b5f72c84961564d6c93d03a97ea828924c35eb1b2b",
+    "scores/tsp.solve/report.txt":
+        "a83e79990d825818ad6eb61ca7670578f80d72b2bc3bd19384d90f4391e43045",
+    "scores/tsp.solve/scores.jsonl":
+        "c545ab3ec078b3c61ced09b5f72c84961564d6c93d03a97ea828924c35eb1b2b",
+    "scores/vertex_cover.direct/report.txt":
+        "9e61340c449b3742b8483d88c70b581e76d9d3301efc10da56bed15b59f60f81",
+    "scores/vertex_cover.direct/scores.jsonl":
+        "b6d109c2fded87ebfdc36621af9b11a72ea15890c20719dc5965232c63d9167a",
+    "scores/vertex_cover.solve/report.txt":
+        "4a8f108d0072f378484b5f804caae903d9dce00b8648fae2dd44f21e7f4ca4ea",
+    "scores/vertex_cover.solve/scores.jsonl":
+        "b6d109c2fded87ebfdc36621af9b11a72ea15890c20719dc5965232c63d9167a",
 }
 
 
 def test_offline_outputs_match_their_golden_digests(tmp_path):
     runner = CliRunner()
-    data, results = tmp_path / "data", tmp_path / "results"
+    out = tmp_path / "out"
+    data, results, scores = out / "data", out / "results", out / "scores"
     config = tmp_path / "stub.yaml"
     config.write_text("kind: stub\n")
 
@@ -78,6 +120,9 @@ def test_offline_outputs_match_their_golden_digests(tmp_path):
             "--out", results / f"{family}.solve.jsonl")
         run("solve-direct", "--dataset", dataset, "--backend-config", config,
             "--concurrency", "1", "--out", results / f"{family}.direct.jsonl")
-    digests = {path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-               for path in sorted(tmp_path.rglob("*.j*"))}
+        for arm in ("solve", "direct"):
+            run("evaluate", "--results", results / f"{family}.{arm}.jsonl", "--dataset", dataset,
+                "--out", scores / f"{family}.{arm}")
+    digests = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(out.rglob("*")) if path.is_file()}
     assert digests == GOLDEN
