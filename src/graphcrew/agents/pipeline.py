@@ -3,11 +3,12 @@
 One model stage, ``extract_graph``, reads the problem statement and
 replies with the problem family and route endpoints, plus an edge-list
 transcription of the statement, in one reply.  Everything after it is
-deterministic: the route table's selector chooses one route, the native
-solver answers and :func:`verify_solution` checks the answer; no model
-reply can change these decisions, and a solver that finds no answer
-(no path between the endpoints) or an answer that fails verification
-fails the instance as ``solve``.
+deterministic: the route table's selector chooses one route and
+:func:`~graphcrew.execute.run_algorithm` runs its native solver, then
+stamps and checks the answer; no model reply can change these
+decisions, and a solver that finds no answer (no path between the
+endpoints) or an answer that fails verification fails the instance as
+``solve``.
 
 One ask loop (:func:`_ask`) makes every model call, here and in the
 direct baseline.  A reply that lacks one of the stage's fenced blocks
@@ -40,7 +41,7 @@ from ..formats import parse_graph
 from ..graph import Graph, GraphError
 from ..knowledge import NoApplicableAlgorithmError, Route, select_algorithm
 from ..problems import PROBLEM_TYPES, SHORTEST_PATH, ExtractedProblem
-from ..solvers import Solution, verify_solution
+from ..solvers import Solution
 from .backends import BackendError, ChatBackend
 from .blocks import RejectReply, extract_block, parse_fields
 from .prompts import TAGS, render_stage
@@ -175,21 +176,15 @@ def _extract(problem_body: str, graph_body: str) -> tuple[ExtractedProblem, Rout
 
 
 def _solve(route: Route, problem: ExtractedProblem) -> Solution:
-    """The chosen route's answer, verified.  The route table has already
-    judged the graph fit for the route, so the solver is not asked to
-    judge it again; no path between the route endpoints, or an answer
-    that fails verification, fails the instance as ``solve``, with no
-    other route in its place."""
-    graph, source, target = problem.graph, problem.source, problem.target
+    """The chosen route's answer, checked by :func:`run_algorithm`.  The
+    route table has already judged the graph fit for the route, so the
+    solver is not asked to judge it again; no path between the route
+    endpoints, or an answer that fails verification, fails the instance
+    as ``solve``, with no other route in its place."""
     try:
-        solution = run_algorithm(route, graph, source=source, target=target)
-    except GraphError as exc:  # no path between the route endpoints, say
+        return run_algorithm(route, problem.graph, source=problem.source, target=problem.target)
+    except ValueError as exc:
         raise PipelineError("solve", str(exc)) from exc
-    report = verify_solution(problem.problem_type, graph, solution, source=source, target=target)
-    if not report.valid:
-        raise PipelineError("solve", f"{route.algorithm_id} answer failed verification "
-                                     f"({'; '.join(report.violations)})")
-    return solution
 
 
 def run_pipeline(backend: ChatBackend, problem_text: str) -> Outcome:

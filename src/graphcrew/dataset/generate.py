@@ -173,7 +173,8 @@ def ground_truth(
     Raises :class:`~graphcrew.knowledge.NoApplicableAlgorithmError` when
     no exact row fits, for example past every exact route's node limit,
     because a heuristic answer stored as the truth would grade answers
-    against itself.
+    against itself, and ValueError naming the route when its answer
+    fails the check :func:`run_algorithm` makes.
     """
     best = run_algorithm(select_algorithm(problem_type, graph, exact=True), graph,
                          source=source, target=target)

@@ -3,10 +3,11 @@
 Every JSONL file (instances, text-only statements, results, scores and
 replay fixtures) is read by :func:`read_jsonl`.  Instances and their
 text-only statements are written together by :func:`write_instances`,
-and results and scores by :func:`write_jsonl`, one line per record in
-one format: fixed key order and compact separators, so a regenerated
-dataset is byte-identical to the original, which the manifest checksum
-then certifies.  Replay fixtures are appended a reply at a time.
+and results and scores by :func:`write_jsonl`; either writer's file
+appears only once complete.  Each line is one record in one format:
+fixed key order and compact separators, so a regenerated dataset is
+byte-identical to the original, which the manifest checksum then
+certifies.  Replay fixtures are appended a reply at a time.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ def _jsonl_line(record: dict[str, Any]) -> str:
 def write_jsonl(records: Iterable[dict[str, Any]], path: str | Path) -> None:
     """``records`` as compact JSONL lines, their keys in the order given.
     Each line goes to the file as it is made, so ``records`` may be a
-    generator and the file is never held whole in memory."""
-    with open(path, "w", encoding="utf-8") as fh:
+    generator and the file is never held whole in memory; the file
+    appears only once it is complete."""
+    with _complete_file(path) as fh:
         fh.writelines(map(_jsonl_line, records))
 
 

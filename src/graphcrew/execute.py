@@ -3,7 +3,9 @@
 Node limits live only in the route table.  The selector picks a route
 only for a graph within its limit, and a route reaches this bridge only
 once judged applicable to its graph, so the solvers take no limit of
-their own.
+their own.  A solver returns only its canonical payload, and
+:func:`run_algorithm` is the one place it becomes a :class:`Solution`,
+so no solver answer, stored truth included, goes unchecked.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .graph import Graph
-from .problems import SHORTEST_PATH
-from .solvers import Solution
+from .problems import KIND_BY_PROBLEM, SHORTEST_PATH
+from .solvers import Solution, measure
 
 if TYPE_CHECKING:
     from .knowledge import Route
@@ -25,10 +27,18 @@ def run_algorithm(
     source: str | None = None,
     target: str | None = None,
 ) -> Solution:
-    """Run the solver a route points at.
-
-    Shortest-path routes additionally take ``source`` and ``target``.
+    """Run the solver a route points at; the row names its answer and
+    states its exactness, and :func:`measure` checks it and gives its
+    objective.  Shortest-path routes additionally take ``source`` and
+    ``target``.  Raises ValueError naming the route when the answer fails
+    the check, and :class:`~graphcrew.solvers.NoPathError` when no path
+    joins the endpoints.
     """
-    if record.problem_type == SHORTEST_PATH:
-        return record.solve(graph, source, target)
-    return record.solve(graph)
+    args = (graph, source, target) if record.problem_type == SHORTEST_PATH else (graph,)
+    payload = record.solve(*args)
+    violations, objective = measure(record.problem_type, graph, payload, source, target)
+    if violations:
+        raise ValueError(f"{record.algorithm_id} answer failed verification "
+                         f"({'; '.join(violations)})")
+    return Solution(KIND_BY_PROBLEM[record.problem_type], payload, objective,
+                    record.algorithm_id, record.exact)

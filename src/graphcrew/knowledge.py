@@ -15,12 +15,11 @@ Raising a node limit is a one-line edit of its row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 from .graph import Graph
 from .problems import CYCLE_DETECTION, GRAPH_COLORING, SHORTEST_PATH, TSP, VERTEX_COVER
 from .solvers import (
-    Solution,
     coloring_dsatur,
     coloring_exact,
     detect_cycle,
@@ -39,13 +38,16 @@ class NoApplicableAlgorithmError(ValueError):
 @dataclass(frozen=True)
 class Route:
     """One row of the table.  ``solve`` takes the graph alone, or for
-    ``shortest_path`` the graph, source and target."""
+    ``shortest_path`` the graph, source and target, and returns only its
+    canonical payload: :func:`~graphcrew.execute.run_algorithm` names
+    the answer by ``algorithm_id``, marks it ``exact`` as the row says
+    and checks it, so the row is the one place these are stated."""
 
     algorithm_id: str
     problem_type: str
     exact: bool
     max_nodes: int
-    solve: Callable[..., Solution]
+    solve: Callable[..., Any]
     min_nodes: int = 0
     requires_complete: bool = False
     requires_weighted: bool = False

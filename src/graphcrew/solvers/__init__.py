@@ -3,6 +3,7 @@
 from .solution import (
     Solution,
     ValidityReport,
+    measure,
     solution_from_dict,
     solution_to_dict,
     verify_solution,
@@ -20,6 +21,7 @@ __all__ = [
     "coloring_dsatur",
     "coloring_exact",
     "detect_cycle",
+    "measure",
     "shortest_path_dijkstra",
     "solution_from_dict",
     "solution_to_dict",

@@ -12,8 +12,7 @@ neighbor colors as a color mask.
 from __future__ import annotations
 
 from ..graph import Graph, neighbor_masks
-from ..problems import COLORING
-from .solution import Solution, canonical_coloring
+from .solution import canonical_coloring
 
 
 def _dsatur_order_colors(graph: Graph) -> dict[str, int]:
@@ -38,11 +37,9 @@ def _dsatur_order_colors(graph: Graph) -> dict[str, int]:
     return colors
 
 
-def coloring_dsatur(graph: Graph) -> Solution:
+def coloring_dsatur(graph: Graph) -> dict[str, int]:
     """Saturation-degree greedy coloring; valid but not always minimal."""
-    colors = canonical_coloring(_dsatur_order_colors(graph))
-    used = len(set(colors.values())) if colors else 0
-    return Solution(COLORING, colors, used, "dsatur", exact=False)
+    return canonical_coloring(_dsatur_order_colors(graph))
 
 
 def _greedy_clique_size(neighbors: list[int], order: list[int]) -> int:
@@ -77,11 +74,9 @@ def _try_k_coloring(neighbors: list[int], k: int, order: list[int]) -> dict[int,
     return colors if branch(0, 0) else None
 
 
-def coloring_exact(graph: Graph) -> Solution:
+def coloring_exact(graph: Graph) -> dict[str, int]:
     """Minimum coloring by iterative deepening between clique and DSATUR bounds."""
     n = graph.node_count
-    if n == 0:
-        return Solution(COLORING, {}, 0, "exact_coloring", exact=True)
     witness = _dsatur_order_colors(graph)
     upper = len(set(witness.values()))
     neighbors = neighbor_masks(graph)
@@ -92,6 +87,4 @@ def coloring_exact(graph: Graph) -> Solution:
         if found is not None:
             witness = {graph.node_names[v]: c for v, c in found.items()}
             break
-    colors = canonical_coloring(witness)
-    used = len(set(colors.values()))
-    return Solution(COLORING, colors, used, "exact_coloring", exact=True)
+    return canonical_coloring(witness)

@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 from ..graph import Graph
-from ..problems import BOOLEAN
-from .solution import Solution
 
 
-def _has_cycle(graph: Graph) -> bool:
-    # Union-find over the canonical edge order: an edge whose endpoints
-    # are already joined closes a cycle.
+def detect_cycle(graph: Graph) -> bool:
+    """Does the graph contain any cycle?  Union-find over the canonical
+    edge order: an edge whose endpoints are already joined closes one."""
     parent = list(range(graph.node_count))
 
     def find(x: int) -> int:
@@ -24,9 +22,3 @@ def _has_cycle(graph: Graph) -> bool:
             return True
         parent[ru] = rv
     return False
-
-
-def detect_cycle(graph: Graph) -> Solution:
-    """Does the graph contain any cycle?"""
-    found = _has_cycle(graph)
-    return Solution(BOOLEAN, found, int(found), "cycle_check", exact=True)

@@ -10,8 +10,6 @@ from __future__ import annotations
 import heapq
 
 from ..graph import Graph, GraphError, Weight
-from ..problems import PATH
-from .solution import Solution
 
 
 class NoPathError(GraphError):
@@ -21,13 +19,13 @@ class NoPathError(GraphError):
         self.target = target
 
 
-def shortest_path_dijkstra(graph: Graph, source: str, target: str) -> Solution:
+def shortest_path_dijkstra(graph: Graph, source: str, target: str) -> tuple[str, ...]:
     """Cheapest path from source to target; equal costs break toward the
     lexicographically smaller node sequence."""
     s = graph.index_of(source)
     t = graph.index_of(target)
     if s == t:
-        return Solution(PATH, (source,), 0, "dijkstra", exact=True)
+        return (source,)
     neighbors: list[list[tuple[int, Weight]]] = [[] for _ in graph.node_names]
     for u, v, w in graph.edges:
         neighbors[u].append((v, w))
@@ -41,8 +39,7 @@ def shortest_path_dijkstra(graph: Graph, source: str, target: str) -> Solution:
             continue
         settled.add(u)
         if u == t:
-            names = tuple(graph.node_names[i] for i in path)
-            return Solution(PATH, names, dist, "dijkstra", exact=True)
+            return tuple(graph.node_names[i] for i in path)
         for v, w in neighbors[u]:
             if v not in settled:
                 heapq.heappush(heap, (dist + w, path + (v,)))

@@ -15,12 +15,13 @@ objective and a record of which algorithm produced it.  Canonical forms:
 Two runs that find the same answer therefore produce equal values, and
 equal values serialize to identical bytes.
 
-:func:`verify_solution` is the one place an answer is measured: a
-per-kind check reads the payload's structure and computes its own
-objective, and the verifier compares that with the stated objective.
-A solution of the wrong kind for its family is reported invalid with
-that one violation, not raised.  Scoring, the pipeline and the dataset
-reader all read the verifier's report.
+:func:`measure` is the one place an answer is measured: a per-kind
+check reads the payload's structure and computes its own objective.
+:func:`~graphcrew.execute.run_algorithm` stamps every solver payload
+with that objective, and :func:`verify_solution` compares it with the
+objective a stored or model answer states.  A solution of the wrong
+kind for its family is reported invalid with that one violation, not
+raised.  Scoring and the dataset reader read the verifier's report.
 """
 
 from __future__ import annotations
@@ -116,13 +117,7 @@ def solution_from_dict(data: dict[str, Any], names: dict[str, str] | None = None
         raise ValueError("a boolean answer's objective must be 1 for true, 0 for false")
     if not isinstance(data["exact"], bool):
         raise ValueError("'exact' must be true or false")
-    return Solution(
-        kind=kind,
-        payload=payload,
-        objective=objective,
-        algorithm_id=data["algorithm"],
-        exact=data["exact"],
-    )
+    return Solution(kind, payload, objective, data["algorithm"], data["exact"])
 
 
 def verify_solution(
@@ -135,8 +130,8 @@ def verify_solution(
     """Check a solution against the graph's structure, not against truth.
 
     Validity is purely structural: a suboptimal but well-formed answer is
-    valid.  The payload's own objective is measured here, and only here;
-    the report carries it, or None when the structure is broken, and a
+    valid.  The payload's own objective, as :func:`measure` finds it, is
+    what the report carries, or None when the structure is broken, and a
     stated objective that differs from it is the one violation left.
     A solution whose kind does not belong to the problem type is invalid
     with that one violation.  Raises ValueError for an unknown problem type.
@@ -147,16 +142,24 @@ def verify_solution(
     if solution.kind != expected:
         message = f"{problem_type} expects a {expected} solution, got {solution.kind}"
         return ValidityReport(valid=False, violations=(message,), objective=None)
-    check, misstated = _CHECKS[expected]
-    violations, objective = check(graph, solution.payload, source, target)
+    violations, objective = measure(problem_type, graph, solution.payload, source, target)
     if violations:
-        return ValidityReport(valid=False, violations=tuple(violations), objective=None)
+        return ValidityReport(valid=False, violations=violations, objective=None)
     if objective != solution.objective:
-        message = misstated.format(
+        message = _CHECKS[expected][1].format(
             stated=format_weight(solution.objective), actual=format_weight(objective)
         )
         return ValidityReport(valid=False, violations=(message,), objective=objective)
     return ValidityReport(valid=True, violations=(), objective=objective)
+
+
+def measure(problem_type: str, graph: Graph, payload: Any, source: str | None = None,
+            target: str | None = None) -> tuple[tuple[str, ...], Weight | None]:
+    """The structural violations of a payload of the family's kind on
+    ``graph``, and its own objective, or None when it has violations."""
+    check = _CHECKS[KIND_BY_PROBLEM[problem_type]][0]
+    violations, objective = check(graph, payload, source, target)
+    return tuple(violations), None if violations else objective
 
 
 # Each check reads the payload's structure and returns its violations and

@@ -20,8 +20,7 @@ from __future__ import annotations
 import math
 
 from ..graph import Graph, Weight
-from ..problems import TOUR
-from .solution import Solution, canonical_tour
+from .solution import canonical_tour
 
 _FORCED = float("-inf")
 _BANNED = float("inf")
@@ -47,13 +46,6 @@ def _matrix(graph: Graph) -> list[list[Weight]]:
 
 def _cycle_cost(m: list[list], order: list[int]) -> Weight:
     return sum(m[a][b] for a, b in zip(order, order[1:] + order[:1]))
-
-
-def _tour_solution(
-    graph: Graph, m: list[list[Weight]], order: list[int], algorithm_id: str, exact: bool
-) -> Solution:
-    names = canonical_tour(tuple(graph.node_names[i] for i in order))
-    return Solution(TOUR, names, _cycle_cost(m, order), algorithm_id, exact=exact)
 
 
 def _nearest_neighbor(m: list[list], start: int) -> list[int]:
@@ -102,11 +94,10 @@ def _nearest_neighbor_two_opt(m: list[list]) -> list[int]:
     return _two_opt(m, _canonical(_nearest_neighbor(m, 0)))
 
 
-def tsp_nearest_neighbor_two_opt(graph: Graph) -> Solution:
+def tsp_nearest_neighbor_two_opt(graph: Graph) -> tuple[str, ...]:
     """Nearest neighbor tour from node 0 polished by 2-opt; the standard fast route."""
-    m = _matrix(graph)
-    order = _nearest_neighbor_two_opt(m)
-    return _tour_solution(graph, m, order, "nearest_neighbor_2opt", exact=False)
+    order = _nearest_neighbor_two_opt(_matrix(graph))
+    return canonical_tour(tuple(graph.node_names[i] for i in order))
 
 
 def _integer_matrix(m: list[list[Weight]]) -> list[list[int]]:
@@ -388,7 +379,7 @@ def _branch_and_bound(w: list[list[int]], tour: list[int]) -> list[int]:
     return incumbent.tour
 
 
-def tsp_exact_held_karp(graph: Graph) -> Solution:
+def tsp_exact_held_karp(graph: Graph) -> tuple[str, ...]:
     """Exact minimum tour by branch and bound over the Held-Karp bound.
 
     The search starts from the nearest neighbor + 2-opt tour and keeps a
@@ -398,4 +389,4 @@ def tsp_exact_held_karp(graph: Graph) -> Solution:
     """
     m = _matrix(graph)
     tour = _branch_and_bound(_integer_matrix(m), _nearest_neighbor_two_opt(m))
-    return _tour_solution(graph, m, tour, "held_karp", exact=True)
+    return canonical_tour(tuple(graph.node_names[i] for i in tour))

@@ -13,22 +13,19 @@ answer.
 from __future__ import annotations
 
 from ..graph import Graph, neighbor_masks
-from ..problems import NODE_SET
-from .solution import Solution
 
 
-def vertex_cover_approx(graph: Graph) -> Solution:
+def vertex_cover_approx(graph: Graph) -> tuple[str, ...]:
     """Endpoints of a maximal matching; at most twice the optimum."""
     matched: set[int] = set()
     for u, v, _ in graph.edges:
         if u not in matched and v not in matched:
             matched.add(u)
             matched.add(v)
-    nodes = tuple(sorted(graph.node_names[v] for v in matched))
-    return Solution(NODE_SET, nodes, len(nodes), "matching_cover", exact=False)
+    return tuple(sorted(graph.node_names[v] for v in matched))
 
 
-def vertex_cover_exact(graph: Graph) -> Solution:
+def vertex_cover_exact(graph: Graph) -> tuple[str, ...]:
     """Minimum cover by branch and bound.
 
     Branch order is fixed (highest degree, then lowest index), updates
@@ -38,7 +35,7 @@ def vertex_cover_exact(graph: Graph) -> Solution:
     n = graph.node_count
     neighbors = neighbor_masks(graph)
     best = 0
-    for name in vertex_cover_approx(graph).payload:
+    for name in vertex_cover_approx(graph):
         best |= 1 << graph.index_of(name)
     best_size = best.bit_count()
 
@@ -87,5 +84,4 @@ def vertex_cover_exact(graph: Graph) -> Solution:
         search(alive & ~around, chosen | around)
 
     search((1 << n) - 1, 0)
-    nodes = tuple(name for v, name in enumerate(graph.node_names) if best >> v & 1)
-    return Solution(NODE_SET, nodes, len(nodes), "bnb_cover", exact=True)
+    return tuple(name for v, name in enumerate(graph.node_names) if best >> v & 1)

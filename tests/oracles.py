@@ -233,7 +233,7 @@ def set_vertex_cover(graph):
     """Minimum cover by the set-based branch and bound the bitmask search
     replaced: the same reductions, bound and branch order on a
     dict-of-sets adjacency copied at every search node."""
-    seed = {graph.index_of(name) for name in vertex_cover_approx(graph).payload}
+    seed = {graph.index_of(name) for name in vertex_cover_approx(graph)}
     best = seed
 
     def matching_lower_bound(adj):

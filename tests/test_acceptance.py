@@ -38,17 +38,7 @@ from graphcrew.problems import (
     TSP,
     VERTEX_COVER,
 )
-from graphcrew.solvers import (
-    coloring_dsatur,
-    coloring_exact,
-    shortest_path_dijkstra,
-    tsp_exact_held_karp,
-    tsp_nearest_neighbor_two_opt,
-    vertex_cover_approx,
-    vertex_cover_exact,
-    verify_solution,
-)
-from graphcrew.solvers import tsp
+from graphcrew.solvers import tsp, verify_solution
 
 from oracles import (
     bellman_ford_cost,
@@ -57,7 +47,7 @@ from oracles import (
     brute_tour_cost,
     exact_price,
 )
-from util import complete_graph, gnp_graph
+from util import complete_graph, gnp_graph, solve
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 NODE_BEARING = (TSP, GRAPH_COLORING, VERTEX_COVER, SHORTEST_PATH)
@@ -84,24 +74,24 @@ def test_criterion_1_solver_oracle_equivalence():
     for i in range(200):
         n = 5 + i % 5  # n in [5, 9]
         graph = complete_graph(n, seed=1000 + i)
-        assert tsp_exact_held_karp(graph).objective == brute_tour_cost(graph), i
+        assert solve("held_karp", graph).objective == brute_tour_cost(graph), i
 
     for i in range(200):
         n = 4 + i % 9  # n <= 12
         graph = gnp_graph(n, 0.4, seed=2000 + i)
-        assert coloring_exact(graph).objective == brute_chromatic_number(graph), i
+        assert solve("exact_coloring", graph).objective == brute_chromatic_number(graph), i
 
     for i in range(200):
         n = 4 + i % 11  # n <= 14
         graph = gnp_graph(n, 0.35, seed=3000 + i)
-        assert vertex_cover_exact(graph).objective == brute_min_cover_size(graph), i
+        assert solve("bnb_cover", graph).objective == brute_min_cover_size(graph), i
 
     for i in range(200):
         n = 5 + i % 16  # n <= 20
         graph = gnp_graph(n, 0.35, seed=4000 + i, weighted=True, connected=True)
         rng = random.Random(5000 + i)
         src, dst = rng.sample(graph.node_names, 2)
-        found = shortest_path_dijkstra(graph, src, dst)
+        found = solve("dijkstra", graph, src, dst)
         assert found.objective == bellman_ford_cost(graph, src, dst), i
 
     assert time.monotonic() - started <= 300
@@ -112,15 +102,15 @@ def test_criterion_2_heuristic_bounds():
     for i in range(500):
         n = 4 + i % 9
         graph = gnp_graph(n, 0.4, seed=6000 + i)
-        greedy = coloring_dsatur(graph)
-        assert greedy.objective >= coloring_exact(graph).objective, i
+        greedy = solve("dsatur", graph)
+        assert greedy.objective >= solve("exact_coloring", graph).objective, i
         assert verify_solution(GRAPH_COLORING, graph, greedy).valid, i
 
     for i in range(500):
         n = 4 + i % 13
         graph = gnp_graph(n, 0.35, seed=7000 + i)
-        approx = vertex_cover_approx(graph)
-        assert approx.objective <= 2 * vertex_cover_exact(graph).objective, i
+        approx = solve("matching_cover", graph)
+        assert approx.objective <= 2 * solve("bnb_cover", graph).objective, i
         assert verify_solution(VERTEX_COVER, graph, approx).valid, i
 
     for i in range(500):
@@ -128,7 +118,7 @@ def test_criterion_2_heuristic_bounds():
         graph = complete_graph(n, seed=8000 + i)
         m = tsp._matrix(graph)
         plain = tsp._nearest_neighbor(m, 0)
-        improved = tsp_nearest_neighbor_two_opt(graph)
+        improved = solve("nearest_neighbor_2opt", graph)
         assert sorted(plain) == list(range(n)), i
         assert improved.objective <= tsp._cycle_cost(m, plain), i
         assert verify_solution(TSP, graph, improved).valid, i
@@ -245,13 +235,13 @@ def test_criterion_6_cost_accounting():
 def test_criterion_7_scale_check():
     graph = complete_graph(40, seed=424242)
     started = time.monotonic()
-    tour = tsp_nearest_neighbor_two_opt(graph)
+    tour = solve("nearest_neighbor_2opt", graph)
     assert time.monotonic() - started <= 10
     assert verify_solution(TSP, graph, tour).valid
 
     sparse = gnp_graph(40, 0.3, seed=515151, connected=True)
     started = time.monotonic()
-    coloring = coloring_dsatur(sparse)
+    coloring = solve("dsatur", sparse)
     assert time.monotonic() - started <= 10
     assert verify_solution(GRAPH_COLORING, sparse, coloring).valid
 

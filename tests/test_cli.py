@@ -6,12 +6,13 @@ import random
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from graphcrew import agents
+from graphcrew import agents, knowledge
 from graphcrew.agents import Completion, OracleStubBackend
 from graphcrew.cli import main
 from graphcrew.formats import parse_graph
@@ -134,6 +135,19 @@ class TestGenerate:
             assert f"no exact {family} route" in result.output
             assert not (out / f"{family}.jsonl").exists()
             assert list(out.iterdir()) == []
+
+    def test_unverifiable_truth_is_config_error(self, runner, tmp_path, monkeypatch):
+        # an exact route whose solver gives every node one color: generate
+        # names the route and leaves no family file with unchecked truth
+        monkeypatch.setattr(knowledge, "ROUTES", tuple(
+            replace(r, solve=lambda graph: dict.fromkeys(graph.node_names, 0))
+            if r.algorithm_id == "exact_coloring" else r for r in knowledge.ROUTES))
+        out = tmp_path / "ds"
+        result = runner.invoke(main, ["generate", "--sizes", "8", "--per-size", "1",
+                                      "--type", "graph_coloring", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "exact_coloring answer failed verification (nodes " in result.output
+        assert list(out.iterdir()) == []
 
     def test_generate_holds_one_instance_at_a_time(self, runner, tmp_path):
         # four times the instances of one size: a generate that held the

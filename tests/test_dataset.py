@@ -282,6 +282,19 @@ class TestRecords:
         assert len(lines) == 2000
         assert lines[1] == '{"id":1,"text":"é\\n' + "x" * 1000 + '"}'
 
+    def test_jsonl_appears_only_once_complete(self, tmp_path):
+        # records that stop part-way, as a killed run's do, leave no
+        # truncated file that a reader would take for a shorter run
+        path = tmp_path / "results.jsonl"
+
+        def records():
+            yield {"id": 0}
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            write_jsonl(records(), path)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("problem_type", PROBLEM_TYPES)
     def test_read_solutions_hold_their_graphs_names(self, tmp_path, problem_type):
         # each node name read back is the graph's own string, not a copy,

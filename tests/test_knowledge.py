@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 from graphcrew import knowledge
-from graphcrew.dataset import build_instance
+from graphcrew.dataset import build_instance, ground_truth
 from graphcrew.execute import run_algorithm
 from graphcrew.graph import GraphError, build_graph
 from graphcrew.knowledge import (
@@ -22,6 +22,7 @@ from graphcrew.problems import (
 from graphcrew.solvers import (
     coloring_exact,
     detect_cycle,
+    measure,
     shortest_path_dijkstra,
     tsp_exact_held_karp,
     vertex_cover_exact,
@@ -60,12 +61,30 @@ def test_route_ids_are_unique():
 
 @pytest.mark.parametrize("row", ROUTES, ids=[r.algorithm_id for r in ROUTES])
 def test_each_solver_answers_as_its_row_says(row):
-    # the row's family, id and exactness are what the answer itself carries
+    # the answer takes its id and exactness from the row alone: a row
+    # renamed and marked heuristic stamps its solver's answer that way
     inst = build_instance(row.problem_type, 8, 0)
-    sol = run_algorithm(row, inst.graph, source=inst.source, target=inst.target)
-    assert sol.kind == KIND_BY_PROBLEM[row.problem_type]
-    assert sol.algorithm_id == row.algorithm_id
-    assert sol.exact is row.exact
+    for stated in (row, replace(row, algorithm_id="x", exact=False)):
+        sol = run_algorithm(stated, inst.graph, source=inst.source, target=inst.target)
+        assert sol.kind == KIND_BY_PROBLEM[row.problem_type]
+        assert (sol.algorithm_id, sol.exact) == (stated.algorithm_id, stated.exact)
+        assert measure(row.problem_type, inst.graph, sol.payload,
+                       inst.source, inst.target) == ((), sol.objective)
+
+
+def test_invalid_solver_answer_is_never_stored_as_truth(monkeypatch):
+    # an exact route whose solver gives every node one color: the truth
+    # is refused, naming the route, rather than stored unchecked
+    inst = build_instance(GRAPH_COLORING, 8, 0)
+    one_color = {name: 0 for name in inst.graph.node_names}
+    monkeypatch.setattr(knowledge, "ROUTES", tuple(
+        replace(r, solve=lambda graph: one_color) if r.algorithm_id == "exact_coloring" else r
+        for r in ROUTES))
+    violations = measure(GRAPH_COLORING, inst.graph, one_color)[0]
+    with pytest.raises(ValueError) as err:
+        ground_truth(GRAPH_COLORING, inst.graph)
+    assert str(err.value) == ("exact_coloring answer failed verification "
+                              f"({'; '.join(violations)})")
 
 
 def test_lookup_orders_exact_first():
@@ -202,19 +221,20 @@ def test_truth_without_a_heuristic_row_stores_the_optimum_twice(problem_type):
 
 
 def test_run_algorithm_matches_direct_calls():
+    # the stamped answer carries the solver's payload as the solver gave it
     tsp_g = complete_graph(9, seed=11)
-    assert run_algorithm(route("held_karp"), tsp_g) == tsp_exact_held_karp(tsp_g)
+    assert run_algorithm(route("held_karp"), tsp_g).payload == tsp_exact_held_karp(tsp_g)
     color_g = gnp_graph(12, 0.35, seed=12)
-    assert run_algorithm(route("exact_coloring"), color_g) == coloring_exact(color_g)
+    assert run_algorithm(route("exact_coloring"), color_g).payload == coloring_exact(color_g)
     cover_g = gnp_graph(14, 0.3, seed=13)
-    assert run_algorithm(route("bnb_cover"), cover_g) == vertex_cover_exact(cover_g)
+    assert run_algorithm(route("bnb_cover"), cover_g).payload == vertex_cover_exact(cover_g)
     sp_g = gnp_graph(10, 0.4, seed=14, weighted=True, connected=True)
     src, dst = sp_g.node_names[0], sp_g.node_names[-1]
-    assert run_algorithm(route("dijkstra"), sp_g, source=src, target=dst) == (
+    assert run_algorithm(route("dijkstra"), sp_g, source=src, target=dst).payload == (
         shortest_path_dijkstra(sp_g, src, dst)
     )
     cyc_g = gnp_graph(10, 0.2, seed=15)
-    assert run_algorithm(route("cycle_check"), cyc_g) == detect_cycle(cyc_g)
+    assert run_algorithm(route("cycle_check"), cyc_g).payload is detect_cycle(cyc_g)
 
 
 def test_run_algorithm_via_choice_binds_parameters():

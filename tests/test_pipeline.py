@@ -27,7 +27,7 @@ from graphcrew.formats import parse_graph, serialize_graph
 from graphcrew.graph import build_graph, format_weight
 from graphcrew.knowledge import ROUTES
 from graphcrew.problems import ExtractedProblem
-from graphcrew.solvers import Solution, verify_solution
+from graphcrew.solvers import measure, verify_solution
 
 from test_backends import TSP_TEXT, problem_text, tsp_graph
 
@@ -422,11 +422,11 @@ def test_route_without_its_completeness_condition_fails_verification(monkeypatch
 def test_unverifiable_answer_fails_as_solve(monkeypatch):
     # the chosen route answers alone: no other route stands in for a wrong answer
     inst = build_instance("graph_coloring", 8, 0)
-    one_color = Solution("coloring", {name: 0 for name in inst.graph.node_names}, 1,
-                         "exact_coloring", exact=True)
+    one_color = {name: 0 for name in inst.graph.node_names}
     patch_route(monkeypatch, "exact_coloring", solve=lambda *_: one_color)
     out = run_pipeline(OracleStubBackend(), inst.text)
-    violations = verify_solution("graph_coloring", inst.graph, one_color).violations
+    violations = measure("graph_coloring", inst.graph, one_color)[0]
+    assert violations
     assert out.stage == "solve"
     assert out.failure == ("stage solve: exact_coloring answer failed verification "
                            f"({'; '.join(violations)})")

@@ -4,15 +4,11 @@ import pytest
 
 from graphcrew.dataset import build_instance
 from graphcrew.graph import build_graph
-from graphcrew.solvers import (
-    tsp_exact_held_karp,
-    tsp_nearest_neighbor_two_opt,
-    verify_solution,
-)
 from graphcrew.solvers import tsp as tsp_module
+from graphcrew.solvers import verify_solution
 
 from oracles import brute_tour_cost, held_karp_tour_cost, milp_tour_cost, tour_cost
-from util import complete_graph, names_for
+from util import complete_graph, names_for, solve
 
 
 def square():
@@ -24,7 +20,7 @@ def square():
 
 
 def test_square_known_optimum():
-    sol = tsp_exact_held_karp(square())
+    sol = solve("held_karp", square())
     assert sol.payload == ("A", "B", "C", "D")
     assert sol.objective == 4 == brute_tour_cost(square())
     assert sol.exact
@@ -36,7 +32,7 @@ def test_equal_weight_k4_gives_identity_order():
     k4 = build_graph(
         names, True, [(a, b, 1) for i, a in enumerate(names) for b in names[i + 1 :]]
     )
-    assert tsp_exact_held_karp(k4).payload == ("A", "B", "C", "D")
+    assert solve("held_karp", k4).payload == ("A", "B", "C", "D")
     # nearest neighbor ties go to the lower index
     assert tsp_module._nearest_neighbor(tsp_module._matrix(k4), 0) == [0, 1, 2, 3]
 
@@ -45,7 +41,7 @@ def test_exact_solvers_agree_with_enumeration():
     for seed in range(12):
         n = 4 + seed % 5
         g = complete_graph(n, seed=seed)
-        assert tsp_exact_held_karp(g).objective == brute_tour_cost(g)
+        assert solve("held_karp", g).objective == brute_tour_cost(g)
 
 
 def test_exact_solver_agrees_with_subset_dp():
@@ -55,7 +51,7 @@ def test_exact_solver_agrees_with_subset_dp():
         for seed in range(2):
             for high in (100, 5):
                 g = complete_graph(n, seed=400 + 10 * n + seed, high=high)
-                sol = tsp_exact_held_karp(g)
+                sol = solve("held_karp", g)
                 assert verify_solution("tsp", g, sol).valid
                 assert sol.objective == tour_cost(g, sol.payload)
                 assert sol.objective == held_karp_tour_cost(g), (n, seed, high)
@@ -83,7 +79,7 @@ def test_exact_solver_agrees_with_milp_on_fractions():
             for u, v, w in g.edges
         ]
         h = build_graph(g.node_names, True, edges)
-        assert tsp_exact_held_karp(h).objective == milp_tour_cost(h)
+        assert solve("held_karp", h).objective == milp_tour_cost(h)
 
 
 def test_two_opt_uncrosses_square():
@@ -105,8 +101,8 @@ def test_two_opt_never_worsens():
 def test_heuristic_chain_bounds_and_validity():
     for seed in range(10):
         g = complete_graph(8, seed=200 + seed)
-        best = tsp_exact_held_karp(g).objective
-        fast = tsp_nearest_neighbor_two_opt(g)
+        best = solve("held_karp", g).objective
+        fast = solve("nearest_neighbor_2opt", g)
         assert fast.objective >= best
         assert verify_solution("tsp", g, fast).valid
         assert fast.algorithm_id == "nearest_neighbor_2opt"
@@ -122,7 +118,7 @@ def test_fraction_weights_stay_exact():
             ("B", "C", 1), ("B", "D", "1/3"), ("C", "D", "1/3"),
         ],
     )
-    sol = tsp_exact_held_karp(g)
+    sol = solve("held_karp", g)
     assert sol.objective == Fraction(4, 3)
     assert sol.objective == brute_tour_cost(g)
 
@@ -136,7 +132,7 @@ def test_fraction_weights_with_unlike_denominators():
             for u, v, w in g.edges
         ]
         h = build_graph(g.node_names, True, edges)
-        sol = tsp_exact_held_karp(h)
+        sol = solve("held_karp", h)
         assert sol.objective == held_karp_tour_cost(h) == tour_cost(h, sol.payload)
         assert verify_solution("tsp", h, sol).valid
 
@@ -154,7 +150,7 @@ def test_all_equal_weights_return_identity_tour_at_once(monkeypatch):
         return one_tree(*args)
 
     monkeypatch.setattr(tsp_module, "_one_tree", counted)
-    sol = tsp_exact_held_karp(k12)
+    sol = solve("held_karp", k12)
     assert sol.payload == tuple(names)
     assert sol.objective == 84
     # the seed tour meets the first bound, so the search ends there
@@ -163,17 +159,17 @@ def test_all_equal_weights_return_identity_tour_at_once(monkeypatch):
 
 def test_deterministic_across_runs():
     g = complete_graph(9, seed=42)
-    assert tsp_exact_held_karp(g) == tsp_exact_held_karp(g)
-    assert tsp_nearest_neighbor_two_opt(g) == tsp_nearest_neighbor_two_opt(g)
+    assert solve("held_karp", g) == solve("held_karp", g)
+    assert solve("nearest_neighbor_2opt", g) == solve("nearest_neighbor_2opt", g)
     for seed in range(3):
         g = complete_graph(22, seed=600 + seed)
-        assert tsp_exact_held_karp(g) == tsp_exact_held_karp(g)
+        assert solve("held_karp", g) == solve("held_karp", g)
 
 
 def test_tour_direction_is_canonical():
     for seed in range(6):
         g = complete_graph(7, seed=300 + seed)
-        for sol in (tsp_exact_held_karp(g), tsp_nearest_neighbor_two_opt(g)):
+        for sol in (solve("held_karp", g), solve("nearest_neighbor_2opt", g)):
             assert sol.payload[1] < sol.payload[-1]
 
 
@@ -183,7 +179,7 @@ def test_equal_cost_penalized_tour_never_replaces_the_seed(monkeypatch):
     # place: a different tour list of the same cost, which would surface
     # as a payload starting elsewhere if a tie replaced the incumbent
     g = complete_graph(9, seed=3)
-    seed = tsp_nearest_neighbor_two_opt(g)
+    seed = solve("nearest_neighbor_2opt", g)
     offered = []
 
     def rotated_seed(w, pi):
@@ -192,7 +188,7 @@ def test_equal_cost_penalized_tour_never_replaces_the_seed(monkeypatch):
         return tour[1:] + tour[:1]
 
     monkeypatch.setattr(tsp_module, "_penalized_tour", rotated_seed)
-    sol = tsp_exact_held_karp(g)
+    sol = solve("held_karp", g)
     assert offered
     assert sol.payload == seed.payload
     assert sol.objective == seed.objective
@@ -205,7 +201,7 @@ def test_penalized_tours_cut_the_search_on_a_hard_instance(monkeypatch):
     # leaves room to retune when those tours are built, and still fails
     # long before the search falls back to its seed-only cost.
     graph = build_instance("tsp", 22, 0, master_seed=7).graph
-    assert tsp_nearest_neighbor_two_opt(graph).objective == 296
+    assert solve("nearest_neighbor_2opt", graph).objective == 296
     bounds = []
     one_tree = tsp_module._one_tree
 
@@ -214,5 +210,5 @@ def test_penalized_tours_cut_the_search_on_a_hard_instance(monkeypatch):
         return one_tree(*args)
 
     monkeypatch.setattr(tsp_module, "_one_tree", counted)
-    assert tsp_exact_held_karp(graph).objective == 220
+    assert solve("held_karp", graph).objective == 220
     assert len(bounds) <= 100

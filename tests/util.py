@@ -1,5 +1,5 @@
-"""Small helpers shared across tests: seeded graph builders, a dead
-endpoint and a fresh interpreter."""
+"""Small helpers shared across tests: a route's answer, seeded graph
+builders, a dead endpoint and a fresh interpreter."""
 
 import os
 import random
@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from graphcrew.execute import run_algorithm
 from graphcrew.graph import build_graph, is_connected
 from graphcrew.knowledge import ROUTES
 
@@ -15,6 +16,13 @@ from graphcrew.knowledge import ROUTES
 def catalogue_limit(algorithm_id):
     """The node limit the route table sets for ``algorithm_id``."""
     return next(r.max_nodes for r in ROUTES if r.algorithm_id == algorithm_id)
+
+
+def solve(algorithm_id, graph, source=None, target=None):
+    """The checked :class:`Solution` that the route ``algorithm_id`` gives for
+    ``graph``, as :func:`run_algorithm` stamps it."""
+    row = next(r for r in ROUTES if r.algorithm_id == algorithm_id)
+    return run_algorithm(row, graph, source=source, target=target)
 
 
 def names_for(n):
