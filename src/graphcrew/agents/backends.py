@@ -34,7 +34,7 @@ from ..formats import serialize_graph
 from ..knowledge import select_algorithm
 from ..prices import PriceConfig
 from .blocks import answer_lines
-from .prompts import TAGS, slot_value, stage_of_prompt
+from .prompts import TAGS, stage_of_prompt
 
 
 class BackendError(RuntimeError):
@@ -326,13 +326,14 @@ class RecordingBackend:
 class OracleStubBackend:
     """Offline backend that answers each stage from its own prompt.
 
-    It holds no instance data.  ``extract_graph`` and ``direct`` read the
-    problem statement in their prompt with
-    :func:`~graphcrew.dataset.extract.reference_extract`, which recovers a
-    generated text's family, graph and route exactly; ``extract_graph``
-    answers both of its blocks from that one read, and ``direct``
-    answers with the proven optimum on the graph it read, by the route
-    table's exact route.  Replies follow the same fenced-block
+    It holds no instance data.  ``extract_graph`` and ``direct`` read
+    their whole user prompt with
+    :func:`~graphcrew.dataset.extract.reference_extract`, which recovers
+    the family, graph and route of the generated statement it quotes
+    exactly, past the template's own lines and any retry feedback;
+    ``extract_graph`` answers both of its blocks from that one read, and
+    ``direct`` answers with the proven optimum on the graph it read, by
+    the route table's exact route.  Replies follow the same fenced-block
     contract a live model is asked for, so the pipeline cannot tell the
     difference.
     """
@@ -341,7 +342,7 @@ class OracleStubBackend:
         """The reply's block bodies for ``stage``, one per tag in ``TAGS[stage]``."""
         from ..dataset.extract import reference_extract  # only the stub reads prompts
 
-        problem = reference_extract(slot_value(stage, user, "problem"))
+        problem = reference_extract(user)
         if stage == "extract_graph":
             spec = (f"problem_type: {problem.problem_type}\n"
                     f"source: {problem.source or 'none'}\n"

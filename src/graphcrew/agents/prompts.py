@@ -2,8 +2,10 @@
 
 Each system part opens with a ``[stage:<name>]`` marker line.  The marker
 is harmless context for a live model and lets the offline ``stub``
-backend know which stage is talking to it; :func:`slot_value` then finds
-what a prompt holds in one of its slots, the way a model reads it.
+backend know which stage is talking to it; the stub then reads the
+statement out of its whole user prompt, the way a model reads it, with
+:func:`~graphcrew.dataset.extract.reference_extract`, whose patterns no
+line of these templates matches.
 """
 
 from __future__ import annotations
@@ -59,26 +61,6 @@ def render_stage(stage: str, slots: dict[str, str]) -> tuple[str, str]:
         return slots[match.group(1)]
 
     return system, _SLOT_RE.sub(fill, user)
-
-
-@lru_cache(maxsize=None)
-def _slot_frame(stage: str, name: str) -> tuple[str, str]:
-    """The template text right before and right after slot ``{name}``."""
-    before, after = load_template(stage)[1].split("{" + name + "}")
-    return _SLOT_RE.split(before)[-1], _SLOT_RE.split(after)[0]
-
-
-def slot_value(stage: str, user_prompt: str, name: str) -> str:
-    """What a user prompt rendered from ``stage``'s template holds in slot
-    ``{name}``: the text between the template's own text around the slot.
-    Text appended after the template, such as retry feedback, is ignored.
-    """
-    head, tail = _slot_frame(stage, name)
-    start = user_prompt.find(head)
-    end = user_prompt.find(tail, start + len(head)) if start >= 0 else -1
-    if end < 0:
-        raise TemplateError(f"the {stage!r} prompt does not frame a {{{name}}} slot")
-    return user_prompt[start + len(head):end]
 
 
 def cot_directive() -> str:

@@ -1,10 +1,12 @@
 """Command-line front end: generate, solve, evaluate, solve-direct.
 
 Exit codes are part of the contract: 0 for success, 1 when some
-instances failed to solve, 2 for configuration problems.  Offline runs
-(stub or replay backends) are byte-reproducible end to end; the only
-secret a live backend ever sees is its API key, read from the
-environment variable named in the backend config, never from a flag.
+instances failed to solve, 2 for configuration problems and for a
+solver answer that fails its check, which is reported as an internal
+error.  Offline runs (stub or replay backends) are byte-reproducible end
+to end; the only secret a live backend ever sees is its API key, read
+from the environment variable named in the backend config, never from a
+flag.
 
 Every command is a fresh process, so each imports the layers it runs
 inside its own body: ``generate`` never loads the agents, the
@@ -23,6 +25,7 @@ import click
 from .dataset import (
     DatasetSpec,
     check_manifest,
+    complete_file,
     dataset_manifest,
     generate_dataset,
     read_instances,
@@ -31,6 +34,7 @@ from .dataset import (
     write_instances,
     write_jsonl,
 )
+from .execute import AnswerCheckError
 from .problems import (
     CYCLE_DETECTION,
     GRAPH_COLORING,
@@ -47,14 +51,16 @@ DEFAULT_TYPES = (TSP, GRAPH_COLORING, VERTEX_COVER, SHORTEST_PATH)
 
 
 def _config_guard(fn):
-    """Turn configuration mistakes into exit code 2 with a clean message."""
+    """Turn configuration mistakes into exit code 2 with a clean message;
+    a solver answer that fails its check exits 2 as an internal error."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except ValueError as exc:
-            click.echo(f"configuration error: {exc}", err=True)
+            label = "internal" if isinstance(exc, AnswerCheckError) else "configuration"
+            click.echo(f"{label} error: {exc}", err=True)
             sys.exit(2)
 
     return wrapper
@@ -125,10 +131,8 @@ def cmd_generate(types, sizes, per_size, seed, noise, scenario, out, workers):
         click.echo(f"{entry['sha256']}  {instance_path.name}  ({entry['instance_count']} instances)")
 
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(
-        json.dumps({"datasets": entries}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    with complete_file(manifest_path) as fh:
+        fh.write(json.dumps({"datasets": entries}, indent=2, sort_keys=True) + "\n")
     click.echo(f"manifest written to {manifest_path}")
 
 
@@ -255,7 +259,8 @@ def cmd_evaluate(results_path, dataset, backend_config_path, out_dir):
     out_dir = out_dir or results_path.parent
     _make_dir(out_dir)
     write_jsonl(scores_to_records(scores), out_dir / "scores.jsonl")
-    (out_dir / "report.txt").write_text(report_text, encoding="utf-8")
+    with complete_file(out_dir / "report.txt") as fh:
+        fh.write(report_text)
     click.echo(report_text.rstrip("\n"))
     click.echo(f"reports written to {out_dir}")
 

@@ -13,6 +13,7 @@ from .generate import (
 )
 from .records import (
     check_manifest,
+    complete_file,
     dataset_manifest,
     Result,
     instance_to_record,
@@ -34,6 +35,7 @@ __all__ = [
     "SCENARIO_STYLES",
     "build_instance",
     "check_manifest",
+    "complete_file",
     "dataset_manifest",
     "generate_dataset",
     "generate_names",

@@ -3,8 +3,9 @@
 Every JSONL file (instances, text-only statements, results, scores and
 replay fixtures) is read by :func:`read_jsonl`.  Instances and their
 text-only statements are written together by :func:`write_instances`,
-and results and scores by :func:`write_jsonl`; either writer's file
-appears only once complete.  Each line is one record in one format:
+and results and scores by :func:`write_jsonl`; either writer's file,
+like a manifest or a report, is written through :func:`complete_file`
+and appears only once complete.  Each line is one record in one format:
 fixed key order and compact separators, so a regenerated dataset is
 byte-identical to the original, which the manifest checksum then
 certifies.  Replay fixtures are appended a reply at a time.
@@ -53,7 +54,7 @@ def write_jsonl(records: Iterable[dict[str, Any]], path: str | Path) -> None:
     Each line goes to the file as it is made, so ``records`` may be a
     generator and the file is never held whole in memory; the file
     appears only once it is complete."""
-    with _complete_file(path) as fh:
+    with complete_file(path) as fh:
         fh.writelines(map(_jsonl_line, records))
 
 
@@ -139,7 +140,7 @@ _STATEMENT_KEYS = ("id", "problem_type", "text")
 
 
 @contextlib.contextmanager
-def _complete_file(path: str | Path) -> Iterator[TextIO]:
+def complete_file(path: str | Path) -> Iterator[TextIO]:
     """A file to write that takes the name ``path`` only once the block
     ends, and is removed if the block raises: a partial file never shows."""
     path = Path(path)
@@ -160,7 +161,7 @@ def write_instances(instances: Iterable[ProblemInstance], path: str | Path,
     ``text_path``, an instance at a time: ``instances`` may be a
     generator, and neither file is held whole.  Each file appears only
     once it is complete."""
-    with _complete_file(path) as full, _complete_file(text_path) as public:
+    with complete_file(path) as full, complete_file(text_path) as public:
         for instance in instances:
             record = instance_to_record(instance)
             full.write(_jsonl_line(record))

@@ -3,8 +3,9 @@
 Every structural fact (the node roster, each edge, the question) is
 emitted by exactly one fixed sentence template per scenario, one fact to
 a line.  That discipline is what makes a regex reference extractor
-possible: the templates below and the patterns in `extract` are two
-halves of the same contract, and a test pins them together.
+possible.  This module holds only the templates and the rendering;
+:mod:`.extract` derives every reader pattern from these same templates,
+so the two cannot drift apart.
 
 Noise is additive only.  Distractor sentences carry numbers on purpose
 (years, fees, head counts) but never match an edge template, so a
@@ -35,9 +36,6 @@ from ..problems import (
     VERTEX_COVER,
 )
 
-_NAME = r"([A-Za-z]+)"
-_NUMBER = r"(\d+(?:/\d+)?)"
-
 
 @dataclass(frozen=True)
 class ScenarioStyle:
@@ -65,36 +63,6 @@ class ScenarioStyle:
     @property
     def unit_singular(self) -> str:
         return self.unit[:-1] if self.unit.endswith("s") else self.unit
-
-    # Each pattern finds its sentence wherever the sentence ends a line.  A
-    # pattern opens with the template's literal first words, not ``^``, so
-    # the regex engine can jump straight to them in a whole text.
-    def roster_pattern(self) -> re.Pattern[str]:
-        head = self.roster_template.split("{names}")[0]
-        return re.compile(re.escape(head) + r"(.+)\.$", re.M)
-
-    def edge_weighted_pattern(self) -> re.Pattern[str]:
-        return _template_pattern(self.edge_weighted, self)
-
-    def edge_unweighted_pattern(self) -> re.Pattern[str]:
-        return _template_pattern(self.edge_unweighted, self)
-
-
-def _template_pattern(template: str, style: "ScenarioStyle") -> re.Pattern[str]:
-    out = []
-    pos = 0
-    for match in re.finditer(r"\{(u|v|w|unit)\}", template):
-        out.append(re.escape(template[pos:match.start()]))
-        slot = match.group(1)
-        if slot == "w":
-            out.append(_NUMBER)
-        elif slot == "unit":
-            out.append(f"(?:{re.escape(style.unit)}|{re.escape(style.unit_singular)})")
-        else:
-            out.append(_NAME)
-        pos = match.end()
-    out.append(re.escape(template[pos:]))
-    return re.compile("".join(out) + "$", re.M)
 
 
 _DELIVERY = ScenarioStyle(
@@ -310,33 +278,15 @@ RESERVED_WORDS: frozenset[str] = frozenset(
     for word in re.findall(r"[a-z]+", re.sub(r"\{[a-z_]+\}", " ", text).lower())
 )
 
-ROUTE_QUESTION_PATTERN = re.compile(r"route from ([A-Za-z]+) to ([A-Za-z]+)")
-
-
 def question_sentence(
     problem_type: str,
     style: ScenarioStyle,
     source: str | None = None,
     target: str | None = None,
 ) -> str:
-    template = _QUESTIONS[problem_type]
-    slots = {
-        "agent": style.agent,
-        "node_noun": style.node_noun,
-        "node_noun_plural": style.node_noun_plural,
-        "link_noun": style.link_noun,
-        "link_noun_plural": style.link_noun_plural,
-        "unit": style.unit,
-        "monitor_plural": style.monitor_plural,
-        "slot_noun": style.slot_noun,
-        "slot_noun_plural": style.slot_noun_plural,
-    }
-    if problem_type == SHORTEST_PATH:
-        if source is None or target is None:
-            raise ValueError("shortest_path question needs source and target")
-        slots["src"] = source
-        slots["dst"] = target
-    return template.format(**slots)
+    if problem_type == SHORTEST_PATH and (source is None or target is None):
+        raise ValueError("shortest_path question needs source and target")
+    return _QUESTIONS[problem_type].format(**vars(style), src=source, dst=target)
 
 
 def _edge_sentences(graph: Graph, style: ScenarioStyle) -> list[str]:

@@ -20,6 +20,11 @@ if TYPE_CHECKING:
     from .knowledge import Route
 
 
+class AnswerCheckError(ValueError):
+    """A solver's answer failed its check: a defect in the program, not in
+    what it was given."""
+
+
 def run_algorithm(
     record: Route,
     graph: Graph,
@@ -30,15 +35,15 @@ def run_algorithm(
     """Run the solver a route points at; the row names its answer and
     states its exactness, and :func:`measure` checks it and gives its
     objective.  Shortest-path routes additionally take ``source`` and
-    ``target``.  Raises ValueError naming the route when the answer fails
-    the check, and :class:`~graphcrew.solvers.NoPathError` when no path
-    joins the endpoints.
+    ``target``.  Raises :class:`AnswerCheckError` naming the route when
+    the answer fails the check, and :class:`~graphcrew.solvers.NoPathError`
+    when no path joins the endpoints.
     """
     args = (graph, source, target) if record.problem_type == SHORTEST_PATH else (graph,)
     payload = record.solve(*args)
     violations, objective = measure(record.problem_type, graph, payload, source, target)
     if violations:
-        raise ValueError(f"{record.algorithm_id} answer failed verification "
-                         f"({'; '.join(violations)})")
+        raise AnswerCheckError(f"{record.algorithm_id} answer failed verification "
+                               f"({'; '.join(violations)})")
     return Solution(KIND_BY_PROBLEM[record.problem_type], payload, objective,
                     record.algorithm_id, record.exact)

@@ -117,9 +117,9 @@ def parse_graph(text: str, triples: dict[Triple, Triple] | None = None) -> Graph
     """Parse edge-list text into a canonical :class:`Graph`.
 
     Raises the first :class:`ParseError` in line order, then one for an
-    endpoint missing from the ``# nodes:`` roster, and other
-    :class:`~graphcrew.graph.GraphError` subclasses on semantic problems,
-    :class:`~graphcrew.graph.ConflictingWeightsError` among them.
+    endpoint missing from the ``# nodes:`` roster, and a plain
+    :class:`~graphcrew.graph.GraphError` on semantic problems, an edge
+    stated with two weights among them.
     ``triples`` is passed to :func:`~graphcrew.graph.build_graph`.
     """
     names, weighted, rows = _scan(text)

@@ -24,26 +24,6 @@ class GraphError(ValueError):
     """Malformed graph input."""
 
 
-class DuplicateNodeError(GraphError):
-    pass
-
-
-class UnknownEndpointError(GraphError):
-    pass
-
-
-class SelfLoopError(GraphError):
-    pass
-
-
-class NegativeWeightError(GraphError):
-    pass
-
-
-class ConflictingWeightsError(GraphError):
-    """The same edge was stated more than once with different weights."""
-
-
 def coerce_weight(value: object) -> Weight:
     """Normalize a weight to an exact ``int`` or ``Fraction``.
 
@@ -124,7 +104,7 @@ class Graph:
         try:
             return self._index[name]
         except KeyError:
-            raise UnknownEndpointError(f"unknown node {name!r}") from None
+            raise GraphError(f"unknown node {name!r}") from None
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -156,10 +136,9 @@ def build_graph(
     ``edges`` elements are ``(u_name, v_name)`` or ``(u_name, v_name, weight)``;
     a missing weight defaults to 1.  An edge stated again, either way
     round, with the same weight is kept once; stated again with another
-    weight, it raises :class:`ConflictingWeightsError`.  Raises a
-    :class:`GraphError` subclass on duplicate or empty names, unknown
-    endpoints, self-loops, negative weights, or a non-1 weight in an
-    unweighted graph.
+    weight, it raises :class:`GraphError`, as it does on duplicate or
+    empty names, unknown endpoints, self-loops, negative weights, or a
+    non-1 weight in an unweighted graph.
 
     With a ``triples`` table, each canonical ``(u, v, weight)`` triple is
     taken from it, and added to it when new, so the graphs built from one
@@ -172,7 +151,7 @@ def build_graph(
         if not isinstance(name, str) or not name or name != name.strip():
             raise GraphError(f"bad node name {name!r}")
         if name in seen:
-            raise DuplicateNodeError(f"duplicate node {name!r}")
+            raise GraphError(f"duplicate node {name!r}")
         seen.add(name)
         names.append(name)
     names.sort()
@@ -191,14 +170,14 @@ def build_graph(
             raise GraphError(f"edge must be a 2- or 3-tuple, got {item!r}")
         u = index.get(u_name)
         if u is None:
-            raise UnknownEndpointError(f"unknown node {u_name!r}")
+            raise GraphError(f"unknown node {u_name!r}")
         v = index.get(v_name)
         if v is None:
-            raise UnknownEndpointError(f"unknown node {v_name!r}")
+            raise GraphError(f"unknown node {v_name!r}")
         if u == v:
-            raise SelfLoopError(f"self-loop at {u_name!r}")
+            raise GraphError(f"self-loop at {u_name!r}")
         if w < 0:
-            raise NegativeWeightError(f"negative weight {format_weight(w)} on {u_name}-{v_name}")
+            raise GraphError(f"negative weight {format_weight(w)} on {u_name}-{v_name}")
         if not weighted and w != 1:
             raise GraphError(
                 f"unweighted graph but edge {u_name}-{v_name} has weight {format_weight(w)}"
@@ -207,7 +186,7 @@ def build_graph(
             u, v = v, u
         stated = used.setdefault((u, v), w)
         if stated != w:
-            raise ConflictingWeightsError(
+            raise GraphError(
                 f"edge {names[u]}-{names[v]} stated with weights "
                 f"{format_weight(stated)} and {format_weight(w)}"
             )

@@ -26,6 +26,7 @@ raised.  Scoring and the dataset reader read the verifier's report.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any
 
@@ -169,20 +170,22 @@ def measure(problem_type: str, graph: Graph, payload: Any, source: str | None = 
 def _walk_cost(graph: Graph, order: tuple[str, ...], close: bool) -> tuple[list[str], Weight]:
     """The hops of ``order``, whose names are all nodes of ``graph``, that
     have no edge, and the summed weight of the rest."""
-    names = graph.node_names
-    # node names are sorted, so each edge is keyed by its names in order
-    weights = {(names[u], names[v]): w for u, v, w in graph.edges}
+    # node names and edge triples are both sorted, so each is found by bisection
+    names, edges = graph.node_names, graph.edges
     violations: list[str] = []
     cost: Weight = 0
     hops = list(zip(order, order[1:]))
     if close and len(order) > 1:
         hops.append((order[-1], order[0]))
     for a, b in hops:
-        w = weights.get((a, b) if a < b else (b, a))
-        if w is None:
-            violations.append(f"no edge {a}-{b}")
+        u, v = bisect_left(names, a), bisect_left(names, b)
+        if u > v:
+            u, v = v, u
+        i = bisect_left(edges, (u, v))  # (u, v) sorts just before (u, v, w)
+        if i < len(edges) and edges[i][0] == u and edges[i][1] == v:
+            cost = cost + edges[i][2]
         else:
-            cost = cost + w
+            violations.append(f"no edge {a}-{b}")
     return violations, cost
 
 

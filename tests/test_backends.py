@@ -507,8 +507,9 @@ def test_stub_rejects_bad_inputs():
         message = f"stub cannot answer the {stage} prompt: {problem}"
         with pytest.raises(BackendError, match=message):
             ask_stub(stub, stage, **slots)
+    # a prompt that holds no statement reads as no problem
     system, _ = render_stage("extract_graph", {"problem": "p"})
-    with pytest.raises(BackendError, match="does not frame a {problem} slot"):
+    with pytest.raises(BackendError, match="no roster sentence found"):
         stub.complete(system, "a user prompt not rendered from the template")
 
 

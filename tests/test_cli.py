@@ -15,6 +15,7 @@ from click.testing import CliRunner
 from graphcrew import agents, knowledge
 from graphcrew.agents import Completion, OracleStubBackend
 from graphcrew.cli import main
+from graphcrew.dataset import records
 from graphcrew.formats import parse_graph
 from graphcrew.problems import PROBLEM_TYPES
 from util import closed_port_url, run_python
@@ -136,9 +137,10 @@ class TestGenerate:
             assert not (out / f"{family}.jsonl").exists()
             assert list(out.iterdir()) == []
 
-    def test_unverifiable_truth_is_config_error(self, runner, tmp_path, monkeypatch):
+    def test_unverifiable_truth_is_internal_error(self, runner, tmp_path, monkeypatch):
         # an exact route whose solver gives every node one color: generate
-        # names the route and leaves no family file with unchecked truth
+        # names the route as a defect of the program, not of its
+        # configuration, and leaves no family file with unchecked truth
         monkeypatch.setattr(knowledge, "ROUTES", tuple(
             replace(r, solve=lambda graph: dict.fromkeys(graph.node_names, 0))
             if r.algorithm_id == "exact_coloring" else r for r in knowledge.ROUTES))
@@ -146,7 +148,8 @@ class TestGenerate:
         result = runner.invoke(main, ["generate", "--sizes", "8", "--per-size", "1",
                                       "--type", "graph_coloring", "--out", str(out)])
         assert result.exit_code == 2
-        assert "exact_coloring answer failed verification (nodes " in result.output
+        assert "internal error: exact_coloring answer failed verification (nodes " in result.output
+        assert "configuration error" not in result.output
         assert list(out.iterdir()) == []
 
     def test_generate_holds_one_instance_at_a_time(self, runner, tmp_path):
@@ -587,6 +590,46 @@ def test_no_file_is_opened_in_the_locale_encoding(tmp_path):
         run("solve", "--dataset", dataset, "--backend-config", config, "--out", results)
     run("evaluate", "--results", results, "--dataset", dataset, "--out", tmp_path / "report")
     assert (tmp_path / "report" / "report.txt").is_file()
+
+
+@pytest.mark.parametrize("name", ["manifest.json", "report.txt"])
+def test_a_write_stopped_partway_leaves_no_file(runner, tmp_path, monkeypatch, name):
+    # the file takes half of what it is given and then fails, as on a full
+    # disk: neither it nor its .partial is left for a reader to take whole
+    data, report = tmp_path / "ds", tmp_path / "report"
+    if name == "report.txt":
+        _generate(runner, data, extra=["--type", "vertex_cover"])
+        results = tmp_path / "results.jsonl"
+        assert runner.invoke(main, ["solve", "--dataset", str(data / "vertex_cover.jsonl"),
+                                    "--backend-config", str(_write_stub_config(tmp_path)),
+                                    "--out", str(results)]).exit_code == 0
+
+    def open_failing(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        if Path(path).name == f"{name}.partial":
+            real_write = fh.write
+
+            def write(text):
+                real_write(text[:len(text) // 2])
+                fh.flush()
+                raise OSError(28, "No space left on device")
+            fh.write = write
+        return fh
+
+    monkeypatch.setattr(records, "open", open_failing, raising=False)
+    if name == "report.txt":
+        result = runner.invoke(main, ["evaluate", "--results", str(results), "--dataset",
+                                      str(data / "vertex_cover.jsonl"), "--out", str(report)])
+        directory = report
+        assert (report / "scores.jsonl").is_file()
+    else:
+        result = runner.invoke(main, ["generate", "--type", "vertex_cover", "--sizes", "8",
+                                      "--per-size", "1", "--out", str(data)])
+        directory = data
+        assert (data / "vertex_cover.jsonl").is_file()
+    assert isinstance(result.exception, OSError)
+    assert not (directory / name).exists()
+    assert not (directory / f"{name}.partial").exists()
 
 
 def test_offline_bytes_do_not_depend_on_the_hash_seed(tmp_path):

@@ -11,6 +11,7 @@ import pytest
 from graphcrew.dataset import (
     DatasetSpec,
     build_instance,
+    extract,
     generate_dataset,
     generate_names,
     instance_seed,
@@ -24,7 +25,7 @@ from graphcrew.dataset import (
 )
 from graphcrew.dataset.names import MAX_LENGTH, MIN_LENGTH
 from graphcrew.dataset.records import dataset_manifest, file_checksum
-from graphcrew.dataset.text import RESERVED_WORDS, SCENARIO_STYLES, render_problem_text
+from graphcrew.dataset.text import RESERVED_WORDS, render_problem_text
 from graphcrew.formats import parse_graph, serialize_graph
 from graphcrew.graph import is_connected
 from graphcrew.knowledge import ROUTES, NoApplicableAlgorithmError
@@ -96,12 +97,11 @@ class TestReservedWords:
 
 class TestRendering:
     def test_each_edge_stated_once(self):
+        # the reader's edge patterns, of every scenario: only the
+        # statement's own scenario states edges, one line each
         inst = build_instance(TSP, 8, 0, noise_level="heavy")
-        style = SCENARIO_STYLES[inst.scenario]
-        pattern = style.edge_weighted_pattern()
-        stated = [
-            line for line in inst.text.splitlines() if pattern.match(line.strip())
-        ]
+        stated = [line for line in inst.text.splitlines()
+                  if any(pattern.match(line.strip()) for pattern in extract._WEIGHTED)]
         assert len(stated) == len(inst.graph.edges)
 
     def test_noise_none_has_no_stray_numbers(self):

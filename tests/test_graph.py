@@ -4,13 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphcrew.graph import (
-    ConflictingWeightsError,
-    DuplicateNodeError,
     Graph,
     GraphError,
-    NegativeWeightError,
-    SelfLoopError,
-    UnknownEndpointError,
     build_graph,
     coerce_weight,
     format_weight,
@@ -136,21 +131,21 @@ def test_format_weight():
 
 
 def test_build_rejections():
-    with pytest.raises(DuplicateNodeError):
+    with pytest.raises(GraphError, match="^duplicate node 'A'$"):
         build_graph(["A", "A"], False, [])
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="^bad node name ''$"):
         build_graph(["A", ""], False, [])
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="^bad node name ' B'$"):
         build_graph(["A", " B"], False, [])
-    with pytest.raises(UnknownEndpointError):
+    with pytest.raises(GraphError, match="^unknown node 'Z'$"):
         build_graph(["A", "B"], False, [("A", "Z")])
-    with pytest.raises(SelfLoopError):
+    with pytest.raises(GraphError, match="^self-loop at 'A'$"):
         build_graph(["A", "B"], False, [("A", "A")])
-    with pytest.raises(NegativeWeightError):
+    with pytest.raises(GraphError, match="^negative weight -1 on A-B$"):
         build_graph(["A", "B"], True, [("A", "B", -1)])
-    with pytest.raises(ConflictingWeightsError):
+    with pytest.raises(GraphError, match="^edge A-B stated with weights 1 and 2$"):
         build_graph(["A", "B"], True, [("A", "B", 1), ("B", "A", 2)])
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="^unweighted graph but edge A-B has weight 3$"):
         build_graph(["A", "B"], False, [("A", "B", 3)])
 
 
@@ -158,14 +153,14 @@ def test_adjacency_and_index_lookup():
     g = build_graph(["A", "B", "C"], True, [("A", "B", 3), ("B", "C", 4)])
     assert g.adjacency == ((1,), (0, 2), (1,))
     assert g.index_of("C") == 2
-    with pytest.raises(UnknownEndpointError):
+    with pytest.raises(GraphError, match="^unknown node 'Z'$"):
         g.index_of("Z")
 
 
 def test_build_graph_merges_restated_edges():
     g = build_graph(["A", "B", "C"], True, [("A", "B", 3), ("B", "A", 3), ("A", "C", 2)])
     assert g.edges == ((0, 1, 3), (0, 2, 2))
-    with pytest.raises(ConflictingWeightsError, match="^edge A-B stated with weights 3 and 5$"):
+    with pytest.raises(GraphError, match="^edge A-B stated with weights 3 and 5$"):
         build_graph(["A", "B"], True, [("B", "A", 3), ("A", "B", 5)])
 
 

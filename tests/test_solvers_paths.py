@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from graphcrew.graph import UnknownEndpointError, build_graph
+from graphcrew.graph import GraphError, build_graph
 from graphcrew.solvers import NoPathError, verify_solution
 
 from oracles import (
@@ -66,7 +66,7 @@ def test_error_cases():
     g = build_graph(["A", "B", "C"], True, [("A", "B", 1)])
     with pytest.raises(NoPathError):
         solve("dijkstra", g, "A", "C")
-    with pytest.raises(UnknownEndpointError):
+    with pytest.raises(GraphError, match="^unknown node 'Z'$"):
         solve("dijkstra", g, "A", "Z")
 
 

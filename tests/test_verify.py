@@ -2,15 +2,19 @@ from fractions import Fraction
 
 import pytest
 
+from graphcrew.dataset import build_instance
 from graphcrew.graph import build_graph
+from graphcrew.problems import SHORTEST_PATH, TSP
 from graphcrew.solvers import (
     Solution,
     ValidityReport,
+    measure,
     solution_from_dict,
     solution_to_dict,
     verify_solution,
 )
 from graphcrew.solvers.solution import canonical_coloring, canonical_tour
+from oracles import weight_table
 
 
 def k4():
@@ -86,6 +90,30 @@ def test_path_checks():
     loop = Solution("path", ("A", "B", "A", "B", "C"), 9, "dijkstra", True)
     report = verify_solution("shortest_path", g, loop, source="A", target="C")
     assert not report.valid and "path repeats a node" in report.violations
+
+
+@pytest.mark.parametrize("problem_type", [TSP, SHORTEST_PATH])
+def test_walk_cost_matches_a_weight_table(problem_type):
+    # every stored tour and path, optimum and heuristic, priced hop by hop
+    for n in range(8, 26, 3):
+        for index in range(3):
+            inst = build_instance(problem_type, n, index, master_seed=7)
+            table = weight_table(inst.graph)
+            for solution in (inst.truth.optimal, inst.truth.approximate):
+                order = [inst.graph.index_of(name) for name in solution.payload]
+                hops = list(zip(order, order[1:]))
+                if problem_type == TSP:
+                    hops.append((order[-1], order[0]))
+                assert measure(problem_type, inst.graph, solution.payload, inst.source,
+                               inst.target) == ((), sum(table[hop] for hop in hops))
+
+
+def test_walk_misses_an_edge_next_to_a_stated_one_or_past_the_last():
+    # edges A-B and A-D: A-C sorts between them and C-D after both
+    g = build_graph(["A", "B", "C", "D"], True, [("A", "B", 2), ("A", "D", 3)])
+    assert measure(SHORTEST_PATH, g, ("B", "A", "C")) == (("no edge A-C",), None)
+    assert measure(SHORTEST_PATH, g, ("B", "A", "D", "C")) == (("no edge D-C",), None)
+    assert measure(TSP, g, ("A", "B", "C", "D")) == (("no edge B-C", "no edge C-D"), None)
 
 
 def test_boolean_checks():
