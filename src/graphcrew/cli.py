@@ -143,8 +143,9 @@ def _make_dir(path: Path) -> None:
         raise ValueError(f"cannot create the directory {path}: {exc}") from None
 
 
-def _run_dataset(instances, backend_config, concurrency, out, verb, answer, **fields) -> None:
-    """Answer every instance, write the results in dataset order and report.
+def _run_dataset(dataset, config_path, concurrency, out, verb, answer, **fields) -> None:
+    """Answer every instance of ``dataset`` by the backend ``config_path``
+    configures, write the results in dataset order and report.
 
     ``answer(backend, problem_text)`` returns an instance's outcome, and
     its results record holds ``fields`` too.  One backend answers every
@@ -154,8 +155,10 @@ def _run_dataset(instances, backend_config, concurrency, out, verb, answer, **fi
     a run never pays for answers it cannot write.  Exits 1 when some
     instance failed.
     """
-    from .agents import make_backend
+    from .agents import load_backend_config, make_backend
 
+    instances = read_instances(dataset, statements_only=True)
+    backend_config = load_backend_config(config_path)
     _make_dir(out.parent)
     backend = make_backend(backend_config)
 
@@ -192,33 +195,31 @@ def _run_dataset(instances, backend_config, concurrency, out, verb, answer, **fi
 @_config_guard
 def cmd_solve(dataset, backend_config_path, concurrency, out):
     """Run the staged pipeline over a dataset."""
-    from .agents import load_backend_config, run_pipeline
+    from .agents import run_pipeline
 
-    instances = read_instances(dataset, statements_only=True)
-    backend_config = load_backend_config(backend_config_path)
-    _run_dataset(instances, backend_config, concurrency, out, "solved", run_pipeline)
+    _run_dataset(dataset, backend_config_path, concurrency, out, "solved", run_pipeline)
 
 
 @main.command("solve-direct")
 @click.option("--dataset", required=True,
-              type=click.Path(exists=True, dir_okay=False, path_type=Path))
+              type=click.Path(exists=True, dir_okay=False, path_type=Path),
+              help="Instances file (JSONL) to solve.")
 @click.option("--backend-config", "backend_config_path", required=True,
-              type=click.Path(exists=True, dir_okay=False, path_type=Path))
+              type=click.Path(exists=True, dir_okay=False, path_type=Path),
+              help="Backend YAML config.")
 @click.option("--mode", default="direct", show_default=True,
               type=click.Choice(("direct", "cot")),
               help="Single-prompt baseline; cot prepends the step-by-step directive.")
 @click.option("--concurrency", default=4, show_default=True, type=click.IntRange(min=1),
               help="Instances in flight, and so model calls in flight.")
 @click.option("--out", default=Path("results_direct.jsonl"), show_default=True,
-              type=click.Path(dir_okay=False, path_type=Path))
+              type=click.Path(dir_okay=False, path_type=Path), help="Results file to write.")
 @_config_guard
 def cmd_solve_direct(dataset, backend_config_path, mode, concurrency, out):
     """Ask for the answer in one prompt, no pipeline; the baseline condition."""
-    from .agents import load_backend_config, run_direct
+    from .agents import run_direct
 
-    instances = read_instances(dataset, statements_only=True)
-    backend_config = load_backend_config(backend_config_path)
-    _run_dataset(instances, backend_config, concurrency, out, "answered",
+    _run_dataset(dataset, backend_config_path, concurrency, out, "answered",
                  functools.partial(run_direct, mode=mode), mode=mode)
 
 

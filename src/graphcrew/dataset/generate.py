@@ -9,6 +9,7 @@ workers can build instances in any order.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterator
@@ -221,13 +222,6 @@ def build_instance(
     )
 
 
-def _build_cell(args: tuple[str, int, int, int, str, str | None]) -> ProblemInstance:
-    problem_type, node_count, index, master_seed, noise_level, scenario = args
-    return build_instance(
-        problem_type, node_count, index, master_seed, noise_level, scenario
-    )
-
-
 def generate_dataset(spec: DatasetSpec, workers: int | None = None) -> Iterator[ProblemInstance]:
     """Yield the full sweep, ordered by (node_count, index), an instance
     at a time as it is built.
@@ -244,6 +238,6 @@ def generate_dataset(spec: DatasetSpec, workers: int | None = None) -> Iterator[
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_build_cell, cells, chunksize=8)
+            yield from pool.map(build_instance, *zip(*cells), chunksize=8)
     else:
-        yield from map(_build_cell, cells)
+        yield from itertools.starmap(build_instance, cells)

@@ -29,11 +29,16 @@ if TYPE_CHECKING:
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict[str, Any]]]:
-    """Each record of a JSONL file with its line number.  Blank lines are
-    skipped but counted; a line that is not a JSON object is refused
-    (ValueError), naming the file and line."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
+    """Each record of a JSONL file with its line number; a line ends at a
+    newline byte.  Blank lines are skipped but counted; a line that is not
+    UTF-8 text or not a JSON object is refused (ValueError), naming the
+    file and line."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: line {lineno}: not UTF-8 text ({exc})") from exc
             if not line.strip():
                 continue
             try:
@@ -207,7 +212,12 @@ def read_instances(path: str | Path, *, statements_only: bool = False) -> list[P
 
 
 def file_checksum(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """The sha256 of a file, read in blocks so it is never held whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 16):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def dataset_manifest(spec: DatasetSpec, instances_path: str | Path) -> dict[str, Any]:

@@ -11,6 +11,7 @@ rather than rounded somewhere downstream.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,14 +102,12 @@ class Graph:
         return n > 1 and self.edge_count == n * (n - 1) // 2
 
     def index_of(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise GraphError(f"unknown node {name!r}") from None
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.node_names)}
+        names = self.node_names  # sorted, so a name is found by bisection
+        if isinstance(name, str):
+            i = bisect_left(names, name)
+            if i < len(names) and names[i] == name:
+                return i
+        raise GraphError(f"unknown node {name!r}")
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:

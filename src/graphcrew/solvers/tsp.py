@@ -84,14 +84,10 @@ def _two_opt(m: list[list], order: list[int]) -> list[int]:
     return order
 
 
-def _canonical(order: list[int]) -> list[int]:
-    """``order`` in the direction :func:`canonical_tour` gives its names."""
-    return order[:1] + order[:0:-1] if order[1] > order[-1] else order
-
-
 def _nearest_neighbor_two_opt(m: list[list]) -> list[int]:
-    # 2-opt starts from the nearest neighbor tour as its Solution states it
-    return _two_opt(m, _canonical(_nearest_neighbor(m, 0)))
+    # 2-opt starts from the nearest neighbor tour as its Solution states it;
+    # node names are sorted, so index order is name order
+    return _two_opt(m, list(canonical_tour(_nearest_neighbor(m, 0))))
 
 
 def tsp_nearest_neighbor_two_opt(graph: Graph) -> tuple[str, ...]:

@@ -9,6 +9,7 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -571,6 +572,12 @@ class TestSolve:
         assert blocker.read_text() == ""
 
 
+def test_every_option_has_help_text():
+    missing = [f"{name} {param.opts[0]}" for name, command in main.commands.items()
+               for param in command.params if isinstance(param, click.Option) and not param.help]
+    assert missing == []
+
+
 def test_no_file_is_opened_in_the_locale_encoding(tmp_path):
     # each command in a fresh interpreter that fails on an open() naming no encoding
     def run(*args):
@@ -657,6 +664,49 @@ def test_offline_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     assert written[0] == written[1]
 
 
+# every command in a process that cannot import the test-only packages; the
+# runtime needs only click and PyYAML
+RUNTIME_ONLY = """\
+import sys
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in {"scipy", "numpy", "hypothesis", "networkx", "pytest"}:
+            raise ImportError(f"{name} is not a runtime dependency")
+
+sys.meta_path.insert(0, Refuse())
+from graphcrew.cli import main
+
+def run(*args):
+    try:
+        main(list(args), prog_name="graphcrew")
+    except SystemExit as exc:
+        if exc.code:
+            raise
+
+data, config = sys.argv[1:]
+families = ("tsp", "graph_coloring", "shortest_path")
+run("generate", *(arg for f in families for arg in ("--type", f)),
+    "--sizes", "8", "--per-size", "2", "--out", data)
+for f in families:
+    dataset = f"{data}/{f}.jsonl"
+    for verb in ("solve", "solve-direct"):
+        results = f"{data}/{f}.{verb}.jsonl"
+        run(verb, "--dataset", dataset, "--backend-config", config, "--out", results)
+        run("evaluate", "--results", results, "--dataset", dataset,
+            "--out", f"{data}/{f}.{verb}.report")
+"""
+
+
+def test_runtime_needs_only_click_and_yaml(tmp_path):
+    data = tmp_path / "ds"
+    done = run_python("-c", RUNTIME_ONLY, str(data), str(_write_stub_config(tmp_path)))
+    assert done.returncode == 0, done.stderr
+    for family in ("tsp", "graph_coloring", "shortest_path"):
+        for verb in ("solve", "solve-direct"):
+            assert (data / f"{family}.{verb}.report" / "report.txt").is_file()
+
+
 # runs the command named in its arguments, then prints the modules loaded
 LOADED_MODULES = """\
 import json, sys
@@ -710,9 +760,11 @@ def test_each_command_loads_only_its_own_layers(tmp_path):
 
 # a line that no JSONL file may hold, and the reader's message for it
 UNREADABLE_LINES = {
-    "bad-json": ("not json", "not valid JSON (Expecting value: line 1 column 1 (char 0))"),
-    "number": ("5", "not a JSON object"),
-    "list": ('["tsp-n08-i00", "ok"]', "not a JSON object"),
+    "bad-json": (b"not json", "not valid JSON (Expecting value: line 1 column 1 (char 0))"),
+    "number": (b"5", "not a JSON object"),
+    "list": (b'["tsp-n08-i00", "ok"]', "not a JSON object"),
+    "not-utf8": (b'{"id": "\xff"}', "not UTF-8 text ('utf-8' codec can't decode byte 0xff "
+                                     "in position 8: invalid start byte)"),
 }
 
 
@@ -732,7 +784,7 @@ def test_every_jsonl_file_refuses_a_line_by_file_and_line(runner, tmp_path, kind
     # a good first record, then blank lines, which are skipped but counted
     broken = tmp_path / "broken.jsonl"
     source = {"results": results, "fixtures": fixtures}.get(kind, dataset)
-    broken.write_text(source.read_text().splitlines()[0] + f"\n\n   \n{line}\n")
+    broken.write_bytes(source.read_bytes().splitlines()[0] + b"\n\n   \n" + line + b"\n")
     replay = tmp_path / "replay.yaml"
     replay.write_text(f"kind: replay\nfixtures: {broken}\n")
     args = {

@@ -388,6 +388,14 @@ class TestRecords:
         with pytest.raises(ValueError, match="line 2"):
             read_instances(path)
 
+    def test_non_utf8_line_reports_file_and_line(self, tmp_path):
+        path = tmp_path / "broken.jsonl"
+        path.write_bytes(b'{"id": "a", "text": "t"}\n{"id": "b", "text": "caf\xe9"}\n')
+        with pytest.raises(ValueError) as err:
+            read_instances(path)
+        assert str(err.value) == (f"{path}: line 2: not UTF-8 text ('utf-8' codec can't decode "
+                                  "byte 0xe9 in position 24: invalid continuation byte)")
+
     @pytest.mark.parametrize("corrupt, message", [
         (lambda hidden: hidden["truth"]["optimal"].pop("kind"), "(KeyError: 'kind')"),
         (lambda hidden: hidden.update(graph=hidden["graph"].replace("weighted: true",

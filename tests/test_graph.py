@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -152,9 +153,11 @@ def test_build_rejections():
 def test_adjacency_and_index_lookup():
     g = build_graph(["A", "B", "C"], True, [("A", "B", 3), ("B", "C", 4)])
     assert g.adjacency == ((1,), (0, 2), (1,))
-    assert g.index_of("C") == 2
-    with pytest.raises(GraphError, match="^unknown node 'Z'$"):
-        g.index_of("Z")
+    assert [g.index_of(name) for name in g.node_names] == [0, 1, 2]
+    # before the first name, between two, past the last, and not a string
+    for name in ("", "0", "AB", "Z", 1, None, ["A"]):
+        with pytest.raises(GraphError, match=re.escape(f"unknown node {name!r}") + "$"):
+            g.index_of(name)
 
 
 def test_build_graph_merges_restated_edges():
